@@ -14,8 +14,6 @@ import hashlib
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,38 +34,6 @@ PRECODER_TAG = 1
 
 BENCH_FIELDS = ["trial", "seed", "iters", "smse_final", "pq_max_gap",
                 "t_legacy_us", "t_shortcut_us"]
-
-
-@dataclass
-class TrialRecord:
-    trial: int
-    seed: int
-    psi_asymmetry: float | None
-    pq_gap: float | None
-    mse_gap: float | None
-    sum_power_dl: float | None
-    max_residual: float | None
-    converged: bool
-    error: str | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(**{k: d.get(k) for k in cls.__dataclass_fields__})
-
-
-@dataclass
-class BenchRecord:
-    trial: int
-    seed: int
-    iters: int
-    smse_final: float
-    pq_max_gap: float
-    t_legacy_us: float
-    t_shortcut_us: float
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchRecord":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
 def _fmt(x) -> str:
@@ -283,21 +249,32 @@ def _verify_trial(trial, seed, dims, sigma2, pmax, scfg, negative) -> dict:
     return rec
 
 
-def cmd_verify(ns) -> int:
-    file_cfg = _load_config(ns.config)
+def _ensemble_args(ns, file_cfg: dict):
+    """Trial count, seed base, dims and solver config of `verify` and
+    `bench`; raises ValidationError for any input outside its domain."""
     ens = file_cfg.get("ensemble", {})
     trials = ns.trials if ns.trials is not None else int(ens.get("trials", 100))
     seed_base = ns.seed_base if ns.seed_base is not None \
         else int(ens.get("seed_base", 1))
     dims_spec = ns.dims if ns.dims is not None else ens.get("dims", "4,2,2,2,2,2")
+    scfg = _solver_config(ns, file_cfg)
+    dims = parse_dims(dims_spec)
+    bad = dims.violations()
+    if trials < 1:
+        bad.append("trials: must be >= 1")
+    if not (np.isfinite(ns.sigma2) and ns.sigma2 > 0):
+        bad.append("sigma2: must be > 0")
+    if not (np.isfinite(ns.pmax) and ns.pmax > 0):
+        bad.append("p_max: must be > 0")
+    if bad:
+        raise ValidationError("; ".join(bad))
+    return trials, seed_base, dims, scfg
+
+
+def cmd_verify(ns) -> int:
+    file_cfg = _load_config(ns.config)
     try:
-        scfg = _solver_config(ns, file_cfg)
-        dims = parse_dims(dims_spec)
-        if trials < 1:
-            raise ValidationError("trials: must be >= 1")
-        bad = dims.violations()
-        if bad:
-            raise ValidationError("; ".join(bad))
+        trials, seed_base, dims, scfg = _ensemble_args(ns, file_cfg)
     except (ValidationError, TypeError, ValueError) as e:
         print(f"verify: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -310,15 +287,9 @@ def cmd_verify(ns) -> int:
     if ns.max_mse_gap is not None:
         bounds["mse_gap"] = ns.max_mse_gap
 
-    def run(t):
-        return _verify_trial(t, seed_base + t, dims, ns.sigma2, ns.pmax,
+    records = [_verify_trial(t, seed_base + t, dims, ns.sigma2, ns.pmax,
                              scfg, ns.negative_control)
-
-    if ns.threads and ns.threads > 1:
-        with ThreadPoolExecutor(max_workers=ns.threads) as ex:
-            records = list(ex.map(run, range(trials)))
-    else:
-        records = [run(t) for t in range(trials)]
+               for t in range(trials)]
 
     psis = [r["psi_asymmetry"] for r in records if r["psi_asymmetry"] is not None]
     summary = {
@@ -360,14 +331,8 @@ def cmd_verify(ns) -> int:
 
 def cmd_bench(ns) -> int:
     file_cfg = _load_config(ns.config)
-    ens = file_cfg.get("ensemble", {})
-    trials = ns.trials if ns.trials is not None else int(ens.get("trials", 100))
-    seed_base = ns.seed_base if ns.seed_base is not None \
-        else int(ens.get("seed_base", 1))
-    dims_spec = ns.dims if ns.dims is not None else ens.get("dims", "4,2,2,2,2,2")
     try:
-        scfg = _solver_config(ns, file_cfg)
-        dims = parse_dims(dims_spec)
+        trials, seed_base, dims, scfg = _ensemble_args(ns, file_cfg)
     except (ValidationError, TypeError, ValueError) as e:
         print(f"bench: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -450,7 +415,6 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["json", "csv"], default=None)
     p.add_argument("--seed-base", type=int, default=None, dest="seed_base")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,11 +48,6 @@ class SystemDims:
     def L_tot(self) -> int:
         return sum(self.L)
 
-    @property
-    def N_tot(self) -> int:
-        # exposed as metadata only; nothing downstream depends on it
-        return sum(self.N)
-
     def stream_owner(self) -> np.ndarray:
         """Owning user index for every global stream index."""
         return np.repeat(np.arange(self.K), self.L)
@@ -114,6 +109,8 @@ def validate(instance: ChannelSet) -> list:
                 out.append(f"H[{k}]: must have shape M x N_k = {d.M} x {d.N[k]}")
             elif not np.all(np.isfinite(h.view(float))):
                 out.append(f"H[{k}]: entries must be finite")
+        if not out and not any(np.any(h) for h in instance.H):
+            out.append("H: at least one channel must be nonzero")
     if not (np.isfinite(instance.sigma2) and instance.sigma2 > 0):
         out.append("sigma2: must be > 0")
     if not (np.isfinite(instance.p_max) and instance.p_max > 0):
@@ -330,5 +327,12 @@ def save_instance(ch: ChannelSet, path) -> None:
 
 
 def load_instance(path) -> ChannelSet:
+    """Read an instance file; a document that is not an instance raises
+    ValidationError."""
     with open(path) as f:
-        return channel_from_dict(json.load(f))
+        doc = json.load(f)
+    try:
+        return channel_from_dict(doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(
+            f"{path}: not an instance ({type(e).__name__}: {e})") from e

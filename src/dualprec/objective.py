@@ -57,12 +57,26 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
-    """Assemble J = sum_l q_l htil_l htil_l^H + sigma2 I and factorize it.
+def _covariance(cols: np.ndarray, q, sigma2: float):
+    """The covariance kernel every uplink quantity derives from.
 
-    J >= sigma2 I guarantees the Cholesky factorization succeeds for any
-    finite nonnegative q.
+    Assembles J = sum_l q_l htil_l htil_l^H + sigma2 I, factors it once by
+    Cholesky and returns (J, J^-1, A, f, gains) with A = J^-1 Htil solved
+    on the columns, f = tr(J^-1) and gains_l = ||A_l||^2 =
+    htil_l^H J^-2 htil_l = -df/dq_l.  J >= sigma2 I, so the factorization
+    succeeds for any finite nonnegative q and sigma2 > 0.
     """
+    M = cols.shape[0]
+    J = _hermitize((cols * q) @ cols.conj().T + sigma2 * np.eye(M))
+    X = cho_solve(cho_factor(J, lower=True), np.hstack([np.eye(M), cols]))
+    J_inv = _hermitize(X[:, :M])
+    A = X[:, M:]
+    return (J, J_inv, A, float(np.trace(J_inv).real),
+            np.sum(np.abs(A) ** 2, axis=0))
+
+
+def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
+    """Validate the inputs and evaluate the covariance kernel at q."""
     q = np.asarray(q, dtype=float)
     if q.shape != (eff.L_tot,):
         raise DimensionError("q must have one entry per stream")
@@ -72,15 +86,12 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
         raise NumericsError("q must be >= 0 and sigma2 > 0")
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
-    M = eff.M
-    J = _hermitize((eff.cols * q) @ eff.cols.conj().T + sigma2 * np.eye(M))
     try:
-        c = cho_factor(J, lower=True)
+        J, J_inv, A, _, _ = _covariance(eff.cols, q, sigma2)
     except np.linalg.LinAlgError as e:  # pragma: no cover - J >= sigma2 I
         raise NumericsError(f"covariance not positive definite: {e}") from e
-    J_inv = _hermitize(cho_solve(c, np.eye(M, dtype=complex)))
     return UplinkState(J=J, J_inv=J_inv, eff=eff, q=q, sigma2=float(sigma2),
-                       Jinv_cols=J_inv @ eff.cols)
+                       Jinv_cols=A)
 
 
 def sum_mse_uplink(state: UplinkState, L_tot: int | None = None) -> float:

@@ -5,11 +5,13 @@ Minimizes f(q) = tr(J(q)^-1) with J(q) = sum_l q_l htil_l htil_l^H
 and strictly decreasing in every power whose channel is nonzero, so the
 budget is tight at the optimum.
 
-The solve runs projected gradient with Barzilai-Borwein step seeding and
-Armijo backtracking, then an active-set Newton polish that drives the
-stationarity residual well below the requested tolerance.  Optimality is
-certified independently by `kkt_certify`, which reconstructs multipliers
-from the gradient and reports residuals without judging pass/fail.
+The solve is a single projected-Newton / active-set method on the simplex
+(Bertsekas, SIAM J. Control Optim. 1982): an equality-constrained Newton
+step on the face of powered streams, cut at the boundary, with an Armijo
+or residual-decrease line search.  Values, gains and Hessians all come
+from the covariance kernel `objective._covariance`, which `kkt_certify`
+shares; it reconstructs multipliers from the gradient and reports
+residuals without judging pass/fail.
 """
 
 from __future__ import annotations
@@ -17,31 +19,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (ConvergenceError, CostGuardError, NumericsError,
-                     ValidationError)
+from .errors import (ConvergenceError, CostGuardError, DimensionError,
+                     NumericsError, ValidationError)
 from .model import EffectiveChannel
+from .objective import _covariance
+
+#: Armijo sufficient-decrease constant and ratio of the backtracking search.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+#: Smallest step the search tries.  When the search runs out, or after a
+#: step that did not lower the best residual, the solver takes the full
+#: step without a search.
+MIN_STEP = 1e-10
+#: Steps in a row that do not lower the best residual, allowed while the
+#: best iterate fails kkt_tol (a certified solve stops at the first): at the
+#: rounding floor each Newton step draws the rounding error afresh.
+IDLE_STEPS = 200
 
 
 @dataclass
 class SolverConfig:
     kkt_tol: float = 1e-9
     max_iters: int = 10000
-    step_init: float = 1.0
-    backtrack_ratio: float = 0.5
-    armijo_const: float = 1e-4
-    oracle_grid_points: int = 2001
     # q_l <= active_tol_scale * p_max counts as inactive
     active_tol_scale: float = 1e-9
 
     def __post_init__(self):
-        if self.kkt_tol <= 0 or self.step_init <= 0 or self.armijo_const <= 0:
-            raise ValidationError("solver tolerances must be positive")
-        if not 0 < self.backtrack_ratio < 1:
-            raise ValidationError("backtrack_ratio must lie in (0, 1)")
-        if self.max_iters < 1 or self.oracle_grid_points < 2:
-            raise ValidationError("iteration/grid counts must be positive")
+        if self.kkt_tol <= 0 or self.max_iters < 1:
+            raise ValidationError("kkt_tol and max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,54 +106,8 @@ def project_power(q, p_max: float) -> np.ndarray:
     return np.maximum(q - tau, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# objective kernels (lean versions of objective.make_state for the hot loop)
-
-def _trace_jinv(cols, sigma2, q) -> float:
-    M = cols.shape[0]
-    J = (cols * q) @ cols.conj().T + sigma2 * np.eye(M)
-    c = cho_factor(0.5 * (J + J.conj().T), lower=True)
-    return float(np.trace(cho_solve(c, np.eye(M, dtype=complex))).real)
-
-
-def _value_gains(cols, sigma2, q):
-    """Returns f = tr(J^-1), gains_l = htil_l^H J^-2 htil_l (= -grad f),
-    and A = J^-1 Htil for reuse."""
-    M = cols.shape[0]
-    J = (cols * q) @ cols.conj().T + sigma2 * np.eye(M)
-    c = cho_factor(0.5 * (J + J.conj().T), lower=True)
-    Jinv = cho_solve(c, np.eye(M, dtype=complex))
-    A = Jinv @ cols
-    f = float(np.trace(Jinv).real)
-    gains = np.sum(np.abs(A) ** 2, axis=0)
-    return f, gains, A
-
-
-def _stationarity(q, gains, act_tol: float) -> tuple:
-    """Certificate-style stationarity residual and mu_sum at (q, gains)."""
-    act = q > act_tol
-    if act.any():
-        mu = float(gains[act].max())
-        r = float((mu - gains[act]).max())
-    else:
-        mu = 0.0
-        r = 0.0
-    if (~act).any():
-        r = max(r, float(np.maximum(gains[~act] - mu, 0.0).max()))
-    return r, mu
-
-
-def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
-                active_tol: float | None = None) -> KktCertificate:
-    """Reconstruct multipliers at q and report every KKT residual.
-
-    Always returns a certificate; nothing is thrown for a bad q, the
-    residuals simply say how bad it is.
-    """
-    q = np.asarray(q, dtype=float)
-    if active_tol is None:
-        active_tol = 1e-9 * p_max
-    _, gains, _ = _value_gains(eff.cols, sigma2, q)
+def _certificate(q, gains, p_max: float, active_tol: float) -> KktCertificate:
+    """KKT multipliers and residuals at q from the gains the kernel gave."""
     act = q > active_tol
     mu_sum = float(gains[act].max()) if act.any() else 0.0
     mu = np.zeros(q.size)
@@ -164,6 +124,20 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
                           slackness_residual=slackness)
 
 
+def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
+                active_tol: float | None = None) -> KktCertificate:
+    """Reconstruct multipliers at q and report every KKT residual.
+
+    Always returns a certificate; nothing is thrown for a bad q, the
+    residuals simply say how bad it is.
+    """
+    q = np.asarray(q, dtype=float)
+    if active_tol is None:
+        active_tol = 1e-9 * p_max
+    gains = _covariance(eff.cols, q, sigma2)[4]
+    return _certificate(q, gains, p_max, active_tol)
+
+
 def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
                 cfg: SolverConfig | None = None, q0=None, callback=None):
     """Solve the power allocation and certify it.
@@ -171,14 +145,18 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     Returns (q_star, certificate).  Raises ConvergenceError (carrying the
     best iterate and its certificate) if the residuals cannot be brought
     below cfg.kkt_tol within cfg.max_iters.  ``q0`` warm-starts the solve;
-    ``callback(q, f)`` fires after every accepted descent step.
+    ``callback(q, f)`` fires after every step taken.
     """
     if cfg is None:
         cfg = SolverConfig()
-    if p_max <= 0:
-        raise ValidationError("p_max must be > 0")
+    if not (np.isfinite(p_max) and p_max > 0):
+        raise ValidationError("p_max must be finite and > 0")
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValidationError("sigma2 must be finite and > 0")
     cols = eff.cols
     L = eff.L_tot
+    if q0 is not None and np.shape(q0) != (L,):
+        raise DimensionError(f"q0 must have one entry per stream ({L})")
     col_norms = np.linalg.norm(cols, axis=0)
     if not np.all(np.isfinite(col_norms)):
         raise NumericsError("non-finite effective channel")
@@ -190,6 +168,8 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     sub = np.flatnonzero(col_norms > 1e-15 * col_norms.max())
     cs = cols[:, sub]
     act_tol = cfg.active_tol_scale * p_max
+    # polish well below kkt_tol; Newton reaches this in one more step
+    target = max(5e-15, cfg.kkt_tol * 1e-4)
 
     if q0 is not None:
         q = project_power(np.asarray(q0, dtype=float)[sub], p_max)
@@ -198,126 +178,46 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     else:
         q = np.full(sub.size, p_max / sub.size)
 
-    def emit(q_sub, f):
-        if callback is not None:
-            full = np.zeros(L)
-            full[sub] = q_sub
-            callback(full, f)
+    def evaluate(q):
+        _, _, A, f, gains = _covariance(cs, q, sigma2)
+        return f, gains, A, _certificate(q, gains, p_max, act_tol).max_residual
 
-    f, gains, _ = _value_gains(cs, sigma2, q)
-    best_q, best_resid = q.copy(), np.inf
-    iters = 0
-    done = False
-
-    for _round in range(4):
-        # ---- phase 1: projected gradient (BB step + Armijo) -------------
-        t = cfg.step_init
-        pg_cap = min(iters + max(100, 30 * sub.size), cfg.max_iters)
-        while iters < pg_cap:
-            resid, mu = _stationarity(q, gains, act_tol)
-            if resid < best_resid:
-                best_q, best_resid = q.copy(), resid
-            if resid <= max(cfg.kkt_tol, 1e-5 * max(mu, 1e-300)):
-                break
-            cand = project_power(q + t * gains, p_max)
-            d = cand - q
-            gd = float(-gains @ d)
-            if np.abs(d).max() <= 1e-16 * max(1.0, p_max):
-                break
-            alpha = 1.0
-            f_new = _trace_jinv(cs, sigma2, q + d)
-            while f_new > f + cfg.armijo_const * alpha * gd and alpha > 1e-12:
-                alpha *= cfg.backtrack_ratio
-                f_new = _trace_jinv(cs, sigma2, q + alpha * d)
-            q_new = q + alpha * d if alpha < 1.0 else cand
-            f2, gains2, _ = _value_gains(cs, sigma2, q_new)
-            s = q_new - q
-            y = gains - gains2  # = grad_new - grad_old
-            sy = float(s @ y)
-            t = min(max(float(s @ s) / sy, 1e-12), 1e12) if sy > 0 else t * 2.0
-            q, f, gains = q_new, f2, gains2
-            emit(q, f)
-            iters += 1
-
-        # ---- phase 2: active-set Newton polish ---------------------------
-        # snap sub-threshold powers to exact zero, parking the mass on the
-        # steepest stream (never increases f to first order)
-        tiny = (q > 0) & (q <= act_tol)
-        if tiny.any():
-            freed = q[tiny].sum()
-            q[tiny] = 0.0
-            q[int(np.argmax(gains))] += freed
-            f, gains, _ = _value_gains(cs, sigma2, q)
-
-        floor = max(5e-15, cfg.kkt_tol * 1e-4)
-        stuck = False
-        for _cycle in range(60):
-            if iters >= cfg.max_iters or stuck:
-                break
-            resid, mu = _stationarity(q, gains, 0.0)
-            if resid < best_resid:
-                best_q, best_resid = q.copy(), resid
-            if resid <= floor:
-                done = True
-                break
-            act = q > 0
-            # reactivate any parked stream whose gain exceeds the level
-            act |= gains > mu + 0.25 * floor
-            dq = None
-            for _retry in range(3):
-                dq, _dmu = _newton_direction(cs, sigma2, q, gains, act, mu,
-                                             p_max)
-                if dq is None:
-                    break
-                # a parked stream pushed further negative should not have
-                # been reactivated; drop it and re-solve
-                bad = act & (q == 0) & (dq < 0)
-                if not bad.any():
-                    break
-                act &= ~bad
-                dq = None
-            if dq is None:
-                stuck = True
-                break
-            # fraction to boundary; land exactly on zero when blocked
-            neg = dq < 0
-            if neg.any():
-                ratios = q[neg] / -dq[neg]
-                alpha0 = min(1.0, float(ratios.min()))
-            else:
-                alpha0 = 1.0
-            cand = np.maximum(q + alpha0 * dq, 0.0)
-            if alpha0 < 1.0:
-                blocked = np.flatnonzero(neg)[int(np.argmin(ratios))]
-                cand[blocked] = 0.0
-            f_c, gains_c, _ = _value_gains(cs, sigma2, cand)
-            resid_c, _ = _stationarity(cand, gains_c, 0.0)
-            if resid_c < resid:
-                q, f, gains = cand, f_c, gains_c
-            else:
-                # fall back to an f-descent backtrack along the direction
-                gd = float(-gains @ dq)
-                alpha, accepted = alpha0 * cfg.backtrack_ratio, False
-                while alpha > 1e-10:
-                    trial = np.maximum(q + alpha * dq, 0.0)
-                    f_t = _trace_jinv(cs, sigma2, trial)
-                    if f_t <= f + cfg.armijo_const * alpha * gd:
-                        q = trial
-                        f, gains, _ = _value_gains(cs, sigma2, q)
-                        accepted = True
-                        break
-                    alpha *= cfg.backtrack_ratio
-                if not accepted:
-                    stuck = True
-                    break
-            emit(q, f)
-            iters += 1
-        if done or iters >= cfg.max_iters:
+    f, gains, A, resid = evaluate(q)
+    best_q, best_resid = q, resid
+    iters = idle = 0
+    while best_resid > target and iters < cfg.max_iters and (
+            idle == 0 or best_resid > cfg.kkt_tol and idle <= IDLE_STEPS):
+        dq = _newton_step(cs, q, gains, A, p_max)
+        if dq is None:
             break
-
-    resid, _ = _stationarity(q, gains, 0.0)
-    if resid < best_resid:
-        best_q, best_resid = q.copy(), resid
+        # cut the step at the boundary and land exactly on zero there
+        neg = np.flatnonzero(dq < 0)
+        ratios = q[neg] / -dq[neg]
+        step = float(ratios.min(initial=1.0))
+        full = np.maximum(q + step * dq, 0.0)
+        if step < 1.0:
+            full[neg[np.argmin(ratios)]] = 0.0
+        slope = -float(gains @ dq)
+        t, trial = step, full
+        first = new = evaluate(full)  # (f, gains, A, resid)
+        # near the optimum f is flat to rounding and only the residual moves
+        while not (new[0] <= f + ARMIJO * t * slope or new[3] < resid):
+            if idle or t < MIN_STEP:  # stalled: the full step, no search
+                trial, new = full, first
+                break
+            t *= BACKTRACK
+            trial = np.maximum(q + t * dq, 0.0)
+            new = evaluate(trial)
+        q, (f, gains, A, resid) = trial, new
+        iters += 1
+        if callback is not None:
+            full_q = np.zeros(L)
+            full_q[sub] = q
+            callback(full_q, f)
+        if resid < best_resid:
+            best_q, best_resid, idle = q, resid, 0
+        else:
+            idle += 1
 
     q_full = np.zeros(L)
     q_full[sub] = best_q
@@ -330,40 +230,40 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     return q_full, cert
 
 
-def _newton_direction(cs, sigma2, q, gains, act, mu, p_max):
-    """Equality-constrained Newton step on the active face.
+def _newton_step(cs, q, gains, A, p_max):
+    """Equality-constrained Newton step of tr(J^-1) on the active face, or
+    None when the system has no finite solution.
 
-    Solves [H 1; 1^T 0][dq; dmu] = [gains - mu; p_max - sum q] restricted
-    to the active streams.  Returns (dq_full, dmu) or (None, None) when the
-    system is hopeless.
+    The face holds the powered streams and the parked ones whose gain
+    exceeds their level mu.  Solves [H 1; 1^T 0][dq; dmu] =
+    [gains - mu; p_max - sum q] on it with H = 2 Re(C o conj(D)),
+    C = Htil^H A, D = A^H A; a parked stream the step would push negative
+    leaves the face and the system is solved again.
     """
-    idx = np.flatnonzero(act)
-    m = idx.size
-    if m == 0:
-        return None, None
-    M = cs.shape[0]
-    J = (cs * q) @ cs.conj().T + sigma2 * np.eye(M)
-    c = cho_factor(0.5 * (J + J.conj().T), lower=True)
-    A = cho_solve(c, cs[:, idx])
-    cmat = cs[:, idx].conj().T @ A        # h_i^H J^-1 h_j
-    dmat = A.conj().T @ A                 # h_i^H J^-2 h_j
-    H = 2.0 * np.real(cmat * dmat.conj())
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = H
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.empty(m + 1)
-    rhs[:m] = gains[idx] - mu
-    rhs[m] = p_max - q[idx].sum()
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None, None
-    dq = np.zeros(q.size)
-    dq[idx] = sol[:m]
-    return dq, float(sol[m])
+    on = q > 0  # never empty: every iterate spends the budget
+    mu = float(gains[on].max())
+    act = on | (gains > mu)
+    while True:
+        idx = np.flatnonzero(act)
+        m = idx.size
+        Ai = A[:, idx]
+        H = 2.0 * np.real((cs[:, idx].conj().T @ Ai) * (Ai.conj().T @ Ai).conj())
+        kkt = np.ones((m + 1, m + 1))
+        kkt[:m, :m] = H
+        kkt[m, m] = 0.0
+        rhs = np.append(gains[idx] - mu, p_max - q[idx].sum())
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if not np.all(np.isfinite(sol)):
+            return None
+        dq = np.zeros(q.size)
+        dq[idx] = sol[:m]
+        bad = ~on & (dq < 0)
+        if not bad.any():
+            return dq
+        act &= ~bad
 
 
 def brute_force_power(eff: EffectiveChannel, sigma2: float, p_max: float,
@@ -382,7 +282,7 @@ def brute_force_power(eff: EffectiveChannel, sigma2: float, p_max: float,
         return np.array([p_max])
     if L == 2:
         for a in ticks:
-            f = _trace_jinv(cols, sigma2, np.array([a, p_max - a]))
+            f = _covariance(cols, np.array([a, p_max - a]), sigma2)[3]
             if f < best_f:
                 best_f, best_q = f, np.array([a, p_max - a])
         return best_q
@@ -391,7 +291,7 @@ def brute_force_power(eff: EffectiveChannel, sigma2: float, p_max: float,
             rem = p_max - a - b
             if rem < 0:
                 break
-            f = _trace_jinv(cols, sigma2, np.array([a, b, rem]))
+            f = _covariance(cols, np.array([a, b, rem]), sigma2)[3]
             if f < best_f:
                 best_f, best_q = f, np.array([a, b, rem])
     return best_q

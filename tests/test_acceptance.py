@@ -20,7 +20,11 @@ from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       mmse_receivers_uplink, mmse_report_uplink, psi_asymmetry,
                       solve_power, sum_mse_uplink, transform_power_uplink,
                       verify_theorem)
-from dualprec.solver import _trace_jinv, _value_gains
+from dualprec.objective import _covariance
+
+
+def _trace_jinv(cols, sigma2, q):
+    return _covariance(cols, q, sigma2)[3]
 
 DIMS = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
 TRIALS = 1000
@@ -182,9 +186,9 @@ def test_criterion_6_grid_oracle_equivalence():
         f_s = _trace_jinv(eff.cols, ch.sigma2, q)
         f_g = _trace_jinv(eff.cols, ch.sigma2, qg)
         worst_excess = max(worst_excess, f_s - f_g)
-        # curvature bound: lam_max(H) * spacing^2 with H from _value_gains
+        # curvature bound: lam_max(H) * spacing^2 with H from the kernel
         spacing = ch.p_max / (grid_points - 1)
-        _, _, A = _value_gains(eff.cols, ch.sigma2, q)
+        A = _covariance(eff.cols, q, ch.sigma2)[2]
         cmat = eff.cols.conj().T @ A
         dmat = A.conj().T @ A
         lam = float(np.linalg.eigvalsh(2 * np.real(cmat * dmat.conj())).max())

@@ -4,11 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_instance, scalar_instance
-from dualprec import (ConvergenceError, CostGuardError, EffectiveChannel,
-                      NumericsError, SolverConfig, SystemDims,
-                      ValidationError, active_set, brute_force_power,
-                      kkt_certify, project_power, solve_power)
-from dualprec.solver import _trace_jinv, _value_gains
+from dualprec import (ConvergenceError, CostGuardError, DimensionError,
+                      EffectiveChannel, NumericsError, SolverConfig,
+                      SystemDims, ValidationError, active_set,
+                      brute_force_power, kkt_certify, project_power,
+                      solve_power, verify_theorem)
+from dualprec import solver
+from dualprec.cli import DEFAULT_BOUNDS
+from dualprec.objective import _covariance
+
+
+def _trace_jinv(cols, sigma2, q):
+    return _covariance(cols, q, sigma2)[3]
+
+
+def _gains(cols, sigma2, q):
+    return _covariance(cols, q, sigma2)[4]
 
 
 def eff_from_cols(cols):
@@ -32,8 +43,6 @@ def collinear_weak(scale=0.1):
 def test_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(kkt_tol=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(backtrack_ratio=1.0)
     with pytest.raises(ValidationError):
         SolverConfig(max_iters=0)
 
@@ -104,7 +113,7 @@ def test_equal_gains_on_active_streams():
         ch, _, eff = rand_instance(seed)
         cfg = SolverConfig()
         q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
-        _, gains, _ = _value_gains(eff.cols, ch.sigma2, q)
+        gains = _gains(eff.cols, ch.sigma2, q)
         act = q > 1e-9 * ch.p_max
         if act.sum() > 1:
             assert gains[act].max() - gains[act].min() <= 2 * cfg.kkt_tol
@@ -138,6 +147,19 @@ def test_all_zero_channels_rejected():
         solve_power(eff, 1.0, 1.0)
 
 
+def test_warm_start_wrong_length_rejected():
+    ch, _, eff = rand_instance(3)
+    with pytest.raises(DimensionError):
+        solve_power(eff, ch.sigma2, ch.p_max, q0=np.ones(3))
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_noise_power_rejected(sigma2):
+    _, _, eff = rand_instance(3)
+    with pytest.raises(ValidationError):
+        solve_power(eff, sigma2, 10.0)
+
+
 def test_convergence_error_carries_best_iterate():
     ch, _, eff = rand_instance(0)
     with pytest.raises(ConvergenceError) as ei:
@@ -146,6 +168,37 @@ def test_convergence_error_carries_best_iterate():
     assert e.best_q is not None and e.certificate is not None
     assert np.all(e.best_q >= 0)
     assert e.certificate.max_residual > 1e-9
+
+
+def test_kernel_budget(monkeypatch):
+    # one kernel evaluation per Newton step, plus the start and the
+    # certificate
+    calls = []
+
+    def counted(cols, q, sigma2):
+        calls[-1] += 1
+        return _covariance(cols, q, sigma2)
+
+    monkeypatch.setattr(solver, "_covariance", counted)
+    for seed in range(20):
+        ch, _, eff = rand_instance(seed)
+        calls.append(0)
+        solve_power(eff, ch.sigma2, ch.p_max)
+    assert np.median(calls) <= 8
+
+
+@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2])
+def test_snr_sweep_certifies_theorem(sigma2):
+    # 0, 10 and 30 dB at P = 10; higher SNRs reach the rounding floor of
+    # the absolute kkt_tol
+    cfg = SolverConfig()
+    for seed in range(20):
+        ch, up, eff = rand_instance(seed, sigma2=sigma2)
+        q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
+        assert cert.passes(cfg.kkt_tol)
+        rep = verify_theorem(ch, up, q, cfg)
+        for key, bound in DEFAULT_BOUNDS.items():
+            assert getattr(rep, key) <= bound, (seed, key)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +265,8 @@ def numeric_hessian_max_eig(eff, sigma2, q, h=1e-5):
     for j in range(L):
         e = np.zeros(L)
         e[j] = h
-        _, gp, _ = _value_gains(eff.cols, sigma2, np.maximum(q + e, 0))
-        _, gm, _ = _value_gains(eff.cols, sigma2, np.maximum(q - e, 0))
+        gp = _gains(eff.cols, sigma2, np.maximum(q + e, 0))
+        gm = _gains(eff.cols, sigma2, np.maximum(q - e, 0))
         H[:, j] = -(gp - gm) / (2 * h)  # grad f = -gains
     return float(np.linalg.eigvalsh(0.5 * (H + H.T)).max())
 
