@@ -18,8 +18,9 @@ from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     precoders_from_dict, precoders_to_dict,
                     random_unit_precoders, save_instance, validate)
 from .objective import (MseReport, UplinkState, grad_trace_Jinv, make_state,
-                        mmse_receivers_uplink, mmse_report_downlink,
-                        mmse_report_uplink, sum_mse_uplink)
+                        mmse_directions, mmse_receivers_uplink,
+                        mmse_report_downlink, mmse_report_uplink,
+                        sum_mse_uplink, uplink_mse)
 from .solver import (KktCertificate, SolverConfig, active_set,
                      brute_force_power, kkt_certify, project_power,
                      solve_power)

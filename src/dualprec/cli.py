@@ -74,15 +74,18 @@ def _emit_csv(rows, fields, out_path):
 
 
 def _parse_int_list(s: str) -> tuple:
-    return tuple(int(tok) for tok in re.split(r"[,;:]", s.strip()) if tok)
+    try:
+        return tuple(int(tok) for tok in re.split(r"[,;:]", s.strip()) if tok)
+    except ValueError as e:
+        raise ValidationError(
+            f"expected comma-separated integers, got {s!r}") from e
 
 
 def parse_dims(spec: str) -> model.SystemDims:
     """Flattened dims spec: M,K followed by K antenna counts and K stream
     counts.  Quotes and brackets are tolerated, so 4,2,"2,2","2,2" works.
     """
-    toks = [t for t in re.split(r"[,;:]", re.sub(r"[\[\]\"' ]", "", spec)) if t]
-    vals = [int(t) for t in toks]
+    vals = _parse_int_list(re.sub(r"[\[\]\"' ]", "", spec))
     if len(vals) < 2:
         raise ValidationError("dims: need at least M,K")
     M, K = vals[0], vals[1]
@@ -95,10 +98,25 @@ def parse_dims(spec: str) -> model.SystemDims:
 
 
 def _load_config(path) -> dict:
+    """The JSON config file: an object of sections, each an object."""
     if not path:
         return {}
     with open(path) as f:
-        return json.load(f)
+        cfg = json.load(f)
+    if not (isinstance(cfg, dict)
+            and all(isinstance(v, dict) for v in cfg.values())):
+        raise ValidationError(
+            f"{path}: a config file is a JSON object of JSON objects")
+    return cfg
+
+
+def _build(cls, kw: dict):
+    """cls(**kw); a setting of unknown name or wrong type raises
+    ValidationError like a value out of range does."""
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{cls.__name__}: {e}") from e
 
 
 def _solver_config(ns, file_cfg: dict) -> solver.SolverConfig:
@@ -107,7 +125,7 @@ def _solver_config(ns, file_cfg: dict) -> solver.SolverConfig:
         kw["kkt_tol"] = ns.kkt_tol
     if getattr(ns, "max_iters", None) is not None:
         kw["max_iters"] = ns.max_iters
-    return solver.SolverConfig(**kw)
+    return _build(solver.SolverConfig, kw)
 
 
 def _design_config(ns, file_cfg: dict, scfg, default_path) -> designer.DesignConfig:
@@ -120,7 +138,28 @@ def _design_config(ns, file_cfg: dict, scfg, default_path) -> designer.DesignCon
     if getattr(ns, "init", None) is not None:
         kw["init_mode"] = ns.init
     kw["solver"] = scfg
-    return designer.DesignConfig(**kw)
+    return _build(designer.DesignConfig, kw)
+
+
+def _instance_violations(sigma2, p_max, seed) -> list:
+    """Violations of the noise power, power budget and seed that `gen`,
+    `verify` and `bench` generate instances from."""
+    bad = []
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        bad.append("sigma2: must be finite and > 0")
+    if not (np.isfinite(p_max) and p_max > 0):
+        bad.append("p_max: must be finite and > 0")
+    if seed is not None and seed < 0:
+        bad.append("seed: must be >= 0")
+    return bad
+
+
+def _load_valid_instance(path) -> model.ChannelSet:
+    ch = model.load_instance(path)
+    bad = model.validate(ch)
+    if bad:
+        raise ValidationError("; ".join(bad))
+    return ch
 
 
 def _certificate_dict(cert: solver.KktCertificate) -> dict:
@@ -147,22 +186,11 @@ def certificate_from_dict(d: dict) -> solver.KktCertificate:
 # subcommands
 
 def cmd_gen(ns) -> int:
-    try:
-        N = _parse_int_list(ns.N)
-        L = _parse_int_list(ns.L)
-    except ValueError:
-        print("gen: N and L must be comma-separated integers", file=sys.stderr)
-        return EXIT_USAGE
-    dims = model.SystemDims(M=ns.M, K=ns.K, N=N, L=L)
-    bad = dims.violations()
-    if ns.sigma2 <= 0:
-        bad.append("sigma2: must be > 0")
-    if ns.pmax <= 0:
-        bad.append("p_max: must be > 0")
+    dims = model.SystemDims(M=ns.M, K=ns.K, N=_parse_int_list(ns.N),
+                            L=_parse_int_list(ns.L))
+    bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax, ns.seed)
     if bad:
-        for b in bad:
-            print(f"gen: {b}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("; ".join(bad))
     ch = model.gen_channel(dims, ns.sigma2, ns.pmax, seed=ns.seed)
     out = ns.out or "instance.json"
     model.save_instance(ch, out)
@@ -171,24 +199,15 @@ def cmd_gen(ns) -> int:
 
 
 def cmd_solve(ns) -> int:
-    file_cfg = _load_config(ns.config)
-    try:
-        scfg = _solver_config(ns, file_cfg)
-    except (ValidationError, TypeError) as e:
-        print(f"solve: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scfg = _solver_config(ns, _load_config(ns.config))
     if ns.format == "csv":
-        print("solve: only JSON reports are supported", file=sys.stderr)
-        return EXIT_USAGE
-    ch = model.load_instance(ns.instance)
-    bad = model.validate(ch)
-    if bad:
-        for b in bad:
-            print(f"solve: {b}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValidationError("only JSON reports are supported")
+    ch = _load_valid_instance(ns.instance)
     pseed = ns.precoder_seed
     if pseed is None:
         pseed = ch.seed if ch.seed is not None else 0
+    if pseed < 0:
+        raise ValidationError("precoder seed: must be >= 0")
     up = model.random_unit_precoders(ch.dims, model.VIRTUAL_UPLINK,
                                      seed=[pseed, PRECODER_TAG])
     eff = model.build_effective_channel(ch, up)
@@ -198,7 +217,6 @@ def cmd_solve(ns) -> int:
     except ConvergenceError as e:
         q, cert, converged = e.best_q, e.certificate, False
     state = objective.make_state(eff, q, ch.sigma2)
-    rep = objective.mmse_report_uplink(state)
     payload = {
         "command": "solve",
         "instance": str(ns.instance),
@@ -208,7 +226,7 @@ def cmd_solve(ns) -> int:
         "q": [float(x) for x in q],
         "objective_trace_jinv": float(np.trace(state.J_inv).real),
         "smse": objective.sum_mse_uplink(state),
-        "per_stream_mse": [float(x) for x in rep.per_stream],
+        "per_stream_mse": [float(x) for x in objective.uplink_mse(state)],
         "certificate": _certificate_dict(cert),
     }
     _emit(payload, ns.out)
@@ -227,11 +245,8 @@ def _verify_trial(trial, seed, dims, sigma2, pmax, scfg, negative) -> dict:
         if negative:
             # skip solving; measure the coupling asymmetry at uniform power
             q = np.full(dims.L_tot, pmax / dims.L_tot)
-            state = objective.make_state(eff, q, sigma2)
-            rec_ul = objective.mmse_receivers_uplink(state)
-            rep_ul = objective.mmse_report_uplink(state)
-            dd = duality.build_duality_data(eff, sigma2, q, rec_ul,
-                                            rep_ul.per_stream)
+            dd = duality.build_duality_data(
+                objective.make_state(eff, q, sigma2))
             rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
             return rec
         q, cert = solver.solve_power(eff, sigma2, pmax, scfg)
@@ -253,39 +268,34 @@ def _ensemble_args(ns, file_cfg: dict):
     """Trial count, seed base, dims and solver config of `verify` and
     `bench`; raises ValidationError for any input outside its domain."""
     ens = file_cfg.get("ensemble", {})
-    trials = ns.trials if ns.trials is not None else int(ens.get("trials", 100))
-    seed_base = ns.seed_base if ns.seed_base is not None \
-        else int(ens.get("seed_base", 1))
+    try:
+        trials = ns.trials if ns.trials is not None \
+            else int(ens.get("trials", 100))
+        seed_base = ns.seed_base if ns.seed_base is not None \
+            else int(ens.get("seed_base", 1))
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"ensemble: {e}") from e
     dims_spec = ns.dims if ns.dims is not None else ens.get("dims", "4,2,2,2,2,2")
     scfg = _solver_config(ns, file_cfg)
-    dims = parse_dims(dims_spec)
-    bad = dims.violations()
+    dims = parse_dims(str(dims_spec))
+    bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax,
+                                                   seed_base)
     if trials < 1:
         bad.append("trials: must be >= 1")
-    if not (np.isfinite(ns.sigma2) and ns.sigma2 > 0):
-        bad.append("sigma2: must be > 0")
-    if not (np.isfinite(ns.pmax) and ns.pmax > 0):
-        bad.append("p_max: must be > 0")
     if bad:
         raise ValidationError("; ".join(bad))
     return trials, seed_base, dims, scfg
 
 
 def cmd_verify(ns) -> int:
-    file_cfg = _load_config(ns.config)
-    try:
-        trials, seed_base, dims, scfg = _ensemble_args(ns, file_cfg)
-    except (ValidationError, TypeError, ValueError) as e:
-        print(f"verify: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
+    trials, seed_base, dims, scfg = _ensemble_args(ns, _load_config(ns.config))
     bounds = dict(DEFAULT_BOUNDS)
-    if ns.max_psi_asym is not None:
-        bounds["psi_asymmetry"] = ns.max_psi_asym
-    if ns.max_pq_gap is not None:
-        bounds["pq_gap"] = ns.max_pq_gap
-    if ns.max_mse_gap is not None:
-        bounds["mse_gap"] = ns.max_mse_gap
+    for key, flag in (("psi_asymmetry", ns.max_psi_asym),
+                      ("pq_gap", ns.max_pq_gap), ("mse_gap", ns.max_mse_gap)):
+        if flag is not None:
+            if not (np.isfinite(flag) and flag >= 0):
+                raise ValidationError(f"{key} bound: must be finite and >= 0")
+            bounds[key] = flag
 
     records = [_verify_trial(t, seed_base + t, dims, ns.sigma2, ns.pmax,
                              scfg, ns.negative_control)
@@ -330,12 +340,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_bench(ns) -> int:
-    file_cfg = _load_config(ns.config)
-    try:
-        trials, seed_base, dims, scfg = _ensemble_args(ns, file_cfg)
-    except (ValidationError, TypeError, ValueError) as e:
-        print(f"bench: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    trials, seed_base, dims, scfg = _ensemble_args(ns, _load_config(ns.config))
 
     rows, failures = [], []
 
@@ -365,23 +370,14 @@ def cmd_bench(ns) -> int:
     print(f"trials = {len(rows)}  failures = {len(failures)}", file=sys.stderr)
     print(f"aggregate t_legacy_us = {agg_leg:.3f}  "
           f"aggregate t_shortcut_us = {agg_sc:.3f}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_NO_CONVERGENCE if failures else EXIT_OK
 
 
 def cmd_design(ns) -> int:
     file_cfg = _load_config(ns.config)
-    try:
-        scfg = _solver_config(ns, file_cfg)
-        dcfg = _design_config(ns, file_cfg, scfg, designer.SIMPLIFIED)
-    except (ValidationError, TypeError) as e:
-        print(f"design: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    ch = model.load_instance(ns.instance)
-    bad = model.validate(ch)
-    if bad:
-        for b in bad:
-            print(f"design: {b}", file=sys.stderr)
-        return EXIT_USAGE
+    dcfg = _design_config(ns, file_cfg, _solver_config(ns, file_cfg),
+                          designer.SIMPLIFIED)
+    ch = _load_valid_instance(ns.instance)
     converged = True
     try:
         res = designer.design(ch, dcfg)
@@ -401,8 +397,8 @@ def cmd_design(ns) -> int:
             "smse_trace": [float(s) for s in res.smse_trace],
             "q": [float(x) for x in res.uplink.powers],
             "p": [float(x) for x in res.downlink.powers],
-            "transform_time_s": res.transform_time,
-            "shortcut_time_s": res.shortcut_time,
+            "transform_time_s": float(sum(res.transform_times)),
+            "shortcut_time_s": float(sum(res.shortcut_times)),
         }
         _emit(payload, ns.out)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
@@ -492,10 +488,8 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except FileNotFoundError as e:
-        print(f"{ns.command}: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, json.JSONDecodeError) as e:
+    except (ValidationError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as e:
         print(f"{ns.command}: {e}", file=sys.stderr)
         return EXIT_USAGE
 

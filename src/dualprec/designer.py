@@ -1,11 +1,11 @@
 """Alternating sum-MSE precoder design in the virtual uplink.
 
 Each outer iteration: (1) solve the convex power allocation for the
-current uplink beamformers, (2) take uplink MMSE receivers, (3) normalize
-them into downlink beamformers, (4) convert powers to the downlink —
+current uplink beamformers, (2) take the unit uplink MMSE directions
+J^-1 htil_l as downlink beamformers, (3) convert powers to the downlink —
 either through the legacy duality transform (a linear solve per
 iteration) or the shortcut p := q that the transpose symmetry of the
-coupling matrix justifies — then (5) swap roles: normalized downlink MMSE
+coupling matrix justifies — then (4) swap roles: normalized downlink MMSE
 receivers become the next uplink beamformers.
 
 The two conversion paths agree at every certified power step; the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -24,9 +25,8 @@ from .duality import build_duality_data, transform_power
 from .errors import ConvergenceError, RankError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
                     build_effective_channel, random_unit_precoders, validate)
-from .objective import (make_state, mmse_receivers_downlink,
-                        mmse_receivers_uplink, mmse_report_downlink,
-                        mmse_report_uplink, sum_mse_uplink)
+from .objective import (make_state, mmse_directions, mmse_receivers_downlink,
+                        mmse_report_downlink, sum_mse_uplink)
 from .solver import SolverConfig, solve_power
 
 LEGACY = "legacy_transform"
@@ -46,10 +46,14 @@ class DesignConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValidationError("max_outer_iters must be >= 1")
-        if self.smse_rel_tol <= 0:
+        if not (isinstance(self.max_outer_iters, Integral)
+                and self.max_outer_iters >= 1):
+            raise ValidationError("max_outer_iters must be an integer >= 1")
+        if not (self.smse_rel_tol > 0):
             raise ValidationError("smse_rel_tol must be positive")
+        if self.seed is not None and not (isinstance(self.seed, Integral)
+                                          and self.seed >= 0):
+            raise ValidationError("seed must be an integer >= 0 or None")
         if self.init_mode not in ("random_unit", "channel_svd"):
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
         if self.path not in (LEGACY, SIMPLIFIED, BOTH):
@@ -63,10 +67,8 @@ class DesignResult:
     smse_trace: list
     iters: int
     path_used: str
-    transform_time: float       # total seconds spent in legacy conversion
-    shortcut_time: float        # total seconds spent in p := q
-    transform_times: list
-    shortcut_times: list
+    transform_times: list       # seconds per iteration in legacy conversion
+    shortcut_times: list        # seconds per iteration in p := q
     path_gap_trace: list        # max |p_legacy - p_shortcut| per iteration
     p_legacy: np.ndarray | None
     converged: bool
@@ -117,7 +119,6 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     act_tol = cfg.solver.active_tol_scale * p_max
 
     vbar = _init_uplink_dirs(ch, cfg)
-    ubar = None  # downlink directions, M x L_tot; lazily seeded
     q = None
     p = None
     smse_trace: list = []
@@ -134,21 +135,12 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         q, _cert = solve_power(eff, sigma2, p_max, cfg.solver, q0=q)
         state = make_state(eff, q, sigma2)
         smse_trace.append(sum_mse_uplink(state))
-
-        rec = mmse_receivers_uplink(state)
-        U = rec.stacked()
-        if ubar is None:
-            ubar = _normalized_or_fallback(eff.cols)
-        act = q > 0
-        norms = np.linalg.norm(U[:, act], axis=0)
-        ubar[:, act] = U[:, act] / norms
-        rep_ul = mmse_report_uplink(state)
+        ubar = mmse_directions(state)
 
         # power conversion to the downlink, timed around the conversion only
         if cfg.path in (LEGACY, BOTH):
             t0 = time.perf_counter()
-            dd = build_duality_data(eff, sigma2, q, rec, rep_ul.per_stream,
-                                    active_tol=act_tol)
+            dd = build_duality_data(state, active_tol=act_tol)
             p_leg = transform_power(dd, sigma2)
             t_leg.append(time.perf_counter() - t0)
         if cfg.path in (SIMPLIFIED, BOTH):
@@ -185,7 +177,6 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
                                            for k in range(d.K)),
                              powers=p),
         smse_trace=smse_trace, iters=len(smse_trace), path_used=cfg.path,
-        transform_time=float(sum(t_leg)), shortcut_time=float(sum(t_sc)),
         transform_times=t_leg, shortcut_times=t_sc, path_gap_trace=gaps,
         p_legacy=p_leg, converged=converged)
     if not converged:
@@ -193,16 +184,6 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "
             "iterations", trace=smse_trace, partial=result)
     return result
-
-
-def _normalized_or_fallback(cols: np.ndarray) -> np.ndarray:
-    """Unit columns along ``cols``; e_1 where a column is exactly zero."""
-    out = np.zeros_like(cols)
-    norms = np.linalg.norm(cols, axis=0)
-    nz = norms > 0
-    out[:, nz] = cols[:, nz] / norms[nz]
-    out[0, ~nz] = 1.0
-    return out
 
 
 def compare_paths(ch: ChannelSet, cfg: DesignConfig) -> PathComparison:
@@ -230,8 +211,8 @@ def compare_paths(ch: ChannelSet, cfg: DesignConfig) -> PathComparison:
         final_smse_difference=float(diff),
         t_legacy_median=float(np.median(res.transform_times)),
         t_shortcut_median=float(np.median(res.shortcut_times)),
-        t_legacy_total=res.transform_time,
-        t_shortcut_total=res.shortcut_time,
+        t_legacy_total=float(sum(res.transform_times)),
+        t_shortcut_total=float(sum(res.shortcut_times)),
         result=res)
 
 

@@ -1,10 +1,11 @@
 """Uplink-downlink duality: beta scalars, D and Psi matrices, the power
 transform, and the end-to-end theorem check.
 
-With uplink MMSE receivers u_l at powers q, factor u_l = q_l^{-1/2}
-beta_l ubar_l with beta_l = sqrt(q_l) ||u_l|| and unit ubar_l.  The
-per-stream MSEs eps then satisfy two linear systems over the active
-streams (E = diag(eps), B2 = diag(beta^2)):
+Everything derives from the uplink state at powers q.  With
+a_l = J^-1 htil_l the MMSE receiver is u_l = sqrt(q_l) a_l; factor it as
+u_l = q_l^{-1/2} beta_l ubar_l with beta_l = q_l ||a_l|| and unit
+ubar_l = a_l / ||a_l||.  The per-stream MSEs eps then satisfy two linear
+systems over the active streams (E = diag(eps), B2 = diag(beta^2)):
 
     downlink:  (E - D - B2 Psi)   p = sigma2 beta^2
     uplink:    (E - D - B2 Psi^T) q = sigma2 beta^2
@@ -23,10 +24,10 @@ import numpy as np
 
 from .errors import (InfeasibleTransformError, NumericsError,
                      SingularTransformError)
-from .model import (DOWNLINK, ChannelSet, EffectiveChannel, PrecoderSet,
-                    ReceiverSet, build_effective_channel)
-from .objective import (grad_trace_Jinv, make_state, mmse_receivers_uplink,
-                        mmse_report_downlink, mmse_report_uplink)
+from .model import (ChannelSet, EffectiveChannel, PrecoderSet,
+                    build_effective_channel)
+from .objective import (UplinkState, grad_trace_Jinv, make_state,
+                        mmse_directions)
 from .solver import SolverConfig, active_set
 
 #: Condition number above which the transform matrix is rejected rather
@@ -61,9 +62,6 @@ class DualityReport:
     ``mse_gap`` compares the uplink MSEs against the downlink MSEs
     achieved by the duality-factored receivers (the receivers the
     transform is built around; equality is the theorem's claim).
-    ``mse_gap_mmse`` uses downlink MMSE receivers instead, which can only
-    improve on the factored ones, so it is one-sided and generally
-    nonzero for arbitrary uplink precoders.
     """
 
     p: np.ndarray
@@ -72,7 +70,6 @@ class DualityReport:
     pq_gap: float
     mse_gap: float
     sum_power_dl: float
-    mse_gap_mmse: float = 0.0
 
 
 def psi_asymmetry(Psi: np.ndarray) -> float:
@@ -82,34 +79,31 @@ def psi_asymmetry(Psi: np.ndarray) -> float:
     return float(np.abs(Psi - Psi.T).max() / max(1.0, np.abs(Psi).max()))
 
 
-def build_duality_data(eff: EffectiveChannel, sigma2: float, q,
-                       receivers: ReceiverSet, eps,
+def build_duality_data(state: UplinkState,
                        active_tol: float = 0.0) -> DualityData:
-    """Assemble beta, D, Psi on the active streams.
+    """Assemble beta, D, Psi and the uplink MSEs eps on the active
+    streams of ``state``, all from a_l = J^-1 htil_l.
 
-    ``receivers`` must be the uplink MMSE receivers for (eff, q) and
-    ``eps`` the matching per-stream MSEs.  Inactive rows and columns are
-    deleted; the caller re-inserts zeros afterwards.
+    Inactive rows and columns are deleted; the caller re-inserts zeros
+    afterwards.
     """
-    q = np.asarray(q, dtype=float)
-    eps = np.asarray(eps, dtype=float)
+    q = state.q
     act, _ = active_set(q, active_tol)
     if act.size == 0:
         raise NumericsError("no active streams to transform")
-    U = receivers.stacked()
-    u_act = U[:, act]
-    norms = np.linalg.norm(u_act, axis=0)
+    a_act = state.Jinv_cols[:, act]
+    norms = np.linalg.norm(a_act, axis=0)
     if np.any(norms == 0.0):
         raise NumericsError("zero MMSE receiver on an active stream")
-    beta = np.sqrt(q[act]) * norms
-    dirs = u_act / norms
-    h_act = eff.cols[:, act]
-    s = np.einsum("ml,ml->l", h_act.conj(), dirs)  # htil_l^H ubar_l
+    beta = q[act] * norms
+    dirs = a_act / norms
+    C = state.eff.cols[:, act].conj().T @ dirs     # C_ij = htil_i^H ubar_j
+    s = np.diag(C)
+    eps = 1.0 - beta * s.real                      # 1 - q_l htil_l^H J^-1 htil_l
     D = np.abs(beta * s) ** 2 - 2.0 * beta * s.real + 1.0
-    C = h_act.conj().T @ dirs                      # C_ij = htil_i^H ubar_j
     Psi = np.abs(C) ** 2
     np.fill_diagonal(Psi, 0.0)
-    return DualityData(beta=beta, D=D, Psi=Psi, eps=eps[act], active=act,
+    return DualityData(beta=beta, D=D, Psi=Psi, eps=eps, active=act,
                        downlink_dirs=dirs, n_streams=q.size)
 
 
@@ -164,37 +158,35 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
     """End-to-end theorem check at one power allocation.
 
     Builds the uplink MMSE operating point, converts it to the downlink
-    via the transform, evaluates the downlink MSEs, and reports the
-    asymmetry of Psi together with the p-q and MSE gaps.  Meaningful
-    bounds hold only when q carries a passing KKT certificate; feeding a
-    non-optimal q is how the negative control is produced.
+    via the transform with the MMSE directions as beamformers, evaluates
+    the downlink MSEs, and reports the asymmetry of Psi together with the
+    p-q and MSE gaps.  Streams below the activity threshold are off in
+    both directions (MSE 1).  Meaningful bounds hold only when q carries
+    a passing KKT certificate; feeding a non-optimal q is how the
+    negative control is produced.
     """
     if cfg is None:
         cfg = SolverConfig()
     q = np.asarray(q, dtype=float)
-    eff = build_effective_channel(ch, uplink)
-    state = make_state(eff, q, ch.sigma2)
-    receivers = mmse_receivers_uplink(state)
-    rep_ul = mmse_report_uplink(state)
-    dd = build_duality_data(eff, ch.sigma2, q, receivers, rep_ul.per_stream,
-                            active_tol=cfg.active_tol_scale * ch.p_max)
+    state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
+    dd = build_duality_data(state, active_tol=cfg.active_tol_scale * ch.p_max)
     p = transform_power(dd, ch.sigma2)
 
-    dl = _downlink_precoders(ch, eff, state, dd, p)
-    rep_dl = mmse_report_downlink(ch, dl)
-
-    eps_dl = _factored_downlink_mse(ch, uplink, dl, dd)
+    eps_ul = np.ones(q.size)
+    eps_ul[dd.active] = dd.eps
+    eps_dl = _factored_downlink_mse(ch, uplink, mmse_directions(state), p, dd)
     gap_pq = float(np.abs(p - q).max() / max(1.0, ch.p_max))
-    gap_mse = float(np.abs(eps_dl - rep_ul.per_stream).max())
-    gap_mmse = float(np.abs(rep_dl.per_stream - rep_ul.per_stream).max())
+    gap_mse = float(np.abs(eps_dl - eps_ul).max())
     return DualityReport(p=p, q=q, psi_asymmetry=psi_asymmetry(dd.Psi),
                          pq_gap=gap_pq, mse_gap=gap_mse,
-                         sum_power_dl=float(p.sum()), mse_gap_mmse=gap_mmse)
+                         sum_power_dl=float(p.sum()))
 
 
 def _factored_downlink_mse(ch: ChannelSet, uplink: PrecoderSet,
-                           dl: PrecoderSet, dd: DualityData) -> np.ndarray:
-    """Downlink per-stream MSEs under the duality-factored receivers
+                           Ubar: np.ndarray, p: np.ndarray,
+                           dd: DualityData) -> np.ndarray:
+    """Downlink per-stream MSEs under beamformers ``Ubar`` (M x L_tot) at
+    powers ``p`` and the duality-factored receivers
     v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
     model (signal, cross-stream, and noise terms summed explicitly).
 
@@ -202,8 +194,6 @@ def _factored_downlink_mse(ch: ChannelSet, uplink: PrecoderSet,
     Not exported: arbitrary-receiver downlink evaluation stays internal.
     """
     d = ch.dims
-    p = dl.powers
-    Ubar = dl.stacked()
     sp = np.sqrt(p)
     eps = np.ones(d.L_tot)
     owner = d.stream_owner()
@@ -220,23 +210,3 @@ def _factored_downlink_mse(ch: ChannelSet, uplink: PrecoderSet,
         eps[l] = float(np.real(m))
     return eps
 
-
-def _downlink_precoders(ch, eff, state, dd, p) -> PrecoderSet:
-    """Downlink beamformer set: normalized MMSE receivers on active
-    streams, an arbitrary unit direction on zero-power streams (their MSE
-    is 1 regardless)."""
-    M = eff.M
-    dirs = np.zeros((M, eff.L_tot), dtype=complex)
-    dirs[:, dd.active] = dd.downlink_dirs
-    is_active = np.zeros(eff.L_tot, dtype=bool)
-    is_active[dd.active] = True
-    for l in np.flatnonzero(~is_active):
-        v = state.Jinv_cols[:, l]
-        n = np.linalg.norm(v)
-        if n > 0:
-            dirs[:, l] = v / n
-        else:
-            dirs[0, l] = 1.0
-    d = ch.dims
-    by_user = tuple(dirs[:, d.user_streams(k)] for k in range(d.K))
-    return PrecoderSet(direction=DOWNLINK, by_user=by_user, powers=p)

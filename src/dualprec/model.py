@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -115,6 +116,9 @@ def validate(instance: ChannelSet) -> list:
         out.append("sigma2: must be > 0")
     if not (np.isfinite(instance.p_max) and instance.p_max > 0):
         out.append("p_max: must be > 0")
+    if instance.seed is not None and not (isinstance(instance.seed, Integral)
+                                          and instance.seed >= 0):
+        out.append("seed: must be an integer >= 0 or null")
     return out
 
 

@@ -6,7 +6,8 @@ Virtual uplink quantities all derive from the base-station covariance
 
 which dominates everything: the minimum sum-MSE is
 L_tot - M + sigma2 tr(J^-1), its gradient in q_l is -htil_l^H J^-2 htil_l,
-and the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l).
+and the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l), whose
+unit directions are the downlink beamformers of the duality.
 """
 
 from __future__ import annotations
@@ -106,6 +107,29 @@ def grad_trace_Jinv(state: UplinkState) -> np.ndarray:
     return -np.sum(np.abs(state.Jinv_cols) ** 2, axis=0)
 
 
+def mmse_directions(state: UplinkState) -> np.ndarray:
+    """Unit MMSE directions J^-1 htil_l / ||J^-1 htil_l||, M x L_tot.
+
+    Defined for every stream whatever its power (a zero-power stream
+    keeps the direction it would receive if switched on), and e_1 where
+    htil_l = 0; these are the downlink beamformers of the duality.
+    """
+    A = state.Jinv_cols
+    norms = np.linalg.norm(A, axis=0)
+    nz = norms > 0
+    out = np.zeros_like(A)
+    out[:, nz] = A[:, nz] / norms[nz]
+    out[0, ~nz] = 1.0
+    return out
+
+
+def uplink_mse(state: UplinkState) -> np.ndarray:
+    """Per-stream uplink MMSEs 1 - q_l htil_l^H J^-1 htil_l, clamped to
+    [0, 1] like every MseReport."""
+    g = np.einsum("ml,ml->l", state.eff.cols.conj(), state.Jinv_cols).real
+    return np.clip(1.0 - state.q * g, 0.0, 1.0)
+
+
 def mmse_receivers_uplink(state: UplinkState) -> ReceiverSet:
     """Wiener filters u_l = J^-1 htil_l sqrt(q_l), zero iff q_l = 0."""
     U = state.Jinv_cols * np.sqrt(state.q)
@@ -119,7 +143,6 @@ def mmse_report_uplink(state: UplinkState) -> MseReport:
     G_k = Htil_k^H J^-1 Htil_k, and their diagonals as per-stream MSEs."""
     K = int(state.eff.stream_owner.max()) + 1
     per_user = []
-    per_stream = np.empty(state.eff.L_tot)
     for k in range(K):
         idx = state.eff.user_streams(k)
         G = state.eff.cols[:, idx].conj().T @ state.Jinv_cols[:, idx]
@@ -127,8 +150,7 @@ def mmse_report_uplink(state: UplinkState) -> MseReport:
         E = _hermitize(np.eye(len(idx), dtype=complex)
                        - (sq[:, None] * G * sq[None, :]))
         per_user.append(E)
-        per_stream[idx] = 1.0 - state.q[idx] * np.real(np.diag(G))
-    per_stream = np.clip(per_stream, 0.0, 1.0)
+    per_stream = uplink_mse(state)
     return MseReport(direction=VIRTUAL_UPLINK, per_stream=per_stream,
                      per_user=tuple(per_user), sum=float(per_stream.sum()))
 

@@ -46,8 +46,10 @@ class SolverConfig:
     active_tol_scale: float = 1e-9
 
     def __post_init__(self):
-        if self.kkt_tol <= 0 or self.max_iters < 1:
-            raise ValidationError("kkt_tol and max_iters must be positive")
+        if not (self.kkt_tol > 0 and self.max_iters >= 1
+                and self.active_tol_scale >= 0):
+            raise ValidationError("kkt_tol and max_iters must be positive "
+                                  "and active_tol_scale nonnegative")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       brute_force_power, build_duality_data,
                       build_effective_channel, check_equal_gradient_condition,
                       compare_paths, gen_channel, grad_trace_Jinv, make_state,
-                      mmse_receivers_uplink, mmse_report_uplink, psi_asymmetry,
+                      mmse_report_uplink, psi_asymmetry,
                       solve_power, sum_mse_uplink, transform_power_uplink,
                       verify_theorem)
 from dualprec.objective import _covariance
@@ -72,17 +72,13 @@ def ensemble():
         lhs = sum_mse_uplink(state)
         rhs = sum(float(np.trace(E).real) for E in rep_ul.per_user)
 
-        rec = mmse_receivers_uplink(state)
-        dd = build_duality_data(eff, ch.sigma2, q, rec, rep_ul.per_stream,
+        dd = build_duality_data(state,
                                 active_tol=cfg.active_tol_scale * ch.p_max)
         q_rec = transform_power_uplink(dd, ch.sigma2)
 
         # negative control at uniform power on the identical instance
         q_uni = np.full(DIMS.L_tot, ch.p_max / DIMS.L_tot)
-        st_u = make_state(eff, q_uni, ch.sigma2)
-        dd_u = build_duality_data(eff, ch.sigma2, q_uni,
-                                  mmse_receivers_uplink(st_u),
-                                  mmse_report_uplink(st_u).per_stream)
+        dd_u = build_duality_data(make_state(eff, q_uni, ch.sigma2))
 
         trials.append(Trial(
             seed=seed, mu_sum=cert.mu_sum, max_residual=cert.max_residual,

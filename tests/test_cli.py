@@ -203,9 +203,24 @@ def test_verify_bad_dims_exit_2(capsys):
     ["design", "{missing_keys}"],
     ["solve", "{zero_channel}"],
     ["design", "{zero_channel}"],
+    ["verify", "--trials", "1", "--max-pq-gap", "nan"],
+    ["verify", "--trials", "1", "--max-mse-gap", "-1"],
+    ["verify", "--trials", "1", "--kkt-tol", "nan"],
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--seed", "-1"],
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--sigma2", "nan"],
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--pmax", "inf"],
+    ["verify", "--trials", "1", "--seed-base", "-5"],
+    ["bench", "--trials", "1", "--seed-base", "-5"],
+    ["solve", "{instance}", "--config", "{list_config}"],
+    ["design", "{instance}", "--config", "{bad_seed_config}"],
+    ["solve", "{directory}"],
 ], ids=["verify-sigma2", "verify-pmax", "bench-sigma2", "bench-pmax",
         "bench-L-above-N", "solve-missing-keys", "design-missing-keys",
-        "solve-zero-channel", "design-zero-channel"])
+        "solve-zero-channel", "design-zero-channel", "verify-nan-bound",
+        "verify-negative-bound", "verify-nan-kkt-tol", "gen-negative-seed",
+        "gen-nan-sigma2", "gen-inf-pmax", "verify-negative-seed-base",
+        "bench-negative-seed-base", "solve-list-config",
+        "design-bad-seed-config", "solve-directory"])
 def test_bad_input_exit_2(args, instance, tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"dims": {"M": 2}}))
@@ -213,7 +228,14 @@ def test_bad_input_exit_2(args, instance, tmp_path):
     ch = load_instance(instance)
     save_instance(ChannelSet(dims=ch.dims, H=tuple(0 * h for h in ch.H),
                              sigma2=ch.sigma2, p_max=ch.p_max), zero)
-    paths = {"{missing_keys}": str(missing), "{zero_channel}": str(zero)}
+    list_config = tmp_path / "list.json"
+    list_config.write_text("[]")
+    bad_seed_config = tmp_path / "seed.json"
+    bad_seed_config.write_text(json.dumps({"design": {"seed": "x"}}))
+    paths = {"{missing_keys}": str(missing), "{zero_channel}": str(zero),
+             "{instance}": str(instance), "{list_config}": str(list_config),
+             "{bad_seed_config}": str(bad_seed_config),
+             "{directory}": str(tmp_path)}
     rc = run_cli([paths.get(a, a) for a in args]
                  + ["--out", str(tmp_path / "out")])
     assert rc == 2
@@ -242,6 +264,12 @@ def test_bench_json_same_fields(tmp_path):
     rec = rows[0]
     assert rec["t_shortcut_us"] < rec["t_legacy_us"]
     assert rec["pq_max_gap"] <= 1e-6 * 10.0
+
+
+def test_bench_trial_failure_exit_3(tmp_path):
+    rc = run_cli(["bench", "--trials", "2", "--max-iters", "1",
+                  "--out", str(tmp_path / "bench.csv")])
+    assert rc == 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_instance, scalar_instance
 from dualprec import (ChannelSet, EffectiveChannel, InfeasibleTransformError,
-                      NumericsError, PrecoderSet, ReceiverSet,
+                      NumericsError, PrecoderSet,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
                       check_equal_gradient_condition, make_state,
@@ -15,9 +15,7 @@ from dualprec.duality import DualityData
 
 def duality_point(eff, sigma2, q):
     state = make_state(eff, q, sigma2)
-    rec = mmse_receivers_uplink(state)
-    rep = mmse_report_uplink(state)
-    return build_duality_data(eff, sigma2, q, rec, rep.per_stream), state, rep
+    return build_duality_data(state), state, mmse_report_uplink(state)
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +67,13 @@ def test_beta_and_d_formulas():
 
 
 def test_zero_receiver_on_active_stream_rejected():
+    # a zero channel column gives a zero MMSE receiver whatever its power
     _, _, eff = rand_instance(1)
-    q = np.full(4, 2.5)
-    state = make_state(eff, q, 1.0)
-    rep = mmse_report_uplink(state)
-    filt = [f.copy() for f in mmse_receivers_uplink(state).filters]
-    filt[0][:, 0] = 0.0
-    bad = ReceiverSet(direction=VIRTUAL_UPLINK, filters=tuple(filt))
+    cols = eff.cols.copy()
+    cols[:, 0] = 0.0
+    eff0 = EffectiveChannel(cols=cols, stream_owner=eff.stream_owner)
     with pytest.raises(NumericsError):
-        build_duality_data(eff, 1.0, q, bad, rep.per_stream)
+        build_duality_data(make_state(eff0, np.full(4, 2.5), 1.0))
 
 
 # ---------------------------------------------------------------------------

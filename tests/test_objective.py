@@ -4,7 +4,8 @@ import pytest
 from conftest import rand_instance, scalar_instance
 from dualprec import (DOWNLINK, EffectiveChannel, NumericsError,
                       PrecoderSet, grad_trace_Jinv, make_state,
-                      mmse_receivers_uplink, mmse_report_downlink,
+                      mmse_directions, mmse_receivers_uplink,
+                      mmse_report_downlink,
                       mmse_report_uplink, solve_power, sum_mse_uplink,
                       verify_theorem)
 
@@ -173,6 +174,22 @@ def test_receivers_zero_power_zero_filter():
     assert np.linalg.norm(U[:, 0]) > 0
 
 
+def test_mmse_directions_every_stream():
+    # active and zero-power streams alike get the unit J^-1 htil_l;
+    # a zero channel column gets e_1
+    _, _, eff = rand_instance(6)
+    cols = eff.cols.copy()
+    cols[:, 2] = 0.0
+    eff = EffectiveChannel(cols=cols, stream_owner=eff.stream_owner)
+    st = make_state(eff, np.array([1.0, 0.0, 2.0, 0.0]), 1.0)
+    dirs = mmse_directions(st)
+    assert np.allclose(np.linalg.norm(dirs, axis=0), 1.0, atol=1e-14)
+    for l in (0, 1, 3):
+        a = np.linalg.solve(st.J, cols[:, l])
+        assert np.abs(dirs[:, l] - a / np.linalg.norm(a)).max() <= 1e-12
+    assert np.array_equal(dirs[:, 2], np.eye(4)[0])
+
+
 def test_receivers_are_local_minima():
     _, _, eff = rand_instance(8)
     q = np.array([1.0, 0.5, 2.0, 1.5])
@@ -251,10 +268,11 @@ def test_downlink_per_stream_at_duality_point():
         st = make_state(eff, q, ch.sigma2)
         rep_ul = mmse_report_uplink(st)
         # MMSE receivers can only lower per-stream MSE below the factored ones
-        from dualprec.duality import _downlink_precoders, build_duality_data
-        rec = mmse_receivers_uplink(st)
-        dd = build_duality_data(eff, ch.sigma2, q, rec, rep_ul.per_stream)
-        dl = _downlink_precoders(ch, eff, st, dd, rep.p)
+        dirs = mmse_directions(st)
+        dl = PrecoderSet(direction=DOWNLINK,
+                         by_user=tuple(dirs[:, ch.dims.user_streams(k)]
+                                       for k in range(ch.dims.K)),
+                         powers=rep.p)
         rep_dl = mmse_report_downlink(ch, dl)
         assert np.all(rep_dl.per_stream <= rep_ul.per_stream + 1e-12)
 

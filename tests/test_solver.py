@@ -45,6 +45,8 @@ def test_config_validation():
         SolverConfig(kkt_tol=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(max_iters=0)
+    with pytest.raises(ValidationError):
+        SolverConfig(kkt_tol=float("nan"))
 
 
 def test_active_set_examples():
