@@ -8,21 +8,18 @@ from .designer import (BOTH, LEGACY, SIMPLIFIED, DesignConfig, DesignResult,
 from .duality import (DualityData, DualityReport, build_duality_data,
                       check_equal_gradient_condition, psi_asymmetry,
                       transform_power, transform_power_uplink, verify_theorem)
-from .errors import (ConvergenceError, CostGuardError, DimensionError,
-                     DualPrecError, InfeasibleTransformError, NumericsError,
-                     RankError, SingularTransformError, ValidationError)
+from .errors import (ConvergenceError, DimensionError, DualPrecError,
+                     InfeasibleTransformError, NumericsError, RankError,
+                     SingularTransformError, ValidationError)
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
-                    PrecoderSet, ReceiverSet, SystemDims,
-                    build_effective_channel, channel_from_dict,
-                    channel_to_dict, gen_channel, load_instance,
-                    precoders_from_dict, precoders_to_dict,
+                    PrecoderSet, SystemDims, build_effective_channel,
+                    channel_from_dict, channel_to_dict, gen_channel,
+                    load_instance, precoders_from_dict, precoders_to_dict,
                     random_unit_precoders, save_instance, validate)
-from .objective import (MseReport, UplinkState, grad_trace_Jinv, make_state,
-                        mmse_directions, mmse_receivers_uplink,
-                        mmse_report_downlink, mmse_report_uplink,
-                        sum_mse_uplink, uplink_mse)
-from .solver import (KktCertificate, SolverConfig, active_set,
-                     brute_force_power, kkt_certify, project_power,
-                     solve_power)
+from .objective import (UplinkState, downlink_mmse, grad_trace_Jinv,
+                        make_state, mmse_directions, sum_mse_uplink,
+                        uplink_mse)
+from .solver import (KktCertificate, SolverConfig, active_set, kkt_certify,
+                     project_power, solve_power)
 
 __version__ = "0.1.0"

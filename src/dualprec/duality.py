@@ -42,8 +42,7 @@ class DualityData:
 
     ``D`` holds the diagonal entries of the paper-level diagonal matrix;
     ``Psi`` is the L_A x L_A coupling matrix with an exactly zero
-    diagonal; ``downlink_dirs`` are the normalized receivers (M x L_A)
-    that become downlink beamformers.
+    diagonal.
     """
 
     beta: np.ndarray
@@ -51,7 +50,6 @@ class DualityData:
     Psi: np.ndarray
     eps: np.ndarray
     active: np.ndarray
-    downlink_dirs: np.ndarray
     n_streams: int
 
 
@@ -104,7 +102,7 @@ def build_duality_data(state: UplinkState,
     Psi = np.abs(C) ** 2
     np.fill_diagonal(Psi, 0.0)
     return DualityData(beta=beta, D=D, Psi=Psi, eps=eps, active=act,
-                       downlink_dirs=dirs, n_streams=q.size)
+                       n_streams=q.size)
 
 
 def _solve_transform(dd: DualityData, sigma2: float,

@@ -34,10 +34,6 @@ class ConvergenceError(DualPrecError):
         self.partial = partial
 
 
-class CostGuardError(DualPrecError):
-    """A brute-force oracle was asked for a problem size it refuses."""
-
-
 class SingularTransformError(DualPrecError):
     """The power-transform linear system is singular or too ill-conditioned
     to trust (condition number above 1e12)."""

@@ -190,27 +190,6 @@ class PrecoderSet:
 
 
 @dataclass(frozen=True)
-class ReceiverSet:
-    """Per-stream receive filters, grouped by user.
-
-    ``filters[k]`` has one column per stream of user k: length N_k in the
-    downlink, length M in the uplink.  A zero column marks an inactive
-    stream (zero power).
-    """
-
-    direction: str
-    filters: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "filters", tuple(np.asarray(f, dtype=complex) for f in self.filters)
-        )
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(self.filters, axis=1)
-
-
-@dataclass(frozen=True)
 class EffectiveChannel:
     """Stacked per-stream effective channel vectors htil_l = H_k vbar_l.
 

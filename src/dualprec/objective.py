@@ -1,4 +1,4 @@
-"""Sum-MSE objective, MMSE receivers, and MSE reports for both directions.
+"""Sum-MSE objective and the two MMSE kernels, one per link direction.
 
 Virtual uplink quantities all derive from the base-station covariance
 
@@ -7,7 +7,11 @@ Virtual uplink quantities all derive from the base-station covariance
 which dominates everything: the minimum sum-MSE is
 L_tot - M + sigma2 tr(J^-1), its gradient in q_l is -htil_l^H J^-2 htil_l,
 and the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l), whose
-unit directions are the downlink beamformers of the duality.
+unit directions are the downlink beamformers of the duality
+(`mmse_directions`).  The downlink kernel `downlink_mmse` factors the
+per-user covariances J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I once each;
+the unit directions of its receivers J_k^-1 H_k^H ubar_l become the next
+uplink beamformers of the design loop.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, NumericsError, ValidationError
-from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
-                    PrecoderSet, ReceiverSet)
+from .model import ChannelSet, EffectiveChannel
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,7 @@ class UplinkState:
     """Immutable snapshot of the uplink at one power allocation.
 
     Caches J, its inverse, and J^-1 Htil (used by the gradient, the
-    receivers, and the MSE report alike).
+    MMSE directions, and the per-stream MSEs alike).
     """
 
     J: np.ndarray
@@ -36,22 +39,6 @@ class UplinkState:
     q: np.ndarray
     sigma2: float
     Jinv_cols: np.ndarray  # J^-1 @ eff.cols, M x L_tot
-
-
-@dataclass(frozen=True)
-class MseReport:
-    """Per-stream and per-user MSEs for one link direction.
-
-    ``per_stream`` is clamped to [0, 1] (reports stay physical; optimization
-    code never reads clamped values).  ``J_k`` carries the per-user downlink
-    covariance matrices and is None for the uplink.
-    """
-
-    direction: str
-    per_stream: np.ndarray
-    per_user: tuple
-    sum: float
-    J_k: tuple | None = None
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -125,95 +112,38 @@ def mmse_directions(state: UplinkState) -> np.ndarray:
 
 def uplink_mse(state: UplinkState) -> np.ndarray:
     """Per-stream uplink MMSEs 1 - q_l htil_l^H J^-1 htil_l, clamped to
-    [0, 1] like every MseReport."""
+    [0, 1] so reports stay physical (optimization code never reads
+    clamped values)."""
     g = np.einsum("ml,ml->l", state.eff.cols.conj(), state.Jinv_cols).real
     return np.clip(1.0 - state.q * g, 0.0, 1.0)
 
 
-def mmse_receivers_uplink(state: UplinkState) -> ReceiverSet:
-    """Wiener filters u_l = J^-1 htil_l sqrt(q_l), zero iff q_l = 0."""
-    U = state.Jinv_cols * np.sqrt(state.q)
-    K = int(state.eff.stream_owner.max()) + 1
-    filters = tuple(U[:, state.eff.user_streams(k)] for k in range(K))
-    return ReceiverSet(direction=VIRTUAL_UPLINK, filters=filters)
+def downlink_mmse(ch: ChannelSet, Ubar, p):
+    """Downlink MMSE receivers and per-stream MSEs under beamformers
+    ``Ubar`` (M x L_tot, one column per stream) at powers ``p``.
 
-
-def mmse_report_uplink(state: UplinkState) -> MseReport:
-    """Per-user MMSE matrices E_k = I - sqrt(Q_k) G_k sqrt(Q_k) with
-    G_k = Htil_k^H J^-1 Htil_k, and their diagonals as per-stream MSEs."""
-    K = int(state.eff.stream_owner.max()) + 1
-    per_user = []
-    for k in range(K):
-        idx = state.eff.user_streams(k)
-        G = state.eff.cols[:, idx].conj().T @ state.Jinv_cols[:, idx]
-        sq = np.sqrt(state.q[idx])
-        E = _hermitize(np.eye(len(idx), dtype=complex)
-                       - (sq[:, None] * G * sq[None, :]))
-        per_user.append(E)
-    per_stream = uplink_mse(state)
-    return MseReport(direction=VIRTUAL_UPLINK, per_stream=per_stream,
-                     per_user=tuple(per_user), sum=float(per_stream.sum()))
-
-
-def mmse_receivers_downlink(ch: ChannelSet, dl: PrecoderSet) -> ReceiverSet:
-    """Downlink Wiener filters v_l = J_k^-1 H_k^H ubar_l sqrt(p_l)."""
-    _, _, Jinv_HU = _downlink_core(ch, dl)
-    d = ch.dims
-    filters = []
-    for k in range(d.K):
-        idx = d.user_streams(k)
-        filters.append(Jinv_HU[k] * np.sqrt(dl.powers[idx]))
-    return ReceiverSet(direction=DOWNLINK, filters=tuple(filters))
-
-
-def mmse_report_downlink(ch: ChannelSet, dl: PrecoderSet) -> MseReport:
-    """Per-user downlink MMSE matrices under the global precoder.
-
-    J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I_{N_k};
-    E_k = I - sqrt(P_k) G_k sqrt(P_k) with G_k = Ubar_k^H H_k J_k^-1 H_k^H Ubar_k.
+    Factors J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I_{N_k} once per user
+    and returns (X, mse): X[k] = J_k^-1 H_k^H Ubar_k is N_k x L_k, the
+    Wiener filters without their sqrt(p_l) scale, defined whatever the
+    powers; mse holds 1 - p_l ubar_l^H H_k J_k^-1 H_k^H ubar_l per stream,
+    clamped to [0, 1] like `uplink_mse`.
     """
-    J_ks, Gs, _ = _downlink_core(ch, dl)
     d = ch.dims
-    per_user = []
-    per_stream = np.empty(d.L_tot)
+    Ubar = np.asarray(Ubar, dtype=complex)
+    p = np.asarray(p, dtype=float)
+    if Ubar.shape != (d.M, d.L_tot) or p.shape != (d.L_tot,):
+        raise DimensionError(
+            f"Ubar must be M x L_tot = {d.M} x {d.L_tot} and p must have "
+            f"{d.L_tot} entries")
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValidationError("p must be finite and >= 0")
+    T = _hermitize((Ubar * p) @ Ubar.conj().T)  # Ubar P Ubar^H
+    X, mse = [], np.empty(d.L_tot)
     for k in range(d.K):
         idx = d.user_streams(k)
-        p_k = dl.powers[idx]
-        sp = np.sqrt(p_k)
-        E = _hermitize(np.eye(d.L[k], dtype=complex)
-                       - (sp[:, None] * Gs[k] * sp[None, :]))
-        per_user.append(E)
-        per_stream[idx] = 1.0 - p_k * np.real(np.diag(Gs[k]))
-    per_stream = np.clip(per_stream, 0.0, 1.0)
-    return MseReport(direction=DOWNLINK, per_stream=per_stream,
-                     per_user=tuple(per_user), sum=float(per_stream.sum()),
-                     J_k=tuple(J_ks))
-
-
-def _downlink_core(ch: ChannelSet, dl: PrecoderSet):
-    """Shared downlink computation: per-user J_k, G_k, and J_k^-1 H_k^H Ubar_k."""
-    d = ch.dims
-    if dl.direction != DOWNLINK:
-        raise ValidationError("downlink precoders required")
-    if len(dl.by_user) != d.K:
-        raise DimensionError("precoder set must have one block per user")
-    for k, b in enumerate(dl.by_user):
-        if b.shape != (d.M, d.L[k]):
-            raise DimensionError(
-                f"user {k}: beamformer block must be M x L_k = {d.M} x {d.L[k]}")
-    bad = dl.violations()
-    if bad:
-        raise ValidationError("; ".join(bad))
-    Ubar = dl.stacked()
-    T = _hermitize((Ubar * dl.powers) @ Ubar.conj().T)  # Ubar P Ubar^H
-    J_ks, Gs, Jinv_HU = [], [], []
-    for k in range(d.K):
         Hk = ch.H[k]
         J_k = _hermitize(Hk.conj().T @ T @ Hk + ch.sigma2 * np.eye(d.N[k]))
-        c = cho_factor(J_k, lower=True)
-        HU = Hk.conj().T @ dl.by_user[k]          # N_k x L_k
-        X = cho_solve(c, HU)                      # J_k^-1 H_k^H Ubar_k
-        J_ks.append(J_k)
-        Gs.append(HU.conj().T @ X)
-        Jinv_HU.append(X)
-    return J_ks, Gs, Jinv_HU
+        HU = Hk.conj().T @ Ubar[:, idx]
+        X.append(cho_solve(cho_factor(J_k, lower=True), HU))
+        mse[idx] = 1.0 - p[idx] * np.einsum("nl,nl->l", HU.conj(), X[k]).real
+    return tuple(X), np.clip(mse, 0.0, 1.0)

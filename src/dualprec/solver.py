@@ -16,12 +16,14 @@ residuals without judging pass/fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import (ConvergenceError, CostGuardError, DimensionError,
-                     NumericsError, ValidationError)
+from .errors import (ConvergenceError, DimensionError, NumericsError,
+                     ValidationError)
 from .model import EffectiveChannel
 from .objective import _covariance
 
@@ -46,10 +48,12 @@ class SolverConfig:
     active_tol_scale: float = 1e-9
 
     def __post_init__(self):
-        if not (self.kkt_tol > 0 and self.max_iters >= 1
+        if not (0 < self.kkt_tol < math.inf
+                and isinstance(self.max_iters, Integral) and self.max_iters >= 1
                 and self.active_tol_scale >= 0):
-            raise ValidationError("kkt_tol and max_iters must be positive "
-                                  "and active_tol_scale nonnegative")
+            raise ValidationError("kkt_tol must be finite and positive, "
+                                  "max_iters an integer >= 1 and "
+                                  "active_tol_scale nonnegative")
 
 
 @dataclass(frozen=True)
@@ -266,34 +270,3 @@ def _newton_step(cs, q, gains, A, p_max):
         if not bad.any():
             return dq
         act &= ~bad
-
-
-def brute_force_power(eff: EffectiveChannel, sigma2: float, p_max: float,
-                      grid_points: int) -> np.ndarray:
-    """Exhaustive minimizer of tr(J^-1) on the simplex {q >= 0, sum = p_max}
-    discretized with ``grid_points`` per dimension.  Testing oracle only;
-    refuses more than three streams.
-    """
-    L = eff.L_tot
-    if L > 3:
-        raise CostGuardError("brute force oracle limited to L_tot <= 3")
-    cols = eff.cols
-    ticks = np.linspace(0.0, p_max, grid_points)
-    best_q, best_f = None, np.inf
-    if L == 1:
-        return np.array([p_max])
-    if L == 2:
-        for a in ticks:
-            f = _covariance(cols, np.array([a, p_max - a]), sigma2)[3]
-            if f < best_f:
-                best_f, best_q = f, np.array([a, p_max - a])
-        return best_q
-    for a in ticks:
-        for b in ticks:
-            rem = p_max - a - b
-            if rem < 0:
-                break
-            f = _covariance(cols, np.array([a, b, rem]), sigma2)[3]
-            if f < best_f:
-                best_f, best_q = f, np.array([a, b, rem])
-    return best_q

@@ -27,3 +27,16 @@ def scalar_instance(p_max=3.0, sigma2=1.0):
                   by_user=(np.array([[1.0 + 0j]]),), powers=up.powers)
     eff = build_effective_channel(ch, up)
     return ch, up, eff
+
+
+def wiener_filters(state):
+    """Uplink Wiener filters u_l = J^-1 htil_l sqrt(q_l), M x L_tot; zero
+    exactly where q_l = 0."""
+    return state.Jinv_cols * np.sqrt(state.q)
+
+
+def mse_trace_sum(state):
+    """Sum of the unclamped per-stream uplink MMSEs
+    1 - q_l htil_l^H J^-1 htil_l, which equals sum_k tr E_k."""
+    g = np.einsum("ml,ml->l", state.eff.cols.conj(), state.Jinv_cols).real
+    return float(np.sum(1.0 - state.q * g))

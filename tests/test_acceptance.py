@@ -11,16 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import rand_instance
+from conftest import mse_trace_sum, rand_instance
 from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       SolverConfig, SystemDims, VIRTUAL_UPLINK,
-                      brute_force_power, build_duality_data,
-                      build_effective_channel, check_equal_gradient_condition,
-                      compare_paths, gen_channel, grad_trace_Jinv, make_state,
-                      mmse_report_uplink, psi_asymmetry,
-                      solve_power, sum_mse_uplink, transform_power_uplink,
-                      verify_theorem)
+                      build_duality_data, build_effective_channel,
+                      check_equal_gradient_condition, compare_paths,
+                      gen_channel, grad_trace_Jinv, make_state,
+                      psi_asymmetry, solve_power, sum_mse_uplink,
+                      transform_power_uplink, verify_theorem)
 from dualprec.objective import _covariance
+from oracles import brute_force_power
 
 
 def _trace_jinv(cols, sigma2, q):
@@ -68,9 +68,8 @@ def ensemble():
         spread = check_equal_gradient_condition(eff, ch.sigma2, q)
 
         state = make_state(eff, q, ch.sigma2)
-        rep_ul = mmse_report_uplink(state)
         lhs = sum_mse_uplink(state)
-        rhs = sum(float(np.trace(E).real) for E in rep_ul.per_user)
+        rhs = mse_trace_sum(state)
 
         dd = build_duality_data(state,
                                 active_tol=cfg.active_tol_scale * ch.p_max)
@@ -160,9 +159,7 @@ def test_criterion_5_trace_identity(ensemble):
     worst = max(t.trace_identity_err for t in trials)
     for eff, q in grad_instances():
         st = make_state(eff, q, SIGMA2)
-        rhs = sum(float(np.trace(E).real)
-                  for E in mmse_report_uplink(st).per_user)
-        worst = max(worst, abs(sum_mse_uplink(st) - rhs))
+        worst = max(worst, abs(sum_mse_uplink(st) - mse_trace_sum(st)))
     ok = worst <= 1e-10
     _criterion(
         "criterion 5: sum-MSE trace identity on every instance", ok,
@@ -237,8 +234,8 @@ def test_criterion_9_design_loop():
         tr = np.array(cp.result.smse_trace)
         worst_rise = max(worst_rise, float(np.diff(tr).max()))
         worst_gap = max(worst_gap, cp.max_power_discrepancy)
-        tot_legacy += cp.t_legacy_total
-        tot_shortcut += cp.t_shortcut_total
+        tot_legacy += sum(cp.result.transform_times)
+        tot_shortcut += sum(cp.result.shortcut_times)
     ok = (worst_rise <= 1e-10 and worst_gap <= 1e-6 * P_MAX
           and tot_shortcut < tot_legacy)
     _criterion(

@@ -214,13 +214,17 @@ def test_verify_bad_dims_exit_2(capsys):
     ["solve", "{instance}", "--config", "{list_config}"],
     ["design", "{instance}", "--config", "{bad_seed_config}"],
     ["solve", "{directory}"],
+    ["solve", "{instance}", "--kkt-tol", "inf"],
+    ["design", "{instance}", "--config", "{inf_rel_tol_config}"],
+    ["solve", "{instance}", "--config", "{fractional_iters_config}"],
 ], ids=["verify-sigma2", "verify-pmax", "bench-sigma2", "bench-pmax",
         "bench-L-above-N", "solve-missing-keys", "design-missing-keys",
         "solve-zero-channel", "design-zero-channel", "verify-nan-bound",
         "verify-negative-bound", "verify-nan-kkt-tol", "gen-negative-seed",
         "gen-nan-sigma2", "gen-inf-pmax", "verify-negative-seed-base",
         "bench-negative-seed-base", "solve-list-config",
-        "design-bad-seed-config", "solve-directory"])
+        "design-bad-seed-config", "solve-directory", "solve-inf-kkt-tol",
+        "design-inf-rel-tol-config", "solve-fractional-iters-config"])
 def test_bad_input_exit_2(args, instance, tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"dims": {"M": 2}}))
@@ -232,10 +236,18 @@ def test_bad_input_exit_2(args, instance, tmp_path):
     list_config.write_text("[]")
     bad_seed_config = tmp_path / "seed.json"
     bad_seed_config.write_text(json.dumps({"design": {"seed": "x"}}))
+    inf_rel_tol_config = tmp_path / "rel_tol.json"
+    inf_rel_tol_config.write_text(
+        json.dumps({"design": {"smse_rel_tol": float("inf")}}))
+    fractional_iters_config = tmp_path / "iters.json"
+    fractional_iters_config.write_text(
+        json.dumps({"solver": {"max_iters": 2.5}}))
     paths = {"{missing_keys}": str(missing), "{zero_channel}": str(zero),
              "{instance}": str(instance), "{list_config}": str(list_config),
              "{bad_seed_config}": str(bad_seed_config),
-             "{directory}": str(tmp_path)}
+             "{directory}": str(tmp_path),
+             "{inf_rel_tol_config}": str(inf_rel_tol_config),
+             "{fractional_iters_config}": str(fractional_iters_config)}
     rc = run_cli([paths.get(a, a) for a in args]
                  + ["--out", str(tmp_path / "out")])
     assert rc == 2

@@ -132,8 +132,8 @@ def test_compare_paths_aggregate_timing():
     for seed in range(10):
         cp = compare_paths(small_channel(seed),
                            DesignConfig(path=BOTH, seed=seed))
-        tot_leg += cp.t_legacy_total
-        tot_sc += cp.t_shortcut_total
+        tot_leg += sum(cp.result.transform_times)
+        tot_sc += sum(cp.result.shortcut_times)
     assert tot_sc < tot_leg
 
 

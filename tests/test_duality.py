@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import rand_instance, scalar_instance
+from conftest import rand_instance, scalar_instance, wiener_filters
 from dualprec import (ChannelSet, EffectiveChannel, InfeasibleTransformError,
                       NumericsError, PrecoderSet,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
                       check_equal_gradient_condition, make_state,
-                      mmse_receivers_uplink, mmse_report_uplink,
                       psi_asymmetry, solve_power, transform_power,
-                      transform_power_uplink, verify_theorem)
+                      transform_power_uplink, uplink_mse, verify_theorem)
 from dualprec.duality import DualityData
 
 
 def duality_point(eff, sigma2, q):
     state = make_state(eff, q, sigma2)
-    return build_duality_data(state), state, mmse_report_uplink(state)
+    return build_duality_data(state), state, uplink_mse(state)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +39,7 @@ def test_psi_entrywise_oracle():
     ch, _, eff = rand_instance(9)
     q, _ = solve_power(eff, ch.sigma2, ch.p_max)
     dd, state, _ = duality_point(eff, ch.sigma2, q)
-    U = mmse_receivers_uplink(state).stacked()
+    U = wiener_filters(state)
     for i, li in enumerate(dd.active):
         for j, lj in enumerate(dd.active):
             if i == j:
@@ -55,8 +54,8 @@ def test_psi_entrywise_oracle():
 def test_beta_and_d_formulas():
     ch, _, eff = rand_instance(10)
     q, _ = solve_power(eff, ch.sigma2, ch.p_max)
-    dd, state, rep = duality_point(eff, ch.sigma2, q)
-    U = mmse_receivers_uplink(state).stacked()
+    dd, state, _ = duality_point(eff, ch.sigma2, q)
+    U = wiener_filters(state)
     for pos, l in enumerate(dd.active):
         nu = np.linalg.norm(U[:, l])
         assert abs(dd.beta[pos] - np.sqrt(q[l]) * nu) <= 1e-12
@@ -110,7 +109,7 @@ def test_transform_branches_at_non_optimal_point():
     for seed in range(5):
         ch, up, eff = rand_instance(seed)
         q = np.random.default_rng(seed).uniform(0.5, 3.0, 4)
-        dd, state, rep = duality_point(eff, ch.sigma2, q)
+        dd, state, eps_ul = duality_point(eff, ch.sigma2, q)
         assert psi_asymmetry(dd.Psi) > 1e-6  # genuinely asymmetric
         q_rec = transform_power_uplink(dd, ch.sigma2)
         assert np.abs(q_rec - q).max() <= 1e-9
@@ -118,16 +117,16 @@ def test_transform_branches_at_non_optimal_point():
         p = transform_power(dd, ch.sigma2)
         assert abs(p.sum() - q.sum()) <= 1e-8
         eps_dl = factored_downlink_mse(ch, up, eff, state, dd, p)
-        assert np.abs(eps_dl - rep.per_stream).max() <= 1e-9
+        assert np.abs(eps_dl - eps_ul).max() <= 1e-9
 
 
 def factored_downlink_mse(ch, up, eff, state, dd, p):
     """Independent downlink evaluation: explicit signal/interference/noise
     sums with receivers v_l = beta_l p_l^{-1/2} vbar_l."""
     d = ch.dims
-    U = mmse_receivers_uplink(state).stacked()
+    U = wiener_filters(state)[:, dd.active]
     Ubar = np.zeros((d.M, d.L_tot), dtype=complex)
-    Ubar[:, dd.active] = dd.downlink_dirs
+    Ubar[:, dd.active] = U / np.linalg.norm(U, axis=0)
     owner = d.stream_owner()
     out = np.ones(d.L_tot)
     for pos, l in enumerate(dd.active):
@@ -157,8 +156,7 @@ def test_transform_infeasible_mse_tuple():
     dd, _, _ = duality_point(eff, 1.0, np.array([3.0]))
     # eps below D makes the 1x1 system produce a negative power
     bogus = DualityData(beta=dd.beta, D=dd.D, Psi=dd.Psi,
-                        eps=dd.D - 0.05, active=dd.active,
-                        downlink_dirs=dd.downlink_dirs, n_streams=1)
+                        eps=dd.D - 0.05, active=dd.active, n_streams=1)
     with pytest.raises(InfeasibleTransformError):
         transform_power(bogus, 1.0)
 
@@ -167,8 +165,7 @@ def test_transform_singular_system():
     _, _, eff = scalar_instance()
     dd, _, _ = duality_point(eff, 1.0, np.array([3.0]))
     bogus = DualityData(beta=dd.beta, D=dd.D, Psi=dd.Psi,
-                        eps=dd.D.copy(), active=dd.active,
-                        downlink_dirs=dd.downlink_dirs, n_streams=1)
+                        eps=dd.D.copy(), active=dd.active, n_streams=1)
     with pytest.raises(SingularTransformError):
         transform_power(bogus, 1.0)
 

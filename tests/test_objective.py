@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import rand_instance, scalar_instance
-from dualprec import (DOWNLINK, EffectiveChannel, NumericsError,
-                      PrecoderSet, grad_trace_Jinv, make_state,
-                      mmse_directions, mmse_receivers_uplink,
-                      mmse_report_downlink,
-                      mmse_report_uplink, solve_power, sum_mse_uplink,
-                      verify_theorem)
+from conftest import (mse_trace_sum, rand_instance, scalar_instance,
+                      wiener_filters)
+from dualprec import (DimensionError, EffectiveChannel, NumericsError,
+                      ValidationError, downlink_mmse, grad_trace_Jinv,
+                      make_state, mmse_directions, solve_power,
+                      sum_mse_uplink, uplink_mse, verify_theorem)
 
 
 def eff_from_cols(cols):
@@ -88,9 +87,7 @@ def test_sum_mse_equals_per_user_traces():
         _, _, eff = rand_instance(seed)
         q = np.random.default_rng(seed + 100).uniform(0, 4, 4)
         st = make_state(eff, q, 1.3)
-        rep = mmse_report_uplink(st)
-        traces = sum(float(np.trace(E).real) for E in rep.per_user)
-        assert abs(sum_mse_uplink(st) - traces) <= 1e-10
+        assert abs(sum_mse_uplink(st) - mse_trace_sum(st)) <= 1e-10
 
 
 def test_grad_scalar_case():
@@ -161,15 +158,13 @@ def test_convexity_probe():
 def test_receivers_scalar_wiener():
     _, _, eff = scalar_instance()
     st = make_state(eff, np.ones(1), 1.0)
-    rec = mmse_receivers_uplink(st)
-    assert rec.filters[0][0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert wiener_filters(st)[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_receivers_zero_power_zero_filter():
     _, _, eff = rand_instance(6)
     q = np.array([1.0, 0.0, 2.0, 0.0])
-    rec = mmse_receivers_uplink(make_state(eff, q, 1.0))
-    U = rec.stacked()
+    U = wiener_filters(make_state(eff, q, 1.0))
     assert np.all(U[:, 1] == 0) and np.all(U[:, 3] == 0)
     assert np.linalg.norm(U[:, 0]) > 0
 
@@ -194,7 +189,7 @@ def test_receivers_are_local_minima():
     _, _, eff = rand_instance(8)
     q = np.array([1.0, 0.5, 2.0, 1.5])
     st = make_state(eff, q, 1.0)
-    U = mmse_receivers_uplink(st).stacked()
+    U = wiener_filters(st)
     rng = np.random.default_rng(0)
     for l in range(4):
         base = stream_mse(st, l, U[:, l])
@@ -206,18 +201,18 @@ def test_receivers_are_local_minima():
 
 
 # ---------------------------------------------------------------------------
-# MSE reports
+# per-stream MSEs in both directions
 
 def test_report_uplink_zero_power():
     _, _, eff = rand_instance(1)
-    rep = mmse_report_uplink(make_state(eff, np.zeros(4), 1.0))
-    assert np.array_equal(rep.per_stream, np.ones(4))
+    mse = uplink_mse(make_state(eff, np.zeros(4), 1.0))
+    assert np.array_equal(mse, np.ones(4))
 
 
 def test_report_uplink_scalar():
     _, _, eff = scalar_instance()
-    rep = mmse_report_uplink(make_state(eff, np.array([3.0]), 1.0))
-    assert rep.per_stream[0] == pytest.approx(0.25, abs=1e-15)
+    mse = uplink_mse(make_state(eff, np.array([3.0]), 1.0))
+    assert mse[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_report_uplink_trace_identity():
@@ -225,36 +220,29 @@ def test_report_uplink_trace_identity():
         _, _, eff = rand_instance(seed)
         q = np.random.default_rng(seed).uniform(0, 5, 4)
         st = make_state(eff, q, 0.8)
-        rep = mmse_report_uplink(st)
-        assert abs(rep.sum - sum_mse_uplink(st)) <= 1e-10
-        assert abs(rep.sum - rep.per_stream.sum()) <= 1e-10
-        for k, E in enumerate(rep.per_user):
-            idx = eff.user_streams(k)
-            assert np.abs(E - E.conj().T).max() == 0.0
-            assert np.abs(np.diag(E).real - rep.per_stream[idx]).max() <= 1e-12
+        assert abs(uplink_mse(st).sum() - sum_mse_uplink(st)) <= 1e-10
+
+
+def random_downlink_dirs(ch, seed):
+    rng = np.random.default_rng(seed)
+    d = ch.dims
+    U = rng.standard_normal((d.M, d.L_tot)) \
+        + 1j * rng.standard_normal((d.M, d.L_tot))
+    return U / np.linalg.norm(U, axis=0)
 
 
 def test_report_downlink_zero_power():
     ch, up, _ = rand_instance(2)
-    dl = PrecoderSet(direction=DOWNLINK,
-                     by_user=tuple(np.linalg.qr(
-                         np.random.default_rng(k).standard_normal((4, 2))
-                         + 1j * np.random.default_rng(k + 9).standard_normal((4, 2)))[0]
-                         for k in range(2)),
-                     powers=np.zeros(4))
-    rep = mmse_report_downlink(ch, dl)
-    assert np.array_equal(rep.per_stream, np.ones(4))
-    assert rep.J_k is not None and rep.J_k[0].shape == (2, 2)
+    X, mse = downlink_mmse(ch, random_downlink_dirs(ch, 2), np.zeros(4))
+    assert np.array_equal(mse, np.ones(4))
+    assert X[0].shape == (2, 2)
 
 
 def test_scalar_downlink_uplink_symmetry_exact():
     ch, up, eff = scalar_instance(p_max=3.0)
     st = make_state(eff, np.array([3.0]), 1.0)
-    rep_ul = mmse_report_uplink(st)
-    dl = PrecoderSet(direction=DOWNLINK, by_user=(np.array([[1.0 + 0j]]),),
-                     powers=np.array([3.0]))
-    rep_dl = mmse_report_downlink(ch, dl)
-    assert rep_dl.per_stream[0] == rep_ul.per_stream[0]
+    _, mse_dl = downlink_mmse(ch, np.array([[1.0 + 0j]]), np.array([3.0]))
+    assert mse_dl[0] == uplink_mse(st)[0]
 
 
 def test_downlink_per_stream_at_duality_point():
@@ -266,24 +254,70 @@ def test_downlink_per_stream_at_duality_point():
         rep = verify_theorem(ch, up, q)
         assert rep.mse_gap <= 1e-8
         st = make_state(eff, q, ch.sigma2)
-        rep_ul = mmse_report_uplink(st)
         # MMSE receivers can only lower per-stream MSE below the factored ones
-        dirs = mmse_directions(st)
-        dl = PrecoderSet(direction=DOWNLINK,
-                         by_user=tuple(dirs[:, ch.dims.user_streams(k)]
-                                       for k in range(ch.dims.K)),
-                         powers=rep.p)
-        rep_dl = mmse_report_downlink(ch, dl)
-        assert np.all(rep_dl.per_stream <= rep_ul.per_stream + 1e-12)
+        _, mse_dl = downlink_mmse(ch, mmse_directions(st), rep.p)
+        assert np.all(mse_dl <= uplink_mse(st) + 1e-12)
 
 
 def test_report_downlink_shape_mismatch():
-    from dualprec import DimensionError
-
     ch, up, _ = rand_instance(3)
-    wrong = PrecoderSet(direction=DOWNLINK,
-                        by_user=tuple(np.eye(3, 2, dtype=complex)
-                                      for _ in range(2)),
-                        powers=np.zeros(4))
     with pytest.raises(DimensionError):
-        mmse_report_downlink(ch, wrong)
+        downlink_mmse(ch, np.eye(3, 4, dtype=complex), np.zeros(4))
+    with pytest.raises(DimensionError):
+        downlink_mmse(ch, random_downlink_dirs(ch, 3), np.zeros(3))
+
+
+def test_downlink_bad_powers_rejected():
+    ch, _, _ = rand_instance(3)
+    for p in ([1.0, -0.5, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+        with pytest.raises(ValidationError):
+            downlink_mmse(ch, random_downlink_dirs(ch, 3), np.array(p))
+
+
+def downlink_cov(ch, Ubar, p, k):
+    """J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I, assembled directly."""
+    Hk = ch.H[k]
+    return Hk.conj().T @ (Ubar * p) @ Ubar.conj().T @ Hk \
+        + ch.sigma2 * np.eye(ch.dims.N[k])
+
+
+def test_downlink_receivers_match_direct_solve():
+    for seed in range(5):
+        ch, _, _ = rand_instance(seed)
+        d = ch.dims
+        Ubar = random_downlink_dirs(ch, seed + 20)
+        p = np.random.default_rng(seed).uniform(0, 4, d.L_tot)
+        X, _ = downlink_mmse(ch, Ubar, p)
+        for k in range(d.K):
+            J_k = downlink_cov(ch, Ubar, p, k)
+            for j, l in enumerate(range(d.L_tot)[d.user_streams(k)]):
+                x = np.linalg.solve(J_k, ch.H[k].conj().T @ Ubar[:, l])
+                assert np.abs(X[k][:, j] - x).max() <= 1e-12
+
+
+def downlink_stream_mse(ch, Ubar, p, l, v):
+    """Independent downlink per-stream MSE at an arbitrary receiver v of
+    stream l: v^H J_k v - 2 Re[sqrt(p_l) v^H H_k^H ubar_l] + 1."""
+    k = int(ch.dims.stream_owner()[l])
+    quad = float(np.real(v.conj() @ downlink_cov(ch, Ubar, p, k) @ v))
+    hu = ch.H[k].conj().T @ Ubar[:, l]
+    cross = float(np.real(np.sqrt(p[l]) * (v.conj() @ hu)))
+    return quad - 2.0 * cross + 1.0
+
+
+def test_downlink_receivers_are_local_minima():
+    ch, _, _ = rand_instance(8)
+    d = ch.dims
+    Ubar = random_downlink_dirs(ch, 8)
+    p = np.array([1.0, 0.5, 2.0, 1.5])
+    X, _ = downlink_mmse(ch, Ubar, p)
+    rng = np.random.default_rng(0)
+    for l in range(d.L_tot):
+        k = int(d.stream_owner()[l])
+        v = np.sqrt(p[l]) * X[k][:, l - d.user_streams(k).start]
+        base = downlink_stream_mse(ch, Ubar, p, l, v)
+        for _ in range(8):
+            dv = rng.standard_normal(d.N[k]) + 1j * rng.standard_normal(d.N[k])
+            dv *= 1e-3 / np.linalg.norm(dv)
+            assert downlink_stream_mse(ch, Ubar, p, l, v + dv) >= base - 1e-15
+            assert downlink_stream_mse(ch, Ubar, p, l, v - dv) >= base - 1e-15

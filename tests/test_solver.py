@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_instance, scalar_instance
-from dualprec import (ConvergenceError, CostGuardError, DimensionError,
-                      EffectiveChannel, NumericsError, SolverConfig,
-                      SystemDims, ValidationError, active_set,
-                      brute_force_power, kkt_certify, project_power,
-                      solve_power, verify_theorem)
+from dualprec import (ConvergenceError, DimensionError, EffectiveChannel,
+                      NumericsError, SolverConfig, SystemDims,
+                      ValidationError, active_set, kkt_certify,
+                      project_power, solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
 from dualprec.objective import _covariance
+from oracles import CostGuardError, brute_force_power
 
 
 def _trace_jinv(cols, sigma2, q):
@@ -47,6 +47,10 @@ def test_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValidationError):
         SolverConfig(kkt_tol=float("nan"))
+    with pytest.raises(ValidationError):
+        SolverConfig(kkt_tol=float("inf"))
+    with pytest.raises(ValidationError):
+        SolverConfig(max_iters=2.5)
 
 
 def test_active_set_examples():
