@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from . import designer, duality, model, objective, solver
-from .errors import (ConvergenceError, DualPrecError, InfeasibleTransformError,
-                     SingularTransformError, ValidationError)
+from . import _blas, designer, duality, model, objective, solver
+from .errors import ConvergenceError, DualPrecError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -228,6 +227,7 @@ def cmd_solve(ns) -> int:
         "smse": objective.sum_mse_uplink(state),
         "per_stream_mse": [float(x) for x in objective.uplink_mse(state)],
         "certificate": _certificate_dict(cert),
+        "blas_threads": _blas.blas_threads(),
     }
     _emit(payload, ns.out)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
@@ -259,7 +259,7 @@ def _verify_trial(trial, seed, dims, sigma2, pmax, scfg, negative) -> dict:
         rec["error"] = "ConvergenceError"
         if e.certificate is not None:
             rec["max_residual"] = e.certificate.max_residual
-    except (SingularTransformError, InfeasibleTransformError) as e:
+    except DualPrecError as e:
         rec["error"] = type(e).__name__
     return rec
 
@@ -319,6 +319,7 @@ def cmd_verify(ns) -> int:
                 ok = False
         summary["bounds"] = bounds
         summary["bounds_ok"] = ok
+    threads = _blas.blas_threads()
 
     payload = {"command": "verify",
                "dims": {"M": dims.M, "K": dims.K, "N": list(dims.N),
@@ -326,7 +327,8 @@ def cmd_verify(ns) -> int:
                "sigma2": ns.sigma2, "p_max": ns.pmax,
                "seed_base": seed_base,
                "negative_control": ns.negative_control,
-               "per_trial": records, "summary": summary}
+               "per_trial": records, "summary": summary,
+               "blas_threads": threads}
     if ns.format == "csv":
         fields = list(records[0].keys())
         _emit_csv(records, fields, ns.out)
@@ -334,6 +336,7 @@ def cmd_verify(ns) -> int:
         _emit(payload, ns.out)
     for k, v in summary.items():
         print(f"{k} = {v}", file=sys.stderr)
+    print(f"blas_threads = {threads}", file=sys.stderr)
     if ns.negative_control:
         return EXIT_OK if summary["failures"] == 0 else EXIT_BOUND_VIOLATION
     return EXIT_OK if ok else EXIT_BOUND_VIOLATION
@@ -382,6 +385,9 @@ def cmd_design(ns) -> int:
     try:
         res = designer.design(ch, dcfg)
     except ConvergenceError as e:
+        if e.partial is None:  # a power solve failed: no design to report
+            print(f"design: {e}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
         res, converged = e.partial, False
     if ns.format == "csv":
         rows = [{"iteration": i, "smse": s}
@@ -399,6 +405,7 @@ def cmd_design(ns) -> int:
             "p": [float(x) for x in res.downlink.powers],
             "transform_time_s": float(sum(res.transform_times)),
             "shortcut_time_s": float(sum(res.shortcut_times)),
+            "blas_threads": _blas.blas_threads(),
         }
         _emit(payload, ns.out)
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE

@@ -12,6 +12,9 @@ unit directions are the downlink beamformers of the duality
 per-user covariances J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I once each;
 the unit directions of its receivers J_k^-1 H_k^H ubar_l become the next
 uplink beamformers of the design loop.
+
+These factorisations are small, so importing `dualprec` runs OpenBLAS on
+one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dualprec import ChannelSet, cli, load_instance, save_instance, validate
+from dualprec import (ChannelSet, _blas, cli, load_instance, save_instance,
+                      validate)
 from dualprec.cli import certificate_from_dict
 
 
@@ -315,6 +316,37 @@ def test_design_both_path(instance, tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["transform_time_s"] > rep["shortcut_time_s"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_design_solver_failure_exit_3(fmt, instance, tmp_path, capsys):
+    # the first power solve fails, so there is no design to report
+    out = tmp_path / "design.out"
+    rc = run_cli(["design", str(instance), "--max-iters", "1",
+                  "--format", fmt, "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("design: ")
+    assert not out.exists()
+
+
+def test_verify_trial_numerics_error_recorded(tmp_path):
+    out = tmp_path / "v.json"
+    rc = run_cli(["verify", "--trials", "1", "--dims", "4,2,2,2,2,2",
+                  "--pmax", "1e300", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads(out.read_text())
+    assert rep["per_trial"][0]["error"] == "NumericsError"
+    assert rep["summary"]["failures"] == 1
+
+
+def test_json_reports_carry_blas_threads(instance, tmp_path, capsys):
+    threads = _blas.blas_threads()
+    for args in (["solve", str(instance)], ["design", str(instance)],
+                 ["verify", "--trials", "1"]):
+        out = tmp_path / f"{args[0]}.json"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["blas_threads"] == threads
+    assert f"blas_threads = {threads}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -33,3 +33,19 @@ def test_cho_factor_only_in_the_two_mmse_kernels():
         _uses(ast.parse(path.read_text()), "<module>", out)
         sites.update(f"{path.stem}.{scope}" for scope in out)
     assert sites == {"objective._covariance", "objective.downlink_mmse"}
+
+
+def test_ctypes_only_in_the_blas_module():
+    # setting BLAS threads is a process-wide side effect: keep it in one place
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.add(path.name)
+    assert importers == {"_blas.py"}
