@@ -20,7 +20,7 @@ from .objective import (UplinkState, downlink_mmse, grad_trace_Jinv,
                         make_state, mmse_directions, sum_mse_uplink,
                         uplink_mse)
 from .solver import (KktCertificate, SolverConfig, active_set, kkt_certify,
-                     project_power, solve_power)
+                     project_power, solve_power, solve_powers)
 
 __version__ = "0.1.0"
 

@@ -48,16 +48,29 @@ def _entries(what, argtypes, restype) -> list:
     return out
 
 
+#: The get_num_threads entry points found by the last search that found
+#: any; `blas_threads` reuses them instead of scanning the maps again.
+_getters: list = []
+
+
 def pin_one_thread() -> None:
     """Run every loaded OpenBLAS on one thread, unless a thread variable
     is set."""
+    global _getters
     if any(os.environ.get(v) for v in THREAD_VARS):
         return
+    _getters = _entries("get_num_threads", [], ctypes.c_int)
     for set_threads in _entries("set_num_threads", [ctypes.c_int], None):
         set_threads(1)
 
 
 def blas_threads() -> list | None:
-    """Thread count of each loaded OpenBLAS, or None if none is found."""
-    counts = [get() for get in _entries("get_num_threads", [], ctypes.c_int)]
-    return counts or None
+    """Thread count of each loaded OpenBLAS, or None if none is found.
+
+    The libraries are looked up once, by `pin_one_thread` or the first
+    call here; a search that finds none is repeated on the next call.
+    """
+    global _getters
+    if not _getters:
+        _getters = _entries("get_num_threads", [], ctypes.c_int)
+    return [get() for get in _getters] or None

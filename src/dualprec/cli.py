@@ -31,6 +31,12 @@ DEFAULT_BOUNDS = {"psi_asymmetry": 1e-8, "pq_gap": 1e-6, "mse_gap": 1e-8}
 #: Seed-stream tags so channels and precoders never share a stream.
 PRECODER_TAG = 1
 
+#: Trials whose power solves `verify` runs as one batch.  Each solve of a
+#: batch holds its own evaluations (about 0.5 MB at M = 64), so this bounds
+#: the memory: `verify --trials 64` at M = 64 peaks about 25 MB above one
+#: trial at a time.
+VERIFY_BATCH = 64
+
 BENCH_FIELDS = ["trial", "seed", "iters", "smse_final", "pq_max_gap",
                 "t_legacy_us", "t_shortcut_us"]
 
@@ -215,7 +221,7 @@ def cmd_solve(ns) -> int:
         q, cert = solver.solve_power(eff, ch.sigma2, ch.p_max, scfg)
     except ConvergenceError as e:
         q, cert, converged = e.best_q, e.certificate, False
-    state = objective.make_state(eff, q, ch.sigma2)
+    state = cert.state
     payload = {
         "command": "solve",
         "instance": str(ns.instance),
@@ -233,35 +239,50 @@ def cmd_solve(ns) -> int:
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
-def _verify_trial(trial, seed, dims, sigma2, pmax, scfg, negative) -> dict:
-    rec = {"trial": trial, "seed": seed, "psi_asymmetry": None,
-           "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
-           "max_residual": None, "converged": True, "error": None}
-    try:
-        ch = model.gen_channel(dims, sigma2, pmax, seed=seed)
-        up = model.random_unit_precoders(dims, model.VIRTUAL_UPLINK,
-                                         seed=[seed, PRECODER_TAG])
-        eff = model.build_effective_channel(ch, up)
-        if negative:
-            # skip solving; measure the coupling asymmetry at uniform power
-            q = np.full(dims.L_tot, pmax / dims.L_tot)
-            dd = duality.build_duality_data(
-                objective.make_state(eff, q, sigma2))
-            rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
-            return rec
-        q, cert = solver.solve_power(eff, sigma2, pmax, scfg)
-        rep = duality.verify_theorem(ch, up, q, scfg)
+def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
+    """Records of the `verify` trials ``first``, ``first + 1``, ... on
+    ``seeds``; their power solves run as one `solver.solve_powers` batch."""
+    records, trials = [], []
+    for trial, seed in enumerate(seeds, first):
+        rec = {"trial": trial, "seed": seed, "psi_asymmetry": None,
+               "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
+               "max_residual": None, "converged": True, "error": None}
+        records.append(rec)
+        try:
+            ch = model.gen_channel(dims, sigma2, pmax, seed=seed)
+            up = model.random_unit_precoders(dims, model.VIRTUAL_UPLINK,
+                                             seed=[seed, PRECODER_TAG])
+            eff = model.build_effective_channel(ch, up)
+            if negative:
+                # skip solving; measure the coupling asymmetry at uniform
+                # power
+                q = np.full(dims.L_tot, pmax / dims.L_tot)
+                dd = duality.build_duality_data(
+                    objective.make_state(eff, q, sigma2))
+                rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
+            else:
+                trials.append((rec, ch, up, eff))
+        except DualPrecError as e:
+            rec["error"] = type(e).__name__
+    solved = solver.solve_powers([eff for _, _, _, eff in trials], sigma2,
+                                 pmax, scfg)
+    for (rec, ch, up, _), out in zip(trials, solved):
+        if isinstance(out, DualPrecError):
+            rec["error"] = type(out).__name__
+            if isinstance(out, ConvergenceError):
+                rec["converged"] = False
+                rec["max_residual"] = out.certificate.max_residual
+            continue
+        q, cert = out
+        rec["max_residual"] = cert.max_residual
+        try:
+            rep = duality.verify_theorem(ch, up, q, scfg, state=cert.state)
+        except DualPrecError as e:
+            rec["error"] = type(e).__name__
+            continue
         rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
-                   mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl,
-                   max_residual=cert.max_residual)
-    except ConvergenceError as e:
-        rec["converged"] = False
-        rec["error"] = "ConvergenceError"
-        if e.certificate is not None:
-            rec["max_residual"] = e.certificate.max_residual
-    except DualPrecError as e:
-        rec["error"] = type(e).__name__
-    return rec
+                   mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
+    return records
 
 
 def _ensemble_args(ns, file_cfg: dict):
@@ -297,9 +318,12 @@ def cmd_verify(ns) -> int:
                 raise ValidationError(f"{key} bound: must be finite and >= 0")
             bounds[key] = flag
 
-    records = [_verify_trial(t, seed_base + t, dims, ns.sigma2, ns.pmax,
-                             scfg, ns.negative_control)
-               for t in range(trials)]
+    records = []
+    for first in range(0, trials, VERIFY_BATCH):
+        seeds = range(seed_base + first,
+                      seed_base + min(first + VERIFY_BATCH, trials))
+        records += _verify_trials(first, seeds, dims, ns.sigma2, ns.pmax,
+                                  scfg, ns.negative_control)
 
     psis = [r["psi_asymmetry"] for r in records if r["psi_asymmetry"] is not None]
     summary = {

@@ -26,8 +26,7 @@ from .duality import build_duality_data, transform_power
 from .errors import ConvergenceError, RankError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
                     build_effective_channel, random_unit_precoders, validate)
-from .objective import (downlink_mmse, make_state, mmse_directions,
-                        sum_mse_uplink)
+from .objective import downlink_mmse, mmse_directions, sum_mse_uplink
 from .solver import SolverConfig, solve_power
 
 LEGACY = "legacy_transform"
@@ -131,8 +130,8 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         up_ps = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
                             powers=q if q is not None else np.zeros(d.L_tot))
         eff = build_effective_channel(ch, up_ps)
-        q, _cert = solve_power(eff, sigma2, p_max, cfg.solver, q0=q)
-        state = make_state(eff, q, sigma2)
+        q, cert = solve_power(eff, sigma2, p_max, cfg.solver, q0=q)
+        state = cert.state
         smse_trace.append(sum_mse_uplink(state))
         ubar = mmse_directions(state)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InfeasibleTransformError, NumericsError,
-                     SingularTransformError)
+                     SingularTransformError, ValidationError)
 from .model import (ChannelSet, EffectiveChannel, PrecoderSet,
                     build_effective_channel)
 from .objective import (UplinkState, grad_trace_Jinv, make_state,
@@ -152,7 +152,8 @@ def check_equal_gradient_condition(eff: EffectiveChannel, sigma2: float, q,
 
 
 def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
-                   cfg: SolverConfig | None = None) -> DualityReport:
+                   cfg: SolverConfig | None = None,
+                   state: UplinkState | None = None) -> DualityReport:
     """End-to-end theorem check at one power allocation.
 
     Builds the uplink MMSE operating point, converts it to the downlink
@@ -161,12 +162,18 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
     p-q and MSE gaps.  Streams below the activity threshold are off in
     both directions (MSE 1).  Meaningful bounds hold only when q carries
     a passing KKT certificate; feeding a non-optimal q is how the
-    negative control is produced.
+    negative control is produced.  ``state`` is the uplink state at q
+    under ``uplink`` when the caller holds it (a solve's
+    ``certificate.state``); it is built from ``ch``, ``uplink`` and q
+    otherwise.
     """
     if cfg is None:
         cfg = SolverConfig()
     q = np.asarray(q, dtype=float)
-    state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
+    if state is None:
+        state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
+    elif not np.array_equal(state.q, q):
+        raise ValidationError("state is not the uplink state at q")
     dd = build_duality_data(state, active_tol=cfg.active_tol_scale * ch.p_max)
     p = transform_power(dd, ch.sigma2)
 
@@ -188,23 +195,24 @@ def _factored_downlink_mse(ch: ChannelSet, uplink: PrecoderSet,
     v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
     model (signal, cross-stream, and noise terms summed explicitly).
 
-    Zero-power streams carry a zero receiver and an MSE of exactly 1.
-    Not exported: arbitrary-receiver downlink evaluation stays internal.
+    Inactive and zero-power streams carry a zero receiver and an MSE of
+    exactly 1.  Not exported: arbitrary-receiver downlink evaluation stays
+    internal.
     """
     d = ch.dims
-    sp = np.sqrt(p)
+    scale = np.zeros(d.L_tot)  # beta_l / sqrt(p_l) where the receiver is on
+    live = p[dd.active] > 0.0
+    on = dd.active[live]
+    scale[on] = dd.beta[live] / np.sqrt(p[on])
+    # row l: coef_lj = sqrt(p_j) v_l^H H_k^H ubar_j, k the owner of stream l
+    V = [uplink.by_user[k] * scale[d.user_streams(k)] for k in range(d.K)]
+    coef = np.concatenate([V[k].conj().T @ (ch.H[k].conj().T @ Ubar)
+                           for k in range(d.K)]) * np.sqrt(p)
+    cross = np.abs(coef) ** 2
+    np.fill_diagonal(cross, 0.0)
+    v_norms = np.concatenate([np.linalg.norm(v, axis=0) for v in V])
+    m = (np.abs(np.diagonal(coef) - 1.0) ** 2 + cross.sum(axis=1)
+         + ch.sigma2 * v_norms ** 2)
     eps = np.ones(d.L_tot)
-    owner = d.stream_owner()
-    for pos, l in enumerate(dd.active):
-        if p[l] == 0.0:
-            continue  # infeasible tuple; the zero receiver leaves MSE 1
-        k = int(owner[l])
-        vbar_l = uplink.by_user[k][:, l - sum(d.L[:k])]
-        v = (dd.beta[pos] / np.sqrt(p[l])) * vbar_l
-        coef = sp * (v.conj() @ (ch.H[k].conj().T @ Ubar))
-        m = abs(coef[l] - 1.0) ** 2
-        m += float(np.sum(np.abs(np.delete(coef, l)) ** 2))
-        m += ch.sigma2 * float(np.linalg.norm(v) ** 2)
-        eps[l] = float(np.real(m))
+    eps[on] = m[on]
     return eps
-

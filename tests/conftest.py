@@ -2,6 +2,7 @@ import numpy as np
 
 from dualprec import (VIRTUAL_UPLINK, SystemDims, build_effective_channel,
                       gen_channel, random_unit_precoders)
+from dualprec.objective import _covariance
 
 DIMS_2x2 = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
 
@@ -40,3 +41,11 @@ def mse_trace_sum(state):
     1 - q_l htil_l^H J^-1 htil_l, which equals sum_k tr E_k."""
     g = np.einsum("ml,ml->l", state.eff.cols.conj(), state.Jinv_cols).real
     return float(np.sum(1.0 - state.q * g))
+
+
+def covariance(cols, q, sigma2):
+    """The covariance kernel on one instance: (J, J^-1, A, f, gains) of
+    `objective._covariance` called with B = 1."""
+    out = _covariance(np.asarray(cols, dtype=complex)[None],
+                      np.asarray(q, dtype=float)[None], sigma2)
+    return tuple(x[0] for x in out)

@@ -2,8 +2,8 @@
 
 import numpy as np
 
+from conftest import covariance
 from dualprec import DualPrecError
-from dualprec.objective import _covariance
 
 
 class CostGuardError(DualPrecError):
@@ -25,7 +25,7 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
         return np.array([p_max])
     if L == 2:
         for a in ticks:
-            f = _covariance(cols, np.array([a, p_max - a]), sigma2)[3]
+            f = covariance(cols, np.array([a, p_max - a]), sigma2)[3]
             if f < best_f:
                 best_f, best_q = f, np.array([a, p_max - a])
         return best_q
@@ -34,7 +34,7 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
             rem = p_max - a - b
             if rem < 0:
                 break
-            f = _covariance(cols, np.array([a, b, rem]), sigma2)[3]
+            f = covariance(cols, np.array([a, b, rem]), sigma2)[3]
             if f < best_f:
                 best_f, best_q = f, np.array([a, b, rem])
     return best_q

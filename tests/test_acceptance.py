@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import mse_trace_sum, rand_instance
+from conftest import covariance, mse_trace_sum, rand_instance
 from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       SolverConfig, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
@@ -19,12 +19,11 @@ from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       gen_channel, grad_trace_Jinv, make_state,
                       psi_asymmetry, solve_power, sum_mse_uplink,
                       transform_power_uplink, verify_theorem)
-from dualprec.objective import _covariance
 from oracles import brute_force_power
 
 
 def _trace_jinv(cols, sigma2, q):
-    return _covariance(cols, q, sigma2)[3]
+    return covariance(cols, q, sigma2)[3]
 
 DIMS = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
 TRIALS = 1000
@@ -181,7 +180,7 @@ def test_criterion_6_grid_oracle_equivalence():
         worst_excess = max(worst_excess, f_s - f_g)
         # curvature bound: lam_max(H) * spacing^2 with H from the kernel
         spacing = ch.p_max / (grid_points - 1)
-        A = _covariance(eff.cols, q, ch.sigma2)[2]
+        A = covariance(eff.cols, q, ch.sigma2)[2]
         cmat = eff.cols.conj().T @ A
         dmat = A.conj().T @ A
         lam = float(np.linalg.eigvalsh(2 * np.real(cmat * dmat.conj())).max())

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dualprec
+from dualprec import _blas
 from dualprec._blas import THREAD_VARS
 
 SRC = Path(dualprec.__file__).parent
@@ -73,3 +74,15 @@ print(json.dumps([before, none_found, blas.blas_threads()]))
     before, none_found, after = run_python(code)
     assert none_found is None
     assert after == before
+
+
+def test_second_call_reuses_the_entry_points(monkeypatch):
+    first = _blas.blas_threads()
+    if first is None:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+
+    def scan():
+        raise AssertionError("the memory maps were scanned again")
+
+    monkeypatch.setattr(_blas, "_openblas_libs", scan)
+    assert _blas.blas_threads() == first

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from dualprec import (ChannelSet, _blas, cli, load_instance, save_instance,
-                      validate)
+from dualprec import (ChannelSet, SolverConfig, _blas, cli, load_instance,
+                      save_instance, validate)
 from dualprec.cli import certificate_from_dict
 
 
@@ -337,6 +337,33 @@ def test_verify_trial_numerics_error_recorded(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["per_trial"][0]["error"] == "NumericsError"
     assert rep["summary"]["failures"] == 1
+
+
+def test_verify_theorem_failure_keeps_the_certificate(tmp_path):
+    # the solve converges; only the duality step fails
+    out = tmp_path / "v.json"
+    run_cli(["verify", "--trials", "1", "--dims", "4,2,2,2,2,2",
+             "--pmax", "1e300", "--out", str(out)])
+    rec = json.loads(out.read_text())["per_trial"][0]
+    assert rec["error"] == "NumericsError" and rec["converged"] is True
+    assert rec["max_residual"] is not None
+    assert rec["max_residual"] <= SolverConfig().kkt_tol
+
+
+def test_verify_records_do_not_depend_on_the_batch(monkeypatch, tmp_path):
+    # seed 48 fails to certify at 70 dB, so one batch holds a failure
+    args = ["verify", "--trials", "7", "--dims", "4,2,2,2,2,2",
+            "--sigma2", "1e-6", "--seed-base", "45"]
+    reports = []
+    for batch in (cli.VERIFY_BATCH, 3, 1):
+        monkeypatch.setattr(cli, "VERIFY_BATCH", batch)
+        out = tmp_path / f"v{batch}.json"
+        assert run_cli(args + ["--out", str(out)]) == 4
+        reports.append(out.read_text())
+    assert reports[0] == reports[1] == reports[2]
+    records = json.loads(reports[0])["per_trial"]
+    assert [r["error"] for r in records] == [None] * 3 + [
+        "ConvergenceError"] + [None] * 3
 
 
 def test_json_reports_carry_blas_threads(instance, tmp_path, capsys):

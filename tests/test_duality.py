@@ -5,6 +5,7 @@ from conftest import rand_instance, scalar_instance, wiener_filters
 from dualprec import (ChannelSet, EffectiveChannel, InfeasibleTransformError,
                       NumericsError, PrecoderSet,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
+                      ValidationError,
                       build_duality_data, build_effective_channel,
                       check_equal_gradient_condition, make_state,
                       psi_asymmetry, solve_power, transform_power,
@@ -182,6 +183,19 @@ def test_verify_theorem_certified_ensemble():
         assert rep.pq_gap <= 1e-6
         assert rep.mse_gap <= 1e-8
         assert abs(rep.sum_power_dl - q.sum()) <= 1e-6 * ch.p_max
+
+
+def test_verify_theorem_takes_the_solve_state():
+    for seed in range(5):
+        ch, up, eff = rand_instance(seed)
+        q, cert = solve_power(eff, ch.sigma2, ch.p_max)
+        rep = verify_theorem(ch, up, q, state=cert.state)
+        ref = verify_theorem(ch, up, q)
+        for name in ("psi_asymmetry", "pq_gap", "mse_gap", "sum_power_dl"):
+            assert getattr(rep, name) == getattr(ref, name)
+        assert np.array_equal(rep.p, ref.p)
+        with pytest.raises(ValidationError):
+            verify_theorem(ch, up, np.full(4, 2.5), state=cert.state)
 
 
 def test_verify_theorem_negative_control():

@@ -7,6 +7,7 @@ from dualprec import (DimensionError, EffectiveChannel, NumericsError,
                       ValidationError, downlink_mmse, grad_trace_Jinv,
                       make_state, mmse_directions, solve_power,
                       sum_mse_uplink, uplink_mse, verify_theorem)
+from dualprec.objective import _covariance
 
 
 def eff_from_cols(cols):
@@ -22,6 +23,49 @@ def stream_mse(state, l, u):
     quad = float(np.real(u.conj() @ state.J @ u))
     cross = float(np.real(np.sqrt(state.q[l]) * (u.conj() @ h)))
     return quad - 2.0 * cross + 1.0
+
+
+# ---------------------------------------------------------------------------
+# the covariance kernel on a stack of instances
+
+def kernel_one_at_a_time(cols, q, sigma2):
+    """Reference: the kernel on one M x L instance through `cho_factor`
+    and `cho_solve`."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    def herm(a):
+        return 0.5 * (a + a.conj().T)
+
+    M = cols.shape[0]
+    J = herm((cols * q) @ cols.conj().T + sigma2 * np.eye(M))
+    X = cho_solve(cho_factor(J, lower=True), np.hstack([np.eye(M), cols]))
+    J_inv = herm(X[:, :M])
+    A = X[:, M:]
+    return (J, J_inv, A, float(np.trace(J_inv).real),
+            np.sum(np.abs(A) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("B,M,L", [(50, 4, 4), (1, 4, 4), (3, 64, 32),
+                                   (4, 9, 13), (2, 1, 1)])
+def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
+    rng = np.random.default_rng(M * L + B)
+    cols = rng.standard_normal((B, M, L)) + 1j * rng.standard_normal((B, M, L))
+    q = 10.0 * rng.random((B, L))
+    q[0, 0] = 0.0
+    for sigma2 in (1.0, 1e-6):
+        out = _covariance(cols, q, sigma2)
+        for b in range(B):
+            ref = kernel_one_at_a_time(cols[b], q[b], sigma2)
+            for got, want in zip(out, ref):
+                assert np.array_equal(got[b], want)
+
+
+def test_kernel_rejects_non_finite_covariance():
+    cols = np.ones((2, 2, 2), dtype=complex)
+    q = np.ones((2, 2))
+    q[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        _covariance(cols, q, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_instance, scalar_instance
+from conftest import covariance, rand_instance, scalar_instance
 from dualprec import (ConvergenceError, DimensionError, EffectiveChannel,
                       NumericsError, SolverConfig, SystemDims,
                       ValidationError, active_set, kkt_certify,
                       project_power, solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
-from dualprec.objective import _covariance
 from oracles import CostGuardError, brute_force_power
 
 
 def _trace_jinv(cols, sigma2, q):
-    return _covariance(cols, q, sigma2)[3]
+    return covariance(cols, q, sigma2)[3]
 
 
 def _gains(cols, sigma2, q):
-    return _covariance(cols, q, sigma2)[4]
+    return covariance(cols, q, sigma2)[4]
 
 
 def eff_from_cols(cols):
@@ -177,13 +176,13 @@ def test_convergence_error_carries_best_iterate():
 
 
 def test_kernel_budget(monkeypatch):
-    # one kernel evaluation per Newton step, plus the start and the
-    # certificate
+    # one kernel evaluation per Newton step, plus the start
     calls = []
+    kernel = solver._covariance
 
     def counted(cols, q, sigma2):
         calls[-1] += 1
-        return _covariance(cols, q, sigma2)
+        return kernel(cols, q, sigma2)
 
     monkeypatch.setattr(solver, "_covariance", counted)
     for seed in range(20):
@@ -205,6 +204,85 @@ def test_snr_sweep_certifies_theorem(sigma2):
         rep = verify_theorem(ch, up, q, cfg)
         for key, bound in DEFAULT_BOUNDS.items():
             assert getattr(rep, key) <= bound, (seed, key)
+
+
+# ---------------------------------------------------------------------------
+# solve_powers: a batch gives bitwise the results of one solve at a time
+
+CERT_FIELDS = ("mu_sum", "stationarity_residual", "primal_sum_violation",
+               "primal_nonneg_violation", "slackness_residual")
+
+
+def solve_alone(eff, sigma2, p_max=10.0):
+    try:
+        return solve_power(eff, sigma2, p_max)
+    except (ConvergenceError, NumericsError) as e:
+        return e
+
+
+def assert_same_result(batched, alone):
+    assert type(batched) is type(alone)
+    if isinstance(alone, NumericsError):
+        return
+    if isinstance(alone, ConvergenceError):
+        (q, cert), (q_ref, ref) = (batched.best_q, batched.certificate), (
+            alone.best_q, alone.certificate)
+    else:
+        (q, cert), (q_ref, ref) = batched, alone
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(cert.mu, ref.mu)
+    for name in CERT_FIELDS:
+        assert getattr(cert, name) == getattr(ref, name), name
+    for name in ("J", "J_inv", "Jinv_cols", "q"):
+        assert np.array_equal(getattr(cert.state, name),
+                              getattr(ref.state, name)), name
+
+
+@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
+def test_solve_powers_matches_solve_power(sigma2):
+    # the ensemble-snr shape; 14000232 fails to certify at 70 dB
+    seeds = list(range(12)) + [14000232]
+    effs = [rand_instance(s, sigma2=sigma2)[2] for s in seeds]
+    for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0), effs):
+        assert_same_result(out, solve_alone(eff, sigma2))
+    if sigma2 == 1e-6:
+        assert isinstance(out, ConvergenceError)
+
+
+def test_solve_powers_matches_solve_power_at_m64():
+    # 12 instances: more than one stack of STACK_BYTES at this size
+    dims = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
+    effs = [rand_instance(s, dims=dims)[2] for s in range(12)]
+    assert solver.STACK_BYTES // (16 * 64 * 96) < len(effs)
+    for out, eff in zip(solver.solve_powers(effs, 1.0, 10.0), effs):
+        assert_same_result(out, solve_alone(eff, 1.0))
+
+
+def test_failing_instance_leaves_the_batch_unchanged():
+    sigma2 = 1e-6
+    effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(6)]
+    # one zero column: solved on the other three, in a group of its own
+    cols = rand_instance(7, sigma2=sigma2)[2].cols.copy()
+    cols[:, 1] = 0.0
+    effs.append(eff_from_cols(cols))
+    zero = eff_from_cols(np.zeros((4, 4)))
+    slow = rand_instance(14000232, sigma2=sigma2)[2]
+    clean = solver.solve_powers(effs, sigma2, 10.0)
+    mixed = solver.solve_powers(effs[:2] + [zero] + effs[2:4] + [slow]
+                                + effs[4:], sigma2, 10.0)
+    assert isinstance(mixed[2], NumericsError)
+    assert isinstance(mixed[5], ConvergenceError)
+    for out, ref in zip(mixed[:2] + mixed[3:5] + mixed[6:], clean):
+        assert_same_result(out, ref)
+    assert_same_result(clean[-1], solve_alone(effs[-1], sigma2))
+    assert clean[-1][0][1] == 0.0
+
+
+def test_solve_powers_rejects_bad_budget():
+    eff = rand_instance(0)[2]
+    with pytest.raises(ValidationError):
+        solver.solve_powers([eff], 1.0, 0.0)
+    assert solver.solve_powers([], 1.0, 10.0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,31 +8,41 @@ import dualprec
 SRC = Path(dualprec.__file__).parent
 
 
+#: Names through which a Cholesky factorization can be reached.
+FACTOR_NAMES = {"_POTRF", "potrf", "cho_factor", "cholesky",
+                "get_lapack_funcs"}
+
+
 def _uses(node, scope, out):
-    """Append 'scope' for every reference to cho_factor under node, where
-    scope is the innermost enclosing function (or '<module>')."""
+    """Append (name, scope) for every read of a FACTOR_NAMES name under
+    node, where scope is the innermost enclosing function (or
+    '<module>')."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _uses(child, child.name, out)
             continue
-        if (isinstance(child, ast.Name) and child.id == "cho_factor"
-                or isinstance(child, ast.Attribute)
-                and child.attr == "cho_factor"):
-            out.append(scope)
-        if isinstance(child, ast.alias) and child.name == "cho_factor":
-            assert child.asname is None, "cho_factor imported under an alias"
+        if (isinstance(child, ast.Name) and child.id in FACTOR_NAMES
+                and not isinstance(child.ctx, ast.Store)):
+            out.append((child.id, scope))
+        if isinstance(child, ast.Attribute) and child.attr in FACTOR_NAMES:
+            out.append((child.attr, scope))
+        if isinstance(child, ast.alias) and child.name in FACTOR_NAMES:
+            assert child.asname is None, f"{child.name} imported under an alias"
         _uses(child, scope, out)
 
 
-def test_cho_factor_only_in_the_two_mmse_kernels():
+def test_cholesky_only_in_the_two_mmse_kernels():
     # one covariance factorization per link direction: the uplink kernel
     # objective._covariance and the downlink kernel objective.downlink_mmse
+    # call LAPACK's potrf, which objective fetches once at import
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
         _uses(ast.parse(path.read_text()), "<module>", out)
-        sites.update(f"{path.stem}.{scope}" for scope in out)
-    assert sites == {"objective._covariance", "objective.downlink_mmse"}
+        sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
+    assert sites == {("get_lapack_funcs", "objective.<module>"),
+                     ("_POTRF", "objective._covariance"),
+                     ("_POTRF", "objective.downlink_mmse")}
 
 
 def test_ctypes_only_in_the_blas_module():
