@@ -3,13 +3,12 @@ the virtual uplink, with numerical certification that the optimal
 downlink and virtual-uplink power allocations coincide."""
 
 from .designer import (BOTH, LEGACY, SIMPLIFIED, DesignConfig, DesignResult,
-                       PathComparison, compare_paths, design,
-                       normalize_covariance)
+                       PathComparison, compare_paths, design)
 from .duality import (DualityData, DualityReport, build_duality_data,
                       check_equal_gradient_condition, psi_asymmetry,
                       transform_power, transform_power_uplink, verify_theorem)
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
-                     InfeasibleTransformError, NumericsError, RankError,
+                     InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, SystemDims, build_effective_channel,

@@ -424,6 +424,7 @@ def cmd_design(ns) -> int:
             "path": res.path_used,
             "converged": converged,
             "iters": res.iters,
+            "rejected_extrapolations": res.rejected,
             "smse_trace": [float(s) for s in res.smse_trace],
             "q": [float(x) for x in res.uplink.powers],
             "p": [float(x) for x in res.downlink.powers],

@@ -1,12 +1,28 @@
-"""Alternating sum-MSE precoder design in the virtual uplink.
+"""Sum-MSE precoder design in the virtual uplink, by an alternation that
+safeguarded Anderson acceleration speeds up.
 
-Each outer iteration: (1) solve the convex power allocation for the
-current uplink beamformers, (2) take the unit uplink MMSE directions
-J^-1 htil_l as downlink beamformers, (3) convert powers to the downlink —
-either through the legacy duality transform (a linear solve per
-iteration) or the shortcut p := q that the transpose symmetry of the
-coupling matrix justifies — then (4) swap roles: normalized downlink MMSE
-receivers become the next uplink beamformers.
+One evaluation of the plain map G at uplink beamformers vbar (`_step`):
+(1) solve the convex power allocation q for vbar, (2) take the unit uplink
+MMSE directions J^-1 htil_l as downlink beamformers, (3) convert powers to
+the downlink — either through the legacy duality transform (a linear
+solve per iteration) or the shortcut p := q that the transpose symmetry
+of the coupling matrix justifies — then (4) swap roles: the normalized
+downlink MMSE receivers are G(vbar).
+
+The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
+but converges only linearly.  `design` extrapolates instead (type-II
+Anderson acceleration; Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011):
+from the last `ANDERSON_MEMORY` accepted pairs (x_i, G(x_i)), stacked as
+real vectors, it forms x+ = G(x_k) - dG gamma with gamma the
+least-squares fit of the residual differences, and renormalizes every
+column.  The safeguard (after Zhang, O'Donoghue & Boyd, SIAM J. Optim.
+2020) evaluates x+ with a full certified power solve and accepts it only
+if its sum-MSE is strictly below the current one; otherwise — also for a
+non-finite or zero column and for a candidate whose solve fails — the
+plain step G(x_k) is taken and the history cleared.  Every accepted
+iterate therefore carries a KKT-certified q, the sum-MSE trace falls
+monotonically, and `max_outer_iters` counts accepted iterates, so a
+design makes at most twice that many power solves.
 
 The two conversion paths agree at every certified power step; the
 shortcut just skips the matrix equation, which is the point of running
@@ -17,13 +33,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
 from .duality import build_duality_data, transform_power
-from .errors import ConvergenceError, RankError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
                     build_effective_channel, random_unit_precoders, validate)
 from .objective import downlink_mmse, mmse_directions, sum_mse_uplink
@@ -33,7 +51,8 @@ LEGACY = "legacy_transform"
 SIMPLIFIED = "simplified_pq"
 BOTH = "both"
 
-RANK_TOL = 1e-9
+#: Accepted (x, G(x)) pairs the extrapolation draws on.
+ANDERSON_MEMORY = 5
 
 
 @dataclass
@@ -64,14 +83,15 @@ class DesignConfig:
 class DesignResult:
     uplink: PrecoderSet         # (Vbar, q)
     downlink: PrecoderSet       # (Ubar, p)
-    smse_trace: list
-    iters: int
+    smse_trace: list            # one entry per accepted iterate
+    iters: int                  # accepted iterates, len(smse_trace)
     path_used: str
-    transform_times: list       # seconds per iteration in legacy conversion
-    shortcut_times: list        # seconds per iteration in p := q
-    path_gap_trace: list        # max |p_legacy - p_shortcut| per iteration
+    transform_times: list       # seconds per iterate in legacy conversion
+    shortcut_times: list        # seconds per iterate in p := q
+    path_gap_trace: list        # max |p_legacy - p_shortcut| per iterate
     p_legacy: np.ndarray | None
     converged: bool
+    rejected: int               # extrapolations the safeguard refused
 
 
 @dataclass
@@ -83,6 +103,21 @@ class PathComparison:
     t_legacy_median: float
     t_shortcut_median: float
     result: DesignResult
+
+
+class _Step(NamedTuple):
+    """One evaluation of the plain map at the uplink beamformers vbar."""
+
+    vbar: list              # per-user N_k x L_k blocks
+    q: np.ndarray           # certified uplink powers
+    smse: float             # certified sum-MSE at (vbar, q)
+    ubar: np.ndarray        # M x L_tot unit downlink beamformers
+    p: np.ndarray           # downlink powers the loop advances on
+    p_legacy: np.ndarray | None
+    g: list                 # G(vbar): the next plain iterate
+    t_legacy: float | None  # seconds in the legacy conversion
+    t_shortcut: float | None
+    path_gap: float | None  # max |p_legacy - p_shortcut|
 
 
 def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
@@ -100,12 +135,89 @@ def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
     return [b.copy() for b in ps.by_user]
 
 
-def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
-    """Run the alternating design until the relative sum-MSE decrease
-    falls below cfg.smse_rel_tol.
+def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
+          act_tol: float) -> _Step:
+    """Certified power solve at vbar (warm-started from q0), the downlink
+    conversion on cfg.path, and the role swap to G(vbar).
 
-    Raises ConvergenceError (carrying the partial result) if the budget
-    runs out while the trace is still falling faster than the tolerance.
+    A failed power solve raises its ConvergenceError.
+    """
+    d = ch.dims
+    up_ps = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
+                        powers=q0 if q0 is not None else np.zeros(d.L_tot))
+    eff = build_effective_channel(ch, up_ps)
+    q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg.solver, q0=q0)
+    state = cert.state
+    ubar = mmse_directions(state)
+
+    # power conversion to the downlink, timed around the conversion only
+    p_leg = t_leg = p_sc = t_sc = gap = None
+    if cfg.path in (LEGACY, BOTH):
+        t0 = time.perf_counter()
+        dd = build_duality_data(state, active_tol=act_tol)
+        p_leg = transform_power(dd, ch.sigma2)
+        t_leg = time.perf_counter() - t0
+    if cfg.path in (SIMPLIFIED, BOTH):
+        t0 = time.perf_counter()
+        p_sc = q.copy()
+        t_sc = time.perf_counter() - t0
+    p = p_leg if cfg.path == LEGACY else p_sc
+    if cfg.path == BOTH:
+        gap = float(np.abs(p_leg - p_sc).max())
+
+    # role swap: normalized downlink MMSE receivers; a stream with p = 0
+    # has a zero receiver and keeps its vbar
+    X, _ = downlink_mmse(ch, ubar, p)
+    g = []
+    for k in range(d.K):
+        V = X[k] * np.sqrt(p[d.user_streams(k)])
+        vn = np.linalg.norm(V, axis=0)
+        nz = vn > 0
+        b = vbar[k].copy()
+        b[:, nz] = V[:, nz] / vn[nz]
+        g.append(b)
+    return _Step(vbar, q, sum_mse_uplink(state), ubar, p, p_leg, g, t_leg,
+                 t_sc, gap)
+
+
+def _stack(blocks: list) -> np.ndarray:
+    """Per-user complex blocks as one real vector."""
+    return np.concatenate([b.ravel() for b in blocks]).view(float)
+
+
+def _anderson(xs, gs) -> np.ndarray:
+    """Type-II Anderson extrapolation G(x_k) - dG gamma from the stacked
+    pairs (x_i, G(x_i)), oldest first, with gamma fitting the residuals
+    f_i = G(x_i) - x_i in the least-squares sense."""
+    X, G = np.array(xs).T, np.array(gs).T
+    F = G - X
+    gamma = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
+    return G[:, -1] - np.diff(G, axis=1) @ gamma
+
+
+def _unit_blocks(x: np.ndarray, like: list) -> list | None:
+    """The stacked vector x as blocks shaped like ``like``, every column
+    scaled to unit norm; None when a column is zero or non-finite."""
+    z = x.view(complex)
+    out, start = [], 0
+    for b in like:
+        blk = z[start:start + b.size].reshape(b.shape)
+        start += b.size
+        norms = np.linalg.norm(blk, axis=0)
+        if not np.all(np.isfinite(norms) & (norms > 0)):
+            return None
+        out.append(blk / norms)
+    return out
+
+
+def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
+    """Run the accelerated design until the relative sum-MSE decrease
+    between accepted iterates falls below cfg.smse_rel_tol.
+
+    Raises ConvergenceError (carrying the partial result) if
+    cfg.max_outer_iters accepted iterates pass while the trace is still
+    falling faster than the tolerance, and the power solve's own
+    ConvergenceError (no partial result) if a plain step fails to certify.
     """
     if cfg is None:
         cfg = DesignConfig()
@@ -113,67 +225,53 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     if bad:
         raise ValidationError("; ".join(bad))
     d = ch.dims
-    sigma2, p_max = ch.sigma2, ch.p_max
-    act_tol = cfg.solver.active_tol_scale * p_max
+    act_tol = cfg.solver.active_tol_scale * ch.p_max
 
-    vbar = _init_uplink_dirs(ch, cfg)
-    q = None
-    p = None
-    smse_trace: list = []
-    t_leg: list = []
-    t_sc: list = []
-    gaps: list = []
-    p_leg = None
+    cur = _step(ch, _init_uplink_dirs(ch, cfg), None, cfg, act_tol)
+    steps = [cur]
+    xs = deque([_stack(cur.vbar)], maxlen=ANDERSON_MEMORY)
+    gs = deque([_stack(cur.g)], maxlen=ANDERSON_MEMORY)
+    rejected = 0
     converged = False
 
-    for _ in range(cfg.max_outer_iters):
-        up_ps = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
-                            powers=q if q is not None else np.zeros(d.L_tot))
-        eff = build_effective_channel(ch, up_ps)
-        q, cert = solve_power(eff, sigma2, p_max, cfg.solver, q0=q)
-        state = cert.state
-        smse_trace.append(sum_mse_uplink(state))
-        ubar = mmse_directions(state)
+    while len(steps) < cfg.max_outer_iters:
+        nxt = None
+        if len(xs) >= 2:
+            cand = _unit_blocks(_anderson(xs, gs), cur.vbar)
+            if cand is not None:
+                try:
+                    nxt = _step(ch, cand, cur.q, cfg, act_tol)
+                except ConvergenceError:
+                    pass
+            if nxt is None or not nxt.smse < cur.smse:
+                nxt = None
+                rejected += 1
+                xs.clear()
+                gs.clear()
+        if nxt is None:
+            nxt = _step(ch, cur.g, cur.q, cfg, act_tol)
+        prev, cur = cur, nxt
+        steps.append(cur)
+        xs.append(_stack(cur.vbar))
+        gs.append(_stack(cur.g))
+        if (prev.smse - cur.smse) / max(prev.smse, 1e-300) < cfg.smse_rel_tol:
+            converged = True
+            break
 
-        # power conversion to the downlink, timed around the conversion only
-        if cfg.path in (LEGACY, BOTH):
-            t0 = time.perf_counter()
-            dd = build_duality_data(state, active_tol=act_tol)
-            p_leg = transform_power(dd, sigma2)
-            t_leg.append(time.perf_counter() - t0)
-        if cfg.path in (SIMPLIFIED, BOTH):
-            t0 = time.perf_counter()
-            p_sc = q.copy()
-            t_sc.append(time.perf_counter() - t0)
-        p = p_leg if cfg.path == LEGACY else p_sc
-        if cfg.path == BOTH:
-            gaps.append(float(np.abs(p_leg - p_sc).max()))
-
-        if len(smse_trace) >= 2:
-            prev, cur = smse_trace[-2], smse_trace[-1]
-            if (prev - cur) / max(prev, 1e-300) < cfg.smse_rel_tol:
-                converged = True
-                break
-
-        # role swap: normalized downlink MMSE receivers feed the next round;
-        # a stream with p = 0 has a zero receiver and keeps its vbar
-        X, _ = downlink_mmse(ch, ubar, p)
-        for k in range(d.K):
-            V = X[k] * np.sqrt(p[d.user_streams(k)])
-            vn = np.linalg.norm(V, axis=0)
-            for j in np.flatnonzero(vn > 0):
-                vbar[k][:, j] = V[:, j] / vn[j]
-
+    smse_trace = [s.smse for s in steps]
     result = DesignResult(
-        uplink=PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
-                           powers=q),
+        uplink=PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(cur.vbar),
+                           powers=cur.q),
         downlink=PrecoderSet(direction=DOWNLINK,
-                             by_user=tuple(ubar[:, d.user_streams(k)]
+                             by_user=tuple(cur.ubar[:, d.user_streams(k)]
                                            for k in range(d.K)),
-                             powers=p),
-        smse_trace=smse_trace, iters=len(smse_trace), path_used=cfg.path,
-        transform_times=t_leg, shortcut_times=t_sc, path_gap_trace=gaps,
-        p_legacy=p_leg, converged=converged)
+                             powers=cur.p),
+        smse_trace=smse_trace, iters=len(steps), path_used=cfg.path,
+        transform_times=[s.t_legacy for s in steps if s.t_legacy is not None],
+        shortcut_times=[s.t_shortcut for s in steps
+                        if s.t_shortcut is not None],
+        path_gap_trace=[s.path_gap for s in steps if s.path_gap is not None],
+        p_legacy=cur.p_legacy, converged=converged, rejected=rejected)
     if not converged:
         raise ConvergenceError(
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "
@@ -205,28 +303,3 @@ def compare_paths(ch: ChannelSet, cfg: DesignConfig) -> PathComparison:
         t_legacy_median=float(np.median(res.transform_times)),
         t_shortcut_median=float(np.median(res.shortcut_times)),
         result=res)
-
-
-def normalize_covariance(R_list):
-    """Split rank-one stream covariances R_l = q_l vbar_l vbar_l^H into
-    (q_l, normalized projector) pairs.
-
-    A zero matrix reports as (0.0, None): an inactive stream with no
-    defined direction.  Raises RankError when a matrix is not rank one
-    within 1e-9 (relative).
-    """
-    out = []
-    for i, R in enumerate(R_list):
-        R = np.asarray(R, dtype=complex)
-        lam = np.linalg.eigvalsh(R)
-        top = lam[-1]
-        if top <= 0.0:
-            if np.abs(R).max() > 0.0:
-                raise RankError(f"R[{i}] is not positive semidefinite")
-            out.append((0.0, None))
-            continue
-        if np.abs(lam[:-1]).max() > RANK_TOL * top:
-            raise RankError(f"R[{i}] has rank > 1 within tolerance")
-        t = float(np.trace(R).real)
-        out.append((t, R / t))
-    return out

@@ -42,7 +42,3 @@ class SingularTransformError(DualPrecError):
 class InfeasibleTransformError(DualPrecError):
     """The power transform produced a negative power, meaning the supplied
     MSE tuple is not achievable."""
-
-
-class RankError(DualPrecError):
-    """A covariance matrix expected to be rank one is not."""

@@ -212,9 +212,6 @@ class EffectiveChannel:
     def L_tot(self) -> int:
         return self.cols.shape[1]
 
-    def user_streams(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.stream_owner == k)
-
 
 def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveChannel:
     """Form htil_l = H_k vbar_l for every stream, in global stream order."""

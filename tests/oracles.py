@@ -3,11 +3,20 @@
 import numpy as np
 
 from conftest import covariance
-from dualprec import DualPrecError
+from dualprec import (VIRTUAL_UPLINK, DesignConfig, DualPrecError,
+                      PrecoderSet, build_effective_channel, downlink_mmse,
+                      mmse_directions, solve_power, sum_mse_uplink)
+
+#: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
+RANK_TOL = 1e-9
 
 
 class CostGuardError(DualPrecError):
     """A brute-force oracle was asked for a problem size it refuses."""
+
+
+class RankError(DualPrecError):
+    """A covariance matrix expected to be rank one is not."""
 
 
 def brute_force_power(eff, sigma2, p_max, grid_points):
@@ -38,3 +47,64 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
             if f < best_f:
                 best_f, best_q = f, np.array([a, b, rem])
     return best_q
+
+
+def normalize_covariance(R_list):
+    """Split rank-one stream covariances R_l = q_l vbar_l vbar_l^H into
+    (q_l, normalized projector) pairs.
+
+    A zero matrix reports as (0.0, None): an inactive stream with no
+    defined direction.  Raises RankError when a matrix is not rank one
+    within RANK_TOL (relative).
+    """
+    out = []
+    for i, R in enumerate(R_list):
+        R = np.asarray(R, dtype=complex)
+        lam = np.linalg.eigvalsh(R)
+        top = lam[-1]
+        if top <= 0.0:
+            if np.abs(R).max() > 0.0:
+                raise RankError(f"R[{i}] is not positive semidefinite")
+            out.append((0.0, None))
+            continue
+        if np.abs(lam[:-1]).max() > RANK_TOL * top:
+            raise RankError(f"R[{i}] has rank > 1 within tolerance")
+        t = float(np.trace(R).real)
+        out.append((t, R / t))
+    return out
+
+
+def plain_design(ch, vbar, cfg=None):
+    """The unaccelerated alternation on the p := q path from the uplink
+    beamformers ``vbar``: solve q warm-started from the last q, swap roles
+    through the normalized downlink MMSE receivers, stop when the relative
+    sum-MSE decrease falls below cfg.smse_rel_tol or after
+    cfg.max_outer_iters iterations.
+
+    Returns (vbar, q, p, smse_trace) at the last iterate, capped or not;
+    ``vbar`` is the iterate q was solved for.
+    """
+    cfg = cfg or DesignConfig()
+    d = ch.dims
+    q = g = None
+    trace = []
+    for _ in range(cfg.max_outer_iters):
+        if g is not None:
+            vbar = g
+        up = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
+                         powers=q if q is not None else np.zeros(d.L_tot))
+        eff = build_effective_channel(ch, up)
+        q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg.solver, q0=q)
+        trace.append(sum_mse_uplink(cert.state))
+        p = q.copy()
+        if len(trace) >= 2 and \
+                (trace[-2] - trace[-1]) / trace[-2] < cfg.smse_rel_tol:
+            break
+        X, _ = downlink_mmse(ch, mmse_directions(cert.state), p)
+        g = [b.copy() for b in vbar]
+        for k in range(d.K):
+            V = X[k] * np.sqrt(p[d.user_streams(k)])
+            vn = np.linalg.norm(V, axis=0)
+            for j in np.flatnonzero(vn > 0):
+                g[k][:, j] = V[:, j] / vn[j]
+    return vbar, q, p, trace

@@ -297,6 +297,8 @@ def test_design_json_report(instance, tmp_path):
     tr = np.array(rep["smse_trace"])
     assert np.all(np.diff(tr) <= 1e-10)
     assert np.allclose(rep["q"], rep["p"])
+    rejected = rep["rejected_extrapolations"]
+    assert isinstance(rejected, int) and rejected >= 0
 
 
 def test_design_csv_trace(instance, tmp_path):

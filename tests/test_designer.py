@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+import dualprec.designer as dz
 from conftest import DIMS_2x2
 from dualprec import (BOTH, LEGACY, SIMPLIFIED, ChannelSet, ConvergenceError,
-                      DesignConfig, RankError, SystemDims, ValidationError,
-                      compare_paths, design, gen_channel, normalize_covariance)
+                      DesignConfig, SystemDims, ValidationError,
+                      compare_paths, design, gen_channel)
+from oracles import RankError, normalize_covariance, plain_design
+
+#: The perfbench design-loop shape: N_k > L_k needs many outer iterations.
+LOOP_DIMS = SystemDims(M=4, K=2, N=(4, 4), L=(2, 2))
 
 
 def small_channel(seed=11):
@@ -109,6 +116,93 @@ def test_design_rejects_invalid_instance():
         design(bad, DesignConfig())
     with pytest.raises(ValidationError):
         DesignConfig(path="nope")
+
+
+# ---------------------------------------------------------------------------
+# Anderson acceleration and its safeguard
+
+def loop_channel(seed):
+    return gen_channel(LOOP_DIMS, 1.0, 10.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1019, 1035])
+def test_slow_seeds_converge_within_budget(seed):
+    # the plain alternation hits the 200-iteration cap on both
+    res = design(loop_channel(seed), DesignConfig(path=BOTH))
+    assert res.converged and res.iters <= DesignConfig().max_outer_iters
+    assert len(res.path_gap_trace) == res.iters
+    assert max(res.path_gap_trace) <= 1e-6 * 10.0
+    assert np.all(np.diff(res.smse_trace) < 0)
+
+
+def test_final_smse_no_worse_than_plain_loop():
+    cfg = DesignConfig()
+    for seed in range(1000, 1040):
+        ch = loop_channel(seed)
+        res = design(ch, cfg)
+        *_, trace = plain_design(ch, dz._init_uplink_dirs(ch, cfg), cfg)
+        assert res.smse_trace[-1] <= trace[-1] * (1.0 + cfg.smse_rel_tol), \
+            seed
+
+
+def _force_candidates(monkeypatch, evaluate):
+    """Route every `_step` call on an extrapolated candidate (anything but
+    the plain step G(x_k) of the last accepted iterate) through
+    ``evaluate(step, *args)``; return the list of such calls."""
+    orig = dz._step
+    plain, seen = [], []
+
+    def step(ch, vbar, *rest):
+        if plain and vbar is not plain[-1].g:
+            seen.append(vbar)
+            return evaluate(orig, ch, vbar, *rest)
+        plain.append(orig(ch, vbar, *rest))
+        return plain[-1]
+
+    monkeypatch.setattr(dz, "_step", step)
+    return seen
+
+
+def _assert_plain_loop(ch, res, cfg):
+    vbar, q, p, trace = plain_design(ch, dz._init_uplink_dirs(ch, cfg), cfg)
+    assert res.converged and res.smse_trace == trace
+    assert np.array_equal(res.uplink.powers, q)
+    assert np.array_equal(res.downlink.powers, p)
+    for got, want in zip(res.uplink.by_user, vbar):
+        assert np.array_equal(got, want)
+
+
+def _higher(step, *args):
+    return step(*args)._replace(smse=math.inf)
+
+
+def _fails(step, *args):
+    raise ConvergenceError("candidate solve failed")
+
+
+@pytest.mark.parametrize("evaluate", [_higher, _fails],
+                         ids=["higher-smse", "convergence-error"])
+def test_rejected_candidates_fall_back_to_plain_map(monkeypatch, evaluate):
+    ch, cfg = loop_channel(1000), DesignConfig()
+    seen = _force_candidates(monkeypatch, evaluate)
+    res = design(ch, cfg)
+    assert seen and res.rejected == len(seen)
+    _assert_plain_loop(ch, res, cfg)
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan], ids=["zero", "nan"])
+def test_degenerate_candidate_falls_back_to_plain_map(monkeypatch, fill):
+    ch, cfg = loop_channel(1000), DesignConfig()
+    calls = []
+
+    def anderson(xs, gs):
+        calls.append(1)
+        return np.full_like(gs[-1], fill)
+
+    monkeypatch.setattr(dz, "_anderson", anderson)
+    res = design(ch, cfg)
+    assert calls and res.rejected == len(calls)
+    _assert_plain_loop(ch, res, cfg)
 
 
 # ---------------------------------------------------------------------------

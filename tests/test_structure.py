@@ -1,6 +1,7 @@
 """Structural guards on the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import dualprec
@@ -59,3 +60,13 @@ def test_ctypes_only_in_the_blas_module():
             if any(name.split(".")[0] == "ctypes" for name in names):
                 importers.add(path.name)
     assert importers == {"_blas.py"}
+
+
+def test_design_and_solver_config_fields_fixed():
+    # the design loop has one method (accelerated, safeguarded): no switch
+    # or tuning knob for it may appear in either config
+    assert [f.name for f in dataclasses.fields(dualprec.DesignConfig)] == [
+        "max_outer_iters", "smse_rel_tol", "init_mode", "path", "seed",
+        "solver"]
+    assert [f.name for f in dataclasses.fields(dualprec.SolverConfig)] == [
+        "kkt_tol", "max_iters", "active_tol_scale"]
