@@ -5,16 +5,16 @@ downlink and virtual-uplink power allocations coincide."""
 from .designer import (BOTH, LEGACY, SIMPLIFIED, DesignConfig, DesignResult,
                        PathComparison, compare_paths, design)
 from .duality import (DualityData, DualityReport, build_duality_data,
-                      check_equal_gradient_condition, psi_asymmetry,
-                      transform_power, transform_power_uplink, verify_theorem)
+                      psi_asymmetry, transform_power, transform_power_uplink,
+                      verify_theorem)
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
                      InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, SystemDims, build_effective_channel,
                     channel_from_dict, channel_to_dict, gen_channel,
-                    load_instance, precoders_from_dict, precoders_to_dict,
-                    random_unit_precoders, save_instance, validate)
+                    load_instance, random_unit_precoders, save_instance,
+                    validate)
 from .objective import (UplinkState, downlink_mmse, grad_trace_Jinv,
                         make_state, mmse_directions, sum_mse_uplink,
                         uplink_mse)

@@ -178,15 +178,6 @@ def _certificate_dict(cert: solver.KktCertificate) -> dict:
     }
 
 
-def certificate_from_dict(d: dict) -> solver.KktCertificate:
-    return solver.KktCertificate(
-        mu_sum=d["mu_sum"], mu=np.array(d["mu"], dtype=float),
-        stationarity_residual=d["stationarity_residual"],
-        primal_sum_violation=d["primal_sum_violation"],
-        primal_nonneg_violation=d["primal_nonneg_violation"],
-        slackness_residual=d["slackness_residual"])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

@@ -24,10 +24,8 @@ import numpy as np
 
 from .errors import (InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
-from .model import (ChannelSet, EffectiveChannel, PrecoderSet,
-                    build_effective_channel)
-from .objective import (UplinkState, grad_trace_Jinv, make_state,
-                        mmse_directions)
+from .model import ChannelSet, PrecoderSet, build_effective_channel
+from .objective import UplinkState, make_state, mmse_directions
 from .solver import SolverConfig, active_set
 
 #: Condition number above which the transform matrix is rejected rather
@@ -137,18 +135,6 @@ def transform_power_uplink(dd: DualityData, sigma2: float) -> np.ndarray:
     exactly (up to the linear solve), optimal or not.
     """
     return _solve_transform(dd, sigma2, dd.Psi.T)
-
-
-def check_equal_gradient_condition(eff: EffectiveChannel, sigma2: float, q,
-                                   active_tol: float = 0.0) -> float:
-    """Spread (max - min, normalized by the mean) of htil_l^H J^-2 htil_l
-    over active streams; ~0 exactly when the symmetry condition holds."""
-    q = np.asarray(q, dtype=float)
-    act, _ = active_set(q, active_tol)
-    if act.size <= 1:
-        return 0.0
-    gains = -grad_trace_Jinv(make_state(eff, q, sigma2))[act]
-    return float((gains.max() - gains.min()) / gains.mean())
 
 
 def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,

@@ -170,24 +170,6 @@ class PrecoderSet:
         precoder matrix)."""
         return np.concatenate(self.by_user, axis=1)
 
-    def violations(self, p_max=None) -> list:
-        out = []
-        if self.direction not in (DOWNLINK, VIRTUAL_UPLINK):
-            out.append("direction: must be 'downlink' or 'virtual_uplink'")
-        for k, b in enumerate(self.by_user):
-            norms = np.linalg.norm(b, axis=0)
-            if not np.all(np.isfinite(norms)):
-                out.append(f"beamformers[{k}]: entries must be finite")
-            elif np.any(np.abs(norms - 1.0) > NORM_TOL * max(1.0, b.shape[0])):
-                out.append(f"beamformers[{k}]: columns must have unit norm")
-        if self.powers.shape != (self.L_tot,):
-            out.append("powers: length must equal the total stream count")
-        elif np.any(self.powers < 0):
-            out.append("powers: must be nonnegative")
-        elif p_max is not None and self.powers.sum() > p_max + 1e-9:
-            out.append("powers: sum must not exceed p_max")
-        return out
-
 
 @dataclass(frozen=True)
 class EffectiveChannel:
@@ -282,22 +264,6 @@ def channel_from_dict(d: dict) -> ChannelSet:
     return ChannelSet(dims=dims, H=H, sigma2=float(d["sigma2"]),
                       p_max=float(d["p_max"]),
                       seed=None if seed is None else int(seed))
-
-
-def precoders_to_dict(ps: PrecoderSet) -> dict:
-    return {
-        "direction": ps.direction,
-        "beamformers": [_cplx_matrix_to_lists(b) for b in ps.by_user],
-        "powers": [float(x) for x in ps.powers],
-    }
-
-
-def precoders_from_dict(d: dict) -> PrecoderSet:
-    return PrecoderSet(
-        direction=d["direction"],
-        by_user=tuple(_cplx_matrix_from_lists(b) for b in d["beamformers"]),
-        powers=np.array(d["powers"], dtype=float),
-    )
 
 
 def save_instance(ch: ChannelSet, path) -> None:

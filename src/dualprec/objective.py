@@ -15,10 +15,10 @@ uplink beamformers of the design loop.
 
 The uplink kernel `_covariance` takes a leading batch axis: it evaluates
 B instances at once (one stacked matmul, then LAPACK's Cholesky factor and
-solve slice by slice), so the solver can serve the kernel requests of many
-trials in one call, and every slice is bitwise what a call with B = 1
-gives.  Scalar callers pass B = 1.  Both kernels call the LAPACK routines
-`potrf`/`potrs` directly, fetched once: at M = 4 the argument checks that
+solve slice by slice), so one call serves a round of a whole stack of
+solves, and every slice is bitwise what a call with B = 1 gives.  Scalar
+callers pass B = 1.  Both kernels call the LAPACK routines `potrf`/`potrs`
+directly, fetched once: at M = 4 the argument checks that
 `cho_factor`/`cho_solve` wrap around the same calls cost about seven times
 the factor and solve themselves (33 against 4 us on a 2-vCPU machine).
 

@@ -13,24 +13,21 @@ from the covariance kernel `objective._covariance`, which `kkt_certify`
 shares; it reconstructs multipliers from the gradient and reports
 residuals without judging pass/fail.
 
-The method is written once, as a generator (`_solve`) that yields every
-power vector it needs evaluated and receives the kernel output and the
-certificate there.  `_drive` runs any number of these generators side by
-side: each round it serves all pending requests of one shape with one
-stacked kernel call and one stacked certificate evaluation.
-`solve_power` drives one generator; `solve_powers` drives one per
-instance.  Every slice of the stacked evaluations is bitwise what an
-evaluation alone gives, so each instance takes the same steps, and returns
-the same numbers, whatever else shares its batch.
+One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
+instances, one row each: a round evaluates a power vector per row with
+one stacked kernel call, decides acceptance, backtracking, stalls and
+best iterates as row masks, and takes the Newton steps with one stacked
+`np.linalg.solve` per face size; `solve_power` is a stack of one.  All
+stacked operations are elementwise or slice by slice, so an instance
+takes the same steps, to the bit, whatever shares its stack.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,9 +48,9 @@ MIN_STEP = 1e-10
 #: rounding floor each Newton step draws the rounding error afresh.
 IDLE_STEPS = 200
 #: Bytes of right-hand sides [I, Htil] (16 M (M + L) per instance) one
-#: stacked kernel call may hold: 2048 instances at M = L = 4, where
-#: stacking pays, and 10 at M = 64, L = 32, where LAPACK's time dominates
-#: and a larger stack would only cost memory.
+#: stack may hold: 2048 instances at M = L = 4, where stacking pays, and
+#: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
+#: would only cost memory.
 STACK_BYTES = 1 << 20
 
 
@@ -90,8 +87,8 @@ class KktCertificate:
     primal_sum_violation: float
     primal_nonneg_violation: float
     slackness_residual: float
-    state: UplinkState | None = dataclasses.field(default=None, repr=False,
-                                                  compare=False)
+    state: UplinkState | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def max_residual(self) -> float:
@@ -100,17 +97,6 @@ class KktCertificate:
 
     def passes(self, tol: float) -> bool:
         return self.max_residual <= tol
-
-
-class _Evaluation(NamedTuple):
-    """The kernel output and the certificate at one power vector."""
-
-    J: np.ndarray
-    J_inv: np.ndarray
-    A: np.ndarray  # J^-1 Htil
-    f: float       # tr(J^-1)
-    gains: np.ndarray
-    cert: KktCertificate
 
 
 def active_set(q, tol: float):
@@ -128,44 +114,53 @@ def project_power(q, p_max: float) -> np.ndarray:
 
     If clipping negatives already satisfies the budget, that is the
     projection; otherwise project onto the simplex {q >= 0, sum q = p_max}
-    by the sort-and-threshold rule.
+    by the sort-and-threshold rule; non-finite q raises ValidationError.
     """
     q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValidationError("powers to project must be finite")
     clipped = np.maximum(q, 0.0)
     if clipped.sum() <= p_max:
         return clipped
     u = np.sort(q)[::-1]
-    css = np.cumsum(u) - p_max
+    css = np.add.accumulate(u) - p_max
     ks = np.arange(1, q.size + 1)
-    ok = np.flatnonzero(u - css / ks > 0)
+    ok = (u - css / ks > 0).nonzero()[0]
     rho = ok[-1]
     tau = css[rho] / (rho + 1.0)
     return np.maximum(q - tau, 0.0)
 
 
-def _certificates(Q, G, p_max: float, active_tol: float) -> list:
-    """KKT multipliers and residuals at each row q of ``Q`` from the gains
-    ``G`` the kernel gave there.
-
-    Every step is elementwise, an exact max or a sum along a row, so row b
-    is bitwise what the row alone gives.
-    """
+def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
+    """KKT terms at each row q of ``Q`` from the gains ``G`` there: (mu_sum,
+    mu, stationarity, excess over the budget, largest negative power,
+    largest |mu_l q_l|), and `KktCertificate.max_residual` of each row.
+    Every step is elementwise, or an exact max or a sum along a row, so
+    row b is bitwise what the row alone gives."""
     act = Q > active_tol
-    # gains are sums of squares, so a zero in place of an inactive gain
-    # leaves the max over the active ones as it is (and 0 with none active)
-    mu_sum = np.where(act, G, 0.0).max(axis=1)
-    mu = np.where(act, 0.0, np.maximum(0.0, mu_sum[:, None] - G))
-    stationarity = np.abs(-G + mu_sum[:, None] - mu).max(axis=1)
-    excess = Q.sum(axis=1) - p_max
-    negative = -Q.min(axis=1, initial=np.inf)
-    mu_q = np.abs(mu * Q).max(axis=1, initial=0.0)
-    rows = zip(mu_sum.tolist(), mu, stationarity.tolist(), excess.tolist(),
-               negative.tolist(), mu_q.tolist())
+    # gains are sums of squares, so starting the max over the active ones
+    # at 0 leaves it as it is (and gives 0 with none active)
+    mu_sum = np.maximum.reduce(G, axis=1, initial=0.0, where=act)
+    d = mu_sum[:, None] - G
+    mu = np.where(act, 0.0, np.maximum(0.0, d))
+    stationarity = np.maximum.reduce(np.abs(d - mu), axis=1)
+    excess = np.add.reduce(Q, axis=1) - p_max
+    negative = -np.minimum.reduce(Q, axis=1, initial=math.inf)
+    mu_q = np.maximum.reduce(np.abs(mu * Q), axis=1, initial=0.0)
+    # the stationarity residual is >= 0, so the clips at 0 drop out
+    r = np.maximum(np.maximum(stationarity, excess), negative)
+    r = np.maximum(np.maximum(r, np.abs(mu_sum * excess)), mu_q)
+    return (mu_sum, mu, stationarity, excess, negative, mu_q), r
+
+
+def _certificates(kkt: tuple, states) -> list:
+    """The certificate of each row of `_kkt` output, with its state."""
+    rows = zip(*(x.tolist() if x.ndim == 1 else x for x in kkt), states)
     return [KktCertificate(mu_sum=m, mu=u, stationarity_residual=st,
                            primal_sum_violation=max(0.0, ex),
                            primal_nonneg_violation=max(0.0, neg),
-                           slackness_residual=max(abs(m * ex), mq))
-            for m, u, st, ex, neg, mq in rows]
+                           slackness_residual=max(abs(m * ex), mq), state=state)
+            for m, u, st, ex, neg, mq, state in rows]
 
 
 def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
@@ -179,10 +174,10 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
     if active_tol is None:
         active_tol = 1e-9 * p_max
     J, J_inv, A, _, gains = _covariance(eff.cols[None], q[None], sigma2)
-    cert = _certificates(q[None], gains, p_max, active_tol)[0]
-    return dataclasses.replace(cert, state=UplinkState(
-        J=J[0], J_inv=J_inv[0], eff=eff, q=q, sigma2=float(sigma2),
-        Jinv_cols=A[0]))
+    state = UplinkState(J=J[0], J_inv=J_inv[0], eff=eff, q=q,
+                        sigma2=float(sigma2), Jinv_cols=A[0])
+    return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
+                         [state])[0]
 
 
 def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
@@ -192,14 +187,11 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     Returns (q_star, certificate); ``certificate.state`` is the uplink
     state at q_star.  Raises ConvergenceError (carrying the best iterate
     and its certificate) if the residuals cannot be brought below
-    cfg.kkt_tol within cfg.max_iters.  ``q0`` warm-starts the solve;
-    ``callback(q, f)`` fires after every step taken.
+    cfg.kkt_tol within cfg.max_iters.  ``q0`` warm-starts the solve (a
+    non-finite power there raises ValidationError); ``callback(q, f)``
+    fires after every step taken.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    _check_noise_and_budget(sigma2, p_max)
-    out, = _drive([_solve(eff, sigma2, p_max, cfg, q0, callback)], sigma2,
-                  p_max, cfg.active_tol_scale * p_max)
+    out, = _solve_all([eff], sigma2, p_max, cfg, q0, callback)
     if isinstance(out, DualPrecError):
         raise out
     return out
@@ -215,186 +207,251 @@ def solve_powers(effs, sigma2: float, p_max: float,
     each instance alone.  Invalid ``sigma2`` or ``p_max`` raise
     ValidationError for the whole call.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    _check_noise_and_budget(sigma2, p_max)
-    return _drive([_solve(eff, sigma2, p_max, cfg) for eff in effs], sigma2,
-                  p_max, cfg.active_tol_scale * p_max)
+    return _solve_all(effs, sigma2, p_max, cfg)
 
 
-def _check_noise_and_budget(sigma2: float, p_max: float) -> None:
-    if not (np.isfinite(p_max) and p_max > 0):
+def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
+    """The results of `solve_powers`; ``q0`` and ``callback`` serve
+    `solve_power`.  Instances whose solved columns ``eff.cols[:, sub]``
+    have one shape run in `_lockstep` stacks of at most `STACK_BYTES`."""
+    if not (math.isfinite(p_max) and p_max > 0):
         raise ValidationError("p_max must be finite and > 0")
-    if not (np.isfinite(sigma2) and sigma2 > 0):
+    if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValidationError("sigma2 must be finite and > 0")
-
-
-def _drive(solves: list, sigma2: float, p_max: float,
-           active_tol: float) -> list:
-    """Run the `_solve` generators to the end, side by side.
-
-    Each round collects the (columns, q) request of every unfinished
-    solve, evaluates each group of requests with equal shapes (split to
-    at most `STACK_BYTES` per stack) by one stacked kernel call and one
-    stacked certificate evaluation, and sends every solve its
-    `_Evaluation`.  Returns what each solve returned, or the
-    DualPrecError it raised.
-    """
-    out = [None] * len(solves)
-    pending = {}
-
-    def advance(i, value):
+    cfg = cfg or SolverConfig()
+    out, groups, stacks = [None] * len(effs), {}, []
+    for i, eff in enumerate(effs):
         try:
-            pending[i] = solves[i].send(value)
-        except StopIteration as stop:
-            out[i] = stop.value
+            sub, q = _start(eff, p_max, q0)
+            groups.setdefault((eff.M, sub.size), []).append((i, sub, q))
         except DualPrecError as e:
             out[i] = e
-
-    for i in range(len(solves)):
-        advance(i, None)
-    while pending:
-        requests, groups, stacks = pending, {}, []
-        pending = {}
-        for i, (cs, _) in requests.items():
-            groups.setdefault(cs.shape, []).append(i)
-        for (M, L), group in groups.items():
-            size = max(1, STACK_BYTES // (16 * M * (M + L)))
-            stacks += [group[k:k + size] for k in range(0, len(group), size)]
-        for group in stacks:
-            Q = np.stack([requests[i][1] for i in group])
-            J, J_inv, A, f, G = _covariance(
-                np.stack([requests[i][0] for i in group]), Q, sigma2)
-            certs = _certificates(Q, G, p_max, active_tol)
-            for b, i in enumerate(group):
-                # copies in the slices' own layout: a solve keeps its best
-                # evaluation, which must not hold on to the whole stack
-                advance(i, _Evaluation(J[b].copy(), J_inv[b].copy(order="K"),
-                                       A[b].copy(order="K"), float(f[b]),
-                                       G[b], certs[b]))
+    for (M, L), group in groups.items():
+        size = max(1, STACK_BYTES // (16 * M * (M + L)))
+        stacks += [zip(*group[k:k + size]) for k in range(0, len(group), size)]
+    for idx, subs, qs in stacks:
+        def full(k, q_sub):  # the powers of instance idx[k] on its streams
+            q = np.zeros(effs[idx[k]].L_tot)
+            q[subs[k]] = q_sub
+            return q
+        hook = callback and (lambda k, q_sub, f: callback(full(k, q_sub), f))
+        CS = np.array([effs[i].cols[:, sub] for i, sub in zip(idx, subs)])
+        for rows, Q, J, J_inv, A, kkt, steps in _lockstep(
+                CS, np.array(qs), sigma2, p_max, cfg, hook):
+            # copies in the layouts one kernel call gives, so that callers
+            # computing on the state get the same bits whatever the stack
+            states = [UplinkState(J=J[j].copy(), J_inv=J_inv[j].copy(),
+                                  eff=effs[idx[k]], q=full(k, Q[j]),
+                                  sigma2=float(sigma2),
+                                  Jinv_cols=A[j].copy(order="F"))
+                      for j, k in enumerate(rows.tolist())]
+            for k, cert, n in zip(rows.tolist(), _certificates(kkt, states),
+                                  steps.tolist()):
+                eff = effs[idx[k]]
+                if subs[k].size < eff.L_tot:  # certify on every stream
+                    cert = kkt_certify(eff, sigma2, p_max, cert.state.q,
+                                       active_tol=cfg.active_tol_scale * p_max)
+                out[idx[k]] = (cert.state.q, cert) \
+                    if cert.passes(cfg.kkt_tol) else ConvergenceError(
+                        f"KKT residual {cert.max_residual:.3e} above "
+                        f"tolerance {cfg.kkt_tol:.1e} after {n} iterations",
+                        best_q=cert.state.q, certificate=cert)
     return out
 
 
-def _solve(eff: EffectiveChannel, sigma2: float, p_max: float,
-           cfg: SolverConfig, q0=None, callback=None):
-    """The solve of `solve_power` as a generator.
-
-    Yields (cs, q) for every power vector q it needs on its columns cs and
-    expects back the `_Evaluation` at q, as `_drive` sends it; returns
-    (q_star, certificate).
-    """
-    cols = eff.cols
+def _start(eff: EffectiveChannel, p_max: float, q0=None):
+    """The streams with a nonzero channel, which a solve optimizes over,
+    and its start there: projected q0, or uniform, spending the budget."""
     L = eff.L_tot
     if q0 is not None and np.shape(q0) != (L,):
         raise DimensionError(f"q0 must have one entry per stream ({L})")
-    col_norms = np.linalg.norm(cols, axis=0)
-    if not np.all(np.isfinite(col_norms)):
+    col_norms = np.linalg.norm(eff.cols, axis=0)
+    if not np.isfinite(col_norms).all():
         raise NumericsError("non-finite effective channel")
-    if col_norms.max() == 0.0:
+    largest = np.maximum.reduce(col_norms)
+    if largest == 0.0:
         raise NumericsError("all effective channels are zero")
+    sub = (col_norms > 1e-15 * largest).nonzero()[0]
+    if q0 is None:
+        return sub, np.full(sub.size, p_max / sub.size)
+    q = project_power(np.asarray(q0, dtype=float)[sub], p_max)
+    if (spent := q.sum()) < p_max:  # the optimum spends the budget
+        q = q + (p_max - spent) / q.size
+    return sub, q
 
-    # streams with an exactly-zero channel get no power and stay out of the
-    # optimization entirely
-    sub = np.flatnonzero(col_norms > 1e-15 * col_norms.max())
-    cs = cols[:, sub]
+
+def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
+              callback=None):
+    """Solve each row of the stack ``CS`` (B x M x L) from ``Q0`` (B x L);
+    yield (rows, q, J, J_inv, A, `_kkt` terms, steps) of the best iterates
+    of the rows that finish in a round.  ``callback(row, q, f)`` fires
+    after every step.  ``s`` holds the unfinished rows; no array in it is
+    written in place, so the current and best iterate may share one."""
     act_tol = cfg.active_tol_scale * p_max
     # polish well below kkt_tol; Newton reaches this in one more step
     target = max(5e-15, cfg.kkt_tol * 1e-4)
-
-    if q0 is not None:
-        q = project_power(np.asarray(q0, dtype=float)[sub], p_max)
-        if q.sum() < p_max:  # budget is always exhausted at the optimum
-            q = q + (p_max - q.sum()) / q.size
-    else:
-        q = np.full(sub.size, p_max / sub.size)
-
-    ev = yield cs, q
-    f, gains, A, resid = ev.f, ev.gains, ev.A, ev.cert.max_residual
-    best_q, best, best_resid = q, ev, resid
-    iters = idle = 0
-    while best_resid > target and iters < cfg.max_iters and (
-            idle == 0 or best_resid > cfg.kkt_tol and idle <= IDLE_STEPS):
-        dq = _newton_step(cs, q, gains, A, p_max)
-        if dq is None:
-            break
-        # cut the step at the boundary and land exactly on zero there
-        neg = np.flatnonzero(dq < 0)
-        ratios = q[neg] / -dq[neg]
-        step = float(ratios.min(initial=1.0))
-        full = np.maximum(q + step * dq, 0.0)
-        if step < 1.0:
-            full[neg[np.argmin(ratios)]] = 0.0
-        slope = -float(gains @ dq)
-        t, trial = step, full
-        first = new = yield cs, full
-        # near the optimum f is flat to rounding and only the residual moves
-        while not (new.f <= f + ARMIJO * t * slope
-                   or new.cert.max_residual < resid):
-            if idle or t < MIN_STEP:  # stalled: the full step, no search
-                trial, new = full, first
-                break
-            t *= BACKTRACK
-            trial = np.maximum(q + t * dq, 0.0)
-            new = yield cs, trial
-        q, ev = trial, new
-        f, gains, A, resid = ev.f, ev.gains, ev.A, ev.cert.max_residual
-        iters += 1
-        if callback is not None:
-            full_q = np.zeros(L)
-            full_q[sub] = q
-            callback(full_q, f)
-        if resid < best_resid:
-            best_q, best, best_resid, idle = q, ev, resid, 0
-        else:
-            idle += 1
-
-    q_full = np.zeros(L)
-    q_full[sub] = best_q
-    if sub.size == L:  # the best evaluation is the certificate at q_full
-        cert = dataclasses.replace(best.cert, state=UplinkState(
-            J=best.J, J_inv=best.J_inv, eff=eff, q=q_full,
-            sigma2=float(sigma2), Jinv_cols=best.A))
-    else:
-        cert = kkt_certify(eff, sigma2, p_max, q_full, active_tol=act_tol)
-    if not cert.passes(cfg.kkt_tol):
-        raise ConvergenceError(
-            f"KKT residual {cert.max_residual:.3e} above tolerance "
-            f"{cfg.kkt_tol:.1e} after {iters} iterations",
-            best_q=q_full, certificate=cert)
-    return q_full, cert
-
-
-def _newton_step(cs, q, gains, A, p_max):
-    """Equality-constrained Newton step of tr(J^-1) on the active face, or
-    None when the system has no finite solution.
-
-    The face holds the powered streams and the parked ones whose gain
-    exceeds their level mu.  Solves [H 1; 1^T 0][dq; dmu] =
-    [gains - mu; p_max - sum q] on it with H = 2 Re(C o conj(D)),
-    C = Htil^H A, D = A^H A; a parked stream the step would push negative
-    leaves the face and the system is solved again.
-    """
-    on = q > 0  # never empty: every iterate spends the budget
-    mu = float(gains[on].max())
-    act = on | (gains > mu)
+    # residual to beat to go on, by steps since the best: 0, idle, too many
+    limit = np.full(IDLE_STEPS + 2, max(target, cfg.kkt_tol))
+    limit[0], limit[-1] = target, math.inf
+    J, J_inv, A, f, G = _covariance(CS, Q0, sigma2)
+    kkt, r = _kkt(Q0, G, p_max, act_tol)
+    B = len(Q0)
+    steps = np.zeros(B, dtype=int)
+    s = SimpleNamespace(
+        rows=np.arange(B), cs=CS, q=Q0, f=f, g=G, a=A, r=r, best_q=Q0,
+        best_r=r, J=J, J_inv=J_inv, best_a=A, kkt=kkt, steps=steps,
+        best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
+        full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0)
+    moved = np.ones(B, dtype=bool)  # the rows at a new iterate
     while True:
-        idx = np.flatnonzero(act)
-        m = idx.size
-        Ai = A[:, idx]
-        H = 2.0 * np.real((cs[:, idx].conj().T @ Ai) * (Ai.conj().T @ Ai).conj())
-        kkt = np.ones((m + 1, m + 1))
-        kkt[:m, :m] = H
-        kkt[m, m] = 0.0
-        rhs = np.append(gains[idx] - mu, p_max - q[idx].sum())
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if not np.all(np.isfinite(sol)):
-            return None
-        dq = np.zeros(q.size)
-        dq[idx] = sol[:m]
-        bad = ~on & (dq < 0)
-        if not bad.any():
-            return dq
+        idle = np.minimum(s.steps - s.best_steps, IDLE_STEPS + 1)
+        go = moved & (s.best_r > limit[idle]) & (s.steps < cfg.max_iters)
+        done = moved ^ go
+        if np.count_nonzero(go) and _step(s, go, p_max):
+            done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
+        if np.count_nonzero(done):
+            best = (s.rows, s.best_q, s.J, s.J_inv, s.best_a, s.kkt, s.steps)
+            if np.count_nonzero(done) == len(done):
+                yield best
+                return
+            yield _rows(best, done)
+            s = SimpleNamespace(**{k: _rows(v, ~done)
+                                   for k, v in vars(s).items()})
+
+        J, J_inv, A, f, G = _covariance(s.cs, s.trial, sigma2)
+        kkt, r = _kkt(s.trial, G, p_max, act_tol)
+        # near the optimum f is flat to rounding and only the residual moves
+        moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
+        s.steps = s.steps + moved
+        if np.count_nonzero(moved) == len(moved):
+            s.q, s.f, s.g, s.a, s.r = s.trial, f, G, A, r
+        else:
+            _set(s, moved, q=s.trial, f=f, g=G, a=A, r=r)
+        better = moved & (r < s.best_r)
+        if np.count_nonzero(better) == len(better):
+            s.best_q, s.best_r, s.J, s.J_inv, s.best_a, s.kkt, s.best_steps = (
+                s.trial, r, J, J_inv, A, kkt, s.steps)
+        elif np.count_nonzero(better):
+            _set(s, better, best_q=s.trial, best_r=r, J=J, J_inv=J_inv,
+                 best_a=A, kkt=kkt, best_steps=s.steps)
+        if callback is not None:
+            for b in np.flatnonzero(moved):
+                callback(s.rows[b], s.q[b], float(s.f[b]))
+        if np.count_nonzero(moved) < len(moved):
+            # backtrack; a search that runs out takes the full step, again
+            stall = ~moved & (s.t < MIN_STEP)
+            s.t = np.where(moved | stall, s.t, s.t * BACKTRACK)
+            s.trial = np.where(stall[:, None], s.full,
+                               np.maximum(s.q + s.t[:, None] * s.dq, 0.0))
+            s.forced = stall
+
+
+def _set(s, mask, **new):
+    """Set the rows in mask of the named arrays of ``s``, in new arrays."""
+    for name, x in new.items():
+        setattr(s, name, _pick(mask, x, getattr(s, name)))
+
+
+def _pick(mask, new, old):
+    """Rows of ``new`` where mask holds, else of ``old`` (or tuples)."""
+    if isinstance(new, tuple):
+        return tuple(_pick(mask, a, b) for a, b in zip(new, old))
+    return np.where(mask.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+
+
+def _rows(x, mask):
+    """The rows in mask of an array, or of every array of a tuple."""
+    return tuple(_rows(a, mask) for a in x) if isinstance(x, tuple) \
+        else x[mask]
+
+
+def _step(s, moved, p_max: float) -> bool:
+    """Make the Newton step of each row in ``moved``, cut where it meets
+    the boundary, its trial point; True if some step has no finite
+    solution (and is NaN)."""
+    every = np.count_nonzero(moved) == len(moved)
+    q, g = (s.q, s.g) if every else (s.q[moved], s.g[moved])
+    dq, lost = _newton(s.cs if every else s.cs[moved], q, g,
+                       s.a if every else s.a[moved], p_max)
+    # cut the step at the boundary and land exactly on zero there
+    neg = dq < 0
+    ratios = np.divide(q, -dq, out=None, where=neg)  # read where neg only
+    step = np.minimum.reduce(ratios, axis=1, initial=1.0, where=neg)
+    full = np.maximum(q + step[:, None] * dq, 0.0)
+    cut = (step < 1.0).nonzero()[0]
+    if cut.size:
+        full[cut, np.where(neg[cut], ratios[cut], math.inf).argmin(1)] = 0.0
+    slope = -(g[:, None, :] @ dq[:, :, None])[:, 0, 0]
+    # after a step that did not lower the best residual, no search
+    forced = s.steps > s.best_steps
+    if every:
+        s.dq, s.t, s.slope, s.full, s.forced = dq, step, slope, full, forced
+        s.trial = full
+    else:  # into copies: no array is written in place once in s
+        s.dq, s.t, s.slope, s.full, s.trial, s.forced = (
+            x.copy() for x in (s.dq, s.t, s.slope, s.full, s.trial, s.forced))
+        s.dq[moved], s.t[moved], s.slope[moved] = dq, step, slope
+        s.trial[moved] = s.full[moved] = full
+        s.forced[moved] = forced[moved]
+    return lost
+
+
+def _newton(CS, Q, G, A, p_max: float) -> tuple:
+    """Equality-constrained Newton steps of tr(J^-1), and whether a row's
+    system has no finite solution (its step is NaN).  On the face of the
+    powered streams and the parked ones whose gain exceeds their level mu,
+    solves [H 1; 1^T 0][dq; dmu] = [gains - mu; p_max - sum q] with
+    H = 2 Re(C o conj(D)), C = Htil^H A, D = A^H A, one stacked solve per
+    face size; a parked stream pushed negative leaves the face and its row
+    is solved again."""
+    on = Q > 0  # never empty: every iterate spends the budget
+    mu = np.maximum.reduce(G, axis=1, initial=0.0, where=on)
+    act = on | (G > mu[:, None])
+    DQ, lost, redo = np.zeros(Q.shape), False, None  # redo: rows to solve
+    while True:
+        sizes = np.add.reduce(act, axis=1)
+        faces = set((sizes if redo is None else sizes[redo]).tolist())
+        for m in faces:  # first all rows, then those whose face shrank
+            rows, face = slice(None), act  # every row, one face size
+            if redo is not None or len(faces) > 1:
+                rows = sizes == m if redo is None else redo & (sizes == m)
+                DQ[rows], face = 0.0, act & rows[:, None]
+            if face is act and m == Q.shape[1]:  # all streams, in gather layout
+                At, Ct, Gf, Qf = (np.ascontiguousarray(A.swapaxes(1, 2)),
+                                  np.ascontiguousarray(CS.swapaxes(1, 2)), G, Q)
+            else:  # the face's columns of A and Htil, as rows
+                At = A.swapaxes(1, 2)[face]
+                At = At.reshape(len(At) // m, m, -1)
+                Ct = CS.swapaxes(1, 2)[face].reshape(At.shape)
+                Gf, Qf = G[face].reshape(-1, m), Q[face].reshape(-1, m)
+            Ai = At.swapaxes(1, 2)
+            kkt = np.ones((len(At), m + 1, m + 1))
+            H = (Ct.conj() @ Ai) * (At.conj() @ Ai).conj()
+            np.multiply(2.0, np.real(H), out=kkt[:, :m, :m])
+            kkt[:, m, m] = 0.0
+            rhs = np.empty((len(At), m + 1, 1))
+            np.subtract(Gf, mu[rows, None], out=rhs[:, :m, 0])
+            np.subtract(p_max, np.add.reduce(Qf, axis=1), out=rhs[:, m, 0])
+            sol = _solve_kkt(kkt, rhs)
+            DQ[face] = sol[:, :m, 0].ravel()
+            if not np.isfinite(sol).all():  # NaN steps for those rows
+                lost = ~np.isfinite(sol).all(axis=(1, 2))
+                DQ[np.arange(len(Q))[rows][lost]] = math.nan
+                lost = True
+        # a row already solved, or failed, has no bad stream
+        bad = ~on & (DQ < 0)
+        if not np.count_nonzero(bad):
+            return DQ, lost
+        redo = np.logical_or.reduce(bad, axis=1)
         act &= ~bad
+
+
+def _solve_kkt(kkt, rhs) -> np.ndarray:
+    """Stacked `np.linalg.solve`; per slice, lstsq if singular, on failure."""
+    try:
+        return np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        if len(kkt) == 1:
+            return np.linalg.lstsq(kkt[0], rhs[0], rcond=None)[0][None]
+        return np.array([_solve_kkt(k[None], b[None])[0]
+                         for k, b in zip(kkt, rhs)])

@@ -3,9 +3,13 @@
 import numpy as np
 
 from conftest import covariance
-from dualprec import (VIRTUAL_UPLINK, DesignConfig, DualPrecError,
-                      PrecoderSet, build_effective_channel, downlink_mmse,
-                      mmse_directions, solve_power, sum_mse_uplink)
+from dualprec import (DOWNLINK, VIRTUAL_UPLINK, DesignConfig, DualPrecError,
+                      KktCertificate, PrecoderSet, active_set,
+                      build_effective_channel, downlink_mmse,
+                      grad_trace_Jinv, make_state, mmse_directions,
+                      solve_power, sum_mse_uplink)
+from dualprec.model import (NORM_TOL, _cplx_matrix_from_lists,
+                            _cplx_matrix_to_lists)
 
 #: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
 RANK_TOL = 1e-9
@@ -108,3 +112,62 @@ def plain_design(ch, vbar, cfg=None):
             for j in np.flatnonzero(vn > 0):
                 g[k][:, j] = V[:, j] / vn[j]
     return vbar, q, p, trace
+
+
+def precoders_to_dict(ps: PrecoderSet) -> dict:
+    return {
+        "direction": ps.direction,
+        "beamformers": [_cplx_matrix_to_lists(b) for b in ps.by_user],
+        "powers": [float(x) for x in ps.powers],
+    }
+
+
+def precoders_from_dict(d: dict) -> PrecoderSet:
+    return PrecoderSet(
+        direction=d["direction"],
+        by_user=tuple(_cplx_matrix_from_lists(b) for b in d["beamformers"]),
+        powers=np.array(d["powers"], dtype=float),
+    )
+
+
+def precoder_violations(ps: PrecoderSet, p_max=None) -> list:
+    """What is wrong with a precoder set: direction, unit-norm columns,
+    power length, sign and budget."""
+    out = []
+    if ps.direction not in (DOWNLINK, VIRTUAL_UPLINK):
+        out.append("direction: must be 'downlink' or 'virtual_uplink'")
+    for k, b in enumerate(ps.by_user):
+        norms = np.linalg.norm(b, axis=0)
+        if not np.all(np.isfinite(norms)):
+            out.append(f"beamformers[{k}]: entries must be finite")
+        elif np.any(np.abs(norms - 1.0) > NORM_TOL * max(1.0, b.shape[0])):
+            out.append(f"beamformers[{k}]: columns must have unit norm")
+    if ps.powers.shape != (ps.L_tot,):
+        out.append("powers: length must equal the total stream count")
+    elif np.any(ps.powers < 0):
+        out.append("powers: must be nonnegative")
+    elif p_max is not None and ps.powers.sum() > p_max + 1e-9:
+        out.append("powers: sum must not exceed p_max")
+    return out
+
+
+def certificate_from_dict(d: dict) -> KktCertificate:
+    """The certificate of a `solve` report's ``certificate`` block."""
+    return KktCertificate(
+        mu_sum=d["mu_sum"], mu=np.array(d["mu"], dtype=float),
+        stationarity_residual=d["stationarity_residual"],
+        primal_sum_violation=d["primal_sum_violation"],
+        primal_nonneg_violation=d["primal_nonneg_violation"],
+        slackness_residual=d["slackness_residual"])
+
+
+def check_equal_gradient_condition(eff, sigma2: float, q,
+                                   active_tol: float = 0.0) -> float:
+    """Spread (max - min, normalized by the mean) of htil_l^H J^-2 htil_l
+    over active streams; ~0 exactly when the symmetry condition holds."""
+    q = np.asarray(q, dtype=float)
+    act, _ = active_set(q, active_tol)
+    if act.size <= 1:
+        return 0.0
+    gains = -grad_trace_Jinv(make_state(eff, q, sigma2))[act]
+    return float((gains.max() - gains.min()) / gains.mean())

@@ -15,11 +15,10 @@ from conftest import covariance, mse_trace_sum, rand_instance
 from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       SolverConfig, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
-                      check_equal_gradient_condition, compare_paths,
-                      gen_channel, grad_trace_Jinv, make_state,
+                      compare_paths, gen_channel, grad_trace_Jinv, make_state,
                       psi_asymmetry, solve_power, sum_mse_uplink,
                       transform_power_uplink, verify_theorem)
-from oracles import brute_force_power
+from oracles import brute_force_power, check_equal_gradient_condition
 
 
 def _trace_jinv(cols, sigma2, q):

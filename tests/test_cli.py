@@ -8,7 +8,7 @@ import pytest
 
 from dualprec import (ChannelSet, SolverConfig, _blas, cli, load_instance,
                       save_instance, validate)
-from dualprec.cli import certificate_from_dict
+from oracles import certificate_from_dict
 
 
 def run_cli(args):

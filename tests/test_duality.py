@@ -7,10 +7,10 @@ from dualprec import (ChannelSet, EffectiveChannel, InfeasibleTransformError,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
                       ValidationError,
                       build_duality_data, build_effective_channel,
-                      check_equal_gradient_condition, make_state,
-                      psi_asymmetry, solve_power, transform_power,
+                      make_state, psi_asymmetry, solve_power, transform_power,
                       transform_power_uplink, uplink_mse, verify_theorem)
 from dualprec.duality import DualityData
+from oracles import check_equal_gradient_condition
 
 
 def duality_point(eff, sigma2, q):

@@ -10,8 +10,8 @@ from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, DimensionError,
                       PrecoderSet, SystemDims, ValidationError,
                       build_effective_channel, channel_from_dict,
                       channel_to_dict, gen_channel, load_instance,
-                      precoders_from_dict, precoders_to_dict,
                       random_unit_precoders, save_instance, validate)
+from oracles import precoder_violations, precoders_from_dict, precoders_to_dict
 
 
 def test_validate_well_formed():
@@ -182,11 +182,11 @@ def test_channel_round_trip_property(seed, sigma2, p_max):
 
 def test_precoder_violations():
     up = random_unit_precoders(DIMS_2x2, VIRTUAL_UPLINK, seed=1)
-    assert up.violations(p_max=10.0) == []
+    assert precoder_violations(up, p_max=10.0) == []
     bad = PrecoderSet(direction=VIRTUAL_UPLINK,
                       by_user=tuple(2.0 * b for b in up.by_user),
                       powers=up.powers)
-    assert any("unit norm" in v for v in bad.violations())
+    assert any("unit norm" in v for v in precoder_violations(bad))
     over = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=up.by_user,
                        powers=np.full(4, 100.0))
-    assert any("p_max" in v for v in over.violations(p_max=10.0))
+    assert any("p_max" in v for v in precoder_violations(over, p_max=10.0))

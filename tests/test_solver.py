@@ -278,6 +278,56 @@ def test_failing_instance_leaves_the_batch_unchanged():
     assert clean[-1][0][1] == 0.0
 
 
+def test_certificate_state_is_the_kernel_at_its_q():
+    # at 70 dB this instance idles to the stall limit after its best
+    # iterate, so the last iterate is not the certified one
+    sigma2 = 1e-6
+    eff = rand_instance(14000232, sigma2=sigma2)[2]
+    steps = []
+    with pytest.raises(ConvergenceError) as alone:
+        solve_power(eff, sigma2, 10.0,
+                    callback=lambda q, f: steps.append(q.copy()))
+    effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(5)] + [eff]
+    batched = solver.solve_powers(effs, sigma2, 10.0)[-1]
+    for err in (alone.value, batched):
+        assert isinstance(err, ConvergenceError)
+        state = err.certificate.state
+        assert not np.array_equal(steps[-1], state.q)
+        J, J_inv, A, _, _ = covariance(eff.cols, state.q, sigma2)
+        assert np.array_equal(state.J, J)
+        assert np.array_equal(state.J_inv, J_inv)
+        assert np.array_equal(state.Jinv_cols, A)
+
+
+def test_singular_kkt_slice_leaves_the_batch_unchanged(monkeypatch):
+    # a duplicated column makes the KKT system singular on a face holding
+    # both copies: that slice alone falls back to least squares
+    cols = rand_instance(3)[2].cols.copy()
+    cols[:, 1] = cols[:, 0]
+    effs = [rand_instance(s)[2] for s in range(4)]
+    effs.insert(2, eff_from_cols(cols))
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    batched = solver.solve_powers(effs, 1.0, 10.0)
+    assert calls
+    for out, eff in zip(batched, effs):
+        assert_same_result(out, solve_alone(eff, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_warm_start_rejected(bad):
+    _, _, eff = rand_instance(3)
+    with pytest.raises(ValidationError):
+        solve_power(eff, 1.0, 10.0, q0=np.array([bad, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValidationError):
+        project_power(np.array([bad, 20.0]), 10.0)
+
+
 def test_solve_powers_rejects_bad_budget():
     eff = rand_instance(0)[2]
     with pytest.raises(ValidationError):
