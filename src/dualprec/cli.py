@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -232,7 +233,9 @@ def cmd_solve(ns) -> int:
 
 def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     """Records of the `verify` trials ``first``, ``first + 1``, ... on
-    ``seeds``; their power solves run as one `solver.solve_powers` batch."""
+    ``seeds``; their power solves run as one `solver.solve_powers` batch
+    and their theorem checks as one `duality.verify_theorems` batch (the
+    negative control's as one `duality.build_duality_batch`)."""
     records, trials = [], []
     for trial, seed in enumerate(seeds, first):
         rec = {"trial": trial, "seed": seed, "psi_asymmetry": None,
@@ -248,31 +251,40 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
                 # skip solving; measure the coupling asymmetry at uniform
                 # power
                 q = np.full(dims.L_tot, pmax / dims.L_tot)
-                dd = duality.build_duality_data(
-                    objective.make_state(eff, q, sigma2))
-                rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
+                trials.append((rec, objective.make_state(eff, q, sigma2)))
             else:
                 trials.append((rec, ch, up, eff))
         except DualPrecError as e:
             rec["error"] = type(e).__name__
-    solved = solver.solve_powers([eff for _, _, _, eff in trials], sigma2,
-                                 pmax, scfg)
-    for (rec, ch, up, _), out in zip(trials, solved):
+    if negative:
+        for (rec, _), dd in zip(trials, duality.build_duality_batch(
+                [state for _, state in trials])):
+            if isinstance(dd, DualPrecError):
+                rec["error"] = type(dd).__name__
+            else:
+                rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
+        return records
+    solved = []
+    for (rec, ch, up, _), out in zip(trials, solver.solve_powers(
+            [eff for _, _, _, eff in trials], sigma2, pmax, scfg)):
         if isinstance(out, DualPrecError):
             rec["error"] = type(out).__name__
             if isinstance(out, ConvergenceError):
                 rec["converged"] = False
                 rec["max_residual"] = out.certificate.max_residual
             continue
-        q, cert = out
+        cert = out[1]
         rec["max_residual"] = cert.max_residual
-        try:
-            rep = duality.verify_theorem(ch, up, q, scfg, state=cert.state)
-        except DualPrecError as e:
-            rec["error"] = type(e).__name__
-            continue
-        rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
-                   mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
+        solved.append((rec, ch, up, cert.state))
+    reports = duality.verify_theorems([t[1] for t in solved],
+                                      [t[2] for t in solved],
+                                      [t[3] for t in solved], scfg)
+    for (rec, _, _, _), rep in zip(solved, reports):
+        if isinstance(rep, DualPrecError):
+            rec["error"] = type(rep).__name__
+        else:
+            rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
+                       mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
     return records
 
 
@@ -452,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sigma2", type=float, default=1.0)
     g.add_argument("--pmax", type=float, default=10.0)
     g.add_argument("--seed", type=int, default=None)
-    g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="solve one instance and certify")
     _add_common(s)
@@ -461,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="precoder_seed")
     s.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
     s.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    s.set_defaults(func=cmd_solve)
 
     v = sub.add_parser("verify", help="theorem-verification ensemble")
     _add_common(v)
@@ -480,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-pq-gap", type=float, default=None, dest="max_pq_gap")
     v.add_argument("--max-mse-gap", type=float, default=None,
                    dest="max_mse_gap")
-    v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("bench", help="legacy vs shortcut conversion benchmark")
     _add_common(b)
@@ -490,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--pmax", type=float, default=10.0)
     b.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
     b.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    b.set_defaults(func=cmd_bench)
 
     d = sub.add_parser("design", help="alternating precoder design")
     _add_common(d)
@@ -503,14 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="max_outer_iters")
     d.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
     d.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    d.set_defaults(func=cmd_design)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        # looked up at each call, so that a patched cmd_* takes effect
+        return globals()["cmd_" + ns.command](ns)
     except (ValidationError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as e:
         print(f"{ns.command}: {e}", file=sys.stderr)

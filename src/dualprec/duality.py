@@ -14,19 +14,36 @@ where Psi_ij = |htil_i^H ubar_j|^2 off the diagonal.  Psi = Psi^T makes
 the two systems coincide, which is exactly what holds at a
 KKT-certified power allocation; then p = q and the downlink conversion
 is a plain copy.
+
+One stacked kernel computes all of it for a batch of uplink states, one
+row each.  It gathers each row's active streams, groups the rows by
+system shape and active count m, and runs every step of a group on
+B x m x m stacks: beta, D, Psi and eps (`_groups`), the transform with
+its condition and negative-power tests (`_transform`), and for the
+theorem check the downlink MSEs under the factored receivers and the
+three gaps (`verify_theorems`).  A row that fails a test gets its error
+and leaves its group; the other rows go on.  Every stacked step is
+elementwise, an exact max, a LAPACK call per slice, or a matmul or sum
+whose slices keep the layout the computation on one instance has, so a
+row's numbers are bitwise what a stack of one gives.  `verify` calls
+`verify_theorems` once per batch of trials (its negative control
+`build_duality_batch`); `build_duality_data`, `transform_power`,
+`transform_power_uplink` and `verify_theorem` are stacks of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (InfeasibleTransformError, NumericsError,
+from .errors import (DualPrecError, InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import ChannelSet, PrecoderSet, build_effective_channel
-from .objective import UplinkState, make_state, mmse_directions
-from .solver import SolverConfig, active_set
+from .objective import UplinkState, make_state
+from .solver import SolverConfig
 
 #: Condition number above which the transform matrix is rejected rather
 #: than solved; a near-singular transform means the MSE tuple is bogus,
@@ -70,9 +87,135 @@ class DualityReport:
 
 def psi_asymmetry(Psi: np.ndarray) -> float:
     """max |Psi - Psi^T| normalized by max(1, max |Psi|)."""
-    if Psi.shape[0] <= 1:
-        return 0.0
-    return float(np.abs(Psi - Psi.T).max() / max(1.0, np.abs(Psi).max()))
+    return float(_asymmetry(np.asarray(Psi)[None])[0])
+
+
+def _asymmetry(Psi: np.ndarray) -> np.ndarray:
+    """`psi_asymmetry` of every slice of the stack Psi (B x m x m)."""
+    if Psi.shape[1] <= 1:
+        return np.zeros(len(Psi))
+    return (np.abs(Psi - Psi.swapaxes(1, 2)).max(axis=(1, 2))
+            / np.maximum(1.0, np.abs(Psi).max(axis=(1, 2))))
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``: `np.linalg.norm`'s arithmetic
+    without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _groups(keys, states, tols, out):
+    """Beta, D, Psi and eps of every state, on the streams whose power
+    exceeds the row's threshold in ``tols``.
+
+    Rows of one key (states of one shape) and one active count m form a
+    group.  Yields (rows, g) per group: rows index ``states``, and g holds
+    q and the active mask on (B x L), the receivers a_l as rows of ``at``
+    (B x L x M) with their norms (B x L), beta, D and eps (B x m) and Psi
+    (B x m x m).  A row whose quantities cannot be built gets its error in
+    ``out`` instead.
+    """
+    by_key = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    for idx in by_key.values():
+        Q = np.array([states[i].q for i in idx])
+        # a stream per row: slice b is the transpose of the state's
+        # column-major J^-1 Htil, so sums over M add in the same order
+        At = np.array([states[i].Jinv_cols.T for i in idx])
+        norms = _norms(At, 2)
+        on = Q > np.array([tols[i] for i in idx])[:, None]
+        m = np.add.reduce(on, axis=1)
+        sizes = m.tolist()
+        bad = (Q < 0) | (on & (norms == 0.0))
+        if 0 in sizes or bad.any():
+            for j in np.flatnonzero(np.logical_or.reduce(bad, axis=1)
+                                    | (m == 0)).tolist():
+                out[idx[j]] = (
+                    ValidationError("powers must be nonnegative")
+                    if (Q[j] < 0).any()
+                    else NumericsError("no active streams to transform")
+                    if sizes[j] == 0 else
+                    NumericsError("zero MMSE receiver on an active stream"))
+                sizes[j] = 0
+        for size in sorted(set(sizes) - {0}):
+            g = SimpleNamespace(q=Q, on=on, at=At, norms=norms)
+            rows = idx
+            if sizes.count(size) < len(idx):
+                sel = [k == size for k in sizes]
+                rows = [i for i, s in zip(idx, sel) if s]
+                g = SimpleNamespace(**{k: v[sel] for k, v in vars(g).items()})
+            Ct = np.array([states[i].eff.cols.T for i in rows])
+            a, c, n, q = g.at, Ct, g.norms, g.q
+            if size < on.shape[1]:  # the active streams, in stream order
+                a, c = (x[g.on].reshape(len(rows), size, -1) for x in (a, c))
+                n, q = (x[g.on].reshape(len(rows), size) for x in (n, q))
+            g.beta = q * n
+            # C_ij = htil_i^H ubar_j; ubar as columns, column-major
+            C = c.conj() @ (a / n[:, :, None]).swapaxes(1, 2)
+            s = np.diagonal(C, axis1=1, axis2=2)
+            g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
+            g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
+            g.Psi = np.abs(C) ** 2
+            g.Psi.reshape(len(rows), -1)[:, ::size + 1] = 0.0
+            yield rows, g
+
+
+def _transform(beta, D, eps, coupling, sigma2):
+    """Solve (diag(eps - D) - B2 coupling) x = sigma2 beta^2 for each row
+    of the stacks (B x m, coupling B x m x m, sigma2 of length B).
+
+    Returns x (B x m, NaN on failed rows) and per row None or its error:
+    a non-finite matrix, a condition number above `COND_LIMIT`, or a
+    power below -1e-9.
+    """
+    B, m = beta.shape
+    A = np.zeros((B, m, m))
+    A.reshape(B, -1)[:, ::m + 1] = eps - D
+    A -= beta[:, :, None] ** 2 * coupling
+    try:
+        cond = np.linalg.cond(A)
+    except np.linalg.LinAlgError:  # the SVD of a slice with a NaN failed
+        cond = np.array([math.nan if np.isnan(a).any() else np.linalg.cond(a)
+                         for a in A])
+    ok = cond <= COND_LIMIT
+    every = ok.all()
+    rhs = (sigma2[:, None] * beta ** 2)[:, :, None]
+    if every:
+        x = np.linalg.solve(A, rhs)[:, :, 0]
+    else:
+        x = np.full((B, m), math.nan)
+        if ok.any():
+            x[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
+    negative = x < -1e-9
+    errs = [None] * B
+    if every and not negative.any():
+        return x, errs
+    for j in np.flatnonzero(
+            ~ok | np.logical_or.reduce(negative, axis=1)).tolist():
+        errs[j] = (
+            NumericsError("non-finite power-transform matrix")
+            if math.isnan(cond[j])
+            else SingularTransformError(
+                "power-transform matrix condition number exceeds 1e12")
+            if not ok[j]
+            else InfeasibleTransformError(
+                "transform produced a negative power; the MSE tuple is not "
+                "achievable"))
+    return x, errs
+
+
+def build_duality_batch(states, active_tol: float = 0.0) -> list:
+    """`build_duality_data` on every state of ``states`` at once: per
+    state, in order, its DualityData or the DualPrecError it raised."""
+    out = [None] * len(states)
+    for rows, g in _groups([st.Jinv_cols.shape for st in states], states,
+                           [active_tol] * len(states), out):
+        for j, i in enumerate(rows):
+            out[i] = DualityData(beta=g.beta[j], D=g.D[j], Psi=g.Psi[j],
+                                 eps=g.eps[j], active=np.flatnonzero(g.on[j]),
+                                 n_streams=g.on.shape[1])
+    return out
 
 
 def build_duality_data(state: UplinkState,
@@ -83,39 +226,24 @@ def build_duality_data(state: UplinkState,
     Inactive rows and columns are deleted; the caller re-inserts zeros
     afterwards.
     """
-    q = state.q
-    act, _ = active_set(q, active_tol)
-    if act.size == 0:
-        raise NumericsError("no active streams to transform")
-    a_act = state.Jinv_cols[:, act]
-    norms = np.linalg.norm(a_act, axis=0)
-    if np.any(norms == 0.0):
-        raise NumericsError("zero MMSE receiver on an active stream")
-    beta = q[act] * norms
-    dirs = a_act / norms
-    C = state.eff.cols[:, act].conj().T @ dirs     # C_ij = htil_i^H ubar_j
-    s = np.diag(C)
-    eps = 1.0 - beta * s.real                      # 1 - q_l htil_l^H J^-1 htil_l
-    D = np.abs(beta * s) ** 2 - 2.0 * beta * s.real + 1.0
-    Psi = np.abs(C) ** 2
-    np.fill_diagonal(Psi, 0.0)
-    return DualityData(beta=beta, D=D, Psi=Psi, eps=eps, active=act,
-                       n_streams=q.size)
+    return _one(build_duality_batch([state], active_tol))
+
+
+def _one(out: list):
+    """The single result of a stack of one; raised if it is an error."""
+    if isinstance(out[0], DualPrecError):
+        raise out[0]
+    return out[0]
 
 
 def _solve_transform(dd: DualityData, sigma2: float,
                      coupling: np.ndarray) -> np.ndarray:
-    A = np.diag(dd.eps - dd.D) - dd.beta[:, None] ** 2 * coupling
-    if np.linalg.cond(A) > COND_LIMIT:
-        raise SingularTransformError(
-            "power-transform matrix condition number exceeds 1e12")
-    x = np.linalg.solve(A, sigma2 * dd.beta ** 2)
-    if np.any(x < -1e-9):
-        raise InfeasibleTransformError(
-            "transform produced a negative power; the MSE tuple is not "
-            "achievable")
+    x, errs = _transform(dd.beta[None], dd.D[None], dd.eps[None],
+                         coupling[None], np.array([sigma2], dtype=float))
+    if errs[0] is not None:
+        raise errs[0]
     out = np.zeros(dd.n_streams)
-    out[dd.active] = np.maximum(x, 0.0)
+    out[dd.active] = np.maximum(x[0], 0.0)
     return out
 
 
@@ -153,52 +281,91 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
     ``certificate.state``); it is built from ``ch``, ``uplink`` and q
     otherwise.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     q = np.asarray(q, dtype=float)
     if state is None:
         state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
     elif not np.array_equal(state.q, q):
         raise ValidationError("state is not the uplink state at q")
-    dd = build_duality_data(state, active_tol=cfg.active_tol_scale * ch.p_max)
-    p = transform_power(dd, ch.sigma2)
-
-    eps_ul = np.ones(q.size)
-    eps_ul[dd.active] = dd.eps
-    eps_dl = _factored_downlink_mse(ch, uplink, mmse_directions(state), p, dd)
-    gap_pq = float(np.abs(p - q).max() / max(1.0, ch.p_max))
-    gap_mse = float(np.abs(eps_dl - eps_ul).max())
-    return DualityReport(p=p, q=q, psi_asymmetry=psi_asymmetry(dd.Psi),
-                         pq_gap=gap_pq, mse_gap=gap_mse,
-                         sum_power_dl=float(p.sum()))
+    return _one(verify_theorems([ch], [uplink], [state], cfg))
 
 
-def _factored_downlink_mse(ch: ChannelSet, uplink: PrecoderSet,
-                           Ubar: np.ndarray, p: np.ndarray,
-                           dd: DualityData) -> np.ndarray:
-    """Downlink per-stream MSEs under beamformers ``Ubar`` (M x L_tot) at
-    powers ``p`` and the duality-factored receivers
-    v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
-    model (signal, cross-stream, and noise terms summed explicitly).
+def verify_theorems(chs, uplinks, states, cfg: SolverConfig | None = None):
+    """`verify_theorem` on every row (chs[i], uplinks[i], states[i]) at
+    once, each state the uplink state at its q: per row, in order, its
+    DualityReport or the DualPrecError its check raised, bitwise what
+    `verify_theorem` gives on the row alone."""
+    cfg = cfg or SolverConfig()
+    out = [None] * len(states)
+    for rows, g in _groups([ch.dims for ch in chs], states,
+                           [cfg.active_tol_scale * ch.p_max for ch in chs],
+                           out):
+        sigma2 = np.array([chs[i].sigma2 for i in rows])
+        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2)
+        if any(errs):
+            for i, e in zip(rows, errs):
+                out[i] = e
+            keep = np.array([e is None for e in errs])
+            if not keep.any():
+                continue
+            rows = [i for i, e in zip(rows, errs) if e is None]
+            g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
+            x, sigma2 = x[keep], sigma2[keep]
+        P = np.zeros(g.q.shape)
+        P[g.on] = np.maximum(x, 0.0).ravel()
+        eps_ul = np.ones(P.shape)
+        eps_ul[g.on] = g.eps.ravel()
+        eps_dl = _downlink_mse([chs[i] for i in rows],
+                               [uplinks[i] for i in rows], g, P, sigma2)
+        p_max = np.array([chs[i].p_max for i in rows])
+        pq_gap = np.abs(P - g.q).max(axis=1) / np.maximum(1.0, p_max)
+        mse_gap = np.abs(eps_dl - eps_ul).max(axis=1)
+        asym, total = _asymmetry(g.Psi), np.add.reduce(P, axis=1)
+        for j, i in enumerate(rows):
+            out[i] = DualityReport(
+                p=P[j], q=states[i].q, psi_asymmetry=float(asym[j]),
+                pq_gap=float(pq_gap[j]), mse_gap=float(mse_gap[j]),
+                sum_power_dl=float(total[j]))
+    return out
+
+
+def _downlink_mse(chs, uplinks, g, P, sigma2) -> np.ndarray:
+    """Downlink per-stream MSEs (B x L) of a group of `_groups` at powers
+    P under the unit MMSE directions as beamformers and the
+    duality-factored receivers v_l = beta_l p_l^{-1/2} vbar_l, computed
+    directly from the channel model (signal, cross-stream, and noise terms
+    summed explicitly).
 
     Inactive and zero-power streams carry a zero receiver and an MSE of
     exactly 1.  Not exported: arbitrary-receiver downlink evaluation stays
     internal.
     """
-    d = ch.dims
-    scale = np.zeros(d.L_tot)  # beta_l / sqrt(p_l) where the receiver is on
-    live = p[dd.active] > 0.0
-    on = dd.active[live]
-    scale[on] = dd.beta[live] / np.sqrt(p[on])
+    d = chs[0].dims
+    # `objective.mmse_directions` of each row: a_l / ||a_l||, e_1 where 0
+    nz = g.norms > 0
+    if nz.all():
+        Ubar = g.at / g.norms[:, :, None]
+    else:
+        Ubar = np.zeros(g.at.shape, dtype=complex)
+        np.divide(g.at, g.norms[:, :, None], out=Ubar, where=nz[:, :, None])
+        Ubar[:, :, 0][~nz] = 1.0
+    live = P > 0.0
+    beta = np.zeros(P.shape)
+    beta[g.on] = g.beta.ravel()
+    # beta_l / sqrt(p_l) where the receiver is on, else 0
+    scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
     # row l: coef_lj = sqrt(p_j) v_l^H H_k^H ubar_j, k the owner of stream l
-    V = [uplink.by_user[k] * scale[d.user_streams(k)] for k in range(d.K)]
-    coef = np.concatenate([V[k].conj().T @ (ch.H[k].conj().T @ Ubar)
-                           for k in range(d.K)]) * np.sqrt(p)
+    coef, v_norms = [], []
+    for k in range(d.K):
+        H = np.array([ch.H[k] for ch in chs])
+        V = np.array([up.by_user[k] for up in uplinks]) \
+            * scale[:, None, d.user_streams(k)]
+        coef.append(V.conj().swapaxes(1, 2)
+                    @ (H.conj().swapaxes(1, 2) @ Ubar.swapaxes(1, 2)))
+        v_norms.append(_norms(V, 1))
+    coef = np.concatenate(coef, axis=1) * np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2
-    np.fill_diagonal(cross, 0.0)
-    v_norms = np.concatenate([np.linalg.norm(v, axis=0) for v in V])
-    m = (np.abs(np.diagonal(coef) - 1.0) ** 2 + cross.sum(axis=1)
-         + ch.sigma2 * v_norms ** 2)
-    eps = np.ones(d.L_tot)
-    eps[on] = m[on]
-    return eps
+    cross.reshape(len(P), -1)[:, ::d.L_tot + 1] = 0.0
+    v_norms = np.concatenate(v_norms, axis=1)
+    m = (np.abs(np.diagonal(coef, axis1=1, axis2=2) - 1.0) ** 2
+         + np.add.reduce(cross, axis=2) + sigma2[:, None] * v_norms ** 2)
+    return np.where(live, m, 1.0)

@@ -99,10 +99,11 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     """
     B, M, L = cols.shape
     J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
-    J += sigma2 * np.eye(M)
+    J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
     J = _finite(_hermitize(J))
-    rhs = np.concatenate(
-        [np.broadcast_to(np.eye(M, dtype=complex), (B, M, M)), cols], axis=2)
+    rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
+    rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
+    rhs[:, :, M:] = cols
     XT = np.empty((B, M + L, M), dtype=complex)  # X^T: slices of X column-major
     for b in range(B):
         c = _factor(*_POTRF(J[b], lower=True, clean=False))

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from dualprec import (ChannelSet, SolverConfig, _blas, cli, load_instance,
-                      save_instance, validate)
+from dualprec import (VIRTUAL_UPLINK, ChannelSet, DualPrecError,
+                      SolverConfig, _blas, build_effective_channel, cli,
+                      gen_channel, load_instance, random_unit_precoders,
+                      save_instance, solve_power, validate, verify_theorem)
 from oracles import certificate_from_dict
 
 
@@ -366,6 +368,46 @@ def test_verify_records_do_not_depend_on_the_batch(monkeypatch, tmp_path):
     records = json.loads(reports[0])["per_trial"]
     assert [r["error"] for r in records] == [None] * 3 + [
         "ConvergenceError"] + [None] * 3
+
+
+def test_verify_records_equal_one_trial_at_a_time(tmp_path):
+    # two full batches and a partial one against verify_theorem per trial
+    out = tmp_path / "v.json"
+    run_cli(["verify", "--trials", "130", "--sigma2", "10", "--seed-base",
+             "1", "--out", str(out)])
+    records = json.loads(out.read_text())["per_trial"]
+    assert len(records) == 130 > 2 * cli.VERIFY_BATCH
+    dims = cli.parse_dims("4,2,2,2,2,2")
+    for rec in records:
+        seed = rec["seed"]
+        ch = gen_channel(dims, 10.0, 10.0, seed=seed)
+        up = random_unit_precoders(dims, VIRTUAL_UPLINK,
+                                   seed=[seed, cli.PRECODER_TAG])
+        eff = build_effective_channel(ch, up)
+        want = dict(rec, psi_asymmetry=None, pq_gap=None, mse_gap=None,
+                    sum_power_dl=None, error=None)
+        try:
+            q, cert = solve_power(eff, ch.sigma2, ch.p_max)
+            rep = verify_theorem(ch, up, q, state=cert.state)
+        except DualPrecError as e:
+            want["error"] = type(e).__name__
+        else:
+            want.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
+                        mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl,
+                        max_residual=cert.max_residual)
+        assert rec == want
+
+
+def test_main_dispatches_to_the_current_command(monkeypatch):
+    # the parser is built once, but each call looks its command up afresh
+    calls = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda ns: calls.append("gen") or 0)
+    assert run_cli(["gen", "--M", "1", "--K", "1", "--N", "1", "--L",
+                    "1"]) == 0
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda ns: calls.append(("verify", ns.trials)) or 5)
+    assert run_cli(["verify", "--trials", "3"]) == 5
+    assert calls == ["gen", ("verify", 3)]
 
 
 def test_json_reports_carry_blas_threads(instance, tmp_path, capsys):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import rand_instance, scalar_instance, wiener_filters
-from dualprec import (ChannelSet, EffectiveChannel, InfeasibleTransformError,
-                      NumericsError, PrecoderSet,
+from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
+                      InfeasibleTransformError, NumericsError, PrecoderSet,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
                       ValidationError,
                       build_duality_data, build_effective_channel,
                       make_state, psi_asymmetry, solve_power, transform_power,
                       transform_power_uplink, uplink_mse, verify_theorem)
-from dualprec.duality import DualityData
+from dualprec.duality import (DualityData, build_duality_batch,
+                              verify_theorems)
+from dualprec.objective import UplinkState
 from oracles import check_equal_gradient_condition
 
 
@@ -280,3 +282,102 @@ def test_theorem_across_varied_shapes():
         assert rep.pq_gap <= 1e-6
         assert rep.mse_gap <= 1e-8
         assert abs(rep.sum_power_dl - q.sum()) <= 1e-6 * ch.p_max
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: bitwise a stack of one, row by row
+
+REPORT_FIELDS = ("psi_asymmetry", "pq_gap", "mse_gap", "sum_power_dl")
+
+
+def solved_rows(seeds, dims=None, sigma2=1.0):
+    """(ch, up, state) of the instances on ``seeds`` whose solve passes."""
+    rows = []
+    for seed in seeds:
+        kw = {} if dims is None else {"dims": dims}
+        ch, up, eff = rand_instance(seed, sigma2=sigma2, **kw)
+        try:
+            _, cert = solve_power(eff, ch.sigma2, ch.p_max)
+        except DualPrecError:
+            continue
+        rows.append((ch, up, cert.state))
+    return rows
+
+
+def assert_same_report(got, ref):
+    for name in REPORT_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
+    assert got.p.tobytes() == ref.p.tobytes()
+    assert np.array_equal(got.q, ref.q)
+
+
+def assert_same_data(got, ref):
+    for name in ("beta", "D", "Psi", "eps", "active"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert got.n_streams == ref.n_streams
+
+
+@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
+def test_verify_theorems_bitwise_one_at_a_time(sigma2):
+    rows = solved_rows(range(1, 41), sigma2=sigma2)
+    chs, ups, states = zip(*rows)
+    reports = verify_theorems(chs, ups, states)
+    for (ch, up, st), rep in zip(rows, reports):
+        assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
+    for st, dd in zip(states, build_duality_batch(states, 1e-9 * 10.0)):
+        assert_same_data(dd, build_duality_data(st, 1e-9 * 10.0))
+    if sigma2 == 10.0:  # low SNR parks streams: groups of several sizes
+        assert len({int(np.count_nonzero(r.p)) for r in reports}) > 1
+
+
+def test_verify_theorems_bitwise_at_m64():
+    dims = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
+    rows = solved_rows(range(1, 4), dims=dims)
+    assert len(rows) == 3
+    reports = verify_theorems(*zip(*rows))
+    for (ch, up, st), rep in zip(rows, reports):
+        assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
+
+
+def bogus_state(state, a):
+    """``state`` with J^-1 Htil replaced by ``a``, the only part of the
+    state the duality kernel reads besides q and the channel."""
+    return UplinkState(J=state.J, J_inv=state.J_inv, eff=state.eff,
+                       q=state.q, sigma2=state.sigma2,
+                       Jinv_cols=np.asarray(a, dtype=complex))
+
+
+def test_verify_theorems_bad_row_leaves_the_others():
+    # scalar rows, one stack: with htil = 1 and a = J^-1 htil the 1x1
+    # transform matrix is q a (1 - q a), zero at q a = 1 and negative (a
+    # negative power) at q a = 2; a NaN receiver makes it non-finite
+    ch, up, eff = scalar_instance()
+    good = [make_state(eff, np.array([q]), 1.0) for q in (1.0, 2.0, 3.0)]
+    three = good[2]
+    states = [good[0], bogus_state(three, [[1.0 / 3.0]]), good[1],
+              bogus_state(three, [[2.0 / 3.0]]), bogus_state(three, [[np.nan]]),
+              good[2]]
+    errors = [None, SingularTransformError, None, InfeasibleTransformError,
+              NumericsError, None]
+    with np.errstate(invalid="ignore"):  # the NaN row
+        out = verify_theorems([ch] * 6, [up] * 6, states)
+        for st, rep, err in zip(states, out, errors):
+            if err is None:
+                assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
+                continue
+            assert type(rep) is err
+            with pytest.raises(err):
+                verify_theorem(ch, up, st.q, state=st)
+
+    # M = 4: a row with no active stream between solved rows
+    rows = solved_rows(range(1, 6))
+    ch0, up0, st0 = rows[0]
+    idle = make_state(st0.eff, np.zeros(4), ch0.sigma2)
+    rows.insert(2, (ch0, up0, idle))
+    out = verify_theorems(*zip(*rows))
+    assert isinstance(out[2], NumericsError)
+    with pytest.raises(NumericsError):
+        verify_theorem(ch0, up0, idle.q, state=idle)
+    for k in (0, 1, 3, 4, 5):
+        ch, up, st = rows[k]
+        assert_same_report(out[k], verify_theorem(ch, up, st.q, state=st))
