@@ -15,11 +15,10 @@ from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     channel_from_dict, channel_to_dict, gen_channel,
                     load_instance, random_unit_precoders, save_instance,
                     validate)
-from .objective import (UplinkState, downlink_mmse, grad_trace_Jinv,
-                        make_state, mmse_directions, sum_mse_uplink,
-                        uplink_mse)
-from .solver import (KktCertificate, SolverConfig, active_set, kkt_certify,
-                     project_power, solve_power, solve_powers)
+from .objective import (UplinkState, downlink_mmse, make_state,
+                        mmse_directions, sum_mse_uplink, uplink_mse)
+from .solver import (KktCertificate, SolverConfig, kkt_certify, project_power,
+                     solve_power, solve_powers)
 
 __version__ = "0.1.0"
 

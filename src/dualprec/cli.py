@@ -221,7 +221,7 @@ def cmd_solve(ns) -> int:
         "kkt_tol": scfg.kkt_tol,
         "converged": converged,
         "q": [float(x) for x in q],
-        "objective_trace_jinv": float(np.trace(state.J_inv).real),
+        "objective_trace_jinv": state.trace_jinv,
         "smse": objective.sum_mse_uplink(state),
         "per_stream_mse": [float(x) for x in objective.uplink_mse(state)],
         "certificate": _certificate_dict(cert),

@@ -45,16 +45,16 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
 class UplinkState:
     """Immutable snapshot of the uplink at one power allocation.
 
-    Caches J, its inverse, and J^-1 Htil (used by the gradient, the
-    MMSE directions, and the per-stream MSEs alike).
+    Holds the receivers J^-1 Htil (the MMSE directions, the per-stream
+    MSEs and the duality quantities all derive from them) and tr(J^-1)
+    (the sum-MSE).
     """
 
-    J: np.ndarray
-    J_inv: np.ndarray
     eff: EffectiveChannel
     q: np.ndarray
     sigma2: float
     Jinv_cols: np.ndarray  # J^-1 @ eff.cols, M x L_tot
+    trace_jinv: float  # tr(J^-1)
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -85,10 +85,12 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     stack of B instances: ``cols`` is B x M x L and ``q`` is B x L.
 
     Per instance it assembles J = sum_l q_l htil_l htil_l^H + sigma2 I,
-    factors it once by Cholesky and returns the stacked (J, J^-1, A, f,
-    gains) with A = J^-1 Htil solved on the columns (B x M x L),
+    factors it once by Cholesky and returns the stacked (A, f, gains)
+    with A = J^-1 Htil solved on the columns (B x M x L),
     f = tr(J^-1) (B,) and gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l
-    = -df/dq_l (B x L).  J >= sigma2 I, so the factorization succeeds for
+    = -df/dq_l (B x L).  J and J^-1 stay inside: f sums the real
+    diagonal of the solve's J^-1 block, which is all of it any caller
+    reads.  J >= sigma2 I, so the factorization succeeds for
     any finite nonnegative q and sigma2 > 0; a non-finite J raises
     ValueError and a failed factorization LinAlgError.
 
@@ -109,9 +111,8 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
         c = _factor(*_POTRF(J[b], lower=True, clean=False))
         XT[b] = _POTRS(c, rhs[b], lower=True)[0].T
     X = XT.swapaxes(1, 2)
-    J_inv = _hermitize(X[:, :, :M])
     A = X[:, :, M:]
-    return (J, J_inv, A, np.trace(J_inv, axis1=1, axis2=2).real,
+    return (A, np.trace(X[:, :, :M], axis1=1, axis2=2).real,
             np.sum(np.abs(A) ** 2, axis=1))
 
 
@@ -127,23 +128,16 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
     try:
-        J, J_inv, A, _, _ = _covariance(eff.cols[None], q[None], sigma2)
+        A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
     except np.linalg.LinAlgError as e:  # pragma: no cover - J >= sigma2 I
         raise NumericsError(f"covariance not positive definite: {e}") from e
-    return UplinkState(J=J[0], J_inv=J_inv[0], eff=eff, q=q,
-                       sigma2=float(sigma2), Jinv_cols=A[0])
+    return UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
+                       trace_jinv=float(f[0]))
 
 
-def sum_mse_uplink(state: UplinkState, L_tot: int | None = None) -> float:
+def sum_mse_uplink(state: UplinkState) -> float:
     """Minimum sum-MSE at this state: L_tot - M + sigma2 tr(J^-1)."""
-    if L_tot is None:
-        L_tot = state.eff.L_tot
-    return L_tot - state.eff.M + state.sigma2 * float(np.trace(state.J_inv).real)
-
-
-def grad_trace_Jinv(state: UplinkState) -> np.ndarray:
-    """d tr(J^-1) / d q_l = -htil_l^H J^-2 htil_l = -||J^-1 htil_l||^2."""
-    return -np.sum(np.abs(state.Jinv_cols) ** 2, axis=0)
+    return state.eff.L_tot - state.eff.M + state.sigma2 * state.trace_jinv
 
 
 def mmse_directions(state: UplinkState) -> np.ndarray:

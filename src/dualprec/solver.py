@@ -19,7 +19,10 @@ one stacked kernel call, decides acceptance, backtracking, stalls and
 best iterates as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size; `solve_power` is a stack of one.  All
 stacked operations are elementwise or slice by slice, so an instance
-takes the same steps, to the bit, whatever shares its stack.
+takes the same steps, to the bit, whatever shares its stack.  A stream
+whose channel is zero starts at q = 0 and stays there (its gain is 0),
+so every instance runs on all its columns and is certified by the
+same loop.
 """
 
 from __future__ import annotations
@@ -99,16 +102,6 @@ class KktCertificate:
         return self.max_residual <= tol
 
 
-def active_set(q, tol: float):
-    """Partition stream indices into active (q_l > tol) and inactive."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise ValidationError("powers must be nonnegative")
-    act = np.flatnonzero(q > tol)
-    inact = np.flatnonzero(q <= tol)
-    return act, inact
-
-
 def project_power(q, p_max: float) -> np.ndarray:
     """Euclidean projection onto {q >= 0, sum q <= p_max}.
 
@@ -173,9 +166,9 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
     q = np.asarray(q, dtype=float)
     if active_tol is None:
         active_tol = 1e-9 * p_max
-    J, J_inv, A, _, gains = _covariance(eff.cols[None], q[None], sigma2)
-    state = UplinkState(J=J[0], J_inv=J_inv[0], eff=eff, q=q,
-                        sigma2=float(sigma2), Jinv_cols=A[0])
+    A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
+    state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
+                        trace_jinv=float(f[0]))
     return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
                          [state])[0]
 
@@ -212,8 +205,8 @@ def solve_powers(effs, sigma2: float, p_max: float,
 
 def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     """The results of `solve_powers`; ``q0`` and ``callback`` serve
-    `solve_power`.  Instances whose solved columns ``eff.cols[:, sub]``
-    have one shape run in `_lockstep` stacks of at most `STACK_BYTES`."""
+    `solve_power`.  Instances whose columns have one shape run in
+    `_lockstep` stacks of at most `STACK_BYTES`."""
     if not (math.isfinite(p_max) and p_max > 0):
         raise ValidationError("p_max must be finite and > 0")
     if not (math.isfinite(sigma2) and sigma2 > 0):
@@ -222,35 +215,26 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     out, groups, stacks = [None] * len(effs), {}, []
     for i, eff in enumerate(effs):
         try:
-            sub, q = _start(eff, p_max, q0)
-            groups.setdefault((eff.M, sub.size), []).append((i, sub, q))
+            q = _start(eff, p_max, q0)
+            groups.setdefault(eff.cols.shape, []).append((i, q))
         except DualPrecError as e:
             out[i] = e
     for (M, L), group in groups.items():
         size = max(1, STACK_BYTES // (16 * M * (M + L)))
         stacks += [zip(*group[k:k + size]) for k in range(0, len(group), size)]
-    for idx, subs, qs in stacks:
-        def full(k, q_sub):  # the powers of instance idx[k] on its streams
-            q = np.zeros(effs[idx[k]].L_tot)
-            q[subs[k]] = q_sub
-            return q
-        hook = callback and (lambda k, q_sub, f: callback(full(k, q_sub), f))
-        CS = np.array([effs[i].cols[:, sub] for i, sub in zip(idx, subs)])
-        for rows, Q, J, J_inv, A, kkt, steps in _lockstep(
-                CS, np.array(qs), sigma2, p_max, cfg, hook):
+    for idx, qs in stacks:
+        CS = np.array([effs[i].cols for i in idx])
+        for rows, Q, A, F, kkt, steps in _lockstep(
+                CS, np.array(qs), sigma2, p_max, cfg, callback):
             # copies in the layouts one kernel call gives, so that callers
             # computing on the state get the same bits whatever the stack
-            states = [UplinkState(J=J[j].copy(), J_inv=J_inv[j].copy(),
-                                  eff=effs[idx[k]], q=full(k, Q[j]),
+            states = [UplinkState(eff=effs[idx[k]], q=Q[j].copy(),
                                   sigma2=float(sigma2),
-                                  Jinv_cols=A[j].copy(order="F"))
+                                  Jinv_cols=A[j].copy(order="F"),
+                                  trace_jinv=float(F[j]))
                       for j, k in enumerate(rows.tolist())]
             for k, cert, n in zip(rows.tolist(), _certificates(kkt, states),
                                   steps.tolist()):
-                eff = effs[idx[k]]
-                if subs[k].size < eff.L_tot:  # certify on every stream
-                    cert = kkt_certify(eff, sigma2, p_max, cert.state.q,
-                                       active_tol=cfg.active_tol_scale * p_max)
                 out[idx[k]] = (cert.state.q, cert) \
                     if cert.passes(cfg.kkt_tol) else ConvergenceError(
                         f"KKT residual {cert.max_residual:.3e} above "
@@ -259,9 +243,11 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     return out
 
 
-def _start(eff: EffectiveChannel, p_max: float, q0=None):
-    """The streams with a nonzero channel, which a solve optimizes over,
-    and its start there: projected q0, or uniform, spending the budget."""
+def _start(eff: EffectiveChannel, p_max: float, q0=None) -> np.ndarray:
+    """The first iterate of a solve: projected q0, or uniform, spending
+    the budget on the streams with a nonzero channel.  The others (norm
+    at most 1e-15 of the largest) start at 0 and stay there: a zero
+    channel's gain is 0, so no Newton face admits its stream."""
     L = eff.L_tot
     if q0 is not None and np.shape(q0) != (L,):
         raise DimensionError(f"q0 must have one entry per stream ({L})")
@@ -271,21 +257,23 @@ def _start(eff: EffectiveChannel, p_max: float, q0=None):
     largest = np.maximum.reduce(col_norms)
     if largest == 0.0:
         raise NumericsError("all effective channels are zero")
-    sub = (col_norms > 1e-15 * largest).nonzero()[0]
+    on = col_norms > 1e-15 * largest
+    q = np.zeros(L)
     if q0 is None:
-        return sub, np.full(sub.size, p_max / sub.size)
-    q = project_power(np.asarray(q0, dtype=float)[sub], p_max)
-    if (spent := q.sum()) < p_max:  # the optimum spends the budget
-        q = q + (p_max - spent) / q.size
-    return sub, q
+        q[on] = p_max / np.count_nonzero(on)
+    else:
+        q[on] = project_power(np.asarray(q0, dtype=float)[on], p_max)
+        if (spent := q[on].sum()) < p_max:  # the optimum spends the budget
+            q[on] += (p_max - spent) / np.count_nonzero(on)
+    return q
 
 
 def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
               callback=None):
     """Solve each row of the stack ``CS`` (B x M x L) from ``Q0`` (B x L);
-    yield (rows, q, J, J_inv, A, `_kkt` terms, steps) of the best iterates
-    of the rows that finish in a round.  ``callback(row, q, f)`` fires
-    after every step.  ``s`` holds the unfinished rows; no array in it is
+    yield (rows, q, A, f, `_kkt` terms, steps) of the best iterates of
+    the rows that finish in a round.  ``callback(q, f)`` fires after every
+    step of every row.  ``s`` holds the unfinished rows; no array in it is
     written in place, so the current and best iterate may share one."""
     act_tol = cfg.active_tol_scale * p_max
     # polish well below kkt_tol; Newton reaches this in one more step
@@ -293,13 +281,13 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     # residual to beat to go on, by steps since the best: 0, idle, too many
     limit = np.full(IDLE_STEPS + 2, max(target, cfg.kkt_tol))
     limit[0], limit[-1] = target, math.inf
-    J, J_inv, A, f, G = _covariance(CS, Q0, sigma2)
+    A, f, G = _covariance(CS, Q0, sigma2)
     kkt, r = _kkt(Q0, G, p_max, act_tol)
     B = len(Q0)
     steps = np.zeros(B, dtype=int)
     s = SimpleNamespace(
         rows=np.arange(B), cs=CS, q=Q0, f=f, g=G, a=A, r=r, best_q=Q0,
-        best_r=r, J=J, J_inv=J_inv, best_a=A, kkt=kkt, steps=steps,
+        best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
         best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
         full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0)
     moved = np.ones(B, dtype=bool)  # the rows at a new iterate
@@ -310,7 +298,7 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         if np.count_nonzero(go) and _step(s, go, p_max):
             done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
         if np.count_nonzero(done):
-            best = (s.rows, s.best_q, s.J, s.J_inv, s.best_a, s.kkt, s.steps)
+            best = (s.rows, s.best_q, s.best_a, s.best_f, s.kkt, s.steps)
             if np.count_nonzero(done) == len(done):
                 yield best
                 return
@@ -318,7 +306,7 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
             s = SimpleNamespace(**{k: _rows(v, ~done)
                                    for k, v in vars(s).items()})
 
-        J, J_inv, A, f, G = _covariance(s.cs, s.trial, sigma2)
+        A, f, G = _covariance(s.cs, s.trial, sigma2)
         kkt, r = _kkt(s.trial, G, p_max, act_tol)
         # near the optimum f is flat to rounding and only the residual moves
         moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
@@ -329,14 +317,14 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
             _set(s, moved, q=s.trial, f=f, g=G, a=A, r=r)
         better = moved & (r < s.best_r)
         if np.count_nonzero(better) == len(better):
-            s.best_q, s.best_r, s.J, s.J_inv, s.best_a, s.kkt, s.best_steps = (
-                s.trial, r, J, J_inv, A, kkt, s.steps)
+            s.best_q, s.best_r, s.best_a, s.best_f, s.kkt, s.best_steps = (
+                s.trial, r, A, f, kkt, s.steps)
         elif np.count_nonzero(better):
-            _set(s, better, best_q=s.trial, best_r=r, J=J, J_inv=J_inv,
-                 best_a=A, kkt=kkt, best_steps=s.steps)
+            _set(s, better, best_q=s.trial, best_r=r, best_a=A, best_f=f,
+                 kkt=kkt, best_steps=s.steps)
         if callback is not None:
             for b in np.flatnonzero(moved):
-                callback(s.rows[b], s.q[b], float(s.f[b]))
+                callback(s.q[b].copy(), float(s.f[b]))
         if np.count_nonzero(moved) < len(moved):
             # backtrack; a search that runs out takes the full step, again
             stall = ~moved & (s.t < MIN_STEP)

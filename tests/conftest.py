@@ -44,7 +44,7 @@ def mse_trace_sum(state):
 
 
 def covariance(cols, q, sigma2):
-    """The covariance kernel on one instance: (J, J^-1, A, f, gains) of
+    """The covariance kernel on one instance: (A, f, gains) of
     `objective._covariance` called with B = 1."""
     out = _covariance(np.asarray(cols, dtype=complex)[None],
                       np.asarray(q, dtype=float)[None], sigma2)

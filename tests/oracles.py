@@ -4,10 +4,9 @@ import numpy as np
 
 from conftest import covariance
 from dualprec import (DOWNLINK, VIRTUAL_UPLINK, DesignConfig, DualPrecError,
-                      KktCertificate, PrecoderSet, active_set,
-                      build_effective_channel, downlink_mmse,
-                      grad_trace_Jinv, make_state, mmse_directions,
-                      solve_power, sum_mse_uplink)
+                      KktCertificate, PrecoderSet, ValidationError,
+                      build_effective_channel, downlink_mmse, make_state,
+                      mmse_directions, solve_power, sum_mse_uplink)
 from dualprec.model import (NORM_TOL, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 
@@ -38,7 +37,7 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
         return np.array([p_max])
     if L == 2:
         for a in ticks:
-            f = covariance(cols, np.array([a, p_max - a]), sigma2)[3]
+            f = covariance(cols, np.array([a, p_max - a]), sigma2)[1]
             if f < best_f:
                 best_f, best_q = f, np.array([a, p_max - a])
         return best_q
@@ -47,7 +46,7 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
             rem = p_max - a - b
             if rem < 0:
                 break
-            f = covariance(cols, np.array([a, b, rem]), sigma2)[3]
+            f = covariance(cols, np.array([a, b, rem]), sigma2)[1]
             if f < best_f:
                 best_f, best_q = f, np.array([a, b, rem])
     return best_q
@@ -159,6 +158,21 @@ def certificate_from_dict(d: dict) -> KktCertificate:
         primal_sum_violation=d["primal_sum_violation"],
         primal_nonneg_violation=d["primal_nonneg_violation"],
         slackness_residual=d["slackness_residual"])
+
+
+def active_set(q, tol: float):
+    """Partition stream indices into active (q_l > tol) and inactive."""
+    q = np.asarray(q, dtype=float)
+    if np.any(q < 0):
+        raise ValidationError("powers must be nonnegative")
+    act = np.flatnonzero(q > tol)
+    inact = np.flatnonzero(q <= tol)
+    return act, inact
+
+
+def grad_trace_Jinv(state):
+    """d tr(J^-1) / d q_l = -htil_l^H J^-2 htil_l = -||J^-1 htil_l||^2."""
+    return -np.sum(np.abs(state.Jinv_cols) ** 2, axis=0)
 
 
 def check_equal_gradient_condition(eff, sigma2: float, q,

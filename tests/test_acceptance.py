@@ -15,14 +15,15 @@ from conftest import covariance, mse_trace_sum, rand_instance
 from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       SolverConfig, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
-                      compare_paths, gen_channel, grad_trace_Jinv, make_state,
-                      psi_asymmetry, solve_power, sum_mse_uplink,
-                      transform_power_uplink, verify_theorem)
-from oracles import brute_force_power, check_equal_gradient_condition
+                      compare_paths, gen_channel, make_state, psi_asymmetry,
+                      solve_power, sum_mse_uplink, transform_power_uplink,
+                      verify_theorem)
+from oracles import (brute_force_power, check_equal_gradient_condition,
+                     grad_trace_Jinv)
 
 
 def _trace_jinv(cols, sigma2, q):
-    return covariance(cols, q, sigma2)[3]
+    return covariance(cols, q, sigma2)[1]
 
 DIMS = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
 TRIALS = 1000
@@ -179,7 +180,7 @@ def test_criterion_6_grid_oracle_equivalence():
         worst_excess = max(worst_excess, f_s - f_g)
         # curvature bound: lam_max(H) * spacing^2 with H from the kernel
         spacing = ch.p_max / (grid_points - 1)
-        A = covariance(eff.cols, q, ch.sigma2)[2]
+        A = covariance(eff.cols, q, ch.sigma2)[0]
         cmat = eff.cols.conj().T @ A
         dmat = A.conj().T @ A
         lam = float(np.linalg.eigvalsh(2 * np.real(cmat * dmat.conj())).max())

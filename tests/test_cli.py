@@ -322,6 +322,21 @@ def test_design_both_path(instance, tmp_path):
     assert rep["transform_time_s"] > rep["shortcut_time_s"]
 
 
+def test_design_capped_report_exit_3(tmp_path):
+    # the outer-iteration cap ends the design: exit 3, with the partial
+    # design reported
+    inst, out = tmp_path / "inst.json", tmp_path / "design.json"
+    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "4,4", "--L", "2,2",
+                    "--seed", "1000", "--out", str(inst)]) == 0
+    rc = run_cli(["design", str(inst), "--max-outer-iters", "2",
+                  "--out", str(out)])
+    assert rc == 3
+    rep = json.loads(out.read_text())
+    assert rep["converged"] is False
+    assert rep["iters"] == 2
+    assert len(rep["smse_trace"]) == 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_design_solver_failure_exit_3(fmt, instance, tmp_path, capsys):
     # the first power solve fails, so there is no design to report

@@ -342,9 +342,9 @@ def test_verify_theorems_bitwise_at_m64():
 def bogus_state(state, a):
     """``state`` with J^-1 Htil replaced by ``a``, the only part of the
     state the duality kernel reads besides q and the channel."""
-    return UplinkState(J=state.J, J_inv=state.J_inv, eff=state.eff,
-                       q=state.q, sigma2=state.sigma2,
-                       Jinv_cols=np.asarray(a, dtype=complex))
+    return UplinkState(eff=state.eff, q=state.q, sigma2=state.sigma2,
+                       Jinv_cols=np.asarray(a, dtype=complex),
+                       trace_jinv=state.trace_jinv)
 
 
 def test_verify_theorems_bad_row_leaves_the_others():

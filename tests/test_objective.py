@@ -4,10 +4,12 @@ import pytest
 from conftest import (mse_trace_sum, rand_instance, scalar_instance,
                       wiener_filters)
 from dualprec import (DimensionError, EffectiveChannel, NumericsError,
-                      ValidationError, downlink_mmse, grad_trace_Jinv,
-                      make_state, mmse_directions, solve_power,
-                      sum_mse_uplink, uplink_mse, verify_theorem)
+                      ValidationError, downlink_mmse, make_state,
+                      mmse_directions, solve_power, sum_mse_uplink,
+                      uplink_mse, verify_theorem)
+from dualprec import objective
 from dualprec.objective import _covariance
+from oracles import grad_trace_Jinv
 
 
 def eff_from_cols(cols):
@@ -16,11 +18,34 @@ def eff_from_cols(cols):
                                                              dtype=int))
 
 
+def covariance_of(state):
+    """J = sum_l q_l htil_l htil_l^H + sigma2 I, built from the state's
+    inputs."""
+    cols = state.eff.cols
+    return (cols * state.q) @ cols.conj().T + state.sigma2 * np.eye(len(cols))
+
+
+def state_and_factored_J(monkeypatch, eff, q, sigma2):
+    """`make_state` at q, and the J its kernel handed to the Cholesky
+    factorization."""
+    seen, potrf = [], objective._POTRF
+
+    def recorded(J, **kwargs):
+        seen.append(J.copy())
+        return potrf(J, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(objective, "_POTRF", recorded)
+        st = make_state(eff, q, sigma2)
+    J, = seen
+    return st, J
+
+
 def stream_mse(state, l, u):
     """Independent per-stream MSE formula at an arbitrary receiver u:
     u^H J u - 2 Re[sqrt(q_l) u^H htil_l] + 1."""
     h = state.eff.cols[:, l]
-    quad = float(np.real(u.conj() @ state.J @ u))
+    quad = float(np.real(u.conj() @ covariance_of(state) @ u))
     cross = float(np.real(np.sqrt(state.q[l]) * (u.conj() @ h)))
     return quad - 2.0 * cross + 1.0
 
@@ -41,8 +66,7 @@ def kernel_one_at_a_time(cols, q, sigma2):
     X = cho_solve(cho_factor(J, lower=True), np.hstack([np.eye(M), cols]))
     J_inv = herm(X[:, :M])
     A = X[:, M:]
-    return (J, J_inv, A, float(np.trace(J_inv).real),
-            np.sum(np.abs(A) ** 2, axis=0))
+    return A, float(np.trace(J_inv).real), np.sum(np.abs(A) ** 2, axis=0)
 
 
 @pytest.mark.parametrize("B,M,L", [(50, 4, 4), (1, 4, 4), (3, 64, 32),
@@ -71,23 +95,27 @@ def test_kernel_rejects_non_finite_covariance():
 # ---------------------------------------------------------------------------
 # make_state
 
-def test_make_state_zero_power():
+def test_make_state_zero_power(monkeypatch):
     eff = eff_from_cols(np.array([[1.0], [0.0]]))
-    st = make_state(eff, np.zeros(1), 2.0)
-    assert np.array_equal(st.J, 2.0 * np.eye(2))
-    assert np.allclose(st.J_inv, np.eye(2) / 2.0, atol=1e-15)
+    st, J = state_and_factored_J(monkeypatch, eff, np.zeros(1), 2.0)
+    assert np.array_equal(J, 2.0 * np.eye(2))
+    # J^-1 = I / 2
+    assert st.trace_jinv == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(st.Jinv_cols, [[0.5], [0.0]], atol=1e-15)
 
 
-def test_make_state_rank_one_update():
+def test_make_state_rank_one_update(monkeypatch):
     eff = eff_from_cols(np.array([[1.0], [0.0]]))
-    st = make_state(eff, np.ones(1), 1.0)
-    assert np.allclose(st.J, np.diag([2.0, 1.0]), atol=1e-15)
+    st, J = state_and_factored_J(monkeypatch, eff, np.ones(1), 1.0)
+    assert np.allclose(J, np.diag([2.0, 1.0]), atol=1e-15)
 
 
 def test_make_state_inverse_check():
     _, _, eff = rand_instance(3)
     st = make_state(eff, np.array([1.0, 2.0, 0.5, 3.0]), 0.7)
-    assert np.abs(st.J @ st.J_inv - np.eye(4)).max() <= 1e-10
+    J = covariance_of(st)
+    assert np.abs(J @ st.Jinv_cols - eff.cols).max() <= 1e-10
+    assert abs(st.trace_jinv - np.trace(np.linalg.inv(J)).real) <= 1e-10
 
 
 def test_make_state_rejects_non_finite():
@@ -100,15 +128,15 @@ def test_make_state_rejects_non_finite():
         make_state(eff, np.array([-1.0, 0, 0, 0]), 1.0)
 
 
-def test_state_invariants_on_seeds():
+def test_state_invariants_on_seeds(monkeypatch):
     for seed in range(5):
         _, _, eff = rand_instance(seed)
         q = np.random.default_rng(seed).uniform(0, 3, 4)
-        st = make_state(eff, q, 0.9)
+        _, J = state_and_factored_J(monkeypatch, eff, q, 0.9)
         rebuilt = (eff.cols * q) @ eff.cols.conj().T + 0.9 * np.eye(4)
-        assert np.abs(st.J - rebuilt).max() <= 1e-12 * np.abs(st.J).max()
-        assert np.abs(st.J - st.J.conj().T).max() == 0.0
-        assert np.linalg.eigvalsh(st.J).min() >= 0.9 - 1e-9
+        assert np.abs(J - rebuilt).max() <= 1e-12 * np.abs(J).max()
+        assert np.abs(J - J.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(J).min() >= 0.9 - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +207,7 @@ def test_monotonicity_in_single_power():
         q2 = q.copy()
         q2[l] += 0.5
         st2 = make_state(eff, q2, 1.0)
-        assert np.trace(st2.J_inv).real < np.trace(st0.J_inv).real
+        assert st2.trace_jinv < st0.trace_jinv
 
 
 def test_convexity_probe():
@@ -187,7 +215,7 @@ def test_convexity_probe():
     _, _, eff = rand_instance(4)
 
     def f(qv):
-        return float(np.trace(make_state(eff, qv, 1.0).J_inv).real)
+        return make_state(eff, qv, 1.0).trace_jinv
 
     for _ in range(20):
         qa = rng.uniform(0, 3, 4)
@@ -224,7 +252,7 @@ def test_mmse_directions_every_stream():
     dirs = mmse_directions(st)
     assert np.allclose(np.linalg.norm(dirs, axis=0), 1.0, atol=1e-14)
     for l in (0, 1, 3):
-        a = np.linalg.solve(st.J, cols[:, l])
+        a = np.linalg.solve(covariance_of(st), cols[:, l])
         assert np.abs(dirs[:, l] - a / np.linalg.norm(a)).max() <= 1e-12
     assert np.array_equal(dirs[:, 2], np.eye(4)[0])
 

@@ -1,24 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import covariance, rand_instance, scalar_instance
-from dualprec import (ConvergenceError, DimensionError, EffectiveChannel,
-                      NumericsError, SolverConfig, SystemDims,
-                      ValidationError, active_set, kkt_certify,
-                      project_power, solve_power, verify_theorem)
+from dualprec import (VIRTUAL_UPLINK, ConvergenceError, DimensionError,
+                      EffectiveChannel, NumericsError, SolverConfig,
+                      SystemDims, ValidationError, build_effective_channel,
+                      gen_channel, kkt_certify, project_power,
+                      random_unit_precoders, solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
-from oracles import CostGuardError, brute_force_power
+from oracles import CostGuardError, active_set, brute_force_power
 
 
 def _trace_jinv(cols, sigma2, q):
-    return covariance(cols, q, sigma2)[3]
+    return covariance(cols, q, sigma2)[1]
 
 
 def _gains(cols, sigma2, q):
-    return covariance(cols, q, sigma2)[4]
+    return covariance(cols, q, sigma2)[2]
 
 
 def eff_from_cols(cols):
@@ -233,7 +236,7 @@ def assert_same_result(batched, alone):
     assert np.array_equal(cert.mu, ref.mu)
     for name in CERT_FIELDS:
         assert getattr(cert, name) == getattr(ref, name), name
-    for name in ("J", "J_inv", "Jinv_cols", "q"):
+    for name in ("Jinv_cols", "q", "trace_jinv"):
         assert np.array_equal(getattr(cert.state, name),
                               getattr(ref.state, name)), name
 
@@ -261,7 +264,7 @@ def test_solve_powers_matches_solve_power_at_m64():
 def test_failing_instance_leaves_the_batch_unchanged():
     sigma2 = 1e-6
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(6)]
-    # one zero column: solved on the other three, in a group of its own
+    # one zero column: its stream starts at 0 and stays there
     cols = rand_instance(7, sigma2=sigma2)[2].cols.copy()
     cols[:, 1] = 0.0
     effs.append(eff_from_cols(cols))
@@ -293,9 +296,8 @@ def test_certificate_state_is_the_kernel_at_its_q():
         assert isinstance(err, ConvergenceError)
         state = err.certificate.state
         assert not np.array_equal(steps[-1], state.q)
-        J, J_inv, A, _, _ = covariance(eff.cols, state.q, sigma2)
-        assert np.array_equal(state.J, J)
-        assert np.array_equal(state.J_inv, J_inv)
+        A, f, _ = covariance(eff.cols, state.q, sigma2)
+        assert state.trace_jinv == f
         assert np.array_equal(state.Jinv_cols, A)
 
 
@@ -317,6 +319,59 @@ def test_singular_kkt_slice_leaves_the_batch_unchanged(monkeypatch):
     assert calls
     for out, eff in zip(batched, effs):
         assert_same_result(out, solve_alone(eff, 1.0))
+
+
+#: Cold solves in which a parked stream's Newton step is negative, so that
+#: stream leaves the face and its row is solved again on the smaller one.
+FACE_SHRINKS = [(56, SystemDims(M=6, K=4, N=(2,) * 4, L=(2,) * 4), 1e-2),
+                (131, SystemDims(M=3, K=3, N=(2,) * 3, L=(2,) * 3), 100.0),
+                (52, SystemDims(M=4, K=3, N=(2,) * 3, L=(2,) * 3), 1e-4)]
+
+
+@pytest.mark.parametrize("seed,dims,sigma2", FACE_SHRINKS)
+def test_face_shrink_certifies_and_leaves_the_batch_unchanged(seed, dims,
+                                                               sigma2):
+    eff = rand_instance(seed, dims, sigma2=sigma2)[2]
+    q, cert = solve_power(eff, sigma2, 10.0)
+    assert cert.passes(SolverConfig().kkt_tol)
+    effs = [rand_instance(s, dims, sigma2=sigma2)[2] for s in range(4)]
+    batched = solver.solve_powers(effs[:2] + [eff] + effs[2:], sigma2, 10.0)
+    assert_same_result(batched[2], (q, cert))
+
+
+ZERO_USER_DIMS = SystemDims(M=4, K=3, N=(2,) * 3, L=(2,) * 3)
+
+
+def zero_user_instance(seed):
+    """Channel, uplink precoders and effective channel with user 1's
+    channel zero, so that its streams 2 and 3 see nothing."""
+    ch = gen_channel(ZERO_USER_DIMS, 1.0, 10.0, seed=seed)
+    H = list(ch.H)
+    H[1] = np.zeros_like(H[1])
+    ch = dataclasses.replace(ch, H=tuple(H))
+    up = random_unit_precoders(ZERO_USER_DIMS, VIRTUAL_UPLINK, seed=[seed, 1])
+    return ch, up, build_effective_channel(ch, up)
+
+
+def test_zero_channel_user_end_to_end():
+    # the parked streams stay at exactly 0, alone and among instances of
+    # the same shape, and the theorem holds with p = 0 on them (their
+    # downlink directions are e_1)
+    cfg, parked = SolverConfig(), [2, 3]
+    rows = [zero_user_instance(s) for s in range(5)]
+    others = [rand_instance(s, ZERO_USER_DIMS)[2] for s in range(5, 8)]
+    batched = solver.solve_powers([eff for _, _, eff in rows] + others,
+                                  1.0, 10.0)
+    for (ch, up, eff), out in zip(rows, batched):
+        assert np.array_equal(eff.cols[:, parked], np.zeros((4, 2)))
+        q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
+        assert_same_result(out, (q, cert))
+        assert np.all(q[parked] == 0.0)
+        assert cert.passes(cfg.kkt_tol)
+        rep = verify_theorem(ch, up, q, cfg)
+        assert np.all(rep.p[parked] == 0.0)
+        for key, bound in DEFAULT_BOUNDS.items():
+            assert getattr(rep, key) <= bound, key
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
