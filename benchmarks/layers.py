@@ -13,9 +13,15 @@ The first form runs ``--runs`` (at least 5) measurement processes.  Each
 imports both packages and times every call of a layer on both sides back
 to back, alternating which side goes first from call to call and from run
 to run, so that a change in the machine's load hits both sides alike.  A
-call counts with the best of ``REPEATS`` repeats (20 for the kernel); a
-run reports, per layer and side, the median (or the total, where the
-shape says so) over its calls.  It writes ``BENCH_<tag>.json`` in the
+call counts with the best of ``REPEATS`` repeats; a run reports, per
+layer and side, the median (or the total, where the shape says so) over
+its calls.  A layer of few calls makes each of them ``ROUNDS`` times
+per side and run (a kernel call ``KERNEL_CALLS`` times, each the best of
+``KERNEL_REPEATS``), the rounds interleaved, and takes each call's median:
+the machine can switch between a fast and a slow state within a few
+milliseconds, and one call per side, however many repeats, could land
+each side in a different state.  The garbage collector is off while a
+call is timed.  It writes ``BENCH_<tag>.json`` in the
 repository root: the environment, per-layer parent and change medians
 over the runs, the median of the per-run change/parent ratios, and every
 run.
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -43,6 +50,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
+ROUNDS = 5
+KERNEL_CALLS = 16
+KERNEL_REPEATS = 5
 SIGMA2S = (10.0, 1.0, 1e-2, 1e-4, 1e-6)
 E2E_METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
 
@@ -83,13 +93,27 @@ LAYERS = {
 
 
 def _best(fn, repeats=REPEATS) -> float:
-    """Shortest wall time of ``repeats`` calls of fn, in seconds."""
+    """Shortest wall time of ``repeats`` calls of fn, in seconds, with
+    the garbage collector off (as `timeit` does)."""
     out = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        out = min(out, time.perf_counter() - t0)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            out = min(out, time.perf_counter() - t0)
+    finally:
+        gc.enable()
     return out
+
+
+def _rounds(calls: list, figure, rounds=ROUNDS):
+    """``calls`` made ``rounds`` times over, one round after the other,
+    and ``figure`` of each call's median time."""
+    k = len(calls)
+    return calls * rounds, lambda t: figure(
+        [statistics.median(t[i::k]) for i in range(k)])
 
 
 def _quiet(fn, *args):
@@ -122,7 +146,8 @@ def _layers(pkg, paths: list) -> dict:
     def stack(dims, B):
         cols = np.stack([e.cols for _, _, e in instances(dims, range(B))])
         q = np.full((B, dims.L_tot), 10.0 / dims.L_tot)
-        return [lambda: kernel(cols, q, 1.0)], lambda t: t[0] / B * 1e6
+        return _rounds([lambda: kernel(cols, q, 1.0)],
+                       lambda t: t[0] / B * 1e6, KERNEL_CALLS)
 
     small = pkg.SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
     large = pkg.SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
@@ -171,12 +196,12 @@ def _layers(pkg, paths: list) -> dict:
 
     batches = [[e for _, _, e in instances(small, range(1, 51), s2)]
                for s2 in SIGMA2S]
-    out["solve_powers_B50"] = (
+    out["solve_powers_B50"] = _rounds(
         [lambda e=e, s2=s2: solver.solve_powers(e, s2, 10.0)
          for e, s2 in zip(batches, SIGMA2S)],
         lambda t: sum(t) / (50 * len(SIGMA2S)) * 1e6)
     effs = [e for _, _, e in instances(large, range(1, 5))]
-    out["solve_powers_B4_M64"] = (
+    out["solve_powers_B4_M64"] = _rounds(
         [lambda: solver.solve_powers(effs, 1.0, 10.0)],
         lambda t: t[0] / 4 * 1e3)
 
@@ -234,7 +259,8 @@ def measure(parent_first: bool) -> dict:
                 for side in ("parent", "change")[::1 if first else -1]:
                     times[side].append(_best(
                         work[side][name][0][i],
-                        20 if name.startswith("kernel") else REPEATS))
+                        KERNEL_REPEATS if name.startswith("kernel")
+                        else REPEATS))
                 first = not first
             for side in work:
                 res[side][name] = work[side][name][1](times[side])
@@ -365,9 +391,12 @@ def main(argv=None) -> int:
                         "importing both packages and timing every call of a "
                         "layer on both sides back to back, the side that goes "
                         "first alternating from call to call and run to run; "
-                        f"a call counts with its best of {REPEATS} (kernel: "
-                        "20). Per side the record gives the median of the run "
-                        "figures, and ratio is the median of the per-run "
+                        f"a call counts with its best of {REPEATS}, garbage "
+                        "collector off; solve_powers layers make each call "
+                        f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "
+                        f"(best of {KERNEL_REPEATS}), and take each call's "
+                        "median. Per side the record gives the median of the "
+                        "run figures, and ratio is the median of the per-run "
                         "change/parent ratios."),
                 layers={})
             for name, (unit, shape) in LAYERS.items():

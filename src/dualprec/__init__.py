@@ -17,8 +17,8 @@ from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     validate)
 from .objective import (UplinkState, downlink_mmse, make_state,
                         mmse_directions, sum_mse_uplink, uplink_mse)
-from .solver import (KktCertificate, SolverConfig, kkt_certify, project_power,
-                     solve_power, solve_powers)
+from .solver import (KktCertificate, SolverConfig, project_power, solve_power,
+                     solve_powers)
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from . import _blas, designer, duality, model, objective, solver
-from .errors import ConvergenceError, DualPrecError, ValidationError
+from .errors import (ConvergenceError, DualPrecError, NumericsError,
+                     ValidationError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,35 +117,16 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _build(cls, kw: dict):
-    """cls(**kw); a setting of unknown name or wrong type raises
-    ValidationError like a value out of range does."""
+def _config(cls, section: str, file_cfg: dict, **flags):
+    """cls built from the config file's ``section``, each of ``flags``
+    that is set (not None) winning; a setting of unknown name or wrong
+    type raises ValidationError like a value out of range does."""
+    kw = dict(file_cfg.get(section, {}))
+    kw.update((k, v) for k, v in flags.items() if v is not None)
     try:
         return cls(**kw)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{cls.__name__}: {e}") from e
-
-
-def _solver_config(ns, file_cfg: dict) -> solver.SolverConfig:
-    kw = dict(file_cfg.get("solver", {}))
-    if getattr(ns, "kkt_tol", None) is not None:
-        kw["kkt_tol"] = ns.kkt_tol
-    if getattr(ns, "max_iters", None) is not None:
-        kw["max_iters"] = ns.max_iters
-    return _build(solver.SolverConfig, kw)
-
-
-def _design_config(ns, file_cfg: dict, scfg, default_path) -> designer.DesignConfig:
-    kw = dict(file_cfg.get("design", {}))
-    kw.setdefault("path", default_path)
-    if getattr(ns, "path", None) is not None:
-        kw["path"] = ns.path
-    if getattr(ns, "max_outer_iters", None) is not None:
-        kw["max_outer_iters"] = ns.max_outer_iters
-    if getattr(ns, "init", None) is not None:
-        kw["init_mode"] = ns.init
-    kw["solver"] = scfg
-    return _build(designer.DesignConfig, kw)
 
 
 def _instance_violations(sigma2, p_max, seed) -> list:
@@ -196,7 +178,8 @@ def cmd_gen(ns) -> int:
 
 
 def cmd_solve(ns) -> int:
-    scfg = _solver_config(ns, _load_config(ns.config))
+    scfg = _config(solver.SolverConfig, "solver", _load_config(ns.config),
+                   kkt_tol=ns.kkt_tol, max_iters=ns.max_iters)
     if ns.format == "csv":
         raise ValidationError("only JSON reports are supported")
     ch = _load_valid_instance(ns.instance)
@@ -291,17 +274,16 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
 def _ensemble_args(ns, file_cfg: dict):
     """Trial count, seed base, dims and solver config of `verify` and
     `bench`; raises ValidationError for any input outside its domain."""
-    ens = file_cfg.get("ensemble", {})
+    ens = _config(dict, "ensemble", file_cfg, trials=ns.trials,
+                  seed_base=ns.seed_base, dims=ns.dims)
     try:
-        trials = ns.trials if ns.trials is not None \
-            else int(ens.get("trials", 100))
-        seed_base = ns.seed_base if ns.seed_base is not None \
-            else int(ens.get("seed_base", 1))
+        trials = int(ens.get("trials", 100))
+        seed_base = int(ens.get("seed_base", 1))
     except (TypeError, ValueError) as e:
         raise ValidationError(f"ensemble: {e}") from e
-    dims_spec = ns.dims if ns.dims is not None else ens.get("dims", "4,2,2,2,2,2")
-    scfg = _solver_config(ns, file_cfg)
-    dims = parse_dims(str(dims_spec))
+    scfg = _config(solver.SolverConfig, "solver", file_cfg,
+                   kkt_tol=ns.kkt_tol, max_iters=ns.max_iters)
+    dims = parse_dims(str(ens.get("dims", "4,2,2,2,2,2")))
     bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax,
                                                    seed_base)
     if trials < 1:
@@ -405,16 +387,17 @@ def cmd_bench(ns) -> int:
 
 def cmd_design(ns) -> int:
     file_cfg = _load_config(ns.config)
-    dcfg = _design_config(ns, file_cfg, _solver_config(ns, file_cfg),
-                          designer.SIMPLIFIED)
+    dcfg = _config(designer.DesignConfig, "design", file_cfg, path=ns.path,
+                   max_outer_iters=ns.max_outer_iters, init_mode=ns.init,
+                   solver=_config(solver.SolverConfig, "solver", file_cfg,
+                                  kkt_tol=ns.kkt_tol, max_iters=ns.max_iters))
     ch = _load_valid_instance(ns.instance)
     converged = True
     try:
         res = designer.design(ch, dcfg)
     except ConvergenceError as e:
         if e.partial is None:  # a power solve failed: no design to report
-            print(f"design: {e}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+            raise
         res, converged = e.partial, False
     if ns.format == "csv":
         rows = [{"iteration": i, "smse": s}
@@ -441,11 +424,51 @@ def cmd_design(ns) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default=None)
-    p.add_argument("--seed-base", type=int, default=None, dest="seed_base")
+#: Flag groups: name -> ((flag, `add_argument` keywords), ...).
+FLAG_GROUPS = {
+    "config": (("--config", {"help": "JSON config file"}),),
+    "out": (("--out", {"help": "output path (default stdout)"}),),
+    "format": (("--format", {"choices": ["json", "csv"]}),),
+    "link": (("--sigma2", {"type": float, "default": 1.0}),
+             ("--pmax", {"type": float, "default": 10.0})),
+    "ensemble": (("--trials", {"type": int}),
+                 ("--dims", {"help": 'flattened spec, e.g. 4,2,"2,2","2,2"'}),
+                 ("--seed-base", {"type": int})),
+    "solver": (("--kkt-tol", {"type": float}),
+               ("--max-iters", {"type": int})),
+}
+
+_INSTANCE = ("instance", {})
+
+#: Subcommands: name -> (help, flag groups, own flags); each accepts
+#: exactly the flags its cmd_* reads.
+COMMANDS = {
+    "gen": ("generate a problem instance", ("out", "link"), (
+        ("--M", {"type": int, "required": True}),
+        ("--K", {"type": int, "required": True}),
+        ("--N", {"required": True, "help": "comma list, one per user"}),
+        ("--L", {"required": True, "help": "comma list, one per user"}),
+        ("--seed", {"type": int}))),
+    "solve": ("solve one instance and certify",
+              ("config", "out", "format", "solver"), (
+                  _INSTANCE, ("--precoder-seed", {"type": int}))),
+    "verify": ("theorem-verification ensemble",
+               ("config", "out", "format", "link", "ensemble", "solver"), (
+                   ("--negative-control", {
+                       "action": "store_true",
+                       "help": "skip solving; measure asymmetry at uniform q"}),
+                   ("--max-psi-asym", {"type": float}),
+                   ("--max-pq-gap", {"type": float}),
+                   ("--max-mse-gap", {"type": float}))),
+    "bench": ("legacy vs shortcut conversion benchmark",
+              ("config", "out", "format", "link", "ensemble", "solver"), ()),
+    "design": ("alternating precoder design",
+               ("config", "out", "format", "solver"), (
+                   _INSTANCE, ("--path", {"choices": [
+                       designer.LEGACY, designer.SIMPLIFIED, designer.BOTH]}),
+                   ("--init", {"choices": ["random_unit", "channel_svd"]}),
+                   ("--max-outer-iters", {"type": int}))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,63 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum sum-MSE precoding via the virtual uplink, with "
                     "duality certification")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a problem instance")
-    _add_common(g)
-    g.add_argument("--M", type=int, required=True)
-    g.add_argument("--K", type=int, required=True)
-    g.add_argument("--N", required=True, help="comma list, one per user")
-    g.add_argument("--L", required=True, help="comma list, one per user")
-    g.add_argument("--sigma2", type=float, default=1.0)
-    g.add_argument("--pmax", type=float, default=10.0)
-    g.add_argument("--seed", type=int, default=None)
-
-    s = sub.add_parser("solve", help="solve one instance and certify")
-    _add_common(s)
-    s.add_argument("instance")
-    s.add_argument("--precoder-seed", type=int, default=None,
-                   dest="precoder_seed")
-    s.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
-    s.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-
-    v = sub.add_parser("verify", help="theorem-verification ensemble")
-    _add_common(v)
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--dims", default=None,
-                   help='flattened spec, e.g. 4,2,"2,2","2,2"')
-    v.add_argument("--sigma2", type=float, default=1.0)
-    v.add_argument("--pmax", type=float, default=10.0)
-    v.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
-    v.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    v.add_argument("--negative-control", action="store_true",
-                   dest="negative_control",
-                   help="skip solving; measure asymmetry at uniform q")
-    v.add_argument("--max-psi-asym", type=float, default=None,
-                   dest="max_psi_asym")
-    v.add_argument("--max-pq-gap", type=float, default=None, dest="max_pq_gap")
-    v.add_argument("--max-mse-gap", type=float, default=None,
-                   dest="max_mse_gap")
-
-    b = sub.add_parser("bench", help="legacy vs shortcut conversion benchmark")
-    _add_common(b)
-    b.add_argument("--trials", type=int, default=None)
-    b.add_argument("--dims", default=None)
-    b.add_argument("--sigma2", type=float, default=1.0)
-    b.add_argument("--pmax", type=float, default=10.0)
-    b.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
-    b.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-
-    d = sub.add_parser("design", help="alternating precoder design")
-    _add_common(d)
-    d.add_argument("instance")
-    d.add_argument("--path", choices=[designer.LEGACY, designer.SIMPLIFIED,
-                                      designer.BOTH], default=None)
-    d.add_argument("--init", choices=["random_unit", "channel_svd"],
-                   default=None)
-    d.add_argument("--max-outer-iters", type=int, default=None,
-                   dest="max_outer_iters")
-    d.add_argument("--kkt-tol", type=float, default=None, dest="kkt_tol")
-    d.add_argument("--max-iters", type=int, default=None, dest="max_iters")
+    for name, (about, groups, own) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for flag, kw in [f for g in groups for f in FLAG_GROUPS[g]] + [*own]:
+            p.add_argument(flag, **kw)
     return ap
 
 
@@ -529,6 +499,9 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as e:
         print(f"{ns.command}: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (ConvergenceError, NumericsError) as e:  # no result to report
+        print(f"{ns.command}: {e}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

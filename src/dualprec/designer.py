@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .duality import build_duality_data, transform_power
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
                     build_effective_channel, random_unit_precoders, validate)
 from .objective import downlink_mmse, mmse_directions, sum_mse_uplink
@@ -217,7 +217,8 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     Raises ConvergenceError (carrying the partial result) if
     cfg.max_outer_iters accepted iterates pass while the trace is still
     falling faster than the tolerance, and the power solve's own
-    ConvergenceError (no partial result) if a plain step fails to certify.
+    ConvergenceError (no partial result) if a plain step fails to certify
+    (NumericsError if a covariance of the plain step cannot be factored).
     """
     if cfg is None:
         cfg = DesignConfig()
@@ -241,7 +242,7 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
             if cand is not None:
                 try:
                     nxt = _step(ch, cand, cur.q, cfg, act_tol)
-                except ConvergenceError:
+                except (ConvergenceError, NumericsError):
                     pass
             if nxt is None or not nxt.smse < cur.smse:
                 nxt = None
@@ -258,7 +259,6 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
             converged = True
             break
 
-    smse_trace = [s.smse for s in steps]
     result = DesignResult(
         uplink=PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(cur.vbar),
                            powers=cur.q),
@@ -266,7 +266,8 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
                              by_user=tuple(cur.ubar[:, d.user_streams(k)]
                                            for k in range(d.K)),
                              powers=cur.p),
-        smse_trace=smse_trace, iters=len(steps), path_used=cfg.path,
+        smse_trace=[s.smse for s in steps], iters=len(steps),
+        path_used=cfg.path,
         transform_times=[s.t_legacy for s in steps if s.t_legacy is not None],
         shortcut_times=[s.t_shortcut for s in steps
                         if s.t_shortcut is not None],
@@ -275,7 +276,7 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     if not converged:
         raise ConvergenceError(
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "
-            "iterations", trace=smse_trace, partial=result)
+            "iterations", partial=result)
     return result
 
 

@@ -25,12 +25,10 @@ class ConvergenceError(DualPrecError):
     inspect or emit a partial result.
     """
 
-    def __init__(self, message, best_q=None, certificate=None, trace=None,
-                 partial=None):
+    def __init__(self, message, best_q=None, certificate=None, partial=None):
         super().__init__(message)
         self.best_q = best_q
         self.certificate = certificate
-        self.trace = trace
         self.partial = partial
 
 

@@ -73,10 +73,10 @@ def _finite(J: np.ndarray) -> np.ndarray:
 
 
 def _factor(c: np.ndarray, info: int) -> np.ndarray:
-    """The Cholesky factor `_POTRF` returned; LinAlgError if it failed."""
+    """The Cholesky factor `_POTRF` returned; NumericsError if it failed."""
     if info != 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
+        raise NumericsError(f"covariance not positive definite ({info}-th "
+                            "leading minor)")
     return c
 
 
@@ -90,9 +90,11 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     f = tr(J^-1) (B,) and gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l
     = -df/dq_l (B x L).  J and J^-1 stay inside: f sums the real
     diagonal of the solve's J^-1 block, which is all of it any caller
-    reads.  J >= sigma2 I, so the factorization succeeds for
-    any finite nonnegative q and sigma2 > 0; a non-finite J raises
-    ValueError and a failed factorization LinAlgError.
+    reads.  J >= sigma2 I in exact arithmetic, but in floating point the
+    factorization can fail when sigma2 is tiny against q |htil|^2 (at
+    sigma2 = 1e-14, P = 10, M = 4); such a slice comes back NaN in all
+    three outputs and the others are unaffected.  A non-finite J raises
+    ValueError for the whole stack.
 
     Slice b is bitwise what the call on instance b alone gives: the
     matmul runs per slice, the factor and solve run slice by slice, and
@@ -108,8 +110,8 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     rhs[:, :, M:] = cols
     XT = np.empty((B, M + L, M), dtype=complex)  # X^T: slices of X column-major
     for b in range(B):
-        c = _factor(*_POTRF(J[b], lower=True, clean=False))
-        XT[b] = _POTRS(c, rhs[b], lower=True)[0].T
+        c, info = _POTRF(J[b], lower=True, clean=False)
+        XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if info == 0 else np.nan
     X = XT.swapaxes(1, 2)
     A = X[:, :, M:]
     return (A, np.trace(X[:, :, :M], axis1=1, axis2=2).real,
@@ -127,10 +129,9 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
         raise NumericsError("q must be >= 0 and sigma2 > 0")
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
-    try:
-        A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - J >= sigma2 I
-        raise NumericsError(f"covariance not positive definite: {e}") from e
+    A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
+    if np.isnan(f[0]):  # the factorization failed in floating point
+        raise NumericsError("covariance not positive definite")
     return UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                        trace_jinv=float(f[0]))
 

@@ -9,9 +9,9 @@ The solve is a single projected-Newton / active-set method on the simplex
 (Bertsekas, SIAM J. Control Optim. 1982): an equality-constrained Newton
 step on the face of powered streams, cut at the boundary, with an Armijo
 or residual-decrease line search.  Values, gains and Hessians all come
-from the covariance kernel `objective._covariance`, which `kkt_certify`
-shares; it reconstructs multipliers from the gradient and reports
-residuals without judging pass/fail.
+from the covariance kernel `objective._covariance`, and so does the KKT
+certificate: multipliers reconstructed from the gains at the returned
+q, with every residual reported.
 
 One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
 instances, one row each: a round evaluates a power vector per row with
@@ -156,23 +156,6 @@ def _certificates(kkt: tuple, states) -> list:
             for m, u, st, ex, neg, mq, state in rows]
 
 
-def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
-                active_tol: float | None = None) -> KktCertificate:
-    """Reconstruct multipliers at q and report every KKT residual.
-
-    Always returns a certificate; nothing is thrown for a bad q, the
-    residuals simply say how bad it is.
-    """
-    q = np.asarray(q, dtype=float)
-    if active_tol is None:
-        active_tol = 1e-9 * p_max
-    A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
-    state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
-                        trace_jinv=float(f[0]))
-    return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
-                         [state])[0]
-
-
 def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
                 cfg: SolverConfig | None = None, q0=None, callback=None):
     """Solve the power allocation and certify it.
@@ -224,7 +207,7 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
         stacks += [zip(*group[k:k + size]) for k in range(0, len(group), size)]
     for idx, qs in stacks:
         CS = np.array([effs[i].cols for i in idx])
-        for rows, Q, A, F, kkt, steps in _lockstep(
+        for rows, Q, A, F, kkt, steps, failed in _lockstep(
                 CS, np.array(qs), sigma2, p_max, cfg, callback):
             # copies in the layouts one kernel call gives, so that callers
             # computing on the state get the same bits whatever the stack
@@ -233,10 +216,17 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
                                   Jinv_cols=A[j].copy(order="F"),
                                   trace_jinv=float(F[j]))
                       for j, k in enumerate(rows.tolist())]
-            for k, cert, n in zip(rows.tolist(), _certificates(kkt, states),
-                                  steps.tolist()):
-                out[idx[k]] = (cert.state.q, cert) \
-                    if cert.passes(cfg.kkt_tol) else ConvergenceError(
+            for k, cert, n, bad in zip(rows.tolist(),
+                                       _certificates(kkt, states),
+                                       steps.tolist(), failed.tolist()):
+                if bad:
+                    out[idx[k]] = NumericsError(
+                        f"covariance not positive definite after {n} "
+                        "iterations")
+                elif cert.passes(cfg.kkt_tol):
+                    out[idx[k]] = (cert.state.q, cert)
+                else:
+                    out[idx[k]] = ConvergenceError(
                         f"KKT residual {cert.max_residual:.3e} above "
                         f"tolerance {cfg.kkt_tol:.1e} after {n} iterations",
                         best_q=cert.state.q, certificate=cert)
@@ -271,10 +261,12 @@ def _start(eff: EffectiveChannel, p_max: float, q0=None) -> np.ndarray:
 def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
               callback=None):
     """Solve each row of the stack ``CS`` (B x M x L) from ``Q0`` (B x L);
-    yield (rows, q, A, f, `_kkt` terms, steps) of the best iterates of
-    the rows that finish in a round.  ``callback(q, f)`` fires after every
-    step of every row.  ``s`` holds the unfinished rows; no array in it is
-    written in place, so the current and best iterate may share one."""
+    yield (rows, q, A, f, `_kkt` terms, steps, failed) of the best
+    iterates of the rows that finish in a round, failed where the kernel
+    could not factor a row's J (such a row finishes at once).
+    ``callback(q, f)`` fires after every step of every row.  ``s`` holds
+    the unfinished rows; no array in it is written in place, so the
+    current and best iterate may share one."""
     act_tol = cfg.active_tol_scale * p_max
     # polish well below kkt_tol; Newton reaches this in one more step
     target = max(5e-15, cfg.kkt_tol * 1e-4)
@@ -289,16 +281,18 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         rows=np.arange(B), cs=CS, q=Q0, f=f, g=G, a=A, r=r, best_q=Q0,
         best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
         best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
-        full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0)
-    moved = np.ones(B, dtype=bool)  # the rows at a new iterate
+        full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0,
+        failed=np.isnan(f))
+    moved = ~s.failed  # the rows at a new iterate
     while True:
         idle = np.minimum(s.steps - s.best_steps, IDLE_STEPS + 1)
         go = moved & (s.best_r > limit[idle]) & (s.steps < cfg.max_iters)
-        done = moved ^ go
+        done = (moved ^ go) | s.failed
         if np.count_nonzero(go) and _step(s, go, p_max):
             done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
         if np.count_nonzero(done):
-            best = (s.rows, s.best_q, s.best_a, s.best_f, s.kkt, s.steps)
+            best = (s.rows, s.best_q, s.best_a, s.best_f, s.kkt, s.steps,
+                    s.failed)
             if np.count_nonzero(done) == len(done):
                 yield best
                 return
@@ -310,6 +304,9 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         kkt, r = _kkt(s.trial, G, p_max, act_tol)
         # near the optimum f is flat to rounding and only the residual moves
         moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
+        if math.isnan(np.add.reduce(f)):  # a J failed to factor: its row ends
+            s.failed = np.isnan(f)
+            moved &= ~s.failed
         s.steps = s.steps + moved
         if np.count_nonzero(moved) == len(moved):
             s.q, s.f, s.g, s.a, s.r = s.trial, f, G, A, r

@@ -4,11 +4,14 @@ import numpy as np
 
 from conftest import covariance
 from dualprec import (DOWNLINK, VIRTUAL_UPLINK, DesignConfig, DualPrecError,
-                      KktCertificate, PrecoderSet, ValidationError,
-                      build_effective_channel, downlink_mmse, make_state,
-                      mmse_directions, solve_power, sum_mse_uplink)
+                      EffectiveChannel, KktCertificate, PrecoderSet,
+                      UplinkState, ValidationError, build_effective_channel,
+                      downlink_mmse, make_state, mmse_directions, solve_power,
+                      sum_mse_uplink)
 from dualprec.model import (NORM_TOL, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
+from dualprec.objective import _covariance
+from dualprec.solver import _certificates, _kkt
 
 #: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
 RANK_TOL = 1e-9
@@ -148,6 +151,24 @@ def precoder_violations(ps: PrecoderSet, p_max=None) -> list:
     elif p_max is not None and ps.powers.sum() > p_max + 1e-9:
         out.append("powers: sum must not exceed p_max")
     return out
+
+
+def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
+                active_tol: float | None = None) -> KktCertificate:
+    """Reconstruct multipliers at q and report every KKT residual, from
+    scratch by the solver's own certificate code.
+
+    Always returns a certificate; nothing is thrown for a bad q, the
+    residuals simply say how bad it is.
+    """
+    q = np.asarray(q, dtype=float)
+    if active_tol is None:
+        active_tol = 1e-9 * p_max
+    A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
+    state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
+                        trace_jinv=float(f[0]))
+    return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
+                         [state])[0]
 
 
 def certificate_from_dict(d: dict) -> KktCertificate:

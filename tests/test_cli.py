@@ -256,6 +256,28 @@ def test_bad_input_exit_2(args, instance, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--seed-base",
+     "9"],
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--format",
+     "csv"],
+    ["gen", "--M", "2", "--K", "1", "--N", "2", "--L", "1", "--config",
+     "{config}"],
+    ["solve", "{instance}", "--seed-base", "5"],
+    ["design", "{instance}", "--seed-base", "5"],
+], ids=["gen-seed-base", "gen-format", "gen-config", "solve-seed-base",
+        "design-seed-base"])
+def test_flag_the_subcommand_does_not_read_exit_2(args, instance, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ensemble": {"seed_base": 9}}))
+    paths = {"{config}": str(config), "{instance}": str(instance)}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as ei:
+        run_cli([paths.get(a, a) for a in args] + ["--out", str(out)])
+    assert ei.value.code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -411,6 +433,59 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
                         mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl,
                         max_residual=cert.max_residual)
         assert rec == want
+
+
+def test_verify_unfactorable_trial_recorded(tmp_path):
+    # at sigma2 = 1e-14 trial 110 (seed 111) cannot factor its covariance;
+    # the trials around it report what they report without it
+    args = ["verify", "--sigma2", "1e-14"]
+    reports = {}
+    for extra in (["--trials", "200"], ["--trials", "110"],
+                  ["--trials", "89", "--seed-base", "112"]):
+        out = tmp_path / "v.json"
+        reports[extra[1]] = run_cli(args + extra + ["--out", str(out)]), \
+            json.loads(out.read_text())["per_trial"]
+    rc, records = reports["200"]
+    assert rc == 4
+    assert records[110]["seed"] == 111
+    assert records[110]["error"] == "NumericsError"
+    assert records[110]["max_residual"] is None
+    assert records[:110] == reports["110"][1]
+    assert records[111:] == [dict(r, trial=r["trial"] + 111)
+                             for r in reports["89"][1]]
+
+
+@pytest.mark.parametrize("sigma2", ["1e-17", "1e-300"])
+def test_verify_unfactorable_single_trial(sigma2, tmp_path):
+    out = tmp_path / "v.json"
+    rc = run_cli(["verify", "--trials", "1", "--seed-base", "2", "--sigma2",
+                  sigma2, "--out", str(out)])
+    assert rc == 4
+    assert json.loads(out.read_text())["per_trial"][0]["error"] == \
+        "NumericsError"
+
+
+def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):
+    rc = run_cli(["bench", "--trials", "2", "--sigma2", "1e-300",
+                  "--out", str(tmp_path / "b.csv")])
+    assert rc == 3
+    assert "failures = 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,sigma2,seed", [
+    ("solve", "1e-14", "111"), ("design", "1e-300", "108")])
+def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
+                                               tmp_path, capsys):
+    inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
+    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
+                    "2,2", "--sigma2", sigma2, "--seed", seed,
+                    "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert run_cli([command, str(inst), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: covariance not positive definite")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_main_dispatches_to_the_current_command(monkeypatch):

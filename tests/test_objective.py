@@ -92,6 +92,20 @@ def test_kernel_rejects_non_finite_covariance():
         _covariance(cols, q, 1.0)
 
 
+def test_failed_factorization_is_nan_in_its_slice_only():
+    # h = (1, 1), q = 1: 1 + 1e-300 rounds to 1, so J = [[1, 1], [1, 1]]
+    # and its Cholesky factorization fails on the second pivot
+    cols = np.array([[[1.0], [0.0]], [[1.0], [1.0]]], dtype=complex)
+    q = np.ones((2, 1))
+    out = _covariance(cols, q, 1e-300)
+    alone = _covariance(cols[:1], q[:1], 1e-300)
+    for got, want in zip(out, alone):
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[:1], want)
+    with pytest.raises(NumericsError):
+        make_state(eff_from_cols(cols[1]), q[1], 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # make_state
 

@@ -9,11 +9,12 @@ from conftest import covariance, rand_instance, scalar_instance
 from dualprec import (VIRTUAL_UPLINK, ConvergenceError, DimensionError,
                       EffectiveChannel, NumericsError, SolverConfig,
                       SystemDims, ValidationError, build_effective_channel,
-                      gen_channel, kkt_certify, project_power,
-                      random_unit_precoders, solve_power, verify_theorem)
+                      gen_channel, project_power, random_unit_precoders,
+                      solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
-from oracles import CostGuardError, active_set, brute_force_power
+from oracles import (CostGuardError, active_set, brute_force_power,
+                     kkt_certify)
 
 
 def _trace_jinv(cols, sigma2, q):
@@ -279,6 +280,20 @@ def test_failing_instance_leaves_the_batch_unchanged():
         assert_same_result(out, ref)
     assert_same_result(clean[-1], solve_alone(effs[-1], sigma2))
     assert clean[-1][0][1] == 0.0
+
+
+def test_unfactorable_instance_leaves_the_batch_unchanged():
+    # at sigma2 = 1e-14 instance 111's J fails to factor after 83 steps
+    sigma2 = 1e-14
+    effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(100, 111)]
+    bad = rand_instance(111, sigma2=sigma2)[2]
+    clean = solver.solve_powers(effs, sigma2, 10.0)
+    mixed = solver.solve_powers(effs[:5] + [bad] + effs[5:], sigma2, 10.0)
+    assert isinstance(mixed[5], NumericsError)
+    with pytest.raises(NumericsError):
+        solve_power(bad, sigma2, 10.0)
+    for out, ref in zip(mixed[:5] + mixed[6:], clean):
+        assert_same_result(out, ref)
 
 
 def test_certificate_state_is_the_kernel_at_its_q():

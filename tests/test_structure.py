@@ -1,5 +1,6 @@
 """Structural guards on the package source."""
 
+import argparse
 import ast
 import dataclasses
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import dualprec
-from dualprec import objective
+from dualprec import cli, objective
 
 SRC = Path(dualprec.__file__).parent
 
@@ -83,3 +84,30 @@ def test_uplink_state_holds_no_covariance_matrix():
     out = objective._covariance(np.ones((2, 3, 2), dtype=complex),
                                 np.ones((2, 2)), 1.0)
     assert [x.shape for x in out] == [(2, 3, 2), (2,), (2, 2)]
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    # one flag table: every flag string is written once in cli.py, and a
+    # subcommand takes only the flags of its groups and its own
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings or [a.dest]}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    link = {"--sigma2", "--pmax"}
+    ensemble = {"--trials", "--dims", "--seed-base"}
+    solver = {"--kkt-tol", "--max-iters"}
+    report = {"--config", "--out", "--format"}
+    assert got == {
+        "gen": {"--out"} | link | {"--M", "--K", "--N", "--L", "--seed"},
+        "solve": report | solver | {"instance", "--precoder-seed"},
+        "verify": report | link | ensemble | solver | {
+            "--negative-control", "--max-psi-asym", "--max-pq-gap",
+            "--max-mse-gap"},
+        "bench": report | link | ensemble | solver,
+        "design": report | solver | {"instance", "--path", "--init",
+                                     "--max-outer-iters"}}
+    flags = [node.value for node in ast.walk(ast.parse(
+        (SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("--")]
+    assert sorted(flags) == sorted(set().union(*got.values()) - {"instance"})
