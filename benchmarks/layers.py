@@ -70,6 +70,9 @@ LAYERS = {
     "solve_power_warm_kernel_calls": (
         "count", "objective._covariance calls per warm-started solve_power, "
                  "same calls"),
+    "downlink_mmse": ("us", "downlink_mmse per call, median over the calls "
+                            "design --path both makes at M=4 K=2 N=(4,4) "
+                            "L=(2,2) sigma2=1 P=10, gen seeds 1000-1009"),
     "solve_powers_B50": ("us", "solve_powers per instance, total over one "
                                "call of 50 instances of M=4 K=2 N=(2,2) "
                                "L=(2,2) P=10 at each sigma2 = 10, 1, 1e-2, "
@@ -155,21 +158,29 @@ def _layers(pkg, paths: list) -> dict:
     out = {"kernel_B1_M4": stack(small, 1), "kernel_B50_M4": stack(small, 50),
            "kernel_B4_M64": stack(large, 4)}
 
-    # the warm-started solves of design, captured once and replayed
+    # the warm-started solves and the downlink receivers of design,
+    # captured once and replayed
     chans = [pkg.gen_channel(design_dims, 1.0, 10.0, seed=s)
              for s in range(1000, 1010)]
     calls, solve = [], designer.solve_power
+    receivers, downlink = [], designer.downlink_mmse
 
     def capture(eff, sigma2, p_max, cfg=None, q0=None, callback=None):
         calls.append((eff, sigma2, p_max, cfg, q0))
         return solve(eff, sigma2, p_max, cfg, q0=q0, callback=callback)
 
+    def capture_downlink(*args):
+        receivers.append(args)
+        return downlink(*args)
+
     designer.solve_power = capture
+    designer.downlink_mmse = capture_downlink
     try:
         iters = [designer.design(ch, designer.DesignConfig(path="both")).iters
                  for ch in chans]
     finally:
         designer.solve_power = solve
+        designer.downlink_mmse = downlink
 
     def replay(c):
         try:
@@ -180,6 +191,8 @@ def _layers(pkg, paths: list) -> dict:
     warm = [c for c in calls if c[4] is not None]
     out["solve_power_warm"] = ([lambda c=c: replay(c) for c in warm],
                                lambda t: statistics.median(t) * 1e6)
+    out["downlink_mmse"] = ([lambda a=a: downlink(*a) for a in receivers],
+                            lambda t: statistics.median(t) * 1e6)
     counted, covariance = [0], solver._covariance
 
     def count(*args):

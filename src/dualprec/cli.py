@@ -493,8 +493,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        # looked up at each call, so that a patched cmd_* takes effect
-        return globals()["cmd_" + ns.command](ns)
+        # looked up at each call, so that a patched cmd_* takes effect; an
+        # overflowing covariance is reported as NumericsError, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return globals()["cmd_" + ns.command](ns)
     except (ValidationError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as e:
         print(f"{ns.command}: {e}", file=sys.stderr)

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (DualPrecError, InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import ChannelSet, PrecoderSet, build_effective_channel
-from .objective import UplinkState, make_state
+from .objective import UplinkState, _unit_rows, make_state
 from .solver import SolverConfig
 
 #: Condition number above which the transform matrix is rejected rather
@@ -340,14 +340,7 @@ def _downlink_mse(chs, uplinks, g, P, sigma2) -> np.ndarray:
     internal.
     """
     d = chs[0].dims
-    # `objective.mmse_directions` of each row: a_l / ||a_l||, e_1 where 0
-    nz = g.norms > 0
-    if nz.all():
-        Ubar = g.at / g.norms[:, :, None]
-    else:
-        Ubar = np.zeros(g.at.shape, dtype=complex)
-        np.divide(g.at, g.norms[:, :, None], out=Ubar, where=nz[:, :, None])
-        Ubar[:, :, 0][~nz] = 1.0
+    Ubar = _unit_rows(g.at, g.norms)  # `objective.mmse_directions`, as rows
     live = P > 0.0
     beta = np.zeros(P.shape)
     beta[g.on] = g.beta.ravel()

@@ -1,4 +1,4 @@
-"""Sum-MSE objective and the two MMSE kernels, one per link direction.
+"""Sum-MSE objective and the one MMSE covariance kernel of both links.
 
 Virtual uplink quantities all derive from the base-station covariance
 
@@ -8,19 +8,20 @@ which dominates everything: the minimum sum-MSE is
 L_tot - M + sigma2 tr(J^-1), its gradient in q_l is -htil_l^H J^-2 htil_l,
 and the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l), whose
 unit directions are the downlink beamformers of the duality
-(`mmse_directions`).  The downlink kernel `downlink_mmse` factors the
-per-user covariances J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I once each;
-the unit directions of its receivers J_k^-1 H_k^H ubar_l become the next
-uplink beamformers of the design loop.
+(`mmse_directions`).  User k's downlink covariance
+J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I is J of the dual channel
+G_k = H_k^H Ubar at q := p (Hunger, Joham & Utschick, IEEE TSP 57(2),
+2009), so `downlink_mmse` runs on the same kernel; the unit directions of
+its receivers J_k^-1 H_k^H ubar_l become the next uplink beamformers.
 
-The uplink kernel `_covariance` takes a leading batch axis: it evaluates
-B instances at once (one stacked matmul, then LAPACK's Cholesky factor and
+The kernel `_covariance` takes a leading batch axis: it evaluates B
+instances at once (one stacked matmul, then LAPACK's Cholesky factor and
 solve slice by slice), so one call serves a round of a whole stack of
-solves, and every slice is bitwise what a call with B = 1 gives.  Scalar
-callers pass B = 1.  Both kernels call the LAPACK routines `potrf`/`potrs`
-directly, fetched once: at M = 4 the argument checks that
-`cho_factor`/`cho_solve` wrap around the same calls cost about seven times
-the factor and solve themselves (33 against 4 us on a 2-vCPU machine).
+solves, and every slice is bitwise what a call with B = 1 gives.  It
+calls the LAPACK routines `potrf`/`potrs` directly, fetched once: at M = 4
+the argument checks that `cho_factor`/`cho_solve` wrap around the same
+calls cost about seven times the factor and solve themselves (33 against
+4 us on a 2-vCPU machine).
 
 These factorisations are small, so importing `dualprec` runs OpenBLAS on
 one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
@@ -28,6 +29,7 @@ one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,32 +59,10 @@ class UplinkState:
     trace_jinv: float  # tr(J^-1)
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    """(a + a^H) / 2 over the last two axes."""
-    h = a + a.conj().swapaxes(-1, -2)
-    h *= 0.5
-    return h
-
-
-def _finite(J: np.ndarray) -> np.ndarray:
-    """J itself; a matrix with a non-finite entry raises ValueError, as
-    `cho_factor` did, before LAPACK sees it."""
-    if not np.isfinite(J).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return J
-
-
-def _factor(c: np.ndarray, info: int) -> np.ndarray:
-    """The Cholesky factor `_POTRF` returned; NumericsError if it failed."""
-    if info != 0:
-        raise NumericsError(f"covariance not positive definite ({info}-th "
-                            "leading minor)")
-    return c
-
-
 def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
-    """The covariance kernel every uplink quantity derives from, for a
-    stack of B instances: ``cols`` is B x M x L and ``q`` is B x L.
+    """The covariance kernel every MMSE quantity derives from, for a
+    stack of B instances: ``cols`` is B x M x L and ``q`` is B x L (or
+    1 x L, one power vector for the whole stack).
 
     Per instance it assembles J = sum_l q_l htil_l htil_l^H + sigma2 I,
     factors it once by Cholesky and returns the stacked (A, f, gains)
@@ -93,8 +73,9 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     reads.  J >= sigma2 I in exact arithmetic, but in floating point the
     factorization can fail when sigma2 is tiny against q |htil|^2 (at
     sigma2 = 1e-14, P = 10, M = 4); such a slice comes back NaN in all
-    three outputs and the others are unaffected.  A non-finite J raises
-    ValueError for the whole stack.
+    three outputs and the others are unaffected.  A slice whose J is not
+    finite (powers or columns that overflow it) comes back NaN the same
+    way, before LAPACK sees it.
 
     Slice b is bitwise what the call on instance b alone gives: the
     matmul runs per slice, the factor and solve run slice by slice, and
@@ -104,18 +85,24 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     B, M, L = cols.shape
     J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
     J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
-    J = _finite(_hermitize(J))
+    J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
+    J *= 0.5
     rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
     rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
     rhs[:, :, M:] = cols
     XT = np.empty((B, M + L, M), dtype=complex)  # X^T: slices of X column-major
+    finite = np.isfinite(J).all()  # else look at each slice
     for b in range(B):
-        c, info = _POTRF(J[b], lower=True, clean=False)
-        XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if info == 0 else np.nan
+        ok = finite or np.isfinite(J[b]).all()
+        if ok:
+            c, info = _POTRF(J[b], lower=True, clean=False)
+            ok = info == 0
+        XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if ok else np.nan
     X = XT.swapaxes(1, 2)
     A = X[:, :, M:]
-    return (A, np.trace(X[:, :, :M], axis1=1, axis2=2).real,
-            np.sum(np.abs(A) ** 2, axis=1))
+    # np.trace and np.sum, without their Python wrappers
+    return (A, np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real,
+            np.add.reduce(np.abs(A) ** 2, axis=1))
 
 
 def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
@@ -130,8 +117,8 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
     A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
-    if np.isnan(f[0]):  # the factorization failed in floating point
-        raise NumericsError("covariance not positive definite")
+    if np.isnan(f[0]):  # J overflowed, or its factorization failed
+        raise NumericsError("covariance not positive definite or not finite")
     return UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                        trace_jinv=float(f[0]))
 
@@ -149,11 +136,18 @@ def mmse_directions(state: UplinkState) -> np.ndarray:
     htil_l = 0; these are the downlink beamformers of the duality.
     """
     A = state.Jinv_cols
-    norms = np.linalg.norm(A, axis=0)
+    return _unit_rows(A.T, np.linalg.norm(A, axis=0)).T
+
+
+def _unit_rows(at: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The rows of ``at`` (... x L x M) divided by their ``norms``
+    (... x L), e_1 where a norm is 0: the MMSE directions as rows."""
     nz = norms > 0
-    out = np.zeros_like(A)
-    out[:, nz] = A[:, nz] / norms[nz]
-    out[0, ~nz] = 1.0
+    if nz.all():
+        return at / norms[..., None]
+    out = np.zeros(at.shape, dtype=complex)
+    np.divide(at, norms[..., None], out=out, where=nz[..., None])
+    out[..., 0][~nz] = 1.0
     return out
 
 
@@ -161,19 +155,27 @@ def uplink_mse(state: UplinkState) -> np.ndarray:
     """Per-stream uplink MMSEs 1 - q_l htil_l^H J^-1 htil_l, clamped to
     [0, 1] so reports stay physical (optimization code never reads
     clamped values)."""
-    g = np.einsum("ml,ml->l", state.eff.cols.conj(), state.Jinv_cols).real
-    return np.clip(1.0 - state.q * g, 0.0, 1.0)
+    return _stream_mse(state.eff.cols, state.q, state.Jinv_cols)
+
+
+def _stream_mse(cols, powers, A) -> np.ndarray:
+    """1 - p_l Re(h_l^H a_l) per column of ``cols`` (... x M x L) at
+    ``powers`` (L) with the receivers A = J^-1 cols, clamped to [0, 1]."""
+    g = np.einsum("...ml,...ml->...l", cols.conj(), A).real
+    # np.clip to [0, 1], without its Python wrapper
+    return np.minimum(np.maximum(1.0 - powers * g, 0.0), 1.0)
 
 
 def downlink_mmse(ch: ChannelSet, Ubar, p):
     """Downlink MMSE receivers and per-stream MSEs under beamformers
     ``Ubar`` (M x L_tot, one column per stream) at powers ``p``.
 
-    Factors J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I_{N_k} once per user
-    and returns (X, mse): X[k] = J_k^-1 H_k^H Ubar_k is N_k x L_k, the
-    Wiener filters without their sqrt(p_l) scale, defined whatever the
-    powers; mse holds 1 - p_l ubar_l^H H_k J_k^-1 H_k^H ubar_l per stream,
-    clamped to [0, 1] like `uplink_mse`.
+    J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I is the kernel's J of the dual
+    channel H_k^H Ubar at q := p; users with equal N_k form one stack.
+    Returns (X, mse): X[k] = J_k^-1 H_k^H Ubar_k (N_k x L_k), the Wiener
+    filters without their sqrt(p_l) scale; mse holds
+    1 - p_l ubar_l^H H_k J_k^-1 H_k^H ubar_l per stream, clamped to [0, 1]
+    like `uplink_mse`.  A J_k the kernel returns NaN raises NumericsError.
     """
     d = ch.dims
     Ubar = np.asarray(Ubar, dtype=complex)
@@ -184,14 +186,16 @@ def downlink_mmse(ch: ChannelSet, Ubar, p):
             f"{d.L_tot} entries")
     if not np.all(np.isfinite(p) & (p >= 0)):
         raise ValidationError("p must be finite and >= 0")
-    T = _hermitize((Ubar * p) @ Ubar.conj().T)  # Ubar P Ubar^H
-    X, mse = [], np.empty(d.L_tot)
-    for k in range(d.K):
-        idx = d.user_streams(k)
-        Hk = ch.H[k]
-        J_k = _hermitize(Hk.conj().T @ T @ Hk + ch.sigma2 * np.eye(d.N[k]))
-        HU = Hk.conj().T @ Ubar[:, idx]
-        c = _factor(*_POTRF(_finite(J_k), lower=True, clean=False))
-        X.append(_POTRS(c, HU, lower=True)[0])
-        mse[idx] = 1.0 - p[idx] * np.einsum("nl,nl->l", HU.conj(), X[k]).real
-    return tuple(X), np.clip(mse, 0.0, 1.0)
+    X, mse = [None] * d.K, np.empty(d.L_tot)
+    for n in dict.fromkeys(d.N):
+        users = [k for k in range(d.K) if d.N[k] == n]
+        G = np.array([ch.H[k] for k in users]).conj().swapaxes(1, 2) @ Ubar
+        A, f, _ = _covariance(G, p[None], ch.sigma2)
+        if math.isnan(np.add.reduce(f)):
+            raise NumericsError("downlink covariance not positive definite "
+                                "or not finite")
+        m = _stream_mse(G, p, A)
+        for j, k in enumerate(users):
+            idx = d.user_streams(k)
+            X[k], mse[idx] = A[j][:, idx], m[j, idx]
+    return tuple(X), mse

@@ -221,8 +221,8 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
                                        steps.tolist(), failed.tolist()):
                 if bad:
                     out[idx[k]] = NumericsError(
-                        f"covariance not positive definite after {n} "
-                        "iterations")
+                        "covariance not positive definite or not finite "
+                        f"after {n} iterations")
                 elif cert.passes(cfg.kkt_tol):
                     out[idx[k]] = (cert.state.q, cert)
                 else:
@@ -262,8 +262,8 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
               callback=None):
     """Solve each row of the stack ``CS`` (B x M x L) from ``Q0`` (B x L);
     yield (rows, q, A, f, `_kkt` terms, steps, failed) of the best
-    iterates of the rows that finish in a round, failed where the kernel
-    could not factor a row's J (such a row finishes at once).
+    iterates of the rows that finish in a round, failed where a row's J
+    was not finite or could not be factored (such a row finishes at once).
     ``callback(q, f)`` fires after every step of every row.  ``s`` holds
     the unfinished rows; no array in it is written in place, so the
     current and best iterate may share one."""

@@ -488,6 +488,40 @@ def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--negative-control"]])
+def test_verify_non_finite_covariance_recorded(extra, tmp_path):
+    # p_max = 1e308 is a valid input, but every J overflows to inf
+    out = tmp_path / "v.json"
+    rc = run_cli(["verify", "--trials", "3", "--pmax", "1e308",
+                  "--out", str(out)] + extra)
+    assert rc == 4
+    assert [r["error"] for r in json.loads(out.read_text())["per_trial"]] \
+        == ["NumericsError"] * 3
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings included
+@pytest.mark.parametrize("command", ["solve", "design"])
+def test_non_finite_covariance_one_line_exit_3(command, tmp_path, capsys):
+    inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
+    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
+                    "2,2", "--pmax", "1e308", "--seed", "1",
+                    "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert run_cli([command, str(inst), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"{command}: covariance not positive definite or not finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bench_non_finite_covariance_exit_3(tmp_path, capsys):
+    rc = run_cli(["bench", "--trials", "2", "--pmax", "1e308",
+                  "--out", str(tmp_path / "b.csv")])
+    assert rc == 3
+    assert "failures = 2" in capsys.readouterr().err
+
+
 def test_main_dispatches_to_the_current_command(monkeypatch):
     # the parser is built once, but each call looks its command up afresh
     calls = []

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (mse_trace_sum, rand_instance, scalar_instance,
-                      wiener_filters)
+from conftest import (DIMS_2x2, mse_trace_sum, rand_instance,
+                      scalar_instance, wiener_filters)
 from dualprec import (DimensionError, EffectiveChannel, NumericsError,
-                      ValidationError, downlink_mmse, make_state,
+                      SystemDims, ValidationError, downlink_mmse, make_state,
                       mmse_directions, solve_power, sum_mse_uplink,
                       uplink_mse, verify_theorem)
 from dualprec import objective
@@ -84,12 +84,22 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
                 assert np.array_equal(got[b], want)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_kernel_rejects_non_finite_covariance():
-    cols = np.ones((2, 2, 2), dtype=complex)
-    q = np.ones((2, 2))
+    # a NaN power, and powers whose J overflows to inf: those slices come
+    # back NaN, and their finite batch-mates bitwise as they are alone
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    q = np.ones((3, 2))
     q[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        _covariance(cols, q, 1.0)
+    q[2] = 1e308
+    out = _covariance(cols, q, 1.0)
+    alone = _covariance(cols[:1], q[:1], 1.0)
+    for got, want in zip(out, alone):
+        assert np.isnan(got[1:]).all()
+        assert np.array_equal(got[:1], want)
+    with pytest.raises(NumericsError):
+        make_state(eff_from_cols(cols[2]), q[2], 1.0)
 
 
 def test_failed_factorization_is_nan_in_its_slice_only():
@@ -368,8 +378,11 @@ def downlink_cov(ch, Ubar, p, k):
 
 
 def test_downlink_receivers_match_direct_solve():
-    for seed in range(5):
-        ch, _, _ = rand_instance(seed)
+    # the last instance groups users 0 and 2 (N_k = 3) in one kernel stack
+    # and runs user 1 (N_k = 2) alone
+    hetero = SystemDims(M=5, K=3, N=(3, 2, 3), L=(2, 1, 1))
+    for seed, dims in [(s, DIMS_2x2) for s in range(5)] + [(5, hetero)]:
+        ch, _, _ = rand_instance(seed, dims)
         d = ch.dims
         Ubar = random_downlink_dirs(ch, seed + 20)
         p = np.random.default_rng(seed).uniform(0, 4, d.L_tot)
@@ -379,6 +392,13 @@ def test_downlink_receivers_match_direct_solve():
             for j, l in enumerate(range(d.L_tot)[d.user_streams(k)]):
                 x = np.linalg.solve(J_k, ch.H[k].conj().T @ Ubar[:, l])
                 assert np.abs(X[k][:, j] - x).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_downlink_non_finite_covariance_raises():
+    ch, _, _ = rand_instance(2)
+    with pytest.raises(NumericsError):
+        downlink_mmse(ch, np.eye(4, dtype=complex), np.full(4, 1e308))
 
 
 def downlink_stream_mse(ch, Ubar, p, l, v):

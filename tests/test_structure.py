@@ -36,18 +36,17 @@ def _uses(node, scope, out):
         _uses(child, scope, out)
 
 
-def test_cholesky_only_in_the_two_mmse_kernels():
-    # one covariance factorization per link direction: the uplink kernel
-    # objective._covariance and the downlink kernel objective.downlink_mmse
-    # call LAPACK's potrf, which objective fetches once at import
+def test_cholesky_only_in_the_covariance_kernel():
+    # one covariance factorization for both link directions: the kernel
+    # objective._covariance calls LAPACK's potrf, which objective fetches
+    # once at import; downlink_mmse runs on it over the dual channel
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
         _uses(ast.parse(path.read_text()), "<module>", out)
         sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
     assert sites == {("get_lapack_funcs", "objective.<module>"),
-                     ("_POTRF", "objective._covariance"),
-                     ("_POTRF", "objective.downlink_mmse")}
+                     ("_POTRF", "objective._covariance")}
 
 
 def test_ctypes_only_in_the_blas_module():
