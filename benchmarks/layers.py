@@ -21,7 +21,8 @@ per side and run (a kernel call ``KERNEL_CALLS`` times, each the best of
 the machine can switch between a fast and a slow state within a few
 milliseconds, and one call per side, however many repeats, could land
 each side in a different state.  The garbage collector is off while a
-call is timed.  It writes ``BENCH_<tag>.json`` in the
+call is timed, and each call is made once untimed before its timed
+repeats.  It writes ``BENCH_<tag>.json`` in the
 repository root: the environment, per-layer parent and change medians
 over the runs, the median of the per-run change/parent ratios, and every
 run.
@@ -89,19 +90,29 @@ LAYERS = {
     "verify_trials50": ("ms", "one in-process `verify --trials 50 --dims "
                               "4,2,2,2,2,2 --pmax 10`, median over sigma2 = "
                               "10, 1, 1e-2, 1e-4, 1e-6"),
+    "verify_trials4_M64": ("ms", "one in-process `verify --trials 4` at "
+                                 "M=64 K=32 N_k=2 L_k=1 P=10 sigma2=1, seed "
+                                 "base 1"),
     "design_cli": ("ms", "one in-process `design --path both`, median over "
                          "gen instances of the design-loop shape, seeds "
                          "1000-1009"),
 }
 
+#: Appended to every row's shape in the record.
+WARM = "; every timed call follows one untimed warm-up call"
+
 
 def _best(fn, repeats=REPEATS) -> float:
-    """Shortest wall time of ``repeats`` calls of fn, in seconds, with
-    the garbage collector off (as `timeit` does)."""
+    """Shortest wall time of ``repeats`` calls of fn, in seconds, after
+    one untimed warm-up call, with the garbage collector off (as `timeit`
+    does).  The warm-up keeps a cold first call out of the figure; the
+    repeats still tend to speed up one after another, so the figure is
+    the best of a short run of identical calls."""
     out = float("inf")
     gc.collect()
     gc.disable()
     try:
+        fn()
         for _ in range(repeats):
             t0 = time.perf_counter()
             fn()
@@ -237,6 +248,12 @@ def _layers(pkg, paths: list) -> dict:
             "verify", "--trials", "50", "--dims", "4,2,2,2,2,2", "--pmax",
             "10", "--sigma2", repr(s2), "--seed-base", "1", "--out", report])
          for s2 in SIGMA2S], lambda t: statistics.median(t) * 1e3)
+    large_spec = ",".join(map(str, (64, 32) + large.N + large.L))
+    out["verify_trials4_M64"] = _rounds(
+        [lambda: _quiet(cli.main, [
+            "verify", "--trials", "4", "--dims", large_spec, "--pmax", "10",
+            "--sigma2", "1", "--seed-base", "1", "--out", report])],
+        lambda t: t[0] * 1e3)
     out["design_cli"] = (
         [lambda p=p: _quiet(cli.main, ["design", p, "--path", "both",
                                        "--out", report]) for p in paths],
@@ -404,8 +421,9 @@ def main(argv=None) -> int:
                         "importing both packages and timing every call of a "
                         "layer on both sides back to back, the side that goes "
                         "first alternating from call to call and run to run; "
-                        f"a call counts with its best of {REPEATS}, garbage "
-                        "collector off; solve_powers layers make each call "
+                        f"a call counts with its best of {REPEATS} after one "
+                        "untimed warm-up call, garbage collector off; "
+                        "solve_powers and verify_trials4_M64 make each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "
                         f"(best of {KERNEL_REPEATS}), and take each call's "
                         "median. Per side the record gives the median of the "
@@ -413,7 +431,7 @@ def main(argv=None) -> int:
                         "change/parent ratios."),
                 layers={})
             for name, (unit, shape) in LAYERS.items():
-                entry = {"unit": unit, "shape": shape}
+                entry = {"unit": unit, "shape": shape + WARM}
                 for side in ("parent", "change"):
                     xs = [round(r["layers"][side][name], 4) for r in runs]
                     entry[side] = round(statistics.median(xs), 4)

@@ -13,6 +13,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 
@@ -29,9 +30,6 @@ EXIT_BOUND_VIOLATION = 4
 
 #: Default theorem bounds enforced by `verify`.
 DEFAULT_BOUNDS = {"psi_asymmetry": 1e-8, "pq_gap": 1e-6, "mse_gap": 1e-8}
-
-#: Seed-stream tags so channels and precoders never share a stream.
-PRECODER_TAG = 1
 
 #: Trials whose power solves `verify` runs as one batch.  Each solve of a
 #: batch holds its own evaluations (about 0.5 MB at M = 64), so this bounds
@@ -189,7 +187,7 @@ def cmd_solve(ns) -> int:
     if pseed < 0:
         raise ValidationError("precoder seed: must be >= 0")
     up = model.random_unit_precoders(ch.dims, model.VIRTUAL_UPLINK,
-                                     seed=[pseed, PRECODER_TAG])
+                                     seed=[pseed, model.PRECODER_TAG])
     eff = model.build_effective_channel(ch, up)
     converged = True
     try:
@@ -216,30 +214,30 @@ def cmd_solve(ns) -> int:
 
 def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     """Records of the `verify` trials ``first``, ``first + 1``, ... on
-    ``seeds``; their power solves run as one `solver.solve_powers` batch
-    and their theorem checks as one `duality.verify_theorems` batch (the
-    negative control's as one `duality.build_duality_batch`)."""
-    records, trials = [], []
-    for trial, seed in enumerate(seeds, first):
-        rec = {"trial": trial, "seed": seed, "psi_asymmetry": None,
-               "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
-               "max_residual": None, "converged": True, "error": None}
-        records.append(rec)
-        try:
-            ch = model.gen_channel(dims, sigma2, pmax, seed=seed)
-            up = model.random_unit_precoders(dims, model.VIRTUAL_UPLINK,
-                                             seed=[seed, PRECODER_TAG])
-            eff = model.build_effective_channel(ch, up)
-            if negative:
-                # skip solving; measure the coupling asymmetry at uniform
-                # power
-                q = np.full(dims.L_tot, pmax / dims.L_tot)
-                trials.append((rec, objective.make_state(eff, q, sigma2)))
-            else:
-                trials.append((rec, ch, up, eff))
-        except DualPrecError as e:
-            rec["error"] = type(e).__name__
+    ``seeds``, whose instances `model.gen_stacks` generates as one stack;
+    their power solves run as one `solver.solve_powers` batch and their
+    theorem checks as one `duality.verify_theorems` batch (the negative
+    control's uniform-power states come from one covariance kernel call,
+    and their coupling from one `duality.build_duality_batch`)."""
+    H, V, cols = model.gen_stacks(dims, seeds)
+    owner = dims.stream_owner()
+    effs = [model.EffectiveChannel(cols=c, stream_owner=owner) for c in cols]
+    records = [{"trial": trial, "seed": seed, "psi_asymmetry": None,
+                "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
+                "max_residual": None, "converged": True, "error": None}
+               for trial, seed in enumerate(seeds, first)]
     if negative:
+        # skip solving; measure the coupling asymmetry at uniform power
+        q = np.full(dims.L_tot, pmax / dims.L_tot)
+        A, f, _ = objective._covariance(cols, q[None], sigma2)
+        trials = []
+        for rec, eff, a, fb in zip(records, effs, A, f.tolist()):
+            if math.isnan(fb):  # J overflowed, or its factorization failed
+                rec["error"] = NumericsError.__name__
+            else:
+                trials.append((rec, objective.UplinkState(
+                    eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=a,
+                    trace_jinv=fb)))
         for (rec, _), dd in zip(trials, duality.build_duality_batch(
                 [state for _, state in trials])):
             if isinstance(dd, DualPrecError):
@@ -248,8 +246,8 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
                 rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
         return records
     solved = []
-    for (rec, ch, up, _), out in zip(trials, solver.solve_powers(
-            [eff for _, _, _, eff in trials], sigma2, pmax, scfg)):
+    for b, (rec, out) in enumerate(zip(records, solver.solve_powers(
+            effs, sigma2, pmax, scfg))):
         if isinstance(out, DualPrecError):
             rec["error"] = type(out).__name__
             if isinstance(out, ConvergenceError):
@@ -258,11 +256,17 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
             continue
         cert = out[1]
         rec["max_residual"] = cert.max_residual
-        solved.append((rec, ch, up, cert.state))
-    reports = duality.verify_theorems([t[1] for t in solved],
-                                      [t[2] for t in solved],
-                                      [t[3] for t in solved], scfg)
-    for (rec, _, _, _), rep in zip(solved, reports):
+        solved.append((rec, b, cert.state))
+    # the channel and precoder objects the theorem check reads
+    chs = [model.ChannelSet(dims=dims, H=tuple(h[b] for h in H),
+                            sigma2=float(sigma2), p_max=float(pmax))
+           for _, b, _ in solved]
+    ups = [model.PrecoderSet(direction=model.VIRTUAL_UPLINK,
+                             by_user=tuple(v[b] for v in V),
+                             powers=np.zeros(dims.L_tot))
+           for _, b, _ in solved]
+    reports = duality.verify_theorems(chs, ups, [t[2] for t in solved], scfg)
+    for (rec, _, _), rep in zip(solved, reports):
         if isinstance(rep, DualPrecError):
             rec["error"] = type(rep).__name__
         else:

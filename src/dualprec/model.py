@@ -11,6 +11,17 @@ Conventions used throughout the package:
   (all of user 0's streams first, then user 1's, ...).
 * Beamformers are unit-norm columns; power is a separate nonnegative
   vector of length L_tot.
+
+Instances are generated as stacks over a list of seeds (`gen_stacks`),
+which is how `verify` makes each batch of trials: per seed, one draw from
+its channel generator and one from its precoder generator, reshaped into
+per-user stacks, and one stacked matmul per user for the effective
+columns, with the dims and unit-norm checks run once per stack.  One
+draw of n1 + n2 + ... normals is bitwise the draws of n1, n2, ... one
+after the other, and the other steps are elementwise or slice by slice,
+so every instance is bitwise what `gen_channel`, `random_unit_precoders`
+and `build_effective_channel` give for its seed; those are stacks of one
+of the same code.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ VIRTUAL_UPLINK = "virtual_uplink"
 #: Relative tolerance for unit-norm and consistency checks.  Double
 #: precision leaves ample headroom above accumulation error at M, N <= 16.
 NORM_TOL = 1e-12
+
+#: Seed-stream tag of the uplink precoders of an instance seed, so that its
+#: channels and precoders never share a stream.
+PRECODER_TAG = 1
 
 
 @dataclass(frozen=True)
@@ -126,19 +141,62 @@ def gen_channel(dims: SystemDims, sigma2: float, p_max: float, seed=None) -> Cha
     """Draw an i.i.d. Rayleigh instance: entries of each H_k are
     circularly-symmetric complex Gaussian with zero mean and unit variance.
 
-    Deterministic given ``seed``.
+    Deterministic given ``seed``: a stack of one of `gen_stacks`' channels.
     """
+    H = tuple(h[0] for h in _channels(dims, [seed]))
+    return ChannelSet(dims=dims, H=H, sigma2=float(sigma2),
+                      p_max=float(p_max), seed=seed)
+
+
+def gen_stacks(dims: SystemDims, seeds) -> tuple:
+    """The instances of ``seeds``, as stacks of B = len(seeds): per user k
+    the channels (B x M x N_k, slice b what `gen_channel` draws for
+    seeds[b]) and the uplink beamformers (B x N_k x L_k, what
+    `random_unit_precoders` draws for [seeds[b], PRECODER_TAG]), and the
+    effective columns (B x M x L_tot, `build_effective_channel` of the
+    two), all bitwise.
+
+    Each seed's channel and precoder generators make one draw each; the
+    dims and the unit norms are checked once for the whole stack.
+    """
+    H = _channels(dims, seeds)
+    V = _unit_columns(dims.N, dims.L, [[s, PRECODER_TAG] for s in seeds])
+    return H, V, _effective_cols(dims, H, V)
+
+
+def _channels(dims: SystemDims, seeds) -> tuple:
+    """Per user the B x M x N_k stack of the channels of ``seeds``."""
     bad = dims.violations()
     if bad:
         raise DimensionError("; ".join(bad))
-    rng = np.random.default_rng(seed)
-    H = []
-    for n in dims.N:
-        re = rng.standard_normal((dims.M, n))
-        im = rng.standard_normal((dims.M, n))
-        H.append((re + 1j * im) / np.sqrt(2.0))
-    return ChannelSet(dims=dims, H=tuple(H), sigma2=float(sigma2),
-                      p_max=float(p_max), seed=seed)
+    return tuple(x / np.sqrt(2.0)
+                 for x in _gaussians(seeds, [dims.M] * dims.K, dims.N))
+
+
+def _unit_columns(rows, cols, seeds) -> tuple:
+    """Per user k the B x rows[k] x cols[k] stack of the unit-norm columns
+    of ``seeds``."""
+    return tuple(x / np.linalg.norm(x, axis=1, keepdims=True)
+                 for x in _gaussians(seeds, rows, cols))
+
+
+def _gaussians(seeds, rows, cols) -> list:
+    """Per user k the B x rows[k] x cols[k] stack of circularly-symmetric
+    complex Gaussians re + 1j im with unit-variance parts.  Each seed's
+    generator makes one draw of them all, which is bitwise the draws of
+    user 0's real parts, its imaginary parts, user 1's real parts and so
+    on one after the other."""
+    sizes = [r * c for r, c in zip(rows, cols)]
+    Z = np.empty((len(seeds), 2 * sum(sizes)))
+    for z, seed in zip(Z, seeds):
+        np.random.default_rng(seed).standard_normal(out=z)
+    out, start = [], 0
+    for r, c, n in zip(rows, cols, sizes):
+        re, im = (Z[:, start + i * n:start + (i + 1) * n]
+                  .reshape(len(Z), r, c) for i in (0, 1))
+        out.append(re + 1j * im)
+        start += 2 * n
+    return out
 
 
 @dataclass(frozen=True)
@@ -202,34 +260,35 @@ def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveCha
     d = ch.dims
     if len(uplink.by_user) != d.K:
         raise DimensionError("precoder set must have one block per user")
-    cols = []
-    for k in range(d.K):
-        vb = uplink.by_user[k]
-        if vb.shape != (d.N[k], d.L[k]):
+    cols = _effective_cols(d, [h[None] for h in ch.H],
+                           [vb[None] for vb in uplink.by_user])
+    return EffectiveChannel(cols=cols[0], stream_owner=d.stream_owner())
+
+
+def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
+    """The effective columns (B x M x L_tot) of the stacks of channels
+    ``H`` (per user B x M x N_k) and unit beamformers ``V`` (per user
+    B x N_k x L_k), one stacked matmul per user; a block of the wrong
+    shape or a column that is not of unit norm raises."""
+    for k, vb in enumerate(V):
+        if vb.shape[1:] != (d.N[k], d.L[k]):
             raise DimensionError(
                 f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
             )
-        norms = np.linalg.norm(vb, axis=0)
-        if np.any(np.abs(norms - 1.0) > NORM_TOL * max(1.0, d.N[k])):
+        norms = np.linalg.norm(vb, axis=1)
+        if (np.abs(norms - 1.0) > NORM_TOL * max(1.0, d.N[k])).any():
             raise ValidationError(f"user {k}: beamformer columns must have unit norm")
-        cols.append(ch.H[k] @ vb)
-    return EffectiveChannel(cols=np.concatenate(cols, axis=1),
-                            stream_owner=d.stream_owner())
+    return np.concatenate([h @ vb for h, vb in zip(H, V)], axis=2)
 
 
 def random_unit_precoders(dims: SystemDims, direction: str, seed=None,
                           powers=None) -> PrecoderSet:
     """Seeded random unit-norm beamformer columns for either direction."""
-    rng = np.random.default_rng(seed)
     rows = [dims.M] * dims.K if direction == DOWNLINK else list(dims.N)
-    by_user = []
-    for k in range(dims.K):
-        b = rng.standard_normal((rows[k], dims.L[k])) \
-            + 1j * rng.standard_normal((rows[k], dims.L[k]))
-        by_user.append(b / np.linalg.norm(b, axis=0, keepdims=True))
+    by_user = tuple(b[0] for b in _unit_columns(rows, dims.L, [seed]))
     if powers is None:
         powers = np.zeros(dims.L_tot)
-    return PrecoderSet(direction=direction, by_user=tuple(by_user), powers=powers)
+    return PrecoderSet(direction=direction, by_user=by_user, powers=powers)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +316,22 @@ def channel_to_dict(ch: ChannelSet) -> dict:
 
 
 def channel_from_dict(d: dict) -> ChannelSet:
-    dims = SystemDims(M=int(d["dims"]["M"]), K=int(d["dims"]["K"]),
-                      N=tuple(d["dims"]["N"]), L=tuple(d["dims"]["L"]))
+    dims = d["dims"]
+    if not isinstance(dims["N"], list) or not isinstance(dims["L"], list):
+        raise ValidationError("dims.N and dims.L: must be lists of integers")
+    counts = [("dims.M", dims["M"]), ("dims.K", dims["K"]),
+              *((f"dims.N[{k}]", n) for k, n in enumerate(dims["N"])),
+              *((f"dims.L[{k}]", n) for k, n in enumerate(dims["L"]))]
+    if d.get("seed") is not None:
+        counts.append(("seed", d["seed"]))
+    for name, x in counts:  # JSON integers, not floats, strings or bools
+        if isinstance(x, bool) or not isinstance(x, Integral):
+            raise ValidationError(f"{name}: must be an integer, got {x!r}")
     H = tuple(_cplx_matrix_from_lists(h) for h in d["H"])
-    seed = d.get("seed")
-    return ChannelSet(dims=dims, H=H, sigma2=float(d["sigma2"]),
-                      p_max=float(d["p_max"]),
-                      seed=None if seed is None else int(seed))
+    return ChannelSet(dims=SystemDims(M=dims["M"], K=dims["K"], N=dims["N"],
+                                      L=dims["L"]),
+                      H=H, sigma2=float(d["sigma2"]), p_max=float(d["p_max"]),
+                      seed=d.get("seed"))
 
 
 def save_instance(ch: ChannelSet, path) -> None:
@@ -279,6 +347,6 @@ def load_instance(path) -> ChannelSet:
         doc = json.load(f)
     try:
         return channel_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ValidationError) as e:
         raise ValidationError(
             f"{path}: not an instance ({type(e).__name__}: {e})") from e

@@ -14,9 +14,10 @@ certificate: multipliers reconstructed from the gains at the returned
 q, with every residual reported.
 
 One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
-instances, one row each: a round evaluates a power vector per row with
-one stacked kernel call, decides acceptance, backtracking, stalls and
-best iterates as row masks, and takes the Newton steps with one stacked
+instances, one row each, from the first iterates `_start` takes for the
+whole stack at once: a round evaluates a power vector per row with one
+stacked kernel call, decides acceptance, backtracking, stalls and best
+iterates as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size; `solve_power` is a stack of one.  All
 stacked operations are elementwise or slice by slice, so an instance
 takes the same steps, to the bit, whatever shares its stack.  A stream
@@ -197,18 +198,23 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     cfg = cfg or SolverConfig()
     out, groups, stacks = [None] * len(effs), {}, []
     for i, eff in enumerate(effs):
-        try:
-            q = _start(eff, p_max, q0)
-            groups.setdefault(eff.cols.shape, []).append((i, q))
-        except DualPrecError as e:
-            out[i] = e
+        groups.setdefault(eff.cols.shape, []).append(i)
     for (M, L), group in groups.items():
         size = max(1, STACK_BYTES // (16 * M * (M + L)))
-        stacks += [zip(*group[k:k + size]) for k in range(0, len(group), size)]
-    for idx, qs in stacks:
+        stacks += [group[k:k + size] for k in range(0, len(group), size)]
+    for idx in stacks:
         CS = np.array([effs[i].cols for i in idx])
+        Q0, errs = _start(CS, p_max, q0)
+        if any(errs):  # those rows end here
+            for i, e in zip(idx, errs):
+                out[i] = e
+            ok = np.array([e is None for e in errs])
+            idx = [i for i, e in zip(idx, errs) if e is None]
+            if not idx:
+                continue
+            CS, Q0 = CS[ok], Q0[ok]
         for rows, Q, A, F, kkt, steps, failed in _lockstep(
-                CS, np.array(qs), sigma2, p_max, cfg, callback):
+                CS, Q0, sigma2, p_max, cfg, callback):
             # copies in the layouts one kernel call gives, so that callers
             # computing on the state get the same bits whatever the stack
             states = [UplinkState(eff=effs[idx[k]], q=Q[j].copy(),
@@ -233,29 +239,45 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     return out
 
 
-def _start(eff: EffectiveChannel, p_max: float, q0=None) -> np.ndarray:
-    """The first iterate of a solve: projected q0, or uniform, spending
-    the budget on the streams with a nonzero channel.  The others (norm
-    at most 1e-15 of the largest) start at 0 and stay there: a zero
-    channel's gain is 0, so no Newton face admits its stream."""
-    L = eff.L_tot
+def _start(CS, p_max: float, q0=None) -> tuple:
+    """The first iterates (B x L) of the solves of the stack ``CS``
+    (B x M x L), and per row None or the error that keeps it from
+    starting: projected q0, or uniform, spending the budget on the
+    streams with a nonzero channel.  The others (norm at most 1e-15 of
+    the row's largest) start at 0 and stay there: a zero channel's gain
+    is 0, so no Newton face admits its stream."""
+    B, _, L = CS.shape
     if q0 is not None and np.shape(q0) != (L,):
-        raise DimensionError(f"q0 must have one entry per stream ({L})")
-    col_norms = np.linalg.norm(eff.cols, axis=0)
-    if not np.isfinite(col_norms).all():
-        raise NumericsError("non-finite effective channel")
-    largest = np.maximum.reduce(col_norms)
-    if largest == 0.0:
-        raise NumericsError("all effective channels are zero")
-    on = col_norms > 1e-15 * largest
-    q = np.zeros(L)
+        return None, [DimensionError(
+            f"q0 must have one entry per stream ({L})")] * B
+    # np.linalg.norm's arithmetic, without its argument handling
+    col_norms = np.sqrt(np.add.reduce((CS.conj() * CS).real, axis=1))
+    # a row with a column not finite has a largest that is not finite, and
+    # so no column on
+    largest = np.maximum.reduce(col_norms, axis=1)
+    on = col_norms > 1e-15 * largest[:, None]
+    count = np.add.reduce(on, axis=1)
+    counts, errs = count.tolist(), [None] * B
+    if 0 in counts:
+        errs = [None if c else NumericsError(
+                    "non-finite effective channel" if not math.isfinite(x)
+                    else "all effective channels are zero")
+                for x, c in zip(largest.tolist(), counts)]
     if q0 is None:
-        q[on] = p_max / np.count_nonzero(on)
-    else:
-        q[on] = project_power(np.asarray(q0, dtype=float)[on], p_max)
-        if (spent := q[on].sum()) < p_max:  # the optimum spends the budget
-            q[on] += (p_max - spent) / np.count_nonzero(on)
-    return q
+        return np.where(on, p_max / np.maximum(count, 1)[:, None], 0.0), errs
+    q0, Q = np.asarray(q0, dtype=float), np.zeros(on.shape)
+    for b in range(B):
+        q, row = Q[b], on[b]
+        if errs[b] is not None:
+            continue
+        try:
+            q[row] = project_power(q0[row], p_max)
+        except ValidationError as e:
+            errs[b] = e
+            continue
+        if (spent := q[row].sum()) < p_max:  # the optimum spends the budget
+            q[row] += (p_max - spent) / counts[b]
+    return Q, errs
 
 
 def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,

@@ -3,12 +3,14 @@
 import numpy as np
 
 from conftest import covariance
-from dualprec import (DOWNLINK, VIRTUAL_UPLINK, DesignConfig, DualPrecError,
+from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
+                      DesignConfig, DimensionError, DualPrecError,
                       EffectiveChannel, KktCertificate, PrecoderSet,
-                      UplinkState, ValidationError, build_effective_channel,
-                      downlink_mmse, make_state, mmse_directions, solve_power,
-                      sum_mse_uplink)
-from dualprec.model import (NORM_TOL, _cplx_matrix_from_lists,
+                      UplinkState, ValidationError, build_duality_data,
+                      build_effective_channel, downlink_mmse, make_state,
+                      mmse_directions, psi_asymmetry, solve_power,
+                      sum_mse_uplink, verify_theorem)
+from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
 from dualprec.solver import _certificates, _kkt
@@ -206,3 +208,95 @@ def check_equal_gradient_condition(eff, sigma2: float, q,
         return 0.0
     gains = -grad_trace_Jinv(make_state(eff, q, sigma2))[act]
     return float((gains.max() - gains.min()) / gains.mean())
+
+
+# ---------------------------------------------------------------------------
+# Instance generation one user at a time: the draws `model.gen_stacks`
+# reproduces bitwise with one draw per generator.
+
+def gen_channel_per_user(dims, sigma2, p_max, seed=None):
+    """`gen_channel` drawing each user's real and imaginary parts in turn."""
+    bad = dims.violations()
+    if bad:
+        raise DimensionError("; ".join(bad))
+    rng = np.random.default_rng(seed)
+    H = []
+    for n in dims.N:
+        re = rng.standard_normal((dims.M, n))
+        im = rng.standard_normal((dims.M, n))
+        H.append((re + 1j * im) / np.sqrt(2.0))
+    return ChannelSet(dims=dims, H=tuple(H), sigma2=float(sigma2),
+                      p_max=float(p_max), seed=seed)
+
+
+def random_unit_precoders_per_user(dims, direction, seed=None, powers=None):
+    """`random_unit_precoders` drawing and normalizing user by user."""
+    rng = np.random.default_rng(seed)
+    rows = [dims.M] * dims.K if direction == DOWNLINK else list(dims.N)
+    by_user = []
+    for k in range(dims.K):
+        b = rng.standard_normal((rows[k], dims.L[k])) \
+            + 1j * rng.standard_normal((rows[k], dims.L[k]))
+        by_user.append(b / np.linalg.norm(b, axis=0, keepdims=True))
+    if powers is None:
+        powers = np.zeros(dims.L_tot)
+    return PrecoderSet(direction=direction, by_user=tuple(by_user), powers=powers)
+
+
+def build_effective_channel_per_user(ch, uplink):
+    """`build_effective_channel` with one matmul per user, concatenated."""
+    if uplink.direction != VIRTUAL_UPLINK:
+        raise ValidationError("uplink precoders required (direction = virtual_uplink)")
+    d = ch.dims
+    if len(uplink.by_user) != d.K:
+        raise DimensionError("precoder set must have one block per user")
+    cols = []
+    for k in range(d.K):
+        vb = uplink.by_user[k]
+        if vb.shape != (d.N[k], d.L[k]):
+            raise DimensionError(
+                f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
+            )
+        norms = np.linalg.norm(vb, axis=0)
+        if np.any(np.abs(norms - 1.0) > NORM_TOL * max(1.0, d.N[k])):
+            raise ValidationError(f"user {k}: beamformer columns must have unit norm")
+        cols.append(ch.H[k] @ vb)
+    return EffectiveChannel(cols=np.concatenate(cols, axis=1),
+                            stream_owner=d.stream_owner())
+
+
+def verify_trials_one_at_a_time(first, seeds, dims, sigma2, pmax, scfg,
+                                negative) -> list:
+    """The records of `cli._verify_trials`, one trial at a time on the
+    per-user instances: `solve_power` and `verify_theorem` per trial, or
+    `make_state` at uniform power and `build_duality_data` for the
+    negative control."""
+    records = []
+    for trial, seed in enumerate(seeds, first):
+        rec = {"trial": trial, "seed": seed, "psi_asymmetry": None,
+               "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
+               "max_residual": None, "converged": True, "error": None}
+        records.append(rec)
+        ch = gen_channel_per_user(dims, sigma2, pmax, seed=seed)
+        up = random_unit_precoders_per_user(dims, VIRTUAL_UPLINK,
+                                            seed=[seed, PRECODER_TAG])
+        eff = build_effective_channel_per_user(ch, up)
+        try:
+            if negative:
+                q = np.full(dims.L_tot, pmax / dims.L_tot)
+                dd = build_duality_data(make_state(eff, q, sigma2))
+                rec["psi_asymmetry"] = psi_asymmetry(dd.Psi)
+                continue
+            try:
+                q, cert = solve_power(eff, sigma2, pmax, scfg)
+            except ConvergenceError as e:
+                rec["converged"] = False
+                rec["max_residual"] = e.certificate.max_residual
+                raise
+            rec["max_residual"] = cert.max_residual
+            rep = verify_theorem(ch, up, q, scfg, state=cert.state)
+            rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
+                       mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
+        except DualPrecError as e:
+            rec["error"] = type(e).__name__
+    return records

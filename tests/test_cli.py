@@ -10,7 +10,8 @@ from dualprec import (VIRTUAL_UPLINK, ChannelSet, DualPrecError,
                       SolverConfig, _blas, build_effective_channel, cli,
                       gen_channel, load_instance, random_unit_precoders,
                       save_instance, solve_power, validate, verify_theorem)
-from oracles import certificate_from_dict
+from dualprec.model import PRECODER_TAG
+from oracles import certificate_from_dict, verify_trials_one_at_a_time
 
 
 def run_cli(args):
@@ -43,6 +44,26 @@ def test_gen_deterministic_hash(tmp_path, capsys):
     run_cli(args + ["--out", str(tmp_path / "b.json")])
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].split("sha256:")[1] == out[1].split("sha256:")[1]
+
+
+#: sha256 of `gen` outputs (M, K, N, L, seed): the per-user draws of
+#: the instance format's first version.
+GEN_SHA256 = [
+    (("4", "2", "2,2", "2,2", "7"),
+     "034e36984edd8c00b147f4296abd246620444f9abeb6103bb2366df587bbc7f5"),
+    (("6", "2", "3,3", "2,2", "11"),
+     "9071be9d780ade3614ba4dff0286e403e2677d24436e8110cd261035ee0b752e"),
+    (("64", "32", ",".join(["2"] * 32), ",".join(["1"] * 32), "91"),
+     "d2f15866b0965b0dbc880198e4532dd51fcb10e9cbaf7e36346f96804473a30c"),
+]
+
+
+@pytest.mark.parametrize("spec,sha", GEN_SHA256, ids=["M4", "M6", "M64"])
+def test_gen_sha256_pinned(spec, sha, tmp_path, capsys):
+    M, K, N, L, seed = spec
+    run_cli(["gen", "--M", M, "--K", K, "--N", N, "--L", L, "--seed", seed,
+             "--out", str(tmp_path / "inst.json")])
+    assert capsys.readouterr().out.strip().endswith(f"sha256:{sha}")
 
 
 def test_gen_rejects_L_exceeding_N(capsys):
@@ -370,6 +391,28 @@ def test_design_solver_failure_exit_3(fmt, instance, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("M", 4.9), ("K", 2.0), ("N", [2.9, 2]), ("L", ["2", "2"]),
+    ("seed", 3.7), ("M", True)],
+    ids=["M-float", "K-float", "N-float", "L-strings", "seed-float",
+         "M-bool"])
+@pytest.mark.parametrize("command", ["solve", "design"])
+def test_instance_non_integer_field_exit_2(command, field, value, tmp_path,
+                                           capsys):
+    # counts and seeds are JSON integers; nothing truncates them silently
+    inst = tmp_path / "inst.json"
+    run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L", "2,2",
+             "--seed", "3", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    (doc if field == "seed" else doc["dims"])[field] = value
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "rep.json"
+    assert run_cli([command, str(inst), "--out", str(out)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_trial_numerics_error_recorded(tmp_path):
     out = tmp_path / "v.json"
     rc = run_cli(["verify", "--trials", "1", "--dims", "4,2,2,2,2,2",
@@ -419,7 +462,7 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
         seed = rec["seed"]
         ch = gen_channel(dims, 10.0, 10.0, seed=seed)
         up = random_unit_precoders(dims, VIRTUAL_UPLINK,
-                                   seed=[seed, cli.PRECODER_TAG])
+                                   seed=[seed, PRECODER_TAG])
         eff = build_effective_channel(ch, up)
         want = dict(rec, psi_asymmetry=None, pq_gap=None, mse_gap=None,
                     sum_power_dl=None, error=None)
@@ -433,6 +476,34 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
                         mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl,
                         max_residual=cert.max_residual)
         assert rec == want
+
+
+@pytest.mark.parametrize("args,errors", [
+    (["--sigma2", "1"], [None] * 6),
+    (["--sigma2", "1e-6", "--seed-base", "45"],
+     [None] * 3 + ["ConvergenceError"] + [None] * 2),
+    (["--negative-control"], [None] * 6),
+    (["--sigma2", "1e-14", "--seed-base", "108"],
+     [None] * 3 + ["NumericsError"] + [None] * 2),
+], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable"])
+def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
+                                             tmp_path):
+    # the stacked instances, solves and checks against one trial at a time
+    # on the per-user draws; a failing trial keeps its error in its own row
+    reports = {}
+    for side in ("stacked", "per_trial"):
+        if side == "per_trial":
+            monkeypatch.setattr(cli, "_verify_trials",
+                                verify_trials_one_at_a_time)
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{side}.{fmt}"
+            rc = run_cli(["verify", "--trials", "6", "--format", fmt,
+                          "--out", str(out)] + args)
+            reports[side, fmt] = rc, out.read_bytes()
+    for fmt in ("json", "csv"):
+        assert reports["stacked", fmt] == reports["per_trial", fmt]
+    records = json.loads(reports["stacked", "json"][1])["per_trial"]
+    assert [r["error"] for r in records] == errors
 
 
 def test_verify_unfactorable_trial_recorded(tmp_path):

@@ -11,7 +11,10 @@ from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, DimensionError,
                       build_effective_channel, channel_from_dict,
                       channel_to_dict, gen_channel, load_instance,
                       random_unit_precoders, save_instance, validate)
-from oracles import precoder_violations, precoders_from_dict, precoders_to_dict
+from dualprec.model import PRECODER_TAG, gen_stacks
+from oracles import (build_effective_channel_per_user, gen_channel_per_user,
+                     precoder_violations, precoders_from_dict,
+                     precoders_to_dict, random_unit_precoders_per_user)
 
 
 def test_validate_well_formed():
@@ -75,6 +78,44 @@ def test_gen_output_passes_validate():
                        (1, SystemDims(M=1, K=1, N=(1,), L=(1,))),
                        (2, SystemDims(M=3, K=3, N=(1, 2, 3), L=(1, 1, 2)))]:
         assert validate(gen_channel(dims, 0.5, 4.0, seed=seed)) == []
+
+
+@pytest.mark.parametrize("dims", [
+    DIMS_2x2, SystemDims(M=6, K=2, N=(3, 3), L=(2, 2)),
+    SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)],
+    ids=["4,2,2,2,2,2", "6,2,3,3,2,2", "M64"])
+def test_gen_stacks_equal_per_seed_generation(dims):
+    # one draw per generator and one matmul per user give bitwise the
+    # per-user draws and products, seed by seed and whatever the stack
+    seeds = range(3, 10)
+    H, V, cols = gen_stacks(dims, seeds)
+    assert [h.shape for h in H] == [(7, dims.M, n) for n in dims.N]
+    assert cols.shape == (7, dims.M, dims.L_tot)
+    for b, seed in enumerate(seeds):
+        ch = gen_channel_per_user(dims, 1.0, 10.0, seed=seed)
+        up = random_unit_precoders_per_user(dims, VIRTUAL_UPLINK,
+                                            seed=[seed, PRECODER_TAG])
+        eff = build_effective_channel_per_user(ch, up)
+        one = gen_channel(dims, 1.0, 10.0, seed=seed)
+        one_up = random_unit_precoders(dims, VIRTUAL_UPLINK,
+                                       seed=[seed, PRECODER_TAG])
+        for k in range(dims.K):
+            assert np.array_equal(H[k][b], ch.H[k])
+            assert np.array_equal(one.H[k], ch.H[k])
+            assert np.array_equal(V[k][b], up.by_user[k])
+            assert np.array_equal(one_up.by_user[k], up.by_user[k])
+        assert np.array_equal(cols[b], eff.cols)
+        assert np.array_equal(build_effective_channel(ch, up).cols, eff.cols)
+        assert np.array_equal(gen_stacks(dims, [seed])[2][0], eff.cols)
+    dl = random_unit_precoders(dims, DOWNLINK, seed=5)
+    for a, b in zip(dl.by_user, random_unit_precoders_per_user(
+            dims, DOWNLINK, seed=5).by_user):
+        assert np.array_equal(a, b)
+
+
+def test_gen_stacks_check_the_dims():
+    with pytest.raises(DimensionError):
+        gen_stacks(SystemDims(M=2, K=1, N=(2,), L=(3,)), range(4))
 
 
 def test_effective_channel_identity():

@@ -275,11 +275,21 @@ def test_failing_instance_leaves_the_batch_unchanged():
     mixed = solver.solve_powers(effs[:2] + [zero] + effs[2:4] + [slow]
                                 + effs[4:], sigma2, 10.0)
     assert isinstance(mixed[2], NumericsError)
+    assert "all effective channels are zero" in str(mixed[2])
     assert isinstance(mixed[5], ConvergenceError)
     for out, ref in zip(mixed[:2] + mixed[3:5] + mixed[6:], clean):
         assert_same_result(out, ref)
     assert_same_result(clean[-1], solve_alone(effs[-1], sigma2))
     assert clean[-1][0][1] == 0.0
+    # a column that is not finite stops its row at the start, the same way
+    cols = effs[0].cols.copy()
+    cols[0, 3] = np.nan
+    mixed = solver.solve_powers([effs[1], eff_from_cols(cols), effs[2]],
+                                sigma2, 10.0)
+    assert isinstance(mixed[1], NumericsError)
+    assert "non-finite effective channel" in str(mixed[1])
+    assert_same_result(mixed[0], clean[1])
+    assert_same_result(mixed[2], clean[2])
 
 
 def test_unfactorable_instance_leaves_the_batch_unchanged():
