@@ -96,6 +96,9 @@ LAYERS = {
     "design_cli": ("ms", "one in-process `design --path both`, median over "
                          "gen instances of the design-loop shape, seeds "
                          "1000-1009"),
+    "bench_cli": ("ms", "one in-process `bench --trials 10 --format json` "
+                        "at the default dims 4,2,2,2,2,2, sigma2=1 P=10, "
+                        "seed base 1"),
 }
 
 #: Appended to every row's shape in the record.
@@ -254,10 +257,14 @@ def _layers(pkg, paths: list) -> dict:
             "verify", "--trials", "4", "--dims", large_spec, "--pmax", "10",
             "--sigma2", "1", "--seed-base", "1", "--out", report])],
         lambda t: t[0] * 1e3)
-    out["design_cli"] = (
+    out["design_cli"] = _rounds(
         [lambda p=p: _quiet(cli.main, ["design", p, "--path", "both",
                                        "--out", report]) for p in paths],
         lambda t: statistics.median(t) * 1e3)
+    out["bench_cli"] = _rounds(
+        [lambda: _quiet(cli.main, ["bench", "--trials", "10", "--format",
+                                   "json", "--out", report])],
+        lambda t: t[0] * 1e3)
     return out
 
 
@@ -423,7 +430,8 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers and verify_trials4_M64 make each call "
+                        "solve_powers, verify_trials4_M64, design_cli and "
+                        "bench_cli make each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "
                         f"(best of {KERNEL_REPEATS}), and take each call's "
                         "median. Per side the record gives the median of the "

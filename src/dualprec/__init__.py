@@ -2,8 +2,7 @@
 the virtual uplink, with numerical certification that the optimal
 downlink and virtual-uplink power allocations coincide."""
 
-from .designer import (BOTH, LEGACY, SIMPLIFIED, DesignConfig, DesignResult,
-                       PathComparison, compare_paths, design)
+from .designer import BOTH, SIMPLIFIED, DesignConfig, DesignResult, design
 from .duality import (DualityData, DualityReport, build_duality_data,
                       psi_asymmetry, transform_power, transform_power_uplink,
                       verify_theorem)

@@ -178,8 +178,6 @@ def cmd_gen(ns) -> int:
 def cmd_solve(ns) -> int:
     scfg = _config(solver.SolverConfig, "solver", _load_config(ns.config),
                    kkt_tol=ns.kkt_tol, max_iters=ns.max_iters)
-    if ns.format == "csv":
-        raise ValidationError("only JSON reports are supported")
     ch = _load_valid_instance(ns.instance)
     pseed = ns.precoder_seed
     if pseed is None:
@@ -220,8 +218,7 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     control's uniform-power states come from one covariance kernel call,
     and their coupling from one `duality.build_duality_batch`)."""
     H, V, cols = model.gen_stacks(dims, seeds)
-    owner = dims.stream_owner()
-    effs = [model.EffectiveChannel(cols=c, stream_owner=owner) for c in cols]
+    effs = [model.EffectiveChannel(cols=c) for c in cols]
     records = [{"trial": trial, "seed": seed, "psi_asymmetry": None,
                 "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
                 "max_residual": None, "converged": True, "error": None}
@@ -280,11 +277,11 @@ def _ensemble_args(ns, file_cfg: dict):
     `bench`; raises ValidationError for any input outside its domain."""
     ens = _config(dict, "ensemble", file_cfg, trials=ns.trials,
                   seed_base=ns.seed_base, dims=ns.dims)
-    try:
-        trials = int(ens.get("trials", 100))
-        seed_base = int(ens.get("seed_base", 1))
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"ensemble: {e}") from e
+    trials, seed_base = ens.get("trials", 100), ens.get("seed_base", 1)
+    for name, x in (("trials", trials), ("seed_base", seed_base)):
+        if not model.is_count(x):
+            raise ValidationError(f"ensemble: {name} must be an integer, "
+                                  f"got {x!r}")
     scfg = _config(solver.SolverConfig, "solver", file_cfg,
                    kkt_tol=ns.kkt_tol, max_iters=ns.max_iters)
     dims = parse_dims(str(ens.get("dims", "4,2,2,2,2,2")))
@@ -363,13 +360,13 @@ def cmd_bench(ns) -> int:
     def run(t):
         seed = seed_base + t
         ch = model.gen_channel(dims, ns.sigma2, ns.pmax, seed=seed)
-        cfg = designer.DesignConfig(path=designer.BOTH, seed=seed, solver=scfg)
-        cp = designer.compare_paths(ch, cfg)
-        return {"trial": t, "seed": seed, "iters": cp.iters,
-                "smse_final": cp.smse_final,
-                "pq_max_gap": cp.max_power_discrepancy,
-                "t_legacy_us": cp.t_legacy_median * 1e6,
-                "t_shortcut_us": cp.t_shortcut_median * 1e6}
+        res = designer.design(ch, designer.DesignConfig(
+            path=designer.BOTH, seed=seed, solver=scfg))
+        return {"trial": t, "seed": seed, "iters": res.iters,
+                "smse_final": res.smse_trace[-1],
+                "pq_max_gap": max(res.path_gap_trace),
+                "t_legacy_us": float(np.median(res.transform_times)) * 1e6,
+                "t_shortcut_us": float(np.median(res.shortcut_times)) * 1e6}
 
     for t in range(trials):
         try:
@@ -411,7 +408,7 @@ def cmd_design(ns) -> int:
         payload = {
             "command": "design",
             "instance": str(ns.instance),
-            "path": res.path_used,
+            "path": dcfg.path,
             "converged": converged,
             "iters": res.iters,
             "rejected_extrapolations": res.rejected,
@@ -454,7 +451,7 @@ COMMANDS = {
         ("--L", {"required": True, "help": "comma list, one per user"}),
         ("--seed", {"type": int}))),
     "solve": ("solve one instance and certify",
-              ("config", "out", "format", "solver"), (
+              ("config", "out", "solver"), (
                   _INSTANCE, ("--precoder-seed", {"type": int}))),
     "verify": ("theorem-verification ensemble",
                ("config", "out", "format", "link", "ensemble", "solver"), (
@@ -469,7 +466,7 @@ COMMANDS = {
     "design": ("alternating precoder design",
                ("config", "out", "format", "solver"), (
                    _INSTANCE, ("--path", {"choices": [
-                       designer.LEGACY, designer.SIMPLIFIED, designer.BOTH]}),
+                       designer.SIMPLIFIED, designer.BOTH]}),
                    ("--init", {"choices": ["random_unit", "channel_svd"]}),
                    ("--max-outer-iters", {"type": int}))),
 }

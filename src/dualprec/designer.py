@@ -3,11 +3,12 @@ safeguarded Anderson acceleration speeds up.
 
 One evaluation of the plain map G at uplink beamformers vbar (`_step`):
 (1) solve the convex power allocation q for vbar, (2) take the unit uplink
-MMSE directions J^-1 htil_l as downlink beamformers, (3) convert powers to
-the downlink — either through the legacy duality transform (a linear
-solve per iteration) or the shortcut p := q that the transpose symmetry
-of the coupling matrix justifies — then (4) swap roles: the normalized
-downlink MMSE receivers are G(vbar).
+MMSE directions J^-1 htil_l as downlink beamformers with the downlink
+powers p := q, which the transpose symmetry of the coupling matrix
+justifies at a certified q, then (3) swap roles: the normalized downlink
+MMSE receivers are G(vbar).  On ``path="both"`` the legacy duality
+transform (a linear solve per iterate) runs beside p := q as a timed
+check, and its gap to q is recorded at every iterate.
 
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
@@ -23,10 +24,6 @@ plain step G(x_k) is taken and the history cleared.  Every accepted
 iterate therefore carries a KKT-certified q, the sum-MSE trace falls
 monotonically, and `max_outer_iters` counts accepted iterates, so a
 design makes at most twice that many power solves.
-
-The two conversion paths agree at every certified power step; the
-shortcut just skips the matrix equation, which is the point of running
-them side by side.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -43,11 +39,11 @@ import numpy as np
 from .duality import build_duality_data, transform_power
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
-                    build_effective_channel, random_unit_precoders, validate)
+                    build_effective_channel, is_count, is_real,
+                    random_unit_precoders, validate)
 from .objective import downlink_mmse, mmse_directions, sum_mse_uplink
 from .solver import SolverConfig, solve_power
 
-LEGACY = "legacy_transform"
 SIMPLIFIED = "simplified_pq"
 BOTH = "both"
 
@@ -60,22 +56,22 @@ class DesignConfig:
     max_outer_iters: int = 200
     smse_rel_tol: float = 1e-8
     init_mode: str = "random_unit"  # random_unit | channel_svd
-    path: str = SIMPLIFIED          # legacy_transform | simplified_pq | both
+    path: str = SIMPLIFIED          # simplified_pq | both
     seed: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not (isinstance(self.max_outer_iters, Integral)
-                and self.max_outer_iters >= 1):
+        if not (is_count(self.max_outer_iters) and self.max_outer_iters >= 1):
             raise ValidationError("max_outer_iters must be an integer >= 1")
-        if not 0 < self.smse_rel_tol < math.inf:
+        if not (is_real(self.smse_rel_tol)
+                and 0 < self.smse_rel_tol < math.inf):
             raise ValidationError("smse_rel_tol must be finite and positive")
-        if self.seed is not None and not (isinstance(self.seed, Integral)
+        if self.seed is not None and not (is_count(self.seed)
                                           and self.seed >= 0):
             raise ValidationError("seed must be an integer >= 0 or None")
         if self.init_mode not in ("random_unit", "channel_svd"):
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
-        if self.path not in (LEGACY, SIMPLIFIED, BOTH):
+        if self.path not in (SIMPLIFIED, BOTH):
             raise ValidationError(f"unknown path {self.path!r}")
 
 
@@ -85,24 +81,11 @@ class DesignResult:
     downlink: PrecoderSet       # (Ubar, p)
     smse_trace: list            # one entry per accepted iterate
     iters: int                  # accepted iterates, len(smse_trace)
-    path_used: str
-    transform_times: list       # seconds per iterate in legacy conversion
+    transform_times: list       # seconds per iterate in the legacy check
     shortcut_times: list        # seconds per iterate in p := q
-    path_gap_trace: list        # max |p_legacy - p_shortcut| per iterate
-    p_legacy: np.ndarray | None
+    path_gap_trace: list        # max |legacy p - q| per iterate (both)
     converged: bool
     rejected: int               # extrapolations the safeguard refused
-
-
-@dataclass
-class PathComparison:
-    iters: int
-    smse_final: float
-    max_power_discrepancy: float
-    final_smse_difference: float
-    t_legacy_median: float
-    t_shortcut_median: float
-    result: DesignResult
 
 
 class _Step(NamedTuple):
@@ -112,12 +95,10 @@ class _Step(NamedTuple):
     q: np.ndarray           # certified uplink powers
     smse: float             # certified sum-MSE at (vbar, q)
     ubar: np.ndarray        # M x L_tot unit downlink beamformers
-    p: np.ndarray           # downlink powers the loop advances on
-    p_legacy: np.ndarray | None
     g: list                 # G(vbar): the next plain iterate
     t_legacy: float | None  # seconds in the legacy conversion
-    t_shortcut: float | None
-    path_gap: float | None  # max |p_legacy - p_shortcut|
+    t_shortcut: float
+    path_gap: float | None  # max |legacy p - q|
 
 
 def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
@@ -138,7 +119,8 @@ def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
 def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
           act_tol: float) -> _Step:
     """Certified power solve at vbar (warm-started from q0), the downlink
-    conversion on cfg.path, and the role swap to G(vbar).
+    powers p := q (checked against the legacy transform on path "both"),
+    and the role swap to G(vbar).
 
     A failed power solve raises its ConvergenceError.
     """
@@ -150,20 +132,18 @@ def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
     state = cert.state
     ubar = mmse_directions(state)
 
-    # power conversion to the downlink, timed around the conversion only
-    p_leg = t_leg = p_sc = t_sc = gap = None
-    if cfg.path in (LEGACY, BOTH):
+    # downlink powers p := q and, on path "both", the legacy transform
+    # beside them as a check, each timed around itself only
+    t0 = time.perf_counter()
+    p = q.copy()
+    t_sc = time.perf_counter() - t0
+    t_leg = gap = None
+    if cfg.path == BOTH:
         t0 = time.perf_counter()
         dd = build_duality_data(state, active_tol=act_tol)
         p_leg = transform_power(dd, ch.sigma2)
         t_leg = time.perf_counter() - t0
-    if cfg.path in (SIMPLIFIED, BOTH):
-        t0 = time.perf_counter()
-        p_sc = q.copy()
-        t_sc = time.perf_counter() - t0
-    p = p_leg if cfg.path == LEGACY else p_sc
-    if cfg.path == BOTH:
-        gap = float(np.abs(p_leg - p_sc).max())
+        gap = float(np.abs(p_leg - p).max())
 
     # role swap: normalized downlink MMSE receivers; a stream with p = 0
     # has a zero receiver and keeps its vbar
@@ -176,8 +156,7 @@ def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
         b = vbar[k].copy()
         b[:, nz] = V[:, nz] / vn[nz]
         g.append(b)
-    return _Step(vbar, q, sum_mse_uplink(state), ubar, p, p_leg, g, t_leg,
-                 t_sc, gap)
+    return _Step(vbar, q, sum_mse_uplink(state), ubar, g, t_leg, t_sc, gap)
 
 
 def _stack(blocks: list) -> np.ndarray:
@@ -265,42 +244,15 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         downlink=PrecoderSet(direction=DOWNLINK,
                              by_user=tuple(cur.ubar[:, d.user_streams(k)]
                                            for k in range(d.K)),
-                             powers=cur.p),
+                             powers=cur.q.copy()),
         smse_trace=[s.smse for s in steps], iters=len(steps),
-        path_used=cfg.path,
         transform_times=[s.t_legacy for s in steps if s.t_legacy is not None],
-        shortcut_times=[s.t_shortcut for s in steps
-                        if s.t_shortcut is not None],
+        shortcut_times=[s.t_shortcut for s in steps],
         path_gap_trace=[s.path_gap for s in steps if s.path_gap is not None],
-        p_legacy=cur.p_legacy, converged=converged, rejected=rejected)
+        converged=converged, rejected=rejected)
     if not converged:
         raise ConvergenceError(
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "
             "iterations", partial=result)
     return result
 
-
-def compare_paths(ch: ChannelSet, cfg: DesignConfig) -> PathComparison:
-    """Run the design once with both conversion paths on identical
-    iterates and compare their outputs and cost.
-
-    The loop advances on the shortcut powers; the legacy transform runs
-    alongside on the same iterate.  The final sum-MSE difference evaluates
-    the converged downlink under each path's final power vector.
-    """
-    if cfg.path != BOTH:
-        raise ValidationError("compare_paths requires cfg.path == 'both'")
-    res = design(ch, cfg)
-    Ubar = res.downlink.stacked()
-
-    def dl_smse(powers):
-        return float(downlink_mmse(ch, Ubar, powers)[1].sum())
-
-    diff = abs(dl_smse(res.p_legacy) - dl_smse(res.downlink.powers))
-    return PathComparison(
-        iters=res.iters, smse_final=res.smse_trace[-1],
-        max_power_discrepancy=float(max(res.path_gap_trace)),
-        final_smse_difference=float(diff),
-        t_legacy_median=float(np.median(res.transform_times)),
-        t_shortcut_median=float(np.median(res.shortcut_times)),
-        result=res)

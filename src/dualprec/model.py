@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -44,6 +44,16 @@ NORM_TOL = 1e-12
 #: Seed-stream tag of the uplink precoders of an instance seed, so that its
 #: channels and precoders never share a stream.
 PRECODER_TAG = 1
+
+
+def is_count(x) -> bool:
+    """An integer, not a bool: JSON's true is no count."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number, not a bool or a string: JSON's true is no number."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -63,10 +73,6 @@ class SystemDims:
     @property
     def L_tot(self) -> int:
         return sum(self.L)
-
-    def stream_owner(self) -> np.ndarray:
-        """Owning user index for every global stream index."""
-        return np.repeat(np.arange(self.K), self.L)
 
     def user_streams(self, k: int) -> slice:
         """Global stream slice belonging to user k."""
@@ -131,7 +137,7 @@ def validate(instance: ChannelSet) -> list:
         out.append("sigma2: must be > 0")
     if not (np.isfinite(instance.p_max) and instance.p_max > 0):
         out.append("p_max: must be > 0")
-    if instance.seed is not None and not (isinstance(instance.seed, Integral)
+    if instance.seed is not None and not (is_count(instance.seed)
                                           and instance.seed >= 0):
         out.append("seed: must be an integer >= 0 or null")
     return out
@@ -233,16 +239,13 @@ class PrecoderSet:
 class EffectiveChannel:
     """Stacked per-stream effective channel vectors htil_l = H_k vbar_l.
 
-    ``cols`` is M x L_tot with column l the effective channel of stream l;
-    ``stream_owner[l]`` is the owning user.
+    ``cols`` is M x L_tot with column l the effective channel of stream l.
     """
 
     cols: np.ndarray
-    stream_owner: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "cols", np.asarray(self.cols, dtype=complex))
-        object.__setattr__(self, "stream_owner", np.asarray(self.stream_owner, dtype=int))
 
     @property
     def M(self) -> int:
@@ -262,7 +265,7 @@ def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveCha
         raise DimensionError("precoder set must have one block per user")
     cols = _effective_cols(d, [h[None] for h in ch.H],
                            [vb[None] for vb in uplink.by_user])
-    return EffectiveChannel(cols=cols[0], stream_owner=d.stream_owner())
+    return EffectiveChannel(cols=cols[0])
 
 
 def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
@@ -325,8 +328,11 @@ def channel_from_dict(d: dict) -> ChannelSet:
     if d.get("seed") is not None:
         counts.append(("seed", d["seed"]))
     for name, x in counts:  # JSON integers, not floats, strings or bools
-        if isinstance(x, bool) or not isinstance(x, Integral):
+        if not is_count(x):
             raise ValidationError(f"{name}: must be an integer, got {x!r}")
+    for name in ("sigma2", "p_max"):  # JSON numbers, not strings or bools
+        if not is_real(d[name]):
+            raise ValidationError(f"{name}: must be a number, got {d[name]!r}")
     H = tuple(_cplx_matrix_from_lists(h) for h in d["H"])
     return ChannelSet(dims=SystemDims(M=dims["M"], K=dims["K"], N=dims["N"],
                                       L=dims["L"]),

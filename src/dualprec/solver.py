@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
                      NumericsError, ValidationError)
-from .model import EffectiveChannel
+from .model import EffectiveChannel, is_count, is_real
 from .objective import UplinkState, _covariance
 
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
@@ -66,8 +65,9 @@ class SolverConfig:
     active_tol_scale: float = 1e-9
 
     def __post_init__(self):
-        if not (0 < self.kkt_tol < math.inf
-                and isinstance(self.max_iters, Integral) and self.max_iters >= 1
+        if not (is_real(self.kkt_tol) and 0 < self.kkt_tol < math.inf
+                and is_count(self.max_iters) and self.max_iters >= 1
+                and is_real(self.active_tol_scale)
                 and self.active_tol_scale >= 0):
             raise ValidationError("kkt_tol must be finite and positive, "
                                   "max_iters an integer >= 1 and "

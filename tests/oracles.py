@@ -9,7 +9,7 @@ from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
                       UplinkState, ValidationError, build_duality_data,
                       build_effective_channel, downlink_mmse, make_state,
                       mmse_directions, psi_asymmetry, solve_power,
-                      sum_mse_uplink, verify_theorem)
+                      sum_mse_uplink, transform_power, verify_theorem)
 from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
@@ -17,6 +17,11 @@ from dualprec.solver import _certificates, _kkt
 
 #: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
 RANK_TOL = 1e-9
+
+
+def stream_owner(dims) -> np.ndarray:
+    """Owning user index for every global stream index."""
+    return np.repeat(np.arange(dims.K), dims.L)
 
 
 class CostGuardError(DualPrecError):
@@ -55,6 +60,23 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
             if f < best_f:
                 best_f, best_q = f, np.array([a, b, rem])
     return best_q
+
+
+def legacy_smse_difference(ch, res, cfg=None) -> float:
+    """|downlink sum-MSE under the legacy transform's powers - under
+    p := q| at the final iterate of the design ``res``: the legacy
+    transform recomputed from its uplink beamformers and certified q, both
+    power vectors evaluated on its downlink beamformers."""
+    cfg = cfg or DesignConfig()
+    state = make_state(build_effective_channel(ch, res.uplink),
+                       res.uplink.powers, ch.sigma2)
+    dd = build_duality_data(
+        state, active_tol=cfg.solver.active_tol_scale * ch.p_max)
+    Ubar = res.downlink.stacked()
+    legacy, shortcut = (float(downlink_mmse(ch, Ubar, p)[1].sum())
+                        for p in (transform_power(dd, ch.sigma2),
+                                  res.downlink.powers))
+    return abs(legacy - shortcut)
 
 
 def normalize_covariance(R_list):
@@ -261,8 +283,7 @@ def build_effective_channel_per_user(ch, uplink):
         if np.any(np.abs(norms - 1.0) > NORM_TOL * max(1.0, d.N[k])):
             raise ValidationError(f"user {k}: beamformer columns must have unit norm")
         cols.append(ch.H[k] @ vb)
-    return EffectiveChannel(cols=np.concatenate(cols, axis=1),
-                            stream_owner=d.stream_owner())
+    return EffectiveChannel(cols=np.concatenate(cols, axis=1))
 
 
 def verify_trials_one_at_a_time(first, seeds, dims, sigma2, pmax, scfg,

@@ -15,11 +15,11 @@ from conftest import covariance, mse_trace_sum, rand_instance
 from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       SolverConfig, SystemDims, VIRTUAL_UPLINK,
                       build_duality_data, build_effective_channel,
-                      compare_paths, gen_channel, make_state, psi_asymmetry,
+                      design, gen_channel, make_state, psi_asymmetry,
                       solve_power, sum_mse_uplink, transform_power_uplink,
                       verify_theorem)
 from oracles import (brute_force_power, check_equal_gradient_condition,
-                     grad_trace_Jinv)
+                     grad_trace_Jinv, legacy_smse_difference)
 
 
 def _trace_jinv(cols, sigma2, q):
@@ -224,21 +224,26 @@ def test_criterion_8_inactive_stream_path():
 def test_criterion_9_design_loop():
     n_runs = 100
     worst_rise = -np.inf
-    worst_gap = 0.0
+    worst_gap = worst_smse_diff = 0.0
     tot_legacy = tot_shortcut = 0.0
     for i in range(n_runs):
         ch = gen_channel(DIMS, SIGMA2, P_MAX, seed=5000 + i)
-        cp = compare_paths(ch, DesignConfig(path=BOTH, seed=5000 + i,
-                                            solver=SolverConfig(kkt_tol=KKT_TOL)))
-        tr = np.array(cp.result.smse_trace)
+        cfg = DesignConfig(path=BOTH, seed=5000 + i,
+                           solver=SolverConfig(kkt_tol=KKT_TOL))
+        res = design(ch, cfg)
+        tr = np.array(res.smse_trace)
         worst_rise = max(worst_rise, float(np.diff(tr).max()))
-        worst_gap = max(worst_gap, cp.max_power_discrepancy)
-        tot_legacy += sum(cp.result.transform_times)
-        tot_shortcut += sum(cp.result.shortcut_times)
+        worst_gap = max(worst_gap, max(res.path_gap_trace))
+        worst_smse_diff = max(worst_smse_diff,
+                              legacy_smse_difference(ch, res, cfg))
+        tot_legacy += sum(res.transform_times)
+        tot_shortcut += sum(res.shortcut_times)
     ok = (worst_rise <= 1e-10 and worst_gap <= 1e-6 * P_MAX
-          and tot_shortcut < tot_legacy)
+          and worst_smse_diff <= 1e-8 and tot_shortcut < tot_legacy)
     _criterion(
         "criterion 9: design loop descent, path agreement, timing", ok,
         f"worst per-step rise {worst_rise:.2e} <= 1e-10, worst path gap "
-        f"{worst_gap:.2e} <= 1e-6*P_max, shortcut total {tot_shortcut*1e3:.1f}ms "
-        f"< legacy total {tot_legacy*1e3:.1f}ms over {n_runs} runs")
+        f"{worst_gap:.2e} <= 1e-6*P_max, worst final sum-MSE difference "
+        f"{worst_smse_diff:.2e} <= 1e-8, shortcut total "
+        f"{tot_shortcut*1e3:.1f}ms < legacy total {tot_legacy*1e3:.1f}ms "
+        f"over {n_runs} runs")

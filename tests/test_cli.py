@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from dualprec import (VIRTUAL_UPLINK, ChannelSet, DualPrecError,
-                      SolverConfig, _blas, build_effective_channel, cli,
+from dualprec import (BOTH, VIRTUAL_UPLINK, ChannelSet, DesignConfig,
+                      DualPrecError, SolverConfig, _blas,
+                      build_effective_channel, channel_to_dict, cli, design,
                       gen_channel, load_instance, random_unit_precoders,
                       save_instance, solve_power, validate, verify_theorem)
 from dualprec.model import PRECODER_TAG
@@ -146,11 +147,6 @@ def test_solve_convergence_failure_exit_3(instance, tmp_path):
     assert "certificate" in rep  # partial report still emitted
 
 
-def test_solve_rejects_csv(instance, capsys):
-    rc = run_cli(["solve", str(instance), "--format", "csv"])
-    assert rc == 2
-
-
 def test_solve_missing_instance(tmp_path):
     rc = run_cli(["solve", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -241,6 +237,19 @@ def test_verify_bad_dims_exit_2(capsys):
     ["solve", "{instance}", "--kkt-tol", "inf"],
     ["design", "{instance}", "--config", "{inf_rel_tol_config}"],
     ["solve", "{instance}", "--config", "{fractional_iters_config}"],
+    ["solve", "{instance}", "--config", "{bool_kkt_tol_config}"],
+    ["solve", "{instance}", "--config", "{bool_iters_config}"],
+    ["solve", "{instance}", "--config", "{bool_tol_scale_config}"],
+    ["design", "{instance}", "--config", "{bool_outer_iters_config}"],
+    ["design", "{instance}", "--config", "{bool_seed_config}"],
+    ["design", "{instance}", "--config", "{bool_rel_tol_config}"],
+    ["verify", "--config", "{fractional_trials_config}"],
+    ["verify", "--config", "{bool_trials_config}"],
+    ["verify", "--trials", "1", "--config", "{string_seed_base_config}"],
+    ["bench", "--config", "{bool_trials_config}"],
+    ["solve", "{string_sigma2}"],
+    ["solve", "{bool_pmax}"],
+    ["design", "{string_sigma2}"],
 ], ids=["verify-sigma2", "verify-pmax", "bench-sigma2", "bench-pmax",
         "bench-L-above-N", "solve-missing-keys", "design-missing-keys",
         "solve-zero-channel", "design-zero-channel", "verify-nan-bound",
@@ -248,7 +257,13 @@ def test_verify_bad_dims_exit_2(capsys):
         "gen-nan-sigma2", "gen-inf-pmax", "verify-negative-seed-base",
         "bench-negative-seed-base", "solve-list-config",
         "design-bad-seed-config", "solve-directory", "solve-inf-kkt-tol",
-        "design-inf-rel-tol-config", "solve-fractional-iters-config"])
+        "design-inf-rel-tol-config", "solve-fractional-iters-config",
+        "solve-bool-kkt-tol-config", "solve-bool-iters-config",
+        "solve-bool-tol-scale-config", "design-bool-outer-iters-config",
+        "design-bool-seed-config", "design-bool-rel-tol-config",
+        "verify-fractional-trials-config", "verify-bool-trials-config",
+        "verify-string-seed-base-config", "bench-bool-trials-config",
+        "solve-string-sigma2", "solve-bool-pmax", "design-string-sigma2"])
 def test_bad_input_exit_2(args, instance, tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"dims": {"M": 2}}))
@@ -272,6 +287,22 @@ def test_bad_input_exit_2(args, instance, tmp_path):
              "{directory}": str(tmp_path),
              "{inf_rel_tol_config}": str(inf_rel_tol_config),
              "{fractional_iters_config}": str(fractional_iters_config)}
+    # counts are integers and reals are numbers, never bools or strings
+    for name, doc in {
+            "bool_kkt_tol_config": {"solver": {"kkt_tol": True}},
+            "bool_iters_config": {"solver": {"max_iters": True}},
+            "bool_tol_scale_config": {"solver": {"active_tol_scale": True}},
+            "bool_outer_iters_config": {"design": {"max_outer_iters": True}},
+            "bool_seed_config": {"design": {"seed": True}},
+            "bool_rel_tol_config": {"design": {"smse_rel_tol": True}},
+            "fractional_trials_config": {"ensemble": {"trials": 2.7}},
+            "bool_trials_config": {"ensemble": {"trials": True}},
+            "string_seed_base_config": {"ensemble": {"seed_base": "5"}},
+            "string_sigma2": dict(channel_to_dict(ch), sigma2="1"),
+            "bool_pmax": dict(channel_to_dict(ch), p_max=True)}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[f"{{{name}}}"] = str(path)
     rc = run_cli([paths.get(a, a) for a in args]
                  + ["--out", str(tmp_path / "out")])
     assert rc == 2
@@ -286,8 +317,10 @@ def test_bad_input_exit_2(args, instance, tmp_path):
      "{config}"],
     ["solve", "{instance}", "--seed-base", "5"],
     ["design", "{instance}", "--seed-base", "5"],
+    ["solve", "{instance}", "--format", "csv"],
+    ["design", "{instance}", "--path", "legacy_transform"],
 ], ids=["gen-seed-base", "gen-format", "gen-config", "solve-seed-base",
-        "design-seed-base"])
+        "design-seed-base", "solve-format", "design-legacy-path"])
 def test_flag_the_subcommand_does_not_read_exit_2(args, instance, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"ensemble": {"seed_base": 9}}))
@@ -322,6 +355,26 @@ def test_bench_json_same_fields(tmp_path):
     rec = rows[0]
     assert rec["t_shortcut_us"] < rec["t_legacy_us"]
     assert rec["pq_max_gap"] <= 1e-6 * 10.0
+
+
+def test_bench_rows_are_the_designs(tmp_path):
+    # each row is read off design() with the legacy check beside p := q
+    out = tmp_path / "bench.json"
+    assert run_cli(["bench", "--trials", "4", "--format", "json",
+                    "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    dims = cli.parse_dims("4,2,2,2,2,2")
+    timing = {"t_legacy_us", "t_shortcut_us"}
+    assert len(rows) == 4
+    for t, row in enumerate(rows):
+        seed = 1 + t
+        res = design(gen_channel(dims, 1.0, 10.0, seed=seed),
+                     DesignConfig(path=BOTH, seed=seed))
+        want = {"trial": t, "seed": seed, "iters": res.iters,
+                "smse_final": res.smse_trace[-1],
+                "pq_max_gap": max(res.path_gap_trace)}
+        assert {k: v for k, v in row.items() if k not in timing} == want
+        assert all(row[k] > 0 for k in timing)
 
 
 def test_bench_trial_failure_exit_3(tmp_path):

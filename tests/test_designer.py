@@ -5,10 +5,10 @@ import pytest
 
 import dualprec.designer as dz
 from conftest import DIMS_2x2
-from dualprec import (BOTH, LEGACY, SIMPLIFIED, ChannelSet, ConvergenceError,
-                      DesignConfig, SystemDims, ValidationError,
-                      compare_paths, design, gen_channel)
-from oracles import RankError, normalize_covariance, plain_design
+from dualprec import (BOTH, ChannelSet, ConvergenceError, DesignConfig,
+                      SystemDims, ValidationError, design, gen_channel)
+from oracles import (RankError, legacy_smse_difference, normalize_covariance,
+                     plain_design)
 
 #: The perfbench design-loop shape: N_k > L_k needs many outer iterations.
 LOOP_DIMS = SystemDims(M=4, K=2, N=(4, 4), L=(2, 2))
@@ -102,20 +102,14 @@ def test_channel_svd_init():
     assert np.all(np.diff(tr) <= 1e-10)
 
 
-def test_legacy_only_path():
-    res = design(small_channel(10), DesignConfig(path=LEGACY, seed=10))
-    assert res.converged
-    assert sum(res.shortcut_times) == 0.0 and sum(res.transform_times) > 0.0
-    assert abs(res.downlink.powers.sum() - res.uplink.powers.sum()) <= 1e-6
-
-
 def test_design_rejects_invalid_instance():
     ch = small_channel(1)
     bad = ChannelSet(dims=ch.dims, H=ch.H, sigma2=-1.0, p_max=ch.p_max)
     with pytest.raises(ValidationError):
         design(bad, DesignConfig())
-    with pytest.raises(ValidationError):
-        DesignConfig(path="nope")
+    for path in ("nope", "legacy_transform"):
+        with pytest.raises(ValidationError):
+            DesignConfig(path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -206,36 +200,37 @@ def test_degenerate_candidate_falls_back_to_plain_map(monkeypatch, fill):
 
 
 # ---------------------------------------------------------------------------
-# compare_paths
+# the legacy transform as a check beside p := q (path "both")
 
 def test_compare_paths_agreement_and_timing():
-    cfg = DesignConfig(path=BOTH, seed=20)
-    cp = compare_paths(small_channel(20), cfg)
-    assert cp.max_power_discrepancy <= 1e-6 * 10.0
-    assert cp.final_smse_difference <= 1e-8
-    assert cp.t_shortcut_median < cp.t_legacy_median
-
-
-def test_compare_paths_requires_both():
-    with pytest.raises(ValidationError):
-        compare_paths(small_channel(21), DesignConfig(path=SIMPLIFIED))
+    ch, cfg = small_channel(20), DesignConfig(path=BOTH, seed=20)
+    res = design(ch, cfg)
+    assert max(res.path_gap_trace) <= 1e-6 * 10.0
+    assert legacy_smse_difference(ch, res, cfg) <= 1e-8
+    assert np.median(res.shortcut_times) < np.median(res.transform_times)
 
 
 def test_compare_paths_aggregate_timing():
     tot_leg = tot_sc = 0.0
     for seed in range(10):
-        cp = compare_paths(small_channel(seed),
-                           DesignConfig(path=BOTH, seed=seed))
-        tot_leg += sum(cp.result.transform_times)
-        tot_sc += sum(cp.result.shortcut_times)
+        res = design(small_channel(seed), DesignConfig(path=BOTH, seed=seed))
+        tot_leg += sum(res.transform_times)
+        tot_sc += sum(res.shortcut_times)
     assert tot_sc < tot_leg
+
+
+def test_simplified_path_runs_no_legacy_check():
+    res = design(small_channel(21), DesignConfig(seed=21))
+    assert res.transform_times == [] and res.path_gap_trace == []
+    assert len(res.shortcut_times) == res.iters
+    assert np.array_equal(res.downlink.powers, res.uplink.powers)
 
 
 def test_single_stream_instance_conversion_exact():
     dims = SystemDims(M=2, K=1, N=(2,), L=(1,))
     ch = gen_channel(dims, 1.0, 3.0, seed=30)
-    cp = compare_paths(ch, DesignConfig(path=BOTH, seed=30))
-    assert cp.max_power_discrepancy <= 1e-12
+    res = design(ch, DesignConfig(path=BOTH, seed=30))
+    assert max(res.path_gap_trace) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
 from dualprec.duality import (DualityData, build_duality_batch,
                               verify_theorems)
 from dualprec.objective import UplinkState
-from oracles import check_equal_gradient_condition
+from oracles import check_equal_gradient_condition, stream_owner
 
 
 def duality_point(eff, sigma2, q):
@@ -31,8 +31,7 @@ def test_single_active_stream_psi_is_zero():
 
 
 def test_orthogonal_streams_psi_vanishes():
-    eff = EffectiveChannel(cols=np.eye(2, dtype=complex),
-                           stream_owner=np.array([0, 1]))
+    eff = EffectiveChannel(cols=np.eye(2, dtype=complex))
     dd, _, _ = duality_point(eff, 1.0, np.array([1.0, 2.0]))
     # orthogonal channels give orthogonal receivers: no cross coupling
     assert np.abs(dd.Psi).max() == 0.0
@@ -73,7 +72,7 @@ def test_zero_receiver_on_active_stream_rejected():
     _, _, eff = rand_instance(1)
     cols = eff.cols.copy()
     cols[:, 0] = 0.0
-    eff0 = EffectiveChannel(cols=cols, stream_owner=eff.stream_owner)
+    eff0 = EffectiveChannel(cols=cols)
     with pytest.raises(NumericsError):
         build_duality_data(make_state(eff0, np.full(4, 2.5), 1.0))
 
@@ -93,8 +92,7 @@ def test_transform_scalar_hand_computed():
 
 
 def test_transform_orthogonal_streams_p_equals_q():
-    eff = EffectiveChannel(cols=np.eye(3, dtype=complex),
-                           stream_owner=np.array([0, 1, 2]))
+    eff = EffectiveChannel(cols=np.eye(3, dtype=complex))
     q = np.array([0.5, 1.5, 2.5])
     dd, _, _ = duality_point(eff, 1.0, q)
     assert np.abs(dd.Psi).max() == 0.0
@@ -130,7 +128,7 @@ def factored_downlink_mse(ch, up, eff, state, dd, p):
     U = wiener_filters(state)[:, dd.active]
     Ubar = np.zeros((d.M, d.L_tot), dtype=complex)
     Ubar[:, dd.active] = U / np.linalg.norm(U, axis=0)
-    owner = d.stream_owner()
+    owner = stream_owner(d)
     out = np.ones(d.L_tot)
     for pos, l in enumerate(dd.active):
         k = owner[l]

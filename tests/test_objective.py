@@ -9,13 +9,12 @@ from dualprec import (DimensionError, EffectiveChannel, NumericsError,
                       uplink_mse, verify_theorem)
 from dualprec import objective
 from dualprec.objective import _covariance
-from oracles import grad_trace_Jinv
+from oracles import grad_trace_Jinv, stream_owner
 
 
 def eff_from_cols(cols):
     cols = np.asarray(cols, dtype=complex)
-    return EffectiveChannel(cols=cols, stream_owner=np.zeros(cols.shape[1],
-                                                             dtype=int))
+    return EffectiveChannel(cols=cols)
 
 
 def covariance_of(state):
@@ -271,7 +270,7 @@ def test_mmse_directions_every_stream():
     _, _, eff = rand_instance(6)
     cols = eff.cols.copy()
     cols[:, 2] = 0.0
-    eff = EffectiveChannel(cols=cols, stream_owner=eff.stream_owner)
+    eff = EffectiveChannel(cols=cols)
     st = make_state(eff, np.array([1.0, 0.0, 2.0, 0.0]), 1.0)
     dirs = mmse_directions(st)
     assert np.allclose(np.linalg.norm(dirs, axis=0), 1.0, atol=1e-14)
@@ -404,7 +403,7 @@ def test_downlink_non_finite_covariance_raises():
 def downlink_stream_mse(ch, Ubar, p, l, v):
     """Independent downlink per-stream MSE at an arbitrary receiver v of
     stream l: v^H J_k v - 2 Re[sqrt(p_l) v^H H_k^H ubar_l] + 1."""
-    k = int(ch.dims.stream_owner()[l])
+    k = int(stream_owner(ch.dims)[l])
     quad = float(np.real(v.conj() @ downlink_cov(ch, Ubar, p, k) @ v))
     hu = ch.H[k].conj().T @ Ubar[:, l]
     cross = float(np.real(np.sqrt(p[l]) * (v.conj() @ hu)))
@@ -419,7 +418,7 @@ def test_downlink_receivers_are_local_minima():
     X, _ = downlink_mmse(ch, Ubar, p)
     rng = np.random.default_rng(0)
     for l in range(d.L_tot):
-        k = int(d.stream_owner()[l])
+        k = int(stream_owner(d)[l])
         v = np.sqrt(p[l]) * X[k][:, l - d.user_streams(k).start]
         base = downlink_stream_mse(ch, Ubar, p, l, v)
         for _ in range(8):

@@ -27,8 +27,7 @@ def _gains(cols, sigma2, q):
 
 def eff_from_cols(cols):
     cols = np.asarray(cols, dtype=complex)
-    return EffectiveChannel(cols=cols, stream_owner=np.zeros(cols.shape[1],
-                                                             dtype=int))
+    return EffectiveChannel(cols=cols)
 
 
 def orthonormal_pair():

@@ -98,7 +98,8 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
     report = {"--config", "--out", "--format"}
     assert got == {
         "gen": {"--out"} | link | {"--M", "--K", "--N", "--L", "--seed"},
-        "solve": report | solver | {"instance", "--precoder-seed"},
+        "solve": report - {"--format"} | solver | {"instance",
+                                                    "--precoder-seed"},
         "verify": report | link | ensemble | solver | {
             "--negative-control", "--max-psi-asym", "--max-pq-gap",
             "--max-mse-gap"},
