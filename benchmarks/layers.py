@@ -241,7 +241,7 @@ def _layers(pkg, paths: list) -> dict:
         theorem.append(lambda ch=ch, up=up, q=q, st=cert.state:
                        duality.verify_theorem(ch, up, q, state=st))
     out["verify_theorem"] = (theorem, lambda t: statistics.median(t) * 1e6)
-    out["design_outer_iter"] = (
+    out["design_outer_iter"] = _rounds(
         [lambda ch=ch: designer.design(ch, designer.DesignConfig(path="both"))
          for ch in chans], lambda t: sum(t) / sum(iters) * 1e3)
 
@@ -430,8 +430,9 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers, verify_trials4_M64, design_cli and "
-                        "bench_cli make each call "
+                        "solve_powers, verify_trials4_M64, "
+                        "design_outer_iter, design_cli and bench_cli make "
+                        "each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "
                         f"(best of {KERNEL_REPEATS}), and take each call's "
                         "median. Per side the record gives the median of the "

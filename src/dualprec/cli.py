@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,6 +37,16 @@ DEFAULT_BOUNDS = {"psi_asymmetry": 1e-8, "pq_gap": 1e-6, "mse_gap": 1e-8}
 #: the memory: `verify --trials 64` at M = 64 peaks about 25 MB above one
 #: trial at a time.
 VERIFY_BATCH = 64
+
+#: The config file's sections and the settings each may hold; any other
+#: name is an input error, never ignored.  The design's solver settings
+#: are the "solver" section.
+CONFIG_SECTIONS = {
+    "solver": {f.name for f in dataclasses.fields(solver.SolverConfig)},
+    "design": {f.name for f in dataclasses.fields(designer.DesignConfig)
+               if f.name != "solver"},
+    "ensemble": {"trials", "seed_base", "dims"},
+}
 
 BENCH_FIELDS = ["trial", "seed", "iters", "smse_final", "pq_max_gap",
                 "t_legacy_us", "t_shortcut_us"]
@@ -103,7 +114,8 @@ def parse_dims(spec: str) -> model.SystemDims:
 
 
 def _load_config(path) -> dict:
-    """The JSON config file: an object of sections, each an object."""
+    """The JSON config file: an object of `CONFIG_SECTIONS`, each an
+    object of that section's settings."""
     if not path:
         return {}
     with open(path) as f:
@@ -112,13 +124,22 @@ def _load_config(path) -> dict:
             and all(isinstance(v, dict) for v in cfg.values())):
         raise ValidationError(
             f"{path}: a config file is a JSON object of JSON objects")
+    for name, section in cfg.items():
+        if name not in CONFIG_SECTIONS:
+            raise ValidationError(
+                f"{path}: unknown section {name!r}; the sections are "
+                f"{', '.join(CONFIG_SECTIONS)}")
+        if unknown := sorted(set(section) - CONFIG_SECTIONS[name]):
+            raise ValidationError(
+                f"{path}: unknown {name} setting(s) {', '.join(unknown)}")
     return cfg
 
 
 def _config(cls, section: str, file_cfg: dict, **flags):
     """cls built from the config file's ``section``, each of ``flags``
-    that is set (not None) winning; a setting of unknown name or wrong
-    type raises ValidationError like a value out of range does."""
+    that is set (not None) winning; a setting of wrong type raises
+    ValidationError like a value out of range does (`_load_config` has
+    rejected unknown names)."""
     kw = dict(file_cfg.get(section, {}))
     kw.update((k, v) for k, v in flags.items() if v is not None)
     try:

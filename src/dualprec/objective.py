@@ -15,13 +15,16 @@ G_k = H_k^H Ubar at q := p (Hunger, Joham & Utschick, IEEE TSP 57(2),
 its receivers J_k^-1 H_k^H ubar_l become the next uplink beamformers.
 
 The kernel `_covariance` takes a leading batch axis: it evaluates B
-instances at once (one stacked matmul, then LAPACK's Cholesky factor and
-solve slice by slice), so one call serves a round of a whole stack of
+instances at once, so one call serves a round of a whole stack of
 solves, and every slice is bitwise what a call with B = 1 gives.  It
-calls the LAPACK routines `potrf`/`potrs` directly, fetched once: at M = 4
-the argument checks that `cho_factor`/`cho_solve` wrap around the same
-calls cost about seven times the factor and solve themselves (33 against
-4 us on a 2-vCPU machine).
+works in the smaller domain, chosen by shape.  With L >= M columns it
+factors J through LAPACK's `potrf`/`potrs`, fetched once: at M = 4 the
+argument checks that `cho_factor`/`cho_solve` wrap around the same calls
+cost about seven times the factor and solve themselves (33 against 4 us
+on a 2-vCPU machine).  With L < M it never forms J and inverts an L x L
+matrix instead, which is exact to rounding at every SNR and at M = 64,
+L = 32 took a fifth to a third of the M x M form's time per instance
+(`BENCH_stream_kernel.json`).
 
 These factorisations are small, so importing `dualprec` runs OpenBLAS on
 one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
@@ -29,6 +32,7 @@ one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -64,45 +68,72 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     stack of B instances: ``cols`` is B x M x L and ``q`` is B x L (or
     1 x L, one power vector for the whole stack).
 
-    Per instance it assembles J = sum_l q_l htil_l htil_l^H + sigma2 I,
-    factors it once by Cholesky and returns the stacked (A, f, gains)
-    with A = J^-1 Htil solved on the columns (B x M x L),
-    f = tr(J^-1) (B,) and gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l
-    = -df/dq_l (B x L).  J and J^-1 stay inside: f sums the real
-    diagonal of the solve's J^-1 block, which is all of it any caller
-    reads.  J >= sigma2 I in exact arithmetic, but in floating point the
-    factorization can fail when sigma2 is tiny against q |htil|^2 (at
-    sigma2 = 1e-14, P = 10, M = 4); such a slice comes back NaN in all
-    three outputs and the others are unaffected.  A slice whose J is not
-    finite (powers or columns that overflow it) comes back NaN the same
-    way, before LAPACK sees it.
+    Returns the stacked (A, f, gains) of J = sum_l q_l htil_l htil_l^H
+    + sigma2 I: A = J^-1 Htil (B x M x L), f = tr(J^-1) (B,) and
+    gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l = -df/dq_l (B x L).  The
+    domain is the smaller of M and L, chosen by shape:
+
+    * L >= M: J is assembled, factored once by Cholesky and solved on
+      [I, Htil]; f sums the real diagonal of the J^-1 block.
+    * L < M: by push-through, J^-1 Htil = Htil T with the L x L
+      T = (sigma2 I + Q G)^-1 and G = Htil^H Htil, so A = Htil T and
+      f = tr T + (M - L) / sigma2.  sigma2 I + Q G is not Hermitian, so
+      it is inverted by LU.  Nothing here cancels at high SNR, where the
+      M x M form loses the gains (6e-6 relative at M = 8, L = 4,
+      sigma2 = 1e-12), and A stays exact to rounding.
+
+    J and J^-1 (or T) stay inside.  A slice whose matrix is not finite
+    (powers or columns that overflow it) comes back NaN in all three
+    outputs before it is factored, and so does one whose factorization
+    fails (the Cholesky factor at sigma2 = 1e-14, P = 10, M = 4; an
+    exactly singular sigma2 I + Q G); the other slices are unaffected.
 
     Slice b is bitwise what the call on instance b alone gives: the
-    matmul runs per slice, the factor and solve run slice by slice, and
-    each slice of A keeps the column-major layout LAPACK returns, so the
+    matmuls and the LU inverses run per slice, the Cholesky factor and
+    solve run slice by slice, and each slice of A is column-major, so the
     sums over M add in the same order whatever B is.
     """
     B, M, L = cols.shape
-    J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
-    J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
-    J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
-    J *= 0.5
-    rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
-    rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
-    rhs[:, :, M:] = cols
-    XT = np.empty((B, M + L, M), dtype=complex)  # X^T: slices of X column-major
-    finite = np.isfinite(J).all()  # else look at each slice
-    for b in range(B):
-        ok = finite or np.isfinite(J[b]).all()
-        if ok:
-            c, info = _POTRF(J[b], lower=True, clean=False)
-            ok = info == 0
-        XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if ok else np.nan
-    X = XT.swapaxes(1, 2)
-    A = X[:, :, M:]
-    # np.trace and np.sum, without their Python wrappers
-    return (A, np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real,
-            np.add.reduce(np.abs(A) ** 2, axis=1))
+    if L < M:
+        CT = cols.swapaxes(1, 2)
+        G = CT.conj() @ cols
+        S = q[:, :, None] * G  # sigma2 I + Q G
+        S.reshape(B, L * L)[:, ::L + 1] += sigma2
+        T = None
+        if np.isfinite(S).all():
+            with contextlib.suppress(np.linalg.LinAlgError):
+                T = np.linalg.inv(S)
+        if T is None:  # a slice not finite or singular: one at a time
+            T = np.full(S.shape, np.nan, dtype=complex)
+            for b in range(B):
+                if np.isfinite(S[b]).all():
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        T[b] = np.linalg.inv(S[b])
+        A = (T.swapaxes(1, 2) @ CT).swapaxes(1, 2)  # column-major slices
+        f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
+             + (M - L) / sigma2)
+    else:
+        J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
+        J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
+        J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
+        J *= 0.5
+        rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
+        rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
+        rhs[:, :, M:] = cols
+        XT = np.empty((B, M + L, M), dtype=complex)  # slices of X column-major
+        finite = np.isfinite(J).all()  # else look at each slice
+        for b in range(B):
+            ok = finite or np.isfinite(J[b]).all()
+            if ok:
+                c, info = _POTRF(J[b], lower=True, clean=False)
+                ok = info == 0
+            XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if ok else np.nan
+        X = XT.swapaxes(1, 2)
+        A = X[:, :, M:]
+        # np.trace, without its Python wrapper
+        f = np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real
+    # np.sum, without its Python wrapper
+    return A, f, np.add.reduce(np.abs(A) ** 2, axis=1)
 
 
 def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:

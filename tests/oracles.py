@@ -1,5 +1,8 @@
 """Test-only reference oracles."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 
 from conftest import covariance
@@ -193,6 +196,58 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
                         trace_jinv=float(f[0]))
     return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
                          [state])[0]
+
+
+def exact_state(cols, q, sigma2) -> SimpleNamespace:
+    """The kernel's quantities at q, computed exactly and rounded once.
+
+    The float inputs are taken exactly as fractions, J = sum_l q_l htil_l
+    htil_l^H + sigma2 I is assembled in complex rationals ((re, im) pairs
+    of `Fraction`) and Gauss-Jordan elimination on [J | Htil] gives
+    A = J^-1 Htil.  From A, exactly: gains_l = ||a_l||^2 and
+    tr J^-1 = (M - sum_l q_l Re(htil_l^H a_l)) / sigma2, which is
+    tr(J^-1 J) = M written out.  Returns them as floats: A, trace_jinv
+    and gains.
+    """
+    cols = np.asarray(cols, dtype=complex)
+    M, L = cols.shape
+    h = [[(Fraction(z.real), Fraction(z.imag)) for z in row]
+         for row in cols.tolist()]
+    qs = [Fraction(x) for x in np.asarray(q, dtype=float).tolist()]
+    s2, zero = Fraction(sigma2), Fraction(0)
+    rows = []
+    for i in range(M):
+        row = []
+        for j in range(M):
+            re, im = (s2 if i == j else zero), zero
+            for l in range(L):  # q_l h_il conj(h_jl)
+                (a, b), (c, d) = h[i][l], h[j][l]
+                re += qs[l] * (a * c + b * d)
+                im += qs[l] * (b * c - a * d)
+            row.append((re, im))
+        rows.append(row + list(h[i]))
+    for k in range(M):  # J is positive definite: every pivot is nonzero
+        pr, pi = rows[k][k]
+        den = pr * pr + pi * pi
+        rows[k] = [((a * pr + b * pi) / den, (b * pr - a * pi) / den)
+                   for a, b in rows[k]]
+        for i in range(M):
+            fr, fi = rows[i][k]
+            if i == k or not (fr or fi):
+                continue
+            rows[i] = [(a - (fr * c - fi * d), b - (fr * d + fi * c))
+                       for (a, b), (c, d) in zip(rows[i], rows[k])]
+    A = [[rows[i][M + l] for l in range(L)] for i in range(M)]
+    gains = [sum(A[i][l][0] ** 2 + A[i][l][1] ** 2 for i in range(M))
+             for l in range(L)]
+    # Re(htil_l^H a_l) = sum_i Re(conj(h_il) a_il)
+    g = [sum(h[i][l][0] * A[i][l][0] + h[i][l][1] * A[i][l][1]
+             for i in range(M)) for l in range(L)]
+    return SimpleNamespace(
+        A=np.array([[complex(float(a), float(b)) for a, b in row]
+                    for row in A]),
+        trace_jinv=float((M - sum(ql * gl for ql, gl in zip(qs, g))) / s2),
+        gains=np.array([float(x) for x in gains]))
 
 
 def certificate_from_dict(d: dict) -> KktCertificate:

@@ -250,6 +250,10 @@ def test_verify_bad_dims_exit_2(capsys):
     ["solve", "{string_sigma2}"],
     ["solve", "{bool_pmax}"],
     ["design", "{string_sigma2}"],
+    ["verify", "--trials", "1", "--config", "{unknown_setting_config}"],
+    ["solve", "{instance}", "--config", "{unknown_section_config}"],
+    ["verify", "--trials", "1", "--config", "{unread_section_config}"],
+    ["design", "{instance}", "--config", "{nested_solver_config}"],
 ], ids=["verify-sigma2", "verify-pmax", "bench-sigma2", "bench-pmax",
         "bench-L-above-N", "solve-missing-keys", "design-missing-keys",
         "solve-zero-channel", "design-zero-channel", "verify-nan-bound",
@@ -263,7 +267,9 @@ def test_verify_bad_dims_exit_2(capsys):
         "design-bool-seed-config", "design-bool-rel-tol-config",
         "verify-fractional-trials-config", "verify-bool-trials-config",
         "verify-string-seed-base-config", "bench-bool-trials-config",
-        "solve-string-sigma2", "solve-bool-pmax", "design-string-sigma2"])
+        "solve-string-sigma2", "solve-bool-pmax", "design-string-sigma2",
+        "verify-unknown-setting-config", "solve-unknown-section-config",
+        "verify-unread-section-config", "design-nested-solver-config"])
 def test_bad_input_exit_2(args, instance, tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"dims": {"M": 2}}))
@@ -299,7 +305,13 @@ def test_bad_input_exit_2(args, instance, tmp_path):
             "bool_trials_config": {"ensemble": {"trials": True}},
             "string_seed_base_config": {"ensemble": {"seed_base": "5"}},
             "string_sigma2": dict(channel_to_dict(ch), sigma2="1"),
-            "bool_pmax": dict(channel_to_dict(ch), p_max=True)}.items():
+            "bool_pmax": dict(channel_to_dict(ch), p_max=True),
+            # a name no command reads is an error, never ignored
+            "unknown_setting_config": {"ensemble": {"sigma2": 0.01}},
+            "unknown_section_config": {"bogus": {"kkt_tol": 1e-7}},
+            "unread_section_config": {"bounds": {"pq_gap": "a"}},
+            # the design's solver settings are the "solver" section
+            "nested_solver_config": {"design": {"solver": {}}}}.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         paths[f"{{{name}}}"] = str(path)
@@ -587,6 +599,20 @@ def test_verify_unfactorable_single_trial(sigma2, tmp_path):
     assert rc == 4
     assert json.loads(out.read_text())["per_trial"][0]["error"] == \
         "NumericsError"
+
+
+def test_verify_fewer_streams_than_antennas_at_high_snr(tmp_path):
+    # M = 8, L_tot = 4 at sigma2 = 1e-12: the M x M covariance lost the
+    # gains to rounding here and every solve ended in ConvergenceError;
+    # the kernel's L x L stream domain certifies them all.  The exit code
+    # is not asserted: the theorem check's pq_gap (ROADMAP item 11) still
+    # cancels at this SNR.
+    out = tmp_path / "v.json"
+    run_cli(["verify", "--trials", "5", "--dims", "8,4,2,2,2,2,1,1,1,1",
+             "--sigma2", "1e-12", "--out", str(out)])
+    records = json.loads(out.read_text())["per_trial"]
+    assert [(r["converged"], r["error"]) for r in records] == \
+        [(True, None)] * 5
 
 
 def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):

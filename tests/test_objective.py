@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (DIMS_2x2, mse_trace_sum, rand_instance,
+from conftest import (DIMS_2x2, covariance, mse_trace_sum, rand_instance,
                       scalar_instance, wiener_filters)
 from dualprec import (DimensionError, EffectiveChannel, NumericsError,
                       SystemDims, ValidationError, downlink_mmse, make_state,
@@ -9,7 +9,7 @@ from dualprec import (DimensionError, EffectiveChannel, NumericsError,
                       uplink_mse, verify_theorem)
 from dualprec import objective
 from dualprec.objective import _covariance
-from oracles import grad_trace_Jinv, stream_owner
+from oracles import exact_state, grad_trace_Jinv, stream_owner
 
 
 def eff_from_cols(cols):
@@ -69,8 +69,15 @@ def kernel_one_at_a_time(cols, q, sigma2):
 
 
 @pytest.mark.parametrize("B,M,L", [(50, 4, 4), (1, 4, 4), (3, 64, 32),
-                                   (4, 9, 13), (2, 1, 1)])
+                                   (4, 9, 13), (2, 1, 1), (5, 8, 4),
+                                   (50, 4, 3)])
 def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
+    # each slice is bitwise the kernel on its instance alone.  Where the
+    # kernel factors J (L >= M) that is bitwise the cho_factor route; in
+    # the stream domain (L < M) it agrees with that M x M route to within
+    # the route's own rounding, eps cond(J) (at most 0.97 eps cond(J) on
+    # 40 seeds of each L < M shape here); its accuracy against the exact
+    # state is `test_stream_domain_is_exact_to_rounding`
     rng = np.random.default_rng(M * L + B)
     cols = rng.standard_normal((B, M, L)) + 1j * rng.standard_normal((B, M, L))
     q = 10.0 * rng.random((B, L))
@@ -78,9 +85,50 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
     for sigma2 in (1.0, 1e-6):
         out = _covariance(cols, q, sigma2)
         for b in range(B):
+            alone = _covariance(cols[b:b + 1], q[b:b + 1], sigma2)
+            for got, want in zip(out, alone):
+                assert np.array_equal(got[b], want[0])
             ref = kernel_one_at_a_time(cols[b], q[b], sigma2)
-            for got, want in zip(out, ref):
-                assert np.array_equal(got[b], want)
+            if L >= M:
+                for got, want in zip(out, ref):
+                    assert np.array_equal(got[b], want)
+                continue
+            J = (cols[b] * q[b]) @ cols[b].conj().T + sigma2 * np.eye(M)
+            tol = 4 * np.finfo(float).eps * np.linalg.cond(J)
+            (A, f, gains), (A_ref, f_ref, gains_ref) = (
+                [x[b] for x in out], ref)
+            assert np.abs(A - A_ref).max() <= tol * np.abs(A_ref).max()
+            assert abs(f - f_ref) <= tol * f_ref
+            assert np.all(np.abs(gains - gains_ref) <= tol * gains_ref)
+
+
+#: The kernel's relative error against `exact_state`, in units of eps:
+#: over 150 instances at M = 8, L = 4 (one stream off in a third of them)
+#: and sigma2 = 1, 1e-4, 1e-8, 1e-12 and 1e-14, the largest was 29 eps
+#: for a gain or a column of A and 1.1 eps for tr J^-1.
+EXACT_BUDGET = {"gains": 64, "A": 64, "trace_jinv": 4}
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
+def test_stream_domain_is_exact_to_rounding(sigma2):
+    # fewer streams than antennas: the kernel works on L x L matrices, and
+    # nothing it computes cancels as sigma2 falls (the M x M form had the
+    # gains 6e-6 off at sigma2 = 1e-12 and 100% off at 1e-14)
+    eps, M, L = np.finfo(float).eps, 8, 4
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        q = 10.0 * rng.dirichlet(np.ones(L))
+        if seed % 2:
+            q[seed] = 0.0  # an inactive stream
+        ex = exact_state(cols, q, sigma2)
+        A, f, gains = covariance(cols, q, sigma2)
+        err = {"gains": np.max(np.abs(gains - ex.gains) / ex.gains),
+               "A": np.max(np.linalg.norm(A - ex.A, axis=0)
+                           / np.linalg.norm(ex.A, axis=0)),
+               "trace_jinv": abs(f - ex.trace_jinv) / ex.trace_jinv}
+        for name, budget in EXACT_BUDGET.items():
+            assert err[name] <= budget * eps, (seed, name, err[name] / eps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -101,36 +149,52 @@ def test_kernel_rejects_non_finite_covariance():
         make_state(eff_from_cols(cols[2]), q[2], 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_failed_factorization_is_nan_in_its_slice_only():
-    # h = (1, 1), q = 1: 1 + 1e-300 rounds to 1, so J = [[1, 1], [1, 1]]
-    # and its Cholesky factorization fails on the second pivot
-    cols = np.array([[[1.0], [0.0]], [[1.0], [1.0]]], dtype=complex)
-    q = np.ones((2, 1))
-    out = _covariance(cols, q, 1e-300)
-    alone = _covariance(cols[:1], q[:1], 1e-300)
-    for got, want in zip(out, alone):
-        assert np.isnan(got[1]).all()
-        assert np.array_equal(got[:1], want)
-    with pytest.raises(NumericsError):
-        make_state(eff_from_cols(cols[1]), q[1], 1e-300)
+    # each stack's second slice cannot be factored and its third is not
+    # finite: those come back NaN, and the first bitwise as it is alone.
+    # L >= M: h_1 = (1, 1), h_2 = 0, q = 1: 1 + 1e-300 rounds to 1, so J =
+    # [[1, 1], [1, 1]] and its Cholesky factorization fails on the second
+    # pivot.  L < M: two equal columns make sigma2 I + Q G = [[1, 1],
+    # [1, 1]] exactly singular, and q = 1e308 on |h_1|^2 = 2 overflows it
+    square = np.array([[[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 1], [1, 1]]],
+                      dtype=complex)
+    streams = np.array([[[1, 0], [0, 1], [0, 0]], [[1, 1], [0, 0], [0, 0]],
+                        [[1, 0], [1, 0], [0, 0]]], dtype=complex)
+    q = np.ones((3, 2))
+    q[2] = 1e308
+    for cols in (square, streams):
+        out = _covariance(cols, q, 1e-300)
+        alone = _covariance(cols[:1], q[:1], 1e-300)
+        for got, want in zip(out, alone):
+            assert np.isnan(got[1:]).all()
+            assert np.array_equal(got[:1], want)
+        for b in (1, 2):
+            with pytest.raises(NumericsError):
+                make_state(eff_from_cols(cols[b]), q[b], 1e-300)
 
 
 # ---------------------------------------------------------------------------
 # make_state
 
-def test_make_state_zero_power(monkeypatch):
-    eff = eff_from_cols(np.array([[1.0], [0.0]]))
-    st, J = state_and_factored_J(monkeypatch, eff, np.zeros(1), 2.0)
-    assert np.array_equal(J, 2.0 * np.eye(2))
-    # J^-1 = I / 2
-    assert st.trace_jinv == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(st.Jinv_cols, [[0.5], [0.0]], atol=1e-15)
+def test_make_state_zero_power():
+    # J = 2 I: J^-1 htil = (1/2, 0), tr J^-1 = 1 and the gain is 1/4
+    A, f, gains = covariance(np.array([[1.0], [0.0]]), np.zeros(1), 2.0)
+    assert f == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(A, [[0.5], [0.0]], atol=1e-15)
+    assert np.allclose(gains, [0.25], atol=1e-15)
+    st = make_state(eff_from_cols(np.array([[1.0], [0.0]])), np.zeros(1), 2.0)
+    assert st.trace_jinv == f and np.array_equal(st.Jinv_cols, A)
 
 
-def test_make_state_rank_one_update(monkeypatch):
-    eff = eff_from_cols(np.array([[1.0], [0.0]]))
-    st, J = state_and_factored_J(monkeypatch, eff, np.ones(1), 1.0)
-    assert np.allclose(J, np.diag([2.0, 1.0]), atol=1e-15)
+def test_make_state_rank_one_update():
+    # J = diag(2, 1): J^-1 htil = (1/2, 0), tr J^-1 = 3/2 and the gain 1/4
+    A, f, gains = covariance(np.array([[1.0], [0.0]]), np.ones(1), 1.0)
+    assert f == pytest.approx(1.5, abs=1e-15)
+    assert np.allclose(A, [[0.5], [0.0]], atol=1e-15)
+    assert np.allclose(gains, [0.25], atol=1e-15)
+    st = make_state(eff_from_cols(np.array([[1.0], [0.0]])), np.ones(1), 1.0)
+    assert st.trace_jinv == f and np.array_equal(st.Jinv_cols, A)
 
 
 def test_make_state_inverse_check():

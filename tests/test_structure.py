@@ -13,9 +13,10 @@ from dualprec import cli, objective
 SRC = Path(dualprec.__file__).parent
 
 
-#: Names through which a Cholesky factorization can be reached.
+#: Names through which a Cholesky factorization or an inverse can be
+#: reached.
 FACTOR_NAMES = {"_POTRF", "potrf", "cho_factor", "cholesky",
-                "get_lapack_funcs"}
+                "get_lapack_funcs", "inv"}
 
 
 def _uses(node, scope, out):
@@ -39,14 +40,17 @@ def _uses(node, scope, out):
 def test_cholesky_only_in_the_covariance_kernel():
     # one covariance factorization for both link directions: the kernel
     # objective._covariance calls LAPACK's potrf, which objective fetches
-    # once at import; downlink_mmse runs on it over the dual channel
+    # once at import, or inverts the L x L stream-domain matrix when there
+    # are fewer streams than antennas; downlink_mmse runs on it over the
+    # dual channel
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
         _uses(ast.parse(path.read_text()), "<module>", out)
         sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
     assert sites == {("get_lapack_funcs", "objective.<module>"),
-                     ("_POTRF", "objective._covariance")}
+                     ("_POTRF", "objective._covariance"),
+                     ("inv", "objective._covariance")}
 
 
 def test_ctypes_only_in_the_blas_module():
