@@ -336,20 +336,26 @@ def _run_perfbench(tree: str, workload: str, seed: int,
 
 
 def _environment(threads: list) -> dict:
+    """The machine and library versions; scipy's only where it is
+    installed (a parent commit may still use it)."""
     import numpy
-    import scipy
-    import scipy.linalg  # noqa: F401  (loads scipy's BLAS for blas_info)
+    try:
+        import scipy
+        import scipy.linalg  # noqa: F401  (loads scipy's BLAS for blas_info)
+    except ImportError:
+        scipy = None
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from environment import THREAD_VARS, blas_info
 
-    return {"nproc": os.cpu_count(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS},
-            "blas_threads": threads,
-            "blas": [{k: b[k] for k in ("library", "config")}
-                     for b in blas_info()]}
+    env = {"nproc": os.cpu_count(), "numpy": numpy.__version__}
+    if scipy is not None:
+        env["scipy"] = scipy.__version__
+    return dict(env, python=".".join(map(str, sys.version_info[:3])),
+                thread_vars={v: os.environ.get(v) for v in THREAD_VARS},
+                blas_threads=threads,
+                blas=[{k: b[k] for k in ("library", "config")}
+                      for b in blas_info()])
 
 
 def _quartiles(xs) -> list:

@@ -1,10 +1,12 @@
 """One BLAS thread for the small matrices this package factors.
 
-Each solver step factors one M x M covariance.  At M = 64 the OpenBLAS
-copies bundled with numpy and scipy run several times slower on their
-default thread count (one per core) than on one thread, since handing work
-to the threads costs more than the arithmetic they share: one
-`solve_power` at M = L = 64 took 72 ms against 9.7 ms on 2 cores.  Importing
+Each solver step inverts one small covariance matrix (or its Cholesky
+factor).  At M = 64 the OpenBLAS bundled with numpy ran LAPACK's
+factorization several times slower on its default thread count (one per
+core) than on one thread, since handing work to the threads costs more
+than the arithmetic they share: one `solve_power` at M = L = 64 took
+72 ms against 9.7 ms on 2 cores (measured through scipy's copy, which
+the package no longer loads).  Importing
 `dualprec` therefore sets every loaded OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, which OpenBLAS itself
 obeys.  Where no OpenBLAS is loaded (MKL, a system BLAS, a platform without

@@ -250,7 +250,7 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
         A, f, _ = objective._covariance(cols, q[None], sigma2)
         trials = []
         for rec, eff, a, fb in zip(records, effs, A, f.tolist()):
-            if math.isnan(fb):  # J overflowed, or its factorization failed
+            if math.isnan(fb):  # the kernel rejected its covariance
                 rec["error"] = NumericsError.__name__
             else:
                 trials.append((rec, objective.UplinkState(

@@ -17,35 +17,28 @@ its receivers J_k^-1 H_k^H ubar_l become the next uplink beamformers.
 The kernel `_covariance` takes a leading batch axis: it evaluates B
 instances at once, so one call serves a round of a whole stack of
 solves, and every slice is bitwise what a call with B = 1 gives.  It
-works in the smaller domain, chosen by shape.  With L >= M columns it
-factors J through LAPACK's `potrf`/`potrs`, fetched once: at M = 4 the
-argument checks that `cho_factor`/`cho_solve` wrap around the same calls
-cost about seven times the factor and solve themselves (33 against 4 us
-on a 2-vCPU machine).  With L < M it never forms J and inverts an L x L
-matrix instead, which is exact to rounding at every SNR and at M = 64,
-L = 32 took a fifth to a third of the M x M form's time per instance
-(`BENCH_stream_kernel.json`).
+works in the smaller domain, chosen by shape, and needs numpy alone.
+With L <= M columns it never forms J and inverts an L x L matrix
+instead, which is exact to rounding at every SNR; at M = 64, L = 32 it
+took a fifth to a third of the M x M form's time per instance
+(`BENCH_stream_kernel.json`), and at M = L = 4 in stacks of 50 about
+half of the Cholesky form's (`BENCH_numpy_kernel.json`).  With L > M it
+factors J by Cholesky and inverts the factor.
 
-These factorisations are small, so importing `dualprec` runs OpenBLAS on
-one thread (`_blas`): at M = 64 the default threads made them ~8x slower.
+These inverses are small, so importing `dualprec` runs OpenBLAS on one
+thread (`_blas`): at M = 64 the default threads made the M x M factor
+~8x slower.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionError, NumericsError, ValidationError
 from .model import ChannelSet, EffectiveChannel
-
-#: Cholesky factor and solve of a complex Hermitian matrix, the routines
-#: `cho_factor` and `cho_solve` call; every matrix factored here is complex.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class UplinkState:
@@ -63,6 +56,25 @@ class UplinkState:
     trace_jinv: float  # tr(J^-1)
 
 
+def _slices(fn, X: np.ndarray) -> np.ndarray:
+    """``fn`` (`np.linalg.inv` or `np.linalg.cholesky`) over the stack X,
+    NaN in each slice that is not finite or that ``fn`` rejects; the other
+    slices are what the call on the whole stack gives."""
+    if np.isfinite(X).all():
+        try:
+            return fn(X)
+        except np.linalg.LinAlgError:
+            pass
+    out = np.full(X.shape, np.nan, dtype=complex)
+    for b in range(len(X)):  # one at a time, to find the bad slices
+        if np.isfinite(X[b]).all():
+            try:
+                out[b] = fn(X[b])
+            except np.linalg.LinAlgError:
+                pass
+    return out
+
+
 def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     """The covariance kernel every MMSE quantity derives from, for a
     stack of B instances: ``cols`` is B x M x L and ``q`` is B x L (or
@@ -73,65 +85,43 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l = -df/dq_l (B x L).  The
     domain is the smaller of M and L, chosen by shape:
 
-    * L >= M: J is assembled, factored once by Cholesky and solved on
-      [I, Htil]; f sums the real diagonal of the J^-1 block.
-    * L < M: by push-through, J^-1 Htil = Htil T with the L x L
+    * L <= M: by push-through, J^-1 Htil = Htil T with the L x L
       T = (sigma2 I + Q G)^-1 and G = Htil^H Htil, so A = Htil T and
       f = tr T + (M - L) / sigma2.  sigma2 I + Q G is not Hermitian, so
       it is inverted by LU.  Nothing here cancels at high SNR, where the
       M x M form loses the gains (6e-6 relative at M = 8, L = 4,
       sigma2 = 1e-12), and A stays exact to rounding.
+    * L > M: J is assembled and factored by Cholesky, J = C C^H; with
+      W = C^-1, A = W^H (W Htil) and f = ||W||_F^2.
 
     J and J^-1 (or T) stay inside.  A slice whose matrix is not finite
     (powers or columns that overflow it) comes back NaN in all three
-    outputs before it is factored, and so does one whose factorization
-    fails (the Cholesky factor at sigma2 = 1e-14, P = 10, M = 4; an
-    exactly singular sigma2 I + Q G); the other slices are unaffected.
+    outputs, and so does one whose matrix is rejected (an exactly singular
+    sigma2 I + Q G, a J that is not positive definite to rounding); the
+    other slices are unaffected.
 
     Slice b is bitwise what the call on instance b alone gives: the
-    matmuls and the LU inverses run per slice, the Cholesky factor and
-    solve run slice by slice, and each slice of A is column-major, so the
-    sums over M add in the same order whatever B is.
+    matmuls, inverses and factors run per slice, and each slice of A is
+    column-major, so the sums over M add in the same order whatever B is.
     """
     B, M, L = cols.shape
-    if L < M:
-        CT = cols.swapaxes(1, 2)
+    CT = cols.swapaxes(1, 2)
+    if L <= M:
         G = CT.conj() @ cols
         S = q[:, :, None] * G  # sigma2 I + Q G
         S.reshape(B, L * L)[:, ::L + 1] += sigma2
-        T = None
-        if np.isfinite(S).all():
-            with contextlib.suppress(np.linalg.LinAlgError):
-                T = np.linalg.inv(S)
-        if T is None:  # a slice not finite or singular: one at a time
-            T = np.full(S.shape, np.nan, dtype=complex)
-            for b in range(B):
-                if np.isfinite(S[b]).all():
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        T[b] = np.linalg.inv(S[b])
+        T = _slices(np.linalg.inv, S)
         A = (T.swapaxes(1, 2) @ CT).swapaxes(1, 2)  # column-major slices
         f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
              + (M - L) / sigma2)
     else:
-        J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
+        J = (cols * q[:, None, :]) @ CT.conj()
         J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
-        J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
-        J *= 0.5
-        rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
-        rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
-        rhs[:, :, M:] = cols
-        XT = np.empty((B, M + L, M), dtype=complex)  # slices of X column-major
-        finite = np.isfinite(J).all()  # else look at each slice
-        for b in range(B):
-            ok = finite or np.isfinite(J[b]).all()
-            if ok:
-                c, info = _POTRF(J[b], lower=True, clean=False)
-                ok = info == 0
-            XT[b] = _POTRS(c, rhs[b], lower=True)[0].T if ok else np.nan
-        X = XT.swapaxes(1, 2)
-        A = X[:, :, M:]
-        # np.trace, without its Python wrapper
-        f = np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real
+        # the factor reads J's lower triangle alone: no need to hermitize
+        W = _slices(np.linalg.inv, _slices(np.linalg.cholesky, J))
+        # A^T = Htil^T W^T conj(W): column-major slices
+        A = ((CT @ W.swapaxes(1, 2)) @ W.conj()).swapaxes(1, 2)
+        f = np.add.reduce(np.abs(W.reshape(B, M * M)) ** 2, axis=-1)
     # np.sum, without its Python wrapper
     return A, f, np.add.reduce(np.abs(A) ** 2, axis=1)
 
@@ -148,7 +138,7 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
     A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
-    if np.isnan(f[0]):  # J overflowed, or its factorization failed
+    if np.isnan(f[0]):  # overflowed, or not invertible or factorable
         raise NumericsError("covariance not positive definite or not finite")
     return UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                        trace_jinv=float(f[0]))

@@ -50,10 +50,9 @@ MIN_STEP = 1e-10
 #: best iterate fails kkt_tol (a certified solve stops at the first): at the
 #: rounding floor each Newton step draws the rounding error afresh.
 IDLE_STEPS = 200
-#: Bytes of right-hand sides [I, Htil] (16 M (M + L) per instance) one
-#: stack may hold: 2048 instances at M = L = 4, where stacking pays, and
-#: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
-#: would only cost memory.
+#: Bytes one stack may hold, counted as 16 M (M + L) per instance: 2048
+#: instances at M = L = 4, where stacking pays, and 10 at M = 64, L = 32,
+#: where LAPACK's time dominates and a larger stack would only cost memory.
 STACK_BYTES = 1 << 20
 
 
@@ -326,7 +325,7 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         kkt, r = _kkt(s.trial, G, p_max, act_tol)
         # near the optimum f is flat to rounding and only the residual moves
         moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
-        if math.isnan(np.add.reduce(f)):  # a J failed to factor: its row ends
+        if math.isnan(np.add.reduce(f)):  # a rejected covariance ends its row
             s.failed = np.isnan(f)
             moved &= ~s.failed
         s.steps = s.steps + moved

@@ -3,6 +3,9 @@
 import argparse
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +42,16 @@ def _uses(node, scope, out):
 
 def test_cholesky_only_in_the_covariance_kernel():
     # one covariance factorization for both link directions: the kernel
-    # objective._covariance calls LAPACK's potrf, which objective fetches
-    # once at import, or inverts the L x L stream-domain matrix when there
-    # are fewer streams than antennas; downlink_mmse runs on it over the
-    # dual channel
+    # objective._covariance inverts the L x L stream-domain matrix when
+    # there are no more streams than antennas, and otherwise factors J by
+    # numpy's Cholesky and inverts the factor; downlink_mmse runs on it
+    # over the dual channel
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
         _uses(ast.parse(path.read_text()), "<module>", out)
         sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
-    assert sites == {("get_lapack_funcs", "objective.<module>"),
-                     ("_POTRF", "objective._covariance"),
+    assert sites == {("cholesky", "objective._covariance"),
                      ("inv", "objective._covariance")}
 
 
@@ -115,3 +117,15 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.startswith("--")]
     assert sorted(flags) == sorted(set().union(*got.values()) - {"instance"})
+
+
+def test_import_loads_no_scipy():
+    # the kernel is numpy-only; scipy's import alone took most of the
+    # package's import time
+    code = "import sys, dualprec; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
