@@ -49,10 +49,6 @@ from .solver import SolverConfig
 #: than solved; a near-singular transform means the MSE tuple is bogus,
 #: not that regularization is wanted.
 COND_LIMIT = 1e12
-#: Bytes of channels in one stacked product of `_downlink_mse`: 8 of the
-#: 32 users of a 4-trial batch at M = 64.  Stacking all 32 at once (256 KiB)
-#: raised the peak memory of `verify` there by 0.2-0.4 MiB.
-DOWNLINK_STACK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -351,29 +347,24 @@ def _downlink_mse(chs, uplinks, g, P, sigma2) -> np.ndarray:
     # beta_l / sqrt(p_l) where the receiver is on, else 0
     scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
     # row l: coef_lj = sqrt(p_j) v_l^H H_k^H ubar_j, k the owner of stream l;
-    # users with equal (N_k, L_k) form stacks of DOWNLINK_STACK_BYTES
+    # the users of equal (N_k, L_k) form one stack
     B, groups = len(P), {}
     for k in range(d.K):
         groups.setdefault((d.N[k], d.L[k]), []).append(k)
-    UbarT = Ubar.swapaxes(1, 2)[:, None]
     coef = np.empty((B, d.L_tot, d.L_tot), dtype=complex)
     v_norms = np.empty(P.shape)
-    for (n_k, l_k), group in groups.items():
-        size = max(1, DOWNLINK_STACK_BYTES // (16 * B * d.M * n_k))
-        for first in range(0, len(group), size):
-            users = group[first:first + size]
-            U = len(users)
-            idx = slice(None) if U == d.K else np.concatenate(
-                [np.arange(d.L_tot)[d.user_streams(k)] for k in users])
-            V = (np.array([up.by_user[k] for up in uplinks for k in users])
-                 .reshape(B, U, n_k, l_k)
-                 * scale[:, idx].reshape(B, U, 1, l_k))
-            H = np.array([ch.H[k] for ch in chs for k in users])
-            np.conjugate(H, out=H)  # in place: no second copy
-            HU = H.reshape(B, U, d.M, n_k).swapaxes(2, 3) @ UbarT
-            coef[:, idx] = (V.conj().swapaxes(2, 3) @ HU).reshape(
-                B, -1, d.L_tot)
-            v_norms[:, idx] = _norms(V, 2).reshape(B, -1)
+    for (n_k, l_k), users in groups.items():
+        U = len(users)
+        idx = np.concatenate(
+            [np.arange(d.L_tot)[d.user_streams(k)] for k in users])
+        V = (np.array([up.by_user[k] for up in uplinks for k in users])
+             .reshape(B, U, n_k, l_k) * scale[:, idx].reshape(B, U, 1, l_k))
+        H = np.array([ch.H[k] for ch in chs for k in users])
+        np.conjugate(H, out=H)  # in place: no second copy
+        HU = (H.reshape(B, U, d.M, n_k).swapaxes(2, 3)
+              @ Ubar.swapaxes(1, 2)[:, None])
+        coef[:, idx] = (V.conj().swapaxes(2, 3) @ HU).reshape(B, -1, d.L_tot)
+        v_norms[:, idx] = _norms(V, 2).reshape(B, -1)
     coef *= np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2
     cross.reshape(len(P), -1)[:, ::d.L_tot + 1] = 0.0

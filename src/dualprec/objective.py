@@ -18,16 +18,16 @@ The kernel `_covariance` takes a leading batch axis: it evaluates B
 instances at once, so one call serves a round of a whole stack of
 solves, and every slice is bitwise what a call with B = 1 gives.  It
 works in the smaller domain, chosen by shape, and needs numpy alone.
-With L <= M columns it never forms J and inverts an L x L matrix
-instead, which is exact to rounding at every SNR; at M = 64, L = 32 it
-took a fifth to a third of the M x M form's time per instance
-(`BENCH_stream_kernel.json`), and at M = L = 4 in stacks of 50 about
-half of the Cholesky form's (`BENCH_numpy_kernel.json`).  With L > M it
-factors J by Cholesky and inverts the factor.
+With L >= M columns it assembles J and solves it once by LU on
+[I, Htil] (`np.linalg.solve`): at M = L = 4 in stacks of 50 that took
+about half the time of the slice-by-slice LAPACK Cholesky it replaced
+(`BENCH_numpy_kernel.json`).  With L < M it never forms J and inverts an
+L x L matrix instead, which is exact to rounding at every SNR and at
+M = 64, L = 32 took a fifth to a third of the M x M form's time per
+instance (`BENCH_stream_kernel.json`).
 
-These inverses are small, so importing `dualprec` runs OpenBLAS on one
-thread (`_blas`): at M = 64 the default threads made the M x M factor
-~8x slower.
+These solves are small, so importing `dualprec` runs OpenBLAS on one
+thread (`_blas`): at M = 64 the default threads made them ~8x slower.
 """
 
 from __future__ import annotations
@@ -56,20 +56,21 @@ class UplinkState:
     trace_jinv: float  # tr(J^-1)
 
 
-def _slices(fn, X: np.ndarray) -> np.ndarray:
-    """``fn`` (`np.linalg.inv` or `np.linalg.cholesky`) over the stack X,
-    NaN in each slice that is not finite or that ``fn`` rejects; the other
-    slices are what the call on the whole stack gives."""
+def _slices(fn, X: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
+    """``fn`` (`np.linalg.inv`, or `np.linalg.solve` on the right-hand
+    sides ``rhs``) over the stack X, NaN in each slice whose matrix is not
+    finite or that ``fn`` finds singular; the other slices are what the
+    call on the whole stack gives."""
     if np.isfinite(X).all():
         try:
-            return fn(X)
+            return fn(X, *rhs)
         except np.linalg.LinAlgError:
             pass
-    out = np.full(X.shape, np.nan, dtype=complex)
+    out = np.full((rhs[0] if rhs else X).shape, np.nan, dtype=complex)
     for b in range(len(X)):  # one at a time, to find the bad slices
         if np.isfinite(X[b]).all():
             try:
-                out[b] = fn(X[b])
+                out[b] = fn(X[b], *(r[b] for r in rhs))
             except np.linalg.LinAlgError:
                 pass
     return out
@@ -85,28 +86,30 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l = -df/dq_l (B x L).  The
     domain is the smaller of M and L, chosen by shape:
 
-    * L <= M: by push-through, J^-1 Htil = Htil T with the L x L
+    * L >= M: J is assembled, hermitized and solved once by LU on
+      [I, Htil]; f sums the real diagonal of the J^-1 block.
+    * L < M: by push-through, J^-1 Htil = Htil T with the L x L
       T = (sigma2 I + Q G)^-1 and G = Htil^H Htil, so A = Htil T and
       f = tr T + (M - L) / sigma2.  sigma2 I + Q G is not Hermitian, so
       it is inverted by LU.  Nothing here cancels at high SNR, where the
       M x M form loses the gains (6e-6 relative at M = 8, L = 4,
       sigma2 = 1e-12), and A stays exact to rounding.
-    * L > M: J is assembled and factored by Cholesky, J = C C^H; with
-      W = C^-1, A = W^H (W Htil) and f = ||W||_F^2.
 
-    J and J^-1 (or T) stay inside.  A slice whose matrix is not finite
-    (powers or columns that overflow it) comes back NaN in all three
-    outputs, and so does one whose matrix is rejected (an exactly singular
-    sigma2 I + Q G, a J that is not positive definite to rounding); the
+    J and J^-1 (or T) stay inside.  A slice comes back NaN in all three
+    outputs when its matrix is not finite (powers or columns that
+    overflow it) or exactly singular, when its f is not positive (J has
+    lost its definiteness to rounding: collinear columns at sigma2 =
+    1e-300 gave f = -3.7e15), and when an output overflows (an inactive
+    stream at sigma2 = 1e-300 has a gain of |htil_l|^2 / sigma2^2); the
     other slices are unaffected.
 
     Slice b is bitwise what the call on instance b alone gives: the
-    matmuls, inverses and factors run per slice, and each slice of A is
-    column-major, so the sums over M add in the same order whatever B is.
+    matmuls, inverses and solves run per slice, and the sums over M add
+    in the same order whatever B is.
     """
     B, M, L = cols.shape
-    CT = cols.swapaxes(1, 2)
-    if L <= M:
+    if L < M:
+        CT = cols.swapaxes(1, 2)
         G = CT.conj() @ cols
         S = q[:, :, None] * G  # sigma2 I + Q G
         S.reshape(B, L * L)[:, ::L + 1] += sigma2
@@ -115,15 +118,27 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
         f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
              + (M - L) / sigma2)
     else:
-        J = (cols * q[:, None, :]) @ CT.conj()
+        J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
         J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
-        # the factor reads J's lower triangle alone: no need to hermitize
-        W = _slices(np.linalg.inv, _slices(np.linalg.cholesky, J))
-        # A^T = Htil^T W^T conj(W): column-major slices
-        A = ((CT @ W.swapaxes(1, 2)) @ W.conj()).swapaxes(1, 2)
-        f = np.add.reduce(np.abs(W.reshape(B, M * M)) ** 2, axis=-1)
+        J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
+        J *= 0.5
+        rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
+        rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
+        rhs[:, :, M:] = cols
+        X = _slices(np.linalg.solve, J, rhs)
+        A = X[:, :, M:]
+        # np.trace, without its Python wrapper
+        f = np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real
     # np.sum, without its Python wrapper
-    return A, f, np.add.reduce(np.abs(A) ** 2, axis=1)
+    gains = np.add.reduce(np.abs(A) ** 2, axis=1)
+    # tr J^-1 of a positive definite J is positive: a slice whose f is
+    # not positive and finite, or whose gains overflowed, comes back NaN
+    fl = f.tolist()
+    if not (min(fl, default=1.0) > 0 and math.isfinite(
+            sum(fl) + np.add.reduce(gains, axis=None))):
+        bad = ~((f > 0) & (f < math.inf) & np.isfinite(gains).all(axis=1))
+        A[bad], f[bad], gains[bad] = np.nan, np.nan, np.nan
+    return A, f, gains
 
 
 def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:

@@ -50,9 +50,10 @@ MIN_STEP = 1e-10
 #: best iterate fails kkt_tol (a certified solve stops at the first): at the
 #: rounding floor each Newton step draws the rounding error afresh.
 IDLE_STEPS = 200
-#: Bytes one stack may hold, counted as 16 M (M + L) per instance: 2048
-#: instances at M = L = 4, where stacking pays, and 10 at M = 64, L = 32,
-#: where LAPACK's time dominates and a larger stack would only cost memory.
+#: Bytes of right-hand sides [I, Htil] (16 M (M + L) per instance) one
+#: stack may hold: 2048 instances at M = L = 4, where stacking pays, and
+#: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
+#: would only cost memory.
 STACK_BYTES = 1 << 20
 
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import subprocess
 import sys
@@ -7,49 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-import oracles
-
 from dualprec import (BOTH, VIRTUAL_UPLINK, ChannelSet, DesignConfig,
                       DualPrecError, SolverConfig, _blas,
                       build_effective_channel, channel_to_dict, cli, design,
                       gen_channel, load_instance, random_unit_precoders,
                       save_instance, solve_power, validate, verify_theorem)
-from dualprec import model
 from dualprec.model import PRECODER_TAG
 from oracles import certificate_from_dict, verify_trials_one_at_a_time
 
 
 def run_cli(args):
     return cli.main(args)
-
-
-def collinear_draws(monkeypatch, *seeds):
-    """Make the channel draws of ``seeds`` collinear, in `gen`, `verify`
-    and `bench` and in the per-user draws of
-    `oracles.verify_trials_one_at_a_time`: every user's channel becomes
-    the first column of user 0's, repeated, so that all effective columns
-    are multiples of one vector.  At sigma2 = 1e-17 or below such a
-    covariance is singular to rounding; for the seeds drawn so here the
-    kernel rejects it (for others the solve ends in ConvergenceError)."""
-    draw, draw_one = model._channels, oracles.gen_channel_per_user
-
-    def channels(dims, draw_seeds):
-        H = draw(dims, draw_seeds)
-        for b, seed in enumerate(draw_seeds):
-            if seed in seeds:
-                for h in H:
-                    h[b] = H[0][b][:, :1]
-        return H
-
-    def channel_per_user(dims, sigma2, p_max, seed=None):
-        ch = draw_one(dims, sigma2, p_max, seed=seed)
-        if seed not in seeds:
-            return ch
-        return dataclasses.replace(ch, H=tuple(
-            np.repeat(ch.H[0][:, :1], n, axis=1) for n in dims.N))
-
-    monkeypatch.setattr(model, "_channels", channels)
-    monkeypatch.setattr(oracles, "gen_channel_per_user", channel_per_user)
 
 
 @pytest.fixture
@@ -533,9 +500,9 @@ def test_verify_theorem_failure_keeps_the_certificate(tmp_path):
 
 
 def test_verify_records_do_not_depend_on_the_batch(monkeypatch, tmp_path):
-    # seed 5701 fails to certify at 70 dB, so one batch holds a failure
+    # seed 48 fails to certify at 70 dB, so one batch holds a failure
     args = ["verify", "--trials", "7", "--dims", "4,2,2,2,2,2",
-            "--sigma2", "1e-6", "--seed-base", "5698"]
+            "--sigma2", "1e-6", "--seed-base", "45"]
     reports = []
     for batch in (cli.VERIFY_BATCH, 3, 1):
         monkeypatch.setattr(cli, "VERIFY_BATCH", batch)
@@ -576,20 +543,18 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
         assert rec == want
 
 
-@pytest.mark.parametrize("args,errors,collinear", [
-    (["--sigma2", "1"], [None] * 6, ()),
-    (["--sigma2", "1e-6", "--seed-base", "5698"],
-     [None] * 3 + ["ConvergenceError"] + [None] * 2, ()),
-    (["--negative-control"], [None] * 6, ()),
-    (["--sigma2", "1e-300", "--seed-base", "108"],
-     [None] * 3 + ["NumericsError", "SingularTransformError", None], (111,)),
+@pytest.mark.parametrize("args,errors", [
+    (["--sigma2", "1"], [None] * 6),
+    (["--sigma2", "1e-6", "--seed-base", "45"],
+     [None] * 3 + ["ConvergenceError"] + [None] * 2),
+    (["--negative-control"], [None] * 6),
+    (["--sigma2", "1e-14", "--seed-base", "108"],
+     [None] * 3 + ["NumericsError"] + [None] * 2),
 ], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable"])
-def test_verify_bytes_equal_a_per_trial_run(args, errors, collinear,
-                                             monkeypatch, tmp_path):
+def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
+                                             tmp_path):
     # the stacked instances, solves and checks against one trial at a time
     # on the per-user draws; a failing trial keeps its error in its own row
-    # (5701 fails to certify at 70 dB; 111's draw is made collinear)
-    collinear_draws(monkeypatch, *collinear)
     reports = {}
     for side in ("stacked", "per_trial"):
         if side == "per_trial":
@@ -606,12 +571,10 @@ def test_verify_bytes_equal_a_per_trial_run(args, errors, collinear,
     assert [r["error"] for r in records] == errors
 
 
-def test_verify_unfactorable_trial_recorded(monkeypatch, tmp_path):
-    # trial 110 (seed 111) is drawn collinear, so at sigma2 = 1e-300 the
-    # kernel cannot invert its covariance; the trials around it report
-    # what they report without it
-    collinear_draws(monkeypatch, 111)
-    args = ["verify", "--sigma2", "1e-300"]
+def test_verify_unfactorable_trial_recorded(tmp_path):
+    # at sigma2 = 1e-14 trial 110 (seed 111) cannot factor its covariance;
+    # the trials around it report what they report without it
+    args = ["verify", "--sigma2", "1e-14"]
     reports = {}
     for extra in (["--trials", "200"], ["--trials", "110"],
                   ["--trials", "89", "--seed-base", "112"]):
@@ -629,10 +592,10 @@ def test_verify_unfactorable_trial_recorded(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("sigma2", ["1e-17", "1e-300"])
-def test_verify_unfactorable_single_trial(sigma2, monkeypatch, tmp_path):
-    collinear_draws(monkeypatch, 2)  # the trial's draw
+def test_verify_unfactorable_single_trial(sigma2, tmp_path):
+    # the kernel rejects the covariance of seed 14 at both sigma2
     out = tmp_path / "v.json"
-    rc = run_cli(["verify", "--trials", "1", "--seed-base", "2", "--sigma2",
+    rc = run_cli(["verify", "--trials", "1", "--seed-base", "14", "--sigma2",
                   sigma2, "--out", str(out)])
     assert rc == 4
     assert json.loads(out.read_text())["per_trial"][0]["error"] == \
@@ -653,22 +616,17 @@ def test_verify_fewer_streams_than_antennas_at_high_snr(tmp_path):
         [(True, None)] * 5
 
 
-def test_bench_unfactorable_trials_exit_3(monkeypatch, tmp_path, capsys):
-    # both trials' draws collinear; their designs end in NumericsError
-    collinear_draws(monkeypatch, 23, 24)
+def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):
     rc = run_cli(["bench", "--trials", "2", "--sigma2", "1e-300",
-                  "--seed-base", "23", "--out", str(tmp_path / "b.csv")])
+                  "--out", str(tmp_path / "b.csv")])
     assert rc == 3
     assert "failures = 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,sigma2,seed", [
-    ("solve", "1e-17", "111"), ("design", "1e-300", "108")])
+    ("solve", "1e-14", "111"), ("design", "1e-300", "108")])
 def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
-                                               monkeypatch, tmp_path, capsys):
-    # the instance is drawn collinear, so the kernel cannot invert its
-    # covariance at this sigma2
-    collinear_draws(monkeypatch, int(seed))
+                                               tmp_path, capsys):
     inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
     assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
                     "2,2", "--sigma2", sigma2, "--seed", seed,
@@ -693,11 +651,8 @@ def test_verify_non_finite_covariance_recorded(extra, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings included
-@pytest.mark.parametrize("command,stage", [
-    ("solve", ""), ("design", "downlink ")], ids=["solve", "design"])
-def test_non_finite_covariance_one_line_exit_3(command, stage, tmp_path,
-                                               capsys):
-    # design stops at the downlink covariance of its first iteration
+@pytest.mark.parametrize("command", ["solve", "design"])
+def test_non_finite_covariance_one_line_exit_3(command, tmp_path, capsys):
     inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
     assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
                     "2,2", "--pmax", "1e308", "--seed", "1",
@@ -706,7 +661,7 @@ def test_non_finite_covariance_one_line_exit_3(command, stage, tmp_path,
     assert run_cli([command, str(inst), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(
-        f"{command}: {stage}covariance not positive definite or not finite")
+        f"{command}: covariance not positive definite or not finite")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -770,30 +725,3 @@ def test_module_invocation_subprocess(tmp_path):
                         str(inst)], capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["converged"] is True
-
-
-@pytest.mark.parametrize("command,sigma2,seed", [
-    ("solve", "1e-14", "111"), ("design", "1e-300", "108")])
-def test_square_instance_at_high_snr_succeeds(command, sigma2, seed,
-                                              tmp_path):
-    # M = L_tot = 4: the kernel works in the stream domain, where these
-    # instances (whose M x M covariance could not be factored) solve
-    inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
-    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
-                    "2,2", "--sigma2", sigma2, "--seed", seed,
-                    "--out", str(inst)]) == 0
-    assert run_cli([command, str(inst), "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    smse = rep["smse"] if command == "solve" else rep["smse_trace"][-1]
-    assert smse > 0
-
-
-@pytest.mark.parametrize("sigma2", ["1e-6", "1e-8"])
-@pytest.mark.parametrize("seed", ["48", "111"])
-def test_square_trials_certify_at_high_snr(seed, sigma2, tmp_path):
-    # these trials ended in ConvergenceError on the M x M covariance
-    out = tmp_path / "v.json"
-    run_cli(["verify", "--trials", "1", "--dims", "4,2,2,2,2,2", "--sigma2",
-             sigma2, "--seed-base", seed, "--out", str(out)])
-    rec, = json.loads(out.read_text())["per_trial"]
-    assert (rec["converged"], rec["error"]) == (True, None)

@@ -23,20 +23,20 @@ def covariance_of(state):
     return (cols * state.q) @ cols.conj().T + state.sigma2 * np.eye(len(cols))
 
 
-def state_and_inverted_S(monkeypatch, eff, q, sigma2):
-    """`make_state` at q (L <= M), and the stream-domain matrix
-    sigma2 I + Q G its kernel handed to `np.linalg.inv`."""
-    seen, inv = [], np.linalg.inv
+def state_and_solved_J(monkeypatch, eff, q, sigma2):
+    """`make_state` at q (L >= M), and the J its kernel handed to
+    `np.linalg.solve`."""
+    seen, solve = [], np.linalg.solve
 
-    def recorded(S):
-        seen.append(S.copy())
-        return inv(S)
+    def recorded(J, rhs):
+        seen.append(J.copy())
+        return solve(J, rhs)
 
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "inv", recorded)
+        m.setattr(np.linalg, "solve", recorded)
         st = make_state(eff, q, sigma2)
-    S, = seen
-    return st, S[0]
+    J, = seen
+    return st, J[0]
 
 
 def stream_mse(state, l, u):
@@ -66,10 +66,9 @@ def kernel_one_at_a_time(cols, q, sigma2):
 def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
     # each slice is bitwise the kernel on its instance alone, and agrees
     # with the M x M inverse of J to within that route's own rounding,
-    # eps cond(J), in either domain (at most 1.5 eps cond(J) on 40 seeds
-    # of each shape with M > 1; at M = L = 1, where cond(J) = 1, other
-    # draws than this one reach 5.4 eps); its accuracy against the exact
-    # state is `test_stream_domain_is_exact_to_rounding`
+    # eps cond(J), in either domain (at most 1.7 eps cond(J) on 40 draws
+    # of each shape); its accuracy against the exact state where L < M is
+    # `test_stream_domain_is_exact_to_rounding`
     rng = np.random.default_rng(M * L + B)
     cols = rng.standard_normal((B, M, L)) + 1j * rng.standard_normal((B, M, L))
     q = 10.0 * rng.random((B, L))
@@ -95,40 +94,28 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
 #: and sigma2 = 1, 1e-4, 1e-8, 1e-12 and 1e-14, the largest was 29 eps
 #: for a gain or a column of A and 1.1 eps for tr J^-1.
 EXACT_BUDGET = {"gains": 64, "A": 64, "trace_jinv": 4}
-#: The same in the square case M = L = 4 (one stream off in half of the
-#: instances), in units of eps cond(Htil): with no spare antenna the error
-#: follows the channel's conditioning.  Over 150 instances at those five
-#: sigma2 the largest was 12.3 for a gain, 8.5 for a column of A and 6.0
-#: for tr J^-1 (396, 198 and 193 eps, at cond(Htil) from 2.9 to 110).
-SQUARE_BUDGET = {"gains": 16, "A": 16, "trace_jinv": 8}
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
 def test_stream_domain_is_exact_to_rounding(sigma2):
-    # no more streams than antennas: the kernel works on L x L matrices,
-    # and nothing it computes cancels as sigma2 falls (the M x M form had
-    # the gains 6e-6 off at M = 8, L = 4, sigma2 = 1e-12 and 100% off at
-    # 1e-14, and at M = L = 4 with a stream off the columns of A 4e6 eps
-    # off at 1e-6)
-    eps = np.finfo(float).eps
-    for (M, L), budget in (((8, 4), EXACT_BUDGET), ((4, 4), SQUARE_BUDGET)):
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            cols = (rng.standard_normal((M, L))
-                    + 1j * rng.standard_normal((M, L)))
-            q = 10.0 * rng.dirichlet(np.ones(L))
-            if seed % 2:
-                q[seed] = 0.0  # an inactive stream
-            unit = eps * (np.linalg.cond(cols) if L == M else 1.0)
-            ex = exact_state(cols, q, sigma2)
-            A, f, gains = covariance(cols, q, sigma2)
-            err = {"gains": np.max(np.abs(gains - ex.gains) / ex.gains),
-                   "A": np.max(np.linalg.norm(A - ex.A, axis=0)
-                               / np.linalg.norm(ex.A, axis=0)),
-                   "trace_jinv": abs(f - ex.trace_jinv) / ex.trace_jinv}
-            for name, bound in budget.items():
-                assert err[name] <= bound * unit, (M, seed, name,
-                                                   err[name] / unit)
+    # fewer streams than antennas: the kernel works on L x L matrices, and
+    # nothing it computes cancels as sigma2 falls (the M x M form had the
+    # gains 6e-6 off at sigma2 = 1e-12 and 100% off at 1e-14)
+    eps, M, L = np.finfo(float).eps, 8, 4
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        q = 10.0 * rng.dirichlet(np.ones(L))
+        if seed % 2:
+            q[seed] = 0.0  # an inactive stream
+        ex = exact_state(cols, q, sigma2)
+        A, f, gains = covariance(cols, q, sigma2)
+        err = {"gains": np.max(np.abs(gains - ex.gains) / ex.gains),
+               "A": np.max(np.linalg.norm(A - ex.A, axis=0)
+                           / np.linalg.norm(ex.A, axis=0)),
+               "trace_jinv": abs(f - ex.trace_jinv) / ex.trace_jinv}
+        for name, budget in EXACT_BUDGET.items():
+            assert err[name] <= budget * eps, (seed, name, err[name] / eps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -153,18 +140,16 @@ def test_kernel_rejects_non_finite_covariance():
 def test_failed_factorization_is_nan_in_its_slice_only():
     # each stack's second slice cannot be factored and its third is not
     # finite: those come back NaN, and the first bitwise as it is alone.
-    # L > M: three columns h = (1, 1) at q = 1: 3 + 1e-300 rounds to 3,
-    # so J = [[3, 3], [3, 3]] and its Cholesky factorization fails on the
-    # second pivot.  L <= M: two equal columns make sigma2 I + Q G =
-    # [[1, 1], [1, 1]] exactly singular.  q = 1e308 on |h_1|^2 = 2
-    # overflows either matrix
-    wide = np.array([[[1, 0, 1], [0, 1, 1]], [[1, 1, 1], [1, 1, 1]],
-                     [[1, 1, 0], [1, 1, 0]]], dtype=complex)
+    # L >= M: h_1 = (1, 1), h_2 = 0, q = 1: 1 + 1e-300 rounds to 1, so J =
+    # [[1, 1], [1, 1]] is exactly singular and its LU solve fails.  L < M: two equal columns make sigma2 I + Q G = [[1, 1],
+    # [1, 1]] exactly singular, and q = 1e308 on |h_1|^2 = 2 overflows it
+    square = np.array([[[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 1], [1, 1]]],
+                      dtype=complex)
     streams = np.array([[[1, 0], [0, 1], [0, 0]], [[1, 1], [0, 0], [0, 0]],
                         [[1, 0], [1, 0], [0, 0]]], dtype=complex)
-    for cols in (wide, streams):
-        q = np.ones(cols.shape[::2])
-        q[2] = 1e308
+    q = np.ones((3, 2))
+    q[2] = 1e308
+    for cols in (square, streams):
         out = _covariance(cols, q, 1e-300)
         alone = _covariance(cols[:1], q[:1], 1e-300)
         for got, want in zip(out, alone):
@@ -173,6 +158,29 @@ def test_failed_factorization_is_nan_in_its_slice_only():
         for b in (1, 2):
             with pytest.raises(NumericsError):
                 make_state(eff_from_cols(cols[b]), q[b], 1e-300)
+
+
+def test_overflowing_output_is_nan_in_its_slice_only():
+    # a finite, invertible matrix whose outputs overflow: stream 2 is off
+    # at sigma2 = 1e-300, so J^-1 htil_2 = htil_2 / sigma2 and its gain
+    # |htil_2|^2 / sigma2^2 is past the largest double, while tr J^-1
+    # (about 1e300) stays finite.  That slice comes back NaN in all three
+    # outputs, the first slice bitwise as it is alone, and `make_state`
+    # raises.  J = diag(1, 1e-300) at L = M, and so is sigma2 I + Q G at
+    # L < M
+    cols = {"square": np.array([[[1, 0], [0, 1]]] * 2, dtype=complex),
+            "streams": np.array([[[1, 0], [0, 1], [0, 0]]] * 2,
+                                dtype=complex)}
+    q = np.array([[1.0, 1.0], [1.0, 0.0]])
+    for name, c in cols.items():
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = _covariance(c, q, 1e-300)
+        alone = _covariance(c[:1], q[:1], 1e-300)
+        for got, want in zip(out, alone):
+            assert np.isnan(got[1]).all(), name
+            assert np.array_equal(got[:1], want)
+        with pytest.raises(NumericsError), pytest.warns(RuntimeWarning):
+            make_state(eff_from_cols(c[1]), q[1], 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +225,14 @@ def test_make_state_rejects_non_finite():
 
 
 def test_state_invariants_on_seeds(monkeypatch):
-    # M = L = 4: the kernel inverts S = sigma2 I + Q G, which is similar
-    # to the Hermitian sigma2 I + Q^1/2 G Q^1/2, so its eigenvalues are
-    # real and at least sigma2
     for seed in range(5):
         _, _, eff = rand_instance(seed)
         q = np.random.default_rng(seed).uniform(0, 3, 4)
-        _, S = state_and_inverted_S(monkeypatch, eff, q, 0.9)
-        G = eff.cols.conj().T @ eff.cols
-        rebuilt = q[:, None] * G + 0.9 * np.eye(4)
-        assert np.abs(S - rebuilt).max() <= 1e-12 * np.abs(S).max()
-        ev = np.linalg.eigvals(S)
-        assert np.abs(ev.imag).max() <= 1e-9 * np.abs(ev).max()
-        assert ev.real.min() >= 0.9 - 1e-9
+        _, J = state_and_solved_J(monkeypatch, eff, q, 0.9)
+        rebuilt = (eff.cols * q) @ eff.cols.conj().T + 0.9 * np.eye(4)
+        assert np.abs(J - rebuilt).max() <= 1e-12 * np.abs(J).max()
+        assert np.abs(J - J.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(J).min() >= 0.9 - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,8 @@ def assert_same_result(batched, alone):
 
 @pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
 def test_solve_powers_matches_solve_power(sigma2):
-    # the ensemble-snr shape; 5701 fails to certify at 70 dB (one of three
-    # seeds of 0-29999 that do)
-    seeds = list(range(12)) + [5701]
+    # the ensemble-snr shape; 14000232 fails to certify at 70 dB
+    seeds = list(range(12)) + [14000232]
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in seeds]
     for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0), effs):
         assert_same_result(out, solve_alone(eff, sigma2))
@@ -270,7 +269,7 @@ def test_failing_instance_leaves_the_batch_unchanged():
     cols[:, 1] = 0.0
     effs.append(eff_from_cols(cols))
     zero = eff_from_cols(np.zeros((4, 4)))
-    slow = rand_instance(5701, sigma2=sigma2)[2]  # fails to certify
+    slow = rand_instance(14000232, sigma2=sigma2)[2]
     clean = solver.solve_powers(effs, sigma2, 10.0)
     mixed = solver.solve_powers(effs[:2] + [zero] + effs[2:4] + [slow]
                                 + effs[4:], sigma2, 10.0)
@@ -292,17 +291,11 @@ def test_failing_instance_leaves_the_batch_unchanged():
     assert_same_result(mixed[2], clean[2])
 
 
-@pytest.mark.filterwarnings("ignore:overflow")  # gains of a near-singular S
 def test_unfactorable_instance_leaves_the_batch_unchanged():
-    # instance 111 with every user's channel made the rank-one first column
-    # of user 0's: its effective columns are collinear, and at sigma2 =
-    # 1e-300 the kernel cannot invert sigma2 I + Q G
-    sigma2 = 1e-300
+    # at sigma2 = 1e-14 instance 111's J fails to factor after 83 steps
+    sigma2 = 1e-14
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(100, 111)]
-    ch, up, _ = rand_instance(111, sigma2=sigma2)
-    ch = dataclasses.replace(ch, H=tuple(
-        np.repeat(ch.H[0][:, :1], n, axis=1) for n in ch.dims.N))
-    bad = build_effective_channel(ch, up)
+    bad = rand_instance(111, sigma2=sigma2)[2]
     clean = solver.solve_powers(effs, sigma2, 10.0)
     mixed = solver.solve_powers(effs[:5] + [bad] + effs[5:], sigma2, 10.0)
     assert isinstance(mixed[5], NumericsError)
@@ -316,7 +309,7 @@ def test_certificate_state_is_the_kernel_at_its_q():
     # at 70 dB this instance idles to the stall limit after its best
     # iterate, so the last iterate is not the certified one
     sigma2 = 1e-6
-    eff = rand_instance(5701, sigma2=sigma2)[2]
+    eff = rand_instance(14000232, sigma2=sigma2)[2]
     steps = []
     with pytest.raises(ConvergenceError) as alone:
         solve_power(eff, sigma2, 10.0,
@@ -334,10 +327,8 @@ def test_certificate_state_is_the_kernel_at_its_q():
 
 def test_singular_kkt_slice_leaves_the_batch_unchanged(monkeypatch):
     # a duplicated column makes the KKT system singular on a face holding
-    # both copies: that slice alone falls back to least squares.  Instance
-    # 23's solve reaches such a face (rounding decides whether one copy
-    # parks at 0 first: instance 3's, the earlier fixture, now does)
-    cols = rand_instance(23)[2].cols.copy()
+    # both copies: that slice alone falls back to least squares
+    cols = rand_instance(3)[2].cols.copy()
     cols[:, 1] = cols[:, 0]
     effs = [rand_instance(s)[2] for s in range(4)]
     effs.insert(2, eff_from_cols(cols))

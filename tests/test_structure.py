@@ -16,10 +16,10 @@ from dualprec import cli, objective
 SRC = Path(dualprec.__file__).parent
 
 
-#: Names through which a Cholesky factorization or an inverse can be
-#: reached.
+#: Names through which a factorization, an inverse or a linear solve can
+#: be reached.
 FACTOR_NAMES = {"_POTRF", "potrf", "cho_factor", "cholesky",
-                "get_lapack_funcs", "inv"}
+                "get_lapack_funcs", "inv", "solve"}
 
 
 def _uses(node, scope, out):
@@ -42,17 +42,19 @@ def _uses(node, scope, out):
 
 def test_cholesky_only_in_the_covariance_kernel():
     # one covariance factorization for both link directions: the kernel
-    # objective._covariance inverts the L x L stream-domain matrix when
-    # there are no more streams than antennas, and otherwise factors J by
-    # numpy's Cholesky and inverts the factor; downlink_mmse runs on it
-    # over the dual channel
+    # objective._covariance solves J by LU when there are no fewer streams
+    # than antennas, and otherwise inverts the L x L stream-domain matrix;
+    # downlink_mmse runs on it over the dual channel.  The other solves
+    # are the solver's KKT system and the duality transform
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
         _uses(ast.parse(path.read_text()), "<module>", out)
         sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
-    assert sites == {("cholesky", "objective._covariance"),
-                     ("inv", "objective._covariance")}
+    assert sites == {("solve", "objective._covariance"),
+                     ("inv", "objective._covariance"),
+                     ("solve", "solver._solve_kkt"),
+                     ("solve", "duality._transform")}
 
 
 def test_ctypes_only_in_the_blas_module():
