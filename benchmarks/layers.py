@@ -78,9 +78,14 @@ LAYERS = {
                                "call of 50 instances of M=4 K=2 N=(2,2) "
                                "L=(2,2) P=10 at each sigma2 = 10, 1, 1e-2, "
                                "1e-4, 1e-6"),
+    "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
+                                "on seeds 1-4 at M=64 K=32 N_k=2 L_k=1"),
     "solve_powers_B4_M64": ("ms", "solve_powers per instance, one call of "
                                   "4 instances of M=64 K=32 N_k=2 L_k=1 "
                                   "P=10 sigma2=1"),
+    "solve_powers_B4_M64_kernel_calls": (
+        "count", "objective._covariance calls in one cold solve_powers "
+                 "call, same instances"),
     "verify_theorem": ("us", "verify_theorem per trial with the solve's "
                              "state, median over M=4 K=2 N=(2,2) L=(2,2) "
                              "sigma2=1 P=10, seeds 1-50"),
@@ -213,13 +218,18 @@ def _layers(pkg, paths: list) -> dict:
         counted[0] += 1
         return covariance(*args)
 
-    solver._covariance = count
-    try:
-        for c in warm:
-            replay(c)
-    finally:
-        solver._covariance = covariance
-    out["solve_power_warm_kernel_calls"] = counted[0] / len(warm)
+    def kernel_calls(fn):
+        """objective._covariance calls that fn() makes through the solver."""
+        counted[0] = 0
+        solver._covariance = count
+        try:
+            fn()
+        finally:
+            solver._covariance = covariance
+        return counted[0]
+
+    out["solve_power_warm_kernel_calls"] = kernel_calls(
+        lambda: [replay(c) for c in warm]) / len(warm)
 
     batches = [[e for _, _, e in instances(small, range(1, 51), s2)]
                for s2 in SIGMA2S]
@@ -227,10 +237,15 @@ def _layers(pkg, paths: list) -> dict:
         [lambda e=e, s2=s2: solver.solve_powers(e, s2, 10.0)
          for e, s2 in zip(batches, SIGMA2S)],
         lambda t: sum(t) / (50 * len(SIGMA2S)) * 1e6)
+    out["gen_stacks_B4_M64"] = _rounds(
+        [lambda: pkg.model.gen_stacks(large, range(1, 5))],
+        lambda t: t[0] / 4 * 1e6)
     effs = [e for _, _, e in instances(large, range(1, 5))]
     out["solve_powers_B4_M64"] = _rounds(
         [lambda: solver.solve_powers(effs, 1.0, 10.0)],
         lambda t: t[0] / 4 * 1e3)
+    out["solve_powers_B4_M64_kernel_calls"] = kernel_calls(
+        lambda: solver.solve_powers(effs, 1.0, 10.0))
 
     theorem = []
     for ch, up, eff in instances(small, range(1, 51)):
@@ -436,7 +451,7 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers, verify_trials4_M64, "
+                        "solve_powers, gen_stacks, verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "

@@ -14,12 +14,14 @@ Conventions used throughout the package:
 
 Instances are generated as stacks over a list of seeds (`gen_stacks`),
 which is how `verify` makes each batch of trials: per seed, one draw from
-its channel generator and one from its precoder generator, reshaped into
-per-user stacks, and one stacked matmul per user for the effective
-columns, with the dims and unit-norm checks run once per stack.  One
-draw of n1 + n2 + ... normals is bitwise the draws of n1, n2, ... one
-after the other, and the other steps are elementwise or slice by slice,
-so every instance is bitwise what `gen_channel`, `random_unit_precoders`
+its channel generator and one from its precoder generator.  Each run of
+consecutive users with equal (N_k, L_k) is one more stacked axis: per
+run, one reshape of the draws, one divide (by sqrt 2, or by the column
+norms), one unit-norm check and one stacked matmul for the effective
+columns, and each user's blocks are views of its run's stack.  One draw
+of n1 + n2 + ... normals is bitwise the draws of n1, n2, ... one after
+the other, and the other steps are elementwise or slice by slice, so
+every instance is bitwise what `gen_channel`, `random_unit_precoders`
 and `build_effective_channel` give for its seed; those are stacks of one
 of the same code.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from numbers import Integral, Real
 
 import numpy as np
@@ -149,7 +152,7 @@ def gen_channel(dims: SystemDims, sigma2: float, p_max: float, seed=None) -> Cha
 
     Deterministic given ``seed``: a stack of one of `gen_stacks`' channels.
     """
-    H = tuple(h[0] for h in _channels(dims, [seed]))
+    H = tuple(h[0] for h in _users(_channels(dims, [seed])))
     return ChannelSet(dims=dims, H=H, sigma2=float(sigma2),
                       p_max=float(p_max), seed=seed)
 
@@ -163,45 +166,59 @@ def gen_stacks(dims: SystemDims, seeds) -> tuple:
     two), all bitwise.
 
     Each seed's channel and precoder generators make one draw each; the
-    dims and the unit norms are checked once for the whole stack.
+    dims are checked once for the whole stack and the unit norms once per
+    run of equal-shape users, whose blocks are views of one stack.
     """
     H = _channels(dims, seeds)
     V = _unit_columns(dims.N, dims.L, [[s, PRECODER_TAG] for s in seeds])
-    return H, V, _effective_cols(dims, H, V)
+    return _users(H), _users(V), _effective_cols(dims, H, V)
 
 
-def _channels(dims: SystemDims, seeds) -> tuple:
-    """Per user the B x M x N_k stack of the channels of ``seeds``."""
+def _runs(rows, cols) -> list:
+    """(n, (r, c)) for each run of n consecutive users k with equal
+    (rows[k], cols[k]) = (r, c), in user order."""
+    return [(len(list(run)), shape) for shape, run in groupby(zip(rows, cols))]
+
+
+def _users(stacks) -> tuple:
+    """Per user the B x r x c view of its run's B x n x r x c stack."""
+    return tuple(x[:, j] for x in stacks for j in range(x.shape[1]))
+
+
+def _channels(dims: SystemDims, seeds) -> list:
+    """Per run of users with equal (N_k, L_k) the B x n x M x N_k stack
+    of the channels of ``seeds``."""
     bad = dims.violations()
     if bad:
         raise DimensionError("; ".join(bad))
-    return tuple(x / np.sqrt(2.0)
-                 for x in _gaussians(seeds, [dims.M] * dims.K, dims.N))
+    return [np.divide(x, np.sqrt(2.0), out=x) for x in _gaussians(
+        seeds, [(n, (dims.M, N)) for n, (N, _) in _runs(dims.N, dims.L)])]
 
 
-def _unit_columns(rows, cols, seeds) -> tuple:
-    """Per user k the B x rows[k] x cols[k] stack of the unit-norm columns
-    of ``seeds``."""
-    return tuple(x / np.linalg.norm(x, axis=1, keepdims=True)
-                 for x in _gaussians(seeds, rows, cols))
+def _unit_columns(rows, cols, seeds) -> list:
+    """Per run of users with equal (rows[k], cols[k]) the B x n x rows[k]
+    x cols[k] stack of the unit-norm columns of ``seeds``."""
+    return [np.divide(x, np.linalg.norm(x, axis=2, keepdims=True), out=x)
+            for x in _gaussians(seeds, _runs(rows, cols))]
 
 
-def _gaussians(seeds, rows, cols) -> list:
-    """Per user k the B x rows[k] x cols[k] stack of circularly-symmetric
-    complex Gaussians re + 1j im with unit-variance parts.  Each seed's
-    generator makes one draw of them all, which is bitwise the draws of
-    user 0's real parts, its imaginary parts, user 1's real parts and so
-    on one after the other."""
-    sizes = [r * c for r, c in zip(rows, cols)]
-    Z = np.empty((len(seeds), 2 * sum(sizes)))
+def _gaussians(seeds, runs) -> list:
+    """Per run (n, (r, c)) of ``runs`` the B x n x r x c stack of
+    circularly-symmetric complex Gaussians re + 1j im with unit-variance
+    parts.  Each seed's generator makes one draw of them all, which is
+    bitwise the draws of user 0's real parts, its imaginary parts, user
+    1's real parts and so on one after the other."""
+    sizes = [2 * n * r * c for n, (r, c) in runs]
+    Z = np.empty((len(seeds), sum(sizes)))
     for z, seed in zip(Z, seeds):
         np.random.default_rng(seed).standard_normal(out=z)
     out, start = [], 0
-    for r, c, n in zip(rows, cols, sizes):
-        re, im = (Z[:, start + i * n:start + (i + 1) * n]
-                  .reshape(len(Z), r, c) for i in (0, 1))
-        out.append(re + 1j * im)
-        start += 2 * n
+    for (n, (r, c)), size in zip(runs, sizes):
+        X = Z[:, start:start + size].reshape(len(Z), n, 2, r, c)
+        x = 1j * X[:, :, 1]
+        x += X[:, :, 0]  # re + 1j im, without a second complex temporary
+        out.append(x)
+        start += size
     return out
 
 
@@ -263,32 +280,48 @@ def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveCha
     d = ch.dims
     if len(uplink.by_user) != d.K:
         raise DimensionError("precoder set must have one block per user")
-    cols = _effective_cols(d, [h[None] for h in ch.H],
-                           [vb[None] for vb in uplink.by_user])
-    return EffectiveChannel(cols=cols[0])
+    for k, vb in enumerate(uplink.by_user):
+        if vb.shape != (d.N[k], d.L[k]):
+            raise DimensionError(
+                f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
+            )
+    H, V, k = [], [], 0
+    for n, _ in _runs(d.N, d.L):  # a stack of one per run
+        H.append(np.array(ch.H[k:k + n])[None])
+        V.append(np.array(uplink.by_user[k:k + n])[None])
+        k += n
+    return EffectiveChannel(cols=_effective_cols(d, H, V)[0])
 
 
 def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
     """The effective columns (B x M x L_tot) of the stacks of channels
-    ``H`` (per user B x M x N_k) and unit beamformers ``V`` (per user
-    B x N_k x L_k), one stacked matmul per user; a block of the wrong
-    shape or a column that is not of unit norm raises."""
-    for k, vb in enumerate(V):
-        if vb.shape[1:] != (d.N[k], d.L[k]):
-            raise DimensionError(
-                f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
-            )
-        norms = np.linalg.norm(vb, axis=1)
-        if (np.abs(norms - 1.0) > NORM_TOL * max(1.0, d.N[k])).any():
-            raise ValidationError(f"user {k}: beamformer columns must have unit norm")
-    return np.concatenate([h @ vb for h, vb in zip(H, V)], axis=2)
+    ``H`` (per run of users with equal (N_k, L_k), B x n x M x N_k) and
+    unit beamformers ``V`` (B x n x N_k x L_k), one unit-norm check and
+    one stacked matmul per run; a column that is not of unit norm
+    raises."""
+    B = len(V[0])
+    cols = np.empty((B, d.M, d.L_tot), dtype=complex)
+    k = l = 0
+    for h, vb in zip(H, V):
+        n, N, c = vb.shape[1:]
+        norms = np.linalg.norm(vb, axis=2)
+        bad = np.abs(norms - 1.0) > NORM_TOL * max(1.0, N)
+        if bad.any():
+            raise ValidationError(
+                f"user {k + bad.nonzero()[1][0]}: beamformer columns must "
+                "have unit norm")
+        # user k + j's columns, a view of cols split by user
+        cols[:, :, l:l + n * c].reshape(B, d.M, n, c).swapaxes(1, 2)[...] = \
+            h @ vb
+        k, l = k + n, l + n * c
+    return cols
 
 
 def random_unit_precoders(dims: SystemDims, direction: str, seed=None,
                           powers=None) -> PrecoderSet:
     """Seeded random unit-norm beamformer columns for either direction."""
     rows = [dims.M] * dims.K if direction == DOWNLINK else list(dims.N)
-    by_user = tuple(b[0] for b in _unit_columns(rows, dims.L, [seed]))
+    by_user = tuple(b[0] for b in _users(_unit_columns(rows, dims.L, [seed])))
     if powers is None:
         powers = np.zeros(dims.L_tot)
     return PrecoderSet(direction=direction, by_user=by_user, powers=powers)

@@ -24,7 +24,9 @@ about half the time of the slice-by-slice LAPACK Cholesky it replaced
 (`BENCH_numpy_kernel.json`).  With L < M it never forms J and inverts an
 L x L matrix instead, which is exact to rounding at every SNR and at
 M = 64, L = 32 took a fifth to a third of the M x M form's time per
-instance (`BENCH_stream_kernel.json`).
+instance (`BENCH_stream_kernel.json`); its G = Htil^H Htil (`_gram`) is
+constant over a solve, so the solver forms it once per stack and hands
+it in.
 
 These solves are small, so importing `dualprec` runs OpenBLAS on one
 thread (`_blas`): at M = 64 the default threads made them ~8x slower.
@@ -76,10 +78,18 @@ def _slices(fn, X: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
+def _gram(cols: np.ndarray) -> np.ndarray:
+    """G = Htil^H Htil (B x L x L) of each slice of the stack ``cols``
+    (B x M x L), slice by slice."""
+    return cols.swapaxes(1, 2).conj() @ cols
+
+
+def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, gram=None):
     """The covariance kernel every MMSE quantity derives from, for a
     stack of B instances: ``cols`` is B x M x L and ``q`` is B x L (or
-    1 x L, one power vector for the whole stack).
+    1 x L, one power vector for the whole stack).  With L < M, ``gram``
+    may hold `_gram` of ``cols``, which is constant over a solve; without
+    it the kernel forms G itself, to the same bits.
 
     Returns the stacked (A, f, gains) of J = sum_l q_l htil_l htil_l^H
     + sigma2 I: A = J^-1 Htil (B x M x L), f = tr(J^-1) (B,) and
@@ -109,12 +119,11 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float):
     """
     B, M, L = cols.shape
     if L < M:
-        CT = cols.swapaxes(1, 2)
-        G = CT.conj() @ cols
-        S = q[:, :, None] * G  # sigma2 I + Q G
-        S.reshape(B, L * L)[:, ::L + 1] += sigma2
+        S = q[:, :, None] * (_gram(cols) if gram is None else gram)
+        S.reshape(B, L * L)[:, ::L + 1] += sigma2  # sigma2 I + Q G
         T = _slices(np.linalg.inv, S)
-        A = (T.swapaxes(1, 2) @ CT).swapaxes(1, 2)  # column-major slices
+        # column-major slices
+        A = (T.swapaxes(1, 2) @ cols.swapaxes(1, 2)).swapaxes(1, 2)
         f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
              + (M - L) / sigma2)
     else:

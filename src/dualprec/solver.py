@@ -18,12 +18,15 @@ instances, one row each, from the first iterates `_start` takes for the
 whole stack at once: a round evaluates a power vector per row with one
 stacked kernel call, decides acceptance, backtracking, stalls and best
 iterates as row masks, and takes the Newton steps with one stacked
-`np.linalg.solve` per face size; `solve_power` is a stack of one.  All
-stacked operations are elementwise or slice by slice, so an instance
-takes the same steps, to the bit, whatever shares its stack.  A stream
-whose channel is zero starts at q = 0 and stays there (its gain is 0),
-so every instance runs on all its columns and is certified by the
-same loop.
+`np.linalg.solve` per face size; `solve_power` is a stack of one.  With
+L < M the stack's G = Htil^H Htil is formed once and handed to every
+kernel call, and a cold solve starts from the regularized zero-forcing
+allocation, which at M = 64, L = 32 takes 3.0 Newton steps per row
+against 4.78 from uniform powers.  All stacked operations are
+elementwise or slice by slice, so an instance takes the same steps, to
+the bit, whatever shares its stack.  A stream whose channel is zero
+starts at q = 0 and stays there (its gain is 0), so every instance runs
+on all its columns and is certified by the same loop.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
                      NumericsError, ValidationError)
 from .model import EffectiveChannel, is_count, is_real
-from .objective import UplinkState, _covariance
+from .objective import UplinkState, _covariance, _gram, _slices
 
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
 ARMIJO = 1e-4
@@ -55,6 +58,13 @@ IDLE_STEPS = 200
 #: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
 #: would only cost memory.
 STACK_BYTES = 1 << 20
+#: lambda = START_NOISE * sigma2 * L / p_max regularizes the closed-form
+#: start of a cold L < M solve, q_l ~ sqrt([(G + lambda I)^-1]_ll): the
+#: regularized zero-forcing allocation, which tends to uniform powers as
+#: the SNR falls.  Of 0.5, 1, 2 and 4, 2 took the fewest Newton steps per
+#: row at M = 64, L = 32, sigma2 = 1, P = 10 (3.88, 3.27, 3.00 and 3.95
+#: over seeds 1-40, against 4.78 from uniform powers).
+START_NOISE = 2.0
 
 
 @dataclass
@@ -204,7 +214,9 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
         stacks += [group[k:k + size] for k in range(0, len(group), size)]
     for idx in stacks:
         CS = np.array([effs[i].cols for i in idx])
-        Q0, errs = _start(CS, p_max, q0)
+        # G = Htil^H Htil, constant over the solve, for the L < M kernel
+        gram = _gram(CS) if CS.shape[2] < CS.shape[1] else None
+        Q0, errs = _start(CS, gram, sigma2, p_max, q0)
         if any(errs):  # those rows end here
             for i, e in zip(idx, errs):
                 out[i] = e
@@ -212,9 +224,9 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
             idx = [i for i, e in zip(idx, errs) if e is None]
             if not idx:
                 continue
-            CS, Q0 = CS[ok], Q0[ok]
+            CS, Q0, gram = CS[ok], Q0[ok], _rows(gram, ok)
         for rows, Q, A, F, kkt, steps, failed in _lockstep(
-                CS, Q0, sigma2, p_max, cfg, callback):
+                CS, gram, Q0, sigma2, p_max, cfg, callback):
             # copies in the layouts one kernel call gives, so that callers
             # computing on the state get the same bits whatever the stack
             states = [UplinkState(eff=effs[idx[k]], q=Q[j].copy(),
@@ -239,13 +251,24 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     return out
 
 
-def _start(CS, p_max: float, q0=None) -> tuple:
+def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     """The first iterates (B x L) of the solves of the stack ``CS``
-    (B x M x L), and per row None or the error that keeps it from
-    starting: projected q0, or uniform, spending the budget on the
-    streams with a nonzero channel.  The others (norm at most 1e-15 of
-    the row's largest) start at 0 and stay there: a zero channel's gain
-    is 0, so no Newton face admits its stream."""
+    (B x M x L), with ``gram`` its `_gram` when L < M (else None), and
+    per row None or the error that keeps it from starting: projected q0,
+    or uniform, spending the budget on the streams with a nonzero
+    channel.  The others (norm at most 1e-15 of the row's largest) start
+    at 0 and stay there: a zero channel's gain is 0, so no Newton face
+    admits its stream.
+
+    Without q0, an L < M row whose channels are all on starts instead
+    from the regularized zero-forcing allocation q_l = p_max sqrt(c_l) /
+    sum_j sqrt(c_j), c = diag((G + lambda I)^-1), lambda = `START_NOISE`
+    sigma2 L / p_max.  For L < M, tr J^-1 ~ (M - L) / sigma2
+    + sum_l [G^-1]_ll / q_l at high SNR (push-through), which this q
+    minimizes on the budget simplex (Palomar, Cioffi & Lagunas, IEEE TSP
+    51(9), 2003).  A row whose c is not finite and positive, or whose q
+    is not positive, keeps its uniform start.  Every step is slice by
+    slice or along a row, so a row's start is bitwise its start alone."""
     B, _, L = CS.shape
     if q0 is not None and np.shape(q0) != (L,):
         return None, [DimensionError(
@@ -264,7 +287,19 @@ def _start(CS, p_max: float, q0=None) -> tuple:
                     else "all effective channels are zero")
                 for x, c in zip(largest.tolist(), counts)]
     if q0 is None:
-        return np.where(on, p_max / np.maximum(count, 1)[:, None], 0.0), errs
+        Q = np.where(on, p_max / np.maximum(count, 1)[:, None], 0.0)
+        if gram is None:
+            return Q, errs
+        R = gram.copy()  # G + lambda I
+        R.reshape(B, L * L)[:, ::L + 1] += START_NOISE * sigma2 * L / p_max
+        c = _slices(np.linalg.inv, R).diagonal(0, 1, 2).real
+        use = np.logical_and.reduce(on & (c > 0) & (c < math.inf), axis=1)
+        if np.count_nonzero(use):
+            r = np.sqrt(c[use])
+            q = p_max * (r / np.add.reduce(r, axis=1)[:, None])
+            keep = np.logical_and.reduce(q > 0, axis=1)
+            Q[use.nonzero()[0][keep]] = q[keep]
+        return Q, errs
     q0, Q = np.asarray(q0, dtype=float), np.zeros(on.shape)
     for b in range(B):
         q, row = Q[b], on[b]
@@ -280,12 +315,13 @@ def _start(CS, p_max: float, q0=None) -> tuple:
     return Q, errs
 
 
-def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
+def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
               callback=None):
-    """Solve each row of the stack ``CS`` (B x M x L) from ``Q0`` (B x L);
-    yield (rows, q, A, f, `_kkt` terms, steps, failed) of the best
-    iterates of the rows that finish in a round, failed where a row's J
-    was not finite or could not be factored (such a row finishes at once).
+    """Solve each row of the stack ``CS`` (B x M x L), with ``gram`` its
+    `_gram` when L < M (else None), from ``Q0`` (B x L); yield (rows, q,
+    A, f, `_kkt` terms, steps, failed) of the best iterates of the rows
+    that finish in a round, failed where a row's J was not finite or
+    could not be factored (such a row finishes at once).
     ``callback(q, f)`` fires after every step of every row.  ``s`` holds
     the unfinished rows; no array in it is written in place, so the
     current and best iterate may share one."""
@@ -295,13 +331,13 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     # residual to beat to go on, by steps since the best: 0, idle, too many
     limit = np.full(IDLE_STEPS + 2, max(target, cfg.kkt_tol))
     limit[0], limit[-1] = target, math.inf
-    A, f, G = _covariance(CS, Q0, sigma2)
+    A, f, G = _covariance(CS, Q0, sigma2, gram)
     kkt, r = _kkt(Q0, G, p_max, act_tol)
     B = len(Q0)
     steps = np.zeros(B, dtype=int)
     s = SimpleNamespace(
-        rows=np.arange(B), cs=CS, q=Q0, f=f, g=G, a=A, r=r, best_q=Q0,
-        best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
+        rows=np.arange(B), cs=CS, gram=gram, q=Q0, f=f, g=G, a=A, r=r,
+        best_q=Q0, best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
         best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
         full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0,
         failed=np.isnan(f))
@@ -322,7 +358,7 @@ def _lockstep(CS, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
             s = SimpleNamespace(**{k: _rows(v, ~done)
                                    for k, v in vars(s).items()})
 
-        A, f, G = _covariance(s.cs, s.trial, sigma2)
+        A, f, G = _covariance(s.cs, s.trial, sigma2, s.gram)
         kkt, r = _kkt(s.trial, G, p_max, act_tol)
         # near the optimum f is flat to rounding and only the residual moves
         moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
@@ -367,7 +403,10 @@ def _pick(mask, new, old):
 
 
 def _rows(x, mask):
-    """The rows in mask of an array, or of every array of a tuple."""
+    """The rows in mask of an array, or of every array of a tuple (None
+    stays None)."""
+    if x is None:
+        return None
     return tuple(_rows(a, mask) for a in x) if isinstance(x, tuple) \
         else x[mask]
 

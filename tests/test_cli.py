@@ -57,9 +57,29 @@ GEN_SHA256 = [
     (("64", "32", ",".join(["2"] * 32), ",".join(["1"] * 32), "91"),
      "d2f15866b0965b0dbc880198e4532dd51fcb10e9cbaf7e36346f96804473a30c"),
 ]
+#: Seeds 1-5 at M=4 K=2 N=(4,4) L=(2,2) and at M=64 K=32 N_k=2 L_k=1,
+#: written by user-by-user generation before equal-shape users became one
+#: stacked axis.
+GEN_RUNS_SHA256 = {("4", "2", "4,4", "2,2"): [
+    "de152b2260ca35febe6ac075006f5e32c7e58532eca5ce44a4e6916a0796a5d8",
+    "b69bfb0edae5e993be12750b8e04d6266e4ef352d54b7edc279ac1e41003d5db",
+    "514c1e3828166477a52284b2606484051abcb7fa01bf729fd939493e6fb40933",
+    "c8ad386691120464e974cf6a9ba13f55f97b79e9d587c05af1e1e9385501a9f2",
+    "05a5c90f172f447d6f2320c0bd7cd519272cb36ecc7ce1eb914823a324ea7150",
+], ("64", "32", ",".join(["2"] * 32), ",".join(["1"] * 32)): [
+    "b411d6b552b84031980aed5117930b29981159ac1ccb2cc5b9edb0220eb5ece0",
+    "4e9b683493bc73bd611237948c0d5f8cb07df7a6123051b8807497e49a8d1a3c",
+    "7771b16551a1f14b1bb74f4da08009abeffd6db2aecb91e77c86da0e914c1400",
+    "2826c77dceaebd76e85f601d376265570539adef5867243e9e66e0123736052b",
+    "2f595acda1df35f31903dcded1ee45ac3aa07c8beaa4e6ca8830b97e8762e3ae",
+]}
+GEN_SHA256 += [((*dims, str(seed)), sha)
+               for dims, shas in GEN_RUNS_SHA256.items()
+               for seed, sha in enumerate(shas, 1)]
 
 
-@pytest.mark.parametrize("spec,sha", GEN_SHA256, ids=["M4", "M6", "M64"])
+@pytest.mark.parametrize("spec,sha", GEN_SHA256, ids=["M4", "M6", "M64"] + [
+    f"M{M}-N{N[0]}-s{seed}" for (M, _, N, _, seed), _ in GEN_SHA256[3:]])
 def test_gen_sha256_pinned(spec, sha, tmp_path, capsys):
     M, K, N, L, seed = spec
     run_cli(["gen", "--M", M, "--K", K, "--N", N, "--L", L, "--seed", seed,

@@ -83,15 +83,23 @@ def test_gen_output_passes_validate():
 
 @pytest.mark.parametrize("dims", [
     DIMS_2x2, SystemDims(M=6, K=2, N=(3, 3), L=(2, 2)),
-    SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)],
-    ids=["4,2,2,2,2,2", "6,2,3,3,2,2", "M64"])
+    SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32),
+    SystemDims(M=8, K=5, N=(2, 2, 3, 3, 2), L=(1, 1, 2, 1, 1)),
+    SystemDims(M=5, K=6, N=(3, 3, 1, 3, 3, 3), L=(2, 2, 1, 1, 2, 2))],
+    ids=["4,2,2,2,2,2", "6,2,3,3,2,2", "M64", "8,5,2,2,3,3,2,1,1,2,1,1",
+         "5,6,3,3,1,3,3,3,2,2,1,1,2,2"])
 def test_gen_stacks_equal_per_seed_generation(dims):
-    # one draw per generator and one matmul per user give bitwise the
-    # per-user draws and products, seed by seed and whatever the stack
+    # one draw per generator and one matmul per run of equal-shape users
+    # give bitwise the per-user draws and products, seed by seed and
+    # whatever the stack
     seeds = range(3, 10)
     H, V, cols = gen_stacks(dims, seeds)
     assert [h.shape for h in H] == [(7, dims.M, n) for n in dims.N]
     assert cols.shape == (7, dims.M, dims.L_tot)
+    for k in range(dims.K - 1):  # a run's users are views of one stack
+        run = (dims.N[k], dims.L[k]) == (dims.N[k + 1], dims.L[k + 1])
+        assert (H[k].base is H[k + 1].base) == run
+        assert (V[k].base is V[k + 1].base) == run
     for b, seed in enumerate(seeds):
         ch = gen_channel_per_user(dims, 1.0, 10.0, seed=seed)
         up = random_unit_precoders_per_user(dims, VIRTUAL_UPLINK,

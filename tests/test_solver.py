@@ -13,6 +13,7 @@ from dualprec import (VIRTUAL_UPLINK, ConvergenceError, DimensionError,
                       solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
+from dualprec.objective import _gram
 from oracles import (CostGuardError, active_set, brute_force_power,
                      kkt_certify)
 
@@ -183,9 +184,9 @@ def test_kernel_budget(monkeypatch):
     calls = []
     kernel = solver._covariance
 
-    def counted(cols, q, sigma2):
+    def counted(*args):
         calls[-1] += 1
-        return kernel(cols, q, sigma2)
+        return kernel(*args)
 
     monkeypatch.setattr(solver, "_covariance", counted)
     for seed in range(20):
@@ -412,6 +413,93 @@ def test_solve_powers_rejects_bad_budget():
     with pytest.raises(ValidationError):
         solver.solve_powers([eff], 1.0, 0.0)
     assert solver.solve_powers([], 1.0, 10.0) == []
+
+
+# ---------------------------------------------------------------------------
+# the closed-form start of cold L < M solves
+
+LARGE_DIMS = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
+
+
+def large_stack(seeds, sigma2=1.0):
+    """The effective channels of ``seeds`` at the large-m shape, and their
+    B x M x L stack."""
+    effs = [rand_instance(s, LARGE_DIMS, sigma2)[2] for s in seeds]
+    return effs, np.array([eff.cols for eff in effs])
+
+
+def test_m64_start_is_per_row():
+    # a row with a zero column keeps the uniform start on its other
+    # columns, and every row solves bitwise as it does alone
+    effs = large_stack(range(1, 5))[0]
+    cols = effs[0].cols.copy()
+    cols[:, 5] = 0.0
+    effs.insert(2, eff_from_cols(cols))
+    batched = solver.solve_powers(effs, 1.0, 10.0)
+    for (q, cert), eff in zip(batched, effs):
+        assert_same_result((q, cert), solve_alone(eff, 1.0))
+        # the stack's G handed in: the state is still the kernel at q
+        A, f, _ = covariance(eff.cols, q, 1.0)
+        assert np.array_equal(cert.state.Jinv_cols, A)
+        assert cert.state.trace_jinv == f
+    assert batched[2][0][5] == 0.0
+    CS = np.array([eff.cols for eff in effs])
+    Q, errs = solver._start(CS, _gram(CS), 1.0, 10.0)
+    assert errs == [None] * 5
+    assert np.array_equal(Q[2], np.where(np.arange(32) == 5, 0.0, 10.0 / 31))
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-4])
+def test_m64_start_lies_on_the_simplex(sigma2):
+    effs, CS = large_stack(range(1, 5), sigma2)
+    Q, errs = solver._start(CS, _gram(CS), sigma2, 10.0)
+    assert errs == [None] * 4
+    assert np.all(Q > 0) and not np.any(Q == 10.0 / 32)  # not uniform
+    assert np.abs(Q.sum(axis=1) - 10.0).max() <= 1e-13
+    cfg = SolverConfig()
+    for eff in effs:
+        q, cert = solve_power(eff, sigma2, 10.0, cfg)
+        assert cert.passes(cfg.kkt_tol)
+
+
+def test_m64_start_tends_to_uniform_at_low_snr():
+    _, CS = large_stack(range(1, 5), 1e4)
+    Q = solver._start(CS, _gram(CS), 1e4, 10.0)[0]
+    assert np.abs(Q / (10.0 / 32) - 1.0).max() < 1e-3
+
+
+def test_singular_start_slice_keeps_the_uniform_start():
+    # a duplicated column at sigma2 = 1e-17 makes G + lambda I singular
+    # in its slice only: that row starts uniform, the others as alone
+    sigma2 = 1e-17
+    _, CS = large_stack(range(1, 4), sigma2)
+    CS[1, :, 1] = CS[1, :, 0]
+    R = _gram(CS[1:2])
+    R[0] += solver.START_NOISE * sigma2 * 32 / 10.0 * np.eye(32)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(R)
+    Q = solver._start(CS, _gram(CS), sigma2, 10.0)[0]
+    assert np.array_equal(Q[1], np.full(32, 10.0 / 32))
+    for b in (0, 2):
+        alone = solver._start(CS[b:b + 1], _gram(CS[b:b + 1]), sigma2, 10.0)
+        assert np.array_equal(alone[0][0], Q[b])
+        assert not np.any(Q[b] == 10.0 / 32)
+
+
+def test_cold_m64_stack_kernel_calls(monkeypatch):
+    # counted as benchmarks/layers.py counts them: 6 from the uniform
+    # start, 4 from the closed form
+    calls, kernel = [0], solver._covariance
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    effs = large_stack(range(1, 5))[0]
+    monkeypatch.setattr(solver, "_covariance", counted)
+    assert all(isinstance(out, tuple)
+               for out in solver.solve_powers(effs, 1.0, 10.0))
+    assert calls[0] <= 5
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ def test_cholesky_only_in_the_covariance_kernel():
     # objective._covariance solves J by LU when there are no fewer streams
     # than antennas, and otherwise inverts the L x L stream-domain matrix;
     # downlink_mmse runs on it over the dual channel.  The other solves
-    # are the solver's KKT system and the duality transform
+    # are the solver's KKT system, its closed-form start when L < M and
+    # the duality transform
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
@@ -54,6 +55,7 @@ def test_cholesky_only_in_the_covariance_kernel():
     assert sites == {("solve", "objective._covariance"),
                      ("inv", "objective._covariance"),
                      ("solve", "solver._solve_kkt"),
+                     ("inv", "solver._start"),
                      ("solve", "duality._transform")}
 
 
