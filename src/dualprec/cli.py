@@ -177,6 +177,7 @@ def _certificate_dict(cert: solver.KktCertificate) -> dict:
         "primal_sum_violation": cert.primal_sum_violation,
         "primal_nonneg_violation": cert.primal_nonneg_violation,
         "slackness_residual": cert.slackness_residual,
+        "relative_gap": cert.relative_gap,
     }
 
 
@@ -456,7 +457,7 @@ FLAG_GROUPS = {
     "ensemble": (("--trials", {"type": int}),
                  ("--dims", {"help": 'flattened spec, e.g. 4,2,"2,2","2,2"'}),
                  ("--seed-base", {"type": int})),
-    "solver": (("--kkt-tol", {"type": float}),
+    "solver": (("--kkt-tol", {"type": float, "help": "relative KKT gap"}),
                ("--max-iters", {"type": int})),
 }
 

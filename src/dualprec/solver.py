@@ -10,23 +10,22 @@ The solve is a single projected-Newton / active-set method on the simplex
 step on the face of powered streams, cut at the boundary, with an Armijo
 or residual-decrease line search.  Values, gains and Hessians all come
 from the covariance kernel `objective._covariance`, and so does the KKT
-certificate: multipliers reconstructed from the gains at the returned
-q, with every residual reported.
+certificate at the returned q.  It passes on one scale-free test, the
+Frank-Wolfe gap P max_l g_l - sum_l q_l g_l (which bounds f(q) - f*;
+Jaggi, ICML 2013) over sum_l q_l g_l.  A row stops at a trial that does
+not lower its best residual once it passes, or at its rounding floor.
 
 One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
 instances, one row each, from the first iterates `_start` takes for the
 whole stack at once: a round evaluates a power vector per row with one
-stacked kernel call, decides acceptance, backtracking, stalls and best
-iterates as row masks, and takes the Newton steps with one stacked
+stacked kernel call, decides acceptance, backtracking and best iterates
+as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size; `solve_power` is a stack of one.  With
-L < M the stack's G = Htil^H Htil is formed once and handed to every
-kernel call, and a cold solve starts from the regularized zero-forcing
-allocation, which at M = 64, L = 32 takes 3.0 Newton steps per row
-against 4.78 from uniform powers.  All stacked operations are
-elementwise or slice by slice, so an instance takes the same steps, to
-the bit, whatever shares its stack.  A stream whose channel is zero
-starts at q = 0 and stays there (its gain is 0), so every instance runs
-on all its columns and is certified by the same loop.
+L < M the stack's G = Htil^H Htil is formed once for every kernel call,
+and a cold solve starts from the regularized zero-forcing allocation.
+Every stacked operation is elementwise or slice by slice, so an instance
+takes the same steps, to the bit, whatever shares its stack.  A stream
+with a zero channel starts at q = 0 and stays there (its gain is 0).
 """
 
 from __future__ import annotations
@@ -45,14 +44,6 @@ from .objective import UplinkState, _covariance, _gram, _slices
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
 ARMIJO = 1e-4
 BACKTRACK = 0.5
-#: Smallest step the search tries.  When the search runs out, or after a
-#: step that did not lower the best residual, the solver takes the full
-#: step without a search.
-MIN_STEP = 1e-10
-#: Steps in a row that do not lower the best residual, allowed while the
-#: best iterate fails kkt_tol (a certified solve stops at the first): at the
-#: rounding floor each Newton step draws the rounding error afresh.
-IDLE_STEPS = 200
 #: Bytes of right-hand sides [I, Htil] (16 M (M + L) per instance) one
 #: stack may hold: 2048 instances at M = L = 4, where stacking pays, and
 #: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
@@ -88,11 +79,15 @@ class SolverConfig:
 class KktCertificate:
     """Multipliers and residuals of the first-order optimality system.
 
-    mu_sum is recovered as the largest gradient magnitude over active
-    streams; per-stream multipliers are zero on active streams by
-    construction (complementary slackness) and max(0, mu_sum - gain) on
-    inactive ones.  ``state`` is the kernel output the certificate was
-    computed from (the uplink state at the certified q), when known.
+    mu_sum is the largest gain over active streams; mu_l is 0 on an active
+    stream and max(0, mu_sum - gain) on an inactive one.  The four
+    residuals are absolute, in units of the gains (up to ~1/sigma2^2) and
+    powers.  ``relative_gap`` passes or fails: the largest of (P max_l g_l
+    - sum_l q_l g_l) / sum_l q_l g_l, the budget excess / P and the
+    largest negative power / P.  That Frank-Wolfe gap bounds f(q) - f*,
+    and sum_l q_l g_l <= sum-MSE / sigma2, so a q that passes has a
+    sum-MSE at most relative_gap times itself above the optimum.
+    ``state`` is the kernel output at q, when known.
     """
 
     mu_sum: float
@@ -101,16 +96,16 @@ class KktCertificate:
     primal_sum_violation: float
     primal_nonneg_violation: float
     slackness_residual: float
+    relative_gap: float
     state: UplinkState | None = field(default=None, repr=False,
                                       compare=False)
 
     @property
     def max_residual(self) -> float:
-        return max(self.stationarity_residual, self.primal_sum_violation,
-                   self.primal_nonneg_violation, self.slackness_residual)
+        return self.relative_gap
 
     def passes(self, tol: float) -> bool:
-        return self.max_residual <= tol
+        return self.relative_gap <= tol
 
 
 def project_power(q, p_max: float) -> np.ndarray:
@@ -136,11 +131,10 @@ def project_power(q, p_max: float) -> np.ndarray:
 
 
 def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
-    """KKT terms at each row q of ``Q`` from the gains ``G`` there: (mu_sum,
-    mu, stationarity, excess over the budget, largest negative power,
-    largest |mu_l q_l|), and `KktCertificate.max_residual` of each row.
-    Every step is elementwise, or an exact max or a sum along a row, so
-    row b is bitwise what the row alone gives."""
+    """KKT terms at each row q of ``Q`` from its gains ``G``: (mu_sum, mu,
+    stationarity, budget excess, largest negative power, max |mu_l q_l|,
+    relative gap), and each row's largest absolute residual; every step is
+    elementwise or an exact max or sum along a row, so bitwise per row."""
     act = Q > active_tol
     # gains are sums of squares, so starting the max over the active ones
     # at 0 leaves it as it is (and gives 0 with none active)
@@ -149,12 +143,20 @@ def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
     mu = np.where(act, 0.0, np.maximum(0.0, d))
     stationarity = np.maximum.reduce(np.abs(d - mu), axis=1)
     excess = np.add.reduce(Q, axis=1) - p_max
-    negative = -np.minimum.reduce(Q, axis=1, initial=math.inf)
+    negative = 0.0 - np.minimum.reduce(Q, axis=1, initial=0.0)  # +0, not -0
     mu_q = np.maximum.reduce(np.abs(mu * Q), axis=1, initial=0.0)
     # the stationarity residual is >= 0, so the clips at 0 drop out
-    r = np.maximum(np.maximum(stationarity, excess), negative)
-    r = np.maximum(np.maximum(r, np.abs(mu_sum * excess)), mu_q)
-    return (mu_sum, mu, stationarity, excess, negative, mu_q), r
+    primal = np.maximum(excess, negative)
+    r = np.maximum(np.maximum(stationarity, primal), mu_q)
+    r = np.maximum(r, np.abs(mu_sum * excess))
+    # sum_l q_l g_l = tr J^-1 - sigma2 tr J^-2 does not cancel; where it is
+    # 0 (q = 0, or gains that underflow) a gap > 0 is inf and 0 stays 0
+    qg = np.add.reduce(Q * G, axis=1)
+    gap = p_max * np.maximum.reduce(G, axis=1) - qg
+    gap = gap / qg if np.count_nonzero(qg) == len(qg) else np.divide(
+        gap, qg, out=np.where(gap > 0, math.inf, gap), where=qg > 0)
+    rel = np.maximum(gap, primal / p_max)
+    return (mu_sum, mu, stationarity, excess, negative, mu_q, rel), r
 
 
 def _certificates(kkt: tuple, states) -> list:
@@ -163,8 +165,9 @@ def _certificates(kkt: tuple, states) -> list:
     return [KktCertificate(mu_sum=m, mu=u, stationarity_residual=st,
                            primal_sum_violation=max(0.0, ex),
                            primal_nonneg_violation=max(0.0, neg),
-                           slackness_residual=max(abs(m * ex), mq), state=state)
-            for m, u, st, ex, neg, mq, state in rows]
+                           slackness_residual=max(abs(m * ex), mq),
+                           relative_gap=rel, state=state)
+            for m, u, st, ex, neg, mq, rel, state in rows]
 
 
 def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
@@ -173,7 +176,7 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
 
     Returns (q_star, certificate); ``certificate.state`` is the uplink
     state at q_star.  Raises ConvergenceError (carrying the best iterate
-    and its certificate) if the residuals cannot be brought below
+    and its certificate) if no iterate's relative gap comes to at most
     cfg.kkt_tol within cfg.max_iters.  ``q0`` warm-starts the solve (a
     non-finite power there raises ValidationError); ``callback(q, f)``
     fires after every step taken.
@@ -245,7 +248,7 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
                     out[idx[k]] = (cert.state.q, cert)
                 else:
                     out[idx[k]] = ConvergenceError(
-                        f"KKT residual {cert.max_residual:.3e} above "
+                        f"relative gap {cert.max_residual:.3e} above "
                         f"tolerance {cfg.kkt_tol:.1e} after {n} iterations",
                         best_q=cert.state.q, certificate=cert)
     return out
@@ -321,31 +324,34 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     `_gram` when L < M (else None), from ``Q0`` (B x L); yield (rows, q,
     A, f, `_kkt` terms, steps, failed) of the best iterates of the rows
     that finish in a round, failed where a row's J was not finite or
-    could not be factored (such a row finishes at once).
-    ``callback(q, f)`` fires after every step of every row.  ``s`` holds
-    the unfinished rows; no array in it is written in place, so the
-    current and best iterate may share one."""
+    could not be factored (such a row finishes at once).  Progress and
+    the best iterate go by the absolute residual.  A row finishes at a
+    trial (taken or not) that does not lower its best residual once its
+    best passes kkt_tol, or at the polish target; at a step that does not
+    lower it and predicts a decrease below the target; at max_iters; or
+    with no finite Newton step.  ``callback(q, f)`` fires after every
+    step of every row.  ``s`` holds the unfinished rows; no array in it is
+    written in place, so the current and best iterate may share one."""
     act_tol = cfg.active_tol_scale * p_max
-    # polish well below kkt_tol; Newton reaches this in one more step
+    # polish well below kkt_tol; Newton reaches this in one more step.  A
+    # failing row whose Newton step predicts a decrease below target
+    # P mu_sum (~ target sum_l q_l g_l) is at the rounding floor of its gains
     target = max(5e-15, cfg.kkt_tol * 1e-4)
-    # residual to beat to go on, by steps since the best: 0, idle, too many
-    limit = np.full(IDLE_STEPS + 2, max(target, cfg.kkt_tol))
-    limit[0], limit[-1] = target, math.inf
     A, f, G = _covariance(CS, Q0, sigma2, gram)
     kkt, r = _kkt(Q0, G, p_max, act_tol)
-    B = len(Q0)
-    steps = np.zeros(B, dtype=int)
+    B, steps = len(Q0), np.zeros(len(Q0), dtype=int)
     s = SimpleNamespace(
         rows=np.arange(B), cs=CS, gram=gram, q=Q0, f=f, g=G, a=A, r=r,
         best_q=Q0, best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
         best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
-        full=np.zeros(Q0.shape), slope=np.zeros(B), forced=steps > 0,
-        failed=np.isnan(f))
+        slope=np.zeros(B), failed=np.isnan(f))
     moved = ~s.failed  # the rows at a new iterate
     while True:
-        idle = np.minimum(s.steps - s.best_steps, IDLE_STEPS + 1)
-        go = moved & (s.best_r > limit[idle]) & (s.steps < cfg.max_iters)
-        done = (moved ^ go) | s.failed
+        fail, better = s.kkt[-1] > cfg.kkt_tol, s.steps == s.best_steps
+        go = moved & (s.steps < cfg.max_iters) & (
+            better & (fail | (s.best_r > target))
+            | fail & (s.slope < -target * p_max * s.kkt[0]))
+        done = np.where(moved, ~go, ~fail) | s.failed
         if np.count_nonzero(go) and _step(s, go, p_max):
             done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
         if np.count_nonzero(done):
@@ -361,7 +367,7 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         A, f, G = _covariance(s.cs, s.trial, sigma2, s.gram)
         kkt, r = _kkt(s.trial, G, p_max, act_tol)
         # near the optimum f is flat to rounding and only the residual moves
-        moved = s.forced | (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
+        moved = (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
         if math.isnan(np.add.reduce(f)):  # a rejected covariance ends its row
             s.failed = np.isnan(f)
             moved &= ~s.failed
@@ -380,13 +386,9 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         if callback is not None:
             for b in np.flatnonzero(moved):
                 callback(s.q[b].copy(), float(s.f[b]))
-        if np.count_nonzero(moved) < len(moved):
-            # backtrack; a search that runs out takes the full step, again
-            stall = ~moved & (s.t < MIN_STEP)
-            s.t = np.where(moved | stall, s.t, s.t * BACKTRACK)
-            s.trial = np.where(stall[:, None], s.full,
-                               np.maximum(s.q + s.t[:, None] * s.dq, 0.0))
-            s.forced = stall
+        if np.count_nonzero(moved) < len(moved):  # backtrack
+            s.t = np.where(moved, s.t, s.t * BACKTRACK)
+            s.trial = np.maximum(s.q + s.t[:, None] * s.dq, 0.0)
 
 
 def _set(s, mask, **new):
@@ -423,22 +425,18 @@ def _step(s, moved, p_max: float) -> bool:
     neg = dq < 0
     ratios = np.divide(q, -dq, out=None, where=neg)  # read where neg only
     step = np.minimum.reduce(ratios, axis=1, initial=1.0, where=neg)
-    full = np.maximum(q + step[:, None] * dq, 0.0)
+    trial = np.maximum(q + step[:, None] * dq, 0.0)
     cut = (step < 1.0).nonzero()[0]
     if cut.size:
-        full[cut, np.where(neg[cut], ratios[cut], math.inf).argmin(1)] = 0.0
+        trial[cut, np.where(neg[cut], ratios[cut], math.inf).argmin(1)] = 0.0
     slope = -(g[:, None, :] @ dq[:, :, None])[:, 0, 0]
-    # after a step that did not lower the best residual, no search
-    forced = s.steps > s.best_steps
     if every:
-        s.dq, s.t, s.slope, s.full, s.forced = dq, step, slope, full, forced
-        s.trial = full
+        s.dq, s.t, s.slope, s.trial = dq, step, slope, trial
     else:  # into copies: no array is written in place once in s
-        s.dq, s.t, s.slope, s.full, s.trial, s.forced = (
-            x.copy() for x in (s.dq, s.t, s.slope, s.full, s.trial, s.forced))
+        s.dq, s.t, s.slope, s.trial = (
+            x.copy() for x in (s.dq, s.t, s.slope, s.trial))
         s.dq[moved], s.t[moved], s.slope[moved] = dq, step, slope
-        s.trial[moved] = s.full[moved] = full
-        s.forced[moved] = forced[moved]
+        s.trial[moved] = trial
     return lost
 
 

@@ -257,7 +257,8 @@ def certificate_from_dict(d: dict) -> KktCertificate:
         stationarity_residual=d["stationarity_residual"],
         primal_sum_violation=d["primal_sum_violation"],
         primal_nonneg_violation=d["primal_nonneg_violation"],
-        slackness_residual=d["slackness_residual"])
+        slackness_residual=d["slackness_residual"],
+        relative_gap=d["relative_gap"])
 
 
 def active_set(q, tol: float):

@@ -520,9 +520,10 @@ def test_verify_theorem_failure_keeps_the_certificate(tmp_path):
 
 
 def test_verify_records_do_not_depend_on_the_batch(monkeypatch, tmp_path):
-    # seed 48 fails to certify at 70 dB, so one batch holds a failure
+    # seed 48 needs more than 8 Newton steps at 70 dB, so with that cap one
+    # batch holds a failure
     args = ["verify", "--trials", "7", "--dims", "4,2,2,2,2,2",
-            "--sigma2", "1e-6", "--seed-base", "45"]
+            "--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "8"]
     reports = []
     for batch in (cli.VERIFY_BATCH, 3, 1):
         monkeypatch.setattr(cli, "VERIFY_BATCH", batch)
@@ -565,11 +566,11 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
 
 @pytest.mark.parametrize("args,errors", [
     (["--sigma2", "1"], [None] * 6),
-    (["--sigma2", "1e-6", "--seed-base", "45"],
+    (["--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "8"],
      [None] * 3 + ["ConvergenceError"] + [None] * 2),
     (["--negative-control"], [None] * 6),
-    (["--sigma2", "1e-14", "--seed-base", "108"],
-     [None] * 3 + ["NumericsError"] + [None] * 2),
+    (["--sigma2", "1e-300", "--seed-base", "108"],
+     [None] * 3 + ["NumericsError"] + ["SingularTransformError"] * 2),
 ], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable"])
 def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
                                              tmp_path):
@@ -592,9 +593,10 @@ def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
 
 
 def test_verify_unfactorable_trial_recorded(tmp_path):
-    # at sigma2 = 1e-14 trial 110 (seed 111) cannot factor its covariance;
-    # the trials around it report what they report without it
-    args = ["verify", "--sigma2", "1e-14"]
+    # at sigma2 = 1e-300 the kernel rejects the covariance of trial 110
+    # (seed 111) after its first step; the trials around it report what
+    # they report without it
+    args = ["verify", "--sigma2", "1e-300"]
     reports = {}
     for extra in (["--trials", "200"], ["--trials", "110"],
                   ["--trials", "89", "--seed-base", "112"]):
@@ -644,7 +646,7 @@ def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,sigma2,seed", [
-    ("solve", "1e-14", "111"), ("design", "1e-300", "108")])
+    ("solve", "1e-300", "111"), ("design", "1e-300", "108")])
 def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
                                                tmp_path, capsys):
     inst, out = tmp_path / "inst.json", tmp_path / "rep.json"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import covariance, rand_instance, scalar_instance
-from dualprec import (VIRTUAL_UPLINK, ConvergenceError, DimensionError,
-                      EffectiveChannel, NumericsError, SolverConfig,
-                      SystemDims, ValidationError, build_effective_channel,
-                      gen_channel, project_power, random_unit_precoders,
-                      solve_power, verify_theorem)
+from conftest import DIMS_2x2, covariance, rand_instance, scalar_instance
+from dualprec import (VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
+                      DimensionError, EffectiveChannel, NumericsError,
+                      SolverConfig, SystemDims, ValidationError,
+                      build_effective_channel, gen_channel, project_power,
+                      random_unit_precoders, solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
 from dualprec.objective import _gram
@@ -29,6 +29,19 @@ def _gains(cols, sigma2, q):
 def eff_from_cols(cols):
     cols = np.asarray(cols, dtype=complex)
     return EffectiveChannel(cols=cols)
+
+
+def correlated_instance(seed, rho, sigma2):
+    """The effective channel of a 4,2,2,2,2,2 instance whose base-station
+    antennas are correlated as rho^|i - j|."""
+    R = rho ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    rng = np.random.default_rng(seed)
+    H = tuple(np.linalg.cholesky(R) @ (rng.standard_normal((4, 2))
+                                       + 1j * rng.standard_normal((4, 2)))
+              / np.sqrt(2) for _ in range(2))
+    ch = ChannelSet(dims=DIMS_2x2, H=H, sigma2=sigma2, p_max=10.0)
+    up = random_unit_precoders(DIMS_2x2, VIRTUAL_UPLINK, seed=[seed, 1])
+    return build_effective_channel(ch, up)
 
 
 def orthonormal_pair():
@@ -194,14 +207,32 @@ def test_kernel_budget(monkeypatch):
         calls.append(0)
         solve_power(eff, ch.sigma2, ch.p_max)
     assert np.median(calls) <= 8
+    # the boundary crawl: forced full steps after a step that did not
+    # lower the best residual took these to 30 and 31 calls
+    for seed in (1024, 7042):
+        calls.append(0)
+        solve_power(rand_instance(seed, sigma2=1e-4)[2], 1e-4, 10.0)
+        assert calls[-1] <= 20, seed
+    # transmit correlation 0.9999 at sigma2 = 1e-8: the gains' rounding
+    # keeps this row's relative gap near 1.3e-8, and it ends at a step
+    # that neither lowers its best residual nor predicts a decrease above
+    # the polish target (without that it ran all 10000 steps, 2.9e5 calls)
+    calls.append(0)
+    with pytest.raises(ConvergenceError):
+        solve_power(correlated_instance(48, 0.9999, 1e-8), 1e-8, 10.0)
+    assert calls[-1] <= 40
 
 
-@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2])
+#: Rows that never met the absolute kkt_tol of 1e-9 (up to 387 Newton
+#: steps each at the rounding floor) and pass the relative test.
+ROUNDING_FLOOR_ROWS = {1e-6: [14000232, 18001727, 48, 1243], 1e-8: [111]}
+
+
+@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-6, 1e-8])
 def test_snr_sweep_certifies_theorem(sigma2):
-    # 0, 10 and 30 dB at P = 10; higher SNRs reach the rounding floor of
-    # the absolute kkt_tol
+    # 0 to 90 dB at P = 10; from 100 dB on the theorem's pq_gap cancels
     cfg = SolverConfig()
-    for seed in range(20):
+    for seed in list(range(20)) + ROUNDING_FLOOR_ROWS.get(sigma2, []):
         ch, up, eff = rand_instance(seed, sigma2=sigma2)
         q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
         assert cert.passes(cfg.kkt_tol)
@@ -210,16 +241,49 @@ def test_snr_sweep_certifies_theorem(sigma2):
             assert getattr(rep, key) <= bound, (seed, key)
 
 
+@pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-4, 1e-8, 1e-12])
+def test_moved_optimum_fails_the_certificate(sigma2):
+    # the relative test can fail at every SNR: 1e-6 P moved between the two
+    # strongest streams of a certified q fails it, the q itself passes
+    tol = SolverConfig().kkt_tol
+    for seed in range(40):
+        eff = rand_instance(seed, sigma2=sigma2)[2]
+        q, _ = solve_power(eff, sigma2, 10.0)
+        assert kkt_certify(eff, sigma2, 10.0, q).passes(tol), seed
+        i, j = np.argsort(q)[-2:]
+        for delta in (1e-5, -1e-5):
+            moved = q.copy()
+            moved[i] += delta
+            moved[j] -= delta
+            assert moved[i] > 0 and moved[j] > 0
+            cert = kkt_certify(eff, sigma2, 10.0, moved)
+            assert not cert.passes(tol), (seed, delta)
+
+
+def test_relative_certificate_meets_the_absolute_one_at_unit_noise():
+    # at sigma2 = 1, P = 10 every q the relative test accepts on the
+    # ensemble also meets the absolute residuals at 1e-9
+    tol = SolverConfig().kkt_tol
+    for seed in range(1, 301):
+        eff = rand_instance(seed)[2]
+        q, cert = solve_power(eff, 1.0, 10.0)
+        assert cert.passes(tol)
+        assert max(cert.stationarity_residual, cert.primal_sum_violation,
+                   cert.primal_nonneg_violation,
+                   cert.slackness_residual) <= 1e-9, seed
+
+
 # ---------------------------------------------------------------------------
 # solve_powers: a batch gives bitwise the results of one solve at a time
 
 CERT_FIELDS = ("mu_sum", "stationarity_residual", "primal_sum_violation",
-               "primal_nonneg_violation", "slackness_residual")
+               "primal_nonneg_violation", "slackness_residual",
+               "relative_gap")
 
 
-def solve_alone(eff, sigma2, p_max=10.0):
+def solve_alone(eff, sigma2, p_max=10.0, cfg=None):
     try:
-        return solve_power(eff, sigma2, p_max)
+        return solve_power(eff, sigma2, p_max, cfg)
     except (ConvergenceError, NumericsError) as e:
         return e
 
@@ -244,11 +308,13 @@ def assert_same_result(batched, alone):
 
 @pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
 def test_solve_powers_matches_solve_power(sigma2):
-    # the ensemble-snr shape; 14000232 fails to certify at 70 dB
+    # the ensemble-snr shape; at 70 dB 14000232 needs 10 Newton steps and
+    # the others at most 8, so a cap of 9 fails it alone
     seeds = list(range(12)) + [14000232]
+    cfg = SolverConfig(max_iters=9) if sigma2 == 1e-6 else None
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in seeds]
-    for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0), effs):
-        assert_same_result(out, solve_alone(eff, sigma2))
+    for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0, cfg), effs):
+        assert_same_result(out, solve_alone(eff, sigma2, cfg=cfg))
     if sigma2 == 1e-6:
         assert isinstance(out, ConvergenceError)
 
@@ -263,7 +329,8 @@ def test_solve_powers_matches_solve_power_at_m64():
 
 
 def test_failing_instance_leaves_the_batch_unchanged():
-    sigma2 = 1e-6
+    # 14000232 needs 10 Newton steps at 70 dB, the others at most 8
+    sigma2, cfg = 1e-6, SolverConfig(max_iters=9)
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(6)]
     # one zero column: its stream starts at 0 and stays there
     cols = rand_instance(7, sigma2=sigma2)[2].cols.copy()
@@ -271,21 +338,21 @@ def test_failing_instance_leaves_the_batch_unchanged():
     effs.append(eff_from_cols(cols))
     zero = eff_from_cols(np.zeros((4, 4)))
     slow = rand_instance(14000232, sigma2=sigma2)[2]
-    clean = solver.solve_powers(effs, sigma2, 10.0)
+    clean = solver.solve_powers(effs, sigma2, 10.0, cfg)
     mixed = solver.solve_powers(effs[:2] + [zero] + effs[2:4] + [slow]
-                                + effs[4:], sigma2, 10.0)
+                                + effs[4:], sigma2, 10.0, cfg)
     assert isinstance(mixed[2], NumericsError)
     assert "all effective channels are zero" in str(mixed[2])
     assert isinstance(mixed[5], ConvergenceError)
     for out, ref in zip(mixed[:2] + mixed[3:5] + mixed[6:], clean):
         assert_same_result(out, ref)
-    assert_same_result(clean[-1], solve_alone(effs[-1], sigma2))
+    assert_same_result(clean[-1], solve_alone(effs[-1], sigma2, cfg=cfg))
     assert clean[-1][0][1] == 0.0
     # a column that is not finite stops its row at the start, the same way
     cols = effs[0].cols.copy()
     cols[0, 3] = np.nan
     mixed = solver.solve_powers([effs[1], eff_from_cols(cols), effs[2]],
-                                sigma2, 10.0)
+                                sigma2, 10.0, cfg)
     assert isinstance(mixed[1], NumericsError)
     assert "non-finite effective channel" in str(mixed[1])
     assert_same_result(mixed[0], clean[1])
@@ -293,8 +360,9 @@ def test_failing_instance_leaves_the_batch_unchanged():
 
 
 def test_unfactorable_instance_leaves_the_batch_unchanged():
-    # at sigma2 = 1e-14 instance 111's J fails to factor after 83 steps
-    sigma2 = 1e-14
+    # at sigma2 = 1e-300 the kernel rejects instance 111's J after its
+    # first step
+    sigma2 = 1e-300
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(100, 111)]
     bad = rand_instance(111, sigma2=sigma2)[2]
     clean = solver.solve_powers(effs, sigma2, 10.0)
@@ -307,16 +375,17 @@ def test_unfactorable_instance_leaves_the_batch_unchanged():
 
 
 def test_certificate_state_is_the_kernel_at_its_q():
-    # at 70 dB this instance idles to the stall limit after its best
-    # iterate, so the last iterate is not the certified one
-    sigma2 = 1e-6
-    eff = rand_instance(14000232, sigma2=sigma2)[2]
+    # the first step of this instance lowers f but raises the residual,
+    # so with one step allowed the certified iterate is the start, not
+    # the last iterate
+    sigma2, cfg = 1e-4, SolverConfig(max_iters=1)
+    eff = rand_instance(1024, sigma2=sigma2)[2]
     steps = []
     with pytest.raises(ConvergenceError) as alone:
-        solve_power(eff, sigma2, 10.0,
+        solve_power(eff, sigma2, 10.0, cfg,
                     callback=lambda q, f: steps.append(q.copy()))
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(5)] + [eff]
-    batched = solver.solve_powers(effs, sigma2, 10.0)[-1]
+    batched = solver.solve_powers(effs, sigma2, 10.0, cfg)[-1]
     for err in (alone.value, batched):
         assert isinstance(err, ConvergenceError)
         state = err.certificate.state
