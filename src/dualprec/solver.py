@@ -21,8 +21,8 @@ whole stack at once: a round evaluates a power vector per row with one
 stacked kernel call, decides acceptance, backtracking and best iterates
 as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size; `solve_power` is a stack of one.  With
-L < M the stack's G = Htil^H Htil is formed once for every kernel call,
-and a cold solve starts from the regularized zero-forcing allocation.
+L <= M a cold solve starts from the regularized zero-forcing allocation,
+and with L < M the stack's G = Htil^H Htil also serves every kernel call.
 Every stacked operation is elementwise or slice by slice, so an instance
 takes the same steps, to the bit, whatever shares its stack.  A stream
 with a zero channel starts at q = 0 and stays there (its gain is 0).
@@ -50,11 +50,13 @@ BACKTRACK = 0.5
 #: would only cost memory.
 STACK_BYTES = 1 << 20
 #: lambda = START_NOISE * sigma2 * L / p_max regularizes the closed-form
-#: start of a cold L < M solve, q_l ~ sqrt([(G + lambda I)^-1]_ll): the
+#: start of a cold L <= M solve, q_l ~ sqrt([(G + lambda I)^-1]_ll): the
 #: regularized zero-forcing allocation, which tends to uniform powers as
 #: the SNR falls.  Of 0.5, 1, 2 and 4, 2 took the fewest Newton steps per
 #: row at M = 64, L = 32, sigma2 = 1, P = 10 (3.88, 3.27, 3.00 and 3.95
-#: over seeds 1-40, against 4.78 from uniform powers).
+#: over seeds 1-40, against 4.78 from uniform powers).  Square shapes,
+#: averaged over sigma2 = 10, 1, ..., 1e-8: 3.02, 2.86, 2.87 and 3.00 at
+#: M = L = 4 (seeds 1-1000), 5.60, 5.30, 5.22 and 5.30 at M = L = 64.
 START_NOISE = 2.0
 
 
@@ -217,9 +219,10 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
         stacks += [group[k:k + size] for k in range(0, len(group), size)]
     for idx in stacks:
         CS = np.array([effs[i].cols for i in idx])
-        # G = Htil^H Htil, constant over the solve, for the L < M kernel
-        gram = _gram(CS) if CS.shape[2] < CS.shape[1] else None
+        # G = Htil^H Htil: the start's at L <= M, the kernel's at L < M
+        gram = _gram(CS) if CS.shape[2] <= CS.shape[1] else None
         Q0, errs = _start(CS, gram, sigma2, p_max, q0)
+        gram = gram if CS.shape[2] < CS.shape[1] else None
         if any(errs):  # those rows end here
             for i, e in zip(idx, errs):
                 out[i] = e
@@ -256,17 +259,17 @@ def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
 
 def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     """The first iterates (B x L) of the solves of the stack ``CS``
-    (B x M x L), with ``gram`` its `_gram` when L < M (else None), and
+    (B x M x L), with ``gram`` its `_gram` when L <= M (else None), and
     per row None or the error that keeps it from starting: projected q0,
     or uniform, spending the budget on the streams with a nonzero
     channel.  The others (norm at most 1e-15 of the row's largest) start
     at 0 and stay there: a zero channel's gain is 0, so no Newton face
     admits its stream.
 
-    Without q0, an L < M row whose channels are all on starts instead
+    Without q0, an L <= M row whose channels are all on starts instead
     from the regularized zero-forcing allocation q_l = p_max sqrt(c_l) /
     sum_j sqrt(c_j), c = diag((G + lambda I)^-1), lambda = `START_NOISE`
-    sigma2 L / p_max.  For L < M, tr J^-1 ~ (M - L) / sigma2
+    sigma2 L / p_max.  For L <= M, tr J^-1 ~ (M - L) / sigma2
     + sum_l [G^-1]_ll / q_l at high SNR (push-through), which this q
     minimizes on the budget simplex (Palomar, Cioffi & Lagunas, IEEE TSP
     51(9), 2003).  A row whose c is not finite and positive, or whose q

@@ -520,10 +520,10 @@ def test_verify_theorem_failure_keeps_the_certificate(tmp_path):
 
 
 def test_verify_records_do_not_depend_on_the_batch(monkeypatch, tmp_path):
-    # seed 48 needs more than 8 Newton steps at 70 dB, so with that cap one
-    # batch holds a failure
+    # seed 48 needs more than one Newton step from its closed-form start at
+    # 70 dB, so with that cap one batch holds a failure
     args = ["verify", "--trials", "7", "--dims", "4,2,2,2,2,2",
-            "--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "8"]
+            "--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "1"]
     reports = []
     for batch in (cli.VERIFY_BATCH, 3, 1):
         monkeypatch.setattr(cli, "VERIFY_BATCH", batch)
@@ -566,11 +566,12 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
 
 @pytest.mark.parametrize("args,errors", [
     (["--sigma2", "1"], [None] * 6),
-    (["--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "8"],
+    (["--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "1"],
      [None] * 3 + ["ConvergenceError"] + [None] * 2),
     (["--negative-control"], [None] * 6),
-    (["--sigma2", "1e-300", "--seed-base", "108"],
-     [None] * 3 + ["NumericsError"] + ["SingularTransformError"] * 2),
+    (["--sigma2", "1e-300", "--seed-base", "233", "--dims", "3,2,2,2,2,2"],
+     ["SingularTransformError"] * 2 + [None, "NumericsError", None,
+                                       "SingularTransformError"]),
 ], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable"])
 def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
                                              tmp_path):
@@ -593,32 +594,33 @@ def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
 
 
 def test_verify_unfactorable_trial_recorded(tmp_path):
-    # at sigma2 = 1e-300 the kernel rejects the covariance of trial 110
-    # (seed 111) after its first step; the trials around it report what
-    # they report without it
-    args = ["verify", "--sigma2", "1e-300"]
+    # at sigma2 = 1e-300 and L_tot > M (a uniform start) the kernel rejects
+    # the covariance of trial 235 (seed 236) after its second step; the
+    # trials around it report what they report without it
+    args = ["verify", "--sigma2", "1e-300", "--dims", "3,2,2,2,2,2"]
     reports = {}
-    for extra in (["--trials", "200"], ["--trials", "110"],
-                  ["--trials", "89", "--seed-base", "112"]):
+    for extra in (["--trials", "300"], ["--trials", "235"],
+                  ["--trials", "64", "--seed-base", "237"]):
         out = tmp_path / "v.json"
         reports[extra[1]] = run_cli(args + extra + ["--out", str(out)]), \
             json.loads(out.read_text())["per_trial"]
-    rc, records = reports["200"]
+    rc, records = reports["300"]
     assert rc == 4
-    assert records[110]["seed"] == 111
-    assert records[110]["error"] == "NumericsError"
-    assert records[110]["max_residual"] is None
-    assert records[:110] == reports["110"][1]
-    assert records[111:] == [dict(r, trial=r["trial"] + 111)
-                             for r in reports["89"][1]]
+    assert records[235]["seed"] == 236
+    assert records[235]["error"] == "NumericsError"
+    assert records[235]["max_residual"] is None
+    assert records[:235] == reports["235"][1]
+    assert records[236:] == [dict(r, trial=r["trial"] + 236)
+                             for r in reports["64"][1]]
 
 
 @pytest.mark.parametrize("sigma2", ["1e-17", "1e-300"])
 def test_verify_unfactorable_single_trial(sigma2, tmp_path):
-    # the kernel rejects the covariance of seed 14 at both sigma2
+    # at L_tot > M the kernel rejects the covariance of seed 236 at both
+    # sigma2
     out = tmp_path / "v.json"
-    rc = run_cli(["verify", "--trials", "1", "--seed-base", "14", "--sigma2",
-                  sigma2, "--out", str(out)])
+    rc = run_cli(["verify", "--trials", "1", "--seed-base", "236", "--sigma2",
+                  sigma2, "--dims", "3,2,2,2,2,2", "--out", str(out)])
     assert rc == 4
     assert json.loads(out.read_text())["per_trial"][0]["error"] == \
         "NumericsError"
@@ -646,11 +648,12 @@ def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,sigma2,seed", [
-    ("solve", "1e-300", "111"), ("design", "1e-300", "108")])
+    ("solve", "1e-300", "236"), ("design", "1e-300", "1309")])
 def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
                                                tmp_path, capsys):
+    # L_tot > M: the kernel rejects a covariance of these instances
     inst, out = tmp_path / "inst.json", tmp_path / "rep.json"
-    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "2,2", "--L",
+    assert run_cli(["gen", "--M", "3", "--K", "2", "--N", "2,2", "--L",
                     "2,2", "--sigma2", sigma2, "--seed", seed,
                     "--out", str(inst)]) == 0
     capsys.readouterr()

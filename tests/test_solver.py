@@ -207,19 +207,27 @@ def test_kernel_budget(monkeypatch):
         calls.append(0)
         solve_power(eff, ch.sigma2, ch.p_max)
     assert np.median(calls) <= 8
-    # the boundary crawl: forced full steps after a step that did not
-    # lower the best residual took these to 30 and 31 calls
+    # square rows from the closed-form start; from uniform powers these
+    # seeds took up to 14, 19 and 20 calls
+    for sigma2 in (1e-2, 1e-4, 1e-8):
+        for seed in range(1, 201):
+            calls.append(0)
+            solve_power(rand_instance(seed, sigma2=sigma2)[2], sigma2, 10.0)
+            assert calls[-1] <= 12, (sigma2, seed)
+    # the boundary crawl from uniform powers: forced full steps after a
+    # step that did not lower the best residual took these to 30 and 31
+    # calls, one stopping rule to 10 and 17
     for seed in (1024, 7042):
         calls.append(0)
         solve_power(rand_instance(seed, sigma2=1e-4)[2], 1e-4, 10.0)
-        assert calls[-1] <= 20, seed
-    # transmit correlation 0.9999 at sigma2 = 1e-8: the gains' rounding
-    # keeps this row's relative gap near 1.3e-8, and it ends at a step
-    # that neither lowers its best residual nor predicts a decrease above
-    # the polish target (without that it ran all 10000 steps, 2.9e5 calls)
+        assert calls[-1] <= 5, seed
+    # transmit correlation 0.999999 at sigma2 = 1e-8: the gains' rounding
+    # keeps this row's relative gap near 7e-9, and it ends at a step that
+    # neither lowers its best residual nor predicts a decrease above the
+    # polish target (without that it ran all 10000 steps, 2.9e5 calls)
     calls.append(0)
     with pytest.raises(ConvergenceError):
-        solve_power(correlated_instance(48, 0.9999, 1e-8), 1e-8, 10.0)
+        solve_power(correlated_instance(48, 0.999999, 1e-8), 1e-8, 10.0)
     assert calls[-1] <= 40
 
 
@@ -308,10 +316,10 @@ def assert_same_result(batched, alone):
 
 @pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
 def test_solve_powers_matches_solve_power(sigma2):
-    # the ensemble-snr shape; at 70 dB 14000232 needs 10 Newton steps and
-    # the others at most 8, so a cap of 9 fails it alone
+    # the ensemble-snr shape; at 70 dB 14000232 needs 3 Newton steps from
+    # its closed-form start and the others 1, so a cap of 2 fails it alone
     seeds = list(range(12)) + [14000232]
-    cfg = SolverConfig(max_iters=9) if sigma2 == 1e-6 else None
+    cfg = SolverConfig(max_iters=2) if sigma2 == 1e-6 else None
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in seeds]
     for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0, cfg), effs):
         assert_same_result(out, solve_alone(eff, sigma2, cfg=cfg))
@@ -329,8 +337,9 @@ def test_solve_powers_matches_solve_power_at_m64():
 
 
 def test_failing_instance_leaves_the_batch_unchanged():
-    # 14000232 needs 10 Newton steps at 70 dB, the others at most 8
-    sigma2, cfg = 1e-6, SolverConfig(max_iters=9)
+    # at 20 dB 14000232 needs 8 Newton steps, the others at most 5 (the
+    # row with a zero column, which starts from uniform powers)
+    sigma2, cfg = 1e-2, SolverConfig(max_iters=7)
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(6)]
     # one zero column: its stream starts at 0 and stays there
     cols = rand_instance(7, sigma2=sigma2)[2].cols.copy()
@@ -360,11 +369,11 @@ def test_failing_instance_leaves_the_batch_unchanged():
 
 
 def test_unfactorable_instance_leaves_the_batch_unchanged():
-    # at sigma2 = 1e-300 the kernel rejects instance 111's J after its
-    # first step
-    sigma2 = 1e-300
-    effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(100, 111)]
-    bad = rand_instance(111, sigma2=sigma2)[2]
+    # at sigma2 = 1e-300 and L_tot > M (a uniform start) the kernel
+    # rejects instance 236's J after its second step
+    sigma2, dims = 1e-300, SystemDims(M=3, K=2, N=(2, 2), L=(2, 2))
+    effs = [rand_instance(s, dims, sigma2)[2] for s in range(225, 236)]
+    bad = rand_instance(236, dims, sigma2)[2]
     clean = solver.solve_powers(effs, sigma2, 10.0)
     mixed = solver.solve_powers(effs[:5] + [bad] + effs[5:], sigma2, 10.0)
     assert isinstance(mixed[5], NumericsError)
@@ -375,11 +384,11 @@ def test_unfactorable_instance_leaves_the_batch_unchanged():
 
 
 def test_certificate_state_is_the_kernel_at_its_q():
-    # the first step of this instance lowers f but raises the residual,
-    # so with one step allowed the certified iterate is the start, not
-    # the last iterate
-    sigma2, cfg = 1e-4, SolverConfig(max_iters=1)
-    eff = rand_instance(1024, sigma2=sigma2)[2]
+    # the first step of this instance from its closed-form start lowers f
+    # but raises the residual, so with one step allowed the certified
+    # iterate is the start, not the last iterate
+    sigma2, cfg = 1.0, SolverConfig(max_iters=1)
+    eff = rand_instance(170, sigma2=sigma2)[2]
     steps = []
     with pytest.raises(ConvergenceError) as alone:
         solve_power(eff, sigma2, 10.0, cfg,
@@ -490,17 +499,17 @@ def test_solve_powers_rejects_bad_budget():
 LARGE_DIMS = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
 
 
-def large_stack(seeds, sigma2=1.0):
-    """The effective channels of ``seeds`` at the large-m shape, and their
-    B x M x L stack."""
-    effs = [rand_instance(s, LARGE_DIMS, sigma2)[2] for s in seeds]
+def instance_stack(seeds, sigma2=1.0, dims=LARGE_DIMS):
+    """The effective channels of ``seeds`` at ``dims`` (the large-m shape
+    by default), and their B x M x L stack."""
+    effs = [rand_instance(s, dims, sigma2)[2] for s in seeds]
     return effs, np.array([eff.cols for eff in effs])
 
 
 def test_m64_start_is_per_row():
     # a row with a zero column keeps the uniform start on its other
     # columns, and every row solves bitwise as it does alone
-    effs = large_stack(range(1, 5))[0]
+    effs = instance_stack(range(1, 5))[0]
     cols = effs[0].cols.copy()
     cols[:, 5] = 0.0
     effs.insert(2, eff_from_cols(cols))
@@ -520,7 +529,7 @@ def test_m64_start_is_per_row():
 
 @pytest.mark.parametrize("sigma2", [1.0, 1e-4])
 def test_m64_start_lies_on_the_simplex(sigma2):
-    effs, CS = large_stack(range(1, 5), sigma2)
+    effs, CS = instance_stack(range(1, 5), sigma2)
     Q, errs = solver._start(CS, _gram(CS), sigma2, 10.0)
     assert errs == [None] * 4
     assert np.all(Q > 0) and not np.any(Q == 10.0 / 32)  # not uniform
@@ -532,7 +541,7 @@ def test_m64_start_lies_on_the_simplex(sigma2):
 
 
 def test_m64_start_tends_to_uniform_at_low_snr():
-    _, CS = large_stack(range(1, 5), 1e4)
+    _, CS = instance_stack(range(1, 5), 1e4)
     Q = solver._start(CS, _gram(CS), 1e4, 10.0)[0]
     assert np.abs(Q / (10.0 / 32) - 1.0).max() < 1e-3
 
@@ -541,7 +550,7 @@ def test_singular_start_slice_keeps_the_uniform_start():
     # a duplicated column at sigma2 = 1e-17 makes G + lambda I singular
     # in its slice only: that row starts uniform, the others as alone
     sigma2 = 1e-17
-    _, CS = large_stack(range(1, 4), sigma2)
+    _, CS = instance_stack(range(1, 4), sigma2)
     CS[1, :, 1] = CS[1, :, 0]
     R = _gram(CS[1:2])
     R[0] += solver.START_NOISE * sigma2 * 32 / 10.0 * np.eye(32)
@@ -564,11 +573,79 @@ def test_cold_m64_stack_kernel_calls(monkeypatch):
         calls[0] += 1
         return kernel(*args)
 
-    effs = large_stack(range(1, 5))[0]
+    effs = instance_stack(range(1, 5))[0]
     monkeypatch.setattr(solver, "_covariance", counted)
     assert all(isinstance(out, tuple)
                for out in solver.solve_powers(effs, 1.0, 10.0))
     assert calls[0] <= 5
+
+
+# ---------------------------------------------------------------------------
+# the same start for cold square (L = M) solves
+
+SQUARE_DIMS = [DIMS_2x2, SystemDims(M=16, K=8, N=(2,) * 8, L=(2,) * 8)]
+
+
+def assert_start_per_row(CS, Q, sigma2, rows):
+    for b in rows:
+        alone = solver._start(CS[b:b + 1], _gram(CS[b:b + 1]), sigma2, 10.0)
+        assert np.array_equal(alone[0][0], Q[b])
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8])
+@pytest.mark.parametrize("dims", SQUARE_DIMS, ids=["M4", "M16"])
+def test_square_start_lies_on_the_simplex(dims, sigma2):
+    _, CS = instance_stack(range(1, 5), sigma2, dims)
+    Q, errs = solver._start(CS, _gram(CS), sigma2, 10.0)
+    assert errs == [None] * 4
+    assert np.all(Q > 0) and not np.any(Q == 10.0 / CS.shape[2])
+    assert np.abs(Q.sum(axis=1) - 10.0).max() <= 1e-13
+    assert_start_per_row(CS, Q, sigma2, range(4))
+
+
+@pytest.mark.parametrize("dims", SQUARE_DIMS, ids=["M4", "M16"])
+def test_square_start_tends_to_uniform_at_low_snr(dims):
+    _, CS = instance_stack(range(1, 5), 1e4, dims)
+    Q = solver._start(CS, _gram(CS), 1e4, 10.0)[0]
+    assert np.abs(Q / (10.0 / CS.shape[2]) - 1.0).max() < 1e-3
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-8, 1e-17])
+@pytest.mark.parametrize("dims", SQUARE_DIMS, ids=["M4", "M16"])
+def test_square_start_with_a_duplicated_column(dims, sigma2):
+    # G is rank-deficient: the row starts finite on the simplex, from the
+    # closed form or uniform, and the others as alone
+    _, CS = instance_stack(range(1, 4), sigma2, dims)
+    CS[1, :, 1] = CS[1, :, 0]
+    Q = solver._start(CS, _gram(CS), sigma2, 10.0)[0]
+    assert np.all(np.isfinite(Q[1])) and np.all(Q[1] > 0)
+    assert abs(Q[1].sum() - 10.0) <= 1e-13
+    assert_start_per_row(CS, Q, sigma2, range(3))
+
+
+def test_square_solve_starts_from_the_closed_form(monkeypatch):
+    # the stack's G makes the start, but the kernel is not handed it
+    seen, lockstep = [], solver._lockstep
+
+    def spy(CS, gram, Q0, *args):
+        seen.append((gram, Q0))
+        return lockstep(CS, gram, Q0, *args)
+
+    monkeypatch.setattr(solver, "_lockstep", spy)
+    effs, CS = instance_stack(range(1, 5), 1e-4, DIMS_2x2)
+    solver.solve_powers(effs, 1e-4, 10.0)
+    (gram, Q0), = seen
+    assert gram is None
+    assert np.array_equal(Q0, solver._start(CS, _gram(CS), 1e-4, 10.0)[0])
+
+
+@pytest.mark.parametrize("dims", SQUARE_DIMS, ids=["M4", "M16"])
+def test_square_state_is_the_m_by_m_kernel_at_its_q(dims):
+    for eff in instance_stack(range(1, 4), 1e-4, dims)[0]:
+        q, cert = solve_power(eff, 1e-4, 10.0)
+        A, f, _ = covariance(eff.cols, q, 1e-4)  # no gram
+        assert np.array_equal(cert.state.Jinv_cols, A)
+        assert cert.state.trace_jinv == f
 
 
 # ---------------------------------------------------------------------------
