@@ -89,6 +89,13 @@ LAYERS = {
     "verify_theorem": ("us", "verify_theorem per trial with the solve's "
                              "state, median over M=4 K=2 N=(2,2) L=(2,2) "
                              "sigma2=1 P=10, seeds 1-50"),
+    "verify_theorems_B50": ("us", "duality.verify_theorems per trial, one "
+                                  "call on the 50 solved trials of M=4 K=2 "
+                                  "N=(2,2) L=(2,2) sigma2=1 P=10, seeds "
+                                  "1-50"),
+    "emit_verify50": ("us", "cli._emit of one `verify --trials 50` report "
+                            "(dims 4,2,2,2,2,2, sigma2=1 P=10, seed base "
+                            "1) to a file, per call"),
     "design_outer_iter": ("ms", "design --path both per accepted outer "
                                 "iteration, total over M=4 K=2 N=(4,4) "
                                 "L=(2,2) sigma2=1 P=10, gen seeds 1000-1009"),
@@ -247,15 +254,19 @@ def _layers(pkg, paths: list) -> dict:
     out["solve_powers_B4_M64_kernel_calls"] = kernel_calls(
         lambda: solver.solve_powers(effs, 1.0, 10.0))
 
-    theorem = []
+    theorem, stack = [], []
     for ch, up, eff in instances(small, range(1, 51)):
         try:
             q, cert = solver.solve_power(eff, ch.sigma2, ch.p_max)
         except pkg.DualPrecError:
             continue
+        stack.append((ch, up, cert.state))
         theorem.append(lambda ch=ch, up=up, q=q, st=cert.state:
                        duality.verify_theorem(ch, up, q, state=st))
     out["verify_theorem"] = (theorem, lambda t: statistics.median(t) * 1e6)
+    out["verify_theorems_B50"] = _rounds(
+        [lambda: duality.verify_theorems(*zip(*stack))],
+        lambda t: t[0] / len(stack) * 1e6)
     out["design_outer_iter"] = _rounds(
         [lambda ch=ch: designer.design(ch, designer.DesignConfig(path="both"))
          for ch in chans], lambda t: sum(t) / sum(iters) * 1e3)
@@ -266,6 +277,13 @@ def _layers(pkg, paths: list) -> dict:
             "verify", "--trials", "50", "--dims", "4,2,2,2,2,2", "--pmax",
             "10", "--sigma2", repr(s2), "--seed-base", "1", "--out", report])
          for s2 in SIGMA2S], lambda t: statistics.median(t) * 1e3)
+    _quiet(cli.main, ["verify", "--trials", "50", "--dims", "4,2,2,2,2,2",
+                      "--pmax", "10", "--sigma2", "1", "--seed-base", "1",
+                      "--out", report])
+    with open(report) as f:
+        payload = json.load(f)
+    out["emit_verify50"] = _rounds([lambda: cli._emit(payload, report)],
+                                   lambda t: t[0] * 1e6)
     large_spec = ",".join(map(str, (64, 32) + large.N + large.L))
     out["verify_trials4_M64"] = _rounds(
         [lambda: _quiet(cli.main, [
@@ -451,7 +469,8 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers, gen_stacks, verify_trials4_M64, "
+                        "solve_powers, gen_stacks, verify_theorems_B50, "
+                        "emit_verify50, verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "

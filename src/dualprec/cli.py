@@ -2,6 +2,12 @@
 certification, theorem-verification ensembles, and conversion-path
 benchmarking.
 
+`verify` keeps its trials as arrays from the generator to the report:
+`model.gen_stacks`, then the solver's and the theorem check's stacked
+cores, with no per-trial object in between.  Every JSON report goes
+through one writer, `_jsontext.dumps`, which gives the bytes of
+``json.dumps(payload, indent=1)``.
+
 Exit codes: 0 success, 2 usage or validation error, 3 convergence
 failure, 4 theorem-bound violation.
 """
@@ -14,13 +20,12 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import re
 import sys
 
 import numpy as np
 
-from . import _blas, designer, duality, model, objective, solver
+from . import _blas, _jsontext, designer, duality, model, objective, solver
 from .errors import (ConvergenceError, DualPrecError, NumericsError,
                      ValidationError)
 
@@ -67,7 +72,7 @@ def _sha256(path) -> str:
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=1)
+    text = _jsontext.dumps(payload)  # json.dumps(payload, indent=1)
     if out_path:
         with open(out_path, "w") as f:
             f.write(text + "\n")
@@ -234,13 +239,13 @@ def cmd_solve(ns) -> int:
 
 def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     """Records of the `verify` trials ``first``, ``first + 1``, ... on
-    ``seeds``, whose instances `model.gen_stacks` generates as one stack;
-    their power solves run as one `solver.solve_powers` batch and their
-    theorem checks as one `duality.verify_theorems` batch (the negative
-    control's uniform-power states come from one covariance kernel call,
-    and their coupling from one `duality.build_duality_batch`)."""
+    ``seeds``, kept as stacks from the generator to the records:
+    `model.gen_stacks` makes the instances, `solver._solve_stack` solves
+    them and `duality._check` checks the theorem on those it certified
+    (the negative control's uniform-power receivers come from one
+    covariance kernel call, and their coupling from
+    `duality._psi_asymmetries`)."""
     H, V, cols = model.gen_stacks(dims, seeds)
-    effs = [model.EffectiveChannel(cols=c) for c in cols]
     records = [{"trial": trial, "seed": seed, "psi_asymmetry": None,
                 "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
                 "max_residual": None, "converged": True, "error": None}
@@ -249,49 +254,44 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
         # skip solving; measure the coupling asymmetry at uniform power
         q = np.full(dims.L_tot, pmax / dims.L_tot)
         A, f, _ = objective._covariance(cols, q[None], sigma2)
-        trials = []
-        for rec, eff, a, fb in zip(records, effs, A, f.tolist()):
-            if math.isnan(fb):  # the kernel rejected its covariance
-                rec["error"] = NumericsError.__name__
-            else:
-                trials.append((rec, objective.UplinkState(
-                    eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=a,
-                    trace_jinv=fb)))
-        for (rec, _), dd in zip(trials, duality.build_duality_batch(
-                [state for _, state in trials])):
-            if isinstance(dd, DualPrecError):
-                rec["error"] = type(dd).__name__
-            else:
-                rec["psi_asymmetry"] = duality.psi_asymmetry(dd.Psi)
+        bad = np.isnan(f)  # the kernel rejected these covariances
+        for b in np.flatnonzero(bad).tolist():
+            records[b]["error"] = NumericsError.__name__
+        ok = np.flatnonzero(~bad)
+        err = [None] * len(ok)
+        psi = duality._psi_asymmetries(np.tile(q, (len(ok), 1)), A[ok],
+                                       cols[ok], err)
+        _fill(records, ok.tolist(), err, psi[:, None].tolist(),
+              ("psi_asymmetry",))
         return records
-    solved = []
-    for b, (rec, out) in enumerate(zip(records, solver.solve_powers(
-            effs, sigma2, pmax, scfg))):
-        if isinstance(out, DualPrecError):
-            rec["error"] = type(out).__name__
-            if isinstance(out, ConvergenceError):
-                rec["converged"] = False
-                rec["max_residual"] = out.certificate.max_residual
-            continue
-        cert = out[1]
-        rec["max_residual"] = cert.max_residual
-        solved.append((rec, b, cert.state))
-    # the channel and precoder objects the theorem check reads
-    chs = [model.ChannelSet(dims=dims, H=tuple(h[b] for h in H),
-                            sigma2=float(sigma2), p_max=float(pmax))
-           for _, b, _ in solved]
-    ups = [model.PrecoderSet(direction=model.VIRTUAL_UPLINK,
-                             by_user=tuple(v[b] for v in V),
-                             powers=np.zeros(dims.L_tot))
-           for _, b, _ in solved]
-    reports = duality.verify_theorems(chs, ups, [t[2] for t in solved], scfg)
-    for (rec, _, _), rep in zip(solved, reports):
-        if isinstance(rep, DualPrecError):
-            rec["error"] = type(rep).__name__
-        else:
-            rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
-                       mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
+    res = solver._solve_stack(cols, sigma2, pmax, scfg)
+    for rec, e, gap in zip(records, res.err, res.kkt[-1].tolist()):
+        if e is None or isinstance(e, ConvergenceError):
+            rec["max_residual"] = gap
+        if e is not None:
+            rec["error"] = type(e).__name__
+            rec["converged"] = not isinstance(e, ConvergenceError)
+    # the theorem check on the certified rows: views when that is every row
+    ok = [b for b, e in enumerate(res.err) if e is None]
+    take = slice(None) if len(ok) == len(records) else ok
+    chk = duality._check(
+        res.q[take], res.a[take], cols[take], [h[take] for h in H],
+        [v[take] for v in V], dims, np.full(len(ok), float(sigma2)),
+        np.full(len(ok), float(pmax)),
+        np.full(len(ok), scfg.active_tol_scale * float(pmax)))
+    _fill(records, ok, chk.err, chk.gaps.tolist(),
+          ("psi_asymmetry", "pq_gap", "mse_gap", "sum_power_dl"))
     return records
+
+
+def _fill(records, rows, errs, values, keys) -> None:
+    """Record ``rows[j]`` gets the name of its error ``errs[j]``, or
+    ``values[j]`` under ``keys``."""
+    for b, e, vals in zip(rows, errs, values):
+        if e is None:
+            records[b].update(zip(keys, vals))
+        else:
+            records[b]["error"] = type(e).__name__
 
 
 def _ensemble_args(ns, file_cfg: dict):

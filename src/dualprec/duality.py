@@ -15,20 +15,24 @@ the two systems coincide, which is exactly what holds at a
 KKT-certified power allocation; then p = q and the downlink conversion
 is a plain copy.
 
-One stacked kernel computes all of it for a batch of uplink states, one
-row each.  It gathers each row's active streams, groups the rows by
-system shape and active count m, and runs every step of a group on
-B x m x m stacks: beta, D, Psi and eps (`_groups`), the transform with
-its condition and negative-power tests (`_transform`), and for the
-theorem check the downlink MSEs under the factored receivers and the
-three gaps (`verify_theorems`).  A row that fails a test gets its error
-and leaves its group; the other rows go on.  Every stacked step is
-elementwise, an exact max, a LAPACK call per slice, or a matmul or sum
-whose slices keep the layout the computation on one instance has, so a
-row's numbers are bitwise what a stack of one gives.  `verify` calls
-`verify_theorems` once per batch of trials (its negative control
-`build_duality_batch`); `build_duality_data`, `transform_power`,
-`transform_power_uplink` and `verify_theorem` are stacks of one.
+One stacked kernel computes all of it on arrays: per row the powers q,
+the receivers J^-1 Htil and the columns Htil, and for the theorem check
+the per-user channel and beamformer stacks.  It gathers each row's
+active streams, groups the rows by active count m, and runs every step
+of a group on B x m x m stacks: beta, D, Psi and eps (`_groups`), the
+transform with its condition and negative-power tests (`_transform`),
+and for the theorem check the downlink MSEs under the factored
+receivers and the three gaps (`_check`).  A row that fails a test gets
+its error and leaves its group; the other rows go on.  Every stacked
+step is elementwise, an exact max, a LAPACK call per slice, or a matmul
+or sum whose slices keep the layout the computation on one instance
+has, so a row's numbers are bitwise what a stack of one gives.
+`verify` calls `_check` once per batch of trials on the generator's
+arrays (its negative control `_psi_asymmetries`).  `verify_theorems`
+and `build_duality_batch` are thin wrappers that stack their objects,
+one stack per system dims or shape; `build_duality_data`,
+`transform_power`, `transform_power_uplink` and `verify_theorem` are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -104,61 +108,56 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
-def _groups(keys, states, tols, out):
-    """Beta, D, Psi and eps of every state, on the streams whose power
-    exceeds the row's threshold in ``tols``.
+def _groups(Q, A, CS, tols, err):
+    """Beta, D, Psi and eps of each row of a stack of one shape: powers
+    ``Q`` (B x L), receivers A = J^-1 Htil (B x M x L) and columns
+    ``CS`` (B x M x L), on the streams whose power exceeds the row's
+    threshold in ``tols`` (B).
 
-    Rows of one key (states of one shape) and one active count m form a
-    group.  Yields (rows, g) per group: rows index ``states``, and g holds
-    q and the active mask on (B x L), the receivers a_l as rows of ``at``
-    (B x L x M) with their norms (B x L), beta, D and eps (B x m) and Psi
-    (B x m x m).  A row whose quantities cannot be built gets its error in
-    ``out`` instead.
+    The rows of one active count m form a group.  Yields (rows, g) per
+    group: rows indexes the stack, and g holds q and the active mask on
+    (B x L), the receivers a_l as rows of ``at`` (B x L x M) with their
+    norms (B x L), beta, D and eps (B x m) and Psi (B x m x m).  A row
+    whose quantities cannot be built gets its error in ``err`` instead.
     """
-    by_key = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
-    for idx in by_key.values():
-        Q = np.array([states[i].q for i in idx])
-        # a stream per row: slice b is the transpose of the state's
-        # column-major J^-1 Htil, so sums over M add in the same order
-        At = np.array([states[i].Jinv_cols.T for i in idx])
-        norms = _norms(At, 2)
-        on = Q > np.array([tols[i] for i in idx])[:, None]
-        m = np.add.reduce(on, axis=1)
-        sizes = m.tolist()
-        bad = (Q < 0) | (on & (norms == 0.0))
-        if 0 in sizes or bad.any():
-            for j in np.flatnonzero(np.logical_or.reduce(bad, axis=1)
-                                    | (m == 0)).tolist():
-                out[idx[j]] = (
-                    ValidationError("powers must be nonnegative")
-                    if (Q[j] < 0).any()
-                    else NumericsError("no active streams to transform")
-                    if sizes[j] == 0 else
-                    NumericsError("zero MMSE receiver on an active stream"))
-                sizes[j] = 0
-        for size in sorted(set(sizes) - {0}):
-            g = SimpleNamespace(q=Q, on=on, at=At, norms=norms)
-            rows = idx
-            if sizes.count(size) < len(idx):
-                sel = [k == size for k in sizes]
-                rows = [i for i, s in zip(idx, sel) if s]
-                g = SimpleNamespace(**{k: v[sel] for k, v in vars(g).items()})
-            Ct = np.array([states[i].eff.cols.T for i in rows])
-            a, c, n, q = g.at, Ct, g.norms, g.q
-            if size < on.shape[1]:  # the active streams, in stream order
-                a, c = (x[g.on].reshape(len(rows), size, -1) for x in (a, c))
-                n, q = (x[g.on].reshape(len(rows), size) for x in (n, q))
-            g.beta = q * n
-            # C_ij = htil_i^H ubar_j; ubar as columns, column-major
-            C = c.conj() @ (a / n[:, :, None]).swapaxes(1, 2)
-            s = np.diagonal(C, axis1=1, axis2=2)
-            g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
-            g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
-            g.Psi = np.abs(C) ** 2
-            g.Psi.reshape(len(rows), -1)[:, ::size + 1] = 0.0
-            yield rows, g
+    # a stream per row, contiguous, so that sums over M add in one order
+    At = np.ascontiguousarray(A.swapaxes(1, 2))
+    Ct = np.ascontiguousarray(CS.swapaxes(1, 2))
+    norms = _norms(At, 2)
+    on = Q > tols[:, None]
+    m = np.add.reduce(on, axis=1)
+    sizes = m.tolist()
+    bad = (Q < 0) | (on & (norms == 0.0))
+    if 0 in sizes or bad.any():
+        for j in np.flatnonzero(np.logical_or.reduce(bad, axis=1)
+                                | (m == 0)).tolist():
+            err[j] = (
+                ValidationError("powers must be nonnegative")
+                if (Q[j] < 0).any()
+                else NumericsError("no active streams to transform")
+                if sizes[j] == 0 else
+                NumericsError("zero MMSE receiver on an active stream"))
+            sizes[j] = 0
+    for size in sorted(set(sizes) - {0}):
+        g = SimpleNamespace(q=Q, on=on, at=At, norms=norms)
+        rows, c = np.arange(len(Q)), Ct
+        if sizes.count(size) < len(Q):
+            sel = np.array(sizes) == size
+            rows, c = rows[sel], Ct[sel]
+            g = SimpleNamespace(**{k: v[sel] for k, v in vars(g).items()})
+        a, n, q = g.at, g.norms, g.q
+        if size < on.shape[1]:  # the active streams, in stream order
+            a, c = (x[g.on].reshape(len(rows), size, -1) for x in (a, c))
+            n, q = (x[g.on].reshape(len(rows), size) for x in (n, q))
+        g.beta = q * n
+        # C_ij = htil_i^H ubar_j; ubar as columns, column-major
+        C = c.conj() @ (a / n[:, :, None]).swapaxes(1, 2)
+        s = np.diagonal(C, axis1=1, axis2=2)
+        g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
+        g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
+        g.Psi = np.abs(C) ** 2
+        g.Psi.reshape(len(rows), -1)[:, ::size + 1] = 0.0
+        yield rows, g
 
 
 def _transform(beta, D, eps, coupling, sigma2):
@@ -209,12 +208,45 @@ def build_duality_batch(states, active_tol: float = 0.0) -> list:
     """`build_duality_data` on every state of ``states`` at once: per
     state, in order, its DualityData or the DualPrecError it raised."""
     out = [None] * len(states)
-    for rows, g in _groups([st.Jinv_cols.shape for st in states], states,
-                           [active_tol] * len(states), out):
-        for j, i in enumerate(rows):
-            out[i] = DualityData(beta=g.beta[j], D=g.D[j], Psi=g.Psi[j],
-                                 eps=g.eps[j], active=np.flatnonzero(g.on[j]),
-                                 n_streams=g.on.shape[1])
+    for idx in _by(states, lambda st: st.Jinv_cols.shape):
+        err = [None] * len(idx)
+        for rows, g in _groups(*_stacks(states, idx),
+                               np.full(len(idx), float(active_tol)), err):
+            for j, r in enumerate(rows.tolist()):
+                out[idx[r]] = DualityData(
+                    beta=g.beta[j], D=g.D[j], Psi=g.Psi[j], eps=g.eps[j],
+                    active=np.flatnonzero(g.on[j]), n_streams=g.on.shape[1])
+        for r, e in enumerate(err):
+            if e is not None:
+                out[idx[r]] = e
+    return out
+
+
+def _by(items, key) -> list:
+    """The indexes of ``items``, grouped by ``key`` in order of first
+    appearance."""
+    groups = {}
+    for i, x in enumerate(items):
+        groups.setdefault(key(x), []).append(i)
+    return list(groups.values())
+
+
+def _stacks(states, idx) -> tuple:
+    """Q, A = J^-1 Htil and the columns of ``states[i]`` for i in idx, as
+    stacks; A and the columns are transposed views of stream-major
+    copies, the layout `_groups` reads them in."""
+    return (np.array([states[i].q for i in idx]),
+            np.array([states[i].Jinv_cols.T for i in idx]).swapaxes(1, 2),
+            np.array([states[i].eff.cols.T for i in idx]).swapaxes(1, 2))
+
+
+def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
+    """`psi_asymmetry` of the coupling of each row of a stack of one
+    shape (as `_groups` takes it) over its powered streams; NaN on a row
+    that gets its error in ``err``."""
+    out = np.full(len(Q), math.nan)
+    for rows, g in _groups(Q, A, CS, np.zeros(len(Q)), err):
+        out[rows] = _asymmetry(g.Psi)
     return out
 
 
@@ -296,50 +328,73 @@ def verify_theorems(chs, uplinks, states, cfg: SolverConfig | None = None):
     `verify_theorem` gives on the row alone."""
     cfg = cfg or SolverConfig()
     out = [None] * len(states)
-    for rows, g in _groups([ch.dims for ch in chs], states,
-                           [cfg.active_tol_scale * ch.p_max for ch in chs],
-                           out):
-        sigma2 = np.array([chs[i].sigma2 for i in rows])
-        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2)
+    for idx in _by(chs, lambda ch: ch.dims):
+        d, p_max = chs[idx[0]].dims, np.array([chs[i].p_max for i in idx])
+        res = _check(*_stacks(states, idx),
+                     [np.array([chs[i].H[k] for i in idx])
+                      for k in range(d.K)],
+                     [np.array([uplinks[i].by_user[k] for i in idx])
+                      for k in range(d.K)], d,
+                     np.array([chs[i].sigma2 for i in idx]), p_max,
+                     cfg.active_tol_scale * p_max)
+        for j, (i, e, gaps) in enumerate(zip(idx, res.err,
+                                             res.gaps.tolist())):
+            out[i] = e if e is not None else DualityReport(
+                res.p[j], states[i].q, *gaps)
+    return out
+
+
+def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
+    """The theorem check on each row of a stack of one ``dims``: powers
+    ``Q``, receivers ``A`` and columns ``CS`` as `_groups` takes them,
+    per user k the channels H[k] (B x M x N_k) and uplink beamformers
+    V[k] (B x N_k x L_k), and per row sigma2, p_max and the activity
+    threshold ``tols`` (B).
+
+    Returns the downlink powers p (B x L), gaps (B x 4: the Psi
+    asymmetry, the p-q and MSE gaps and the downlink sum power) and per
+    row None or its error; a row with an error has NaN numbers.
+    """
+    B = len(Q)
+    res = SimpleNamespace(p=np.full(Q.shape, math.nan),
+                          gaps=np.full((B, 4), math.nan), err=[None] * B)
+    for rows, g in _groups(Q, A, CS, tols, res.err):
+        s2, pm = sigma2[rows], p_max[rows]
+        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, s2)
         if any(errs):
-            for i, e in zip(rows, errs):
-                out[i] = e
+            for i, e in zip(rows.tolist(), errs):
+                res.err[i] = e
             keep = np.array([e is None for e in errs])
             if not keep.any():
                 continue
-            rows = [i for i, e in zip(rows, errs) if e is None]
+            rows, x, s2, pm = rows[keep], x[keep], s2[keep], pm[keep]
             g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
-            x, sigma2 = x[keep], sigma2[keep]
         P = np.zeros(g.q.shape)
         P[g.on] = np.maximum(x, 0.0).ravel()
         eps_ul = np.ones(P.shape)
         eps_ul[g.on] = g.eps.ravel()
-        eps_dl = _downlink_mse([chs[i] for i in rows],
-                               [uplinks[i] for i in rows], g, P, sigma2)
-        p_max = np.array([chs[i].p_max for i in rows])
-        pq_gap = np.abs(P - g.q).max(axis=1) / np.maximum(1.0, p_max)
-        mse_gap = np.abs(eps_dl - eps_ul).max(axis=1)
-        asym, total = _asymmetry(g.Psi), np.add.reduce(P, axis=1)
-        for j, i in enumerate(rows):
-            out[i] = DualityReport(
-                p=P[j], q=states[i].q, psi_asymmetry=float(asym[j]),
-                pq_gap=float(pq_gap[j]), mse_gap=float(mse_gap[j]),
-                sum_power_dl=float(total[j]))
-    return out
+        eps_dl = _downlink_mse(H, V, dims, rows, g, P, s2)
+        res.p[rows] = P
+        res.gaps[rows] = np.array((
+            _asymmetry(g.Psi),
+            np.abs(P - g.q).max(axis=1) / np.maximum(1.0, pm),
+            np.abs(eps_dl - eps_ul).max(axis=1),
+            np.add.reduce(P, axis=1))).T
+    return res
 
 
-def _downlink_mse(chs, uplinks, g, P, sigma2) -> np.ndarray:
-    """Downlink per-stream MSEs (B x L) of a group of `_groups` at powers
-    P under the unit MMSE directions as beamformers and the
-    duality-factored receivers v_l = beta_l p_l^{-1/2} vbar_l, computed
-    directly from the channel model (signal, cross-stream, and noise terms
-    summed explicitly).
+def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
+    """Downlink per-stream MSEs (B x L) of the rows ``rows`` of the
+    stacks ``H`` and ``V`` (as `_check` takes them, of dims ``d``), a
+    group of `_groups`, at powers P under the unit MMSE directions as
+    beamformers and the duality-factored receivers
+    v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
+    model (signal, cross-stream, and noise terms summed explicitly).
 
     Inactive and zero-power streams carry a zero receiver and an MSE of
     exactly 1.  Not exported: arbitrary-receiver downlink evaluation stays
     internal.
     """
-    d = chs[0].dims
     Ubar = _unit_rows(g.at, g.norms)  # `objective.mmse_directions`, as rows
     live = P > 0.0
     beta = np.zeros(P.shape)
@@ -357,14 +412,16 @@ def _downlink_mse(chs, uplinks, g, P, sigma2) -> np.ndarray:
         U = len(users)
         idx = np.concatenate(
             [np.arange(d.L_tot)[d.user_streams(k)] for k in users])
-        V = (np.array([up.by_user[k] for up in uplinks for k in users])
-             .reshape(B, U, n_k, l_k) * scale[:, idx].reshape(B, U, 1, l_k))
-        H = np.array([ch.H[k] for ch in chs for k in users])
-        np.conjugate(H, out=H)  # in place: no second copy
-        HU = (H.reshape(B, U, d.M, n_k).swapaxes(2, 3)
-              @ Ubar.swapaxes(1, 2)[:, None])
-        coef[:, idx] = (V.conj().swapaxes(2, 3) @ HU).reshape(B, -1, d.L_tot)
-        v_norms[:, idx] = _norms(V, 2).reshape(B, -1)
+        Vu = np.empty((B, U, n_k, l_k), dtype=complex)
+        Hu = np.empty((B, U, d.M, n_k), dtype=complex)
+        for j, k in enumerate(users):  # copies of the group's rows
+            Vu[:, j], Hu[:, j] = (V[k], H[k]) if B == len(H[k]) else (
+                V[k][rows], H[k][rows])
+        Vu *= scale[:, idx].reshape(B, U, 1, l_k)
+        np.conjugate(Hu, out=Hu)  # in place: no second copy
+        HU = Hu.swapaxes(2, 3) @ Ubar.swapaxes(1, 2)[:, None]
+        coef[:, idx] = (Vu.conj().swapaxes(2, 3) @ HU).reshape(B, -1, d.L_tot)
+        v_norms[:, idx] = _norms(Vu, 2).reshape(B, -1)
     coef *= np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2
     cross.reshape(len(P), -1)[:, ::d.L_tot + 1] = 0.0

@@ -35,6 +35,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from ._jsontext import dumps
 from .errors import DimensionError, ValidationError
 
 DOWNLINK = "downlink"
@@ -332,12 +333,14 @@ def random_unit_precoders(dims: SystemDims, direction: str, seed=None,
 # shortest round-trip form, so serialize -> deserialize is exact.
 
 def _cplx_matrix_to_lists(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _cplx_matrix_from_lists(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows],
-                    dtype=complex)
+    out = [[complex(re, im) for re, im in row] for row in rows]
+    if any(isinstance(x, bool) for row in rows for z in row for x in z):
+        raise ValidationError("H: entries must be numbers, got a boolean")
+    return np.array(out, dtype=complex)
 
 
 def channel_to_dict(ch: ChannelSet) -> dict:
@@ -374,9 +377,10 @@ def channel_from_dict(d: dict) -> ChannelSet:
 
 
 def save_instance(ch: ChannelSet, path) -> None:
+    """Write ``json.dump(channel_to_dict(ch), f, indent=1)`` and a
+    newline, in one write."""
     with open(path, "w") as f:
-        json.dump(channel_to_dict(ch), f, indent=1)
-        f.write("\n")
+        f.write(dumps(channel_to_dict(ch)) + "\n")
 
 
 def load_instance(path) -> ChannelSet:

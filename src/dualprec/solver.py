@@ -20,9 +20,14 @@ instances, one row each, from the first iterates `_start` takes for the
 whole stack at once: a round evaluates a power vector per row with one
 stacked kernel call, decides acceptance, backtracking and best iterates
 as row masks, and takes the Newton steps with one stacked
-`np.linalg.solve` per face size; `solve_power` is a stack of one.  With
-L <= M a cold solve starts from the regularized zero-forcing allocation,
-and with L < M the stack's G = Htil^H Htil also serves every kernel call.
+`np.linalg.solve` per face size.  `_solve_stack` is the stacked core:
+B x M x L columns in, per-row arrays out (q, J^-1 Htil, tr J^-1, steps,
+the certificate terms and each row's error).  `verify` calls it
+directly; `solve_powers` and `solve_power` (a stack of one) are thin
+wrappers that stack their effective channels for it and turn its rows
+into states and certificates.  With L <= M a cold solve starts from the
+regularized zero-forcing allocation, and with L < M the stack's
+G = Htil^H Htil also serves every kernel call.
 Every stacked operation is elementwise or slice by slice, so an instance
 takes the same steps, to the bit, whatever shares its stack.  A stream
 with a zero channel starts at q = 0 and stays there (its gain is 0).
@@ -204,57 +209,103 @@ def solve_powers(effs, sigma2: float, p_max: float,
 
 def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
     """The results of `solve_powers`; ``q0`` and ``callback`` serve
-    `solve_power`.  Instances whose columns have one shape run in
-    `_lockstep` stacks of at most `STACK_BYTES`."""
+    `solve_power`.  The instances whose columns have one shape are one
+    `_solve_stack`, whose rows become states and certificates here."""
+    _check_link(sigma2, p_max)
+    out, groups = [None] * len(effs), {}
+    for i, eff in enumerate(effs):
+        groups.setdefault(eff.cols.shape, []).append(i)
+    for idx in groups.values():
+        res = _solve_stack(np.array([effs[i].cols for i in idx]), sigma2,
+                           p_max, cfg, q0, callback)
+        # a failed start or covariance leaves no iterate to certify
+        done = [j for j, e in enumerate(res.err)
+                if e is None or isinstance(e, ConvergenceError)]
+        for j, e in enumerate(res.err):
+            out[idx[j]] = e
+        # copies in the layouts one kernel call gives, so that callers
+        # computing on the state get the same bits whatever the stack
+        f = res.f.tolist()
+        states = [UplinkState(eff=effs[idx[j]], q=res.q[j].copy(),
+                              sigma2=float(sigma2),
+                              Jinv_cols=res.a[j].copy(order="F"),
+                              trace_jinv=f[j]) for j in done]
+        kkt = res.kkt if len(done) == len(idx) else _rows(res.kkt, done)
+        for j, cert in zip(done, _certificates(kkt, states)):
+            if res.err[j] is None:
+                out[idx[j]] = (cert.state.q, cert)
+            else:
+                res.err[j].best_q, res.err[j].certificate = cert.state.q, cert
+    return out
+
+
+def _check_link(sigma2, p_max) -> None:
     if not (math.isfinite(p_max) and p_max > 0):
         raise ValidationError("p_max must be finite and > 0")
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValidationError("sigma2 must be finite and > 0")
+
+
+def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
+    """Solve and certify each row of the stack ``CS`` (B x M x L), in
+    `_lockstep` stacks of at most `STACK_BYTES`.
+
+    Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
+    the kernel computes it), f = tr J^-1 (B), steps (B), kkt (the `_kkt`
+    terms, whose last is the relative gap), and err: per row None or the
+    error its solve raised, a ConvergenceError without its best iterate
+    and certificate, which the caller attaches if it wants them.  A row
+    whose start failed, or whose covariance the kernel rejected, has an
+    error and no numbers.  ``q0`` and ``callback`` are `solve_power`'s.
+    """
+    _check_link(sigma2, p_max)
     cfg = cfg or SolverConfig()
-    out, groups, stacks = [None] * len(effs), {}, []
-    for i, eff in enumerate(effs):
-        groups.setdefault(eff.cols.shape, []).append(i)
-    for (M, L), group in groups.items():
-        size = max(1, STACK_BYTES // (16 * M * (M + L)))
-        stacks += [group[k:k + size] for k in range(0, len(group), size)]
-    for idx in stacks:
-        CS = np.array([effs[i].cols for i in idx])
+    B, M, L = CS.shape
+    size = max(1, STACK_BYTES // (16 * M * (M + L)))
+    err, out = [None] * B, None
+    for first in range(0, B, size):
+        cs = CS[first:first + size]
+        idx = None  # the rows of cs in CS, when not first, first + 1, ...
         # G = Htil^H Htil: the start's at L <= M, the kernel's at L < M
-        gram = _gram(CS) if CS.shape[2] <= CS.shape[1] else None
-        Q0, errs = _start(CS, gram, sigma2, p_max, q0)
-        gram = gram if CS.shape[2] < CS.shape[1] else None
+        gram = _gram(cs) if L <= M else None
+        Q0, errs = _start(cs, gram, sigma2, p_max, q0)
+        gram = gram if L < M else None
         if any(errs):  # those rows end here
-            for i, e in zip(idx, errs):
-                out[i] = e
+            err[first:first + len(cs)] = errs
             ok = np.array([e is None for e in errs])
-            idx = [i for i, e in zip(idx, errs) if e is None]
-            if not idx:
+            if not ok.any():
                 continue
-            CS, Q0, gram = CS[ok], Q0[ok], _rows(gram, ok)
+            idx = np.flatnonzero(ok) + first
+            cs, Q0, gram = cs[ok], Q0[ok], _rows(gram, ok)
         for rows, Q, A, F, kkt, steps, failed in _lockstep(
-                CS, gram, Q0, sigma2, p_max, cfg, callback):
-            # copies in the layouts one kernel call gives, so that callers
-            # computing on the state get the same bits whatever the stack
-            states = [UplinkState(eff=effs[idx[k]], q=Q[j].copy(),
-                                  sigma2=float(sigma2),
-                                  Jinv_cols=A[j].copy(order="F"),
-                                  trace_jinv=float(F[j]))
-                      for j, k in enumerate(rows.tolist())]
-            for k, cert, n, bad in zip(rows.tolist(),
-                                       _certificates(kkt, states),
-                                       steps.tolist(), failed.tolist()):
+                cs, gram, Q0, sigma2, p_max, cfg, callback):
+            at = rows + first if idx is None else idx[rows]
+            got = (Q, A, F, steps) + kkt
+            if len(at) == B:  # the whole stack at once: no copies
+                out = list(got)
+            else:
+                if out is None:
+                    out = [np.full((B,) + x.shape[1:], math.nan
+                                   if x.dtype.kind in "fc" else 0, x.dtype)
+                           for x in got]
+                for dst, x in zip(out, got):
+                    dst[at] = x
+            for i, n, bad, rel in zip(at.tolist(), steps.tolist(),
+                                      failed.tolist(), kkt[-1].tolist()):
                 if bad:
-                    out[idx[k]] = NumericsError(
+                    err[i] = NumericsError(
                         "covariance not positive definite or not finite "
                         f"after {n} iterations")
-                elif cert.passes(cfg.kkt_tol):
-                    out[idx[k]] = (cert.state.q, cert)
-                else:
-                    out[idx[k]] = ConvergenceError(
-                        f"relative gap {cert.max_residual:.3e} above "
-                        f"tolerance {cfg.kkt_tol:.1e} after {n} iterations",
-                        best_q=cert.state.q, certificate=cert)
-    return out
+                elif not rel <= cfg.kkt_tol:
+                    err[i] = ConvergenceError(
+                        f"relative gap {rel:.3e} above tolerance "
+                        f"{cfg.kkt_tol:.1e} after {n} iterations")
+    if out is None:  # no row started
+        out = [np.full(shape, math.nan) for shape in (
+            (B, L), (B, M, L), (B,), (B,), (B,), (B, L), *[(B,)] * 5)]
+    q, a, f, steps, *kkt = out
+    return SimpleNamespace(q=q, a=a, f=f, steps=steps, kkt=tuple(kkt),
+                           err=err)
 
 
 def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:

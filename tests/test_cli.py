@@ -498,6 +498,52 @@ def test_instance_non_integer_field_exit_2(command, field, value, tmp_path,
     assert not out.exists()
 
 
+def _set_entry(value):
+    """An edit that puts ``value`` where H[0][0][0], the [re, im] pair of
+    user 0's first entry, stands."""
+    def edit(doc):
+        doc["H"][0][0][0] = value
+    return edit
+
+
+def _set_part(part, value):
+    """An edit that sets part ``part`` (0 re, 1 im) of H[0][0][0]."""
+    def edit(doc):
+        doc["H"][0][0][0][part] = value
+    return edit
+
+
+MALFORMED_H = {
+    "nan": _set_part(0, float("nan")),
+    "infinity": _set_part(1, float("inf")),
+    "string": _set_part(0, "0.5"),
+    "null": _set_part(1, None),
+    "too-shallow": _set_entry(0.5),
+    "too-deep": _set_entry([[0.5, 0.0], [0.0, 0.5]]),
+    "pair-of-one": _set_entry([0.5]),
+    "extra-user": lambda doc: doc["H"].append(doc["H"][0]),
+    "dims-M-disagrees": lambda doc: doc["dims"].update(M=5),
+    "bool-re": _set_part(0, True),
+    "bool-im": _set_part(1, False),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_H))
+@pytest.mark.parametrize("command", ["solve", "design"])
+def test_malformed_h_exit_2(command, case, instance, tmp_path, capsys):
+    # every malformed H is an input error, never a traceback or a solve:
+    # JSON's true is no number here either
+    doc = json.loads(instance.read_text())
+    MALFORMED_H[case](doc)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "rep.json"
+    assert run_cli([command, str(inst), "--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_verify_trial_numerics_error_recorded(tmp_path):
     out = tmp_path / "v.json"
     rc = run_cli(["verify", "--trials", "1", "--dims", "4,2,2,2,2,2",
@@ -572,7 +618,12 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
     (["--sigma2", "1e-300", "--seed-base", "233", "--dims", "3,2,2,2,2,2"],
      ["SingularTransformError"] * 2 + [None, "NumericsError", None,
                                        "SingularTransformError"]),
-], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable"])
+    # STACK_BYTES splits these solves into stacks of 10
+    (["--trials", "24", "--dims", ",".join(
+        map(str, [64, 32] + [2] * 32 + [1] * 32))], [None] * 24),
+    (["--trials", "130"], [None] * 130),  # across VERIFY_BATCH
+], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable",
+        "large-m-24", "trials-130"])
 def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
                                              tmp_path):
     # the stacked instances, solves and checks against one trial at a time
