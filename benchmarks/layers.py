@@ -80,6 +80,10 @@ LAYERS = {
                                "1e-4, 1e-6"),
     "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
                                 "on seeds 1-4 at M=64 K=32 N_k=2 L_k=1"),
+    "gen_stacks_B50_M4": ("us", "model.gen_stacks per instance, one call "
+                                "on seeds 1-50 at M=4 K=2 N=(2,2) L=(2,2)"),
+    "gen_channel_M4": ("us", "model.gen_channel per call, seed 1 at M=4 "
+                             "K=2 N=(2,2) L=(2,2)"),
     "solve_powers_B4_M64": ("ms", "solve_powers per instance, one call of "
                                   "4 instances of M=64 K=32 N_k=2 L_k=1 "
                                   "P=10 sigma2=1"),
@@ -247,6 +251,12 @@ def _layers(pkg, paths: list) -> dict:
     out["gen_stacks_B4_M64"] = _rounds(
         [lambda: pkg.model.gen_stacks(large, range(1, 5))],
         lambda t: t[0] / 4 * 1e6)
+    out["gen_stacks_B50_M4"] = _rounds(
+        [lambda: pkg.model.gen_stacks(small, range(1, 51))],
+        lambda t: t[0] / 50 * 1e6)
+    out["gen_channel_M4"] = _rounds(
+        [lambda: pkg.gen_channel(small, 1.0, 10.0, seed=1)],
+        lambda t: t[0] * 1e6)
     effs = [e for _, _, e in instances(large, range(1, 5))]
     out["solve_powers_B4_M64"] = _rounds(
         [lambda: solver.solve_powers(effs, 1.0, 10.0)],
@@ -469,8 +479,9 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers, gen_stacks, verify_theorems_B50, "
-                        "emit_verify50, verify_trials4_M64, "
+                        "solve_powers, gen_stacks, gen_channel, "
+                        "verify_theorems_B50, emit_verify50, "
+                        "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "

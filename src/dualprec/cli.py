@@ -37,10 +37,11 @@ EXIT_BOUND_VIOLATION = 4
 #: Default theorem bounds enforced by `verify`.
 DEFAULT_BOUNDS = {"psi_asymmetry": 1e-8, "pq_gap": 1e-6, "mse_gap": 1e-8}
 
-#: Trials whose power solves `verify` runs as one batch.  Each solve of a
-#: batch holds its own evaluations (about 0.5 MB at M = 64), so this bounds
-#: the memory: `verify --trials 64` at M = 64 peaks about 25 MB above one
-#: trial at a time.
+#: Trials whose power solves `verify` runs as one batch (and whose
+#: channels `bench` draws as one stack).  Each solve of a batch holds its
+#: own evaluations (about 0.5 MB at M = 64), so this bounds the memory:
+#: `verify --trials 64` at M = 64 peaks about 25 MB above one trial at a
+#: time.
 VERIFY_BATCH = 64
 
 #: The config file's sections and the settings each may hold; any other
@@ -379,23 +380,25 @@ def cmd_bench(ns) -> int:
 
     rows, failures = [], []
 
-    def run(t):
-        seed = seed_base + t
-        ch = model.gen_channel(dims, ns.sigma2, ns.pmax, seed=seed)
+    def run(t, ch):
         res = designer.design(ch, designer.DesignConfig(
-            path=designer.BOTH, seed=seed, solver=scfg))
-        return {"trial": t, "seed": seed, "iters": res.iters,
+            path=designer.BOTH, seed=ch.seed, solver=scfg))
+        return {"trial": t, "seed": ch.seed, "iters": res.iters,
                 "smse_final": res.smse_trace[-1],
                 "pq_max_gap": max(res.path_gap_trace),
                 "t_legacy_us": float(np.median(res.transform_times)) * 1e6,
                 "t_shortcut_us": float(np.median(res.shortcut_times)) * 1e6}
 
-    for t in range(trials):
-        try:
-            rows.append(run(t))
-        except DualPrecError as e:  # record and continue
-            failures.append({"trial": t, "seed": seed_base + t,
-                             "error": type(e).__name__})
+    for first in range(0, trials, VERIFY_BATCH):  # one stack per batch
+        seeds = range(seed_base + first,
+                      seed_base + min(first + VERIFY_BATCH, trials))
+        for t, ch in enumerate(model.gen_channels(dims, ns.sigma2, ns.pmax,
+                                                  seeds), first):
+            try:
+                rows.append(run(t, ch))
+            except DualPrecError as e:  # record and continue
+                failures.append({"trial": t, "seed": ch.seed,
+                                 "error": type(e).__name__})
     if ns.format == "json":
         _emit(rows, ns.out)
     else:  # CSV is the bench default

@@ -14,8 +14,12 @@ Conventions used throughout the package:
 
 Instances are generated as stacks over a list of seeds (`gen_stacks`),
 which is how `verify` makes each batch of trials: per seed, one draw from
-its channel generator and one from its precoder generator.  Each run of
-consecutive users with equal (N_k, L_k) is one more stacked axis: per
+its channel generator and one from its precoder generator.  Every
+generator is numpy's PCG64 with numpy's normal sampler, bitwise the
+generator ``np.random.default_rng(seed)`` gives; only the hashing of the
+seeds into PCG64 states (numpy's SeedSequence algorithm) is done here,
+for all the seeds of a call in one array pass (`_seed_words`).  Each run
+of consecutive users with equal (N_k, L_k) is one more stacked axis: per
 run, one reshape of the draws, one divide (by sqrt 2, or by the column
 norms), one unit-norm check and one stacked matmul for the effective
 columns, and each user's blocks are views of its run's stack.  One draw
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from numbers import Integral, Real
 
@@ -153,9 +158,18 @@ def gen_channel(dims: SystemDims, sigma2: float, p_max: float, seed=None) -> Cha
 
     Deterministic given ``seed``: a stack of one of `gen_stacks`' channels.
     """
-    H = tuple(h[0] for h in _users(_channels(dims, [seed])))
-    return ChannelSet(dims=dims, H=H, sigma2=float(sigma2),
-                      p_max=float(p_max), seed=seed)
+    return gen_channels(dims, sigma2, p_max, [seed])[0]
+
+
+def gen_channels(dims: SystemDims, sigma2: float, p_max: float,
+                 seeds) -> list:
+    """`gen_channel` of each of ``seeds``, drawn as one stack: instance
+    b's channels are views of slice b of its users' stacks."""
+    _check_dims(dims)
+    H = _users(_channels(dims, _seed_words(seeds)))
+    return [ChannelSet(dims=dims, H=tuple(h[b] for h in H),
+                       sigma2=float(sigma2), p_max=float(p_max), seed=seed)
+            for b, seed in enumerate(seeds)]
 
 
 def gen_stacks(dims: SystemDims, seeds) -> tuple:
@@ -166,13 +180,23 @@ def gen_stacks(dims: SystemDims, seeds) -> tuple:
     effective columns (B x M x L_tot, `build_effective_channel` of the
     two), all bitwise.
 
-    Each seed's channel and precoder generators make one draw each; the
+    The B channel seeds and the B tagged precoder seeds are hashed in one
+    `_seed_words` pass, and each of their generators makes one draw; the
     dims are checked once for the whole stack and the unit norms once per
     run of equal-shape users, whose blocks are views of one stack.
     """
-    H = _channels(dims, seeds)
-    V = _unit_columns(dims.N, dims.L, [[s, PRECODER_TAG] for s in seeds])
+    _check_dims(dims)
+    B = len(seeds)
+    words = _seed_words([*seeds, *([s, PRECODER_TAG] for s in seeds)])
+    H = _channels(dims, words[:B])
+    V = _unit_columns(dims.N, dims.L, words[B:])
     return _users(H), _users(V), _effective_cols(dims, H, V)
+
+
+def _check_dims(dims: SystemDims) -> None:
+    bad = dims.violations()
+    if bad:
+        raise DimensionError("; ".join(bad))
 
 
 def _runs(rows, cols) -> list:
@@ -186,33 +210,36 @@ def _users(stacks) -> tuple:
     return tuple(x[:, j] for x in stacks for j in range(x.shape[1]))
 
 
-def _channels(dims: SystemDims, seeds) -> list:
+def _channels(dims: SystemDims, words) -> list:
     """Per run of users with equal (N_k, L_k) the B x n x M x N_k stack
-    of the channels of ``seeds``."""
-    bad = dims.violations()
-    if bad:
-        raise DimensionError("; ".join(bad))
+    of the channels of the seeds hashed to ``words``."""
     return [np.divide(x, np.sqrt(2.0), out=x) for x in _gaussians(
-        seeds, [(n, (dims.M, N)) for n, (N, _) in _runs(dims.N, dims.L)])]
+        words, [(n, (dims.M, N)) for n, (N, _) in _runs(dims.N, dims.L)])]
 
 
-def _unit_columns(rows, cols, seeds) -> list:
+def _unit_columns(rows, cols, words) -> list:
     """Per run of users with equal (rows[k], cols[k]) the B x n x rows[k]
-    x cols[k] stack of the unit-norm columns of ``seeds``."""
+    x cols[k] stack of the unit-norm columns of the seeds hashed to
+    ``words``."""
     return [np.divide(x, np.linalg.norm(x, axis=2, keepdims=True), out=x)
-            for x in _gaussians(seeds, _runs(rows, cols))]
+            for x in _gaussians(words, _runs(rows, cols))]
 
 
-def _gaussians(seeds, runs) -> list:
+def _gaussians(words, runs) -> list:
     """Per run (n, (r, c)) of ``runs`` the B x n x r x c stack of
     circularly-symmetric complex Gaussians re + 1j im with unit-variance
-    parts.  Each seed's generator makes one draw of them all, which is
-    bitwise the draws of user 0's real parts, its imaginary parts, user
-    1's real parts and so on one after the other."""
+    parts.  Row b's generator is numpy's PCG64 seeded with the state
+    ``words[b]`` (numpy's ISeedSequence interface, so the instance is
+    bitwise ``np.random.default_rng(seed)``'s); it makes one draw of them
+    all, which is bitwise the draws of user 0's real parts, its
+    imaginary parts, user 1's real parts and so on one after the other,
+    and is dropped."""
+    random = np.random  # imported here, at the first draw, not with dualprec
+    random.bit_generator.ISeedSequence.register(_SeedState)
     sizes = [2 * n * r * c for n, (r, c) in runs]
-    Z = np.empty((len(seeds), sum(sizes)))
-    for z, seed in zip(Z, seeds):
-        np.random.default_rng(seed).standard_normal(out=z)
+    Z = np.empty((len(words), sum(sizes)))
+    for z, w in zip(Z, words):
+        random.Generator(random.PCG64(_SeedState(w))).standard_normal(out=z)
     out, start = [], 0
     for (n, (r, c)), size in zip(runs, sizes):
         X = Z[:, start:start + size].reshape(len(Z), n, 2, r, c)
@@ -221,6 +248,139 @@ def _gaussians(seeds, runs) -> list:
         out.append(x)
         start += size
     return out
+
+
+class _SeedState:
+    """One seed's PCG64 state, the four uint64 words `_seed_words` hashed
+    it to, behind numpy's ISeedSequence interface (`_gaussians` registers
+    the class as one)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a seed's state is 4 uint64 words, asked for "
+                             f"{n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+# numpy's SeedSequence hash (pool size 4), in uint32 arithmetic
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: The lanes each pool lane is mixed into, in order.
+_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """The B x 4 uint64 words ``np.random.SeedSequence(seed)
+    .generate_state(4, np.uint64)`` gives for each of ``seeds``, hashed
+    for all of them at once.
+
+    numpy's algorithm makes the same sequence of hash constants whatever
+    the entropy, so each step is one array operation over the rows: the
+    pool of 4 lanes starts as the hashes of the first 4 entropy words (0
+    past a row's last), each lane is mixed into the 3 others (one 3 x B
+    operation per lane), every further entropy word into all 4 (rows
+    with fewer words keep their pool), and the 8 output words are one
+    4 x 2 x B operation.  A seed numpy rejects raises its exception.
+    """
+    flat, lens = [], []
+    for seed in seeds:
+        entropy = _entropy(seed)
+        flat += entropy
+        lens.append(len(entropy))
+    lens = np.array(lens, dtype=np.intp)
+    W = max(4, lens.max(initial=0))
+    E = np.zeros((len(lens), W), dtype=np.uint32)
+    E[np.arange(W) < lens[:, None]] = flat  # row by row, 0 past the last
+    E = E.T
+    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (W - 4))  # columns
+    pool = _hashmix(E[:4], h[0:4], h[1:5])
+    k = 4
+    for s in range(4):
+        d = _OTHERS[s]
+        pool[d] = _mix(pool[d], _hashmix(pool[s], h[k:k + 3], h[k + 1:k + 4]))
+        k += 3
+    for i in range(4, W):
+        pool = np.where(lens > i, _mix(pool, _hashmix(
+            E[i], h[k:k + 4], h[k + 1:k + 5])), pool)
+        k += 4
+    g = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = np.tile(pool, (2, 1))
+    out ^= g[:8]
+    out *= g[1:]
+    out ^= out >> 16
+    # little-endian pairs of the 8 words of each row
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(
+        np.uint64, copy=False)
+
+
+def _hashmix(v, xor, mult):
+    """numpy's hashmix of v, step by step with the hash constants before
+    (``xor``) and after (``mult``) each step's update, as columns."""
+    v = v ^ xor
+    v *= mult
+    v ^= v >> 16
+    return v
+
+
+def _mix(x, y):
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> 16
+    return r
+
+
+@cache
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0..n, as a read-only uint32
+    column (each call shares it)."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _entropy(seed) -> list:
+    """The 32-bit entropy words numpy's SeedSequence takes from ``seed``,
+    with its exceptions: an int's little-endian words (0 is one word), a
+    sequence's words one after the other, 128 fresh random bits for
+    None."""
+    if seed is None:
+        import secrets
+        seed = secrets.randbits(128)
+    elif not isinstance(seed, (int, np.integer, list, tuple, range,
+                               np.ndarray)):
+        raise TypeError("SeedSequence expects int or sequence of ints for "
+                        f"entropy not {seed}")
+    return _words(seed)
+
+
+def _words(x) -> list:
+    if type(x) is int and 0 <= x <= _MASK32:  # the common case
+        return [x]
+    if isinstance(x, (int, np.integer)):
+        if x < 0:
+            raise ValueError("expected non-negative integer")
+        x = int(x)
+        out = [x & _MASK32]
+        while x > _MASK32:
+            x >>= 32
+            out.append(x & _MASK32)
+        return out
+    if isinstance(x, str):  # as numpy reads a string inside a sequence
+        return _words(int(x, 16 if x.startswith("0x") else 10))
+    if isinstance(x, (float, np.inexact)):
+        raise TypeError("seed must be integer")
+    len(x)  # numpy's TypeError for what is not a sequence
+    return [w for v in x for w in _words(v)]
 
 
 @dataclass(frozen=True)
@@ -322,7 +482,8 @@ def random_unit_precoders(dims: SystemDims, direction: str, seed=None,
                           powers=None) -> PrecoderSet:
     """Seeded random unit-norm beamformer columns for either direction."""
     rows = [dims.M] * dims.K if direction == DOWNLINK else list(dims.N)
-    by_user = tuple(b[0] for b in _users(_unit_columns(rows, dims.L, [seed])))
+    by_user = tuple(b[0] for b in _users(
+        _unit_columns(rows, dims.L, _seed_words([seed]))))
     if powers is None:
         powers = np.zeros(dims.L_tot)
     return PrecoderSet(direction=direction, by_user=by_user, powers=powers)

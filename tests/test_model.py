@@ -11,7 +11,8 @@ from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, DimensionError,
                       build_effective_channel, channel_from_dict,
                       channel_to_dict, gen_channel, load_instance,
                       random_unit_precoders, save_instance, validate)
-from dualprec.model import PRECODER_TAG, gen_stacks
+from dualprec.model import (PRECODER_TAG, _gaussians, _seed_words,
+                            _SeedState, gen_channels, gen_stacks)
 from oracles import (build_effective_channel_per_user, gen_channel_per_user,
                      precoder_violations, precoders_from_dict,
                      precoders_to_dict, random_unit_precoders_per_user,
@@ -125,6 +126,87 @@ def test_gen_stacks_equal_per_seed_generation(dims):
 def test_gen_stacks_check_the_dims():
     with pytest.raises(DimensionError):
         gen_stacks(SystemDims(M=2, K=1, N=(2,), L=(3,)), range(4))
+
+
+#: Seed ints on and around the 32-bit word boundaries, up to 2**130.
+seed_ints = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 130),
+    st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1,
+                     2 ** 64, 2 ** 64 + 1, 2 ** 128, 2 ** 130]))
+any_seed = st.one_of(
+    seed_ints, st.booleans(),
+    st.integers(min_value=0, max_value=2 ** 63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2 ** 32 - 1).map(np.uint32),
+    st.integers(min_value=0, max_value=2 ** 64 - 1).map(np.uint64),
+    st.tuples(seed_ints, st.sampled_from([PRECODER_TAG, 101])).map(list),
+    st.lists(seed_ints, min_size=5, max_size=9))  # more than 4 words
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_seed, max_size=12))
+def test_seed_words_are_numpys(seed_list):
+    # one array pass hashes every seed to the PCG64 state numpy's
+    # SeedSequence gives it, and the generators draw what default_rng's do
+    words = _seed_words(seed_list)
+    assert words.shape == (len(seed_list), 4) and words.dtype == np.uint64
+    (z,) = _gaussians(words, [(1, (1, 3))])
+    for w, x, seed in zip(words, z, seed_list):
+        assert np.array_equal(
+            w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        want = np.random.default_rng(seed).standard_normal(6)
+        assert np.array_equal(x[0, 0], want[:3] + 1j * want[3:])
+
+
+@pytest.mark.parametrize("bad", [-1, [1, -1], 1.5, "7", [1.5], np.True_,
+                                 [None], np.float64(2.0)])
+def test_seeds_numpy_rejects_raise_its_exception(bad):
+    with pytest.raises(Exception) as want:
+        np.random.default_rng(bad)
+    kind = type(want.value)
+    assert kind in (TypeError, ValueError)
+    with pytest.raises(kind):
+        _seed_words([3, bad])
+    with pytest.raises(kind):
+        gen_channel(DIMS_2x2, 1.0, 10.0, seed=bad)
+    with pytest.raises(kind):
+        gen_stacks(DIMS_2x2, [3, bad])
+
+
+def test_seed_state_is_four_uint64_words():
+    # the adapter hands PCG64 its state and nothing else
+    state = _SeedState(_seed_words([7])[0])
+    assert np.array_equal(state.generate_state(4, np.uint64),
+                          np.random.SeedSequence(7).generate_state(4, np.uint64))
+    for n, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            state.generate_state(n, dtype)
+
+
+def test_seed_none_draws_fresh_entropy():
+    a, b = (gen_channel(DIMS_2x2, 1.0, 10.0, seed=None) for _ in range(2))
+    assert not np.array_equal(a.H[0], b.H[0])
+    assert a.seed is None
+
+
+def test_empty_seed_list_gives_empty_stacks():
+    dims = SystemDims(M=4, K=3, N=(2, 2, 3), L=(2, 1, 1))
+    H, V, cols = gen_stacks(dims, [])
+    assert [h.shape for h in H] == [(0, 4, 2), (0, 4, 2), (0, 4, 3)]
+    assert [v.shape for v in V] == [(0, 2, 2), (0, 2, 1), (0, 3, 1)]
+    assert cols.shape == (0, 4, 4)
+    assert gen_channels(dims, 1.0, 10.0, []) == []
+
+
+def test_gen_channels_are_gen_channel_of_each_seed():
+    # bench's channels: one stack per batch, each instance a view into it
+    seeds = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 70, 9]
+    chans = gen_channels(DIMS_2x2, 0.5, 4.0, seeds)
+    for ch, seed in zip(chans, seeds):
+        one = gen_channel(DIMS_2x2, 0.5, 4.0, seed=seed)
+        assert (ch.seed, ch.sigma2, ch.p_max) == (seed, 0.5, 4.0)
+        for h, h1 in zip(ch.H, one.H):
+            assert np.array_equal(h, h1)
+    assert chans[0].H[0].base is chans[1].H[0].base
 
 
 def test_effective_channel_identity():

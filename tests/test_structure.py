@@ -22,22 +22,22 @@ FACTOR_NAMES = {"_POTRF", "potrf", "cho_factor", "cholesky",
                 "get_lapack_funcs", "inv", "solve"}
 
 
-def _uses(node, scope, out):
-    """Append (name, scope) for every read of a FACTOR_NAMES name under
+def _uses(node, scope, out, names=FACTOR_NAMES):
+    """Append (name, scope) for every read of a ``names`` name under
     node, where scope is the innermost enclosing function (or
     '<module>')."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _uses(child, child.name, out)
+            _uses(child, child.name, out, names)
             continue
-        if (isinstance(child, ast.Name) and child.id in FACTOR_NAMES
+        if (isinstance(child, ast.Name) and child.id in names
                 and not isinstance(child.ctx, ast.Store)):
             out.append((child.id, scope))
-        if isinstance(child, ast.Attribute) and child.attr in FACTOR_NAMES:
+        if isinstance(child, ast.Attribute) and child.attr in names:
             out.append((child.attr, scope))
-        if isinstance(child, ast.alias) and child.name in FACTOR_NAMES:
+        if isinstance(child, ast.alias) and child.name in names:
             assert child.asname is None, f"{child.name} imported under an alias"
-        _uses(child, scope, out)
+        _uses(child, scope, out, names)
 
 
 def test_cholesky_only_in_the_covariance_kernel():
@@ -57,6 +57,20 @@ def test_cholesky_only_in_the_covariance_kernel():
                      ("solve", "solver._solve_kkt"),
                      ("inv", "solver._start"),
                      ("solve", "duality._transform")}
+
+
+def test_generators_seeded_only_in_one_model_function():
+    # one seeding route: every seed is hashed by model._seed_words, and
+    # model._gaussians alone makes numpy generators, from those words
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        out = []
+        _uses(ast.parse(path.read_text()), "<module>", out, {
+            "default_rng", "SeedSequence", "RandomState", "PCG64",
+            "Generator"})
+        sites.update((name, f"{path.stem}.{scope}") for name, scope in out)
+    assert sites == {("PCG64", "model._gaussians"),
+                     ("Generator", "model._gaussians")}
 
 
 def test_ctypes_only_in_the_blas_module():
@@ -121,6 +135,18 @@ def test_each_subcommand_accepts_exactly_the_flags_it_reads():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and node.value.startswith("--")]
     assert sorted(flags) == sorted(set().union(*got.values()) - {"instance"})
+
+
+def test_import_loads_no_numpy_random():
+    # the generators' module is imported at the first draw: the command
+    # line's import (and so every run's set-up) does not pay for it
+    code = "import sys, dualprec.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy():
