@@ -71,9 +71,10 @@ LAYERS = {
     "solve_power_warm_kernel_calls": (
         "count", "objective._covariance calls per warm-started solve_power, "
                  "same calls"),
-    "downlink_mmse": ("us", "downlink_mmse per call, median over the calls "
-                            "design --path both makes at M=4 K=2 N=(4,4) "
-                            "L=(2,2) sigma2=1 P=10, gen seeds 1000-1009"),
+    "downlink_mmse": ("us", "downlink_mmse per call at the MMSE directions "
+                            "and q of each power solve design --path both "
+                            "makes at M=4 K=2 N=(4,4) L=(2,2) sigma2=1 "
+                            "P=10, gen seeds 1000-1009"),
     "solve_powers_B50": ("us", "solve_powers per instance, total over one "
                                "call of 50 instances of M=4 K=2 N=(2,2) "
                                "L=(2,2) P=10 at each sigma2 = 10, 1, 1e-2, "
@@ -188,35 +189,41 @@ def _layers(pkg, paths: list) -> dict:
     out = {"kernel_B1_M4": stack(small, 1), "kernel_B50_M4": stack(small, 50),
            "kernel_B4_M64": stack(large, 4)}
 
-    # the warm-started solves and the downlink receivers of design,
-    # captured once and replayed
+    # the power solves of design, captured once at the stacked core (where
+    # the designer binds it, or through solve_power) and replayed
     chans = [pkg.gen_channel(design_dims, 1.0, 10.0, seed=s)
              for s in range(1000, 1010)]
-    calls, solve = [], designer.solve_power
-    receivers, downlink = [], designer.downlink_mmse
+    calls, stack_solve = [], solver._solve_stack
+    holders = [m for m in (solver, designer) if "_solve_stack" in vars(m)]
 
-    def capture(eff, sigma2, p_max, cfg=None, q0=None, callback=None):
-        calls.append((eff, sigma2, p_max, cfg, q0))
-        return solve(eff, sigma2, p_max, cfg, q0=q0, callback=callback)
+    def capture(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
+        calls.append((pkg.EffectiveChannel(CS[0]), sigma2, p_max, cfg, q0,
+                      ch))
+        return stack_solve(CS, sigma2, p_max, cfg, q0, callback)
 
-    def capture_downlink(*args):
-        receivers.append(args)
-        return downlink(*args)
-
-    designer.solve_power = capture
-    designer.downlink_mmse = capture_downlink
+    for m in holders:
+        m._solve_stack = capture
     try:
-        iters = [designer.design(ch, designer.DesignConfig(path="both")).iters
-                 for ch in chans]
+        iters = []
+        for ch in chans:  # a loop, not a comprehension: capture reads ch
+            iters.append(designer.design(
+                ch, designer.DesignConfig(path="both")).iters)
     finally:
-        designer.solve_power = solve
-        designer.downlink_mmse = downlink
+        for m in holders:
+            m._solve_stack = stack_solve
 
     def replay(c):
         try:
-            solver.solve_power(*c[:4], q0=c[4])
+            return solver.solve_power(*c[:4], q0=c[4])
         except pkg.DualPrecError:
-            pass
+            return None
+
+    # the downlink receivers at each certified q, as design evaluates them
+    receivers, downlink = [], pkg.objective.downlink_mmse
+    for c in calls:
+        if (res := replay(c)) is not None:
+            receivers.append((c[5], pkg.objective.mmse_directions(
+                res[1].state), res[0]))
 
     warm = [c for c in calls if c[4] is not None]
     out["solve_power_warm"] = ([lambda c=c: replay(c) for c in warm],

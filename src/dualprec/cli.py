@@ -438,6 +438,7 @@ def cmd_design(ns) -> int:
             "iters": res.iters,
             "rejected_extrapolations": res.rejected,
             "smse_trace": [float(s) for s in res.smse_trace],
+            "solve_steps": res.solve_steps,
             "q": [float(x) for x in res.uplink.powers],
             "p": [float(x) for x in res.downlink.powers],
             "transform_time_s": float(sum(res.transform_times)),

@@ -1,14 +1,18 @@
 """Sum-MSE precoder design in the virtual uplink, by an alternation that
 safeguarded Anderson acceleration speeds up.
 
-One evaluation of the plain map G at uplink beamformers vbar (`_step`):
-(1) solve the convex power allocation q for vbar, (2) take the unit uplink
-MMSE directions J^-1 htil_l as downlink beamformers with the downlink
-powers p := q, which the transpose symmetry of the coupling matrix
-justifies at a certified q, then (3) swap roles: the normalized downlink
-MMSE receivers are G(vbar).  On ``path="both"`` the legacy duality
-transform (a linear solve per iterate) runs beside p := q as a timed
-check, and its gap to q is recorded at every iterate.
+One evaluation of the plain map G at uplink beamformers vbar (`_step`)
+runs on the array cores as a stack of one: (1) the certified power
+allocation q for the effective columns of vbar (`solver._solve_stack`,
+warm-started from the last q), (2) the unit MMSE directions of its
+receivers J^-1 htil_l as downlink beamformers with the downlink powers
+p := q, which the transpose symmetry of the coupling matrix justifies at
+a certified q, then (3) the role swap: the normalized downlink MMSE
+receivers, from one kernel call per antenna count on the dual channels
+H_k^H Ubar, are G(vbar).  The channel stacks both ends read are built
+once per design.  On ``path="both"`` the legacy duality transform
+(`duality._groups` and `_transform`, a linear solve) runs beside p := q
+as a timed check, and its gap to q is recorded at every iterate.
 
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
@@ -36,13 +40,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duality import build_duality_data, transform_power
+from .duality import _groups, _transform
 from .errors import ConvergenceError, NumericsError, ValidationError
-from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, PrecoderSet,
-                    build_effective_channel, is_count, is_real,
-                    random_unit_precoders, validate)
-from .objective import downlink_mmse, mmse_directions, sum_mse_uplink
-from .solver import SolverConfig, solve_power
+from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
+                    PrecoderSet, _effective_cols, _norms, _run_stacks,
+                    is_count, is_real, random_unit_precoders, validate)
+from .objective import _covariance, _dual_stacks, _unit_rows
+from .solver import SolverConfig, _certify, _solve_stack
 
 SIMPLIFIED = "simplified_pq"
 BOTH = "both"
@@ -86,6 +90,7 @@ class DesignResult:
     path_gap_trace: list        # max |legacy p - q| per iterate (both)
     converged: bool
     rejected: int               # extrapolations the safeguard refused
+    solve_steps: list           # Newton steps per accepted iterate's solve
 
 
 class _Step(NamedTuple):
@@ -99,6 +104,17 @@ class _Step(NamedTuple):
     t_legacy: float | None  # seconds in the legacy conversion
     t_shortcut: float
     path_gap: float | None  # max |legacy p - q|
+    steps: int              # Newton steps of the power solve
+
+
+@dataclass(frozen=True)
+class _Instance(ChannelSet):
+    """The instance with the stacks every step of its design reads: its
+    channels per run of users (`model._run_stacks`) and its H_k^H per
+    antenna count (`objective._dual_stacks`)."""
+
+    runs: tuple = ()
+    dual: tuple = ()
 
 
 def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
@@ -116,21 +132,22 @@ def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
     return [b.copy() for b in ps.by_user]
 
 
-def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
+def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
           act_tol: float) -> _Step:
     """Certified power solve at vbar (warm-started from q0), the downlink
     powers p := q (checked against the legacy transform on path "both"),
-    and the role swap to G(vbar).
+    and the role swap to G(vbar), all on the array cores at B = 1.
 
-    A failed power solve raises its ConvergenceError.
+    A failed power solve raises its error, a ConvergenceError with its
+    best iterate and certificate; a downlink covariance the kernel
+    rejects raises NumericsError.
     """
     d = ch.dims
-    up_ps = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
-                        powers=q0 if q0 is not None else np.zeros(d.L_tot))
-    eff = build_effective_channel(ch, up_ps)
-    q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg.solver, q0=q0)
-    state = cert.state
-    ubar = mmse_directions(state)
+    cols = _effective_cols(d, ch.runs, _run_stacks(d, vbar))
+    res = _solve_stack(cols, ch.sigma2, ch.p_max, cfg.solver, q0)
+    if res.err[0] is not None:
+        raise _certify(res, [EffectiveChannel(cols[0])], ch.sigma2)[0]
+    q = res.q[0]
 
     # downlink powers p := q and, on path "both", the legacy transform
     # beside them as a check, each timed around itself only
@@ -140,23 +157,37 @@ def _step(ch: ChannelSet, vbar: list, q0, cfg: DesignConfig,
     t_leg = gap = None
     if cfg.path == BOTH:
         t0 = time.perf_counter()
-        dd = build_duality_data(state, active_tol=act_tol)
-        p_leg = transform_power(dd, ch.sigma2)
+        err, p_leg = [None], np.zeros(d.L_tot)
+        for _, g in _groups(res.q, res.a, cols, np.full(1, float(act_tol)),
+                            err):
+            x, err = _transform(g.beta, g.D, g.eps, g.Psi,
+                                np.array([ch.sigma2], dtype=float))
+            p_leg[g.on[0]] = np.maximum(x[0], 0.0)
+        if err[0] is not None:
+            raise err[0]
         t_leg = time.perf_counter() - t0
         gap = float(np.abs(p_leg - p).max())
 
-    # role swap: normalized downlink MMSE receivers; a stream with p = 0
-    # has a zero receiver and keeps its vbar
-    X, _ = downlink_mmse(ch, ubar, p)
-    g = []
-    for k in range(d.K):
-        V = X[k] * np.sqrt(p[d.user_streams(k)])
-        vn = np.linalg.norm(V, axis=0)
-        nz = vn > 0
-        b = vbar[k].copy()
-        b[:, nz] = V[:, nz] / vn[nz]
-        g.append(b)
-    return _Step(vbar, q, sum_mse_uplink(state), ubar, g, t_leg, t_sc, gap)
+    # the unit MMSE directions (`objective.mmse_directions`) and the role
+    # swap: the normalized downlink MMSE receivers, from the kernel on the
+    # dual channels H_k^H Ubar at q := p; a stream with p = 0 has a zero
+    # receiver and keeps its vbar
+    At = np.ascontiguousarray(res.a[0].T)
+    ubar = _unit_rows(At, _norms(At.T, 0)).T
+    g, s = [None] * d.K, np.sqrt(p)
+    for users, Hh in ch.dual:
+        A, f, _ = _covariance(Hh @ ubar, p[None], ch.sigma2)
+        if math.isnan(np.add.reduce(f)):
+            raise NumericsError("downlink covariance not positive definite "
+                                "or not finite")
+        X = A * s
+        for k, x, n in zip(users, X, _norms(X, 1)):
+            idx = d.user_streams(k)
+            g[k] = np.divide(x[:, idx], n[idx], out=vbar[k].copy(),
+                             where=n[idx] > 0)
+    smse = d.L_tot - d.M + float(ch.sigma2) * res.f.tolist()[0]
+    return _Step(vbar, q, smse, ubar, g, t_leg, t_sc, gap,
+                 int(res.steps[0]))
 
 
 def _stack(blocks: list) -> np.ndarray:
@@ -170,8 +201,8 @@ def _anderson(xs, gs) -> np.ndarray:
     f_i = G(x_i) - x_i in the least-squares sense."""
     X, G = np.array(xs).T, np.array(gs).T
     F = G - X
-    gamma = np.linalg.lstsq(np.diff(F, axis=1), F[:, -1], rcond=None)[0]
-    return G[:, -1] - np.diff(G, axis=1) @ gamma
+    gamma = np.linalg.lstsq(F[:, 1:] - F[:, :-1], F[:, -1], rcond=None)[0]
+    return G[:, -1] - (G[:, 1:] - G[:, :-1]) @ gamma
 
 
 def _unit_blocks(x: np.ndarray, like: list) -> list | None:
@@ -182,8 +213,8 @@ def _unit_blocks(x: np.ndarray, like: list) -> list | None:
     for b in like:
         blk = z[start:start + b.size].reshape(b.shape)
         start += b.size
-        norms = np.linalg.norm(blk, axis=0)
-        if not np.all(np.isfinite(norms) & (norms > 0)):
+        norms = _norms(blk, 0)
+        if not all(0 < n < math.inf for n in norms.tolist()):
             return None
         out.append(blk / norms)
     return out
@@ -207,7 +238,9 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     d = ch.dims
     act_tol = cfg.solver.active_tol_scale * ch.p_max
 
-    cur = _step(ch, _init_uplink_dirs(ch, cfg), None, cfg, act_tol)
+    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed,
+                     _run_stacks(d, ch.H), _dual_stacks(ch))
+    cur = _step(inst, _init_uplink_dirs(ch, cfg), None, cfg, act_tol)
     steps = [cur]
     xs = deque([_stack(cur.vbar)], maxlen=ANDERSON_MEMORY)
     gs = deque([_stack(cur.g)], maxlen=ANDERSON_MEMORY)
@@ -220,7 +253,7 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
             cand = _unit_blocks(_anderson(xs, gs), cur.vbar)
             if cand is not None:
                 try:
-                    nxt = _step(ch, cand, cur.q, cfg, act_tol)
+                    nxt = _step(inst, cand, cur.q, cfg, act_tol)
                 except (ConvergenceError, NumericsError):
                     pass
             if nxt is None or not nxt.smse < cur.smse:
@@ -229,7 +262,7 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
                 xs.clear()
                 gs.clear()
         if nxt is None:
-            nxt = _step(ch, cur.g, cur.q, cfg, act_tol)
+            nxt = _step(inst, cur.g, cur.q, cfg, act_tol)
         prev, cur = cur, nxt
         steps.append(cur)
         xs.append(_stack(cur.vbar))
@@ -249,7 +282,8 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         transform_times=[s.t_legacy for s in steps if s.t_legacy is not None],
         shortcut_times=[s.t_shortcut for s in steps],
         path_gap_trace=[s.path_gap for s in steps if s.path_gap is not None],
-        converged=converged, rejected=rejected)
+        converged=converged, rejected=rejected,
+        solve_steps=[s.steps for s in steps])
     if not converged:
         raise ConvergenceError(
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "

@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import (DualPrecError, InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
-from .model import ChannelSet, PrecoderSet, build_effective_channel
+from .model import (ChannelSet, PrecoderSet, _norms,
+                    build_effective_channel)
 from .objective import UplinkState, _unit_rows, make_state
 from .solver import SolverConfig
 
@@ -102,12 +103,6 @@ def _asymmetry(Psi: np.ndarray) -> np.ndarray:
             / np.maximum(1.0, np.abs(Psi).max(axis=(1, 2))))
 
 
-def _norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """Euclidean norms along ``axis``: `np.linalg.norm`'s arithmetic
-    without its argument handling."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
-
-
 def _groups(Q, A, CS, tols, err):
     """Beta, D, Psi and eps of each row of a stack of one shape: powers
     ``Q`` (B x L), receivers A = J^-1 Htil (B x M x L) and columns
@@ -128,7 +123,7 @@ def _groups(Q, A, CS, tols, err):
     m = np.add.reduce(on, axis=1)
     sizes = m.tolist()
     bad = (Q < 0) | (on & (norms == 0.0))
-    if 0 in sizes or bad.any():
+    if 0 in sizes or np.count_nonzero(bad):
         for j in np.flatnonzero(np.logical_or.reduce(bad, axis=1)
                                 | (m == 0)).tolist():
             err[j] = (
@@ -152,7 +147,7 @@ def _groups(Q, A, CS, tols, err):
         g.beta = q * n
         # C_ij = htil_i^H ubar_j; ubar as columns, column-major
         C = c.conj() @ (a / n[:, :, None]).swapaxes(1, 2)
-        s = np.diagonal(C, axis1=1, axis2=2)
+        s = C.diagonal(0, 1, 2)
         g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
         g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
         g.Psi = np.abs(C) ** 2

@@ -446,12 +446,25 @@ def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveCha
             raise DimensionError(
                 f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
             )
-    H, V, k = [], [], 0
-    for n, _ in _runs(d.N, d.L):  # a stack of one per run
-        H.append(np.array(ch.H[k:k + n])[None])
-        V.append(np.array(uplink.by_user[k:k + n])[None])
+    return EffectiveChannel(cols=_effective_cols(
+        d, _run_stacks(d, ch.H), _run_stacks(d, uplink.by_user))[0])
+
+
+def _run_stacks(d: SystemDims, blocks) -> list:
+    """Per run of users with equal (N_k, L_k) their ``blocks`` (one per
+    user) as a stack of one, 1 x n x r x c, as `_effective_cols` takes
+    them."""
+    out, k = [], 0
+    for n, _ in _runs(d.N, d.L):
+        out.append(np.array(blocks[k:k + n])[None])
         k += n
-    return EffectiveChannel(cols=_effective_cols(d, H, V)[0])
+    return out
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``: `np.linalg.norm`'s arithmetic
+    without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
@@ -465,7 +478,7 @@ def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
     k = l = 0
     for h, vb in zip(H, V):
         n, N, c = vb.shape[1:]
-        norms = np.linalg.norm(vb, axis=2)
+        norms = _norms(vb, 2)
         bad = np.abs(norms - 1.0) > NORM_TOL * max(1.0, N)
         if bad.any():
             raise ValidationError(

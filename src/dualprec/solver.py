@@ -22,10 +22,10 @@ stacked kernel call, decides acceptance, backtracking and best iterates
 as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size.  `_solve_stack` is the stacked core:
 B x M x L columns in, per-row arrays out (q, J^-1 Htil, tr J^-1, steps,
-the certificate terms and each row's error).  `verify` calls it
-directly; `solve_powers` and `solve_power` (a stack of one) are thin
-wrappers that stack their effective channels for it and turn its rows
-into states and certificates.  With L <= M a cold solve starts from the
+the certificate terms and each row's error).  `verify` and the design
+step call it directly; `solve_powers` and `solve_power` (a stack of one)
+are thin wrappers that stack their effective channels for it and turn
+its rows into states and certificates (`_certify`).  With L <= M a cold solve starts from the
 regularized zero-forcing allocation, and with L < M the stack's
 G = Htil^H Htil also serves every kernel call.
 Every stacked operation is elementwise or slice by slice, so an instance
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
                      NumericsError, ValidationError)
-from .model import EffectiveChannel, is_count, is_real
+from .model import EffectiveChannel, _norms, is_count, is_real
 from .objective import UplinkState, _covariance, _gram, _slices
 
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
@@ -188,7 +188,8 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     non-finite power there raises ValidationError); ``callback(q, f)``
     fires after every step taken.
     """
-    out, = _solve_all([eff], sigma2, p_max, cfg, q0, callback)
+    out, = _certify(_solve_stack(np.array([eff.cols]), sigma2, p_max, cfg,
+                                 q0, callback), [eff], sigma2)
     if isinstance(out, DualPrecError):
         raise out
     return out
@@ -202,40 +203,43 @@ def solve_powers(effs, sigma2: float, p_max: float,
     error its solve raised (a ConvergenceError, or a NumericsError for an
     unusable channel); the results are bitwise those of `solve_power` on
     each instance alone.  Invalid ``sigma2`` or ``p_max`` raise
-    ValidationError for the whole call.
+    ValidationError for the whole call.  The instances whose columns have
+    one shape are one `_solve_stack`.
     """
-    return _solve_all(effs, sigma2, p_max, cfg)
-
-
-def _solve_all(effs, sigma2, p_max, cfg, q0=None, callback=None) -> list:
-    """The results of `solve_powers`; ``q0`` and ``callback`` serve
-    `solve_power`.  The instances whose columns have one shape are one
-    `_solve_stack`, whose rows become states and certificates here."""
     _check_link(sigma2, p_max)
     out, groups = [None] * len(effs), {}
     for i, eff in enumerate(effs):
         groups.setdefault(eff.cols.shape, []).append(i)
     for idx in groups.values():
         res = _solve_stack(np.array([effs[i].cols for i in idx]), sigma2,
-                           p_max, cfg, q0, callback)
-        # a failed start or covariance leaves no iterate to certify
-        done = [j for j, e in enumerate(res.err)
-                if e is None or isinstance(e, ConvergenceError)]
-        for j, e in enumerate(res.err):
-            out[idx[j]] = e
-        # copies in the layouts one kernel call gives, so that callers
-        # computing on the state get the same bits whatever the stack
-        f = res.f.tolist()
-        states = [UplinkState(eff=effs[idx[j]], q=res.q[j].copy(),
-                              sigma2=float(sigma2),
-                              Jinv_cols=res.a[j].copy(order="F"),
-                              trace_jinv=f[j]) for j in done]
-        kkt = res.kkt if len(done) == len(idx) else _rows(res.kkt, done)
-        for j, cert in zip(done, _certificates(kkt, states)):
-            if res.err[j] is None:
-                out[idx[j]] = (cert.state.q, cert)
-            else:
-                res.err[j].best_q, res.err[j].certificate = cert.state.q, cert
+                           p_max, cfg)
+        for i, r in zip(idx, _certify(res, [effs[i] for i in idx], sigma2)):
+            out[i] = r
+    return out
+
+
+def _certify(res, effs, sigma2) -> list:
+    """Per row of the `_solve_stack` result ``res`` on the effective
+    channels ``effs``: its (q, certificate), whose state is the kernel
+    output at q, or the error of its solve, a ConvergenceError with its
+    best iterate and certificate attached."""
+    # a failed start or covariance leaves no iterate to certify
+    done = [j for j, e in enumerate(res.err)
+            if e is None or isinstance(e, ConvergenceError)]
+    out = list(res.err)
+    # copies in the layouts one kernel call gives, so that callers
+    # computing on the state get the same bits whatever the stack
+    f = res.f.tolist()
+    states = [UplinkState(eff=effs[j], q=res.q[j].copy(),
+                          sigma2=float(sigma2),
+                          Jinv_cols=res.a[j].copy(order="F"),
+                          trace_jinv=f[j]) for j in done]
+    kkt = res.kkt if len(done) == len(effs) else _rows(res.kkt, done)
+    for j, cert in zip(done, _certificates(kkt, states)):
+        if res.err[j] is None:
+            out[j] = (cert.state.q, cert)
+        else:
+            res.err[j].best_q, res.err[j].certificate = cert.state.q, cert
     return out
 
 
@@ -266,8 +270,8 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     for first in range(0, B, size):
         cs = CS[first:first + size]
         idx = None  # the rows of cs in CS, when not first, first + 1, ...
-        # G = Htil^H Htil: the start's at L <= M, the kernel's at L < M
-        gram = _gram(cs) if L <= M else None
+        # G = Htil^H Htil: the kernel's at L < M, a cold start's at L <= M
+        gram = _gram(cs) if L < M or L == M and q0 is None else None
         Q0, errs = _start(cs, gram, sigma2, p_max, q0)
         gram = gram if L < M else None
         if any(errs):  # those rows end here
@@ -310,10 +314,10 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
 
 def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     """The first iterates (B x L) of the solves of the stack ``CS``
-    (B x M x L), with ``gram`` its `_gram` when L <= M (else None), and
-    per row None or the error that keeps it from starting: projected q0,
-    or uniform, spending the budget on the streams with a nonzero
-    channel.  The others (norm at most 1e-15 of the row's largest) start
+    (B x M x L), with ``gram`` its `_gram` when L <= M (else None; a
+    warm start does not read it), and per row None or the error that
+    keeps it from starting: projected q0, or uniform, spending the budget
+    on the streams with a nonzero channel.  The others (norm at most 1e-15 of the row's largest) start
     at 0 and stay there: a zero channel's gain is 0, so no Newton face
     admits its stream.
 
@@ -330,8 +334,7 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     if q0 is not None and np.shape(q0) != (L,):
         return None, [DimensionError(
             f"q0 must have one entry per stream ({L})")] * B
-    # np.linalg.norm's arithmetic, without its argument handling
-    col_norms = np.sqrt(np.add.reduce((CS.conj() * CS).real, axis=1))
+    col_norms = _norms(CS, 1)
     # a row with a column not finite has a largest that is not finite, and
     # so no column on
     largest = np.maximum.reduce(col_norms, axis=1)
@@ -400,12 +403,15 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
         slope=np.zeros(B), failed=np.isnan(f))
     moved = ~s.failed  # the rows at a new iterate
+    every = not np.count_nonzero(s.failed)  # and whether they are all rows
     while True:
         fail, better = s.kkt[-1] > cfg.kkt_tol, s.steps == s.best_steps
-        go = moved & (s.steps < cfg.max_iters) & (
+        go = (s.steps < cfg.max_iters) & (
             better & (fail | (s.best_r > target))
             | fail & (s.slope < -target * p_max * s.kkt[0]))
-        done = np.where(moved, ~go, ~fail) | s.failed
+        if not every:
+            go &= moved
+        done = ~go if every else np.where(moved, ~go, ~fail) | s.failed
         if np.count_nonzero(go) and _step(s, go, p_max):
             done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
         if np.count_nonzero(done):
@@ -426,11 +432,12 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
             s.failed = np.isnan(f)
             moved &= ~s.failed
         s.steps = s.steps + moved
-        if np.count_nonzero(moved) == len(moved):
+        every = np.count_nonzero(moved) == len(moved)
+        if every:
             s.q, s.f, s.g, s.a, s.r = s.trial, f, G, A, r
         else:
             _set(s, moved, q=s.trial, f=f, g=G, a=A, r=r)
-        better = moved & (r < s.best_r)
+        better = r < s.best_r if every else moved & (r < s.best_r)
         if np.count_nonzero(better) == len(better):
             s.best_q, s.best_r, s.best_a, s.best_f, s.kkt, s.best_steps = (
                 s.trial, r, A, f, kkt, s.steps)
@@ -440,7 +447,7 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         if callback is not None:
             for b in np.flatnonzero(moved):
                 callback(s.q[b].copy(), float(s.f[b]))
-        if np.count_nonzero(moved) < len(moved):  # backtrack
+        if not every:  # backtrack
             s.t = np.where(moved, s.t, s.t * BACKTRACK)
             s.trial = np.maximum(s.q + s.t[:, None] * s.dq, 0.0)
 

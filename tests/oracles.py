@@ -1,18 +1,21 @@
 """Test-only reference oracles."""
 
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from conftest import covariance
-from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
-                      DesignConfig, DimensionError, DualPrecError,
-                      EffectiveChannel, KktCertificate, PrecoderSet,
-                      UplinkState, ValidationError, build_duality_data,
-                      build_effective_channel, downlink_mmse, make_state,
-                      mmse_directions, psi_asymmetry, solve_power,
-                      sum_mse_uplink, transform_power, verify_theorem)
+from dualprec import (BOTH, DOWNLINK, VIRTUAL_UPLINK, ChannelSet,
+                      ConvergenceError, DesignConfig, DimensionError,
+                      DualPrecError, EffectiveChannel, KktCertificate,
+                      PrecoderSet, UplinkState, ValidationError,
+                      build_duality_data, build_effective_channel,
+                      downlink_mmse, make_state, mmse_directions,
+                      psi_asymmetry, solve_power, sum_mse_uplink,
+                      transform_power, verify_theorem)
+from dualprec.designer import _Step
 from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
@@ -141,6 +144,42 @@ def plain_design(ch, vbar, cfg=None):
             for j in np.flatnonzero(vn > 0):
                 g[k][:, j] = V[:, j] / vn[j]
     return vbar, q, p, trace
+
+
+def object_step(ch, vbar, q0, cfg, act_tol):
+    """`designer._step` on the public object API: the effective channel of
+    a `PrecoderSet`, `solve_power` (its steps counted by the callback),
+    the legacy check through `build_duality_data` and `transform_power`,
+    and the role swap through `mmse_directions` and `downlink_mmse`."""
+    d = ch.dims
+    up = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
+                     powers=q0 if q0 is not None else np.zeros(d.L_tot))
+    steps = []
+    q, cert = solve_power(build_effective_channel(ch, up), ch.sigma2,
+                          ch.p_max, cfg.solver, q0=q0,
+                          callback=lambda q, f: steps.append(f))
+    ubar = mmse_directions(cert.state)
+    t0 = time.perf_counter()
+    p = q.copy()
+    t_sc = time.perf_counter() - t0
+    t_leg = gap = None
+    if cfg.path == BOTH:
+        t0 = time.perf_counter()
+        p_leg = transform_power(build_duality_data(cert.state, act_tol),
+                                ch.sigma2)
+        t_leg = time.perf_counter() - t0
+        gap = float(np.abs(p_leg - p).max())
+    X, _ = downlink_mmse(ch, ubar, p)
+    g = []
+    for k in range(d.K):
+        V = X[k] * np.sqrt(p[d.user_streams(k)])
+        vn = np.linalg.norm(V, axis=0)
+        nz = vn > 0
+        b = vbar[k].copy()
+        b[:, nz] = V[:, nz] / vn[nz]
+        g.append(b)
+    return _Step(vbar, q, sum_mse_uplink(cert.state), ubar, g, t_leg, t_sc,
+                 gap, len(steps))
 
 
 def precoders_to_dict(ps: PrecoderSet) -> dict:

@@ -5,10 +5,12 @@ import pytest
 
 import dualprec.designer as dz
 from conftest import DIMS_2x2
-from dualprec import (BOTH, ChannelSet, ConvergenceError, DesignConfig,
-                      SystemDims, ValidationError, design, gen_channel)
+from dualprec import (BOTH, SIMPLIFIED, ChannelSet, ConvergenceError,
+                      DesignConfig, NumericsError, SolverConfig, SystemDims,
+                      ValidationError, design, gen_channel)
+from dualprec.objective import _covariance
 from oracles import (RankError, legacy_smse_difference, normalize_covariance,
-                     plain_design)
+                     object_step, plain_design)
 
 #: The perfbench design-loop shape: N_k > L_k needs many outer iterations.
 LOOP_DIMS = SystemDims(M=4, K=2, N=(4, 4), L=(2, 2))
@@ -197,6 +199,80 @@ def test_degenerate_candidate_falls_back_to_plain_map(monkeypatch, fill):
     res = design(ch, cfg)
     assert calls and res.rejected == len(calls)
     _assert_plain_loop(ch, res, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the array step against the same step on the public object API
+
+#: (dims, DesignConfig keywords): the design-loop shape on both paths and
+#: from the channel SVD, users of unequal shape, and L_tot < M at M = 8.
+ARRAY_STEP_CASES = [
+    (LOOP_DIMS, dict(path=BOTH)),
+    (LOOP_DIMS, dict(path=SIMPLIFIED)),
+    (LOOP_DIMS, dict(path=BOTH, init_mode="channel_svd")),
+    (SystemDims(M=4, K=2, N=(2, 4), L=(1, 2)), dict(path=BOTH)),
+    (SystemDims(M=8, K=2, N=(8, 2), L=(1, 1)), dict(path=BOTH)),
+    (SystemDims(M=8, K=2, N=(8, 2), L=(1, 1)),
+     dict(path=SIMPLIFIED, init_mode="channel_svd")),
+]
+
+
+@pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES,
+                         ids=["loop-both", "loop-simplified", "loop-svd",
+                              "N24-L12", "M8-both", "M8-svd"])
+def test_array_step_is_bitwise_the_object_step(monkeypatch, dims, kw):
+    for seed in (1000, 1001, 1002):
+        ch, cfg = gen_channel(dims, 1.0, 10.0, seed=seed), DesignConfig(**kw)
+        got = design(ch, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(dz, "_step", object_step)
+            want = design(ch, cfg)
+        assert got.smse_trace == want.smse_trace
+        assert got.path_gap_trace == want.path_gap_trace
+        assert (got.iters, got.rejected) == (want.iters, want.rejected)
+        assert got.solve_steps == want.solve_steps
+        assert len(got.solve_steps) == got.iters
+        assert len(got.transform_times) == len(want.transform_times)
+        for a, b in ((got.uplink, want.uplink),
+                     (got.downlink, want.downlink)):
+            assert np.array_equal(a.powers, b.powers)
+            for x, y in zip(a.by_user, b.by_user, strict=True):
+                assert np.array_equal(x, y)
+
+
+def test_failed_plain_solve_carries_its_certificate(monkeypatch):
+    # the first plain step cannot certify in one Newton step: its error is
+    # the one solve_power raises, with the best iterate and certificate
+    ch = loop_channel(1000)
+    cfg = DesignConfig(solver=SolverConfig(max_iters=1))
+    errors = []
+    for step in (dz._step, object_step):
+        monkeypatch.setattr(dz, "_step", step)
+        with pytest.raises(ConvergenceError) as ei:
+            design(ch, cfg)
+        errors.append(ei.value)
+    got, want = errors
+    assert got.partial is None and str(got) == str(want)
+    assert np.array_equal(got.best_q, want.best_q)
+    a, b = got.certificate, want.certificate
+    assert np.array_equal(a.mu, b.mu)
+    assert (a.mu_sum, a.relative_gap, a.stationarity_residual) == \
+        (b.mu_sum, b.relative_gap, b.stationarity_residual)
+    assert np.array_equal(a.state.q, got.best_q)
+    assert np.array_equal(a.state.Jinv_cols, b.state.Jinv_cols)
+    assert a.state.trace_jinv == b.state.trace_jinv
+
+
+def test_unfactorable_downlink_covariance_raises(monkeypatch):
+    # the role swap's kernel calls are the designer's own; one that comes
+    # back NaN (a covariance the kernel rejects) ends the design
+    def rejected(cols, q, sigma2, gram=None):
+        A, f, gains = _covariance(cols, q, sigma2, gram)
+        return A * math.nan, f * math.nan, gains * math.nan
+
+    monkeypatch.setattr(dz, "_covariance", rejected)
+    with pytest.raises(NumericsError, match="downlink covariance"):
+        design(loop_channel(1000), DesignConfig())
 
 
 # ---------------------------------------------------------------------------
