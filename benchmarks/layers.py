@@ -75,29 +75,29 @@ LAYERS = {
                             "and q of each power solve design --path both "
                             "makes at M=4 K=2 N=(4,4) L=(2,2) sigma2=1 "
                             "P=10, gen seeds 1000-1009"),
-    "solve_powers_B50": ("us", "solve_powers per instance, total over one "
-                               "call of 50 instances of M=4 K=2 N=(2,2) "
-                               "L=(2,2) P=10 at each sigma2 = 10, 1, 1e-2, "
-                               "1e-4, 1e-6"),
+    "solve_stack_B50": ("us", "solver._solve_stack per instance, total "
+                              "over one call on the stacked columns of 50 "
+                              "instances of M=4 K=2 N=(2,2) L=(2,2) P=10 at "
+                              "each sigma2 = 10, 1, 1e-2, 1e-4, 1e-6"),
     "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
                                 "on seeds 1-4 at M=64 K=32 N_k=2 L_k=1"),
     "gen_stacks_B50_M4": ("us", "model.gen_stacks per instance, one call "
                                 "on seeds 1-50 at M=4 K=2 N=(2,2) L=(2,2)"),
     "gen_channel_M4": ("us", "model.gen_channel per call, seed 1 at M=4 "
                              "K=2 N=(2,2) L=(2,2)"),
-    "solve_powers_B4_M64": ("ms", "solve_powers per instance, one call of "
-                                  "4 instances of M=64 K=32 N_k=2 L_k=1 "
-                                  "P=10 sigma2=1"),
-    "solve_powers_B4_M64_kernel_calls": (
-        "count", "objective._covariance calls in one cold solve_powers "
-                 "call, same instances"),
+    "solve_stack_B4_M64": ("ms", "solver._solve_stack per instance, one "
+                                 "call on the stacked columns of 4 "
+                                 "instances of M=64 K=32 N_k=2 L_k=1 P=10 "
+                                 "sigma2=1"),
+    "solve_stack_B4_M64_kernel_calls": (
+        "count", "objective._covariance calls in one cold "
+                 "solver._solve_stack call, same instances"),
     "verify_theorem": ("us", "verify_theorem per trial with the solve's "
                              "state, median over M=4 K=2 N=(2,2) L=(2,2) "
                              "sigma2=1 P=10, seeds 1-50"),
-    "verify_theorems_B50": ("us", "duality.verify_theorems per trial, one "
-                                  "call on the 50 solved trials of M=4 K=2 "
-                                  "N=(2,2) L=(2,2) sigma2=1 P=10, seeds "
-                                  "1-50"),
+    "check_B50": ("us", "duality._check per trial, one call on the stacked "
+                        "solved trials of M=4 K=2 N=(2,2) L=(2,2) sigma2=1 "
+                        "P=10, seeds 1-50"),
     "emit_verify50": ("us", "cli._emit of one `verify --trials 50` report "
                             "(dims 4,2,2,2,2,2, sigma2=1 P=10, seed base "
                             "1) to a file, per call"),
@@ -249,11 +249,14 @@ def _layers(pkg, paths: list) -> dict:
     out["solve_power_warm_kernel_calls"] = kernel_calls(
         lambda: [replay(c) for c in warm]) / len(warm)
 
-    batches = [[e for _, _, e in instances(small, range(1, 51), s2)]
+    def cols(effs):
+        return np.array([e.cols for e in effs])
+
+    batches = [cols(e for _, _, e in instances(small, range(1, 51), s2))
                for s2 in SIGMA2S]
-    out["solve_powers_B50"] = _rounds(
-        [lambda e=e, s2=s2: solver.solve_powers(e, s2, 10.0)
-         for e, s2 in zip(batches, SIGMA2S)],
+    out["solve_stack_B50"] = _rounds(
+        [lambda cs=cs, s2=s2: solver._solve_stack(cs, s2, 10.0)
+         for cs, s2 in zip(batches, SIGMA2S)],
         lambda t: sum(t) / (50 * len(SIGMA2S)) * 1e6)
     out["gen_stacks_B4_M64"] = _rounds(
         [lambda: pkg.model.gen_stacks(large, range(1, 5))],
@@ -264,12 +267,12 @@ def _layers(pkg, paths: list) -> dict:
     out["gen_channel_M4"] = _rounds(
         [lambda: pkg.gen_channel(small, 1.0, 10.0, seed=1)],
         lambda t: t[0] * 1e6)
-    effs = [e for _, _, e in instances(large, range(1, 5))]
-    out["solve_powers_B4_M64"] = _rounds(
-        [lambda: solver.solve_powers(effs, 1.0, 10.0)],
+    large_cols = cols(e for _, _, e in instances(large, range(1, 5)))
+    out["solve_stack_B4_M64"] = _rounds(
+        [lambda: solver._solve_stack(large_cols, 1.0, 10.0)],
         lambda t: t[0] / 4 * 1e3)
-    out["solve_powers_B4_M64_kernel_calls"] = kernel_calls(
-        lambda: solver.solve_powers(effs, 1.0, 10.0))
+    out["solve_stack_B4_M64_kernel_calls"] = kernel_calls(
+        lambda: solver._solve_stack(large_cols, 1.0, 10.0))
 
     theorem, stack = [], []
     for ch, up, eff in instances(small, range(1, 51)):
@@ -281,9 +284,17 @@ def _layers(pkg, paths: list) -> dict:
         theorem.append(lambda ch=ch, up=up, q=q, st=cert.state:
                        duality.verify_theorem(ch, up, q, state=st))
     out["verify_theorem"] = (theorem, lambda t: statistics.median(t) * 1e6)
-    out["verify_theorems_B50"] = _rounds(
-        [lambda: duality.verify_theorems(*zip(*stack))],
-        lambda t: t[0] / len(stack) * 1e6)
+    chs, ups, states = zip(*stack)
+    p_max = np.array([ch.p_max for ch in chs])
+    checked = (np.array([st.q for st in states]),
+               np.array([st.Jinv_cols for st in states]),
+               cols(st.eff for st in states),
+               [np.array([ch.H[k] for ch in chs]) for k in range(small.K)],
+               [np.array([up.by_user[k] for up in ups])
+                for k in range(small.K)], small,
+               np.array([ch.sigma2 for ch in chs]), p_max, 1e-9 * p_max)
+    out["check_B50"] = _rounds([lambda: duality._check(*checked)],
+                               lambda t: t[0] / len(stack) * 1e6)
     out["design_outer_iter"] = _rounds(
         [lambda ch=ch: designer.design(ch, designer.DesignConfig(path="both"))
          for ch in chans], lambda t: sum(t) / sum(iters) * 1e3)
@@ -486,8 +497,8 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_powers, gen_stacks, gen_channel, "
-                        "verify_theorems_B50, emit_verify50, "
+                        "solve_stack, gen_stacks, gen_channel, "
+                        "check_B50, emit_verify50, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "

@@ -16,8 +16,7 @@ from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     validate)
 from .objective import (UplinkState, downlink_mmse, make_state,
                         mmse_directions, sum_mse_uplink, uplink_mse)
-from .solver import (KktCertificate, SolverConfig, project_power, solve_power,
-                     solve_powers)
+from .solver import KktCertificate, SolverConfig, project_power, solve_power
 
 __version__ = "0.1.0"
 

@@ -11,8 +11,8 @@ a certified q, then (3) the role swap: the normalized downlink MMSE
 receivers, from one kernel call per antenna count on the dual channels
 H_k^H Ubar, are G(vbar).  The channel stacks both ends read are built
 once per design.  On ``path="both"`` the legacy duality transform
-(`duality._groups` and `_transform`, a linear solve) runs beside p := q
-as a timed check, and its gap to q is recorded at every iterate.
+(`duality._powers`, a linear solve) runs beside p := q as a timed
+check, and its gap to q is recorded at every iterate.
 
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duality import _groups, _transform
+from .duality import _powers
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, _effective_cols, _norms, _run_stacks,
@@ -157,16 +157,14 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
     t_leg = gap = None
     if cfg.path == BOTH:
         t0 = time.perf_counter()
-        err, p_leg = [None], np.zeros(d.L_tot)
-        for _, g in _groups(res.q, res.a, cols, np.full(1, float(act_tol)),
-                            err):
-            x, err = _transform(g.beta, g.D, g.eps, g.Psi,
-                                np.array([ch.sigma2], dtype=float))
-            p_leg[g.on[0]] = np.maximum(x[0], 0.0)
+        err = [None]
+        legacy = [P[0] for _, _, P in _powers(
+            res.q, res.a, cols, np.full(1, float(act_tol)),
+            np.array([ch.sigma2], dtype=float), err)]
         if err[0] is not None:
             raise err[0]
         t_leg = time.perf_counter() - t0
-        gap = float(np.abs(p_leg - p).max())
+        gap = float(np.abs(legacy[0] - p).max())
 
     # the unit MMSE directions (`objective.mmse_directions`) and the role
     # swap: the normalized downlink MMSE receivers, from the kernel on the

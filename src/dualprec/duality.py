@@ -20,19 +20,19 @@ the receivers J^-1 Htil and the columns Htil, and for the theorem check
 the per-user channel and beamformer stacks.  It gathers each row's
 active streams, groups the rows by active count m, and runs every step
 of a group on B x m x m stacks: beta, D, Psi and eps (`_groups`), the
-transform with its condition and negative-power tests (`_transform`),
-and for the theorem check the downlink MSEs under the factored
+transform with its condition and negative-power tests and the downlink
+powers it gives (`_powers`, which the design loop's legacy check also
+runs), and for the theorem check the downlink MSEs under the factored
 receivers and the three gaps (`_check`).  A row that fails a test gets
 its error and leaves its group; the other rows go on.  Every stacked
 step is elementwise, an exact max, a LAPACK call per slice, or a matmul
 or sum whose slices keep the layout the computation on one instance
 has, so a row's numbers are bitwise what a stack of one gives.
 `verify` calls `_check` once per batch of trials on the generator's
-arrays (its negative control `_psi_asymmetries`).  `verify_theorems`
-and `build_duality_batch` are thin wrappers that stack their objects,
-one stack per system dims or shape; `build_duality_data`,
-`transform_power`, `transform_power_uplink` and `verify_theorem` are
-stacks of one.
+arrays (its negative control `_psi_asymmetries`).  The public functions
+`build_duality_data`, `transform_power`, `transform_power_uplink` and
+`verify_theorem` are stacks of one over these cores; there are no list
+functions.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (DualPrecError, InfeasibleTransformError, NumericsError,
+from .errors import (InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import (ChannelSet, PrecoderSet, _norms,
                     build_effective_channel)
@@ -199,40 +199,27 @@ def _transform(beta, D, eps, coupling, sigma2):
     return x, errs
 
 
-def build_duality_batch(states, active_tol: float = 0.0) -> list:
-    """`build_duality_data` on every state of ``states`` at once: per
-    state, in order, its DualityData or the DualPrecError it raised."""
-    out = [None] * len(states)
-    for idx in _by(states, lambda st: st.Jinv_cols.shape):
-        err = [None] * len(idx)
-        for rows, g in _groups(*_stacks(states, idx),
-                               np.full(len(idx), float(active_tol)), err):
-            for j, r in enumerate(rows.tolist()):
-                out[idx[r]] = DualityData(
-                    beta=g.beta[j], D=g.D[j], Psi=g.Psi[j], eps=g.eps[j],
-                    active=np.flatnonzero(g.on[j]), n_streams=g.on.shape[1])
-        for r, e in enumerate(err):
-            if e is not None:
-                out[idx[r]] = e
-    return out
+def _powers(Q, A, CS, tols, sigma2, err):
+    """The legacy transform on each row of a stack as `_groups` takes it,
+    with ``sigma2`` per row (B).
 
-
-def _by(items, key) -> list:
-    """The indexes of ``items``, grouped by ``key`` in order of first
-    appearance."""
-    groups = {}
-    for i, x in enumerate(items):
-        groups.setdefault(key(x), []).append(i)
-    return list(groups.values())
-
-
-def _stacks(states, idx) -> tuple:
-    """Q, A = J^-1 Htil and the columns of ``states[i]`` for i in idx, as
-    stacks; A and the columns are transposed views of stream-major
-    copies, the layout `_groups` reads them in."""
-    return (np.array([states[i].q for i in idx]),
-            np.array([states[i].Jinv_cols.T for i in idx]).swapaxes(1, 2),
-            np.array([states[i].eff.cols.T for i in idx]).swapaxes(1, 2))
+    Yields (rows, g, P) per group of `_groups`, less its rows whose
+    transform fails (each gets its error in ``err``): P holds the downlink
+    powers (B x L), max(x, 0) on the active streams and 0 off them.
+    """
+    for rows, g in _groups(Q, A, CS, tols, err):
+        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2[rows])
+        if any(errs):
+            for i, e in zip(rows.tolist(), errs):
+                err[i] = e
+            keep = np.array([e is None for e in errs])
+            if not keep.any():
+                continue
+            rows, x = rows[keep], x[keep]
+            g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
+        P = np.zeros(g.q.shape)
+        P[g.on] = np.maximum(x, 0.0).ravel()
+        yield rows, g, P
 
 
 def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
@@ -253,14 +240,14 @@ def build_duality_data(state: UplinkState,
     Inactive rows and columns are deleted; the caller re-inserts zeros
     afterwards.
     """
-    return _one(build_duality_batch([state], active_tol))
-
-
-def _one(out: list):
-    """The single result of a stack of one; raised if it is an error."""
-    if isinstance(out[0], DualPrecError):
-        raise out[0]
-    return out[0]
+    err = [None]
+    for _, g in _groups(state.q[None], state.Jinv_cols[None],
+                        state.eff.cols[None], np.full(1, float(active_tol)),
+                        err):
+        return DualityData(beta=g.beta[0], D=g.D[0], Psi=g.Psi[0],
+                           eps=g.eps[0], active=np.flatnonzero(g.on[0]),
+                           n_streams=g.on.shape[1])
+    raise err[0]
 
 
 def _solve_transform(dd: DualityData, sigma2: float,
@@ -313,30 +300,15 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
         state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
     elif not np.array_equal(state.q, q):
         raise ValidationError("state is not the uplink state at q")
-    return _one(verify_theorems([ch], [uplink], [state], cfg))
-
-
-def verify_theorems(chs, uplinks, states, cfg: SolverConfig | None = None):
-    """`verify_theorem` on every row (chs[i], uplinks[i], states[i]) at
-    once, each state the uplink state at its q: per row, in order, its
-    DualityReport or the DualPrecError its check raised, bitwise what
-    `verify_theorem` gives on the row alone."""
     cfg = cfg or SolverConfig()
-    out = [None] * len(states)
-    for idx in _by(chs, lambda ch: ch.dims):
-        d, p_max = chs[idx[0]].dims, np.array([chs[i].p_max for i in idx])
-        res = _check(*_stacks(states, idx),
-                     [np.array([chs[i].H[k] for i in idx])
-                      for k in range(d.K)],
-                     [np.array([uplinks[i].by_user[k] for i in idx])
-                      for k in range(d.K)], d,
-                     np.array([chs[i].sigma2 for i in idx]), p_max,
-                     cfg.active_tol_scale * p_max)
-        for j, (i, e, gaps) in enumerate(zip(idx, res.err,
-                                             res.gaps.tolist())):
-            out[i] = e if e is not None else DualityReport(
-                res.p[j], states[i].q, *gaps)
-    return out
+    p_max = np.array([ch.p_max])
+    res = _check(state.q[None], state.Jinv_cols[None], state.eff.cols[None],
+                 [h[None] for h in ch.H], [v[None] for v in uplink.by_user],
+                 ch.dims, np.array([ch.sigma2]), p_max,
+                 cfg.active_tol_scale * p_max)
+    if res.err[0] is not None:
+        raise res.err[0]
+    return DualityReport(res.p[0], state.q, *res.gaps.tolist()[0])
 
 
 def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
@@ -353,26 +325,14 @@ def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
     B = len(Q)
     res = SimpleNamespace(p=np.full(Q.shape, math.nan),
                           gaps=np.full((B, 4), math.nan), err=[None] * B)
-    for rows, g in _groups(Q, A, CS, tols, res.err):
-        s2, pm = sigma2[rows], p_max[rows]
-        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, s2)
-        if any(errs):
-            for i, e in zip(rows.tolist(), errs):
-                res.err[i] = e
-            keep = np.array([e is None for e in errs])
-            if not keep.any():
-                continue
-            rows, x, s2, pm = rows[keep], x[keep], s2[keep], pm[keep]
-            g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
-        P = np.zeros(g.q.shape)
-        P[g.on] = np.maximum(x, 0.0).ravel()
+    for rows, g, P in _powers(Q, A, CS, tols, sigma2, res.err):
         eps_ul = np.ones(P.shape)
         eps_ul[g.on] = g.eps.ravel()
-        eps_dl = _downlink_mse(H, V, dims, rows, g, P, s2)
+        eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2[rows])
         res.p[rows] = P
         res.gaps[rows] = np.array((
             _asymmetry(g.Psi),
-            np.abs(P - g.q).max(axis=1) / np.maximum(1.0, pm),
+            np.abs(P - g.q).max(axis=1) / np.maximum(1.0, p_max[rows]),
             np.abs(eps_dl - eps_ul).max(axis=1),
             np.add.reduce(P, axis=1))).T
     return res

@@ -23,11 +23,11 @@ as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per face size.  `_solve_stack` is the stacked core:
 B x M x L columns in, per-row arrays out (q, J^-1 Htil, tr J^-1, steps,
 the certificate terms and each row's error).  `verify` and the design
-step call it directly; `solve_powers` and `solve_power` (a stack of one)
-are thin wrappers that stack their effective channels for it and turn
-its rows into states and certificates (`_certify`).  With L <= M a cold solve starts from the
-regularized zero-forcing allocation, and with L < M the stack's
-G = Htil^H Htil also serves every kernel call.
+step call it directly; the public `solve_power` is a stack of one over
+it, whose row `_certify` turns into a state and a certificate.  With
+L <= M a cold solve starts from the regularized zero-forcing
+allocation, and with L < M the stack's G = Htil^H Htil also serves
+every kernel call.
 Every stacked operation is elementwise or slice by slice, so an instance
 takes the same steps, to the bit, whatever shares its stack.  A stream
 with a zero channel starts at q = 0 and stays there (its gain is 0).
@@ -195,29 +195,6 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     return out
 
 
-def solve_powers(effs, sigma2: float, p_max: float,
-                 cfg: SolverConfig | None = None) -> list:
-    """`solve_power` on every effective channel in ``effs`` at once.
-
-    Returns, per instance and in order, its (q_star, certificate) or the
-    error its solve raised (a ConvergenceError, or a NumericsError for an
-    unusable channel); the results are bitwise those of `solve_power` on
-    each instance alone.  Invalid ``sigma2`` or ``p_max`` raise
-    ValidationError for the whole call.  The instances whose columns have
-    one shape are one `_solve_stack`.
-    """
-    _check_link(sigma2, p_max)
-    out, groups = [None] * len(effs), {}
-    for i, eff in enumerate(effs):
-        groups.setdefault(eff.cols.shape, []).append(i)
-    for idx in groups.values():
-        res = _solve_stack(np.array([effs[i].cols for i in idx]), sigma2,
-                           p_max, cfg)
-        for i, r in zip(idx, _certify(res, [effs[i] for i in idx], sigma2)):
-            out[i] = r
-    return out
-
-
 def _certify(res, effs, sigma2) -> list:
     """Per row of the `_solve_stack` result ``res`` on the effective
     channels ``effs``: its (q, certificate), whose state is the kernel
@@ -243,13 +220,6 @@ def _certify(res, effs, sigma2) -> list:
     return out
 
 
-def _check_link(sigma2, p_max) -> None:
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise ValidationError("p_max must be finite and > 0")
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValidationError("sigma2 must be finite and > 0")
-
-
 def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     """Solve and certify each row of the stack ``CS`` (B x M x L), in
     `_lockstep` stacks of at most `STACK_BYTES`.
@@ -260,9 +230,13 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     error its solve raised, a ConvergenceError without its best iterate
     and certificate, which the caller attaches if it wants them.  A row
     whose start failed, or whose covariance the kernel rejected, has an
-    error and no numbers.  ``q0`` and ``callback`` are `solve_power`'s.
+    error and no numbers.  ``q0`` and ``callback`` are `solve_power`'s;
+    a ``sigma2`` or ``p_max`` not finite and > 0 raises ValidationError.
     """
-    _check_link(sigma2, p_max)
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValidationError("p_max must be finite and > 0")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValidationError("sigma2 must be finite and > 0")
     cfg = cfg or SolverConfig()
     B, M, L = CS.shape
     size = max(1, STACK_BYTES // (16 * M * (M + L)))

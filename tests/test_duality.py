@@ -9,8 +9,8 @@ from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
                       build_duality_data, build_effective_channel,
                       make_state, psi_asymmetry, solve_power, transform_power,
                       transform_power_uplink, uplink_mse, verify_theorem)
-from dualprec.duality import (DualityData, build_duality_batch,
-                              verify_theorems)
+from dualprec.duality import (DualityData, DualityReport, _check,
+                              _groups)
 from dualprec.objective import UplinkState
 from oracles import check_equal_gradient_condition, stream_owner
 
@@ -68,13 +68,18 @@ def test_beta_and_d_formulas():
 
 
 def test_zero_receiver_on_active_stream_rejected():
-    # a zero channel column gives a zero MMSE receiver whatever its power
+    # a zero channel column gives a zero MMSE receiver whatever its power;
+    # at q = 0 there is no active stream to build anything on
     _, _, eff = rand_instance(1)
     cols = eff.cols.copy()
     cols[:, 0] = 0.0
     eff0 = EffectiveChannel(cols=cols)
-    with pytest.raises(NumericsError):
-        build_duality_data(make_state(eff0, np.full(4, 2.5), 1.0))
+    for state, msg in ((make_state(eff0, np.full(4, 2.5), 1.0),
+                        "zero MMSE receiver"),
+                       (make_state(eff, np.zeros(4), 1.0),
+                        "no active streams")):
+        with pytest.raises(NumericsError, match=msg):
+            build_duality_data(state)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +314,41 @@ def assert_same_report(got, ref):
     assert np.array_equal(got.q, ref.q)
 
 
+def stacks(states):
+    """Q, A = J^-1 Htil and the columns of ``states`` (of one shape), as
+    the duality kernel takes them."""
+    return (np.array([st.q for st in states]),
+            np.array([st.Jinv_cols for st in states]),
+            np.array([st.eff.cols for st in states]))
+
+
+def check_rows(rows):
+    """`duality._check` on the stacked rows (ch, up, state) of one dims:
+    per row, in order, its DualityReport or the error of its check."""
+    chs, ups, states = zip(*rows)
+    d, p_max = chs[0].dims, np.array([ch.p_max for ch in chs])
+    res = _check(*stacks(states),
+                 [np.array([ch.H[k] for ch in chs]) for k in range(d.K)],
+                 [np.array([up.by_user[k] for up in ups])
+                  for k in range(d.K)], d,
+                 np.array([ch.sigma2 for ch in chs]), p_max, 1e-9 * p_max)
+    return [e if e is not None else DualityReport(p, st.q, *gaps)
+            for e, p, st, gaps in zip(res.err, res.p, states,
+                                      res.gaps.tolist())]
+
+
+def group_rows(states, tol):
+    """`duality._groups` on the stacked ``states``: per state, in order,
+    its DualityData or the error the kernel gave it."""
+    out = [None] * len(states)
+    for rows, g in _groups(*stacks(states), np.full(len(states), tol), out):
+        for j, r in enumerate(rows.tolist()):
+            out[r] = DualityData(
+                beta=g.beta[j], D=g.D[j], Psi=g.Psi[j], eps=g.eps[j],
+                active=np.flatnonzero(g.on[j]), n_streams=g.on.shape[1])
+    return out
+
+
 def assert_same_data(got, ref):
     for name in ("beta", "D", "Psi", "eps", "active"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
@@ -318,11 +358,11 @@ def assert_same_data(got, ref):
 @pytest.mark.parametrize("sigma2", [10.0, 1.0, 1e-2, 1e-4, 1e-6])
 def test_verify_theorems_bitwise_one_at_a_time(sigma2):
     rows = solved_rows(range(1, 41), sigma2=sigma2)
-    chs, ups, states = zip(*rows)
-    reports = verify_theorems(chs, ups, states)
+    reports = check_rows(rows)
     for (ch, up, st), rep in zip(rows, reports):
         assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
-    for st, dd in zip(states, build_duality_batch(states, 1e-9 * 10.0)):
+    states = [st for _, _, st in rows]
+    for st, dd in zip(states, group_rows(states, 1e-9 * 10.0)):
         assert_same_data(dd, build_duality_data(st, 1e-9 * 10.0))
     if sigma2 == 10.0:  # low SNR parks streams: groups of several sizes
         assert len({int(np.count_nonzero(r.p)) for r in reports}) > 1
@@ -332,7 +372,7 @@ def test_verify_theorems_bitwise_at_m64():
     dims = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
     rows = solved_rows(range(1, 4), dims=dims)
     assert len(rows) == 3
-    reports = verify_theorems(*zip(*rows))
+    reports = check_rows(rows)
     for (ch, up, st), rep in zip(rows, reports):
         assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
 
@@ -358,7 +398,7 @@ def test_verify_theorems_bad_row_leaves_the_others():
     errors = [None, SingularTransformError, None, InfeasibleTransformError,
               NumericsError, None]
     with np.errstate(invalid="ignore"):  # the NaN row
-        out = verify_theorems([ch] * 6, [up] * 6, states)
+        out = check_rows([(ch, up, st) for st in states])
         for st, rep, err in zip(states, out, errors):
             if err is None:
                 assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
@@ -372,7 +412,7 @@ def test_verify_theorems_bad_row_leaves_the_others():
     ch0, up0, st0 = rows[0]
     idle = make_state(st0.eff, np.zeros(4), ch0.sigma2)
     rows.insert(2, (ch0, up0, idle))
-    out = verify_theorems(*zip(*rows))
+    out = check_rows(rows)
     assert isinstance(out[2], NumericsError)
     with pytest.raises(NumericsError):
         verify_theorem(ch0, up0, idle.q, state=idle)

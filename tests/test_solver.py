@@ -282,11 +282,20 @@ def test_relative_certificate_meets_the_absolute_one_at_unit_noise():
 
 
 # ---------------------------------------------------------------------------
-# solve_powers: a batch gives bitwise the results of one solve at a time
+# the stacked core: a stack gives bitwise the results of one solve at a time
 
 CERT_FIELDS = ("mu_sum", "stationarity_residual", "primal_sum_violation",
                "primal_nonneg_violation", "slackness_residual",
                "relative_gap")
+
+
+def solve_stack(effs, sigma2, p_max=10.0, cfg=None):
+    """Per instance of ``effs`` (of one shape), in order, its (q,
+    certificate) or the error of its solve, from one `_solve_stack` call
+    on their columns."""
+    return solver._certify(solver._solve_stack(
+        np.array([eff.cols for eff in effs]), sigma2, p_max, cfg), effs,
+        sigma2)
 
 
 def solve_alone(eff, sigma2, p_max=10.0, cfg=None):
@@ -321,7 +330,7 @@ def test_solve_powers_matches_solve_power(sigma2):
     seeds = list(range(12)) + [14000232]
     cfg = SolverConfig(max_iters=2) if sigma2 == 1e-6 else None
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in seeds]
-    for out, eff in zip(solver.solve_powers(effs, sigma2, 10.0, cfg), effs):
+    for out, eff in zip(solve_stack(effs, sigma2, 10.0, cfg), effs):
         assert_same_result(out, solve_alone(eff, sigma2, cfg=cfg))
     if sigma2 == 1e-6:
         assert isinstance(out, ConvergenceError)
@@ -332,7 +341,7 @@ def test_solve_powers_matches_solve_power_at_m64():
     dims = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
     effs = [rand_instance(s, dims=dims)[2] for s in range(12)]
     assert solver.STACK_BYTES // (16 * 64 * 96) < len(effs)
-    for out, eff in zip(solver.solve_powers(effs, 1.0, 10.0), effs):
+    for out, eff in zip(solve_stack(effs, 1.0, 10.0), effs):
         assert_same_result(out, solve_alone(eff, 1.0))
 
 
@@ -347,9 +356,9 @@ def test_failing_instance_leaves_the_batch_unchanged():
     effs.append(eff_from_cols(cols))
     zero = eff_from_cols(np.zeros((4, 4)))
     slow = rand_instance(14000232, sigma2=sigma2)[2]
-    clean = solver.solve_powers(effs, sigma2, 10.0, cfg)
-    mixed = solver.solve_powers(effs[:2] + [zero] + effs[2:4] + [slow]
-                                + effs[4:], sigma2, 10.0, cfg)
+    clean = solve_stack(effs, sigma2, 10.0, cfg)
+    mixed = solve_stack(effs[:2] + [zero] + effs[2:4] + [slow] + effs[4:],
+                        sigma2, 10.0, cfg)
     assert isinstance(mixed[2], NumericsError)
     assert "all effective channels are zero" in str(mixed[2])
     assert isinstance(mixed[5], ConvergenceError)
@@ -360,8 +369,8 @@ def test_failing_instance_leaves_the_batch_unchanged():
     # a column that is not finite stops its row at the start, the same way
     cols = effs[0].cols.copy()
     cols[0, 3] = np.nan
-    mixed = solver.solve_powers([effs[1], eff_from_cols(cols), effs[2]],
-                                sigma2, 10.0, cfg)
+    mixed = solve_stack([effs[1], eff_from_cols(cols), effs[2]],
+                        sigma2, 10.0, cfg)
     assert isinstance(mixed[1], NumericsError)
     assert "non-finite effective channel" in str(mixed[1])
     assert_same_result(mixed[0], clean[1])
@@ -374,8 +383,8 @@ def test_unfactorable_instance_leaves_the_batch_unchanged():
     sigma2, dims = 1e-300, SystemDims(M=3, K=2, N=(2, 2), L=(2, 2))
     effs = [rand_instance(s, dims, sigma2)[2] for s in range(225, 236)]
     bad = rand_instance(236, dims, sigma2)[2]
-    clean = solver.solve_powers(effs, sigma2, 10.0)
-    mixed = solver.solve_powers(effs[:5] + [bad] + effs[5:], sigma2, 10.0)
+    clean = solve_stack(effs, sigma2, 10.0)
+    mixed = solve_stack(effs[:5] + [bad] + effs[5:], sigma2, 10.0)
     assert isinstance(mixed[5], NumericsError)
     with pytest.raises(NumericsError):
         solve_power(bad, sigma2, 10.0)
@@ -394,7 +403,7 @@ def test_certificate_state_is_the_kernel_at_its_q():
         solve_power(eff, sigma2, 10.0, cfg,
                     callback=lambda q, f: steps.append(q.copy()))
     effs = [rand_instance(s, sigma2=sigma2)[2] for s in range(5)] + [eff]
-    batched = solver.solve_powers(effs, sigma2, 10.0, cfg)[-1]
+    batched = solve_stack(effs, sigma2, 10.0, cfg)[-1]
     for err in (alone.value, batched):
         assert isinstance(err, ConvergenceError)
         state = err.certificate.state
@@ -418,7 +427,7 @@ def test_singular_kkt_slice_leaves_the_batch_unchanged(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
-    batched = solver.solve_powers(effs, 1.0, 10.0)
+    batched = solve_stack(effs, 1.0, 10.0)
     assert calls
     for out, eff in zip(batched, effs):
         assert_same_result(out, solve_alone(eff, 1.0))
@@ -438,7 +447,7 @@ def test_face_shrink_certifies_and_leaves_the_batch_unchanged(seed, dims,
     q, cert = solve_power(eff, sigma2, 10.0)
     assert cert.passes(SolverConfig().kkt_tol)
     effs = [rand_instance(s, dims, sigma2=sigma2)[2] for s in range(4)]
-    batched = solver.solve_powers(effs[:2] + [eff] + effs[2:], sigma2, 10.0)
+    batched = solve_stack(effs[:2] + [eff] + effs[2:], sigma2, 10.0)
     assert_same_result(batched[2], (q, cert))
 
 
@@ -463,8 +472,7 @@ def test_zero_channel_user_end_to_end():
     cfg, parked = SolverConfig(), [2, 3]
     rows = [zero_user_instance(s) for s in range(5)]
     others = [rand_instance(s, ZERO_USER_DIMS)[2] for s in range(5, 8)]
-    batched = solver.solve_powers([eff for _, _, eff in rows] + others,
-                                  1.0, 10.0)
+    batched = solve_stack([eff for _, _, eff in rows] + others, 1.0, 10.0)
     for (ch, up, eff), out in zip(rows, batched):
         assert np.array_equal(eff.cols[:, parked], np.zeros((4, 2)))
         q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
@@ -489,8 +497,7 @@ def test_non_finite_warm_start_rejected(bad):
 def test_solve_powers_rejects_bad_budget():
     eff = rand_instance(0)[2]
     with pytest.raises(ValidationError):
-        solver.solve_powers([eff], 1.0, 0.0)
-    assert solver.solve_powers([], 1.0, 10.0) == []
+        solve_stack([eff], 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +520,7 @@ def test_m64_start_is_per_row():
     cols = effs[0].cols.copy()
     cols[:, 5] = 0.0
     effs.insert(2, eff_from_cols(cols))
-    batched = solver.solve_powers(effs, 1.0, 10.0)
+    batched = solve_stack(effs, 1.0, 10.0)
     for (q, cert), eff in zip(batched, effs):
         assert_same_result((q, cert), solve_alone(eff, 1.0))
         # the stack's G handed in: the state is still the kernel at q
@@ -576,7 +583,7 @@ def test_cold_m64_stack_kernel_calls(monkeypatch):
     effs = instance_stack(range(1, 5))[0]
     monkeypatch.setattr(solver, "_covariance", counted)
     assert all(isinstance(out, tuple)
-               for out in solver.solve_powers(effs, 1.0, 10.0))
+               for out in solve_stack(effs, 1.0, 10.0))
     assert calls[0] <= 5
 
 
@@ -633,7 +640,7 @@ def test_square_solve_starts_from_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(solver, "_lockstep", spy)
     effs, CS = instance_stack(range(1, 5), 1e-4, DIMS_2x2)
-    solver.solve_powers(effs, 1e-4, 10.0)
+    solve_stack(effs, 1e-4, 10.0)
     (gram, Q0), = seen
     assert gram is None
     assert np.array_equal(Q0, solver._start(CS, _gram(CS), 1e-4, 10.0)[0])

@@ -59,6 +59,19 @@ def test_cholesky_only_in_the_covariance_kernel():
                      ("solve", "duality._transform")}
 
 
+def test_transform_only_in_duality():
+    # one legacy transform: the theorem check and the design loop's check
+    # both run duality._powers, so no other module reaches its parts
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        out = []
+        _uses(ast.parse(path.read_text()), "<module>", out,
+              {"_groups", "_transform"})
+        if out:
+            sites.add(path.stem)
+    assert sites == {"duality"}
+
+
 def test_generators_seeded_only_in_one_model_function():
     # one seeding route: every seed is hashed by model._seed_words, and
     # model._gaussians alone makes numpy generators, from those words
