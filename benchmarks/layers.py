@@ -71,6 +71,9 @@ LAYERS = {
     "solve_power_warm_kernel_calls": (
         "count", "objective._covariance calls per warm-started solve_power, "
                  "same calls"),
+    "solve_stack_warm": ("us", "solver._solve_stack per call on the same "
+                               "warm-started calls as design makes them "
+                               "(a stack of one), median over the calls"),
     "downlink_mmse": ("us", "downlink_mmse per call at the MMSE directions "
                             "and q of each power solve design --path both "
                             "makes at M=4 K=2 N=(4,4) L=(2,2) sigma2=1 "
@@ -248,6 +251,11 @@ def _layers(pkg, paths: list) -> dict:
 
     out["solve_power_warm_kernel_calls"] = kernel_calls(
         lambda: [replay(c) for c in warm]) / len(warm)
+    # the stacked core alone, without solve_power's state and certificate
+    stacks = [(c[0].cols[None],) + c[1:5] for c in warm]
+    out["solve_stack_warm"] = (
+        [lambda a=a: solver._solve_stack(*a) for a in stacks],
+        lambda t: statistics.median(t) * 1e6)
 
     def cols(effs):
         return np.array([e.cols for e in effs])
@@ -497,7 +505,8 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_stack, gen_stacks, gen_channel, "
+                        "solve_stack_B50, solve_stack_B4_M64, gen_stacks, "
+                        "gen_channel, "
                         "check_B50, emit_verify50, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "

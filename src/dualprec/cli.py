@@ -266,7 +266,7 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
               ("psi_asymmetry",))
         return records
     res = solver._solve_stack(cols, sigma2, pmax, scfg)
-    for rec, e, gap in zip(records, res.err, res.kkt[-1].tolist()):
+    for rec, e, gap in zip(records, res.err, res.rel.tolist()):
         if e is None or isinstance(e, ConvergenceError):
             rec["max_residual"] = gap
         if e is not None:

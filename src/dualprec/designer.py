@@ -43,7 +43,7 @@ import numpy as np
 from .duality import _powers
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
-                    PrecoderSet, _effective_cols, _norms, _run_stacks,
+                    PrecoderSet, _effective_cols, _norms, _run_stacks, _runs,
                     is_count, is_real, random_unit_precoders, validate)
 from .objective import _covariance, _dual_stacks, _unit_rows
 from .solver import SolverConfig, _certify, _solve_stack
@@ -109,10 +109,12 @@ class _Step(NamedTuple):
 
 @dataclass(frozen=True)
 class _Instance(ChannelSet):
-    """The instance with the stacks every step of its design reads: its
-    channels per run of users (`model._run_stacks`) and its H_k^H per
-    antenna count (`objective._dual_stacks`)."""
+    """The instance with what every step of its design reads: its runs of
+    users with equal (N_k, L_k) (`model._runs`), its channels per run
+    (`model._run_stacks`) and its H_k^H per antenna count
+    (`objective._dual_stacks`)."""
 
+    shapes: tuple = ()
     runs: tuple = ()
     dual: tuple = ()
 
@@ -143,14 +145,15 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
     rejects raises NumericsError.
     """
     d = ch.dims
-    cols = _effective_cols(d, ch.runs, _run_stacks(d, vbar))
+    cols = _effective_cols(d, ch.runs, _run_stacks(ch.shapes, vbar))
     res = _solve_stack(cols, ch.sigma2, ch.p_max, cfg.solver, q0)
     if res.err[0] is not None:
         raise _certify(res, [EffectiveChannel(cols[0])], ch.sigma2)[0]
     q = res.q[0]
 
     # downlink powers p := q and, on path "both", the legacy transform
-    # beside them as a check, each timed around itself only
+    # beside them as a check, each timed around itself only; its stack
+    # gives the receivers as rows (J^-1 htil_l)^T and their norms
     t0 = time.perf_counter()
     p = q.copy()
     t_sc = time.perf_counter() - t0
@@ -158,20 +161,24 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
     if cfg.path == BOTH:
         t0 = time.perf_counter()
         err = [None]
-        legacy = [P[0] for _, _, P in _powers(
-            res.q, res.a, cols, np.full(1, float(act_tol)),
+        legacy = [(grp, P[0]) for _, grp, P in _powers(
+            res.q, res.a, cols, np.array([float(act_tol)]),
             np.array([ch.sigma2], dtype=float), err)]
         if err[0] is not None:
             raise err[0]
         t_leg = time.perf_counter() - t0
-        gap = float(np.abs(legacy[0] - p).max())
+        (grp, legacy), = legacy
+        gap = float(np.maximum.reduce(np.abs(legacy - p)))
+        At, norms = grp.at[0], grp.norms[0]
+    else:
+        At = np.ascontiguousarray(res.a[0].T)
+        norms = _norms(At, 1)
 
     # the unit MMSE directions (`objective.mmse_directions`) and the role
     # swap: the normalized downlink MMSE receivers, from the kernel on the
     # dual channels H_k^H Ubar at q := p; a stream with p = 0 has a zero
     # receiver and keeps its vbar
-    At = np.ascontiguousarray(res.a[0].T)
-    ubar = _unit_rows(At, _norms(At.T, 0)).T
+    ubar = _unit_rows(At, norms).T
     g, s = [None] * d.K, np.sqrt(p)
     for users, Hh in ch.dual:
         A, f, _ = _covariance(Hh @ ubar, p[None], ch.sigma2)
@@ -203,18 +210,19 @@ def _anderson(xs, gs) -> np.ndarray:
     return G[:, -1] - (G[:, 1:] - G[:, :-1]) @ gamma
 
 
-def _unit_blocks(x: np.ndarray, like: list) -> list | None:
-    """The stacked vector x as blocks shaped like ``like``, every column
-    scaled to unit norm; None when a column is zero or non-finite."""
+def _unit_blocks(x: np.ndarray, shapes) -> list | None:
+    """The stacked vector x as per-user blocks, every column scaled to
+    unit norm, one stack per run (n, (N_k, L_k)) of ``shapes``; None when
+    a column is zero or non-finite."""
     z = x.view(complex)
     out, start = [], 0
-    for b in like:
-        blk = z[start:start + b.size].reshape(b.shape)
-        start += b.size
-        norms = _norms(blk, 0)
-        if not all(0 < n < math.inf for n in norms.tolist()):
+    for n, shape in shapes:
+        blk = z[start:start + n * shape[0] * shape[1]].reshape(n, *shape)
+        start += blk.size
+        norms = _norms(blk, 1)
+        if np.count_nonzero((norms > 0) & (norms < math.inf)) < norms.size:
             return None
-        out.append(blk / norms)
+        out.extend(blk / norms[:, None, :])
     return out
 
 
@@ -236,19 +244,21 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     d = ch.dims
     act_tol = cfg.solver.active_tol_scale * ch.p_max
 
-    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed,
-                     _run_stacks(d, ch.H), _dual_stacks(ch))
+    shapes = tuple(_runs(d.N, d.L))
+    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, shapes,
+                     _run_stacks(shapes, ch.H), _dual_stacks(ch))
     cur = _step(inst, _init_uplink_dirs(ch, cfg), None, cfg, act_tol)
     steps = [cur]
     xs = deque([_stack(cur.vbar)], maxlen=ANDERSON_MEMORY)
-    gs = deque([_stack(cur.g)], maxlen=ANDERSON_MEMORY)
+    g = _stack(cur.g)
+    gs = deque([g], maxlen=ANDERSON_MEMORY)
     rejected = 0
     converged = False
 
     while len(steps) < cfg.max_outer_iters:
         nxt = None
         if len(xs) >= 2:
-            cand = _unit_blocks(_anderson(xs, gs), cur.vbar)
+            cand = _unit_blocks(_anderson(xs, gs), inst.shapes)
             if cand is not None:
                 try:
                     nxt = _step(inst, cand, cur.q, cfg, act_tol)
@@ -259,12 +269,14 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
                 rejected += 1
                 xs.clear()
                 gs.clear()
+        # a plain step's x is the last G(x), stacked as the last g was
+        x = _stack(nxt.vbar) if nxt is not None else g
         if nxt is None:
             nxt = _step(inst, cur.g, cur.q, cfg, act_tol)
-        prev, cur = cur, nxt
+        prev, cur, g = cur, nxt, _stack(nxt.g)
         steps.append(cur)
-        xs.append(_stack(cur.vbar))
-        gs.append(_stack(cur.g))
+        xs.append(x)
+        gs.append(g)
         if (prev.smse - cur.smse) / max(prev.smse, 1e-300) < cfg.smse_rel_tol:
             converged = True
             break

@@ -164,17 +164,17 @@ def _transform(beta, D, eps, coupling, sigma2):
     power below -1e-9.
     """
     B, m = beta.shape
-    A = np.zeros((B, m, m))
+    A, b2 = np.zeros((B, m, m)), beta ** 2
     A.reshape(B, -1)[:, ::m + 1] = eps - D
-    A -= beta[:, :, None] ** 2 * coupling
+    A -= b2[:, :, None] * coupling
     try:
         cond = np.linalg.cond(A)
     except np.linalg.LinAlgError:  # the SVD of a slice with a NaN failed
         cond = np.array([math.nan if np.isnan(a).any() else np.linalg.cond(a)
                          for a in A])
     ok = cond <= COND_LIMIT
-    every = ok.all()
-    rhs = (sigma2[:, None] * beta ** 2)[:, :, None]
+    every = np.count_nonzero(ok) == B
+    rhs = (sigma2[:, None] * b2)[:, :, None]
     if every:
         x = np.linalg.solve(A, rhs)[:, :, 0]
     else:
@@ -183,7 +183,7 @@ def _transform(beta, D, eps, coupling, sigma2):
             x[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
     negative = x < -1e-9
     errs = [None] * B
-    if every and not negative.any():
+    if every and not np.count_nonzero(negative):
         return x, errs
     for j in np.flatnonzero(
             ~ok | np.logical_or.reduce(negative, axis=1)).tolist():
@@ -217,8 +217,9 @@ def _powers(Q, A, CS, tols, sigma2, err):
                 continue
             rows, x = rows[keep], x[keep]
             g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
-        P = np.zeros(g.q.shape)
-        P[g.on] = np.maximum(x, 0.0).ravel()
+        P = np.maximum(x, 0.0)  # the active streams', scattered into 0s
+        if P.shape != g.q.shape:  # when some stream is off
+            P, P[g.on] = np.zeros(g.q.shape), P.ravel()
         yield rows, g, P
 
 

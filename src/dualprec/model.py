@@ -272,8 +272,6 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-#: The lanes each pool lane is mixed into, in order.
-_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -284,10 +282,11 @@ def _seed_words(seeds) -> np.ndarray:
     numpy's algorithm makes the same sequence of hash constants whatever
     the entropy, so each step is one array operation over the rows: the
     pool of 4 lanes starts as the hashes of the first 4 entropy words (0
-    past a row's last), each lane is mixed into the 3 others (one 3 x B
-    operation per lane), every further entropy word into all 4 (rows
-    with fewer words keep their pool), and the 8 output words are one
-    4 x 2 x B operation.  A seed numpy rejects raises its exception.
+    past a row's last), each lane is mixed into the 3 others (one 4 x B
+    operation per lane, whose own row is put back), every further entropy
+    word into all 4 (rows with fewer words keep their pool), and the 8
+    output words are one 4 x 2 x B operation.  A seed numpy rejects
+    raises its exception.
     """
     flat, lens = [], []
     for seed in seeds:
@@ -301,11 +300,11 @@ def _seed_words(seeds) -> np.ndarray:
     E = E.T
     h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (W - 4))  # columns
     pool = _hashmix(E[:4], h[0:4], h[1:5])
-    k = 4
-    for s in range(4):
-        d = _OTHERS[s]
-        pool[d] = _mix(pool[d], _hashmix(pool[s], h[k:k + 3], h[k + 1:k + 4]))
-        k += 3
+    for s, (xor, mult) in enumerate(_LANES):
+        mixed = _mix(pool, _hashmix(pool[s], xor, mult))
+        mixed[s] = pool[s]
+        pool = mixed
+    k = 16
     for i in range(4, W):
         pool = np.where(lens > i, _mix(pool, _hashmix(
             E[i], h[k:k + 4], h[k + 1:k + 5])), pool)
@@ -346,6 +345,15 @@ def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     out = np.array(out, dtype=np.uint32)[:, None]
     out.flags.writeable = False
     return out
+
+
+#: Per pool lane s the hash constants of its mixing step before and after
+#: each update, as 4 x 1 columns: lane d != s takes the step's
+#: (d - (d > s))-th, lane s (put back) the first.
+_LANES = [(h[i], h[i + 1]) for h in [_hash_constants(_INIT_A, _MULT_A, 16)]
+          for i in (4 + 3 * s + np.array([d - (d > s) if d != s else 0
+                                          for d in range(4)])
+                    for s in range(4))]
 
 
 def _entropy(seed) -> list:
@@ -446,16 +454,17 @@ def build_effective_channel(ch: ChannelSet, uplink: PrecoderSet) -> EffectiveCha
             raise DimensionError(
                 f"user {k}: beamformer block must be N_k x L_k = {d.N[k]} x {d.L[k]}"
             )
+    runs = _runs(d.N, d.L)
     return EffectiveChannel(cols=_effective_cols(
-        d, _run_stacks(d, ch.H), _run_stacks(d, uplink.by_user))[0])
+        d, _run_stacks(runs, ch.H), _run_stacks(runs, uplink.by_user))[0])
 
 
-def _run_stacks(d: SystemDims, blocks) -> list:
-    """Per run of users with equal (N_k, L_k) their ``blocks`` (one per
-    user) as a stack of one, 1 x n x r x c, as `_effective_cols` takes
-    them."""
+def _run_stacks(runs, blocks) -> list:
+    """Per run of ``runs`` (`_runs` of the users' (N_k, L_k)) its users'
+    ``blocks`` (one per user) as a stack of one, 1 x n x r x c, as
+    `_effective_cols` takes them."""
     out, k = [], 0
-    for n, _ in _runs(d.N, d.L):
+    for n, _ in runs:
         out.append(np.array(blocks[k:k + n])[None])
         k += n
     return out
@@ -480,7 +489,7 @@ def _effective_cols(d: SystemDims, H, V) -> np.ndarray:
         n, N, c = vb.shape[1:]
         norms = _norms(vb, 2)
         bad = np.abs(norms - 1.0) > NORM_TOL * max(1.0, N)
-        if bad.any():
+        if np.count_nonzero(bad):
             raise ValidationError(
                 f"user {k + bad.nonzero()[1][0]}: beamformer columns must "
                 "have unit norm")

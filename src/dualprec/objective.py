@@ -24,9 +24,10 @@ about half the time of the slice-by-slice LAPACK Cholesky it replaced
 (`BENCH_numpy_kernel.json`).  With L < M it never forms J and inverts an
 L x L matrix instead, which is exact to rounding at every SNR and at
 M = 64, L = 32 took a fifth to a third of the M x M form's time per
-instance (`BENCH_stream_kernel.json`); its G = Htil^H Htil (`_gram`) is
-constant over a solve, so the solver forms it once per stack and hands
-it in.
+instance (`BENCH_stream_kernel.json`).  What a call reuses of its
+columns, G = Htil^H Htil (`_gram`) with L < M or else conj(Htil) and
+[I, Htil] (`_constants`), is constant over a solve, so the solver forms
+it once per stack and hands it in.
 
 Importing `dualprec` sets OpenBLAS to one thread (`_blas`).
 """
@@ -83,12 +84,25 @@ def _gram(cols: np.ndarray) -> np.ndarray:
     return cols.swapaxes(1, 2).conj() @ cols
 
 
-def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, gram=None):
+def _constants(cols: np.ndarray):
+    """What every `_covariance` call on the stack ``cols`` reuses: its
+    `_gram` with L < M, else conj(Htil) and the right-hand sides
+    [I, Htil] (B x M x (M + L))."""
+    B, M, L = cols.shape
+    if L < M:
+        return _gram(cols)
+    rhs = np.zeros((B, M, M + L), dtype=complex)
+    rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
+    rhs[:, :, M:] = cols
+    return cols.conj(), rhs
+
+
+def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, const=None):
     """The covariance kernel every MMSE quantity derives from, for a
     stack of B instances: ``cols`` is B x M x L and ``q`` is B x L (or
-    1 x L, one power vector for the whole stack).  With L < M, ``gram``
-    may hold `_gram` of ``cols``, which is constant over a solve; without
-    it the kernel forms G itself, to the same bits.
+    1 x L, one power vector for the whole stack).  ``const`` may hold
+    `_constants` of ``cols``, which a solve forms once; without it the
+    kernel forms them itself, to the same bits.
 
     Returns the stacked (A, f, gains) of J = sum_l q_l htil_l htil_l^H
     + sigma2 I: A = J^-1 Htil (B x M x L), f = tr(J^-1) (B,) and
@@ -117,8 +131,9 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, gram=None):
     in the same order whatever B is.
     """
     B, M, L = cols.shape
+    const = _constants(cols) if const is None else const
     if L < M:
-        S = q[:, :, None] * (_gram(cols) if gram is None else gram)
+        S = q[:, :, None] * const
         S.reshape(B, L * L)[:, ::L + 1] += sigma2  # sigma2 I + Q G
         T = _slices(np.linalg.inv, S)
         # column-major slices
@@ -126,17 +141,15 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, gram=None):
         f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
              + (M - L) / sigma2)
     else:
-        J = (cols * q[:, None, :]) @ cols.conj().swapaxes(1, 2)
+        conj, rhs = const
+        J = (cols * q[:, None, :]) @ conj.swapaxes(1, 2)
         J.reshape(B, M * M)[:, ::M + 1] += sigma2  # the diagonal, in place
         J = J + J.conj().swapaxes(1, 2)  # hermitized: (J + J^H) / 2
         J *= 0.5
-        rhs = np.zeros((B, M, M + L), dtype=complex)  # [I, Htil] per slice
-        rhs.reshape(B, M * (M + L))[:, :M * (M + L + 1):M + L + 1] = 1.0
-        rhs[:, :, M:] = cols
         X = _slices(np.linalg.solve, J, rhs)
         A = X[:, :, M:]
-        # np.trace, without its Python wrapper
-        f = np.add.reduce(X[:, :, :M].diagonal(0, 1, 2), axis=-1).real
+        # np.trace of the J^-1 block, without its Python wrapper
+        f = np.add.reduce(X.diagonal(0, 1, 2), axis=-1).real
     # np.sum, without its Python wrapper
     gains = np.add.reduce(np.abs(A) ** 2, axis=1)
     # tr J^-1 of a positive definite J is positive: a slice whose f is

@@ -20,17 +20,22 @@ instances, one row each, from the first iterates `_start` takes for the
 whole stack at once: a round evaluates a power vector per row with one
 stacked kernel call, decides acceptance, backtracking and best iterates
 as row masks, and takes the Newton steps with one stacked
-`np.linalg.solve` per face size.  `_solve_stack` is the stacked core:
-B x M x L columns in, per-row arrays out (q, J^-1 Htil, tr J^-1, steps,
-the certificate terms and each row's error).  `verify` and the design
-step call it directly; the public `solve_power` is a stack of one over
-it, whose row `_certify` turns into a state and a certificate.  With
+`np.linalg.solve` per face size.  What a round reuses is formed once per
+stack and sliced with its rows: the kernel's constants (G with L < M,
+else conj(Htil) and [I, Htil]) and conj(Htil) as rows, which the
+full-face Newton step reads.  A round decides on mu_sum, the relative
+gap and the residual alone (`_progress`); `_certify` forms the other
+certificate terms (`_kkt`) from the returned q and gains.
+`_solve_stack` is the stacked core: B x M x L columns in, per-row
+arrays out (q, J^-1 Htil, tr J^-1, steps, the gains and relative gap,
+and each row's error).  `verify` and the design step call it directly;
+the public `solve_power` is a stack of one over it, whose row
+`_certify` turns into a state and a certificate.  With
 L <= M a cold solve starts from the regularized zero-forcing
-allocation, and with L < M the stack's G = Htil^H Htil also serves
-every kernel call.
-Every stacked operation is elementwise or slice by slice, so an instance
-takes the same steps, to the bit, whatever shares its stack.  A stream
-with a zero channel starts at q = 0 and stays there (its gain is 0).
+allocation; a warm start keeps q0's zero powers at zero.  Every stacked
+operation is elementwise or slice by slice, so an instance takes the
+same steps, to the bit, whatever shares its stack.  A stream with a
+zero channel starts at q = 0 and stays there (its gain is 0).
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ import numpy as np
 from .errors import (ConvergenceError, DimensionError, DualPrecError,
                      NumericsError, ValidationError)
 from .model import EffectiveChannel, _norms, is_count, is_real
-from .objective import UplinkState, _covariance, _gram, _slices
+from .objective import (UplinkState, _constants, _covariance, _gram,
+                        _slices)
 
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
 ARMIJO = 1e-4
@@ -63,6 +69,8 @@ STACK_BYTES = 1 << 20
 #: averaged over sigma2 = 10, 1, ..., 1e-8: 3.02, 2.86, 2.87 and 3.00 at
 #: M = L = 4 (seeds 1-1000), 5.60, 5.30, 5.22 and 5.30 at M = L = 64.
 START_NOISE = 2.0
+#: Constants as 0-d arrays, which numpy applies to an array faster.
+_Z, _ONE, _TWO, _ARM, _BT = map(np.array, (0.0, 1.0, 2.0, ARMIJO, BACKTRACK))
 
 
 @dataclass
@@ -126,7 +134,7 @@ def project_power(q, p_max: float) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValidationError("powers to project must be finite")
     clipped = np.maximum(q, 0.0)
-    if clipped.sum() <= p_max:
+    if np.add.reduce(clipped) <= p_max:
         return clipped
     u = np.sort(q)[::-1]
     css = np.add.accumulate(u) - p_max
@@ -137,33 +145,46 @@ def project_power(q, p_max: float) -> np.ndarray:
     return np.maximum(q - tau, 0.0)
 
 
-def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
-    """KKT terms at each row q of ``Q`` from its gains ``G``: (mu_sum, mu,
-    stationarity, budget excess, largest negative power, max |mu_l q_l|,
-    relative gap), and each row's largest absolute residual; every step is
-    elementwise or an exact max or sum along a row, so bitwise per row."""
+def _progress(Q, G, p_max: float, active_tol: float, negative=_Z) -> tuple:
+    """What a solve decides on at each row q of ``Q`` from its gains
+    ``G``: mu_sum, the relative gap and, for q >= 0 (as every iterate
+    is, whose largest ``negative`` power is +0), the largest absolute
+    residual, by value; every step is elementwise or an exact max or sum
+    along a row, so bitwise per row."""
     act = Q > active_tol
     # gains are sums of squares, so starting the max over the active ones
     # at 0 leaves it as it is (and gives 0 with none active)
     mu_sum = np.maximum.reduce(G, axis=1, initial=0.0, where=act)
     d = mu_sum[:, None] - G
-    mu = np.where(act, 0.0, np.maximum(0.0, d))
-    stationarity = np.maximum.reduce(np.abs(d - mu), axis=1)
     excess = np.add.reduce(Q, axis=1) - p_max
-    negative = 0.0 - np.minimum.reduce(Q, axis=1, initial=0.0)  # +0, not -0
-    mu_q = np.maximum.reduce(np.abs(mu * Q), axis=1, initial=0.0)
-    # the stationarity residual is >= 0, so the clips at 0 drop out
     primal = np.maximum(excess, negative)
-    r = np.maximum(np.maximum(stationarity, primal), mu_q)
+    # per stream the larger of `_kkt`'s stationarity and slackness terms:
+    # d >= 0 if active, else -d for d < 0 and mu_l q_l = d q_l >= 0 else
+    e = np.where(act, d, np.maximum(-d, d * Q))
+    r = np.maximum(np.maximum.reduce(e, axis=1), primal)
     r = np.maximum(r, np.abs(mu_sum * excess))
     # sum_l q_l g_l = tr J^-1 - sigma2 tr J^-2 does not cancel; where it is
-    # 0 (q = 0, or gains that underflow) a gap > 0 is inf and 0 stays 0
+    # 0 (q = 0, or gains that underflow) a gap > 0 is inf and 0 stays 0.
+    # With every stream active the largest gain is mu_sum.
     qg = np.add.reduce(Q * G, axis=1)
-    gap = p_max * np.maximum.reduce(G, axis=1) - qg
+    gap = p_max * (mu_sum if np.count_nonzero(act) == act.size
+                   else np.maximum.reduce(G, axis=1)) - qg
     gap = gap / qg if np.count_nonzero(qg) == len(qg) else np.divide(
         gap, qg, out=np.where(gap > 0, math.inf, gap), where=qg > 0)
-    rel = np.maximum(gap, primal / p_max)
-    return (mu_sum, mu, stationarity, excess, negative, mu_q, rel), r
+    return mu_sum, np.maximum(gap, primal / p_max), r
+
+
+def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
+    """KKT terms at each row q of ``Q`` from its gains ``G``: (mu_sum, mu,
+    stationarity, budget excess, largest negative power, max |mu_l q_l|,
+    relative gap), bitwise per row."""
+    negative = 0.0 - np.minimum.reduce(Q, axis=1, initial=0.0)  # +0, not -0
+    mu_sum, rel, _ = _progress(Q, G, p_max, active_tol, negative)
+    d = mu_sum[:, None] - G
+    mu = np.where(Q > active_tol, 0.0, np.maximum(0.0, d))
+    return (mu_sum, mu, np.maximum.reduce(np.abs(d - mu), axis=1),
+            np.add.reduce(Q, axis=1) - p_max, negative,
+            np.maximum.reduce(np.abs(mu * Q), axis=1, initial=0.0), rel)
 
 
 def _certificates(kkt: tuple, states) -> list:
@@ -211,7 +232,7 @@ def _certify(res, effs, sigma2) -> list:
                           sigma2=float(sigma2),
                           Jinv_cols=res.a[j].copy(order="F"),
                           trace_jinv=f[j]) for j in done]
-    kkt = res.kkt if len(done) == len(effs) else _rows(res.kkt, done)
+    kkt = _kkt(res.q[done], res.g[done], res.p_max, res.act_tol)
     for j, cert in zip(done, _certificates(kkt, states)):
         if res.err[j] is None:
             out[j] = (cert.state.q, cert)
@@ -225,10 +246,12 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     `_lockstep` stacks of at most `STACK_BYTES`.
 
     Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
-    the kernel computes it), f = tr J^-1 (B), steps (B), kkt (the `_kkt`
-    terms, whose last is the relative gap), and err: per row None or the
-    error its solve raised, a ConvergenceError without its best iterate
-    and certificate, which the caller attaches if it wants them.  A row
+    the kernel computes it), f = tr J^-1 (B), steps (B), the gains g at q
+    (B x L) and the relative gap rel (B), with p_max and the activity
+    threshold act_tol that `_certify` forms the `_kkt` terms with, and
+    err: per row None or the error its solve raised, a ConvergenceError
+    without its best iterate and certificate, which the caller attaches
+    if it wants them.  A row
     whose start failed, or whose covariance the kernel rejected, has an
     error and no numbers.  ``q0`` and ``callback`` are `solve_power`'s;
     a ``sigma2`` or ``p_max`` not finite and > 0 raises ValidationError.
@@ -255,10 +278,10 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
                 continue
             idx = np.flatnonzero(ok) + first
             cs, Q0, gram = cs[ok], Q0[ok], _rows(gram, ok)
-        for rows, Q, A, F, kkt, steps, failed in _lockstep(
+        for rows, Q, A, F, steps, G, rel, failed in _lockstep(
                 cs, gram, Q0, sigma2, p_max, cfg, callback):
             at = rows + first if idx is None else idx[rows]
-            got = (Q, A, F, steps) + kkt
+            got = (Q, A, F, steps, G, rel)
             if len(at) == B:  # the whole stack at once: no copies
                 out = list(got)
             else:
@@ -268,21 +291,22 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
                            for x in got]
                 for dst, x in zip(out, got):
                     dst[at] = x
-            for i, n, bad, rel in zip(at.tolist(), steps.tolist(),
-                                      failed.tolist(), kkt[-1].tolist()):
+            for i, n, bad, gap in zip(at.tolist(), steps.tolist(),
+                                      failed.tolist(), rel.tolist()):
                 if bad:
                     err[i] = NumericsError(
                         "covariance not positive definite or not finite "
                         f"after {n} iterations")
-                elif not rel <= cfg.kkt_tol:
+                elif not gap <= cfg.kkt_tol:
                     err[i] = ConvergenceError(
-                        f"relative gap {rel:.3e} above tolerance "
+                        f"relative gap {gap:.3e} above tolerance "
                         f"{cfg.kkt_tol:.1e} after {n} iterations")
     if out is None:  # no row started
         out = [np.full(shape, math.nan) for shape in (
-            (B, L), (B, M, L), (B,), (B,), (B,), (B, L), *[(B,)] * 5)]
-    q, a, f, steps, *kkt = out
-    return SimpleNamespace(q=q, a=a, f=f, steps=steps, kkt=tuple(kkt),
+            (B, L), (B, M, L), (B,), (B,), (B, L), (B,))]
+    q, a, f, steps, g, rel = out
+    return SimpleNamespace(q=q, a=a, f=f, steps=steps, g=g, rel=rel,
+                           p_max=p_max, act_tol=cfg.active_tol_scale * p_max,
                            err=err)
 
 
@@ -291,9 +315,11 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     (B x M x L), with ``gram`` its `_gram` when L <= M (else None; a
     warm start does not read it), and per row None or the error that
     keeps it from starting: projected q0, or uniform, spending the budget
-    on the streams with a nonzero channel.  The others (norm at most 1e-15 of the row's largest) start
-    at 0 and stay there: a zero channel's gain is 0, so no Newton face
-    admits its stream.
+    on the streams with a nonzero channel.  The others (norm at most 1e-15
+    of the row's largest) start at 0 and stay there: a zero channel's
+    gain is 0, so no Newton face admits its stream.  A projected q0 that
+    falls short of p_max has the rest spread over its powered streams
+    (over every stream on when none is), so its zero powers stay zero.
 
     Without q0, an L <= M row whose channels are all on starts instead
     from the regularized zero-forcing allocation q_l = p_max sqrt(c_l) /
@@ -336,16 +362,21 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
         return Q, errs
     q0, Q = np.asarray(q0, dtype=float), np.zeros(on.shape)
     for b in range(B):
-        q, row = Q[b], on[b]
         if errs[b] is not None:
             continue
         try:
-            q[row] = project_power(q0[row], p_max)
+            q = project_power(q0[on[b]], p_max)
         except ValidationError as e:
             errs[b] = e
             continue
-        if (spent := q[row].sum()) < p_max:  # the optimum spends the budget
-            q[row] += (p_max - spent) / counts[b]
+        # the optimum spends the budget; a stream q0 parks at 0 stays there
+        if (spent := np.add.reduce(q)) < p_max:
+            pos = q > 0
+            if 0 < (n := np.count_nonzero(pos)) < len(q):
+                q[pos] += (p_max - spent) / n
+            else:
+                q += (p_max - spent) / len(q)
+        Q[b][on[b]] = q
     return Q, errs
 
 
@@ -353,83 +384,89 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
               callback=None):
     """Solve each row of the stack ``CS`` (B x M x L), with ``gram`` its
     `_gram` when L < M (else None), from ``Q0`` (B x L); yield (rows, q,
-    A, f, `_kkt` terms, steps, failed) of the best iterates of the rows
-    that finish in a round, failed where a row's J was not finite or
+    A, f, steps, gains, relative gap, failed) of the best iterates of the
+    rows that finish in a round, failed where a row's J was not finite or
     could not be factored (such a row finishes at once).  Progress and
     the best iterate go by the absolute residual.  A row finishes at a
     trial (taken or not) that does not lower its best residual once its
     best passes kkt_tol, or at the polish target; at a step that does not
     lower it and predicts a decrease below the target; at max_iters; or
     with no finite Newton step.  ``callback(q, f)`` fires after every
-    step of every row.  ``s`` holds the unfinished rows; no array in it is
-    written in place, so the current and best iterate may share one."""
-    act_tol = cfg.active_tol_scale * p_max
+    step of every row.  Per row the loop holds the current iterate (q, f,
+    G, A, r), the best (bq, br, ba, bf, bg and its mu_sum and relative
+    gap, bmu and brel), the step (dq, t, slope) and its trial; no array
+    is written in place, so they may share one."""
     # polish well below kkt_tol; Newton reaches this in one more step.  A
     # failing row whose Newton step predicts a decrease below target
-    # P mu_sum (~ target sum_l q_l g_l) is at the rounding floor of its gains
+    # P mu_sum (~ target sum_l q_l g_l) is at the rounding floor of its
+    # gains.  The scalars are 0-d arrays, like `_Z`.
     target = max(5e-15, cfg.kkt_tol * 1e-4)
-    A, f, G = _covariance(CS, Q0, sigma2, gram)
-    kkt, r = _kkt(Q0, G, p_max, act_tol)
-    B, steps = len(Q0), np.zeros(len(Q0), dtype=int)
-    s = SimpleNamespace(
-        rows=np.arange(B), cs=CS, gram=gram, q=Q0, f=f, g=G, a=A, r=r,
-        best_q=Q0, best_r=r, best_a=A, best_f=f, kkt=kkt, steps=steps,
-        best_steps=steps, trial=Q0, dq=np.zeros(Q0.shape), t=np.ones(B),
-        slope=np.zeros(B), failed=np.isnan(f))
-    moved = ~s.failed  # the rows at a new iterate
-    every = not np.count_nonzero(s.failed)  # and whether they are all rows
+    P, S2, act_tol, kkt_tol, polish, floor = map(np.array, (
+        p_max, sigma2, cfg.active_tol_scale * p_max, cfg.kkt_tol, target,
+        -target * p_max))
+    const = _constants(CS) if gram is None else gram
+    ct = np.ascontiguousarray(CS.swapaxes(1, 2)).conj()
+    A, f, G = _covariance(CS, Q0, S2, const)
+    bmu, brel, r = _progress(Q0, G, P, act_tol)
+    B = len(Q0)
+    rows, steps, failed, t = (np.arange(B), np.zeros(B, dtype=int),
+                              np.isnan(f), np.zeros(B))
+    q = bq = trial = Q0
+    br, ba, bf, bg, dq, slope = r, A, f, G, np.zeros(Q0.shape), t
+    # the rows at a new iterate, whether they are all rows, and those
+    # whose new iterate is their best
+    moved = better = ~failed
+    every, evals = not np.count_nonzero(failed), 0
     while True:
-        fail, better = s.kkt[-1] > cfg.kkt_tol, s.steps == s.best_steps
-        go = (s.steps < cfg.max_iters) & (
-            better & (fail | (s.best_r > target))
-            | fail & (s.slope < -target * p_max * s.kkt[0]))
+        fail = brel > kkt_tol
+        go = better & (fail | (br > polish)) | fail & (slope < floor * bmu)
+        if evals >= cfg.max_iters:  # a row takes at most a step per trial
+            go &= steps < cfg.max_iters
         if not every:
             go &= moved
-        done = ~go if every else np.where(moved, ~go, ~fail) | s.failed
-        if np.count_nonzero(go) and _step(s, go, p_max):
-            done |= go & np.isnan(s.dq[:, 0])  # no finite Newton step
+        done = ~go if every else np.where(moved, ~go, ~fail) | failed
+        if n := np.count_nonzero(go):
+            (dq, t, slope, trial), lost = _step(
+                go if n < len(go) else None, q, G, A, ct, P,
+                (dq, t, slope, trial))
+            if lost:
+                done |= go & np.isnan(dq[:, 0])  # no finite Newton step
         if np.count_nonzero(done):
-            best = (s.rows, s.best_q, s.best_a, s.best_f, s.kkt, s.steps,
-                    s.failed)
+            best = (rows, bq, ba, bf, steps, bg, brel, failed)
             if np.count_nonzero(done) == len(done):
                 yield best
                 return
             yield _rows(best, done)
-            s = SimpleNamespace(**{k: _rows(v, ~done)
-                                   for k, v in vars(s).items()})
+            (rows, CS, const, ct, q, f, G, A, r, bq, br, ba, bf, bg, bmu, brel,
+             steps, failed, dq, t, slope, trial) = _rows((
+                 rows, CS, const, ct, q, f, G, A, r, bq, br, ba, bf, bg, bmu,
+                 brel, steps, failed, dq, t, slope, trial), ~done)
 
-        A, f, G = _covariance(s.cs, s.trial, sigma2, s.gram)
-        kkt, r = _kkt(s.trial, G, p_max, act_tol)
+        A_new, f_new, G_new = _covariance(CS, trial, S2, const)
+        mu_new, rel_new, r_new = _progress(trial, G_new, P, act_tol)
+        evals += 1
         # near the optimum f is flat to rounding and only the residual moves
-        moved = (r < s.r) | (f <= s.f + ARMIJO * s.t * s.slope)
-        if math.isnan(np.add.reduce(f)):  # a rejected covariance ends its row
-            s.failed = np.isnan(f)
-            moved &= ~s.failed
-        s.steps = s.steps + moved
+        moved = (r_new < r) | (f_new <= f + _ARM * t * slope)
+        if math.isnan(np.add.reduce(f_new)):  # a rejected covariance ends
+            failed = np.isnan(f_new)           # its row
+            moved &= ~failed
+        steps = steps + moved
+        better = r_new < br  # so moved, as br <= r
         every = np.count_nonzero(moved) == len(moved)
-        if every:
-            s.q, s.f, s.g, s.a, s.r = s.trial, f, G, A, r
-        else:
-            _set(s, moved, q=s.trial, f=f, g=G, a=A, r=r)
-        better = r < s.best_r if every else moved & (r < s.best_r)
-        if np.count_nonzero(better) == len(better):
-            s.best_q, s.best_r, s.best_a, s.best_f, s.kkt, s.best_steps = (
-                s.trial, r, A, f, kkt, s.steps)
-        elif np.count_nonzero(better):
-            _set(s, better, best_q=s.trial, best_r=r, best_a=A, best_f=f,
-                 kkt=kkt, best_steps=s.steps)
+        new = (trial, f_new, G_new, A_new, r_new)
+        q, f, G, A, r = new if every else _pick(moved, new, (q, f, G, A, r))
+        new = (trial, r_new, A_new, f_new, G_new, mu_new, rel_new)
+        if (n := np.count_nonzero(better)) == len(better):
+            bq, br, ba, bf, bg, bmu, brel = new
+        elif n:
+            bq, br, ba, bf, bg, bmu, brel = _pick(
+                better, new, (bq, br, ba, bf, bg, bmu, brel))
         if callback is not None:
             for b in np.flatnonzero(moved):
-                callback(s.q[b].copy(), float(s.f[b]))
+                callback(q[b].copy(), float(f[b]))
         if not every:  # backtrack
-            s.t = np.where(moved, s.t, s.t * BACKTRACK)
-            s.trial = np.maximum(s.q + s.t[:, None] * s.dq, 0.0)
-
-
-def _set(s, mask, **new):
-    """Set the rows in mask of the named arrays of ``s``, in new arrays."""
-    for name, x in new.items():
-        setattr(s, name, _pick(mask, x, getattr(s, name)))
+            t = np.where(moved, t, t * _BT)
+            trial = np.maximum(q + t[:, None] * dq, _Z)
 
 
 def _pick(mask, new, old):
@@ -448,78 +485,84 @@ def _rows(x, mask):
         else x[mask]
 
 
-def _step(s, moved, p_max: float) -> bool:
-    """Make the Newton step of each row in ``moved``, cut where it meets
-    the boundary, its trial point; True if some step has no finite
-    solution (and is NaN)."""
-    every = np.count_nonzero(moved) == len(moved)
-    q, g = (s.q, s.g) if every else (s.q[moved], s.g[moved])
-    dq, lost = _newton(s.cs if every else s.cs[moved], q, g,
-                       s.a if every else s.a[moved], p_max)
+def _step(go, Q, G, A, CT, p_max, old) -> tuple:
+    """The Newton step of each row in ``go`` (None: every row) from its
+    iterate (Q, gains G, A = J^-1 Htil), cut where it meets the boundary:
+    (dq, step length, slope, trial) of every row, those not in go as in
+    ``old``, and True if some step has no finite solution (and is NaN)."""
+    if go is not None:
+        Q, G, A, CT = Q[go], G[go], A[go], CT[go]
+    dq, lost = _newton(CT, Q, G, A, p_max)
     # cut the step at the boundary and land exactly on zero there
-    neg = dq < 0
-    ratios = np.divide(q, -dq, out=None, where=neg)  # read where neg only
+    neg = dq < _Z
+    ratios = np.divide(Q, -dq, out=None, where=neg)  # read where neg only
     step = np.minimum.reduce(ratios, axis=1, initial=1.0, where=neg)
-    trial = np.maximum(q + step[:, None] * dq, 0.0)
-    cut = (step < 1.0).nonzero()[0]
+    trial = Q + step[:, None] * dq
+    np.maximum(trial, _Z, out=trial)
+    cut = (step < _ONE).nonzero()[0]
     if cut.size:
         trial[cut, np.where(neg[cut], ratios[cut], math.inf).argmin(1)] = 0.0
-    slope = -(g[:, None, :] @ dq[:, :, None])[:, 0, 0]
-    if every:
-        s.dq, s.t, s.slope, s.trial = dq, step, slope, trial
-    else:  # into copies: no array is written in place once in s
-        s.dq, s.t, s.slope, s.trial = (
-            x.copy() for x in (s.dq, s.t, s.slope, s.trial))
-        s.dq[moved], s.t[moved], s.slope[moved] = dq, step, slope
-        s.trial[moved] = trial
-    return lost
+    new = (dq, step, -(G[:, None, :] @ dq[:, :, None])[:, 0, 0], trial)
+    if go is not None:  # into copies: no array is written in place
+        new, old = tuple(x.copy() for x in old), new
+        for x, y in zip(new, old):
+            x[go] = y
+    return new, lost
 
 
-def _newton(CS, Q, G, A, p_max: float) -> tuple:
+def _newton(CT, Q, G, A, p_max: float) -> tuple:
     """Equality-constrained Newton steps of tr(J^-1), and whether a row's
-    system has no finite solution (its step is NaN).  On the face of the
-    powered streams and the parked ones whose gain exceeds their level mu,
-    solves [H 1; 1^T 0][dq; dmu] = [gains - mu; p_max - sum q] with
+    system has no finite solution (its step is NaN), from conj(Htil) as
+    rows ``CT`` (B x L x M).  On the face of the powered streams and the
+    parked ones whose gain exceeds their level mu, solves
+    [H 1; 1^T 0][dq; dmu] = [gains - mu; p_max - sum q] with
     H = 2 Re(C o conj(D)), C = Htil^H A, D = A^H A, one stacked solve per
     face size; a parked stream pushed negative leaves the face and its row
     is solved again."""
-    on = Q > 0  # never empty: every iterate spends the budget
+    on = Q > _Z  # never empty: every iterate spends the budget
     mu = np.maximum.reduce(G, axis=1, initial=0.0, where=on)
-    act = on | (G > mu[:, None])
-    DQ, lost, redo = np.zeros(Q.shape), False, None  # redo: rows to solve
-    while True:
-        sizes = np.add.reduce(act, axis=1)
-        faces = set((sizes if redo is None else sizes[redo]).tolist())
+    parked = np.count_nonzero(on) < on.size  # else the face is every stream
+    act = on | (G > mu[:, None]) if parked else on
+    L, DQ, lost, redo = Q.shape[1], np.zeros(Q.shape), False, None
+    while True:  # redo: the rows to solve again
+        sizes = np.add.reduce(act, axis=1) if parked else None
+        faces = {L} if sizes is None else set(
+            (sizes if redo is None else sizes[redo]).tolist())
         for m in faces:  # first all rows, then those whose face shrank
             rows, face = slice(None), act  # every row, one face size
             if redo is not None or len(faces) > 1:
                 rows = sizes == m if redo is None else redo & (sizes == m)
                 DQ[rows], face = 0.0, act & rows[:, None]
-            if face is act and m == Q.shape[1]:  # all streams, in gather layout
-                At, Ct, Gf, Qf = (np.ascontiguousarray(A.swapaxes(1, 2)),
-                                  np.ascontiguousarray(CS.swapaxes(1, 2)), G, Q)
+            full = face is act and m == L  # all streams, in gather layout
+            if full:
+                At, Ct, Gf, Qf = (np.ascontiguousarray(A.swapaxes(1, 2)), CT,
+                                  G, Q)
             else:  # the face's columns of A and Htil, as rows
                 At = A.swapaxes(1, 2)[face]
                 At = At.reshape(len(At) // m, m, -1)
-                Ct = CS.swapaxes(1, 2)[face].reshape(At.shape)
+                Ct = CT[face].reshape(At.shape)
                 Gf, Qf = G[face].reshape(-1, m), Q[face].reshape(-1, m)
             Ai = At.swapaxes(1, 2)
-            kkt = np.ones((len(At), m + 1, m + 1))
-            H = (Ct.conj() @ Ai) * (At.conj() @ Ai).conj()
-            np.multiply(2.0, np.real(H), out=kkt[:, :m, :m])
+            kkt = np.empty((len(At), m + 1, m + 1))
+            kkt.fill(1.0)
+            H = (Ct @ Ai) * (At.conj() @ Ai).conj()
+            np.multiply(_TWO, H.real, out=kkt[:, :m, :m])
             kkt[:, m, m] = 0.0
             rhs = np.empty((len(At), m + 1, 1))
-            np.subtract(Gf, mu[rows, None], out=rhs[:, :m, 0])
+            np.subtract(Gf, mu[rows][:, None], out=rhs[:, :m, 0])
             np.subtract(p_max, np.add.reduce(Qf, axis=1), out=rhs[:, m, 0])
             sol = _solve_kkt(kkt, rhs)
-            DQ[face] = sol[:, :m, 0].ravel()
-            if not np.isfinite(sol).all():  # NaN steps for those rows
-                lost = ~np.isfinite(sol).all(axis=(1, 2))
-                DQ[np.arange(len(Q))[rows][lost]] = math.nan
-                lost = True
+            if full:
+                DQ[:] = sol[:, :m, 0]
+            else:
+                DQ[face] = sol[:, :m, 0].ravel()
+            if not math.isfinite(np.add.reduce(sol, axis=None)):
+                nan = np.arange(len(Q))[rows][  # NaN steps for those rows
+                    ~np.logical_and.reduce(np.isfinite(sol), axis=(1, 2))]
+                DQ[nan], lost = math.nan, lost or len(nan) > 0
         # a row already solved, or failed, has no bad stream
-        bad = ~on & (DQ < 0)
-        if not np.count_nonzero(bad):
+        bad = ~on & (DQ < 0) if parked else None
+        if bad is None or not np.count_nonzero(bad):
             return DQ, lost
         redo = np.logical_or.reduce(bad, axis=1)
         act &= ~bad

@@ -233,7 +233,7 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
     A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
     state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                         trace_jinv=float(f[0]))
-    return _certificates(_kkt(q[None], gains, p_max, active_tol)[0],
+    return _certificates(_kkt(q[None], gains, p_max, active_tol),
                          [state])[0]
 
 

@@ -131,6 +131,14 @@ def test_slow_seeds_converge_within_budget(seed):
     assert np.all(np.diff(res.smse_trace) < 0)
 
 
+def test_warm_start_keeps_parked_streams_parked():
+    # perfbench design-loop seed 91, round 54: a warm start that revived a
+    # stream parked at 0 ran one power solve to max_iters and the design
+    # ended in ConvergenceError after about 33 s
+    res = design(loop_channel(91000055), DesignConfig(path=BOTH))
+    assert res.converged and max(res.solve_steps) <= 10
+
+
 def test_final_smse_no_worse_than_plain_loop():
     cfg = DesignConfig()
     for seed in range(1000, 1040):

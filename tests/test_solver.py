@@ -163,6 +163,27 @@ def test_warm_start_matches_cold_objective():
     assert abs(f_cold - f_warm) <= 1e-10
 
 
+def test_warm_start_keeps_a_parked_stream_at_zero():
+    # a warm q0 that parks a stream at exactly 0 and falls short of the
+    # budget by rounding: the shortfall goes to the powered streams only.
+    # Spread over every stream, it revived the parked one at 4.4e-16 and
+    # Newton crawled at step lengths of that size to max_iters
+    ch, _, eff = rand_instance(214, sigma2=10.0)
+    q = solver._solve_stack(eff.cols[None], 10.0, 10.0).q[0]
+    assert np.count_nonzero(q == 0.0) == 1
+    q0 = q.copy()
+    q0[np.argmax(q0)] -= 1.8e-15
+    assert 0.0 < 10.0 - q0.sum() <= 2e-15
+    rng = np.random.default_rng(214)  # the columns of the next design step
+    cols = eff.cols + 1e-3 * (rng.standard_normal(eff.cols.shape)
+                              + 1j * rng.standard_normal(eff.cols.shape))
+    Q0, _ = solver._start(cols[None], None, 10.0, 10.0, q0)
+    assert np.array_equal(Q0[0] == 0.0, q == 0.0)
+    res = solver._solve_stack(cols[None], 10.0, 10.0, None, q0)
+    assert res.err[0] is None and res.steps[0] <= 5
+    assert np.array_equal(res.q[0] == 0.0, q == 0.0)
+
+
 def test_all_zero_channels_rejected():
     eff = eff_from_cols(np.zeros((2, 2)))
     with pytest.raises(NumericsError):
