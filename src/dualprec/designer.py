@@ -11,8 +11,8 @@ a certified q, then (3) the role swap: the normalized downlink MMSE
 receivers, from one kernel call per antenna count on the dual channels
 H_k^H Ubar, are G(vbar).  The channel stacks both ends read are built
 once per design.  On ``path="both"`` the legacy duality transform
-(`duality._powers`, a linear solve) runs beside p := q as a timed
-check, and its gap to q is recorded at every iterate.
+(`duality._powers`) feeds neither the role swap nor the safeguard: it runs
+once the loop ends or raises, as one stack of the accepted iterates.
 
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
@@ -85,7 +85,7 @@ class DesignResult:
     downlink: PrecoderSet       # (Ubar, p)
     smse_trace: list            # one entry per accepted iterate
     iters: int                  # accepted iterates, len(smse_trace)
-    transform_times: list       # seconds per iterate in the legacy check
+    transform_times: list       # stacked legacy check's seconds / iters
     shortcut_times: list        # seconds per iterate in p := q
     path_gap_trace: list        # max |legacy p - q| per iterate (both)
     converged: bool
@@ -101,10 +101,10 @@ class _Step(NamedTuple):
     smse: float             # certified sum-MSE at (vbar, q)
     ubar: np.ndarray        # M x L_tot unit downlink beamformers
     g: list                 # G(vbar): the next plain iterate
-    t_legacy: float | None  # seconds in the legacy conversion
     t_shortcut: float
-    path_gap: float | None  # max |legacy p - q|
     steps: int              # Newton steps of the power solve
+    a: np.ndarray           # receivers J^-1 Htil at q (M x L_tot)
+    cols: np.ndarray        # effective columns Htil of vbar (M x L_tot)
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,18 @@ class _Instance(ChannelSet):
 
 
 def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
-    d = ch.dims
-    if cfg.init_mode == "channel_svd":
-        by_user = []
-        for k in range(d.K):
-            # dominant right singular directions of H_k
-            _, _, vh = np.linalg.svd(ch.H[k])
-            by_user.append(vh.conj().T[:, :d.L[k]])
-        return [b.copy() for b in by_user]
+    if cfg.init_mode == "channel_svd":  # dominant right singular vectors
+        return [np.linalg.svd(h)[2].conj().T[:, :n].copy()
+                for h, n in zip(ch.H, ch.dims.L)]
     seed = cfg.seed if cfg.seed is not None else ch.seed
-    ps = random_unit_precoders(d, VIRTUAL_UPLINK,
+    ps = random_unit_precoders(ch.dims, VIRTUAL_UPLINK,
                                seed=[0 if seed is None else seed, 101])
     return [b.copy() for b in ps.by_user]
 
 
-def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
-          act_tol: float) -> _Step:
+def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
     """Certified power solve at vbar (warm-started from q0), the downlink
-    powers p := q (checked against the legacy transform on path "both"),
-    and the role swap to G(vbar), all on the array cores at B = 1.
+    powers p := q and the role swap to G(vbar), on the array cores at B = 1.
 
     A failed power solve raises its error, a ConvergenceError with its
     best iterate and certificate; a downlink covariance the kernel
@@ -151,34 +144,17 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
         raise _certify(res, [EffectiveChannel(cols[0])], ch.sigma2)[0]
     q = res.q[0]
 
-    # downlink powers p := q and, on path "both", the legacy transform
-    # beside them as a check, each timed around itself only; its stack
-    # gives the receivers as rows (J^-1 htil_l)^T and their norms
+    # downlink powers p := q, timed around itself only
     t0 = time.perf_counter()
     p = q.copy()
     t_sc = time.perf_counter() - t0
-    t_leg = gap = None
-    if cfg.path == BOTH:
-        t0 = time.perf_counter()
-        err = [None]
-        legacy = [(grp, P[0]) for _, grp, P in _powers(
-            res.q, res.a, cols, np.array([float(act_tol)]),
-            np.array([ch.sigma2], dtype=float), err)]
-        if err[0] is not None:
-            raise err[0]
-        t_leg = time.perf_counter() - t0
-        (grp, legacy), = legacy
-        gap = float(np.maximum.reduce(np.abs(legacy - p)))
-        At, norms = grp.at[0], grp.norms[0]
-    else:
-        At = np.ascontiguousarray(res.a[0].T)
-        norms = _norms(At, 1)
 
     # the unit MMSE directions (`objective.mmse_directions`) and the role
     # swap: the normalized downlink MMSE receivers, from the kernel on the
     # dual channels H_k^H Ubar at q := p; a stream with p = 0 has a zero
     # receiver and keeps its vbar
-    ubar = _unit_rows(At, norms).T
+    At = np.ascontiguousarray(res.a[0].T)
+    ubar = _unit_rows(At, _norms(At, 1)).T
     g, s = [None] * d.K, np.sqrt(p)
     for users, Hh in ch.dual:
         A, f, _ = _covariance(Hh @ ubar, p[None], ch.sigma2)
@@ -191,8 +167,27 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig,
             g[k] = np.divide(x[:, idx], n[idx], out=vbar[k].copy(),
                              where=n[idx] > 0)
     smse = d.L_tot - d.M + float(ch.sigma2) * res.f.tolist()[0]
-    return _Step(vbar, q, smse, ubar, g, t_leg, t_sc, gap,
-                 int(res.steps[0]))
+    return _Step(vbar, q, smse, ubar, g, t_sc, int(res.steps[0]), res.a[0],
+                 cols[0])
+
+
+def _legacy_check(steps: list, ch: ChannelSet, cfg: DesignConfig):
+    """On path "both", the legacy transform (`duality._powers`) as one
+    stack over the accepted iterates ``steps``: per iterate max |legacy
+    p - q| and an even share of the stack's time, or the error of the
+    first iterate whose transform fails.  ([], []) on the other path."""
+    n = len(steps) if cfg.path == BOTH else 0
+    if n == 0:
+        return [], []
+    t0, gaps, err = time.perf_counter(), np.full(n, math.nan), [None] * n
+    Q, A, CS = (np.array(x) for x in zip(*((s.q, s.a, s.cols) for s in steps)))
+    tols = np.full(n, cfg.solver.active_tol_scale * ch.p_max)
+    for rows, g, P in _powers(Q, A, CS, tols, np.full(n, float(ch.sigma2)),
+                              err):
+        gaps[rows] = np.abs(P - g.q).max(axis=1)
+    if any(err):
+        raise next(e for e in err if e is not None)
+    return gaps.tolist(), [(time.perf_counter() - t0) / n] * n
 
 
 def _stack(blocks: list) -> np.ndarray:
@@ -226,42 +221,21 @@ def _unit_blocks(x: np.ndarray, shapes) -> list | None:
     return out
 
 
-def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
-    """Run the accelerated design until the relative sum-MSE decrease
-    between accepted iterates falls below cfg.smse_rel_tol.
-
-    Raises ConvergenceError (carrying the partial result) if
-    cfg.max_outer_iters accepted iterates pass while the trace is still
-    falling faster than the tolerance, and the power solve's own
-    ConvergenceError (no partial result) if a plain step fails to certify
-    (NumericsError if a covariance of the plain step cannot be factored).
-    """
-    if cfg is None:
-        cfg = DesignConfig()
-    bad = validate(ch)
-    if bad:
-        raise ValidationError("; ".join(bad))
-    d = ch.dims
-    act_tol = cfg.solver.active_tol_scale * ch.p_max
-
-    shapes = tuple(_runs(d.N, d.L))
-    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, shapes,
-                     _run_stacks(shapes, ch.H), _dual_stacks(ch))
-    cur = _step(inst, _init_uplink_dirs(ch, cfg), None, cfg, act_tol)
-    steps = [cur]
+def _iterate(inst: _Instance, x0: list, cfg: DesignConfig, steps: list):
+    """The safeguarded accelerated loop from the uplink beamformers x0,
+    appending every accepted iterate to ``steps``.  Returns whether it
+    converged and the number of extrapolations the safeguard refused."""
+    steps.append(cur := _step(inst, x0, None, cfg))
+    g, rejected = _stack(cur.g), 0
     xs = deque([_stack(cur.vbar)], maxlen=ANDERSON_MEMORY)
-    g = _stack(cur.g)
     gs = deque([g], maxlen=ANDERSON_MEMORY)
-    rejected = 0
-    converged = False
-
     while len(steps) < cfg.max_outer_iters:
         nxt = None
         if len(xs) >= 2:
             cand = _unit_blocks(_anderson(xs, gs), inst.shapes)
             if cand is not None:
                 try:
-                    nxt = _step(inst, cand, cur.q, cfg, act_tol)
+                    nxt = _step(inst, cand, cur.q, cfg)
                 except (ConvergenceError, NumericsError):
                     pass
             if nxt is None or not nxt.smse < cur.smse:
@@ -272,15 +246,44 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         # a plain step's x is the last G(x), stacked as the last g was
         x = _stack(nxt.vbar) if nxt is not None else g
         if nxt is None:
-            nxt = _step(inst, cur.g, cur.q, cfg, act_tol)
+            nxt = _step(inst, cur.g, cur.q, cfg)
         prev, cur, g = cur, nxt, _stack(nxt.g)
         steps.append(cur)
         xs.append(x)
         gs.append(g)
         if (prev.smse - cur.smse) / max(prev.smse, 1e-300) < cfg.smse_rel_tol:
-            converged = True
-            break
+            return True, rejected
+    return False, rejected
 
+
+def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
+    """Run the accelerated design until the relative sum-MSE decrease
+    between accepted iterates falls below cfg.smse_rel_tol.
+
+    Raises ConvergenceError (carrying the partial result) if
+    cfg.max_outer_iters accepted iterates pass while the trace is still
+    falling faster than the tolerance, and the power solve's own
+    ConvergenceError (no partial result) if a plain step fails to certify
+    (NumericsError if a covariance of the plain step cannot be factored).
+    On path "both" an accepted iterate's failed legacy check raises first.
+    """
+    cfg = cfg or DesignConfig()
+    if bad := validate(ch):
+        raise ValidationError("; ".join(bad))
+    d = ch.dims
+    shapes = tuple(_runs(d.N, d.L))
+    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, shapes,
+                     _run_stacks(shapes, ch.H), _dual_stacks(ch))
+    steps = []
+    try:
+        converged, rejected = _iterate(inst, _init_uplink_dirs(ch, cfg),
+                                       cfg, steps)
+    except Exception:
+        _legacy_check(steps, ch, cfg)  # its error comes before the loop's
+        raise
+    gaps, times = _legacy_check(steps, ch, cfg)
+
+    cur = steps[-1]
     result = DesignResult(
         uplink=PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(cur.vbar),
                            powers=cur.q),
@@ -289,14 +292,11 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
                                            for k in range(d.K)),
                              powers=cur.q.copy()),
         smse_trace=[s.smse for s in steps], iters=len(steps),
-        transform_times=[s.t_legacy for s in steps if s.t_legacy is not None],
-        shortcut_times=[s.t_shortcut for s in steps],
-        path_gap_trace=[s.path_gap for s in steps if s.path_gap is not None],
-        converged=converged, rejected=rejected,
+        transform_times=times, shortcut_times=[s.t_shortcut for s in steps],
+        path_gap_trace=gaps, converged=converged, rejected=rejected,
         solve_steps=[s.steps for s in steps])
     if not converged:
         raise ConvergenceError(
             f"sum-MSE still decreasing after {cfg.max_outer_iters} outer "
             "iterations", partial=result)
     return result
-

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from conftest import covariance
-from dualprec import (BOTH, DOWNLINK, VIRTUAL_UPLINK, ChannelSet,
+from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet,
                       ConvergenceError, DesignConfig, DimensionError,
                       DualPrecError, EffectiveChannel, KktCertificate,
                       PrecoderSet, UplinkState, ValidationError,
@@ -146,11 +146,11 @@ def plain_design(ch, vbar, cfg=None):
     return vbar, q, p, trace
 
 
-def object_step(ch, vbar, q0, cfg, act_tol):
+def object_step(ch, vbar, q0, cfg):
     """`designer._step` on the public object API: the effective channel of
     a `PrecoderSet`, `solve_power` (its steps counted by the callback),
-    the legacy check through `build_duality_data` and `transform_power`,
-    and the role swap through `mmse_directions` and `downlink_mmse`."""
+    and the role swap through `mmse_directions` and `downlink_mmse`; the
+    certificate's state gives what the legacy check reads."""
     d = ch.dims
     up = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
                      powers=q0 if q0 is not None else np.zeros(d.L_tot))
@@ -162,13 +162,6 @@ def object_step(ch, vbar, q0, cfg, act_tol):
     t0 = time.perf_counter()
     p = q.copy()
     t_sc = time.perf_counter() - t0
-    t_leg = gap = None
-    if cfg.path == BOTH:
-        t0 = time.perf_counter()
-        p_leg = transform_power(build_duality_data(cert.state, act_tol),
-                                ch.sigma2)
-        t_leg = time.perf_counter() - t0
-        gap = float(np.abs(p_leg - p).max())
     X, _ = downlink_mmse(ch, ubar, p)
     g = []
     for k in range(d.K):
@@ -178,8 +171,8 @@ def object_step(ch, vbar, q0, cfg, act_tol):
         b = vbar[k].copy()
         b[:, nz] = V[:, nz] / vn[nz]
         g.append(b)
-    return _Step(vbar, q, sum_mse_uplink(cert.state), ubar, g, t_leg, t_sc,
-                 gap, len(steps))
+    return _Step(vbar, q, sum_mse_uplink(cert.state), ubar, g, t_sc,
+                 len(steps), cert.state.Jinv_cols, cert.state.eff.cols)
 
 
 def precoders_to_dict(ps: PrecoderSet) -> dict:

@@ -6,8 +6,10 @@ import pytest
 import dualprec.designer as dz
 from conftest import DIMS_2x2
 from dualprec import (BOTH, SIMPLIFIED, ChannelSet, ConvergenceError,
-                      DesignConfig, NumericsError, SolverConfig, SystemDims,
-                      ValidationError, design, gen_channel)
+                      DesignConfig, EffectiveChannel, NumericsError,
+                      SingularTransformError, SolverConfig, SystemDims,
+                      ValidationError, build_duality_data, design,
+                      gen_channel, make_state, transform_power)
 from dualprec.objective import _covariance
 from oracles import (RankError, legacy_smse_difference, normalize_covariance,
                      object_step, plain_design)
@@ -223,6 +225,8 @@ ARRAY_STEP_CASES = [
     (SystemDims(M=8, K=2, N=(8, 2), L=(1, 1)),
      dict(path=SIMPLIFIED, init_mode="channel_svd")),
 ]
+ARRAY_STEP_IDS = ["loop-both", "loop-simplified", "loop-svd", "N24-L12",
+                  "M8-both", "M8-svd"]
 
 
 @pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES,
@@ -246,6 +250,31 @@ def test_array_step_is_bitwise_the_object_step(monkeypatch, dims, kw):
             assert np.array_equal(a.powers, b.powers)
             for x, y in zip(a.by_user, b.by_user, strict=True):
                 assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES, ids=ARRAY_STEP_IDS)
+def test_legacy_check_matches_the_public_transform(monkeypatch, dims, kw):
+    # the stacked check's gap at every accepted iterate is bitwise the gap
+    # of `transform_power` on `build_duality_data` at that iterate's state
+    orig = dz._legacy_check
+    for seed in (1000, 1001, 1002):
+        ch, cfg = gen_channel(dims, 1.0, 10.0, seed=seed), \
+            DesignConfig(**dict(kw, path=BOTH))
+        seen = []
+
+        def check(steps, *args):
+            seen.extend(steps)
+            return orig(steps, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(dz, "_legacy_check", check)
+            res = design(ch, cfg)
+        assert len(seen) == res.iters
+        act_tol = cfg.solver.active_tol_scale * ch.p_max
+        for step, gap in zip(seen, res.path_gap_trace, strict=True):
+            state = make_state(EffectiveChannel(step.cols), step.q, ch.sigma2)
+            p = transform_power(build_duality_data(state, act_tol), ch.sigma2)
+            assert gap == float(np.abs(p - step.q).max())
 
 
 def test_failed_plain_solve_carries_its_certificate(monkeypatch):
@@ -284,7 +313,7 @@ def test_unfactorable_downlink_covariance_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the legacy transform as a check beside p := q (path "both")
+# the legacy transform as a check over the accepted iterates (path "both")
 
 def test_compare_paths_agreement_and_timing():
     ch, cfg = small_channel(20), DesignConfig(path=BOTH, seed=20)
@@ -308,6 +337,80 @@ def test_simplified_path_runs_no_legacy_check():
     assert res.transform_times == [] and res.path_gap_trace == []
     assert len(res.shortcut_times) == res.iters
     assert np.array_equal(res.downlink.powers, res.uplink.powers)
+
+
+def test_legacy_check_runs_once_per_design(monkeypatch):
+    # one `_powers` call per design on path "both", on every accepted
+    # iterate at once, and none on the other path
+    rows, orig = [], dz._powers
+
+    def powers(Q, *args):
+        rows.append(len(Q))
+        yield from orig(Q, *args)
+
+    monkeypatch.setattr(dz, "_powers", powers)
+    ch = loop_channel(1000)
+    res = design(ch, DesignConfig(path=BOTH))
+    assert res.iters > 1 and rows == [res.iters]
+    assert len(res.path_gap_trace) == len(res.transform_times) == res.iters
+    rows.clear()
+    design(ch, DesignConfig())
+    assert rows == []
+
+
+@pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES, ids=ARRAY_STEP_IDS)
+def test_legacy_check_is_an_observer(dims, kw):
+    # the check never steers the design: both paths take the same iterates
+    for seed in (1000, 1001, 1002):
+        ch = gen_channel(dims, 1.0, 10.0, seed=seed)
+        both, plain = (design(ch, DesignConfig(**dict(kw, path=path)))
+                       for path in (BOTH, SIMPLIFIED))
+        assert both.smse_trace == plain.smse_trace
+        assert (both.iters, both.rejected) == (plain.iters, plain.rejected)
+        assert both.solve_steps == plain.solve_steps
+        for a, b in ((both.uplink, plain.uplink),
+                     (both.downlink, plain.downlink)):
+            assert np.array_equal(a.powers, b.powers)
+            for x, y in zip(a.by_user, b.by_user, strict=True):
+                assert np.array_equal(x, y)
+
+
+#: At sigma2 = 1e-12 the transform matrix of the first iterate of these
+#: L_tot > M designs is too ill-conditioned for the legacy check.
+SINGULAR_DIMS = SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_failed_legacy_check_raises_its_error(seed):
+    ch = gen_channel(SINGULAR_DIMS, 1e-12, 10.0, seed=seed)
+    with pytest.raises(SingularTransformError) as ei:
+        design(ch, DesignConfig(path=BOTH))
+    assert str(ei.value) == \
+        "power-transform matrix condition number exceeds 1e12"
+    # the same design without the check converges
+    assert design(ch, DesignConfig()).converged
+
+
+def test_legacy_check_error_comes_before_loop_errors(monkeypatch):
+    # the check error of the first iterate wins over the cap's
+    # ConvergenceError and over a later plain step's failure
+    ch = gen_channel(SINGULAR_DIMS, 1e-12, 10.0, seed=1)
+    with pytest.raises(SingularTransformError):
+        design(ch, DesignConfig(path=BOTH, max_outer_iters=1))
+    orig, calls = dz._step, []
+
+    def step(*args):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NumericsError("downlink covariance not positive definite")
+        return orig(*args)
+
+    monkeypatch.setattr(dz, "_step", step)
+    with pytest.raises(SingularTransformError):
+        design(ch, DesignConfig(path=BOTH))
+    calls.clear()
+    with pytest.raises(NumericsError):
+        design(ch, DesignConfig())
 
 
 def test_single_stream_instance_conversion_exact():
