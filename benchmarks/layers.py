@@ -101,6 +101,13 @@ LAYERS = {
     "check_B50": ("us", "duality._check per trial, one call on the stacked "
                         "solved trials of M=4 K=2 N=(2,2) L=(2,2) sigma2=1 "
                         "P=10, seeds 1-50"),
+    "check_B4_M64": ("us", "duality._check per trial, one call on the "
+                           "stacked solved trials of M=64 K=32 N_k=2 L_k=1 "
+                           "sigma2=1 P=10, seeds 1-4"),
+    "design_step_M64_K32": ("us", "designer._step per call, median over the "
+                                  "calls of one design (10 accepted "
+                                  "iterates, simplified_pq) at M=64 K=32 "
+                                  "N_k=2 L_k=1 sigma2=1 P=10, gen seed 1"),
     "emit_verify50": ("us", "cli._emit of one `verify --trials 50` report "
                             "(dims 4,2,2,2,2,2, sigma2=1 P=10, seed base "
                             "1) to a file, per call"),
@@ -282,27 +289,53 @@ def _layers(pkg, paths: list) -> dict:
     out["solve_stack_B4_M64_kernel_calls"] = kernel_calls(
         lambda: solver._solve_stack(large_cols, 1.0, 10.0))
 
-    theorem, stack = [], []
+    theorem = []
     for ch, up, eff in instances(small, range(1, 51)):
         try:
             q, cert = solver.solve_power(eff, ch.sigma2, ch.p_max)
         except pkg.DualPrecError:
             continue
-        stack.append((ch, up, cert.state))
         theorem.append(lambda ch=ch, up=up, q=q, st=cert.state:
                        duality.verify_theorem(ch, up, q, state=st))
     out["verify_theorem"] = (theorem, lambda t: statistics.median(t) * 1e6)
-    chs, ups, states = zip(*stack)
-    p_max = np.array([ch.p_max for ch in chs])
-    checked = (np.array([st.q for st in states]),
-               np.array([st.Jinv_cols for st in states]),
-               cols(st.eff for st in states),
-               [np.array([ch.H[k] for ch in chs]) for k in range(small.K)],
-               [np.array([up.by_user[k] for up in ups])
-                for k in range(small.K)], small,
-               np.array([ch.sigma2 for ch in chs]), p_max, 1e-9 * p_max)
-    out["check_B50"] = _rounds([lambda: duality._check(*checked)],
-                               lambda t: t[0] / len(stack) * 1e6)
+
+    def checked(dims, seeds):
+        """`duality._check`'s arguments on the solved trials of ``seeds``,
+        as `verify` makes them: the channel and beamformer stacks in the
+        form this side's `model.gen_stacks` gives and its `_check`
+        takes (per user, or per run of equal-shape users)."""
+        H, V, cs = pkg.model.gen_stacks(dims, seeds)
+        res = solver._solve_stack(cs, 1.0, 10.0)
+        ok = np.array([e is None for e in res.err])
+        B = int(np.count_nonzero(ok))
+        return (res.q[ok], res.a[ok], cs[ok], [h[ok] for h in H],
+                [v[ok] for v in V], dims, np.full(B, 1.0), np.full(B, 10.0),
+                np.full(B, 1e-8)), B
+
+    for name, dims, seeds in (("check_B50", small, range(1, 51)),
+                              ("check_B4_M64", large, range(1, 5))):
+        args, B = checked(dims, seeds)
+        out[name] = _rounds([lambda a=args: duality._check(*a)],
+                            lambda t, B=B: t[0] / B * 1e6)
+
+    # the steps of one large-m design, captured as this side's design makes
+    # them (so in its own signature) and replayed
+    steps, step = [], designer._step
+
+    def capture(*args):
+        steps.append(args)
+        return step(*args)
+
+    designer._step = capture
+    try:
+        designer.design(pkg.gen_channel(large, 1.0, 10.0, seed=1),
+                        designer.DesignConfig(max_outer_iters=10))
+    except pkg.DualPrecError:
+        pass
+    finally:
+        designer._step = step
+    out["design_step_M64_K32"] = ([lambda a=a: step(*a) for a in steps],
+                                  lambda t: statistics.median(t) * 1e6)
     out["design_outer_iter"] = _rounds(
         [lambda ch=ch: designer.design(ch, designer.DesignConfig(path="both"))
          for ch in chans], lambda t: sum(t) / sum(iters) * 1e3)
@@ -507,7 +540,7 @@ def main(argv=None) -> int:
                         "untimed warm-up call, garbage collector off; "
                         "solve_stack_B50, solve_stack_B4_M64, gen_stacks, "
                         "gen_channel, "
-                        "check_B50, emit_verify50, "
+                        "check_B50, check_B4_M64, emit_verify50, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "

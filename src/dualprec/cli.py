@@ -9,7 +9,7 @@ through one writer, `_jsontext.dumps`, which gives the bytes of
 ``json.dumps(payload, indent=1)``.
 
 Exit codes: 0 success, 2 usage or validation error, 3 convergence
-failure, 4 theorem-bound violation.
+failure or a failed legacy transform check, 4 theorem-bound violation.
 """
 
 from __future__ import annotations
@@ -528,7 +528,7 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as e:
         print(f"{ns.command}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, NumericsError) as e:  # no result to report
+    except DualPrecError as e:  # a failed solve or transform: no report
         print(f"{ns.command}: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

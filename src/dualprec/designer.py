@@ -8,11 +8,12 @@ warm-started from the last q), (2) the unit MMSE directions of its
 receivers J^-1 htil_l as downlink beamformers with the downlink powers
 p := q, which the transpose symmetry of the coupling matrix justifies at
 a certified q, then (3) the role swap: the normalized downlink MMSE
-receivers, from one kernel call per antenna count on the dual channels
-H_k^H Ubar, are G(vbar).  The channel stacks both ends read are built
-once per design.  On ``path="both"`` the legacy duality transform
+receivers, from one kernel call and one normalization per run of users
+with equal (N_k, L_k) on the dual channels H_k^H Ubar, are G(vbar).  The
+beamformers stay run stacks, and the channel stacks both ends read are
+built once per design.  On ``path="both"`` the legacy duality transform
 (`duality._powers`) feeds neither the role swap nor the safeguard: it runs
-once the loop ends or raises, as one stack of the accepted iterates.
+once the loop ends or raises, stacked over the accepted iterates.
 
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
@@ -45,8 +46,8 @@ from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, _effective_cols, _norms, _run_stacks, _runs,
                     is_count, is_real, random_unit_precoders, validate)
-from .objective import _covariance, _dual_stacks, _unit_rows
-from .solver import SolverConfig, _certify, _solve_stack
+from .objective import _covariance, _unit_rows
+from .solver import STACK_BYTES, SolverConfig, _certify, _solve_stack
 
 SIMPLIFIED = "simplified_pq"
 BOTH = "both"
@@ -96,25 +97,23 @@ class DesignResult:
 class _Step(NamedTuple):
     """One evaluation of the plain map at the uplink beamformers vbar."""
 
-    vbar: list              # per-user N_k x L_k blocks
+    vbar: list              # per run of users n x N_k x L_k blocks
     q: np.ndarray           # certified uplink powers
     smse: float             # certified sum-MSE at (vbar, q)
     ubar: np.ndarray        # M x L_tot unit downlink beamformers
-    g: list                 # G(vbar): the next plain iterate
+    g: list                 # G(vbar): the next plain iterate, as vbar
     t_shortcut: float
     steps: int              # Newton steps of the power solve
-    a: np.ndarray           # receivers J^-1 Htil at q (M x L_tot)
-    cols: np.ndarray        # effective columns Htil of vbar (M x L_tot)
+    a: np.ndarray | None    # path "both": receivers J^-1 Htil at q (M x L)
+    cols: np.ndarray | None  # path "both": effective columns of vbar
 
 
 @dataclass(frozen=True)
 class _Instance(ChannelSet):
-    """The instance with what every step of its design reads: its runs of
-    users with equal (N_k, L_k) (`model._runs`), its channels per run
-    (`model._run_stacks`) and its H_k^H per antenna count
-    (`objective._dual_stacks`)."""
+    """The instance with what every step of its design reads: its channels
+    per run of users with equal (N_k, L_k) (`model._run_stacks`) and their
+    H_k^H (n x N_k x M)."""
 
-    shapes: tuple = ()
     runs: tuple = ()
     dual: tuple = ()
 
@@ -130,15 +129,16 @@ def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
 
 
 def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
-    """Certified power solve at vbar (warm-started from q0), the downlink
-    powers p := q and the role swap to G(vbar), on the array cores at B = 1.
+    """Certified power solve at vbar (per run of users, n x N_k x L_k;
+    warm-started from q0), the downlink powers p := q and the role swap
+    to G(vbar), on the array cores at B = 1.
 
     A failed power solve raises its error, a ConvergenceError with its
     best iterate and certificate; a downlink covariance the kernel
     rejects raises NumericsError.
     """
     d = ch.dims
-    cols = _effective_cols(d, ch.runs, _run_stacks(ch.shapes, vbar))
+    cols = _effective_cols(d, ch.runs, [v[None] for v in vbar])
     res = _solve_stack(cols, ch.sigma2, ch.p_max, cfg.solver, q0)
     if res.err[0] is not None:
         raise _certify(res, [EffectiveChannel(cols[0])], ch.sigma2)[0]
@@ -151,47 +151,52 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
 
     # the unit MMSE directions (`objective.mmse_directions`) and the role
     # swap: the normalized downlink MMSE receivers, from the kernel on the
-    # dual channels H_k^H Ubar at q := p; a stream with p = 0 has a zero
+    # dual channels H_k^H Ubar at q := p, one call per run whose user j
+    # keeps the run's j-th block of streams; a stream with p = 0 has a zero
     # receiver and keeps its vbar
     At = np.ascontiguousarray(res.a[0].T)
     ubar = _unit_rows(At, _norms(At, 1)).T
-    g, s = [None] * d.K, np.sqrt(p)
-    for users, Hh in ch.dual:
+    g, s, end = [], np.sqrt(p), 0
+    for Hh, v in zip(ch.dual, vbar):
         A, f, _ = _covariance(Hh @ ubar, p[None], ch.sigma2)
         if math.isnan(np.add.reduce(f)):
             raise NumericsError("downlink covariance not positive definite "
                                 "or not finite")
-        X = A * s
-        for k, x, n in zip(users, X, _norms(X, 1)):
-            idx = d.user_streams(k)
-            g[k] = np.divide(x[:, idx], n[idx], out=vbar[k].copy(),
-                             where=n[idx] > 0)
+        (n, N, c), X = v.shape, A * s
+        j, end, run = np.arange(n), end + n * c, slice(end, end + n * c)
+        x = X[:, :, run].reshape(n, N, n, c)[j, :, j]
+        nrm = _norms(X, 1)[:, run].reshape(n, n, c)[j, j][:, None]
+        g.append(np.divide(x, nrm, out=v.copy(), where=nrm > 0))
     smse = d.L_tot - d.M + float(ch.sigma2) * res.f.tolist()[0]
-    return _Step(vbar, q, smse, ubar, g, t_sc, int(res.steps[0]), res.a[0],
-                 cols[0])
+    return _Step(vbar, q, smse, ubar, g, t_sc, int(res.steps[0]),
+                 *((res.a[0], cols[0]) if cfg.path == BOTH else (None,) * 2))
 
 
 def _legacy_check(steps: list, ch: ChannelSet, cfg: DesignConfig):
-    """On path "both", the legacy transform (`duality._powers`) as one
-    stack over the accepted iterates ``steps``: per iterate max |legacy
-    p - q| and an even share of the stack's time, or the error of the
-    first iterate whose transform fails.  ([], []) on the other path."""
-    n = len(steps) if cfg.path == BOTH else 0
-    if n == 0:
-        return [], []
-    t0, gaps, err = time.perf_counter(), np.full(n, math.nan), [None] * n
-    Q, A, CS = (np.array(x) for x in zip(*((s.q, s.a, s.cols) for s in steps)))
-    tols = np.full(n, cfg.solver.active_tol_scale * ch.p_max)
-    for rows, g, P in _powers(Q, A, CS, tols, np.full(n, float(ch.sigma2)),
-                              err):
-        gaps[rows] = np.abs(P - g.q).max(axis=1)
-    if any(err):
-        raise next(e for e in err if e is not None)
-    return gaps.tolist(), [(time.perf_counter() - t0) / n] * n
+    """On path "both", the legacy transform (`duality._powers`) over the
+    accepted iterates ``steps``, stacked in chunks whose receivers and
+    columns take at most `STACK_BYTES`: per iterate max |legacy p - q| and
+    an even share of the time, or the error of the first iterate whose
+    transform fails.  ([], []) on the other path."""
+    n, gaps = len(steps) if cfg.path == BOTH else 0, []
+    t0, size = time.perf_counter(), max(1, STACK_BYTES // (
+        32 * ch.dims.M * ch.dims.L_tot))
+    tol = cfg.solver.active_tol_scale * ch.p_max
+    for i in range(0, n, size):
+        Q, A, CS = (np.array(x) for x in zip(*(
+            (s.q, s.a, s.cols) for s in steps[i:i + size])))
+        err, gap = [None] * len(Q), np.full(len(Q), math.nan)
+        for rows, g, P in _powers(Q, A, CS, np.full(len(Q), tol),
+                                  np.full(len(Q), float(ch.sigma2)), err):
+            gap[rows] = np.abs(P - g.q).max(axis=1)
+        if any(err):
+            raise next(e for e in err if e is not None)
+        gaps += gap.tolist()
+    return gaps, [(time.perf_counter() - t0) / max(n, 1)] * n
 
 
 def _stack(blocks: list) -> np.ndarray:
-    """Per-user complex blocks as one real vector."""
+    """Complex blocks (per run of users) as one real vector."""
     return np.concatenate([b.ravel() for b in blocks]).view(float)
 
 
@@ -205,19 +210,18 @@ def _anderson(xs, gs) -> np.ndarray:
     return G[:, -1] - (G[:, 1:] - G[:, :-1]) @ gamma
 
 
-def _unit_blocks(x: np.ndarray, shapes) -> list | None:
-    """The stacked vector x as per-user blocks, every column scaled to
-    unit norm, one stack per run (n, (N_k, L_k)) of ``shapes``; None when
-    a column is zero or non-finite."""
-    z = x.view(complex)
-    out, start = [], 0
-    for n, shape in shapes:
-        blk = z[start:start + n * shape[0] * shape[1]].reshape(n, *shape)
-        start += blk.size
+def _unit_blocks(x: np.ndarray, like: list) -> list | None:
+    """The stacked vector x as blocks shaped as the run stacks ``like``
+    (n x N_k x L_k), every column scaled to unit norm; None when a column
+    is zero or non-finite."""
+    z, out, start = x.view(complex), [], 0
+    for v in like:
+        blk = z[start:start + v.size].reshape(v.shape)
+        start += v.size
         norms = _norms(blk, 1)
         if np.count_nonzero((norms > 0) & (norms < math.inf)) < norms.size:
             return None
-        out.extend(blk / norms[:, None, :])
+        out.append(blk / norms[:, None, :])
     return out
 
 
@@ -232,7 +236,7 @@ def _iterate(inst: _Instance, x0: list, cfg: DesignConfig, steps: list):
     while len(steps) < cfg.max_outer_iters:
         nxt = None
         if len(xs) >= 2:
-            cand = _unit_blocks(_anderson(xs, gs), inst.shapes)
+            cand = _unit_blocks(_anderson(xs, gs), cur.vbar)
             if cand is not None:
                 try:
                     nxt = _step(inst, cand, cur.q, cfg)
@@ -272,12 +276,13 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
         raise ValidationError("; ".join(bad))
     d = ch.dims
     shapes = tuple(_runs(d.N, d.L))
-    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, shapes,
-                     _run_stacks(shapes, ch.H), _dual_stacks(ch))
+    runs = _run_stacks(shapes, ch.H)
+    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, runs,
+                     [h[0].conj().swapaxes(1, 2) for h in runs])
     steps = []
     try:
-        converged, rejected = _iterate(inst, _init_uplink_dirs(ch, cfg),
-                                       cfg, steps)
+        converged, rejected = _iterate(inst, [v[0] for v in _run_stacks(
+            shapes, _init_uplink_dirs(ch, cfg))], cfg, steps)
     except Exception:
         _legacy_check(steps, ch, cfg)  # its error comes before the loop's
         raise
@@ -285,7 +290,8 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
 
     cur = steps[-1]
     result = DesignResult(
-        uplink=PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(cur.vbar),
+        uplink=PrecoderSet(direction=VIRTUAL_UPLINK,
+                           by_user=tuple(b for v in cur.vbar for b in v),
                            powers=cur.q),
         downlink=PrecoderSet(direction=DOWNLINK,
                              by_user=tuple(cur.ubar[:, d.user_streams(k)]

@@ -17,13 +17,14 @@ is a plain copy.
 
 One stacked kernel computes all of it on arrays: per row the powers q,
 the receivers J^-1 Htil and the columns Htil, and for the theorem check
-the per-user channel and beamformer stacks.  It gathers each row's
+the channel and beamformer stacks of each run of users.  It gathers each row's
 active streams, groups the rows by active count m, and runs every step
 of a group on B x m x m stacks: beta, D, Psi and eps (`_groups`), the
 transform with its condition and negative-power tests and the downlink
 powers it gives (`_powers`, which the design loop's legacy check also
 runs), and for the theorem check the downlink MSEs under the factored
-receivers and the three gaps (`_check`).  A row that fails a test gets
+receivers and the three gaps (`_check`, per run of equal-shape users:
+one product and one slice of streams each).  A row that fails a test gets
 its error and leaves its group; the other rows go on.  Every stacked
 step is elementwise, an exact max, a LAPACK call per slice, or a matmul
 or sum whose slices keep the layout the computation on one instance
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import (InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
-from .model import (ChannelSet, PrecoderSet, _norms,
+from .model import (ChannelSet, PrecoderSet, _norms, _run_stacks, _runs,
                     build_effective_channel)
 from .objective import UplinkState, _unit_rows, make_state
 from .solver import SolverConfig
@@ -303,8 +304,9 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
         raise ValidationError("state is not the uplink state at q")
     cfg = cfg or SolverConfig()
     p_max = np.array([ch.p_max])
+    runs = _runs(ch.dims.N, ch.dims.L)
     res = _check(state.q[None], state.Jinv_cols[None], state.eff.cols[None],
-                 [h[None] for h in ch.H], [v[None] for v in uplink.by_user],
+                 _run_stacks(runs, ch.H), _run_stacks(runs, uplink.by_user),
                  ch.dims, np.array([ch.sigma2]), p_max,
                  cfg.active_tol_scale * p_max)
     if res.err[0] is not None:
@@ -315,9 +317,9 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
 def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
     """The theorem check on each row of a stack of one ``dims``: powers
     ``Q``, receivers ``A`` and columns ``CS`` as `_groups` takes them,
-    per user k the channels H[k] (B x M x N_k) and uplink beamformers
-    V[k] (B x N_k x L_k), and per row sigma2, p_max and the activity
-    threshold ``tols`` (B).
+    per run of n users with equal (N_k, L_k) (`model._runs`) the channels
+    H[r] (B x n x M x N_k) and uplink beamformers V[r] (B x n x N_k x
+    L_k), and per row sigma2, p_max and the activity threshold ``tols``.
 
     Returns the downlink powers p (B x L), gaps (B x 4: the Psi
     asymmetry, the p-q and MSE gaps and the downlink sum power) and per
@@ -340,7 +342,7 @@ def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
 
 
 def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
-    """Downlink per-stream MSEs (B x L) of the rows ``rows`` of the
+    """Downlink per-stream MSEs (B x L) of the rows ``rows`` of the run
     stacks ``H`` and ``V`` (as `_check` takes them, of dims ``d``), a
     group of `_groups`, at powers P under the unit MMSE directions as
     beamformers and the duality-factored receivers
@@ -358,29 +360,24 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     # beta_l / sqrt(p_l) where the receiver is on, else 0
     scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
     # row l: coef_lj = sqrt(p_j) v_l^H H_k^H ubar_j, k the owner of stream l;
-    # the users of equal (N_k, L_k) form one stack
-    B, groups = len(P), {}
-    for k in range(d.K):
-        groups.setdefault((d.N[k], d.L[k]), []).append(k)
-    coef = np.empty((B, d.L_tot, d.L_tot), dtype=complex)
+    # a run's streams are one block, its H_k^H one conj-transposed stack
+    B, L = P.shape
+    coef = np.empty((B, L, L), dtype=complex)
     v_norms = np.empty(P.shape)
-    for (n_k, l_k), users in groups.items():
-        U = len(users)
-        idx = np.concatenate(
-            [np.arange(d.L_tot)[d.user_streams(k)] for k in users])
-        Vu = np.empty((B, U, n_k, l_k), dtype=complex)
-        Hu = np.empty((B, U, d.M, n_k), dtype=complex)
-        for j, k in enumerate(users):  # copies of the group's rows
-            Vu[:, j], Hu[:, j] = (V[k], H[k]) if B == len(H[k]) else (
-                V[k][rows], H[k][rows])
-        Vu *= scale[:, idx].reshape(B, U, 1, l_k)
-        np.conjugate(Hu, out=Hu)  # in place: no second copy
-        HU = Hu.swapaxes(2, 3) @ Ubar.swapaxes(1, 2)[:, None]
-        coef[:, idx] = (Vu.conj().swapaxes(2, 3) @ HU).reshape(B, -1, d.L_tot)
-        v_norms[:, idx] = _norms(Vu, 2).reshape(B, -1)
+    end = 0
+    for h, v in zip(H, V):
+        h, v = (h, v) if len(h) == B else (h[rows], v[rows])
+        _, n, N, c = v.shape
+        end, run = end + n * c, slice(end, end + n * c)
+        v = v * scale[:, run].reshape(B, n, 1, c)
+        Hh = np.conjugate(h.swapaxes(1, 2), order="C").reshape(
+            B, d.M, n * N).swapaxes(1, 2)
+        HU = (Hh @ Ubar.swapaxes(1, 2)).reshape(B, n, N, L)
+        coef[:, run] = (v.conj().swapaxes(2, 3) @ HU).reshape(B, n * c, L)
+        v_norms[:, run] = _norms(v, 2).reshape(B, -1)
     coef *= np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2
-    cross.reshape(len(P), -1)[:, ::d.L_tot + 1] = 0.0
+    cross.reshape(len(P), -1)[:, ::L + 1] = 0.0
     m = (np.abs(np.diagonal(coef, axis1=1, axis2=2) - 1.0) ** 2
          + np.add.reduce(cross, axis=2) + sigma2[:, None] * v_norms ** 2)
     return np.where(live, m, 1.0)

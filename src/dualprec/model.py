@@ -20,9 +20,9 @@ generator ``np.random.default_rng(seed)`` gives; only the hashing of the
 seeds into PCG64 states (numpy's SeedSequence algorithm) is done here,
 for all the seeds of a call in one array pass (`_seed_words`).  Each run
 of consecutive users with equal (N_k, L_k) is one more stacked axis: per
-run, one reshape of the draws, one divide (by sqrt 2, or by the column
-norms), one unit-norm check and one stacked matmul for the effective
-columns, and each user's blocks are views of its run's stack.  One draw
+run, one reshape of the draws, one divide by the column norms, one
+unit-norm check and one stacked matmul for the effective columns, and
+`gen_stacks` returns the run stacks as they are.  One draw
 of n1 + n2 + ... normals is bitwise the draws of n1, n2, ... one after
 the other, and the other steps are elementwise or slice by slice, so
 every instance is bitwise what `gen_channel`, `random_unit_precoders`
@@ -173,24 +173,24 @@ def gen_channels(dims: SystemDims, sigma2: float, p_max: float,
 
 
 def gen_stacks(dims: SystemDims, seeds) -> tuple:
-    """The instances of ``seeds``, as stacks of B = len(seeds): per user k
-    the channels (B x M x N_k, slice b what `gen_channel` draws for
-    seeds[b]) and the uplink beamformers (B x N_k x L_k, what
+    """The instances of ``seeds``, as stacks of B = len(seeds): per run of
+    n consecutive users with equal (N_k, L_k) (`_runs`) the channels
+    (B x n x M x N_k; [b, j] is what `gen_channel` draws for seeds[b] and
+    the run's user j) and the uplink beamformers (B x n x N_k x L_k, what
     `random_unit_precoders` draws for [seeds[b], PRECODER_TAG]), and the
     effective columns (B x M x L_tot, `build_effective_channel` of the
     two), all bitwise.
 
     The B channel seeds and the B tagged precoder seeds are hashed in one
     `_seed_words` pass, and each of their generators makes one draw; the
-    dims are checked once for the whole stack and the unit norms once per
-    run of equal-shape users, whose blocks are views of one stack.
+    dims are checked once, and the unit norms once per run.
     """
     _check_dims(dims)
     B = len(seeds)
     words = _seed_words([*seeds, *([s, PRECODER_TAG] for s in seeds)])
     H = _channels(dims, words[:B])
     V = _unit_columns(dims.N, dims.L, words[B:])
-    return _users(H), _users(V), _effective_cols(dims, H, V)
+    return H, V, _effective_cols(dims, H, V)
 
 
 def _check_dims(dims: SystemDims) -> None:
@@ -212,9 +212,10 @@ def _users(stacks) -> tuple:
 
 def _channels(dims: SystemDims, words) -> list:
     """Per run of users with equal (N_k, L_k) the B x n x M x N_k stack
-    of the channels of the seeds hashed to ``words``."""
-    return [np.divide(x, np.sqrt(2.0), out=x) for x in _gaussians(
-        words, [(n, (dims.M, N)) for n, (N, _) in _runs(dims.N, dims.L)])]
+    of the channels of the seeds hashed to ``words``, their normals times
+    1/sqrt 2 (bitwise numpy's complex division by sqrt 2)."""
+    return _gaussians(words, [(n, (dims.M, N)) for n, (N, _) in _runs(
+        dims.N, dims.L)], 1.0 / np.sqrt(2.0))
 
 
 def _unit_columns(rows, cols, words) -> list:
@@ -225,21 +226,22 @@ def _unit_columns(rows, cols, words) -> list:
             for x in _gaussians(words, _runs(rows, cols))]
 
 
-def _gaussians(words, runs) -> list:
+def _gaussians(words, runs, scale=1.0) -> list:
     """Per run (n, (r, c)) of ``runs`` the B x n x r x c stack of
-    circularly-symmetric complex Gaussians re + 1j im with unit-variance
-    parts.  Row b's generator is numpy's PCG64 seeded with the state
-    ``words[b]`` (numpy's ISeedSequence interface, so the instance is
-    bitwise ``np.random.default_rng(seed)``'s); it makes one draw of them
-    all, which is bitwise the draws of user 0's real parts, its
-    imaginary parts, user 1's real parts and so on one after the other,
-    and is dropped."""
+    circularly-symmetric complex Gaussians re + 1j im, whose parts are
+    ``scale`` times unit normals.  Row b's generator is numpy's PCG64
+    seeded with the state ``words[b]`` (numpy's ISeedSequence interface,
+    so the instance is bitwise ``np.random.default_rng(seed)``'s); it
+    makes one draw of them all, which is bitwise the draws of user 0's
+    real parts, its imaginary parts, user 1's real parts and so on one
+    after the other, and is dropped."""
     random = np.random  # imported here, at the first draw, not with dualprec
     random.bit_generator.ISeedSequence.register(_SeedState)
     sizes = [2 * n * r * c for n, (r, c) in runs]
     Z = np.empty((len(words), sum(sizes)))
     for z, w in zip(Z, words):
         random.Generator(random.PCG64(_SeedState(w))).standard_normal(out=z)
+    Z *= scale
     out, start = [], 0
     for (n, (r, c)), size in zip(runs, sizes):
         X = Z[:, start:start + size].reshape(len(Z), n, 2, r, c)
@@ -463,11 +465,8 @@ def _run_stacks(runs, blocks) -> list:
     """Per run of ``runs`` (`_runs` of the users' (N_k, L_k)) its users'
     ``blocks`` (one per user) as a stack of one, 1 x n x r x c, as
     `_effective_cols` takes them."""
-    out, k = [], 0
-    for n, _ in runs:
-        out.append(np.array(blocks[k:k + n])[None])
-        k += n
-    return out
+    users = iter(blocks)
+    return [np.array([next(users) for _ in range(n)])[None] for n, _ in runs]
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:

@@ -244,8 +244,9 @@ def downlink_mmse(ch: ChannelSet, Ubar, p):
     if not np.all(np.isfinite(p) & (p >= 0)):
         raise ValidationError("p must be finite and >= 0")
     X, mse = [None] * d.K, np.empty(d.L_tot)
-    for users, Hh in _dual_stacks(ch):
-        G = Hh @ Ubar
+    for users in ([k for k in range(d.K) if d.N[k] == n]
+                  for n in dict.fromkeys(d.N)):
+        G = np.array([ch.H[k] for k in users]).conj().swapaxes(1, 2) @ Ubar
         A, f, _ = _covariance(G, p[None], ch.sigma2)
         if math.isnan(np.add.reduce(f)):
             raise NumericsError("downlink covariance not positive definite "
@@ -255,12 +256,3 @@ def downlink_mmse(ch: ChannelSet, Ubar, p):
             idx = d.user_streams(k)
             X[k], mse[idx] = A[j][:, idx], m[j, idx]
     return tuple(X), mse
-
-
-def _dual_stacks(ch: ChannelSet) -> list:
-    """Per antenna count N the users k with N_k = N and their H_k^H,
-    stacked (U x N x M): the factors of `downlink_mmse`'s dual channels."""
-    d = ch.dims
-    return [(users, np.array([ch.H[k] for k in users]).conj().swapaxes(1, 2))
-            for users in ([k for k in range(d.K) if d.N[k] == n]
-                          for n in dict.fromkeys(d.N))]

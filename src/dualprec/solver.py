@@ -389,9 +389,10 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     could not be factored (such a row finishes at once).  Progress and
     the best iterate go by the absolute residual.  A row finishes at a
     trial (taken or not) that does not lower its best residual once its
-    best passes kkt_tol, or at the polish target; at a step that does not
-    lower it and predicts a decrease below the target; at max_iters; or
-    with no finite Newton step.  ``callback(q, f)`` fires after every
+    best passes kkt_tol, or once that residual or its relative gap is at
+    most the polish target (so the stop does not depend on the gains'
+    scale); at a step that does not lower it and predicts a decrease
+    below the target; at max_iters; or with no finite Newton step.  ``callback(q, f)`` fires after every
     step of every row.  Per row the loop holds the current iterate (q, f,
     G, A, r), the best (bq, br, ba, bf, bg and its mu_sum and relative
     gap, bmu and brel), the step (dq, t, slope) and its trial; no array
@@ -419,7 +420,8 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     every, evals = not np.count_nonzero(failed), 0
     while True:
         fail = brel > kkt_tol
-        go = better & (fail | (br > polish)) | fail & (slope < floor * bmu)
+        go = (better & (fail | (br > polish) & (brel > polish))
+              | fail & (slope < floor * bmu))
         if evals >= cfg.max_iters:  # a row takes at most a step per trial
             go &= steps < cfg.max_iters
         if not every:

@@ -149,10 +149,13 @@ def plain_design(ch, vbar, cfg=None):
 def object_step(ch, vbar, q0, cfg):
     """`designer._step` on the public object API: the effective channel of
     a `PrecoderSet`, `solve_power` (its steps counted by the callback),
-    and the role swap through `mmse_directions` and `downlink_mmse`; the
-    certificate's state gives what the legacy check reads."""
+    and the role swap through `mmse_directions` and `downlink_mmse`, user
+    by user; the certificate's state gives what the legacy check reads.
+    ``vbar`` and G(vbar) are stacks per run of users, as `_step` has
+    them."""
     d = ch.dims
-    up = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(vbar),
+    blocks = [b for v in vbar for b in v]
+    up = PrecoderSet(direction=VIRTUAL_UPLINK, by_user=tuple(blocks),
                      powers=q0 if q0 is not None else np.zeros(d.L_tot))
     steps = []
     q, cert = solve_power(build_effective_channel(ch, up), ch.sigma2,
@@ -168,10 +171,14 @@ def object_step(ch, vbar, q0, cfg):
         V = X[k] * np.sqrt(p[d.user_streams(k)])
         vn = np.linalg.norm(V, axis=0)
         nz = vn > 0
-        b = vbar[k].copy()
+        b = blocks[k].copy()
         b[:, nz] = V[:, nz] / vn[nz]
         g.append(b)
-    return _Step(vbar, q, sum_mse_uplink(cert.state), ubar, g, t_sc,
+    k, runs = 0, []
+    for v in vbar:
+        runs.append(np.array(g[k:k + len(v)]))
+        k += len(v)
+    return _Step(vbar, q, sum_mse_uplink(cert.state), ubar, runs, t_sc,
                  len(steps), cert.state.Jinv_cols, cert.state.eff.cols)
 
 

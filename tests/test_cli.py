@@ -476,6 +476,24 @@ def test_design_solver_failure_exit_3(fmt, instance, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_design_failed_legacy_check_exit_3(tmp_path, capsys):
+    # at sigma2 = 1e-12 and L_tot > M the legacy transform of the first
+    # iterate is too ill-conditioned: no report, one line, exit 3; the
+    # default path runs no check and reports the design
+    inst, out = tmp_path / "inst.json", tmp_path / "design.json"
+    assert run_cli(["gen", "--M", "8", "--K", "6", "--N", "2,2,2,2,2,2",
+                    "--L", "2,2,2,2,2,2", "--sigma2", "1e-12", "--pmax",
+                    "10", "--seed", "1", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert run_cli(["design", str(inst), "--path", "both",
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "design: power-transform matrix condition number exceeds 1e12\n")
+    assert not out.exists()
+    assert run_cli(["design", str(inst), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["converged"] is True
+
+
 @pytest.mark.parametrize("field,value", [
     ("M", 4.9), ("K", 2.0), ("N", [2.9, 2]), ("L", ["2", "2"]),
     ("seed", 3.7), ("M", True)],
@@ -622,8 +640,10 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
     (["--trials", "24", "--dims", ",".join(
         map(str, [64, 32] + [2] * 32 + [1] * 32))], [None] * 24),
     (["--trials", "130"], [None] * 130),  # across VERIFY_BATCH
+    # equal-shape users 0 and 2 are two runs, not one
+    (["--dims", "8,3,2,4,2,1,2,1"], [None] * 6),
 ], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable",
-        "large-m-24", "trials-130"])
+        "large-m-24", "trials-130", "mixed-shape"])
 def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
                                              tmp_path):
     # the stacked instances, solves and checks against one trial at a time

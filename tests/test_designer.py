@@ -16,6 +16,8 @@ from oracles import (RankError, legacy_smse_difference, normalize_covariance,
 
 #: The perfbench design-loop shape: N_k > L_k needs many outer iterations.
 LOOP_DIMS = SystemDims(M=4, K=2, N=(4, 4), L=(2, 2))
+#: The perfbench large-m shape: one run of 32 single-stream users.
+LARGE_DIMS = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
 
 
 def small_channel(seed=11):
@@ -224,14 +226,14 @@ ARRAY_STEP_CASES = [
     (SystemDims(M=8, K=2, N=(8, 2), L=(1, 1)), dict(path=BOTH)),
     (SystemDims(M=8, K=2, N=(8, 2), L=(1, 1)),
      dict(path=SIMPLIFIED, init_mode="channel_svd")),
+    # three runs, the first and last of one shape
+    (SystemDims(M=8, K=3, N=(2, 4, 2), L=(1, 2, 1)), dict(path=BOTH)),
 ]
 ARRAY_STEP_IDS = ["loop-both", "loop-simplified", "loop-svd", "N24-L12",
-                  "M8-both", "M8-svd"]
+                  "M8-both", "M8-svd", "mixed-runs"]
 
 
-@pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES,
-                         ids=["loop-both", "loop-simplified", "loop-svd",
-                              "N24-L12", "M8-both", "M8-svd"])
+@pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES, ids=ARRAY_STEP_IDS)
 def test_array_step_is_bitwise_the_object_step(monkeypatch, dims, kw):
     for seed in (1000, 1001, 1002):
         ch, cfg = gen_channel(dims, 1.0, 10.0, seed=seed), DesignConfig(**kw)
@@ -356,6 +358,44 @@ def test_legacy_check_runs_once_per_design(monkeypatch):
     rows.clear()
     design(ch, DesignConfig())
     assert rows == []
+
+
+@pytest.mark.parametrize("dims", [LOOP_DIMS, LARGE_DIMS], ids=["loop", "M64"])
+def test_legacy_check_chunks_do_not_change_its_gaps(monkeypatch, dims):
+    # a budget of one iterate per chunk against one chunk for them all
+    ch, cfg = gen_channel(dims, 1.0, 10.0, seed=1), \
+        DesignConfig(path=BOTH, max_outer_iters=12)
+    traces = []
+    for budget in (1, 1 << 30):
+        monkeypatch.setattr(dz, "STACK_BYTES", budget)
+        try:
+            res = design(ch, cfg)
+        except ConvergenceError as e:
+            res = e.partial
+        traces.append(res.path_gap_trace)
+    assert len(traces[0]) > 1 and traces[0] == traces[1]
+
+
+def test_design_memory_is_bounded():
+    # 200 accepted iterates at M = 64, K = 32: an iterate keeps its
+    # receivers and columns on path "both" only, and the check stacks
+    # them in chunks of at most STACK_BYTES
+    import tracemalloc
+
+    ch = gen_channel(LARGE_DIMS, 1.0, 10.0, seed=1)
+    peaks = {}
+    for path in (SIMPLIFIED, BOTH):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError) as ei:
+                design(ch, DesignConfig(path=path))
+            peaks[path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ei.value.partial.iters == 200
+    kept = 200 * 2 * 16 * LARGE_DIMS.M * LARGE_DIMS.L_tot
+    assert peaks[SIMPLIFIED] < 9 * 2 ** 20
+    assert peaks[BOTH] < peaks[SIMPLIFIED] + kept + 8 * dz.STACK_BYTES
 
 
 @pytest.mark.parametrize("dims,kw", ARRAY_STEP_CASES, ids=ARRAY_STEP_IDS)

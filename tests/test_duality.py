@@ -11,6 +11,8 @@ from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
                       transform_power_uplink, uplink_mse, verify_theorem)
 from dualprec.duality import (DualityData, DualityReport, _check,
                               _groups)
+from dualprec import solver
+from dualprec.model import _run_stacks, _runs, gen_stacks
 from dualprec.objective import UplinkState
 from oracles import check_equal_gradient_condition, stream_owner
 
@@ -327,10 +329,11 @@ def check_rows(rows):
     per row, in order, its DualityReport or the error of its check."""
     chs, ups, states = zip(*rows)
     d, p_max = chs[0].dims, np.array([ch.p_max for ch in chs])
-    res = _check(*stacks(states),
-                 [np.array([ch.H[k] for ch in chs]) for k in range(d.K)],
-                 [np.array([up.by_user[k] for up in ups])
-                  for k in range(d.K)], d,
+    runs = _runs(d.N, d.L)
+    H, V = ([np.concatenate(r) for r in zip(*(_run_stacks(runs, x)
+                                              for x in blocks))]
+            for blocks in ([ch.H for ch in chs], [up.by_user for up in ups]))
+    res = _check(*stacks(states), H, V, d,
                  np.array([ch.sigma2 for ch in chs]), p_max, 1e-9 * p_max)
     return [e if e is not None else DualityReport(p, st.q, *gaps)
             for e, p, st, gaps in zip(res.err, res.p, states,
@@ -375,6 +378,35 @@ def test_verify_theorems_bitwise_at_m64():
     reports = check_rows(rows)
     for (ch, up, st), rep in zip(rows, reports):
         assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
+
+
+def check_c_calls(K):
+    """The C functions (numpy's included) one `_check` calls on 4 solved
+    trials of K single-stream users, one run, at M = 64."""
+    import sys
+
+    dims = SystemDims(M=64, K=K, N=(2,) * K, L=(1,) * K)
+    H, V, cols = gen_stacks(dims, range(1, 5))
+    res = solver._solve_stack(cols, 1.0, 10.0)
+    assert res.err == [None] * 4
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        _check(res.q, res.a, cols, H, V, dims, np.full(4, 1.0),
+               np.full(4, 10.0), np.full(4, 1e-8))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_check_calls_do_not_grow_with_users():
+    # one product and one slice per run: no loop or call per user
+    assert check_c_calls(4) == check_c_calls(32)
 
 
 def bogus_state(state, a):

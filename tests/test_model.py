@@ -11,7 +11,7 @@ from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, DimensionError,
                       build_effective_channel, channel_from_dict,
                       channel_to_dict, gen_channel, load_instance,
                       random_unit_precoders, save_instance, validate)
-from dualprec.model import (PRECODER_TAG, _gaussians, _seed_words,
+from dualprec.model import (PRECODER_TAG, _gaussians, _runs, _seed_words,
                             _SeedState, gen_channels, gen_stacks)
 from oracles import (build_effective_channel_per_user, gen_channel_per_user,
                      precoder_violations, precoders_from_dict,
@@ -95,12 +95,11 @@ def test_gen_stacks_equal_per_seed_generation(dims):
     # whatever the stack
     seeds = range(3, 10)
     H, V, cols = gen_stacks(dims, seeds)
-    assert [h.shape for h in H] == [(7, dims.M, n) for n in dims.N]
+    runs = _runs(dims.N, dims.L)  # one stack per run of equal-shape users
+    assert [h.shape for h in H] == [(7, n, dims.M, N) for n, (N, _) in runs]
+    assert [v.shape for v in V] == [(7, n, N, c) for n, (N, c) in runs]
     assert cols.shape == (7, dims.M, dims.L_tot)
-    for k in range(dims.K - 1):  # a run's users are views of one stack
-        run = (dims.N[k], dims.L[k]) == (dims.N[k + 1], dims.L[k + 1])
-        assert (H[k].base is H[k + 1].base) == run
-        assert (V[k].base is V[k + 1].base) == run
+    H, V = ([x[:, j] for x in X for j in range(x.shape[1])] for X in (H, V))
     for b, seed in enumerate(seeds):
         ch = gen_channel_per_user(dims, 1.0, 10.0, seed=seed)
         up = random_unit_precoders_per_user(dims, VIRTUAL_UPLINK,
@@ -191,8 +190,8 @@ def test_seed_none_draws_fresh_entropy():
 def test_empty_seed_list_gives_empty_stacks():
     dims = SystemDims(M=4, K=3, N=(2, 2, 3), L=(2, 1, 1))
     H, V, cols = gen_stacks(dims, [])
-    assert [h.shape for h in H] == [(0, 4, 2), (0, 4, 2), (0, 4, 3)]
-    assert [v.shape for v in V] == [(0, 2, 2), (0, 2, 1), (0, 3, 1)]
+    assert [h.shape for h in H] == [(0, 1, 4, 2), (0, 1, 4, 2), (0, 1, 4, 3)]
+    assert [v.shape for v in V] == [(0, 1, 2, 2), (0, 1, 2, 1), (0, 1, 3, 1)]
     assert cols.shape == (0, 4, 4)
     assert gen_channels(dims, 1.0, 10.0, []) == []
 

@@ -13,6 +13,7 @@ from dualprec import (VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
                       random_unit_precoders, solve_power, verify_theorem)
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
+from dualprec.model import gen_stacks
 from dualprec.objective import _gram
 from oracles import (CostGuardError, active_set, brute_force_power,
                      kkt_certify)
@@ -606,6 +607,23 @@ def test_cold_m64_stack_kernel_calls(monkeypatch):
     assert all(isinstance(out, tuple)
                for out in solve_stack(effs, 1.0, 10.0))
     assert calls[0] <= 5
+
+
+def test_polish_stops_at_the_relative_target(monkeypatch):
+    # a certified row stops polishing once its absolute residual or its
+    # relative gap reaches the target: at sigma2 = 1e-4 the gains are large
+    # and the absolute residual alone took 7 kernel calls here
+    calls, kernel = [0], solver._covariance
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    _, _, cols = gen_stacks(DIMS_2x2, [30])
+    monkeypatch.setattr(solver, "_covariance", counted)
+    res = solver._solve_stack(cols, 1e-4, 10.0)
+    assert res.err == [None] and calls[0] == 3
+    assert res.rel[0] <= 1e-13
 
 
 # ---------------------------------------------------------------------------
