@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -303,14 +304,18 @@ def _layers(pkg, paths: list) -> dict:
         """`duality._check`'s arguments on the solved trials of ``seeds``,
         as `verify` makes them: the channel and beamformer stacks in the
         form this side's `model.gen_stacks` gives and its `_check`
-        takes (per user, or per run of equal-shape users)."""
+        takes (per user, or per run of equal-shape users), and sigma2,
+        P and the activity threshold 1e-9 P as its signature takes them
+        (per row, or one sigma2 and P)."""
         H, V, cs = pkg.model.gen_stacks(dims, seeds)
         res = solver._solve_stack(cs, 1.0, 10.0)
         ok = np.array([e is None for e in res.err])
         B = int(np.count_nonzero(ok))
+        link = (1.0, 10.0)
+        if "tols" in inspect.signature(duality._check).parameters:
+            link = (np.full(B, 1.0), np.full(B, 10.0), np.full(B, 1e-8))
         return (res.q[ok], res.a[ok], cs[ok], [h[ok] for h in H],
-                [v[ok] for v in V], dims, np.full(B, 1.0), np.full(B, 10.0),
-                np.full(B, 1e-8)), B
+                [v[ok] for v in V], dims) + link, B
 
     for name, dims, seeds in (("check_B50", small, range(1, 51)),
                               ("check_B4_M64", large, range(1, 5))):

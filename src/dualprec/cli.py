@@ -277,9 +277,7 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     take = slice(None) if len(ok) == len(records) else ok
     chk = duality._check(
         res.q[take], res.a[take], cols[take], [h[take] for h in H],
-        [v[take] for v in V], dims, np.full(len(ok), float(sigma2)),
-        np.full(len(ok), float(pmax)),
-        np.full(len(ok), scfg.active_tol_scale * float(pmax)))
+        [v[take] for v in V], dims, float(sigma2), float(pmax))
     _fill(records, ok, chk.err, chk.gaps.tolist(),
           ("psi_asymmetry", "pq_gap", "mse_gap", "sum_power_dl"))
     return records

@@ -47,7 +47,8 @@ from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, _effective_cols, _norms, _run_stacks, _runs,
                     is_count, is_real, random_unit_precoders, validate)
 from .objective import _covariance, _unit_rows
-from .solver import STACK_BYTES, SolverConfig, _certify, _solve_stack
+from .solver import (ACTIVE_TOL, STACK_BYTES, SolverConfig, _certify,
+                     _solve_stack)
 
 SIMPLIFIED = "simplified_pq"
 BOTH = "both"
@@ -95,13 +96,14 @@ class DesignResult:
 
 
 class _Step(NamedTuple):
-    """One evaluation of the plain map at the uplink beamformers vbar."""
+    """One evaluation of the plain map at the uplink beamformers vbar;
+    `_iterate` drops ubar and g from a step once the next is accepted."""
 
     vbar: list              # per run of users n x N_k x L_k blocks
     q: np.ndarray           # certified uplink powers
     smse: float             # certified sum-MSE at (vbar, q)
-    ubar: np.ndarray        # M x L_tot unit downlink beamformers
-    g: list                 # G(vbar): the next plain iterate, as vbar
+    ubar: np.ndarray | None  # M x L_tot unit downlink beamformers
+    g: list | None          # G(vbar): the next plain iterate, as vbar
     t_shortcut: float
     steps: int              # Newton steps of the power solve
     a: np.ndarray | None    # path "both": receivers J^-1 Htil at q (M x L)
@@ -181,13 +183,12 @@ def _legacy_check(steps: list, ch: ChannelSet, cfg: DesignConfig):
     n, gaps = len(steps) if cfg.path == BOTH else 0, []
     t0, size = time.perf_counter(), max(1, STACK_BYTES // (
         32 * ch.dims.M * ch.dims.L_tot))
-    tol = cfg.solver.active_tol_scale * ch.p_max
     for i in range(0, n, size):
         Q, A, CS = (np.array(x) for x in zip(*(
             (s.q, s.a, s.cols) for s in steps[i:i + size])))
         err, gap = [None] * len(Q), np.full(len(Q), math.nan)
-        for rows, g, P in _powers(Q, A, CS, np.full(len(Q), tol),
-                                  np.full(len(Q), float(ch.sigma2)), err):
+        for rows, g, P in _powers(Q, A, CS, ACTIVE_TOL * ch.p_max,
+                                  float(ch.sigma2), err):
             gap[rows] = np.abs(P - g.q).max(axis=1)
         if any(err):
             raise next(e for e in err if e is not None)
@@ -252,6 +253,7 @@ def _iterate(inst: _Instance, x0: list, cfg: DesignConfig, steps: list):
         if nxt is None:
             nxt = _step(inst, cur.g, cur.q, cfg)
         prev, cur, g = cur, nxt, _stack(nxt.g)
+        steps[-1] = prev._replace(ubar=None, g=None)  # only the last is read
         steps.append(cur)
         xs.append(x)
         gs.append(g)

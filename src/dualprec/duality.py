@@ -33,7 +33,7 @@ has, so a row's numbers are bitwise what a stack of one gives.
 arrays (its negative control `_psi_asymmetries`).  The public functions
 `build_duality_data`, `transform_power`, `transform_power_uplink` and
 `verify_theorem` are stacks of one over these cores; there are no list
-functions.
+functions.  A stack shares one sigma2, p_max and activity threshold.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (InfeasibleTransformError, NumericsError,
 from .model import (ChannelSet, PrecoderSet, _norms, _run_stacks, _runs,
                     build_effective_channel)
 from .objective import UplinkState, _unit_rows, make_state
-from .solver import SolverConfig
+from .solver import ACTIVE_TOL
 
 #: Condition number above which the transform matrix is rejected rather
 #: than solved; a near-singular transform means the MSE tuple is bogus,
@@ -104,11 +104,10 @@ def _asymmetry(Psi: np.ndarray) -> np.ndarray:
             / np.maximum(1.0, np.abs(Psi).max(axis=(1, 2))))
 
 
-def _groups(Q, A, CS, tols, err):
+def _groups(Q, A, CS, tol, err):
     """Beta, D, Psi and eps of each row of a stack of one shape: powers
     ``Q`` (B x L), receivers A = J^-1 Htil (B x M x L) and columns
-    ``CS`` (B x M x L), on the streams whose power exceeds the row's
-    threshold in ``tols`` (B).
+    ``CS`` (B x M x L), on the streams whose power exceeds ``tol``.
 
     The rows of one active count m form a group.  Yields (rows, g) per
     group: rows indexes the stack, and g holds q and the active mask on
@@ -120,7 +119,7 @@ def _groups(Q, A, CS, tols, err):
     At = np.ascontiguousarray(A.swapaxes(1, 2))
     Ct = np.ascontiguousarray(CS.swapaxes(1, 2))
     norms = _norms(At, 2)
-    on = Q > tols[:, None]
+    on = Q > tol
     m = np.add.reduce(on, axis=1)
     sizes = m.tolist()
     bad = (Q < 0) | (on & (norms == 0.0))
@@ -158,7 +157,7 @@ def _groups(Q, A, CS, tols, err):
 
 def _transform(beta, D, eps, coupling, sigma2):
     """Solve (diag(eps - D) - B2 coupling) x = sigma2 beta^2 for each row
-    of the stacks (B x m, coupling B x m x m, sigma2 of length B).
+    of the stacks (B x m, coupling B x m x m).
 
     Returns x (B x m, NaN on failed rows) and per row None or its error:
     a non-finite matrix, a condition number above `COND_LIMIT`, or a
@@ -175,7 +174,7 @@ def _transform(beta, D, eps, coupling, sigma2):
                          for a in A])
     ok = cond <= COND_LIMIT
     every = np.count_nonzero(ok) == B
-    rhs = (sigma2[:, None] * b2)[:, :, None]
+    rhs = (sigma2 * b2)[:, :, None]
     if every:
         x = np.linalg.solve(A, rhs)[:, :, 0]
     else:
@@ -200,16 +199,16 @@ def _transform(beta, D, eps, coupling, sigma2):
     return x, errs
 
 
-def _powers(Q, A, CS, tols, sigma2, err):
-    """The legacy transform on each row of a stack as `_groups` takes it,
-    with ``sigma2`` per row (B).
+def _powers(Q, A, CS, tol, sigma2, err):
+    """The legacy transform at noise power ``sigma2`` on each row of a
+    stack as `_groups` takes it.
 
     Yields (rows, g, P) per group of `_groups`, less its rows whose
     transform fails (each gets its error in ``err``): P holds the downlink
     powers (B x L), max(x, 0) on the active streams and 0 off them.
     """
-    for rows, g in _groups(Q, A, CS, tols, err):
-        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2[rows])
+    for rows, g in _groups(Q, A, CS, tol, err):
+        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2)
         if any(errs):
             for i, e in zip(rows.tolist(), errs):
                 err[i] = e
@@ -229,7 +228,7 @@ def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
     shape (as `_groups` takes it) over its powered streams; NaN on a row
     that gets its error in ``err``."""
     out = np.full(len(Q), math.nan)
-    for rows, g in _groups(Q, A, CS, np.zeros(len(Q)), err):
+    for rows, g in _groups(Q, A, CS, 0.0, err):
         out[rows] = _asymmetry(g.Psi)
     return out
 
@@ -244,8 +243,7 @@ def build_duality_data(state: UplinkState,
     """
     err = [None]
     for _, g in _groups(state.q[None], state.Jinv_cols[None],
-                        state.eff.cols[None], np.full(1, float(active_tol)),
-                        err):
+                        state.eff.cols[None], float(active_tol), err):
         return DualityData(beta=g.beta[0], D=g.D[0], Psi=g.Psi[0],
                            eps=g.eps[0], active=np.flatnonzero(g.on[0]),
                            n_streams=g.on.shape[1])
@@ -255,7 +253,7 @@ def build_duality_data(state: UplinkState,
 def _solve_transform(dd: DualityData, sigma2: float,
                      coupling: np.ndarray) -> np.ndarray:
     x, errs = _transform(dd.beta[None], dd.D[None], dd.eps[None],
-                         coupling[None], np.array([sigma2], dtype=float))
+                         coupling[None], float(sigma2))
     if errs[0] is not None:
         raise errs[0]
     out = np.zeros(dd.n_streams)
@@ -281,19 +279,18 @@ def transform_power_uplink(dd: DualityData, sigma2: float) -> np.ndarray:
     return _solve_transform(dd, sigma2, dd.Psi.T)
 
 
-def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
-                   cfg: SolverConfig | None = None,
+def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q, *,
                    state: UplinkState | None = None) -> DualityReport:
     """End-to-end theorem check at one power allocation.
 
     Builds the uplink MMSE operating point, converts it to the downlink
     via the transform with the MMSE directions as beamformers, evaluates
     the downlink MSEs, and reports the asymmetry of Psi together with the
-    p-q and MSE gaps.  Streams below the activity threshold are off in
-    both directions (MSE 1).  Meaningful bounds hold only when q carries
-    a passing KKT certificate; feeding a non-optimal q is how the
-    negative control is produced.  ``state`` is the uplink state at q
-    under ``uplink`` when the caller holds it (a solve's
+    p-q and MSE gaps.  Streams whose power is at most `solver.ACTIVE_TOL`
+    P are off in both directions (MSE 1).  Meaningful bounds hold only
+    when q carries a passing KKT certificate; feeding a non-optimal q is
+    how the negative control is produced.  ``state`` is the uplink state
+    at q under ``uplink`` when the caller holds it (a solve's
     ``certificate.state``); it is built from ``ch``, ``uplink`` and q
     otherwise.
     """
@@ -302,24 +299,22 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q,
         state = make_state(build_effective_channel(ch, uplink), q, ch.sigma2)
     elif not np.array_equal(state.q, q):
         raise ValidationError("state is not the uplink state at q")
-    cfg = cfg or SolverConfig()
-    p_max = np.array([ch.p_max])
     runs = _runs(ch.dims.N, ch.dims.L)
     res = _check(state.q[None], state.Jinv_cols[None], state.eff.cols[None],
                  _run_stacks(runs, ch.H), _run_stacks(runs, uplink.by_user),
-                 ch.dims, np.array([ch.sigma2]), p_max,
-                 cfg.active_tol_scale * p_max)
+                 ch.dims, float(ch.sigma2), float(ch.p_max))
     if res.err[0] is not None:
         raise res.err[0]
     return DualityReport(res.p[0], state.q, *res.gaps.tolist()[0])
 
 
-def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
+def _check(Q, A, CS, H, V, dims, sigma2, p_max):
     """The theorem check on each row of a stack of one ``dims``: powers
     ``Q``, receivers ``A`` and columns ``CS`` as `_groups` takes them,
     per run of n users with equal (N_k, L_k) (`model._runs`) the channels
     H[r] (B x n x M x N_k) and uplink beamformers V[r] (B x n x N_k x
-    L_k), and per row sigma2, p_max and the activity threshold ``tols``.
+    L_k), at noise power sigma2 and budget p_max, with the activity
+    threshold `solver.ACTIVE_TOL` p_max.
 
     Returns the downlink powers p (B x L), gaps (B x 4: the Psi
     asymmetry, the p-q and MSE gaps and the downlink sum power) and per
@@ -328,14 +323,14 @@ def _check(Q, A, CS, H, V, dims, sigma2, p_max, tols):
     B = len(Q)
     res = SimpleNamespace(p=np.full(Q.shape, math.nan),
                           gaps=np.full((B, 4), math.nan), err=[None] * B)
-    for rows, g, P in _powers(Q, A, CS, tols, sigma2, res.err):
+    for rows, g, P in _powers(Q, A, CS, ACTIVE_TOL * p_max, sigma2, res.err):
         eps_ul = np.ones(P.shape)
         eps_ul[g.on] = g.eps.ravel()
-        eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2[rows])
+        eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2)
         res.p[rows] = P
         res.gaps[rows] = np.array((
             _asymmetry(g.Psi),
-            np.abs(P - g.q).max(axis=1) / np.maximum(1.0, p_max[rows]),
+            np.abs(P - g.q).max(axis=1) / max(1.0, p_max),
             np.abs(eps_dl - eps_ul).max(axis=1),
             np.add.reduce(P, axis=1))).T
     return res
@@ -379,5 +374,5 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     cross = np.abs(coef) ** 2
     cross.reshape(len(P), -1)[:, ::L + 1] = 0.0
     m = (np.abs(np.diagonal(coef, axis1=1, axis2=2) - 1.0) ** 2
-         + np.add.reduce(cross, axis=2) + sigma2[:, None] * v_norms ** 2)
+         + np.add.reduce(cross, axis=2) + sigma2 * v_norms ** 2)
     return np.where(live, m, 1.0)

@@ -14,6 +14,8 @@ certificate at the returned q.  It passes on one scale-free test, the
 Frank-Wolfe gap P max_l g_l - sum_l q_l g_l (which bounds f(q) - f*;
 Jaggi, ICML 2013) over sum_l q_l g_l.  A row stops at a trial that does
 not lower its best residual once it passes, or at its rounding floor.
+That residual is in the units of the gains, so the steps do not depend
+on the units of sigma2 and P.  A power at most `ACTIVE_TOL` P is off.
 
 One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
 instances, one row each, from the first iterates `_start` takes for the
@@ -69,6 +71,9 @@ STACK_BYTES = 1 << 20
 #: averaged over sigma2 = 10, 1, ..., 1e-8: 3.02, 2.86, 2.87 and 3.00 at
 #: M = L = 4 (seeds 1-1000), 5.60, 5.30, 5.22 and 5.30 at M = L = 64.
 START_NOISE = 2.0
+#: A stream whose power is at most ACTIVE_TOL * p_max counts as inactive,
+#: in the certificate and in the theorem check.
+ACTIVE_TOL = 1e-9
 #: Constants as 0-d arrays, which numpy applies to an array faster.
 _Z, _ONE, _TWO, _ARM, _BT = map(np.array, (0.0, 1.0, 2.0, ARMIJO, BACKTRACK))
 
@@ -77,17 +82,12 @@ _Z, _ONE, _TWO, _ARM, _BT = map(np.array, (0.0, 1.0, 2.0, ARMIJO, BACKTRACK))
 class SolverConfig:
     kkt_tol: float = 1e-9
     max_iters: int = 10000
-    # q_l <= active_tol_scale * p_max counts as inactive
-    active_tol_scale: float = 1e-9
 
     def __post_init__(self):
         if not (is_real(self.kkt_tol) and 0 < self.kkt_tol < math.inf
-                and is_count(self.max_iters) and self.max_iters >= 1
-                and is_real(self.active_tol_scale)
-                and self.active_tol_scale >= 0):
-            raise ValidationError("kkt_tol must be finite and positive, "
-                                  "max_iters an integer >= 1 and "
-                                  "active_tol_scale nonnegative")
+                and is_count(self.max_iters) and self.max_iters >= 1):
+            raise ValidationError("kkt_tol must be finite and positive and "
+                                  "max_iters an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ def _progress(Q, G, p_max: float, active_tol: float, negative=_Z) -> tuple:
     """What a solve decides on at each row q of ``Q`` from its gains
     ``G``: mu_sum, the relative gap and, for q >= 0 (as every iterate
     is, whose largest ``negative`` power is +0), the largest absolute
-    residual, by value; every step is elementwise or an exact max or sum
-    along a row, so bitwise per row."""
+    residual, by value, in the units of the gains; every step is
+    elementwise or an exact max or sum along a row, so bitwise per row."""
     act = Q > active_tol
     # gains are sums of squares, so starting the max over the active ones
     # at 0 leaves it as it is (and gives 0 with none active)
@@ -161,8 +161,9 @@ def _progress(Q, G, p_max: float, active_tol: float, negative=_Z) -> tuple:
     # per stream the larger of `_kkt`'s stationarity and slackness terms:
     # d >= 0 if active, else -d for d < 0 and mu_l q_l = d q_l >= 0 else
     e = np.where(act, d, np.maximum(-d, d * Q))
-    r = np.maximum(np.maximum.reduce(e, axis=1), primal)
-    r = np.maximum(r, np.abs(mu_sum * excess))
+    # the budget terms times mu_sum / p_max: every term in units of gains
+    r = np.maximum(np.maximum.reduce(e, axis=1), primal * (mu_sum / p_max))
+    r = np.maximum(r, np.abs(mu_sum * excess) / p_max)
     # sum_l q_l g_l = tr J^-1 - sigma2 tr J^-2 does not cancel; where it is
     # 0 (q = 0, or gains that underflow) a gap > 0 is inf and 0 stays 0.
     # With every stream active the largest gain is mu_sum.
@@ -232,7 +233,7 @@ def _certify(res, effs, sigma2) -> list:
                           sigma2=float(sigma2),
                           Jinv_cols=res.a[j].copy(order="F"),
                           trace_jinv=f[j]) for j in done]
-    kkt = _kkt(res.q[done], res.g[done], res.p_max, res.act_tol)
+    kkt = _kkt(res.q[done], res.g[done], res.p_max, ACTIVE_TOL * res.p_max)
     for j, cert in zip(done, _certificates(kkt, states)):
         if res.err[j] is None:
             out[j] = (cert.state.q, cert)
@@ -247,13 +248,12 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
 
     Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
     the kernel computes it), f = tr J^-1 (B), steps (B), the gains g at q
-    (B x L) and the relative gap rel (B), with p_max and the activity
-    threshold act_tol that `_certify` forms the `_kkt` terms with, and
-    err: per row None or the error its solve raised, a ConvergenceError
-    without its best iterate and certificate, which the caller attaches
-    if it wants them.  A row
-    whose start failed, or whose covariance the kernel rejected, has an
-    error and no numbers.  ``q0`` and ``callback`` are `solve_power`'s;
+    (B x L) and the relative gap rel (B), with the p_max that `_certify`
+    forms the `_kkt` terms with, and err: per row None or the error its
+    solve raised, a ConvergenceError without its best iterate and
+    certificate, which the caller attaches if it wants them.  A row whose
+    start failed, or whose covariance the kernel rejected, has an error
+    and no numbers.  ``q0`` and ``callback`` are `solve_power`'s;
     a ``sigma2`` or ``p_max`` not finite and > 0 raises ValidationError.
     """
     if not (math.isfinite(p_max) and p_max > 0):
@@ -306,8 +306,7 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
             (B, L), (B, M, L), (B,), (B,), (B, L), (B,))]
     q, a, f, steps, g, rel = out
     return SimpleNamespace(q=q, a=a, f=f, steps=steps, g=g, rel=rel,
-                           p_max=p_max, act_tol=cfg.active_tol_scale * p_max,
-                           err=err)
+                           p_max=p_max, err=err)
 
 
 def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
@@ -403,7 +402,7 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     # gains.  The scalars are 0-d arrays, like `_Z`.
     target = max(5e-15, cfg.kkt_tol * 1e-4)
     P, S2, act_tol, kkt_tol, polish, floor = map(np.array, (
-        p_max, sigma2, cfg.active_tol_scale * p_max, cfg.kkt_tol, target,
+        p_max, sigma2, ACTIVE_TOL * p_max, cfg.kkt_tol, target,
         -target * p_max))
     const = _constants(CS) if gram is None else gram
     ct = np.ascontiguousarray(CS.swapaxes(1, 2)).conj()

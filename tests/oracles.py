@@ -19,7 +19,7 @@ from dualprec.designer import _Step
 from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
-from dualprec.solver import _certificates, _kkt
+from dualprec.solver import ACTIVE_TOL, _certificates, _kkt
 
 #: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
 RANK_TOL = 1e-9
@@ -68,16 +68,14 @@ def brute_force_power(eff, sigma2, p_max, grid_points):
     return best_q
 
 
-def legacy_smse_difference(ch, res, cfg=None) -> float:
+def legacy_smse_difference(ch, res) -> float:
     """|downlink sum-MSE under the legacy transform's powers - under
     p := q| at the final iterate of the design ``res``: the legacy
     transform recomputed from its uplink beamformers and certified q, both
     power vectors evaluated on its downlink beamformers."""
-    cfg = cfg or DesignConfig()
     state = make_state(build_effective_channel(ch, res.uplink),
                        res.uplink.powers, ch.sigma2)
-    dd = build_duality_data(
-        state, active_tol=cfg.solver.active_tol_scale * ch.p_max)
+    dd = build_duality_data(state, active_tol=ACTIVE_TOL * ch.p_max)
     Ubar = res.downlink.stacked()
     legacy, shortcut = (float(downlink_mmse(ch, Ubar, p)[1].sum())
                         for p in (transform_power(dd, ch.sigma2),
@@ -229,7 +227,7 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
     """
     q = np.asarray(q, dtype=float)
     if active_tol is None:
-        active_tol = 1e-9 * p_max
+        active_tol = ACTIVE_TOL * p_max
     A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
     state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                         trace_jinv=float(f[0]))
@@ -410,7 +408,7 @@ def verify_trials_one_at_a_time(first, seeds, dims, sigma2, pmax, scfg,
                 rec["max_residual"] = e.certificate.max_residual
                 raise
             rec["max_residual"] = cert.max_residual
-            rep = verify_theorem(ch, up, q, scfg, state=cert.state)
+            rep = verify_theorem(ch, up, q, state=cert.state)
             rec.update(psi_asymmetry=rep.psi_asymmetry, pq_gap=rep.pq_gap,
                        mse_gap=rep.mse_gap, sum_power_dl=rep.sum_power_dl)
         except DualPrecError as e:

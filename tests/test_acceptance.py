@@ -18,6 +18,7 @@ from dualprec import (BOTH, ChannelSet, DesignConfig, PrecoderSet,
                       design, gen_channel, make_state, psi_asymmetry,
                       solve_power, sum_mse_uplink, transform_power_uplink,
                       verify_theorem)
+from dualprec.solver import ACTIVE_TOL
 from oracles import (brute_force_power, check_equal_gradient_condition,
                      grad_trace_Jinv, legacy_smse_difference)
 
@@ -63,15 +64,14 @@ def ensemble():
         seed = SEED_BASE + t
         ch, up, eff = rand_instance(seed, DIMS, SIGMA2, P_MAX)
         q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
-        rep = verify_theorem(ch, up, q, cfg)
+        rep = verify_theorem(ch, up, q)
         spread = check_equal_gradient_condition(eff, ch.sigma2, q)
 
         state = make_state(eff, q, ch.sigma2)
         lhs = sum_mse_uplink(state)
         rhs = mse_trace_sum(state)
 
-        dd = build_duality_data(state,
-                                active_tol=cfg.active_tol_scale * ch.p_max)
+        dd = build_duality_data(state, active_tol=ACTIVE_TOL * ch.p_max)
         q_rec = transform_power_uplink(dd, ch.sigma2)
 
         # negative control at uniform power on the identical instance
@@ -235,7 +235,7 @@ def test_criterion_9_design_loop():
         worst_rise = max(worst_rise, float(np.diff(tr).max()))
         worst_gap = max(worst_gap, max(res.path_gap_trace))
         worst_smse_diff = max(worst_smse_diff,
-                              legacy_smse_difference(ch, res, cfg))
+                              legacy_smse_difference(ch, res))
         tot_legacy += sum(res.transform_times)
         tot_shortcut += sum(res.shortcut_times)
     ok = (worst_rise <= 1e-10 and worst_gap <= 1e-6 * P_MAX

@@ -259,7 +259,6 @@ def test_verify_bad_dims_exit_2(capsys):
     ["solve", "{instance}", "--config", "{fractional_iters_config}"],
     ["solve", "{instance}", "--config", "{bool_kkt_tol_config}"],
     ["solve", "{instance}", "--config", "{bool_iters_config}"],
-    ["solve", "{instance}", "--config", "{bool_tol_scale_config}"],
     ["design", "{instance}", "--config", "{bool_outer_iters_config}"],
     ["design", "{instance}", "--config", "{bool_seed_config}"],
     ["design", "{instance}", "--config", "{bool_rel_tol_config}"],
@@ -283,7 +282,7 @@ def test_verify_bad_dims_exit_2(capsys):
         "design-bad-seed-config", "solve-directory", "solve-inf-kkt-tol",
         "design-inf-rel-tol-config", "solve-fractional-iters-config",
         "solve-bool-kkt-tol-config", "solve-bool-iters-config",
-        "solve-bool-tol-scale-config", "design-bool-outer-iters-config",
+        "design-bool-outer-iters-config",
         "design-bool-seed-config", "design-bool-rel-tol-config",
         "verify-fractional-trials-config", "verify-bool-trials-config",
         "verify-string-seed-base-config", "bench-bool-trials-config",
@@ -317,7 +316,6 @@ def test_bad_input_exit_2(args, instance, tmp_path):
     for name, doc in {
             "bool_kkt_tol_config": {"solver": {"kkt_tol": True}},
             "bool_iters_config": {"solver": {"max_iters": True}},
-            "bool_tol_scale_config": {"solver": {"active_tol_scale": True}},
             "bool_outer_iters_config": {"design": {"max_outer_iters": True}},
             "bool_seed_config": {"design": {"seed": True}},
             "bool_rel_tol_config": {"design": {"smse_rel_tol": True}},
@@ -338,6 +336,20 @@ def test_bad_input_exit_2(args, instance, tmp_path):
     rc = run_cli([paths.get(a, a) for a in args]
                  + ["--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "design"])
+def test_removed_active_tol_scale_setting_exit_2(command, instance, tmp_path,
+                                                 capsys):
+    # the activity threshold is the constant solver.ACTIVE_TOL times P, not
+    # a setting: a config that still names it is an input error
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"solver": {"active_tol_scale": 1e-9}}))
+    rc = run_cli([command, str(instance), "--config", str(config), "--out",
+                  str(tmp_path / "out")])
+    assert rc == 2
+    assert "active_tol_scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -328,13 +328,13 @@ def check_rows(rows):
     """`duality._check` on the stacked rows (ch, up, state) of one dims:
     per row, in order, its DualityReport or the error of its check."""
     chs, ups, states = zip(*rows)
-    d, p_max = chs[0].dims, np.array([ch.p_max for ch in chs])
+    d, sigma2, p_max = chs[0].dims, chs[0].sigma2, chs[0].p_max
+    assert all((ch.sigma2, ch.p_max) == (sigma2, p_max) for ch in chs)
     runs = _runs(d.N, d.L)
     H, V = ([np.concatenate(r) for r in zip(*(_run_stacks(runs, x)
                                               for x in blocks))]
             for blocks in ([ch.H for ch in chs], [up.by_user for up in ups]))
-    res = _check(*stacks(states), H, V, d,
-                 np.array([ch.sigma2 for ch in chs]), p_max, 1e-9 * p_max)
+    res = _check(*stacks(states), H, V, d, sigma2, p_max)
     return [e if e is not None else DualityReport(p, st.q, *gaps)
             for e, p, st, gaps in zip(res.err, res.p, states,
                                       res.gaps.tolist())]
@@ -344,7 +344,7 @@ def group_rows(states, tol):
     """`duality._groups` on the stacked ``states``: per state, in order,
     its DualityData or the error the kernel gave it."""
     out = [None] * len(states)
-    for rows, g in _groups(*stacks(states), np.full(len(states), tol), out):
+    for rows, g in _groups(*stacks(states), tol, out):
         for j, r in enumerate(rows.tolist()):
             out[r] = DualityData(
                 beta=g.beta[j], D=g.D[j], Psi=g.Psi[j], eps=g.eps[j],
@@ -397,8 +397,7 @@ def check_c_calls(K):
 
     sys.setprofile(profile)
     try:
-        _check(res.q, res.a, cols, H, V, dims, np.full(4, 1.0),
-               np.full(4, 10.0), np.full(4, 1e-8))
+        _check(res.q, res.a, cols, H, V, dims, 1.0, 10.0)
     finally:
         sys.setprofile(None)
     return calls

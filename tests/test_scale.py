@@ -1,13 +1,15 @@
 """The certificate and the theorem check at scale: `verify` at M = 8, 16,
 32 and 64 with N_k = L_k = 2, on L_tot = M (square) and on L_tot = M/2
-and 3M/2 streams."""
+and 3M/2 streams; and in any units: (sigma2, P) -> (c sigma2, c P)."""
 
 import json
 
+import numpy as np
 import pytest
 
-from dualprec import SolverConfig
+from dualprec import SolverConfig, SystemDims, solver
 from dualprec.cli import DEFAULT_BOUNDS, main
+from dualprec.model import gen_stacks
 
 SIGMA2 = ["1", "1e-4", "1e-8"]
 SIZES = [8, 16, 32, 64]
@@ -41,3 +43,30 @@ def test_square_verify_certifies(M, sigma2, tmp_path):
 def test_non_square_verify_certifies(M, streams, sigma2, tmp_path):
     K = M // 4 if streams == "M/2" else 3 * M // 4
     assert_verify_certifies(M, K, sigma2, tmp_path)
+
+
+# (sigma2, P) -> (c sigma2, c P) leaves q / P and every MSE unchanged in
+# exact arithmetic, and with c a power of two every input is exact too:
+# a solve that fails or moves at some c has an absolute constant in it
+UNITS_DIMS = SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 10, 20, 30, 40])
+def test_solve_does_not_depend_on_the_units(k):
+    c = 2.0 ** k
+    _, _, cols = gen_stacks(UNITS_DIMS, range(1, 31))
+    res = solver._solve_stack(cols, c, 10.0 * c)
+    assert res.err == [None] * 30
+    ref = solver._solve_stack(cols, 1.0, 10.0)
+    # 1.2e-11 measured at c = 2^10 ... 2^40, 5.5e-14 at c = 2^-40
+    assert np.abs(res.q / (10.0 * c) - ref.q / 10.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("sigma2,pmax", [("1", "10"), ("1024", "10240")])
+def test_verify_does_not_depend_on_the_units(sigma2, pmax, tmp_path):
+    out = tmp_path / "v.json"
+    dims = ",".join(map(str, (8, 6) + UNITS_DIMS.N + UNITS_DIMS.L))
+    rc = main(["verify", "--trials", "100", "--dims", dims, "--sigma2",
+               sigma2, "--pmax", pmax, "--seed-base", "1", "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]
+    assert (rc, summary["failures"], summary["bounds_ok"]) == (0, 0, True)

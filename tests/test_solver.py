@@ -266,7 +266,7 @@ def test_snr_sweep_certifies_theorem(sigma2):
         ch, up, eff = rand_instance(seed, sigma2=sigma2)
         q, cert = solve_power(eff, ch.sigma2, ch.p_max, cfg)
         assert cert.passes(cfg.kkt_tol)
-        rep = verify_theorem(ch, up, q, cfg)
+        rep = verify_theorem(ch, up, q)
         for key, bound in DEFAULT_BOUNDS.items():
             assert getattr(rep, key) <= bound, (seed, key)
 
@@ -501,7 +501,7 @@ def test_zero_channel_user_end_to_end():
         assert_same_result(out, (q, cert))
         assert np.all(q[parked] == 0.0)
         assert cert.passes(cfg.kkt_tol)
-        rep = verify_theorem(ch, up, q, cfg)
+        rep = verify_theorem(ch, up, q)
         assert np.all(rep.p[parked] == 0.0)
         for key, bound in DEFAULT_BOUNDS.items():
             assert getattr(rep, key) <= bound, key

@@ -109,7 +109,7 @@ def test_design_and_solver_config_fields_fixed():
         "max_outer_iters", "smse_rel_tol", "init_mode", "path", "seed",
         "solver"]
     assert [f.name for f in dataclasses.fields(dualprec.SolverConfig)] == [
-        "kkt_tol", "max_iters", "active_tol_scale"]
+        "kkt_tol", "max_iters"]
 
 
 def test_uplink_state_holds_no_covariance_matrix():
