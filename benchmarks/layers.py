@@ -112,6 +112,9 @@ LAYERS = {
     "emit_verify50": ("us", "cli._emit of one `verify --trials 50` report "
                             "(dims 4,2,2,2,2,2, sigma2=1 P=10, seed base "
                             "1) to a file, per call"),
+    "gen_cli": ("us", "one in-process `gen --M 4 --K 2 --N 4,4 --L 2,2 "
+                      "--sigma2 1.0 --pmax 10.0 --seed 1000001` writing its "
+                      "file (design-loop set-up makes 256 such calls)"),
     "design_outer_iter": ("ms", "design --path both per accepted outer "
                                 "iteration, total over M=4 K=2 N=(4,4) "
                                 "L=(2,2) sigma2=1 P=10, gen seeds 1000-1009"),
@@ -358,6 +361,13 @@ def _layers(pkg, paths: list) -> dict:
         payload = json.load(f)
     out["emit_verify50"] = _rounds([lambda: cli._emit(payload, report)],
                                    lambda t: t[0] * 1e6)
+    instance = os.path.join(os.path.dirname(paths[0]),
+                            pkg.__name__ + "-gen.json")
+    out["gen_cli"] = _rounds(
+        [lambda: _quiet(cli.main, [
+            "gen", "--M", "4", "--K", "2", "--N", "4,4", "--L", "2,2",
+            "--sigma2", "1.0", "--pmax", "10.0", "--seed", "1000001",
+            "--out", instance])], lambda t: t[0] * 1e6)
     large_spec = ",".join(map(str, (64, 32) + large.N + large.L))
     out["verify_trials4_M64"] = _rounds(
         [lambda: _quiet(cli.main, [
@@ -545,7 +555,7 @@ def main(argv=None) -> int:
                         "untimed warm-up call, garbage collector off; "
                         "solve_stack_B50, solve_stack_B4_M64, gen_stacks, "
                         "gen_channel, "
-                        "check_B50, check_B4_M64, emit_verify50, "
+                        "check_B50, check_B4_M64, emit_verify50, gen_cli, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "

@@ -4,9 +4,9 @@ benchmarking.
 
 `verify` keeps its trials as arrays from the generator to the report:
 `model.gen_stacks`, then the solver's and the theorem check's stacked
-cores, with no per-trial object in between.  Every JSON report goes
-through one writer, `_jsontext.dumps`, which gives the bytes of
-``json.dumps(payload, indent=1)``.
+cores, with no per-trial object in between.  Every JSON report is one
+line, ``json.dumps(payload)`` and a newline: the standard library's C
+encoder, compact; ``python -m json.tool`` prints it indented.
 
 Exit codes: 0 success, 2 usage or validation error, 3 convergence
 failure or a failed legacy transform check, 4 theorem-bound violation.
@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import _blas, _jsontext, designer, duality, model, objective, solver
+from . import _blas, designer, duality, model, objective, solver
 from .errors import (ConvergenceError, DualPrecError, NumericsError,
                      ValidationError)
 
@@ -73,7 +73,7 @@ def _sha256(path) -> str:
 
 
 def _emit(payload, out_path):
-    text = _jsontext.dumps(payload)  # json.dumps(payload, indent=1)
+    text = json.dumps(payload)
     if out_path:
         with open(out_path, "w") as f:
             f.write(text + "\n")
@@ -154,16 +154,17 @@ def _config(cls, section: str, file_cfg: dict, **flags):
         raise ValidationError(f"{cls.__name__}: {e}") from e
 
 
-def _instance_violations(sigma2, p_max, seed) -> list:
+def _instance_violations(sigma2, p_max, seed, seed_name) -> list:
     """Violations of the noise power, power budget and seed that `gen`,
-    `verify` and `bench` generate instances from."""
+    `verify` and `bench` generate instances from; a bad seed is named as
+    its setting ``seed_name`` (`gen`'s seed, the ensembles' seed_base)."""
     bad = []
     if not (np.isfinite(sigma2) and sigma2 > 0):
         bad.append("sigma2: must be finite and > 0")
     if not (np.isfinite(p_max) and p_max > 0):
         bad.append("p_max: must be finite and > 0")
     if seed is not None and seed < 0:
-        bad.append("seed: must be >= 0")
+        bad.append(f"{seed_name}: must be >= 0")
     return bad
 
 
@@ -193,7 +194,8 @@ def _certificate_dict(cert: solver.KktCertificate) -> dict:
 def cmd_gen(ns) -> int:
     dims = model.SystemDims(M=ns.M, K=ns.K, N=_parse_int_list(ns.N),
                             L=_parse_int_list(ns.L))
-    bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax, ns.seed)
+    bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax,
+                                                   ns.seed, "seed")
     if bad:
         raise ValidationError("; ".join(bad))
     ch = model.gen_channel(dims, ns.sigma2, ns.pmax, seed=ns.seed)
@@ -307,7 +309,7 @@ def _ensemble_args(ns, file_cfg: dict):
                    kkt_tol=ns.kkt_tol, max_iters=ns.max_iters)
     dims = parse_dims(str(ens.get("dims", "4,2,2,2,2,2")))
     bad = dims.violations() + _instance_violations(ns.sigma2, ns.pmax,
-                                                   seed_base)
+                                                   seed_base, "seed_base")
     if trials < 1:
         bad.append("trials: must be >= 1")
     if bad:

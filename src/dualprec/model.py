@@ -40,7 +40,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from ._jsontext import dumps
 from .errors import DimensionError, ValidationError
 
 DOWNLINK = "downlink"
@@ -559,10 +558,10 @@ def channel_from_dict(d: dict) -> ChannelSet:
 
 
 def save_instance(ch: ChannelSet, path) -> None:
-    """Write ``json.dump(channel_to_dict(ch), f, indent=1)`` and a
-    newline, in one write."""
+    """Write ``json.dumps(channel_to_dict(ch))`` and a newline: the
+    instance as one compact line, in one write."""
     with open(path, "w") as f:
-        f.write(dumps(channel_to_dict(ch)) + "\n")
+        f.write(json.dumps(channel_to_dict(ch)) + "\n")
 
 
 def load_instance(path) -> ChannelSet:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -81,10 +82,17 @@ GEN_SHA256 += [((*dims, str(seed)), sha)
 @pytest.mark.parametrize("spec,sha", GEN_SHA256, ids=["M4", "M6", "M64"] + [
     f"M{M}-N{N[0]}-s{seed}" for (M, _, N, _, seed), _ in GEN_SHA256[3:]])
 def test_gen_sha256_pinned(spec, sha, tmp_path, capsys):
+    # the pins are of the document as the instance format's first version
+    # wrote it, json.dumps(doc, indent=1); gen prints its file's own hash
     M, K, N, L, seed = spec
+    path = tmp_path / "inst.json"
     run_cli(["gen", "--M", M, "--K", K, "--N", N, "--L", L, "--seed", seed,
-             "--out", str(tmp_path / "inst.json")])
-    assert capsys.readouterr().out.strip().endswith(f"sha256:{sha}")
+             "--out", str(path)])
+    data = path.read_bytes()
+    text = json.dumps(json.loads(data), indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert capsys.readouterr().out.strip().endswith(
+        f"sha256:{hashlib.sha256(data).hexdigest()}")
 
 
 def test_gen_rejects_L_exceeding_N(capsys):
@@ -98,6 +106,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as ei:
         run_cli(["gen", "--M", "4"])  # missing required flags
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "{instance}", "--max-iters", "1"],
+    ["solve", "{instance}"],
+    ["verify", "--trials", "6", "--sigma2", "1e-300", "--seed-base", "233",
+     "--dims", "3,2,2,2,2,2"],
+    ["verify", "--trials", "4", "--negative-control"],
+    ["design", "{instance}", "--path", "both"],
+    ["bench", "--trials", "2", "--format", "json"],
+    ["gen", "--M", "4", "--K", "2", "--N", "4,4", "--L", "2,2", "--seed",
+     "3"],
+], ids=["solve-capped", "solve", "verify", "verify-negative-control",
+        "design", "bench", "gen"])
+def test_output_is_compact_json(args, tmp_path):
+    # every report and instance file is one line, the standard library's
+    # default encoding of its document, and a newline
+    inst = tmp_path / "inst.json"
+    assert run_cli(["gen", "--M", "4", "--K", "2", "--N", "4,4", "--L",
+                    "2,2", "--seed", "7", "--out", str(inst)]) == 0
+    out = tmp_path / "out.json"
+    run_cli([str(inst) if a == "{instance}" else a for a in args]
+            + ["--out", str(out)])
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +382,21 @@ def test_removed_active_tol_scale_setting_exit_2(command, instance, tmp_path,
                   str(tmp_path / "out")])
     assert rc == 2
     assert "active_tol_scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_base_names_seed_base(command, source, tmp_path,
+                                            capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ensemble": {"seed_base": -1}}))
+    given = (["--seed-base", "-1"] if source == "flag"
+             else ["--config", str(config)])
+    rc = run_cli([command, "--trials", "1", *given, "--out",
+                  str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed_base: must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

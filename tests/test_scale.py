@@ -70,3 +70,18 @@ def test_verify_does_not_depend_on_the_units(sigma2, pmax, tmp_path):
                sigma2, "--pmax", pmax, "--seed-base", "1", "--out", str(out)])
     summary = json.loads(out.read_text())["summary"]
     assert (rc, summary["failures"], summary["bounds_ok"]) == (0, 0, True)
+
+
+# the same on 4,2,2,2,2,2 at sigma2 = 1e-4: the q / P of c > 1 drift from
+# c = 1 by up to 9.2e-11 (relative gaps up to 7.6e-10, against 9.9e-14 at
+# c = 1), the absolute polish stop; that drift is not bounded here
+@pytest.mark.parametrize("k", [-40, -20, 0, 10, 20, 30, 40])
+def test_small_solve_does_not_depend_on_the_units(k):
+    c = 2.0 ** k
+    dims = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
+    _, _, cols = gen_stacks(dims, range(1, 31))
+    res = solver._solve_stack(cols, 1e-4 * c, 10.0 * c)
+    assert res.err == [None] * 30
+    if c <= 1:
+        ref = solver._solve_stack(cols, 1e-4, 10.0)
+        assert np.array_equal(res.q / (10.0 * c), ref.q / 10.0)
