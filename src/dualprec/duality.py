@@ -24,8 +24,10 @@ transform with its condition and negative-power tests and the downlink
 powers it gives (`_powers`, which the design loop's legacy check also
 runs), and for the theorem check the downlink MSEs under the factored
 receivers and the three gaps (`_check`, per run of equal-shape users:
-one product and one slice of streams each).  A row that fails a test gets
-its error and leaves its group; the other rows go on.  Every stacked
+one product H_k v_l and one slice of streams each).  The condition test
+bounds cond_2 by the 1- and inf-norms of A and its inverse and takes an
+SVD only on the rows that bound leaves open.  A row that fails a test
+gets its error and leaves its group; the other rows go on.  Every stacked
 step is elementwise, an exact max, a LAPACK call per slice, or a matmul
 or sum whose slices keep the layout the computation on one instance
 has, so a row's numbers are bitwise what a stack of one gives.
@@ -111,14 +113,16 @@ def _groups(Q, A, CS, tol, err):
 
     The rows of one active count m form a group.  Yields (rows, g) per
     group: rows indexes the stack, and g holds q and the active mask on
-    (B x L), the receivers a_l as rows of ``at`` (B x L x M) with their
-    norms (B x L), beta, D and eps (B x m) and Psi (B x m x m).  A row
-    whose quantities cannot be built gets its error in ``err`` instead.
+    (B x L), the unit receivers a_l / ||a_l|| of every stream as rows of
+    ``ubar`` (B x L x M, normalized once for C and the downlink check)
+    with the norms (B x L), beta, D and eps (B x m) and Psi (B x m x m).
+    A row whose quantities cannot be built gets its error in ``err``.
     """
     # a stream per row, contiguous, so that sums over M add in one order
     At = np.ascontiguousarray(A.swapaxes(1, 2))
     Ct = np.ascontiguousarray(CS.swapaxes(1, 2))
     norms = _norms(At, 2)
+    ubar = _unit_rows(At, norms)  # `objective.mmse_directions`, as rows
     on = Q > tol
     m = np.add.reduce(on, axis=1)
     sizes = m.tolist()
@@ -134,19 +138,19 @@ def _groups(Q, A, CS, tol, err):
                 NumericsError("zero MMSE receiver on an active stream"))
             sizes[j] = 0
     for size in sorted(set(sizes) - {0}):
-        g = SimpleNamespace(q=Q, on=on, at=At, norms=norms)
+        g = SimpleNamespace(q=Q, on=on, ubar=ubar, norms=norms)
         rows, c = np.arange(len(Q)), Ct
         if sizes.count(size) < len(Q):
             sel = np.array(sizes) == size
             rows, c = rows[sel], Ct[sel]
             g = SimpleNamespace(**{k: v[sel] for k, v in vars(g).items()})
-        a, n, q = g.at, g.norms, g.q
+        u, n, q = g.ubar, g.norms, g.q
         if size < on.shape[1]:  # the active streams, in stream order
-            a, c = (x[g.on].reshape(len(rows), size, -1) for x in (a, c))
+            u, c = (x[g.on].reshape(len(rows), size, -1) for x in (u, c))
             n, q = (x[g.on].reshape(len(rows), size) for x in (n, q))
         g.beta = q * n
         # C_ij = htil_i^H ubar_j; ubar as columns, column-major
-        C = c.conj() @ (a / n[:, :, None]).swapaxes(1, 2)
+        C = c.conj() @ u.swapaxes(1, 2)
         s = C.diagonal(0, 1, 2)
         g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
         g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
@@ -161,17 +165,24 @@ def _transform(beta, D, eps, coupling, sigma2):
 
     Returns x (B x m, NaN on failed rows) and per row None or its error:
     a non-finite matrix, a condition number above `COND_LIMIT`, or a
-    power below -1e-9.
+    power below -1e-9.  A row takes an SVD (`np.linalg.cond`) only when
+    its bound cond_2(A) <= sqrt(|A|_1 |A|_inf |A^-1|_1 |A^-1|_inf)
+    (Higham, ch. 6) exceeds COND_LIMIT / 2 or is not finite, which it
+    is on every row when the stack's inverse raises.
     """
     B, m = beta.shape
     A, b2 = np.zeros((B, m, m)), beta ** 2
     A.reshape(B, -1)[:, ::m + 1] = eps - D
     A -= b2[:, :, None] * coupling
-    try:
-        cond = np.linalg.cond(A)
-    except np.linalg.LinAlgError:  # the SVD of a slice with a NaN failed
-        cond = np.array([math.nan if np.isnan(a).any() else np.linalg.cond(a)
-                         for a in A])
+    try:  # the norm bound on cond_2
+        a, ai = np.abs(A), np.abs(np.linalg.inv(A))
+        with np.errstate(over="ignore"):
+            cond = np.sqrt(a.sum(1).max(1) * a.sum(2).max(1)
+                           * ai.sum(1).max(1) * ai.sum(2).max(1))
+    except np.linalg.LinAlgError:  # an exactly singular slice
+        cond = np.full(B, math.inf)
+    for j in np.flatnonzero(~(cond <= COND_LIMIT / 2)).tolist():  # an SVD
+        cond[j] = math.nan if np.isnan(A[j]).any() else np.linalg.cond(A[j])
     ok = cond <= COND_LIMIT
     every = np.count_nonzero(ok) == B
     rhs = (sigma2 * b2)[:, :, None]
@@ -191,7 +202,8 @@ def _transform(beta, D, eps, coupling, sigma2):
             NumericsError("non-finite power-transform matrix")
             if math.isnan(cond[j])
             else SingularTransformError(
-                "power-transform matrix condition number exceeds 1e12")
+                "power-transform matrix condition number exceeds "
+                + f"{COND_LIMIT:.0e}".replace("+", ""))
             if not ok[j]
             else InfeasibleTransformError(
                 "transform produced a negative power; the MSE tuple is not "
@@ -342,33 +354,33 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     group of `_groups`, at powers P under the unit MMSE directions as
     beamformers and the duality-factored receivers
     v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
-    model (signal, cross-stream, and noise terms summed explicitly).
+    model (signal, cross-stream, and noise terms summed explicitly): the
+    coefficients v_l^H H_k^H ubar_j come from the channel and beamformer
+    stacks as (H_k v_l)^H ubar_j, one product per run, never from the
+    effective columns or `_groups`' C.
 
     Inactive and zero-power streams carry a zero receiver and an MSE of
     exactly 1.  Not exported: arbitrary-receiver downlink evaluation stays
     internal.
     """
-    Ubar = _unit_rows(g.at, g.norms)  # `objective.mmse_directions`, as rows
     live = P > 0.0
     beta = np.zeros(P.shape)
     beta[g.on] = g.beta.ravel()
     # beta_l / sqrt(p_l) where the receiver is on, else 0
     scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
-    # row l: coef_lj = sqrt(p_j) v_l^H H_k^H ubar_j, k the owner of stream l;
-    # a run's streams are one block, its H_k^H one conj-transposed stack
+    # row l: coef_lj = sqrt(p_j) (H_k v_l)^H ubar_j, k the owner of stream
+    # l; a run's streams are one block, its H_k v_l one stacked matmul
     B, L = P.shape
     coef = np.empty((B, L, L), dtype=complex)
     v_norms = np.empty(P.shape)
     end = 0
     for h, v in zip(H, V):
         h, v = (h, v) if len(h) == B else (h[rows], v[rows])
-        _, n, N, c = v.shape
+        _, n, _, c = v.shape
         end, run = end + n * c, slice(end, end + n * c)
         v = v * scale[:, run].reshape(B, n, 1, c)
-        Hh = np.conjugate(h.swapaxes(1, 2), order="C").reshape(
-            B, d.M, n * N).swapaxes(1, 2)
-        HU = (Hh @ Ubar.swapaxes(1, 2)).reshape(B, n, N, L)
-        coef[:, run] = (v.conj().swapaxes(2, 3) @ HU).reshape(B, n * c, L)
+        hv = (h @ v).swapaxes(2, 3).reshape(B, n * c, d.M)  # H_k v_l as rows
+        coef[:, run] = hv.conj() @ g.ubar.swapaxes(1, 2)
         v_norms[:, run] = _norms(v, 2).reshape(B, -1)
     coef *= np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2

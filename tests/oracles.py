@@ -1,5 +1,6 @@
 """Test-only reference oracles."""
 
+import math
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,13 +10,16 @@ import numpy as np
 from conftest import covariance
 from dualprec import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet,
                       ConvergenceError, DesignConfig, DimensionError,
-                      DualPrecError, EffectiveChannel, KktCertificate,
-                      PrecoderSet, UplinkState, ValidationError,
+                      DualPrecError, EffectiveChannel,
+                      InfeasibleTransformError, KktCertificate, NumericsError,
+                      PrecoderSet, SingularTransformError, UplinkState,
+                      ValidationError,
                       build_duality_data, build_effective_channel,
                       downlink_mmse, make_state, mmse_directions,
                       psi_asymmetry, solve_power, sum_mse_uplink,
                       transform_power, verify_theorem)
 from dualprec.designer import _Step
+from dualprec.duality import COND_LIMIT
 from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
@@ -414,3 +418,64 @@ def verify_trials_one_at_a_time(first, seeds, dims, sigma2, pmax, scfg,
         except DualPrecError as e:
             rec["error"] = type(e).__name__
     return records
+
+
+def transform_every_cond(beta, D, eps, coupling, sigma2):
+    """`duality._transform` with `np.linalg.cond` (an SVD) on every row:
+    x (B x m, NaN on rejected rows) and per row None or its error."""
+    B, m = beta.shape
+    A, b2 = np.zeros((B, m, m)), beta ** 2
+    A.reshape(B, -1)[:, ::m + 1] = eps - D
+    A -= b2[:, :, None] * coupling
+    cond = np.array([math.nan if np.isnan(a).any() else np.linalg.cond(a)
+                     for a in A])
+    ok = cond <= COND_LIMIT
+    x = np.full((B, m), math.nan)
+    rhs = (sigma2 * b2)[:, :, None]
+    if ok.all():
+        x = np.linalg.solve(A, rhs)[:, :, 0]
+    elif ok.any():
+        x[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
+    errs = [None] * B
+    for j in range(B):
+        if math.isnan(cond[j]):
+            errs[j] = NumericsError("non-finite power-transform matrix")
+        elif not ok[j]:
+            errs[j] = SingularTransformError(
+                "power-transform matrix condition number exceeds 1e12")
+        elif (x[j] < -1e-9).any():
+            errs[j] = InfeasibleTransformError(
+                "transform produced a negative power; the MSE tuple is not "
+                "achievable")
+    return x, errs
+
+
+def downlink_mse_hu_order(H, V, d, rows, g, P, sigma2) -> np.ndarray:
+    """`duality._downlink_mse` with the coefficients grouped as
+    v_l^H (H_k^H ubar_j): one product of each run's conj-transposed
+    channels (B x nN x M) with all unit directions, then one with the
+    scaled beamformers."""
+    live = P > 0.0
+    beta = np.zeros(P.shape)
+    beta[g.on] = g.beta.ravel()
+    scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
+    B, L = P.shape
+    coef = np.empty((B, L, L), dtype=complex)
+    v_norms = np.empty(P.shape)
+    end = 0
+    for h, v in zip(H, V):
+        h, v = (h, v) if len(h) == B else (h[rows], v[rows])
+        _, n, N, c = v.shape
+        end, run = end + n * c, slice(end, end + n * c)
+        v = v * scale[:, run].reshape(B, n, 1, c)
+        Hh = np.conjugate(h.swapaxes(1, 2), order="C").reshape(
+            B, d.M, n * N).swapaxes(1, 2)
+        HU = (Hh @ g.ubar.swapaxes(1, 2)).reshape(B, n, N, L)
+        coef[:, run] = (v.conj().swapaxes(2, 3) @ HU).reshape(B, n * c, L)
+        v_norms[:, run] = np.linalg.norm(v, axis=2).reshape(B, -1)
+    coef *= np.sqrt(P)[:, None, :]
+    cross = np.abs(coef) ** 2
+    cross.reshape(B, -1)[:, ::L + 1] = 0.0
+    m = (np.abs(np.diagonal(coef, axis1=1, axis2=2) - 1.0) ** 2
+         + cross.sum(axis=2) + sigma2 * v_norms ** 2)
+    return np.where(live, m, 1.0)

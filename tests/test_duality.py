@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
                       build_duality_data, build_effective_channel,
                       make_state, psi_asymmetry, solve_power, transform_power,
                       transform_power_uplink, uplink_mse, verify_theorem)
-from dualprec.duality import (DualityData, DualityReport, _check,
-                              _groups)
+from dualprec.duality import (COND_LIMIT, DualityData, DualityReport,
+                              _check, _downlink_mse, _groups, _powers,
+                              _transform)
 from dualprec import solver
 from dualprec.model import _run_stacks, _runs, gen_stacks
 from dualprec.objective import UplinkState
-from oracles import check_equal_gradient_condition, stream_owner
+from oracles import (check_equal_gradient_condition, downlink_mse_hu_order,
+                     stream_owner, transform_every_cond)
 
 
 def duality_point(eff, sigma2, q):
@@ -176,6 +180,154 @@ def test_transform_singular_system():
                         eps=dd.D.copy(), active=dd.active, n_streams=1)
     with pytest.raises(SingularTransformError):
         transform_power(bogus, 1.0)
+
+
+def prescribed_stack(m, conds, seed):
+    """Transform arguments (beta, D, eps, coupling) whose matrices
+    diag(eps - D) - beta^2 coupling are exactly U diag(s) V^T, with
+    random orthogonal U, V and s geometric from 1 to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    A = []
+    for c in conds:
+        U, V = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in "UV")
+        A.append((U * np.geomspace(1.0, 1.0 / c, m)) @ V.T)
+    B = len(conds)
+    return np.ones((B, m)), np.zeros((B, m)), np.zeros((B, m)), -np.array(A)
+
+
+def assert_same_transform(args, sigma2, monkeypatch, svd_rows=None):
+    """`_transform` on ``args`` makes the decisions of the every-row SVD
+    reference, with the same messages and bitwise the same x; it runs
+    `np.linalg.cond` on at most ``svd_rows`` rows when that is given."""
+    ref_x, ref_errs = transform_every_cond(*args, sigma2)
+    seen, cond = [], np.linalg.cond
+
+    def counted(a):
+        out = cond(a)
+        seen.append(out.size)
+        return out
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    x, errs = _transform(*args, sigma2)
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    assert x.tobytes() == ref_x.tobytes()
+    assert [(type(e), str(e)) for e in errs] == \
+        [(type(e), str(e)) for e in ref_errs]
+    if svd_rows is not None:
+        assert sum(seen) <= svd_rows
+    return errs
+
+
+@pytest.mark.parametrize("m", [2, 4, 12, 32])
+def test_condition_gate_decides_as_the_svd(m, monkeypatch):
+    # cond_2 <= sqrt(|A|_1 |A|_inf |A^-1|_1 |A^-1|_inf) <= m cond_2, so a
+    # row whose cond_2 is below COND_LIMIT / (2 m) never takes an SVD
+    conds = np.concatenate([np.geomspace(1e2, 1e14, 13),
+                            np.geomspace(1e11, 1e13, 41)])
+    errs = assert_same_transform(
+        prescribed_stack(m, conds, m), 1.0, monkeypatch,
+        svd_rows=np.count_nonzero(conds > COND_LIMIT / (2 * m)))
+    rejected = np.array([isinstance(e, SingularTransformError)
+                         for e in errs])
+    far = np.abs(np.log10(conds / COND_LIMIT)) > 0.01
+    assert np.array_equal(rejected[far], conds[far] > COND_LIMIT)
+    assert str(errs[-1]) == \
+        "power-transform matrix condition number exceeds 1e12"
+
+
+def test_condition_gate_singular_nan_and_overflowing_rows(monkeypatch):
+    # an exactly singular row makes the stacked inverse raise, so the
+    # whole stack takes the SVD; a NaN row only makes its own bound NaN,
+    # and diag(1, 1e-200, 1, 1) its bound overflow to inf, silently
+    beta, D, eps, coupling = prescribed_stack(4, [1, 1e6, 1e13, 1e3, 1], 5)
+    coupling[1, 2] = 0.0
+    coupling[3, 0, 1] = np.nan
+    coupling[0] = -np.diag([1.0, 2.0, 3.0, 4.0])  # x = 1 / diagonal
+    coupling[4] = -np.diag([1.0, 1e-200, 1.0, 1.0])
+    expect = [None, SingularTransformError, SingularTransformError,
+              NumericsError, SingularTransformError]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errs = assert_same_transform((beta, D, eps, coupling), 1.0,
+                                     monkeypatch)
+        assert [type(e) if e else None for e in errs] == expect
+        keep = [0, 2, 3, 4]
+        errs = assert_same_transform(
+            (beta[keep], D[keep], eps[keep], coupling[keep]), 1.0,
+            monkeypatch, svd_rows=2)
+        assert [type(e) if e else None for e in errs] == \
+            [expect[k] for k in keep]
+
+
+def wide_groups(sigma2, seeds):
+    """`_groups` on the solved trials of 8,6,(2)x6,(2)x6 (L_tot = 3M/2)
+    at noise power ``sigma2``, P = 10."""
+    dims = SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6)
+    _, _, cs = gen_stacks(dims, seeds)
+    res = solver._solve_stack(cs, sigma2, 10.0)
+    ok = np.array([e is None for e in res.err])
+    err = [None] * int(np.count_nonzero(ok))
+    return list(_groups(res.q[ok], res.a[ok], cs[ok],
+                        solver.ACTIVE_TOL * 10.0, err))
+
+
+@pytest.mark.parametrize("sigma2", [1e-10, 1e-12])
+def test_condition_gate_at_the_limit(sigma2, monkeypatch):
+    # the transform matrices' condition numbers grow as about 3 / sigma2
+    # here, so these rows cross COND_LIMIT; both transform directions
+    errs = []
+    for _, g in wide_groups(sigma2, range(1, 51)):
+        for coupling in (g.Psi, g.Psi.swapaxes(1, 2)):
+            errs += assert_same_transform((g.beta, g.D, g.eps, coupling),
+                                          sigma2, monkeypatch)
+    singular = sum(isinstance(e, SingularTransformError) for e in errs)
+    assert 0 < singular < len(errs) if sigma2 == 1e-10 else \
+        singular == len(errs)
+
+
+def test_condition_gate_takes_no_svd_when_every_bound_passes(monkeypatch):
+    def no_svd(a):
+        raise AssertionError("np.linalg.cond called")
+
+    stacks = [prescribed_stack(32, np.geomspace(1.0, 1e9, 20), 1)]
+    for _, g in wide_groups(1e-4, range(1, 21)):
+        stacks.append((g.beta, g.D, g.eps, g.Psi))
+    refs = [transform_every_cond(*args, 1e-4) for args in stacks]
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    for args, (ref_x, ref_errs) in zip(stacks, refs):
+        x, errs = _transform(*args, 1e-4)
+        assert x.tobytes() == ref_x.tobytes()
+        assert [type(e) for e in errs] == [type(e) for e in ref_errs]
+
+
+#: Largest |difference| of `_downlink_mse` from the H_k^H Ubar order:
+#: measured 3.1e-15 over seeds 1-400 of 4,2,2,2,2,2 at sigma2 = 1e-6,
+#: 1.3e-16 at the large-m shape and 5.6e-16 at 8,6,(2)x6,(2)x6; 3x that.
+DOWNLINK_ORDER_BUDGET = 1e-14
+
+
+@pytest.mark.parametrize("dims, sigma2, seeds, parked", [
+    (SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32), 1.0, range(1, 5),
+     False),
+    (SystemDims(M=4, K=2, N=(2, 2), L=(2, 2)), 10.0, range(1, 41), True),
+    (SystemDims(M=4, K=2, N=(2, 2), L=(2, 2)), 1e-6, range(1, 201), False),
+    (SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6), 1e-4, range(1, 41),
+     True)])
+def test_downlink_product_order(dims, sigma2, seeds, parked):
+    # parked: some group has inactive streams; 8,6,... has L_tot = 3M/2
+    H, V, cs = gen_stacks(dims, seeds)
+    res = solver._solve_stack(cs, sigma2, 10.0)
+    ok = np.array([e is None for e in res.err])
+    H, V = [h[ok] for h in H], [v[ok] for v in V]
+    err, inactive = [None] * int(np.count_nonzero(ok)), 0
+    for rows, g, P in _powers(res.q[ok], res.a[ok], cs[ok],
+                              solver.ACTIVE_TOL * 10.0, sigma2, err):
+        got = _downlink_mse(H, V, dims, rows, g, P, sigma2)
+        ref = downlink_mse_hu_order(H, V, dims, rows, g, P, sigma2)
+        assert np.abs(got - ref).max() <= DOWNLINK_ORDER_BUDGET
+        assert np.array_equal(got == 1.0, ref == 1.0)
+        inactive += np.count_nonzero(~g.on)
+    assert (inactive > 0) == parked
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ def test_cholesky_only_in_the_covariance_kernel():
     # than antennas, and otherwise inverts the L x L stream-domain matrix;
     # downlink_mmse runs on it over the dual channel.  The other solves
     # are the solver's KKT system, its closed-form start when L < M and
-    # the duality transform
+    # the duality transform, whose inverse only bounds the condition
+    # number of the transform matrix
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         out = []
@@ -56,7 +57,8 @@ def test_cholesky_only_in_the_covariance_kernel():
                      ("inv", "objective._covariance"),
                      ("solve", "solver._solve_kkt"),
                      ("inv", "solver._start"),
-                     ("solve", "duality._transform")}
+                     ("solve", "duality._transform"),
+                     ("inv", "duality._transform")}
 
 
 def test_transform_only_in_duality():
