@@ -222,7 +222,6 @@ def cmd_solve(ns) -> int:
         q, cert = solver.solve_power(eff, ch.sigma2, ch.p_max, scfg)
     except ConvergenceError as e:
         q, cert, converged = e.best_q, e.certificate, False
-    state = cert.state
     payload = {
         "command": "solve",
         "instance": str(ns.instance),
@@ -230,9 +229,8 @@ def cmd_solve(ns) -> int:
         "kkt_tol": scfg.kkt_tol,
         "converged": converged,
         "q": [float(x) for x in q],
-        "objective_trace_jinv": state.trace_jinv,
-        "smse": objective.sum_mse_uplink(state),
-        "per_stream_mse": [float(x) for x in objective.uplink_mse(state)],
+        "smse": objective.sum_mse_uplink(cert.state),
+        "per_stream_mse": [float(x) for x in objective.uplink_mse(cert.state)],
         "certificate": _certificate_dict(cert),
         "blas_threads": _blas.blas_threads(),
     }

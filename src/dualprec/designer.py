@@ -46,7 +46,7 @@ from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, _effective_cols, _norms, _run_stacks, _runs,
                     is_count, is_real, random_unit_precoders, validate)
-from .objective import _covariance, _unit_rows
+from .objective import _covariance, _sum_mse, _unit_rows
 from .solver import (ACTIVE_TOL, STACK_BYTES, SolverConfig, _certify,
                      _solve_stack)
 
@@ -169,7 +169,7 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
         x = X[:, :, run].reshape(n, N, n, c)[j, :, j]
         nrm = _norms(X, 1)[:, run].reshape(n, n, c)[j, j][:, None]
         g.append(np.divide(x, nrm, out=v.copy(), where=nrm > 0))
-    smse = d.L_tot - d.M + float(ch.sigma2) * res.f.tolist()[0]
+    smse = _sum_mse(d.M, d.L_tot, float(ch.sigma2), res.phi.tolist()[0])
     return _Step(vbar, q, smse, ubar, g, t_sc, int(res.steps[0]),
                  *((res.a[0], cols[0]) if cfg.path == BOTH else (None,) * 2))
 

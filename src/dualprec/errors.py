@@ -34,7 +34,7 @@ class ConvergenceError(DualPrecError):
 
 class SingularTransformError(DualPrecError):
     """The power-transform linear system is singular or too ill-conditioned
-    to trust (condition number above 1e12)."""
+    to trust (condition number above `duality.COND_LIMIT`)."""
 
 
 class InfeasibleTransformError(DualPrecError):

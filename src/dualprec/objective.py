@@ -4,9 +4,9 @@ Virtual uplink quantities all derive from the base-station covariance
 
     J = sum_l q_l htil_l htil_l^H + sigma2 I_M,
 
-which dominates everything: the minimum sum-MSE is
-L_tot - M + sigma2 tr(J^-1), its gradient in q_l is -htil_l^H J^-2 htil_l,
-and the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l), whose
+which dominates everything: the minimum sum-MSE is L_tot - M +
+sigma2 tr(J^-1), with gradient -sigma2 htil_l^H J^-2 htil_l in q_l, and
+the per-stream MMSE receivers are u_l = J^-1 htil_l sqrt(q_l), whose
 unit directions are the downlink beamformers of the duality
 (`mmse_directions`).  User k's downlink covariance
 J_k = H_k^H Ubar P Ubar^H H_k + sigma2 I is J of the dual channel
@@ -22,10 +22,11 @@ With L >= M columns it assembles J and solves it once by LU on
 [I, Htil] (`np.linalg.solve`): at M = L = 4 in stacks of 50 that took
 about half the time of the slice-by-slice LAPACK Cholesky it replaced
 (`BENCH_numpy_kernel.json`).  With L < M it never forms J and inverts an
-L x L matrix instead, which is exact to rounding at every SNR and at
+L x L matrix T^-1 instead, which is exact to rounding at every SNR and at
 M = 64, L = 32 took a fifth to a third of the M x M form's time per
-instance (`BENCH_stream_kernel.json`).  What a call reuses of its
-columns, G = Htil^H Htil (`_gram`) with L < M or else conj(Htil) and
+instance (`BENCH_stream_kernel.json`).  Its phi (tr J^-1, or tr T, which
+is (M - L) / sigma2 less) feeds `_sum_mse` alone.  What a call reuses of
+its columns, G = Htil^H Htil (`_gram`) with L < M or else conj(Htil) and
 [I, Htil] (`_constants`), is constant over a solve, so the solver forms
 it once per stack and hands it in.
 
@@ -47,15 +48,14 @@ class UplinkState:
     """Immutable snapshot of the uplink at one power allocation.
 
     Holds the receivers J^-1 Htil (the MMSE directions, the per-stream
-    MSEs and the duality quantities all derive from them) and tr(J^-1)
-    (the sum-MSE).
+    MSEs and the duality quantities all derive from them) and phi.
     """
 
     eff: EffectiveChannel
     q: np.ndarray
     sigma2: float
     Jinv_cols: np.ndarray  # J^-1 @ eff.cols, M x L_tot
-    trace_jinv: float  # tr(J^-1)
+    trace_inv: float  # phi: tr T at L_tot < M, else tr J^-1
 
 
 def _slices(fn, X: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
@@ -104,25 +104,24 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, const=None):
     `_constants` of ``cols``, which a solve forms once; without it the
     kernel forms them itself, to the same bits.
 
-    Returns the stacked (A, f, gains) of J = sum_l q_l htil_l htil_l^H
-    + sigma2 I: A = J^-1 Htil (B x M x L), f = tr(J^-1) (B,) and
-    gains_l = ||A_l||^2 = htil_l^H J^-2 htil_l = -df/dq_l (B x L).  The
-    domain is the smaller of M and L, chosen by shape:
+    Returns the stacked (A, phi, gains) of J = sum_l q_l htil_l htil_l^H
+    + sigma2 I: A = J^-1 Htil (B x M x L), phi (B,) and gains_l = ||A_l||^2
+    = htil_l^H J^-2 htil_l = -dphi/dq_l (B x L), in the smaller domain:
 
     * L >= M: J is assembled, hermitized and solved once by LU on
-      [I, Htil]; f sums the real diagonal of the J^-1 block.
+      [I, Htil]; phi = tr J^-1 sums the real diagonal of the J^-1 block.
     * L < M: by push-through, J^-1 Htil = Htil T with the L x L
       T = (sigma2 I + Q G)^-1 and G = Htil^H Htil, so A = Htil T and
-      f = tr T + (M - L) / sigma2.  sigma2 I + Q G is not Hermitian, so
-      it is inverted by LU.  Nothing here cancels at high SNR, where the
-      M x M form loses the gains (6e-6 relative at M = 8, L = 4,
-      sigma2 = 1e-12), and A stays exact to rounding.
+      phi = tr T = tr J^-1 - (M - L) / sigma2.  sigma2 I + Q G is not
+      Hermitian, so it is inverted by LU.  Nothing here cancels at high
+      SNR, where the M x M form loses the gains (6e-6 relative at M = 8,
+      L = 4, sigma2 = 1e-12), and A and phi stay exact to rounding.
 
     J and J^-1 (or T) stay inside.  A slice comes back NaN in all three
     outputs when its matrix is not finite (powers or columns that
-    overflow it) or exactly singular, when its f is not positive (J has
+    overflow it) or exactly singular, when its phi is not positive (J has
     lost its definiteness to rounding: collinear columns at sigma2 =
-    1e-300 gave f = -3.7e15), and when an output overflows (an inactive
+    1e-300 gave phi = -3.7e15), and when an output overflows (an inactive
     stream at sigma2 = 1e-300 has a gain of |htil_l|^2 / sigma2^2); the
     other slices are unaffected.
 
@@ -138,8 +137,7 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, const=None):
         T = _slices(np.linalg.inv, S)
         # column-major slices
         A = (T.swapaxes(1, 2) @ cols.swapaxes(1, 2)).swapaxes(1, 2)
-        f = (np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
-             + (M - L) / sigma2)
+        phi = np.add.reduce(T.diagonal(0, 1, 2), axis=-1).real
     else:
         conj, rhs = const
         J = (cols * q[:, None, :]) @ conj.swapaxes(1, 2)
@@ -149,17 +147,17 @@ def _covariance(cols: np.ndarray, q: np.ndarray, sigma2: float, const=None):
         X = _slices(np.linalg.solve, J, rhs)
         A = X[:, :, M:]
         # np.trace of the J^-1 block, without its Python wrapper
-        f = np.add.reduce(X.diagonal(0, 1, 2), axis=-1).real
+        phi = np.add.reduce(X.diagonal(0, 1, 2), axis=-1).real
     # np.sum, without its Python wrapper
     gains = np.add.reduce(np.abs(A) ** 2, axis=1)
-    # tr J^-1 of a positive definite J is positive: a slice whose f is
-    # not positive and finite, or whose gains overflowed, comes back NaN
-    fl = f.tolist()
+    # phi is positive (T is similar to a positive definite matrix): a slice
+    # whose phi is not positive and finite, or gains overflowed, is NaN
+    fl = phi.tolist()
     if not (min(fl, default=1.0) > 0 and math.isfinite(
             sum(fl) + np.add.reduce(gains, axis=None))):
-        bad = ~((f > 0) & (f < math.inf) & np.isfinite(gains).all(axis=1))
-        A[bad], f[bad], gains[bad] = np.nan, np.nan, np.nan
-    return A, f, gains
+        bad = ~((phi > 0) & (phi < math.inf) & np.isfinite(gains).all(axis=1))
+        A[bad], phi[bad], gains[bad] = np.nan, np.nan, np.nan
+    return A, phi, gains
 
 
 def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
@@ -173,16 +171,21 @@ def make_state(eff: EffectiveChannel, q, sigma2: float) -> UplinkState:
         raise NumericsError("q must be >= 0 and sigma2 > 0")
     if not np.all(np.isfinite(eff.cols.view(float))):
         raise NumericsError("non-finite effective channel")
-    A, f, _ = _covariance(eff.cols[None], q[None], sigma2)
-    if np.isnan(f[0]):  # overflowed, or not invertible or factorable
+    A, phi, _ = _covariance(eff.cols[None], q[None], sigma2)
+    if np.isnan(phi[0]):  # overflowed, or not invertible or factorable
         raise NumericsError("covariance not positive definite or not finite")
     return UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
-                       trace_jinv=float(f[0]))
+                       trace_inv=float(phi[0]))
+
+
+def _sum_mse(M: int, L: int, sigma2: float, phi: float) -> float:
+    """Minimum sum-MSE (L - M)^+ + sigma2 phi from M x L columns' phi."""
+    return max(L - M, 0) + sigma2 * phi
 
 
 def sum_mse_uplink(state: UplinkState) -> float:
-    """Minimum sum-MSE at this state: L_tot - M + sigma2 tr(J^-1)."""
-    return state.eff.L_tot - state.eff.M + state.sigma2 * state.trace_jinv
+    """Minimum sum-MSE at this state (`_sum_mse`)."""
+    return _sum_mse(*state.eff.cols.shape, state.sigma2, state.trace_inv)
 
 
 def mmse_directions(state: UplinkState) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Convex power allocation in the virtual uplink, with KKT certification.
 
-Minimizes f(q) = tr(J(q)^-1) with J(q) = sum_l q_l htil_l htil_l^H
-+ sigma2 I over the feasible set {q >= 0, sum q <= P_max}.  f is convex
-and strictly decreasing in every power whose channel is nonzero, so the
+Minimizes phi(q), the trace of the inverse `objective._covariance` forms
+(tr J(q)^-1 with J(q) = sum_l q_l htil_l htil_l^H + sigma2 I, less
+(M - L) / sigma2 at L < M), on {q >= 0, sum q <= P_max}.  phi is convex
+and strictly decreasing in each power with a nonzero channel, so the
 budget is tight at the optimum.
 
 The solve is a single projected-Newton / active-set method on the simplex
@@ -11,7 +12,7 @@ step on the face of powered streams, cut at the boundary, with an Armijo
 or residual-decrease line search.  Values, gains and Hessians all come
 from the covariance kernel `objective._covariance`, and so does the KKT
 certificate at the returned q.  It passes on one scale-free test, the
-Frank-Wolfe gap P max_l g_l - sum_l q_l g_l (which bounds f(q) - f*;
+Frank-Wolfe gap P max_l g_l - sum_l q_l g_l (which bounds phi(q) - phi*;
 Jaggi, ICML 2013) over sum_l q_l g_l.  A row stops at a trial that does
 not lower its best residual once it passes, or at its rounding floor.
 That residual is in the units of the gains, so the steps do not depend
@@ -28,16 +29,15 @@ else conj(Htil) and [I, Htil]) and conj(Htil) as rows, which the
 full-face Newton step reads.  A round decides on mu_sum, the relative
 gap and the residual alone (`_progress`); `_certify` forms the other
 certificate terms (`_kkt`) from the returned q and gains.
-`_solve_stack` is the stacked core: B x M x L columns in, per-row
-arrays out (q, J^-1 Htil, tr J^-1, steps, the gains and relative gap,
-and each row's error).  `verify` and the design step call it directly;
-the public `solve_power` is a stack of one over it, whose row
-`_certify` turns into a state and a certificate.  With
-L <= M a cold solve starts from the regularized zero-forcing
-allocation; a warm start keeps q0's zero powers at zero.  Every stacked
-operation is elementwise or slice by slice, so an instance takes the
-same steps, to the bit, whatever shares its stack.  A stream with a
-zero channel starts at q = 0 and stays there (its gain is 0).
+`_solve_stack` is the stacked core: B x M x L columns in, per-row arrays
+out (q, J^-1 Htil, phi, steps, the gains and relative gap, and each row's
+error).  `verify` and the design step call it directly; the public
+`solve_power` is a stack of one over it, whose row `_certify` turns into a
+state and a certificate.  With L <= M a cold solve starts from the
+regularized zero-forcing allocation; a warm start keeps q0's zero powers
+at zero.  Every stacked operation is elementwise or slice by slice, so an
+instance takes the same steps, to the bit, whatever shares its stack.  A
+zero channel's stream starts and stays at q = 0 (its gain is 0).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class KktCertificate:
     residuals are absolute, in units of the gains (up to ~1/sigma2^2) and
     powers.  ``relative_gap`` passes or fails: the largest of (P max_l g_l
     - sum_l q_l g_l) / sum_l q_l g_l, the budget excess / P and the
-    largest negative power / P.  That Frank-Wolfe gap bounds f(q) - f*,
+    largest negative power / P.  That Frank-Wolfe gap bounds phi(q) - phi*,
     and sum_l q_l g_l <= sum-MSE / sigma2, so a q that passes has a
     sum-MSE at most relative_gap times itself above the optimum.
     ``state`` is the kernel output at q, when known.
@@ -207,8 +207,8 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     state at q_star.  Raises ConvergenceError (carrying the best iterate
     and its certificate) if no iterate's relative gap comes to at most
     cfg.kkt_tol within cfg.max_iters.  ``q0`` warm-starts the solve (a
-    non-finite power there raises ValidationError); ``callback(q, f)``
-    fires after every step taken.
+    non-finite power there raises ValidationError); ``callback(q, phi)``
+    fires after every step taken, with the kernel's phi at q.
     """
     out, = _certify(_solve_stack(np.array([eff.cols]), sigma2, p_max, cfg,
                                  q0, callback), [eff], sigma2)
@@ -228,11 +228,10 @@ def _certify(res, effs, sigma2) -> list:
     out = list(res.err)
     # copies in the layouts one kernel call gives, so that callers
     # computing on the state get the same bits whatever the stack
-    f = res.f.tolist()
     states = [UplinkState(eff=effs[j], q=res.q[j].copy(),
                           sigma2=float(sigma2),
                           Jinv_cols=res.a[j].copy(order="F"),
-                          trace_jinv=f[j]) for j in done]
+                          trace_inv=float(res.phi[j])) for j in done]
     kkt = _kkt(res.q[done], res.g[done], res.p_max, ACTIVE_TOL * res.p_max)
     for j, cert in zip(done, _certificates(kkt, states)):
         if res.err[j] is None:
@@ -247,7 +246,7 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     `_lockstep` stacks of at most `STACK_BYTES`.
 
     Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
-    the kernel computes it), f = tr J^-1 (B), steps (B), the gains g at q
+    the kernel computes it), its phi (B), steps (B), the gains g at q
     (B x L) and the relative gap rel (B), with the p_max that `_certify`
     forms the `_kkt` terms with, and err: per row None or the error its
     solve raised, a ConvergenceError without its best iterate and
@@ -304,8 +303,8 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     if out is None:  # no row started
         out = [np.full(shape, math.nan) for shape in (
             (B, L), (B, M, L), (B,), (B,), (B, L), (B,))]
-    q, a, f, steps, g, rel = out
-    return SimpleNamespace(q=q, a=a, f=f, steps=steps, g=g, rel=rel,
+    q, a, phi, steps, g, rel = out
+    return SimpleNamespace(q=q, a=a, phi=phi, steps=steps, g=g, rel=rel,
                            p_max=p_max, err=err)
 
 
@@ -323,8 +322,8 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     Without q0, an L <= M row whose channels are all on starts instead
     from the regularized zero-forcing allocation q_l = p_max sqrt(c_l) /
     sum_j sqrt(c_j), c = diag((G + lambda I)^-1), lambda = `START_NOISE`
-    sigma2 L / p_max.  For L <= M, tr J^-1 ~ (M - L) / sigma2
-    + sum_l [G^-1]_ll / q_l at high SNR (push-through), which this q
+    sigma2 L / p_max.  For L <= M, the kernel's phi = tr T (= tr J^-1 at
+    L = M) ~ sum_l [G^-1]_ll / q_l at high SNR (push-through), which this q
     minimizes on the budget simplex (Palomar, Cioffi & Lagunas, IEEE TSP
     51(9), 2003).  A row whose c is not finite and positive, or whose q
     is not positive, keeps its uniform start.  Every step is slice by
@@ -391,11 +390,11 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     best passes kkt_tol, or once that residual or its relative gap is at
     most the polish target (so the stop does not depend on the gains'
     scale); at a step that does not lower it and predicts a decrease
-    below the target; at max_iters; or with no finite Newton step.  ``callback(q, f)`` fires after every
-    step of every row.  Per row the loop holds the current iterate (q, f,
-    G, A, r), the best (bq, br, ba, bf, bg and its mu_sum and relative
-    gap, bmu and brel), the step (dq, t, slope) and its trial; no array
-    is written in place, so they may share one."""
+    below the target; at max_iters; or with no finite Newton step.
+    ``callback(q, f)`` (f: phi) fires after every step of every row.  Per
+    row the loop holds the current iterate (q, f, G, A, r), the best (bq,
+    br, ba, bf, bg, bmu, brel), the step (dq, t, slope) and its trial; no
+    array is written in place, so they may share one."""
     # polish well below kkt_tol; Newton reaches this in one more step.  A
     # failing row whose Newton step predicts a decrease below target
     # P mu_sum (~ target sum_l q_l g_l) is at the rounding floor of its
@@ -512,7 +511,7 @@ def _step(go, Q, G, A, CT, p_max, old) -> tuple:
 
 
 def _newton(CT, Q, G, A, p_max: float) -> tuple:
-    """Equality-constrained Newton steps of tr(J^-1), and whether a row's
+    """Equality-constrained Newton steps of phi, and whether a row's
     system has no finite solution (its step is NaN), from conj(Htil) as
     rows ``CT`` (B x L x M).  On the face of the powered streams and the
     parked ones whose gain exceeds their level mu, solves

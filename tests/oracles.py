@@ -234,7 +234,7 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
         active_tol = ACTIVE_TOL * p_max
     A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
     state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
-                        trace_jinv=float(f[0]))
+                        trace_inv=float(f[0]))
     return _certificates(_kkt(q[None], gains, p_max, active_tol),
                          [state])[0]
 
@@ -245,10 +245,12 @@ def exact_state(cols, q, sigma2) -> SimpleNamespace:
     The float inputs are taken exactly as fractions, J = sum_l q_l htil_l
     htil_l^H + sigma2 I is assembled in complex rationals ((re, im) pairs
     of `Fraction`) and Gauss-Jordan elimination on [J | Htil] gives
-    A = J^-1 Htil.  From A, exactly: gains_l = ||a_l||^2 and
-    tr J^-1 = (M - sum_l q_l Re(htil_l^H a_l)) / sigma2, which is
-    tr(J^-1 J) = M written out.  Returns them as floats: A, trace_jinv
-    and gains.
+    A = J^-1 Htil.  From A, exactly: gains_l = ||a_l||^2, the sum-MSE
+    L - sum_l q_l Re(htil_l^H a_l), and the kernel's phi, tr J^-1 =
+    (M - sum_l q_l Re(htil_l^H a_l)) / sigma2 (tr(J^-1 J) = M written
+    out) at L >= M and tr T = tr J^-1 - (M - L) / sigma2 at L < M, so
+    (min(M, L) - sum_l q_l Re(htil_l^H a_l)) / sigma2 either way.
+    Returns them as floats: A, phi, smse and gains.
     """
     cols = np.asarray(cols, dtype=complex)
     M, L = cols.shape
@@ -284,10 +286,11 @@ def exact_state(cols, q, sigma2) -> SimpleNamespace:
     # Re(htil_l^H a_l) = sum_i Re(conj(h_il) a_il)
     g = [sum(h[i][l][0] * A[i][l][0] + h[i][l][1] * A[i][l][1]
              for i in range(M)) for l in range(L)]
+    qg = sum(ql * gl for ql, gl in zip(qs, g))
     return SimpleNamespace(
         A=np.array([[complex(float(a), float(b)) for a, b in row]
                     for row in A]),
-        trace_jinv=float((M - sum(ql * gl for ql, gl in zip(qs, g))) / s2),
+        phi=float((min(M, L) - qg) / s2), smse=float(L - qg),
         gains=np.array([float(x) for x in gains]))
 
 

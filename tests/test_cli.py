@@ -153,7 +153,8 @@ def test_solve_objective_reevaluation_oracle(instance, tmp_path):
     out = tmp_path / "report.json"
     run_cli(["solve", str(instance), "--out", str(out)])
     rep = json.loads(out.read_text())
-    # independent re-evaluation of tr(J^-1) at the reported q
+    # independent re-evaluation of the sum-MSE at the reported q: the
+    # instance is square, so it is sigma2 tr(J^-1)
     from dualprec import (VIRTUAL_UPLINK, build_effective_channel,
                           random_unit_precoders)
     ch = load_instance(instance)
@@ -162,8 +163,9 @@ def test_solve_objective_reevaluation_oracle(instance, tmp_path):
     eff = build_effective_channel(ch, up)
     q = np.array(rep["q"])
     J = (eff.cols * q) @ eff.cols.conj().T + ch.sigma2 * np.eye(4)
-    expect = float(np.trace(np.linalg.inv(J)).real)
-    assert abs(rep["objective_trace_jinv"] - expect) <= 1e-12 * expect
+    expect = ch.sigma2 * float(np.trace(np.linalg.inv(J)).real)
+    assert "objective_trace_jinv" not in rep
+    assert abs(rep["smse"] - expect) <= 1e-12 * expect
 
 
 def test_solve_scalar_instance(tmp_path, capsys):

@@ -8,17 +8,20 @@ from conftest import DIMS_2x2
 from dualprec import (BOTH, SIMPLIFIED, ChannelSet, ConvergenceError,
                       DesignConfig, EffectiveChannel, NumericsError,
                       SingularTransformError, SolverConfig, SystemDims,
-                      ValidationError, build_duality_data, design,
-                      gen_channel, make_state, transform_power)
+                      ValidationError, build_duality_data,
+                      build_effective_channel, design, gen_channel,
+                      make_state, transform_power)
 from dualprec.objective import _covariance
 from dualprec.solver import ACTIVE_TOL
-from oracles import (RankError, legacy_smse_difference, normalize_covariance,
-                     object_step, plain_design)
+from oracles import (RankError, exact_state, legacy_smse_difference,
+                     normalize_covariance, object_step, plain_design)
 
 #: The perfbench design-loop shape: N_k > L_k needs many outer iterations.
 LOOP_DIMS = SystemDims(M=4, K=2, N=(4, 4), L=(2, 2))
 #: The perfbench large-m shape: one run of 32 single-stream users.
 LARGE_DIMS = SystemDims(M=64, K=32, N=(2,) * 32, L=(1,) * 32)
+#: Two single-stream users under eight antennas: L_tot < M.
+THIN_DIMS = SystemDims(M=8, K=2, N=(2, 2), L=(1, 1))
 
 
 def small_channel(seed=11):
@@ -117,6 +120,30 @@ def test_design_rejects_invalid_instance():
     for path in ("nope", "legacy_transform"):
         with pytest.raises(ValidationError):
             DesignConfig(path=path)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reported_smse_is_exact_at_high_snr(seed):
+    # the last trace entry is sigma2 tr((sigma2 I + Q G)^-1) at the
+    # returned iterate to within 16 eps (0.8 eps at most on these seeds);
+    # formed as L_tot - M + sigma2 tr J^-1 it was 3e-3 to 6e-3 off
+    ch = gen_channel(THIN_DIMS, 1e-12, 10.0, seed=seed)
+    res = design(ch)
+    eff = build_effective_channel(ch, res.uplink)
+    want = exact_state(eff.cols, res.uplink.powers, 1e-12).smse
+    got = res.smse_trace[-1]
+    assert abs(got - want) <= 16 * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_smse_lets_the_design_descend(seed):
+    # at sigma2 = 1e-8 a sum-MSE that carried the rounding of
+    # (M - L_tot) / sigma2 stopped the design after 2 iterates; the exact
+    # one takes 48, 71 and 57 to 5.2e-10, 4.8e-10 and 3.7e-10
+    ch = gen_channel(THIN_DIMS, 1e-8, 10.0, seed=seed)
+    res = design(ch, DesignConfig(smse_rel_tol=1e-14))
+    assert res.converged and res.iters > 2
+    assert np.all(np.diff(res.smse_trace) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +327,7 @@ def test_failed_plain_solve_carries_its_certificate(monkeypatch):
         (b.mu_sum, b.relative_gap, b.stationarity_residual)
     assert np.array_equal(a.state.q, got.best_q)
     assert np.array_equal(a.state.Jinv_cols, b.state.Jinv_cols)
-    assert a.state.trace_jinv == b.state.trace_jinv
+    assert a.state.trace_inv == b.state.trace_inv
 
 
 def test_unfactorable_downlink_covariance_raises(monkeypatch):

@@ -565,7 +565,7 @@ def bogus_state(state, a):
     state the duality kernel reads besides q and the channel."""
     return UplinkState(eff=state.eff, q=state.q, sigma2=state.sigma2,
                        Jinv_cols=np.asarray(a, dtype=complex),
-                       trace_jinv=state.trace_jinv)
+                       trace_inv=state.trace_inv)
 
 
 def test_verify_theorems_bad_row_leaves_the_others():

@@ -67,7 +67,9 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
     # each slice is bitwise the kernel on its instance alone, and agrees
     # with the M x M inverse of J to within that route's own rounding,
     # eps cond(J), in either domain (at most 1.7 eps cond(J) on 40 draws
-    # of each shape); its accuracy against the exact state where L < M is
+    # of each shape): where L < M its phi = tr T is tr J^-1 less
+    # (M - L) / sigma2, which is added back to meet the M x M trace.  Its
+    # accuracy against the exact state where L < M is
     # `test_stream_domain_is_exact_to_rounding`
     rng = np.random.default_rng(M * L + B)
     cols = rng.standard_normal((B, M, L)) + 1j * rng.standard_normal((B, M, L))
@@ -89,7 +91,7 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
             (A, f, gains), (A_ref, f_ref, gains_ref) = (
                 [x[b] for x in out], ref)
             assert np.abs(A - A_ref).max() <= tol * np.abs(A_ref).max()
-            assert abs(f - f_ref) <= tol * f_ref
+            assert abs(f + max(M - L, 0) / sigma2 - f_ref) <= tol * f_ref
             assert np.all(np.abs(gains - gains_ref) <= tol * gains_ref)
 
 
@@ -97,7 +99,7 @@ def test_stacked_kernel_equals_one_instance_at_a_time(B, M, L):
 #: over 150 instances at M = 8, L = 4 (one stream off in a third of them)
 #: and sigma2 = 1, 1e-4, 1e-8, 1e-12 and 1e-14, the largest was 29 eps
 #: for a gain or a column of A and 1.1 eps for tr J^-1.
-EXACT_BUDGET = {"gains": 64, "A": 64, "trace_jinv": 4}
+EXACT_BUDGET = {"gains": 64, "A": 64, "phi": 4}
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
@@ -117,9 +119,34 @@ def test_stream_domain_is_exact_to_rounding(sigma2):
         err = {"gains": np.max(np.abs(gains - ex.gains) / ex.gains),
                "A": np.max(np.linalg.norm(A - ex.A, axis=0)
                            / np.linalg.norm(ex.A, axis=0)),
-               "trace_jinv": abs(f - ex.trace_jinv) / ex.trace_jinv}
+               "phi": abs(f - ex.phi) / ex.phi}
         for name, budget in EXACT_BUDGET.items():
             assert err[name] <= budget * eps, (seed, name, err[name] / eps)
+
+
+#: `sum_mse_uplink`'s relative error against `exact_state`, in units of
+#: eps: over seeds 0-39 of each shape and sigma2 below, the largest was
+#: 4.8 eps (the sum-MSE as L_tot - M + sigma2 tr J^-1 was 5e5 eps off at
+#: M = 8, L = 2, sigma2 = 1e-4 and 100% off at 1e-14).
+SMSE_BUDGET = 16
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
+@pytest.mark.parametrize("M,L", [(8, 2), (8, 4), (4, 6)])
+def test_sum_mse_is_exact_to_rounding(M, L, sigma2):
+    # at L < M the sum-MSE is sigma2 tr T, which nothing cancels, and at
+    # L > M it is L - M + sigma2 tr J^-1; one stream is off on odd seeds
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((M, L)) + 1j * rng.standard_normal((M, L))
+        q = 10.0 * rng.dirichlet(np.ones(L))
+        if seed % 2:
+            q[seed % L] = 0.0
+        want = exact_state(cols, q, sigma2).smse
+        got = sum_mse_uplink(make_state(eff_from_cols(cols), q, sigma2))
+        assert abs(got - want) <= SMSE_BUDGET * eps * want, (
+            seed, abs(got - want) / want / eps)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -191,23 +218,25 @@ def test_overflowing_output_is_nan_in_its_slice_only():
 # make_state
 
 def test_make_state_zero_power():
-    # J = 2 I: J^-1 htil = (1/2, 0), tr J^-1 = 1 and the gain is 1/4
+    # J = 2 I: J^-1 htil = (1/2, 0) and the gain is 1/4; L < M, so phi is
+    # tr T = 1/2, tr J^-1 = 1 less (M - L) / sigma2 = 1/2
     A, f, gains = covariance(np.array([[1.0], [0.0]]), np.zeros(1), 2.0)
-    assert f == pytest.approx(1.0, abs=1e-15)
+    assert f == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(A, [[0.5], [0.0]], atol=1e-15)
     assert np.allclose(gains, [0.25], atol=1e-15)
     st = make_state(eff_from_cols(np.array([[1.0], [0.0]])), np.zeros(1), 2.0)
-    assert st.trace_jinv == f and np.array_equal(st.Jinv_cols, A)
+    assert st.trace_inv == f and np.array_equal(st.Jinv_cols, A)
 
 
 def test_make_state_rank_one_update():
-    # J = diag(2, 1): J^-1 htil = (1/2, 0), tr J^-1 = 3/2 and the gain 1/4
+    # J = diag(2, 1): J^-1 htil = (1/2, 0) and the gain 1/4; phi is
+    # tr T = 1/2, tr J^-1 = 3/2 less (M - L) / sigma2 = 1
     A, f, gains = covariance(np.array([[1.0], [0.0]]), np.ones(1), 1.0)
-    assert f == pytest.approx(1.5, abs=1e-15)
+    assert f == pytest.approx(0.5, abs=1e-15)
     assert np.allclose(A, [[0.5], [0.0]], atol=1e-15)
     assert np.allclose(gains, [0.25], atol=1e-15)
     st = make_state(eff_from_cols(np.array([[1.0], [0.0]])), np.ones(1), 1.0)
-    assert st.trace_jinv == f and np.array_equal(st.Jinv_cols, A)
+    assert st.trace_inv == f and np.array_equal(st.Jinv_cols, A)
 
 
 def test_make_state_inverse_check():
@@ -215,7 +244,7 @@ def test_make_state_inverse_check():
     st = make_state(eff, np.array([1.0, 2.0, 0.5, 3.0]), 0.7)
     J = covariance_of(st)
     assert np.abs(J @ st.Jinv_cols - eff.cols).max() <= 1e-10
-    assert abs(st.trace_jinv - np.trace(np.linalg.inv(J)).real) <= 1e-10
+    assert abs(st.trace_inv - np.trace(np.linalg.inv(J)).real) <= 1e-10
 
 
 def test_make_state_rejects_non_finite():
@@ -307,7 +336,7 @@ def test_monotonicity_in_single_power():
         q2 = q.copy()
         q2[l] += 0.5
         st2 = make_state(eff, q2, 1.0)
-        assert st2.trace_jinv < st0.trace_jinv
+        assert st2.trace_inv < st0.trace_inv
 
 
 def test_convexity_probe():
@@ -315,7 +344,7 @@ def test_convexity_probe():
     _, _, eff = rand_instance(4)
 
     def f(qv):
-        return make_state(eff, qv, 1.0).trace_jinv
+        return make_state(eff, qv, 1.0).trace_inv
 
     for _ in range(20):
         qa = rng.uniform(0, 3, 4)

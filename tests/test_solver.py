@@ -340,7 +340,7 @@ def assert_same_result(batched, alone):
     assert np.array_equal(cert.mu, ref.mu)
     for name in CERT_FIELDS:
         assert getattr(cert, name) == getattr(ref, name), name
-    for name in ("Jinv_cols", "q", "trace_jinv"):
+    for name in ("Jinv_cols", "q", "trace_inv"):
         assert np.array_equal(getattr(cert.state, name),
                               getattr(ref.state, name)), name
 
@@ -431,7 +431,7 @@ def test_certificate_state_is_the_kernel_at_its_q():
         state = err.certificate.state
         assert not np.array_equal(steps[-1], state.q)
         A, f, _ = covariance(eff.cols, state.q, sigma2)
-        assert state.trace_jinv == f
+        assert state.trace_inv == f
         assert np.array_equal(state.Jinv_cols, A)
 
 
@@ -548,7 +548,7 @@ def test_m64_start_is_per_row():
         # the stack's G handed in: the state is still the kernel at q
         A, f, _ = covariance(eff.cols, q, 1.0)
         assert np.array_equal(cert.state.Jinv_cols, A)
-        assert cert.state.trace_jinv == f
+        assert cert.state.trace_inv == f
     assert batched[2][0][5] == 0.0
     CS = np.array([eff.cols for eff in effs])
     Q, errs = solver._start(CS, _gram(CS), 1.0, 10.0)
@@ -691,7 +691,7 @@ def test_square_state_is_the_m_by_m_kernel_at_its_q(dims):
         q, cert = solve_power(eff, 1e-4, 10.0)
         A, f, _ = covariance(eff.cols, q, 1e-4)  # no gram
         assert np.array_equal(cert.state.Jinv_cols, A)
-        assert cert.state.trace_jinv == f
+        assert cert.state.trace_inv == f
 
 
 # ---------------------------------------------------------------------------

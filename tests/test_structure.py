@@ -116,9 +116,10 @@ def test_design_and_solver_config_fields_fixed():
 
 def test_uplink_state_holds_no_covariance_matrix():
     # the state and the kernel carry what their readers read: J^-1 Htil,
-    # tr(J^-1) and the gains; J and J^-1 stay inside the kernel
+    # the trace phi of the kernel's inverse and the gains; J and J^-1 stay
+    # inside the kernel
     assert [f.name for f in dataclasses.fields(dualprec.UplinkState)] == [
-        "eff", "q", "sigma2", "Jinv_cols", "trace_jinv"]
+        "eff", "q", "sigma2", "Jinv_cols", "trace_inv"]
     out = objective._covariance(np.ones((2, 3, 2), dtype=complex),
                                 np.ones((2, 2)), 1.0)
     assert [x.shape for x in out] == [(2, 3, 2), (2,), (2, 2)]
