@@ -83,6 +83,11 @@ LAYERS = {
                               "over one call on the stacked columns of 50 "
                               "instances of M=4 K=2 N=(2,2) L=(2,2) P=10 at "
                               "each sigma2 = 10, 1, 1e-2, 1e-4, 1e-6"),
+    "newton_B50_mixed": ("us", "solver._newton per call, on the first "
+                               "call with the most distinct counts of "
+                               "powered streams per row (so of face sizes) "
+                               "that solve_stack_B50's sigma2 = 10 stack "
+                               "makes"),
     "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
                                 "on seeds 1-4 at M=64 K=32 N_k=2 L_k=1"),
     "gen_stacks_B50_M4": ("us", "model.gen_stacks per instance, one call "
@@ -277,6 +282,18 @@ def _layers(pkg, paths: list) -> dict:
         [lambda cs=cs, s2=s2: solver._solve_stack(cs, s2, 10.0)
          for cs, s2 in zip(batches, SIGMA2S)],
         lambda t: sum(t) / (50 * len(SIGMA2S)) * 1e6)
+    # one Newton call of that stack at sigma2 = 10, captured and replayed
+    newton, captured = solver._newton, []
+    solver._newton = lambda *a: captured.append(a) or newton(*a)
+    try:
+        solver._solve_stack(batches[0], SIGMA2S[0], 10.0)
+    finally:
+        solver._newton = newton
+    # the first call with the most distinct powered-stream counts per row
+    mixed = max(captured, key=lambda a: len(set(
+        np.count_nonzero(a[1] > 0, axis=1).tolist())))
+    out["newton_B50_mixed"] = _rounds([lambda: newton(*mixed)],
+                                      lambda t: t[0] * 1e6)
     out["gen_stacks_B4_M64"] = _rounds(
         [lambda: pkg.model.gen_stacks(large, range(1, 5))],
         lambda t: t[0] / 4 * 1e6)
@@ -390,7 +407,9 @@ def measure(parent_first: bool) -> dict:
     import dualprec
     import dualprec_parent
     from dualprec import cli
-    from dualprec._blas import blas_threads
+    from dualprec._blas import blas_threads, pin_one_thread
+
+    pin_one_thread()  # as the CLI does; importing dualprec leaves BLAS alone
 
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"inst{s}.json") for s in range(1000, 1010)]
@@ -553,8 +572,8 @@ def main(argv=None) -> int:
                         "first alternating from call to call and run to run; "
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
-                        "solve_stack_B50, solve_stack_B4_M64, gen_stacks, "
-                        "gen_channel, "
+                        "solve_stack_B50, newton_B50_mixed, "
+                        "solve_stack_B4_M64, gen_stacks, gen_channel, "
                         "check_B50, check_B4_M64, emit_verify50, gen_cli, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "

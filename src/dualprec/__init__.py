@@ -19,8 +19,3 @@ from .objective import (UplinkState, downlink_mmse, make_state,
 from .solver import KktCertificate, SolverConfig, project_power, solve_power
 
 __version__ = "0.1.0"
-
-# after the imports above, which load numpy's OpenBLAS
-from . import _blas  # noqa: E402
-
-_blas.pin_one_thread()

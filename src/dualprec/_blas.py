@@ -6,10 +6,11 @@ slower on its default thread count (one per core) than on one thread,
 since handing work to the threads costs more than the arithmetic they
 share: one `solve_power` at M = L = 64 took 72 ms against 9.7 ms on 2
 cores (measured through scipy's copy, which the package no longer
-loads).  Importing `dualprec` therefore sets every loaded OpenBLAS to one
-thread, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, which
-OpenBLAS itself obeys.  Where no OpenBLAS is loaded (MKL, a system BLAS,
-a platform without /proc/self/maps) nothing happens.
+loads).  The command line (`cli.main`) therefore sets every loaded
+OpenBLAS to one thread, once per process, unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is set, which OpenBLAS itself obeys; importing
+`dualprec` leaves them alone.  Where no OpenBLAS is loaded (MKL, a
+system BLAS, a platform without /proc/self/maps) nothing happens.
 """
 
 from __future__ import annotations

@@ -54,6 +54,9 @@ CONFIG_SECTIONS = {
     "ensemble": {"trials", "seed_base", "dims"},
 }
 
+#: `_blas.pin_one_thread`, run once per process: it scans the memory maps.
+_pin_blas = functools.cache(_blas.pin_one_thread)
+
 BENCH_FIELDS = ["trial", "seed", "iters", "smse_final", "pq_max_gap",
                 "t_legacy_us", "t_shortcut_us"]
 
@@ -516,6 +519,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_blas()
     ns = _parser().parse_args(argv)
     try:
         # looked up at each call, so that a patched cmd_* takes effect; an

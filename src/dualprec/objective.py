@@ -29,8 +29,6 @@ is (M - L) / sigma2 less) feeds `_sum_mse` alone.  What a call reuses of
 its columns, G = Htil^H Htil (`_gram`) with L < M or else conj(Htil) and
 [I, Htil] (`_constants`), is constant over a solve, so the solver forms
 it once per stack and hands it in.
-
-Importing `dualprec` sets OpenBLAS to one thread (`_blas`).
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ instances, one row each, from the first iterates `_start` takes for the
 whole stack at once: a round evaluates a power vector per row with one
 stacked kernel call, decides acceptance, backtracking and best iterates
 as row masks, and takes the Newton steps with one stacked
-`np.linalg.solve` per face size.  What a round reuses is formed once per
-stack and sliced with its rows: the kernel's constants (G with L < M,
-else conj(Htil) and [I, Htil]) and conj(Htil) as rows, which the
-full-face Newton step reads.  A round decides on mu_sum, the relative
-gap and the residual alone (`_progress`); `_certify` forms the other
-certificate terms (`_kkt`) from the returned q and gains.
+`np.linalg.solve` per pass (a second only for rows whose face shrank).
+What a round reuses is formed once per stack and sliced with its rows:
+the kernel's constants (G with L < M, else conj(Htil) and [I, Htil]) and
+conj(Htil) as rows, which the Newton step reads.  A round decides on
+mu_sum, the relative gap and the residual alone (`_progress`); `_certify`
+forms the other certificate terms (`_kkt`) from the returned q and gains.
 `_solve_stack` is the stacked core: B x M x L columns in, per-row arrays
 out (q, J^-1 Htil, phi, steps, the gains and relative gap, and each row's
 error).  `verify` and the design step call it directly; the public
@@ -516,56 +516,49 @@ def _newton(CT, Q, G, A, p_max: float) -> tuple:
     rows ``CT`` (B x L x M).  On the face of the powered streams and the
     parked ones whose gain exceeds their level mu, solves
     [H 1; 1^T 0][dq; dmu] = [gains - mu; p_max - sum q] with
-    H = 2 Re(C o conj(D)), C = Htil^H A, D = A^H A, one stacked solve per
-    face size; a parked stream pushed negative leaves the face and its row
-    is solved again."""
+    H = 2 Re(C o conj(D)), C = Htil^H A, D = A^H A, formed once for every
+    stream, and one stacked solve per pass: a stream off its row's face
+    has an identity row and column and a zero right-hand side, and a step
+    of 0.  A parked stream pushed negative leaves the face and its row is
+    solved again."""
     on = Q > _Z  # never empty: every iterate spends the budget
     mu = np.maximum.reduce(G, axis=1, initial=0.0, where=on)
+    B, L = Q.shape
+    At = np.ascontiguousarray(A.swapaxes(1, 2))
+    Ai = At.swapaxes(1, 2)
+    kkt = np.empty((B, L + 1, L + 1))
+    kkt.fill(1.0)
+    H = (CT @ Ai) * (At.conj() @ Ai).conj()
+    np.multiply(_TWO, H.real, out=kkt[:, :L, :L])
+    kkt[:, L, L] = 0.0
+    rhs = np.empty((B, L + 1, 1))
+    np.subtract(G, mu[:, None], out=rhs[:, :L, 0])
+    np.subtract(p_max, np.add.reduce(Q, axis=1), out=rhs[:, L, 0])
     parked = np.count_nonzero(on) < on.size  # else the face is every stream
-    act = on | (G > mu[:, None]) if parked else on
-    L, DQ, lost, redo = Q.shape[1], np.zeros(Q.shape), False, None
-    while True:  # redo: the rows to solve again
-        sizes = np.add.reduce(act, axis=1) if parked else None
-        faces = {L} if sizes is None else set(
-            (sizes if redo is None else sizes[redo]).tolist())
-        for m in faces:  # first all rows, then those whose face shrank
-            rows, face = slice(None), act  # every row, one face size
-            if redo is not None or len(faces) > 1:
-                rows = sizes == m if redo is None else redo & (sizes == m)
-                DQ[rows], face = 0.0, act & rows[:, None]
-            full = face is act and m == L  # all streams, in gather layout
-            if full:
-                At, Ct, Gf, Qf = (np.ascontiguousarray(A.swapaxes(1, 2)), CT,
-                                  G, Q)
-            else:  # the face's columns of A and Htil, as rows
-                At = A.swapaxes(1, 2)[face]
-                At = At.reshape(len(At) // m, m, -1)
-                Ct = CT[face].reshape(At.shape)
-                Gf, Qf = G[face].reshape(-1, m), Q[face].reshape(-1, m)
-            Ai = At.swapaxes(1, 2)
-            kkt = np.empty((len(At), m + 1, m + 1))
-            kkt.fill(1.0)
-            H = (Ct @ Ai) * (At.conj() @ Ai).conj()
-            np.multiply(_TWO, H.real, out=kkt[:, :m, :m])
-            kkt[:, m, m] = 0.0
-            rhs = np.empty((len(At), m + 1, 1))
-            np.subtract(Gf, mu[rows][:, None], out=rhs[:, :m, 0])
-            np.subtract(p_max, np.add.reduce(Qf, axis=1), out=rhs[:, m, 0])
-            sol = _solve_kkt(kkt, rhs)
-            if full:
-                DQ[:] = sol[:, :m, 0]
-            else:
-                DQ[face] = sol[:, :m, 0].ravel()
-            if not math.isfinite(np.add.reduce(sol, axis=None)):
-                nan = np.arange(len(Q))[rows][  # NaN steps for those rows
-                    ~np.logical_and.reduce(np.isfinite(sol), axis=(1, 2))]
-                DQ[nan], lost = math.nan, lost or len(nan) > 0
+    if parked:  # the face, and the multiplier's row and column, always on it
+        face = np.ones((B, L + 1), dtype=bool)
+        np.logical_or(on, G > mu[:, None], out=face[:, :L])
+    DQ, lost, rows = np.empty(Q.shape), False, slice(None)
+    while True:  # rows: first every row, then those whose face shrank
+        K, b = kkt[rows], rhs[rows]
+        if parked:
+            f = face[rows]
+            K = np.where(f[:, :, None] & f[:, None, :], K, np.eye(L + 1))
+            b = np.where(f[:, :, None], b, _Z)
+        sol = _solve_kkt(K, b)
+        # lstsq, on a singular system, need not give the identity rows 0
+        DQ[rows] = np.where(f[:, :L], sol[:, :L, 0], _Z) if parked \
+            else sol[:, :L, 0]
+        if not math.isfinite(np.add.reduce(sol, axis=None)):
+            nan = np.arange(B)[rows][  # NaN steps for those rows
+                ~np.logical_and.reduce(np.isfinite(sol), axis=(1, 2))]
+            DQ[nan], lost = math.nan, lost or len(nan) > 0
         # a row already solved, or failed, has no bad stream
         bad = ~on & (DQ < 0) if parked else None
         if bad is None or not np.count_nonzero(bad):
             return DQ, lost
-        redo = np.logical_or.reduce(bad, axis=1)
-        act &= ~bad
+        rows = np.logical_or.reduce(bad, axis=1)
+        face[:, :L] &= ~bad
 
 
 def _solve_kkt(kkt, rhs) -> np.ndarray:

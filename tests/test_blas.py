@@ -1,4 +1,5 @@
-"""Importing dualprec runs the bundled OpenBLAS on one thread.
+"""Importing dualprec leaves BLAS alone; the CLI runs the bundled
+OpenBLAS on one thread.
 
 The thread count is process-wide, so every case runs in its own
 interpreter with an environment it controls.
@@ -40,11 +41,29 @@ print(json.dumps(blas_threads()))
 """
 
 
-def test_import_pins_every_openblas_to_one_thread():
-    threads = run_python(READ_AFTER_IMPORT)
-    if threads is None:
+def test_import_leaves_openblas_alone_and_the_cli_pins_it(tmp_path):
+    # the counts before the import, read by the module loaded on its own
+    code = f"""
+import importlib.util, json
+import numpy
+spec = importlib.util.spec_from_file_location("blas", {str(SRC / "_blas.py")!r})
+blas = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(blas)
+before = blas.blas_threads()
+import dualprec
+from dualprec import _blas, cli
+imported = _blas.blas_threads()
+out = {str(tmp_path / "v.json")!r}
+rc = cli.main(["verify", "--trials", "1", "--out", out])
+with open(out) as f:
+    print(json.dumps([before, imported, rc, json.load(f)["blas_threads"]]))
+"""
+    before, imported, rc, reported = run_python(code)
+    if before is None:
         pytest.skip("numpy loads no OpenBLAS here")
-    assert threads == [1] * len(threads)
+    assert imported == before
+    assert rc == 0
+    assert reported == [1] * len(before)
 
 
 @pytest.mark.parametrize("var", THREAD_VARS)

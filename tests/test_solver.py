@@ -14,7 +14,7 @@ from dualprec import (VIRTUAL_UPLINK, ChannelSet, ConvergenceError,
 from dualprec import solver
 from dualprec.cli import DEFAULT_BOUNDS
 from dualprec.model import gen_stacks
-from dualprec.objective import _gram
+from dualprec.objective import _covariance, _gram
 from oracles import (CostGuardError, active_set, brute_force_power,
                      kkt_certify)
 
@@ -520,6 +520,90 @@ def test_solve_powers_rejects_bad_budget():
     eff = rand_instance(0)[2]
     with pytest.raises(ValidationError):
         solve_stack([eff], 1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Newton step: one stacked system per pass, whatever the face sizes
+
+NEWTON_S2 = 10.0  # low SNR, where optima park streams
+
+
+def uniform_on(seed, parked=()):
+    """Instance ``seed`` with the budget spread evenly over the streams
+    not in ``parked``."""
+    q = np.full(4, 10.0 / (4 - len(parked)))
+    q[list(parked)] = 0.0
+    return rand_instance(seed, sigma2=NEWTON_S2)[2], q
+
+
+def optimum(seed):
+    """Instance ``seed`` at its optimum, whose parked streams (gain at most
+    mu there) stay off the Newton face."""
+    eff = rand_instance(seed, sigma2=NEWTON_S2)[2]
+    return eff, solve_power(eff, NEWTON_S2, 10.0)[0]
+
+
+#: a full face, one and two streams parked at the optimum (faces 4, 3
+#: and 2), and a row whose admitted parked stream 3 is pushed negative
+#: and re-solved without it
+FULL, ONE_PARKED, TWO_PARKED = ((uniform_on, 1), (optimum, 4), (optimum, 7))
+REDO = (uniform_on, 6, (0, 3))
+
+
+def newton_args(rows):
+    """`solver._newton`'s arguments on the stack of ``rows``, as
+    `_lockstep` forms them."""
+    effs, Q = zip(*(make(*args) for make, *args in rows))
+    CS, Q = np.array([eff.cols for eff in effs]), np.array(Q)
+    A, _, G = _covariance(CS, Q, NEWTON_S2)
+    return np.ascontiguousarray(CS.swapaxes(1, 2)).conj(), Q, G, A, 10.0
+
+
+def face_sizes(args):
+    _, Q, G, _, _ = args
+    on = Q > 0
+    mu = np.max(np.where(on, G, 0.0), axis=1)
+    return np.count_nonzero(on | (G > mu[:, None]), axis=1).tolist()
+
+
+def counted_solves(monkeypatch, args):
+    """The number of `np.linalg.solve` calls one `_newton` call makes."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: calls.append(1) or solve(*a))
+    solver._newton(*args)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_newton_makes_one_solve_per_pass(monkeypatch):
+    args = newton_args([FULL, ONE_PARKED, TWO_PARKED])
+    assert face_sizes(args) == [4, 3, 2]
+    assert counted_solves(monkeypatch, args) == 1
+    assert counted_solves(monkeypatch, newton_args([REDO])) == 2
+    args = newton_args([FULL, ONE_PARKED, REDO, TWO_PARKED])
+    assert counted_solves(monkeypatch, args) == 2
+
+
+def test_newton_step_is_each_rows_step_alone():
+    rows = [FULL, ONE_PARKED, REDO, TWO_PARKED, (uniform_on, 2)]
+    args = newton_args(rows)
+    CT, Q, G, A, p_max = args
+    dq, lost = solver._newton(*args)
+    assert not lost
+    for b in range(len(rows)):
+        alone, _ = solver._newton(CT[b:b + 1], Q[b:b + 1], G[b:b + 1],
+                                  A[b:b + 1], p_max)
+        assert dq[b].tobytes() == alone[0].tobytes()
+    # off the face: the parked streams not admitted, and the redo row's
+    # stream 3, pushed negative on the first pass
+    on = Q > 0
+    mu = np.max(np.where(on, G, 0.0), axis=1)
+    off = ~on & (G <= mu[:, None])
+    off[2, 3] = True
+    assert np.count_nonzero(off) == 4
+    assert np.all(dq[off] == 0.0)
+    assert np.all(dq[~on & ~off] > 0.0)
 
 
 # ---------------------------------------------------------------------------
