@@ -88,6 +88,11 @@ LAYERS = {
                                "powered streams per row (so of face sizes) "
                                "that solve_stack_B50's sigma2 = 10 stack "
                                "makes"),
+    "newton_B1_parked": ("us", "solver._newton per call, median over the "
+                               "one-row calls with a parked stream that "
+                               "design --path both makes on the gen "
+                               "instance of seed 1000098 (M=4 K=2 N=(4,4) "
+                               "L=(2,2) sigma2=1 P=10)"),
     "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
                                 "on seeds 1-4 at M=64 K=32 N_k=2 L_k=1"),
     "gen_stacks_B50_M4": ("us", "model.gen_stacks per instance, one call "
@@ -107,9 +112,17 @@ LAYERS = {
     "check_B50": ("us", "duality._check per trial, one call on the stacked "
                         "solved trials of M=4 K=2 N=(2,2) L=(2,2) sigma2=1 "
                         "P=10, seeds 1-50"),
+    "check_B50_M4_s10": ("us", "duality._check per trial, one call on "
+                               "the stacked solved trials of M=4 K=2 "
+                               "N=(2,2) L=(2,2) sigma2=10 P=10, seeds 1-50 "
+                               "(active counts 2 to 4)"),
     "check_B4_M64": ("us", "duality._check per trial, one call on the "
                            "stacked solved trials of M=64 K=32 N_k=2 L_k=1 "
                            "sigma2=1 P=10, seeds 1-4"),
+    "check_B4_M64_s1e4": ("us", "duality._check per trial, one call on "
+                                "the stacked solved trials of M=64 K=32 "
+                                "N_k=2 L_k=1 sigma2=1e4 P=10, seeds 1-4 "
+                                "(active counts 1 to 4 of 32)"),
     "design_step_M64_K32": ("us", "designer._step per call, median over the "
                                   "calls of one design (10 accepted "
                                   "iterates, simplified_pq) at M=64 K=32 "
@@ -320,7 +333,7 @@ def _layers(pkg, paths: list) -> dict:
                        duality.verify_theorem(ch, up, q, state=st))
     out["verify_theorem"] = (theorem, lambda t: statistics.median(t) * 1e6)
 
-    def checked(dims, seeds):
+    def checked(dims, seeds, sigma2=1.0):
         """`duality._check`'s arguments on the solved trials of ``seeds``,
         as `verify` makes them: the channel and beamformer stacks in the
         form this side's `model.gen_stacks` gives and its `_check`
@@ -328,18 +341,21 @@ def _layers(pkg, paths: list) -> dict:
         P and the activity threshold 1e-9 P as its signature takes them
         (per row, or one sigma2 and P)."""
         H, V, cs = pkg.model.gen_stacks(dims, seeds)
-        res = solver._solve_stack(cs, 1.0, 10.0)
+        res = solver._solve_stack(cs, sigma2, 10.0)
         ok = np.array([e is None for e in res.err])
         B = int(np.count_nonzero(ok))
-        link = (1.0, 10.0)
+        link = (sigma2, 10.0)
         if "tols" in inspect.signature(duality._check).parameters:
-            link = (np.full(B, 1.0), np.full(B, 10.0), np.full(B, 1e-8))
+            link = (np.full(B, sigma2), np.full(B, 10.0), np.full(B, 1e-8))
         return (res.q[ok], res.a[ok], cs[ok], [h[ok] for h in H],
                 [v[ok] for v in V], dims) + link, B
 
-    for name, dims, seeds in (("check_B50", small, range(1, 51)),
-                              ("check_B4_M64", large, range(1, 5))):
-        args, B = checked(dims, seeds)
+    for name, dims, seeds, s2 in (
+            ("check_B50", small, range(1, 51), 1.0),
+            ("check_B50_M4_s10", small, range(1, 51), 10.0),
+            ("check_B4_M64", large, range(1, 5), 1.0),
+            ("check_B4_M64_s1e4", large, range(1, 5), 1e4)):
+        args, B = checked(dims, seeds, s2)
         out[name] = _rounds([lambda a=args: duality._check(*a)],
                             lambda t, B=B: t[0] / B * 1e6)
 
@@ -391,6 +407,25 @@ def _layers(pkg, paths: list) -> dict:
             "verify", "--trials", "4", "--dims", large_spec, "--pmax", "10",
             "--sigma2", "1", "--seed-base", "1", "--out", report])],
         lambda t: t[0] * 1e3)
+    # the one-row Newton calls with a parked stream of one design,
+    # captured (as copies: the loop reuses its arrays) and replayed
+    parked = os.path.join(os.path.dirname(paths[0]),
+                          pkg.__name__ + "-1000098.json")
+    _quiet(cli.main, ["gen", "--M", "4", "--K", "2", "--N", "4,4", "--L",
+                      "2,2", "--sigma2", "1.0", "--pmax", "10.0", "--seed",
+                      "1000098", "--out", parked])
+    one = []
+    solver._newton = lambda *a: one.append(
+        [x.copy() if isinstance(x, np.ndarray) else x for x in a]) \
+        or newton(*a)
+    try:
+        _quiet(cli.main, ["design", parked, "--path", "both", "--out",
+                          report])
+    finally:
+        solver._newton = newton
+    one = [a for a in one if len(a[1]) == 1 and not np.all(a[1] > 0)]
+    out["newton_B1_parked"] = ([lambda a=a: newton(*a) for a in one],
+                               lambda t: statistics.median(t) * 1e6)
     out["design_cli"] = _rounds(
         [lambda p=p: _quiet(cli.main, ["design", p, "--path", "both",
                                        "--out", report]) for p in paths],
@@ -574,7 +609,8 @@ def main(argv=None) -> int:
                         "untimed warm-up call, garbage collector off; "
                         "solve_stack_B50, newton_B50_mixed, "
                         "solve_stack_B4_M64, gen_stacks, gen_channel, "
-                        "check_B50, check_B4_M64, emit_verify50, gen_cli, "
+                        "check_B50, check_B50_M4_s10, check_B4_M64, "
+                        "check_B4_M64_s1e4, emit_verify50, gen_cli, "
                         "verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "

@@ -187,9 +187,9 @@ def _legacy_check(steps: list, ch: ChannelSet, cfg: DesignConfig):
         Q, A, CS = (np.array(x) for x in zip(*(
             (s.q, s.a, s.cols) for s in steps[i:i + size])))
         err, gap = [None] * len(Q), np.full(len(Q), math.nan)
-        for rows, g, P in _powers(Q, A, CS, ACTIVE_TOL * ch.p_max,
-                                  float(ch.sigma2), err):
-            gap[rows] = np.abs(P - g.q).max(axis=1)
+        rows, g, P = _powers(Q, A, CS, ACTIVE_TOL * ch.p_max,
+                             float(ch.sigma2), err)
+        gap[rows] = np.abs(P - g.q).max(axis=1)
         if any(err):
             raise next(e for e in err if e is not None)
         gaps += gap.tolist()

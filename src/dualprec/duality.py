@@ -17,25 +17,32 @@ is a plain copy.
 
 One stacked kernel computes all of it on arrays: per row the powers q,
 the receivers J^-1 Htil and the columns Htil, and for the theorem check
-the channel and beamformer stacks of each run of users.  It gathers each row's
-active streams, groups the rows by active count m, and runs every step
-of a group on B x m x m stacks: beta, D, Psi and eps (`_groups`), the
-transform with its condition and negative-power tests and the downlink
-powers it gives (`_powers`, which the design loop's legacy check also
-runs), and for the theorem check the downlink MSEs under the factored
-receivers and the three gaps (`_check`, per run of equal-shape users:
-one product H_k v_l and one slice of streams each).  The condition test
-bounds cond_2 by the 1- and inf-norms of A and its inverse and takes an
-SVD only on the rows that bound leaves open.  A row that fails a test
-gets its error and leaves its group; the other rows go on.  Every stacked
-step is elementwise, an exact max, a LAPACK call per slice, or a matmul
-or sum whose slices keep the layout the computation on one instance
-has, so a row's numbers are bitwise what a stack of one gives.
+the channel and beamformer stacks of each run of users.  It runs every
+step once on the whole stack at full size, B x L x L, whatever each
+row's active count: beta, D, Psi and eps (`_groups`), the transform with
+its condition and negative-power tests and the downlink powers it gives
+(`_powers`, which the design loop's legacy check also runs), and for the
+theorem check the downlink MSEs under the factored receivers and the
+three gaps (`_check`, per run of equal-shape users: one product H_k v_l
+and one slice of streams each).  A stream at or below the activity
+threshold is masked, not gathered out (a stack with none takes no
+masking step): beta 0, so D and eps 1, a zero row and column of Psi,
+and a unit diagonal entry and zero right-hand side in the transform, so
+its power is exactly 0.  The condition test bounds cond_2 by the 1- and
+inf-norms of A and its inverse over the active rows and columns and
+takes an SVD of the active block only on the rows that bound leaves
+open.  A row that fails a test gets its error and leaves the stack; the
+other rows go on, and when none is left the steps run on the empty stack
+(so their reshapes name their sizes; -1 is ambiguous at B = 0).  Every
+stacked step is elementwise, an exact max, a LAPACK call per slice, or a
+matmul or sum whose slices keep the layout the computation on one
+instance has, so a row's numbers are bitwise what a stack of one gives.
 `verify` calls `_check` once per batch of trials on the generator's
 arrays (its negative control `_psi_asymmetries`).  The public functions
-`build_duality_data`, `transform_power`, `transform_power_uplink` and
-`verify_theorem` are stacks of one over these cores; there are no list
-functions.  A stack shares one sigma2, p_max and activity threshold.
+`build_duality_data` (which gathers the active block),
+`transform_power`, `transform_power_uplink` and `verify_theorem` are
+stacks of one over these cores; there are no list functions.  A stack
+shares one sigma2, p_max and activity threshold.
 """
 
 from __future__ import annotations
@@ -111,12 +118,13 @@ def _groups(Q, A, CS, tol, err):
     ``Q`` (B x L), receivers A = J^-1 Htil (B x M x L) and columns
     ``CS`` (B x M x L), on the streams whose power exceeds ``tol``.
 
-    The rows of one active count m form a group.  Yields (rows, g) per
-    group: rows indexes the stack, and g holds q and the active mask on
-    (B x L), the unit receivers a_l / ||a_l|| of every stream as rows of
-    ``ubar`` (B x L x M, normalized once for C and the downlink check)
-    with the norms (B x L), beta, D and eps (B x m) and Psi (B x m x m).
-    A row whose quantities cannot be built gets its error in ``err``.
+    Returns (rows, g), rows empty when every row fails: rows indexes the
+    stack, and g holds q and the active mask ``on`` (B x L), the unit
+    receivers a_l / ||a_l|| of every stream as rows of ``ubar`` (B x L x
+    M, normalized once for C and the downlink check), beta, D and eps
+    (B x L; 0, 1 and 1 off) and Psi (B x L x L; a zero row and column
+    off).  A row whose quantities cannot be built gets its error in
+    ``err`` and is left out.
     """
     # a stream per row, contiguous, so that sums over M add in one order
     At = np.ascontiguousarray(A.swapaxes(1, 2))
@@ -124,65 +132,68 @@ def _groups(Q, A, CS, tol, err):
     norms = _norms(At, 2)
     ubar = _unit_rows(At, norms)  # `objective.mmse_directions`, as rows
     on = Q > tol
-    m = np.add.reduce(on, axis=1)
-    sizes = m.tolist()
-    bad = (Q < 0) | (on & (norms == 0.0))
-    if 0 in sizes or np.count_nonzero(bad):
-        for j in np.flatnonzero(np.logical_or.reduce(bad, axis=1)
-                                | (m == 0)).tolist():
-            err[j] = (
-                ValidationError("powers must be nonnegative")
-                if (Q[j] < 0).any()
-                else NumericsError("no active streams to transform")
-                if sizes[j] == 0 else
-                NumericsError("zero MMSE receiver on an active stream"))
-            sizes[j] = 0
-    for size in sorted(set(sizes) - {0}):
-        g = SimpleNamespace(q=Q, on=on, ubar=ubar, norms=norms)
-        rows, c = np.arange(len(Q)), Ct
-        if sizes.count(size) < len(Q):
-            sel = np.array(sizes) == size
-            rows, c = rows[sel], Ct[sel]
-            g = SimpleNamespace(**{k: v[sel] for k, v in vars(g).items()})
-        u, n, q = g.ubar, g.norms, g.q
-        if size < on.shape[1]:  # the active streams, in stream order
-            u, c = (x[g.on].reshape(len(rows), size, -1) for x in (u, c))
-            n, q = (x[g.on].reshape(len(rows), size) for x in (n, q))
-        g.beta = q * n
-        # C_ij = htil_i^H ubar_j; ubar as columns, column-major
-        C = c.conj() @ u.swapaxes(1, 2)
-        s = C.diagonal(0, 1, 2)
-        g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
-        g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
-        g.Psi = np.abs(C) ** 2
-        g.Psi.reshape(len(rows), -1)[:, ::size + 1] = 0.0
-        yield rows, g
+    idle = ~np.logical_or.reduce(on, axis=1)
+    fail = idle | np.logical_or.reduce((Q < 0) | (on & (norms == 0.0)), 1)
+    for j in np.flatnonzero(fail).tolist():
+        err[j] = (
+            ValidationError("powers must be nonnegative")
+            if (Q[j] < 0).any()
+            else NumericsError("no active streams to transform")
+            if idle[j] else
+            NumericsError("zero MMSE receiver on an active stream"))
+    rows, L = np.arange(len(Q)), Q.shape[1]
+    g = SimpleNamespace(q=Q, on=on, ubar=ubar, beta=Q * norms)
+    if fail.any():
+        rows, Ct = rows[~fail], Ct[~fail]
+        g = SimpleNamespace(**{k: v[~fail] for k, v in vars(g).items()})
+    # C_ij = htil_i^H ubar_j; ubar as columns, column-major
+    C = Ct.conj() @ g.ubar.swapaxes(1, 2)
+    g.Psi = np.abs(C) ** 2
+    g.Psi.reshape(len(rows), L * L)[:, ::L + 1] = 0.0
+    if np.count_nonzero(g.on) < g.on.size:  # the off streams' zeros
+        off = ~g.on
+        g.beta[off] = 0.0
+        g.Psi[off[:, :, None] | off[:, None, :]] = 0.0
+    s = C.diagonal(0, 1, 2)
+    g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
+    g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
+    return rows, g
 
 
-def _transform(beta, D, eps, coupling, sigma2):
+def _transform(beta, D, eps, coupling, sigma2, on=None):
     """Solve (diag(eps - D) - B2 coupling) x = sigma2 beta^2 for each row
-    of the stacks (B x m, coupling B x m x m).
+    of the stacks (B x m, coupling B x m x m) on the streams of the mask
+    ``on`` (B x m; None: every stream), an off one with beta 0 and a zero
+    column of coupling: its unit diagonal entry makes its x exactly 0.
 
     Returns x (B x m, NaN on failed rows) and per row None or its error:
     a non-finite matrix, a condition number above `COND_LIMIT`, or a
-    power below -1e-9.  A row takes an SVD (`np.linalg.cond`) only when
-    its bound cond_2(A) <= sqrt(|A|_1 |A|_inf |A^-1|_1 |A^-1|_inf)
-    (Higham, ch. 6) exceeds COND_LIMIT / 2 or is not finite, which it
-    is on every row when the stack's inverse raises.
+    power below -1e-9.  A row takes an SVD (`np.linalg.cond`) of its
+    active block only when its bound cond_2(A) <= sqrt(|A|_1 |A|_inf
+    |A^-1|_1 |A^-1|_inf) (Higham, ch. 6), over the active rows and
+    columns, exceeds COND_LIMIT / 2 or is not finite, which it is on
+    every row when the stack's inverse raises.
     """
     B, m = beta.shape
     A, b2 = np.zeros((B, m, m)), beta ** 2
-    A.reshape(B, -1)[:, ::m + 1] = eps - D
+    A.reshape(B, m * m)[:, ::m + 1] = eps - D
     A -= b2[:, :, None] * coupling
+    off = None if on is None or np.count_nonzero(on) == on.size else ~on
+    if off is not None:
+        A.reshape(B, m * m)[:, ::m + 1][off] = 1.0
     try:  # the norm bound on cond_2
         a, ai = np.abs(A), np.abs(np.linalg.inv(A))
+        if off is not None:  # the norms of the active block alone
+            for x in (a, ai):
+                x.reshape(B, m * m)[:, ::m + 1][off] = 0.0
         with np.errstate(over="ignore"):
             cond = np.sqrt(a.sum(1).max(1) * a.sum(2).max(1)
                            * ai.sum(1).max(1) * ai.sum(2).max(1))
     except np.linalg.LinAlgError:  # an exactly singular slice
         cond = np.full(B, math.inf)
     for j in np.flatnonzero(~(cond <= COND_LIMIT / 2)).tolist():  # an SVD
-        cond[j] = math.nan if np.isnan(A[j]).any() else np.linalg.cond(A[j])
+        blk = A[j] if off is None else A[j][np.ix_(on[j], on[j])]
+        cond[j] = math.nan if np.isnan(blk).any() else np.linalg.cond(blk)
     ok = cond <= COND_LIMIT
     every = np.count_nonzero(ok) == B
     rhs = (sigma2 * b2)[:, :, None]
@@ -215,24 +226,20 @@ def _powers(Q, A, CS, tol, sigma2, err):
     """The legacy transform at noise power ``sigma2`` on each row of a
     stack as `_groups` takes it.
 
-    Yields (rows, g, P) per group of `_groups`, less its rows whose
-    transform fails (each gets its error in ``err``): P holds the downlink
-    powers (B x L), max(x, 0) on the active streams and 0 off them.
+    Returns (rows, g, P) for the stack of `_groups` less its rows whose
+    transform fails (each gets its error in ``err``; rows may be empty):
+    P holds the downlink powers (B x L), max(x, 0), exactly 0 on the off
+    streams.
     """
-    for rows, g in _groups(Q, A, CS, tol, err):
-        x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2)
-        if any(errs):
-            for i, e in zip(rows.tolist(), errs):
-                err[i] = e
-            keep = np.array([e is None for e in errs])
-            if not keep.any():
-                continue
-            rows, x = rows[keep], x[keep]
-            g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
-        P = np.maximum(x, 0.0)  # the active streams', scattered into 0s
-        if P.shape != g.q.shape:  # when some stream is off
-            P, P[g.on] = np.zeros(g.q.shape), P.ravel()
-        yield rows, g, P
+    rows, g = _groups(Q, A, CS, tol, err)
+    x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2, g.on)
+    if any(errs):
+        for i, e in zip(rows.tolist(), errs):
+            err[i] = e
+        keep = np.array([e is None for e in errs])
+        rows, x = rows[keep], x[keep]
+        g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
+    return rows, g, np.maximum(x, 0.0)
 
 
 def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
@@ -240,8 +247,8 @@ def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
     shape (as `_groups` takes it) over its powered streams; NaN on a row
     that gets its error in ``err``."""
     out = np.full(len(Q), math.nan)
-    for rows, g in _groups(Q, A, CS, 0.0, err):
-        out[rows] = _asymmetry(g.Psi)
+    rows, g = _groups(Q, A, CS, 0.0, err)
+    out[rows] = _asymmetry(g.Psi)
     return out
 
 
@@ -254,12 +261,14 @@ def build_duality_data(state: UplinkState,
     afterwards.
     """
     err = [None]
-    for _, g in _groups(state.q[None], state.Jinv_cols[None],
-                        state.eff.cols[None], float(active_tol), err):
-        return DualityData(beta=g.beta[0], D=g.D[0], Psi=g.Psi[0],
-                           eps=g.eps[0], active=np.flatnonzero(g.on[0]),
-                           n_streams=g.on.shape[1])
-    raise err[0]
+    _, g = _groups(state.q[None], state.Jinv_cols[None],
+                   state.eff.cols[None], float(active_tol), err)
+    if err[0] is not None:
+        raise err[0]
+    on = g.on[0]
+    return DualityData(beta=g.beta[0][on], D=g.D[0][on],
+                       Psi=g.Psi[0][np.ix_(on, on)], eps=g.eps[0][on],
+                       active=np.flatnonzero(on), n_streams=len(on))
 
 
 def _solve_transform(dd: DualityData, sigma2: float,
@@ -335,24 +344,22 @@ def _check(Q, A, CS, H, V, dims, sigma2, p_max):
     B = len(Q)
     res = SimpleNamespace(p=np.full(Q.shape, math.nan),
                           gaps=np.full((B, 4), math.nan), err=[None] * B)
-    for rows, g, P in _powers(Q, A, CS, ACTIVE_TOL * p_max, sigma2, res.err):
-        eps_ul = np.ones(P.shape)
-        eps_ul[g.on] = g.eps.ravel()
-        eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2)
-        res.p[rows] = P
-        res.gaps[rows] = np.array((
-            _asymmetry(g.Psi),
-            np.abs(P - g.q).max(axis=1) / max(1.0, p_max),
-            np.abs(eps_dl - eps_ul).max(axis=1),
-            np.add.reduce(P, axis=1))).T
+    rows, g, P = _powers(Q, A, CS, ACTIVE_TOL * p_max, sigma2, res.err)
+    eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2)
+    res.p[rows] = P
+    res.gaps[rows] = np.array((
+        _asymmetry(g.Psi),
+        np.abs(P - g.q).max(axis=1) / max(1.0, p_max),
+        np.abs(eps_dl - g.eps).max(axis=1),
+        np.add.reduce(P, axis=1))).T
     return res
 
 
 def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     """Downlink per-stream MSEs (B x L) of the rows ``rows`` of the run
-    stacks ``H`` and ``V`` (as `_check` takes them, of dims ``d``), a
-    group of `_groups`, at powers P under the unit MMSE directions as
-    beamformers and the duality-factored receivers
+    stacks ``H`` and ``V`` (as `_check` takes them, of dims ``d``), with
+    the quantities g of `_groups` on those rows, at powers P under the
+    unit MMSE directions as beamformers and the duality-factored receivers
     v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
     model (signal, cross-stream, and noise terms summed explicitly): the
     coefficients v_l^H H_k^H ubar_j come from the channel and beamformer
@@ -364,10 +371,8 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     internal.
     """
     live = P > 0.0
-    beta = np.zeros(P.shape)
-    beta[g.on] = g.beta.ravel()
     # beta_l / sqrt(p_l) where the receiver is on, else 0
-    scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
+    scale = np.divide(g.beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
     # row l: coef_lj = sqrt(p_j) (H_k v_l)^H ubar_j, k the owner of stream
     # l; a run's streams are one block, its H_k v_l one stacked matmul
     B, L = P.shape
@@ -381,10 +386,10 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
         v = v * scale[:, run].reshape(B, n, 1, c)
         hv = (h @ v).swapaxes(2, 3).reshape(B, n * c, d.M)  # H_k v_l as rows
         coef[:, run] = hv.conj() @ g.ubar.swapaxes(1, 2)
-        v_norms[:, run] = _norms(v, 2).reshape(B, -1)
+        v_norms[:, run] = _norms(v, 2).reshape(B, n * c)
     coef *= np.sqrt(P)[:, None, :]
     cross = np.abs(coef) ** 2
-    cross.reshape(len(P), -1)[:, ::L + 1] = 0.0
+    cross.reshape(B, L * L)[:, ::L + 1] = 0.0
     m = (np.abs(np.diagonal(coef, axis1=1, axis2=2) - 1.0) ** 2
          + np.add.reduce(cross, axis=2) + sigma2 * v_norms ** 2)
     return np.where(live, m, 1.0)

@@ -541,14 +541,15 @@ def _newton(CT, Q, G, A, p_max: float) -> tuple:
     DQ, lost, rows = np.empty(Q.shape), False, slice(None)
     while True:  # rows: first every row, then those whose face shrank
         K, b = kkt[rows], rhs[rows]
-        if parked:
-            f = face[rows]
-            K = np.where(f[:, :, None] & f[:, None, :], K, np.eye(L + 1))
-            b = np.where(f[:, :, None], b, _Z)
+        if parked:  # in place: the face only shrinks from pass to pass
+            off = ~face[rows]
+            np.putmask(K, off[:, :, None] | off[:, None, :], _Z)
+            K.reshape(len(K), -1)[:, ::L + 2][off] = 1.0
+            b[off] = _Z
         sol = _solve_kkt(K, b)
-        # lstsq, on a singular system, need not give the identity rows 0
-        DQ[rows] = np.where(f[:, :L], sol[:, :L, 0], _Z) if parked \
-            else sol[:, :L, 0]
+        if parked:  # lstsq, on a singular system, need not give them 0
+            sol[off] = _Z
+        DQ[rows] = sol[:, :L, 0]
         if not math.isfinite(np.add.reduce(sol, axis=None)):
             nan = np.arange(B)[rows][  # NaN steps for those rows
                 ~np.logical_and.reduce(np.isfinite(sol), axis=(1, 2))]

@@ -423,15 +423,19 @@ def verify_trials_one_at_a_time(first, seeds, dims, sigma2, pmax, scfg,
     return records
 
 
-def transform_every_cond(beta, D, eps, coupling, sigma2):
-    """`duality._transform` with `np.linalg.cond` (an SVD) on every row:
-    x (B x m, NaN on rejected rows) and per row None or its error."""
+def transform_every_cond(beta, D, eps, coupling, sigma2, on=None):
+    """`duality._transform` with `np.linalg.cond` (an SVD) on every row's
+    active block: x (B x m, NaN on rejected rows) and per row None or its
+    error."""
     B, m = beta.shape
     A, b2 = np.zeros((B, m, m)), beta ** 2
     A.reshape(B, -1)[:, ::m + 1] = eps - D
     A -= b2[:, :, None] * coupling
+    on = np.ones((B, m), dtype=bool) if on is None else on
+    A.reshape(B, -1)[:, ::m + 1][~on] = 1.0
+    blocks = [a[np.ix_(o, o)] for a, o in zip(A, on)]
     cond = np.array([math.nan if np.isnan(a).any() else np.linalg.cond(a)
-                     for a in A])
+                     for a in blocks])
     ok = cond <= COND_LIMIT
     x = np.full((B, m), math.nan)
     rhs = (sigma2 * b2)[:, :, None]
@@ -459,9 +463,7 @@ def downlink_mse_hu_order(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     channels (B x nN x M) with all unit directions, then one with the
     scaled beamformers."""
     live = P > 0.0
-    beta = np.zeros(P.shape)
-    beta[g.on] = g.beta.ravel()
-    scale = np.divide(beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
+    scale = np.divide(g.beta, np.sqrt(P), out=np.zeros(P.shape), where=live)
     B, L = P.shape
     coef = np.empty((B, L, L), dtype=complex)
     v_norms = np.empty(P.shape)

@@ -376,7 +376,7 @@ def test_legacy_check_runs_once_per_design(monkeypatch):
 
     def powers(Q, *args):
         rows.append(len(Q))
-        yield from orig(Q, *args)
+        return orig(Q, *args)
 
     monkeypatch.setattr(dz, "_powers", powers)
     ch = loop_channel(1000)

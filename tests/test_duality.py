@@ -14,7 +14,7 @@ from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
 from dualprec.duality import (COND_LIMIT, DualityData, DualityReport,
                               _check, _downlink_mse, _groups, _powers,
                               _transform)
-from dualprec import solver
+from dualprec import duality, objective, solver
 from dualprec.model import _run_stacks, _runs, gen_stacks
 from dualprec.objective import UplinkState
 from oracles import (check_equal_gradient_condition, downlink_mse_hu_order,
@@ -195,11 +195,13 @@ def prescribed_stack(m, conds, seed):
     return np.ones((B, m)), np.zeros((B, m)), np.zeros((B, m)), -np.array(A)
 
 
-def assert_same_transform(args, sigma2, monkeypatch, svd_rows=None):
-    """`_transform` on ``args`` makes the decisions of the every-row SVD
-    reference, with the same messages and bitwise the same x; it runs
+def assert_same_transform(args, sigma2, monkeypatch, svd_rows=None,
+                          on=None):
+    """`_transform` on ``args`` and the mask ``on`` makes the decisions of
+    the every-row SVD reference, with the same messages and bitwise the
+    same x, exactly 0 on the off streams of an accepted row; it runs
     `np.linalg.cond` on at most ``svd_rows`` rows when that is given."""
-    ref_x, ref_errs = transform_every_cond(*args, sigma2)
+    ref_x, ref_errs = transform_every_cond(*args, sigma2, on)
     seen, cond = [], np.linalg.cond
 
     def counted(a):
@@ -208,11 +210,14 @@ def assert_same_transform(args, sigma2, monkeypatch, svd_rows=None):
         return out
 
     monkeypatch.setattr(np.linalg, "cond", counted)
-    x, errs = _transform(*args, sigma2)
+    x, errs = _transform(*args, sigma2, on)
     monkeypatch.setattr(np.linalg, "cond", cond)
     assert x.tobytes() == ref_x.tobytes()
     assert [(type(e), str(e)) for e in errs] == \
         [(type(e), str(e)) for e in ref_errs]
+    if on is not None:
+        ok = np.array([e is None for e in errs])
+        assert np.all(x[ok][~on[ok]] == 0.0)
     if svd_rows is not None:
         assert sum(seen) <= svd_rows
     return errs
@@ -259,28 +264,41 @@ def test_condition_gate_singular_nan_and_overflowing_rows(monkeypatch):
             [expect[k] for k in keep]
 
 
-def wide_groups(sigma2, seeds):
-    """`_groups` on the solved trials of 8,6,(2)x6,(2)x6 (L_tot = 3M/2)
-    at noise power ``sigma2``, P = 10."""
+def wide_stack(sigma2, seeds):
+    """The g of `_groups` on the solved trials of 8,6,(2)x6,(2)x6
+    (L_tot = 3M/2) at noise power ``sigma2``, P = 10."""
     dims = SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6)
     _, _, cs = gen_stacks(dims, seeds)
     res = solver._solve_stack(cs, sigma2, 10.0)
     ok = np.array([e is None for e in res.err])
     err = [None] * int(np.count_nonzero(ok))
-    return list(_groups(res.q[ok], res.a[ok], cs[ok],
-                        solver.ACTIVE_TOL * 10.0, err))
+    return _groups(res.q[ok], res.a[ok], cs[ok], solver.ACTIVE_TOL * 10.0,
+                   err)[1]
+
+
+def active_block(on, *xs):
+    """Each of ``xs`` (a row's m-vector or m x m matrix of the masked
+    stack) on the streams of its mask ``on``, as a stack of one."""
+    return [(x[np.ix_(on, on)] if x.ndim == 2 else x[on])[None] for x in xs]
 
 
 @pytest.mark.parametrize("sigma2", [1e-10, 1e-12])
 def test_condition_gate_at_the_limit(sigma2, monkeypatch):
     # the transform matrices' condition numbers grow as about 3 / sigma2
-    # here, so these rows cross COND_LIMIT; both transform directions
-    errs = []
-    for _, g in wide_groups(sigma2, range(1, 51)):
-        for coupling in (g.Psi, g.Psi.swapaxes(1, 2)):
-            errs += assert_same_transform((g.beta, g.D, g.eps, coupling),
-                                          sigma2, monkeypatch)
+    # here, so these rows cross COND_LIMIT; both transform directions.
+    # The masked stack decides each row as the every-row SVD does on the
+    # row's active block alone, and its off streams get exactly 0
+    g, errs = wide_stack(sigma2, range(1, 51)), []
+    for coupling in (g.Psi, g.Psi.swapaxes(1, 2)):
+        args = (g.beta, g.D, g.eps, coupling)
+        got = assert_same_transform(args, sigma2, monkeypatch, on=g.on)
+        for j, e in enumerate(got):
+            _, (ref,) = transform_every_cond(
+                *active_block(g.on[j], *(x[j] for x in args)), sigma2)
+            assert (type(e), str(e)) == (type(ref), str(ref))
+        errs += got
     singular = sum(isinstance(e, SingularTransformError) for e in errs)
+    assert np.count_nonzero(~g.on) > 0
     assert 0 < singular < len(errs) if sigma2 == 1e-10 else \
         singular == len(errs)
 
@@ -289,13 +307,13 @@ def test_condition_gate_takes_no_svd_when_every_bound_passes(monkeypatch):
     def no_svd(a):
         raise AssertionError("np.linalg.cond called")
 
-    stacks = [prescribed_stack(32, np.geomspace(1.0, 1e9, 20), 1)]
-    for _, g in wide_groups(1e-4, range(1, 21)):
-        stacks.append((g.beta, g.D, g.eps, g.Psi))
-    refs = [transform_every_cond(*args, 1e-4) for args in stacks]
+    stacks = [(prescribed_stack(32, np.geomspace(1.0, 1e9, 20), 1), None)]
+    g = wide_stack(1e-4, range(1, 21))
+    stacks.append(((g.beta, g.D, g.eps, g.Psi), g.on))
+    refs = [transform_every_cond(*args, 1e-4, on) for args, on in stacks]
     monkeypatch.setattr(np.linalg, "cond", no_svd)
-    for args, (ref_x, ref_errs) in zip(stacks, refs):
-        x, errs = _transform(*args, 1e-4)
+    for (args, on), (ref_x, ref_errs) in zip(stacks, refs):
+        x, errs = _transform(*args, 1e-4, on)
         assert x.tobytes() == ref_x.tobytes()
         assert [type(e) for e in errs] == [type(e) for e in ref_errs]
 
@@ -319,15 +337,14 @@ def test_downlink_product_order(dims, sigma2, seeds, parked):
     res = solver._solve_stack(cs, sigma2, 10.0)
     ok = np.array([e is None for e in res.err])
     H, V = [h[ok] for h in H], [v[ok] for v in V]
-    err, inactive = [None] * int(np.count_nonzero(ok)), 0
-    for rows, g, P in _powers(res.q[ok], res.a[ok], cs[ok],
-                              solver.ACTIVE_TOL * 10.0, sigma2, err):
-        got = _downlink_mse(H, V, dims, rows, g, P, sigma2)
-        ref = downlink_mse_hu_order(H, V, dims, rows, g, P, sigma2)
-        assert np.abs(got - ref).max() <= DOWNLINK_ORDER_BUDGET
-        assert np.array_equal(got == 1.0, ref == 1.0)
-        inactive += np.count_nonzero(~g.on)
-    assert (inactive > 0) == parked
+    err = [None] * int(np.count_nonzero(ok))
+    rows, g, P = _powers(res.q[ok], res.a[ok], cs[ok],
+                         solver.ACTIVE_TOL * 10.0, sigma2, err)
+    got = _downlink_mse(H, V, dims, rows, g, P, sigma2)
+    ref = downlink_mse_hu_order(H, V, dims, rows, g, P, sigma2)
+    assert np.abs(got - ref).max() <= DOWNLINK_ORDER_BUDGET
+    assert np.array_equal(got == 1.0, ref == 1.0)
+    assert (np.count_nonzero(~g.on) > 0) == parked
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +513,13 @@ def group_rows(states, tol):
     """`duality._groups` on the stacked ``states``: per state, in order,
     its DualityData or the error the kernel gave it."""
     out = [None] * len(states)
-    for rows, g in _groups(*stacks(states), tol, out):
-        for j, r in enumerate(rows.tolist()):
-            out[r] = DualityData(
-                beta=g.beta[j], D=g.D[j], Psi=g.Psi[j], eps=g.eps[j],
-                active=np.flatnonzero(g.on[j]), n_streams=g.on.shape[1])
+    rows, g = _groups(*stacks(states), tol, out)
+    for j, r in enumerate(rows.tolist()):
+        on = g.on[j]
+        beta, D, Psi, eps = (x[0] for x in active_block(
+            on, g.beta[j], g.D[j], g.Psi[j], g.eps[j]))
+        out[r] = DualityData(beta=beta, D=D, Psi=Psi, eps=eps,
+                             active=np.flatnonzero(on), n_streams=len(on))
     return out
 
 
@@ -530,6 +549,75 @@ def test_verify_theorems_bitwise_at_m64():
     reports = check_rows(rows)
     for (ch, up, st), rep in zip(rows, reports):
         assert_same_report(rep, verify_theorem(ch, up, st.q, state=st))
+
+
+def mixed_stack():
+    """`_check`'s arguments on 4,2,2,2,2,2 at sigma2 = 1, P = 10, seeds
+    1-10, each row powered uniformly on a set of 1, 2, 3 or 4 streams
+    (every active count, and all-active rows), with A = J^-1 Htil there."""
+    dims = SystemDims(M=4, K=2, N=(2, 2), L=(2, 2))
+    H, V, cs = gen_stacks(dims, range(1, 11))
+    sets = [(2,), (0, 3), (0, 1, 3), (0, 1, 2, 3), (0, 1, 2, 3), (1, 2),
+            (1, 2, 3), (0,), (0, 1, 2, 3), (0, 2)]
+    Q = np.zeros((len(sets), 4))
+    for j, on in enumerate(sets):
+        Q[j, list(on)] = 10.0 / len(on)
+    A = objective._covariance(cs, Q, 1.0)[0]
+    return Q, A, cs, H, V, dims, 1.0, 10.0
+
+
+def test_check_is_each_rows_check_alone():
+    # one masked stack for rows of every active count: each row's p, gaps
+    # and error are bitwise those of its own stack of one, and an off
+    # stream has power exactly 0 and an uplink MSE of exactly 1
+    Q, A, cs, H, V, dims, sigma2, p_max = args = mixed_stack()
+    res = _check(*args)
+    assert sorted(set(np.count_nonzero(Q, axis=1).tolist())) == [1, 2, 3, 4]
+    assert res.err == [None] * len(Q)
+    for j in range(len(Q)):
+        one = slice(j, j + 1)
+        alone = _check(Q[one], A[one], cs[one], [h[one] for h in H],
+                       [v[one] for v in V], dims, sigma2, p_max)
+        assert res.p[j].tobytes() == alone.p[0].tobytes()
+        assert res.gaps[j].tobytes() == alone.gaps[0].tobytes()
+        assert alone.err == [None]
+    assert np.all(res.p[Q == 0.0] == 0.0)
+    err = [None] * len(Q)
+    rows, g, P = _powers(Q, A, cs, solver.ACTIVE_TOL * p_max, sigma2, err)
+    assert np.array_equal(g.on, Q > 0) and np.all(P[~g.on] == 0.0)
+    assert np.all(g.eps[~g.on] == 1.0) and np.all(g.beta[~g.on] == 0.0)
+
+
+def test_check_of_a_stack_whose_rows_all_fail():
+    # every row idle, or every row's transform matrix not finite: the
+    # rest of the check runs on an empty stack, silently, and each row
+    # keeps its error
+    Q, A, cs, H, V, dims, sigma2, p_max = mixed_stack()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, a, msg in ((np.zeros(Q.shape), A,
+                           "no active streams to transform"),
+                          (Q, A * np.nan, "non-finite power-transform "
+                                          "matrix")):
+            res = _check(q, a, cs, H, V, dims, sigma2, p_max)
+            assert [(type(e), str(e)) for e in res.err] == \
+                [(NumericsError, msg)] * len(Q)
+            assert np.isnan(res.p).all() and np.isnan(res.gaps).all()
+
+
+def test_check_makes_one_transform_whatever_the_active_counts(monkeypatch):
+    # one _transform, one inverse and one solve for the whole stack
+    args, calls = mixed_stack(), []
+    for name in ("inv", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, fn=fn:
+                            calls.append(name) or fn(*a))
+    transform = duality._transform
+    monkeypatch.setattr(duality, "_transform", lambda *a: calls.append(
+        "_transform") or transform(*a))
+    res = _check(*args)
+    assert res.err == [None] * 10
+    assert sorted(calls) == ["_transform", "inv", "solve"]
 
 
 def check_c_calls(K):
