@@ -139,6 +139,11 @@ LAYERS = {
     "verify_trials50": ("ms", "one in-process `verify --trials 50 --dims "
                               "4,2,2,2,2,2 --pmax 10`, median over sigma2 = "
                               "10, 1, 1e-2, 1e-4, 1e-6"),
+    "verify_trials50_failing": ("ms", "one in-process `verify --trials 50 "
+                                      "--dims 4,2,2,2,2,2 --pmax 10 "
+                                      "--sigma2 1e-6 --max-iters 1 "
+                                      "--seed-base 45` (3 ConvergenceError "
+                                      "trials)"),
     "verify_trials4_M64": ("ms", "one in-process `verify --trials 4` at "
                                  "M=64 K=32 N_k=2 L_k=1 P=10 sigma2=1, seed "
                                  "base 1"),
@@ -387,6 +392,11 @@ def _layers(pkg, paths: list) -> dict:
             "verify", "--trials", "50", "--dims", "4,2,2,2,2,2", "--pmax",
             "10", "--sigma2", repr(s2), "--seed-base", "1", "--out", report])
          for s2 in SIGMA2S], lambda t: statistics.median(t) * 1e3)
+    out["verify_trials50_failing"] = _rounds(
+        [lambda: _quiet(cli.main, [
+            "verify", "--trials", "50", "--dims", "4,2,2,2,2,2", "--pmax",
+            "10", "--sigma2", "1e-6", "--max-iters", "1", "--seed-base", "45",
+            "--out", report])], lambda t: t[0] * 1e3)
     _quiet(cli.main, ["verify", "--trials", "50", "--dims", "4,2,2,2,2,2",
                       "--pmax", "10", "--sigma2", "1", "--seed-base", "1",
                       "--out", report])
@@ -611,7 +621,7 @@ def main(argv=None) -> int:
                         "solve_stack_B4_M64, gen_stacks, gen_channel, "
                         "check_B50, check_B50_M4_s10, check_B4_M64, "
                         "check_B4_M64_s1e4, emit_verify50, gen_cli, "
-                        "verify_trials4_M64, "
+                        "verify_trials50_failing, verify_trials4_M64, "
                         "design_outer_iter, design_cli and bench_cli make "
                         "each call "
                         f"{ROUNDS} times, kernel layers {KERNEL_CALLS} times "

@@ -245,10 +245,10 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
     """Records of the `verify` trials ``first``, ``first + 1``, ... on
     ``seeds``, kept as stacks from the generator to the records:
     `model.gen_stacks` makes the instances, `solver._solve_stack` solves
-    them and `duality._check` checks the theorem on those it certified
-    (the negative control's uniform-power receivers come from one
-    covariance kernel call, and their coupling from
-    `duality._psi_asymmetries`)."""
+    them and `duality._check` checks the theorem on the whole batch, a
+    trial whose solve failed keeping its place and its error (the
+    negative control's uniform-power receivers come from one covariance
+    kernel call, and their coupling from `duality._psi_asymmetries`)."""
     H, V, cols = model.gen_stacks(dims, seeds)
     records = [{"trial": trial, "seed": seed, "psi_asymmetry": None,
                 "pq_gap": None, "mse_gap": None, "sum_power_dl": None,
@@ -258,42 +258,33 @@ def _verify_trials(first, seeds, dims, sigma2, pmax, scfg, negative) -> list:
         # skip solving; measure the coupling asymmetry at uniform power
         q = np.full(dims.L_tot, pmax / dims.L_tot)
         A, f, _ = objective._covariance(cols, q[None], sigma2)
-        bad = np.isnan(f)  # the kernel rejected these covariances
-        for b in np.flatnonzero(bad).tolist():
-            records[b]["error"] = NumericsError.__name__
-        ok = np.flatnonzero(~bad)
-        err = [None] * len(ok)
-        psi = duality._psi_asymmetries(np.tile(q, (len(ok), 1)), A[ok],
-                                       cols[ok], err)
-        _fill(records, ok.tolist(), err, psi[:, None].tolist(),
-              ("psi_asymmetry",))
+        err = [NumericsError("covariance rejected") if bad else None
+               for bad in np.isnan(f).tolist()]
+        psi = duality._psi_asymmetries(np.tile(q, (len(cols), 1)), A, cols,
+                                       err)
+        _fill(records, err, psi[:, None].tolist(), ("psi_asymmetry",))
         return records
     res = solver._solve_stack(cols, sigma2, pmax, scfg)
     for rec, e, gap in zip(records, res.err, res.rel.tolist()):
         if e is None or isinstance(e, ConvergenceError):
             rec["max_residual"] = gap
-        if e is not None:
-            rec["error"] = type(e).__name__
-            rec["converged"] = not isinstance(e, ConvergenceError)
-    # the theorem check on the certified rows: views when that is every row
-    ok = [b for b, e in enumerate(res.err) if e is None]
-    take = slice(None) if len(ok) == len(records) else ok
-    chk = duality._check(
-        res.q[take], res.a[take], cols[take], [h[take] for h in H],
-        [v[take] for v in V], dims, float(sigma2), float(pmax))
-    _fill(records, ok, chk.err, chk.gaps.tolist(),
+        rec["converged"] = not isinstance(e, ConvergenceError)
+    # the theorem check on every row; a failed solve's row is checked off
+    chk = duality._check(res.q, res.a, cols, H, V, dims, float(sigma2),
+                         float(pmax), res.err)
+    _fill(records, chk.err, chk.gaps.tolist(),
           ("psi_asymmetry", "pq_gap", "mse_gap", "sum_power_dl"))
     return records
 
 
-def _fill(records, rows, errs, values, keys) -> None:
-    """Record ``rows[j]`` gets the name of its error ``errs[j]``, or
-    ``values[j]`` under ``keys``."""
-    for b, e, vals in zip(rows, errs, values):
+def _fill(records, errs, values, keys) -> None:
+    """Record ``b`` gets the name of its error ``errs[b]``, or
+    ``values[b]`` under ``keys``."""
+    for rec, e, vals in zip(records, errs, values):
         if e is None:
-            records[b].update(zip(keys, vals))
+            rec.update(zip(keys, vals))
         else:
-            records[b]["error"] = type(e).__name__
+            rec["error"] = type(e).__name__
 
 
 def _ensemble_args(ns, file_cfg: dict):

@@ -186,13 +186,12 @@ def _legacy_check(steps: list, ch: ChannelSet, cfg: DesignConfig):
     for i in range(0, n, size):
         Q, A, CS = (np.array(x) for x in zip(*(
             (s.q, s.a, s.cols) for s in steps[i:i + size])))
-        err, gap = [None] * len(Q), np.full(len(Q), math.nan)
-        rows, g, P = _powers(Q, A, CS, ACTIVE_TOL * ch.p_max,
-                             float(ch.sigma2), err)
-        gap[rows] = np.abs(P - g.q).max(axis=1)
+        err = [None] * len(Q)
+        g, P = _powers(Q, A, CS, ACTIVE_TOL * ch.p_max, float(ch.sigma2),
+                       err)
         if any(err):
             raise next(e for e in err if e is not None)
-        gaps += gap.tolist()
+        gaps += np.abs(P - g.q).max(axis=1).tolist()
     return gaps, [(time.perf_counter() - t0) / max(n, 1)] * n
 
 

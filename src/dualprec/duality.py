@@ -31,14 +31,18 @@ and a unit diagonal entry and zero right-hand side in the transform, so
 its power is exactly 0.  The condition test bounds cond_2 by the 1- and
 inf-norms of A and its inverse over the active rows and columns and
 takes an SVD of the active block only on the rows that bound leaves
-open.  A row that fails a test gets its error and leaves the stack; the
-other rows go on, and when none is left the steps run on the empty stack
-(so their reshapes name their sizes; -1 is ambiguous at B = 0).  Every
+open.  Rows never leave the stack.  A row with an error on entry (the
+solver's) or from `_groups`' tests keeps it and its place with every
+stream masked off, like an off stream: its transform matrix is the
+identity and its x exactly 0.  A row the condition test rejects is
+solved as the identity too, its x then NaN.  Every row with an error
+keeps its first one, and its p and gaps read NaN at the end.  Every
 stacked step is elementwise, an exact max, a LAPACK call per slice, or a
 matmul or sum whose slices keep the layout the computation on one
 instance has, so a row's numbers are bitwise what a stack of one gives.
-`verify` calls `_check` once per batch of trials on the generator's
-arrays (its negative control `_psi_asymmetries`).  The public functions
+`verify` calls `_check` once per batch of trials on the generator's and
+the solver's arrays, with the solver's errors (its negative control
+`_psi_asymmetries`, with the kernel's).  The public functions
 `build_duality_data` (which gathers the active block),
 `transform_power`, `transform_power_uplink` and `verify_theorem` are
 stacks of one over these cores; there are no list functions.  A stack
@@ -118,13 +122,14 @@ def _groups(Q, A, CS, tol, err):
     ``Q`` (B x L), receivers A = J^-1 Htil (B x M x L) and columns
     ``CS`` (B x M x L), on the streams whose power exceeds ``tol``.
 
-    Returns (rows, g), rows empty when every row fails: rows indexes the
-    stack, and g holds q and the active mask ``on`` (B x L), the unit
-    receivers a_l / ||a_l|| of every stream as rows of ``ubar`` (B x L x
-    M, normalized once for C and the downlink check), beta, D and eps
-    (B x L; 0, 1 and 1 off) and Psi (B x L x L; a zero row and column
-    off).  A row whose quantities cannot be built gets its error in
-    ``err`` and is left out.
+    Returns g: q and the active mask ``on`` (B x L), the unit receivers
+    a_l / ||a_l|| of every stream as rows of ``ubar`` (B x L x M,
+    normalized once for C and the downlink check), beta, D and eps (B x
+    L; 0, 1 and 1 off) and Psi (B x L x L; a zero row and column off).
+    ``err`` holds per row None or its error, in and out: a row with an
+    error on entry, or whose quantities cannot be built (it gets its error
+    here), keeps its place with every stream off, its D and eps then
+    undefined (NaN where its q or A is).
     """
     # a stream per row, contiguous, so that sums over M add in one order
     At = np.ascontiguousarray(A.swapaxes(1, 2))
@@ -132,8 +137,10 @@ def _groups(Q, A, CS, tol, err):
     norms = _norms(At, 2)
     ubar = _unit_rows(At, norms)  # `objective.mmse_directions`, as rows
     on = Q > tol
+    dead = np.array([e is not None for e in err], dtype=bool)
     idle = ~np.logical_or.reduce(on, axis=1)
-    fail = idle | np.logical_or.reduce((Q < 0) | (on & (norms == 0.0)), 1)
+    fail = ~dead & (idle | np.logical_or.reduce(
+        (Q < 0) | (on & (norms == 0.0)), 1))
     for j in np.flatnonzero(fail).tolist():
         err[j] = (
             ValidationError("powers must be nonnegative")
@@ -141,23 +148,21 @@ def _groups(Q, A, CS, tol, err):
             else NumericsError("no active streams to transform")
             if idle[j] else
             NumericsError("zero MMSE receiver on an active stream"))
-    rows, L = np.arange(len(Q)), Q.shape[1]
+    on[dead | fail] = False
+    L = Q.shape[1]
     g = SimpleNamespace(q=Q, on=on, ubar=ubar, beta=Q * norms)
-    if fail.any():
-        rows, Ct = rows[~fail], Ct[~fail]
-        g = SimpleNamespace(**{k: v[~fail] for k, v in vars(g).items()})
     # C_ij = htil_i^H ubar_j; ubar as columns, column-major
-    C = Ct.conj() @ g.ubar.swapaxes(1, 2)
+    C = Ct.conj() @ ubar.swapaxes(1, 2)
     g.Psi = np.abs(C) ** 2
-    g.Psi.reshape(len(rows), L * L)[:, ::L + 1] = 0.0
-    if np.count_nonzero(g.on) < g.on.size:  # the off streams' zeros
-        off = ~g.on
+    g.Psi.reshape(len(Q), L * L)[:, ::L + 1] = 0.0
+    if np.count_nonzero(on) < on.size:  # the off streams' zeros
+        off = ~on
         g.beta[off] = 0.0
         g.Psi[off[:, :, None] | off[:, None, :]] = 0.0
     s = C.diagonal(0, 1, 2)
     g.eps = 1.0 - g.beta * s.real     # 1 - q_l htil_l^H J^-1 htil_l
     g.D = np.abs(g.beta * s) ** 2 - 2.0 * g.beta * s.real + 1.0
-    return rows, g
+    return g
 
 
 def _transform(beta, D, eps, coupling, sigma2, on=None):
@@ -166,13 +171,14 @@ def _transform(beta, D, eps, coupling, sigma2, on=None):
     ``on`` (B x m; None: every stream), an off one with beta 0 and a zero
     column of coupling: its unit diagonal entry makes its x exactly 0.
 
-    Returns x (B x m, NaN on failed rows) and per row None or its error:
-    a non-finite matrix, a condition number above `COND_LIMIT`, or a
-    power below -1e-9.  A row takes an SVD (`np.linalg.cond`) of its
-    active block only when its bound cond_2(A) <= sqrt(|A|_1 |A|_inf
-    |A^-1|_1 |A^-1|_inf) (Higham, ch. 6), over the active rows and
-    columns, exceeds COND_LIMIT / 2 or is not finite, which it is on
-    every row when the stack's inverse raises.
+    Returns x (B x m; NaN on a rejected matrix's row, solved as the
+    identity) and per row None or its error: a non-finite matrix, a
+    condition number above `COND_LIMIT`, or a power below -1e-9.  A row
+    takes an SVD (`np.linalg.cond`) of its active block only when its
+    bound cond_2(A) <= sqrt(|A|_1 |A|_inf |A^-1|_1 |A^-1|_inf) (Higham,
+    ch. 6), over the active rows and columns, exceeds COND_LIMIT / 2 or
+    is not finite, which it is on every row when the stack's inverse
+    raises (a row with no active stream then reads 0).
     """
     B, m = beta.shape
     A, b2 = np.zeros((B, m, m)), beta ** 2
@@ -193,16 +199,15 @@ def _transform(beta, D, eps, coupling, sigma2, on=None):
         cond = np.full(B, math.inf)
     for j in np.flatnonzero(~(cond <= COND_LIMIT / 2)).tolist():  # an SVD
         blk = A[j] if off is None else A[j][np.ix_(on[j], on[j])]
-        cond[j] = math.nan if np.isnan(blk).any() else np.linalg.cond(blk)
+        cond[j] = (math.nan if np.isnan(blk).any() else
+                   np.linalg.cond(blk) if blk.size else 0.0)
     ok = cond <= COND_LIMIT
     every = np.count_nonzero(ok) == B
-    rhs = (sigma2 * b2)[:, :, None]
-    if every:
-        x = np.linalg.solve(A, rhs)[:, :, 0]
-    else:
-        x = np.full((B, m), math.nan)
-        if ok.any():
-            x[ok] = np.linalg.solve(A[ok], rhs[ok])[:, :, 0]
+    if not every:
+        A[~ok] = np.eye(m)
+    x = np.linalg.solve(A, (sigma2 * b2)[:, :, None])[:, :, 0]
+    if not every:
+        x[~ok] = math.nan
     negative = x < -1e-9
     errs = [None] * B
     if every and not np.count_nonzero(negative):
@@ -224,31 +229,27 @@ def _transform(beta, D, eps, coupling, sigma2, on=None):
 
 def _powers(Q, A, CS, tol, sigma2, err):
     """The legacy transform at noise power ``sigma2`` on each row of a
-    stack as `_groups` takes it.
+    stack as `_groups` takes it (``err`` too).
 
-    Returns (rows, g, P) for the stack of `_groups` less its rows whose
-    transform fails (each gets its error in ``err``; rows may be empty):
-    P holds the downlink powers (B x L), max(x, 0), exactly 0 on the off
-    streams.
+    Returns (g, P): g of `_groups`, and the downlink powers P (B x L),
+    max(x, 0), exactly 0 on the off streams, so on every stream of a row
+    with an error on entry or from `_groups`.  A row whose transform
+    fails gets its error in ``err``; its P is not a power allocation.
     """
-    rows, g = _groups(Q, A, CS, tol, err)
+    g = _groups(Q, A, CS, tol, err)
     x, errs = _transform(g.beta, g.D, g.eps, g.Psi, sigma2, g.on)
-    if any(errs):
-        for i, e in zip(rows.tolist(), errs):
-            err[i] = e
-        keep = np.array([e is None for e in errs])
-        rows, x = rows[keep], x[keep]
-        g = SimpleNamespace(**{k: v[keep] for k, v in vars(g).items()})
-    return rows, g, np.maximum(x, 0.0)
+    if any(errs):  # a row's first error stands
+        for j, e in enumerate(errs):
+            err[j] = err[j] or e
+    return g, np.maximum(x, 0.0)
 
 
 def _psi_asymmetries(Q, A, CS, err) -> np.ndarray:
     """`psi_asymmetry` of the coupling of each row of a stack of one
-    shape (as `_groups` takes it) over its powered streams; NaN on a row
-    that gets its error in ``err``."""
-    out = np.full(len(Q), math.nan)
-    rows, g = _groups(Q, A, CS, 0.0, err)
-    out[rows] = _asymmetry(g.Psi)
+    shape (as `_groups` takes it, ``err`` too) over its powered streams;
+    NaN on a row with an error."""
+    out = _asymmetry(_groups(Q, A, CS, 0.0, err).Psi)
+    out[[e is not None for e in err]] = math.nan
     return out
 
 
@@ -261,8 +262,8 @@ def build_duality_data(state: UplinkState,
     afterwards.
     """
     err = [None]
-    _, g = _groups(state.q[None], state.Jinv_cols[None],
-                   state.eff.cols[None], float(active_tol), err)
+    g = _groups(state.q[None], state.Jinv_cols[None], state.eff.cols[None],
+                float(active_tol), err)
     if err[0] is not None:
         raise err[0]
     on = g.on[0]
@@ -329,36 +330,38 @@ def verify_theorem(ch: ChannelSet, uplink: PrecoderSet, q, *,
     return DualityReport(res.p[0], state.q, *res.gaps.tolist()[0])
 
 
-def _check(Q, A, CS, H, V, dims, sigma2, p_max):
+def _check(Q, A, CS, H, V, dims, sigma2, p_max, err=None):
     """The theorem check on each row of a stack of one ``dims``: powers
     ``Q``, receivers ``A`` and columns ``CS`` as `_groups` takes them,
     per run of n users with equal (N_k, L_k) (`model._runs`) the channels
     H[r] (B x n x M x N_k) and uplink beamformers V[r] (B x n x N_k x
     L_k), at noise power sigma2 and budget p_max, with the activity
-    threshold `solver.ACTIVE_TOL` p_max.
+    threshold `solver.ACTIVE_TOL` p_max.  ``err`` holds per row None or
+    its error, in and out (None: every row starts without one), as
+    `_groups` takes it: a row with an error is checked with every stream
+    off, in its place.
 
     Returns the downlink powers p (B x L), gaps (B x 4: the Psi
-    asymmetry, the p-q and MSE gaps and the downlink sum power) and per
-    row None or its error; a row with an error has NaN numbers.
+    asymmetry, the p-q and MSE gaps and the downlink sum power) and err;
+    a row with an error has NaN numbers.
     """
-    B = len(Q)
-    res = SimpleNamespace(p=np.full(Q.shape, math.nan),
-                          gaps=np.full((B, 4), math.nan), err=[None] * B)
-    rows, g, P = _powers(Q, A, CS, ACTIVE_TOL * p_max, sigma2, res.err)
-    eps_dl = _downlink_mse(H, V, dims, rows, g, P, sigma2)
-    res.p[rows] = P
-    res.gaps[rows] = np.array((
+    err = [None] * len(Q) if err is None else err
+    g, P = _powers(Q, A, CS, ACTIVE_TOL * p_max, sigma2, err)
+    eps_dl = _downlink_mse(H, V, dims, g, P, sigma2)
+    gaps = np.array((
         _asymmetry(g.Psi),
         np.abs(P - g.q).max(axis=1) / max(1.0, p_max),
         np.abs(eps_dl - g.eps).max(axis=1),
         np.add.reduce(P, axis=1))).T
-    return res
+    bad = [e is not None for e in err]
+    P[bad], gaps[bad] = math.nan, math.nan
+    return SimpleNamespace(p=P, gaps=gaps, err=err)
 
 
-def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
-    """Downlink per-stream MSEs (B x L) of the rows ``rows`` of the run
-    stacks ``H`` and ``V`` (as `_check` takes them, of dims ``d``), with
-    the quantities g of `_groups` on those rows, at powers P under the
+def _downlink_mse(H, V, d, g, P, sigma2) -> np.ndarray:
+    """Downlink per-stream MSEs (B x L) of each row of the run stacks
+    ``H`` and ``V`` (as `_check` takes them, of dims ``d``), with the
+    quantities g of `_groups` on the same rows, at powers P under the
     unit MMSE directions as beamformers and the duality-factored receivers
     v_l = beta_l p_l^{-1/2} vbar_l, computed directly from the channel
     model (signal, cross-stream, and noise terms summed explicitly): the
@@ -380,7 +383,6 @@ def _downlink_mse(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     v_norms = np.empty(P.shape)
     end = 0
     for h, v in zip(H, V):
-        h, v = (h, v) if len(h) == B else (h[rows], v[rows])
         _, n, _, c = v.shape
         end, run = end + n * c, slice(end, end + n * c)
         v = v * scale[:, run].reshape(B, n, 1, c)

@@ -57,10 +57,15 @@ from .objective import (UplinkState, _constants, _covariance, _gram,
 #: Armijo sufficient-decrease constant and ratio of the backtracking search.
 ARMIJO = 1e-4
 BACKTRACK = 0.5
-#: Bytes of right-hand sides [I, Htil] (16 M (M + L) per instance) one
-#: stack may hold: 2048 instances at M = L = 4, where stacking pays, and
-#: 10 at M = 64, L = 32, where LAPACK's time dominates and a larger stack
-#: would only cost memory.
+#: Bytes one stack may hold; `_solve_stack` prices an instance at
+#: 16 M (M + L).  At L >= M that is what the kernel solves on, the
+#: right-hand sides [I, Htil]: 2048 instances at M = L = 4, where
+#: stacking pays.  At L < M the kernel forms no [I, Htil]; it holds the
+#: L x L Gram G and (sigma2 I + Q G)^-1 (16 L^2 bytes each) beside the
+#: M x L receivers, and the price is a proxy, not their size: 10
+#: instances at M = 64, L = 32 (16 KiB of Gram each, priced at 96 KiB),
+#: where LAPACK's time dominates and a larger stack would only cost
+#: memory.
 STACK_BYTES = 1 << 20
 #: lambda = START_NOISE * sigma2 * L / p_max regularizes the closed-form
 #: start of a cold L <= M solve, q_l ~ sqrt([(G + lambda I)^-1]_ll): the

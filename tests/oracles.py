@@ -457,7 +457,7 @@ def transform_every_cond(beta, D, eps, coupling, sigma2, on=None):
     return x, errs
 
 
-def downlink_mse_hu_order(H, V, d, rows, g, P, sigma2) -> np.ndarray:
+def downlink_mse_hu_order(H, V, d, g, P, sigma2) -> np.ndarray:
     """`duality._downlink_mse` with the coefficients grouped as
     v_l^H (H_k^H ubar_j): one product of each run's conj-transposed
     channels (B x nN x M) with all unit directions, then one with the
@@ -469,7 +469,6 @@ def downlink_mse_hu_order(H, V, d, rows, g, P, sigma2) -> np.ndarray:
     v_norms = np.empty(P.shape)
     end = 0
     for h, v in zip(H, V):
-        h, v = (h, v) if len(h) == B else (h[rows], v[rows])
         _, n, N, c = v.shape
         end, run = end + n * c, slice(end, end + n * c)
         v = v * scale[:, run].reshape(B, n, 1, c)

@@ -11,8 +11,9 @@ from dualprec import (BOTH, VIRTUAL_UPLINK, ChannelSet, DesignConfig,
                       DualPrecError, SolverConfig, _blas,
                       build_effective_channel, channel_to_dict, cli, design,
                       gen_channel, load_instance, random_unit_precoders,
-                      save_instance, solve_power, validate, verify_theorem)
-from dualprec.model import PRECODER_TAG
+                      objective, save_instance, solve_power, validate,
+                      verify_theorem)
+from dualprec.model import PRECODER_TAG, gen_stacks
 from oracles import certificate_from_dict, verify_trials_one_at_a_time
 
 
@@ -690,26 +691,55 @@ def test_verify_records_equal_one_trial_at_a_time(tmp_path):
         assert rec == want
 
 
-@pytest.mark.parametrize("args,errors", [
-    (["--sigma2", "1"], [None] * 6),
+def kernel_rejecting(dims, seed):
+    """`objective._covariance` that returns NaN on the instance of
+    ``seed`` (of ``dims``), as the kernel does on a covariance it cannot
+    factor, and its own numbers on every other instance."""
+    target, kernel = gen_stacks(dims, [seed])[2][0], objective._covariance
+
+    def covariance(cols, q, sigma2, const=None):
+        out = kernel(cols, q, sigma2, const)
+        hit = [np.array_equal(c, target) for c in cols]
+        for x in out:
+            x[hit] = np.nan
+        return out
+
+    return covariance
+
+
+@pytest.mark.parametrize("args,errors,reject", [
+    (["--sigma2", "1"], [None] * 6, None),
     (["--sigma2", "1e-6", "--seed-base", "45", "--max-iters", "1"],
-     [None] * 3 + ["ConvergenceError"] + [None] * 2),
-    (["--negative-control"], [None] * 6),
+     [None] * 3 + ["ConvergenceError"] + [None] * 2, None),
+    (["--negative-control"], [None] * 6, None),
     (["--sigma2", "1e-300", "--seed-base", "233", "--dims", "3,2,2,2,2,2"],
      ["SingularTransformError", None, None, "NumericsError", None,
-      "SingularTransformError"]),
+      "SingularTransformError"], None),
+    # failed solves (a rejected covariance, no convergence) beside failed
+    # checks and a passing trial
+    (["--sigma2", "1e-300", "--seed-base", "235", "--dims", "3,2,2,2,2,2",
+      "--max-iters", "5"],
+     ["ConvergenceError", "NumericsError"] + ["SingularTransformError"] * 3
+     + [None], None),
+    # the negative control's kernel rejects seed 3's covariance
+    (["--negative-control", "--seed-base", "1"],
+     [None, None, "NumericsError", None, None, None], 3),
     # STACK_BYTES splits these solves into stacks of 10
     (["--trials", "24", "--dims", ",".join(
-        map(str, [64, 32] + [2] * 32 + [1] * 32))], [None] * 24),
-    (["--trials", "130"], [None] * 130),  # across VERIFY_BATCH
+        map(str, [64, 32] + [2] * 32 + [1] * 32))], [None] * 24, None),
+    (["--trials", "130"], [None] * 130, None),  # across VERIFY_BATCH
     # equal-shape users 0 and 2 are two runs, not one
-    (["--dims", "8,3,2,4,2,1,2,1"], [None] * 6),
+    (["--dims", "8,3,2,4,2,1,2,1"], [None] * 6, None),
 ], ids=["sigma2-1", "sigma2-1e-6", "negative-control", "unfactorable",
+        "failed-solves-and-checks", "negative-control-rejected",
         "large-m-24", "trials-130", "mixed-shape"])
-def test_verify_bytes_equal_a_per_trial_run(args, errors, monkeypatch,
-                                             tmp_path):
+def test_verify_bytes_equal_a_per_trial_run(args, errors, reject,
+                                             monkeypatch, tmp_path):
     # the stacked instances, solves and checks against one trial at a time
     # on the per-user draws; a failing trial keeps its error in its own row
+    if reject is not None:
+        monkeypatch.setattr(objective, "_covariance", kernel_rejecting(
+            cli.parse_dims("4,2,2,2,2,2"), reject))
     reports = {}
     for side in ("stacked", "per_trial"):
         if side == "per_trial":

@@ -1,11 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rand_instance, scalar_instance, wiener_filters
-from dualprec import (ChannelSet, DualPrecError, EffectiveChannel,
-                      InfeasibleTransformError, NumericsError, PrecoderSet,
+from dualprec import (ChannelSet, ConvergenceError, DualPrecError,
+                      EffectiveChannel, InfeasibleTransformError,
+                      NumericsError, PrecoderSet,
                       SingularTransformError, SystemDims, VIRTUAL_UPLINK,
                       ValidationError,
                       build_duality_data, build_effective_channel,
@@ -273,7 +275,7 @@ def wide_stack(sigma2, seeds):
     ok = np.array([e is None for e in res.err])
     err = [None] * int(np.count_nonzero(ok))
     return _groups(res.q[ok], res.a[ok], cs[ok], solver.ACTIVE_TOL * 10.0,
-                   err)[1]
+                   err)
 
 
 def active_block(on, *xs):
@@ -338,10 +340,10 @@ def test_downlink_product_order(dims, sigma2, seeds, parked):
     ok = np.array([e is None for e in res.err])
     H, V = [h[ok] for h in H], [v[ok] for v in V]
     err = [None] * int(np.count_nonzero(ok))
-    rows, g, P = _powers(res.q[ok], res.a[ok], cs[ok],
-                         solver.ACTIVE_TOL * 10.0, sigma2, err)
-    got = _downlink_mse(H, V, dims, rows, g, P, sigma2)
-    ref = downlink_mse_hu_order(H, V, dims, rows, g, P, sigma2)
+    g, P = _powers(res.q[ok], res.a[ok], cs[ok], solver.ACTIVE_TOL * 10.0,
+                   sigma2, err)
+    got = _downlink_mse(H, V, dims, g, P, sigma2)
+    ref = downlink_mse_hu_order(H, V, dims, g, P, sigma2)
     assert np.abs(got - ref).max() <= DOWNLINK_ORDER_BUDGET
     assert np.array_equal(got == 1.0, ref == 1.0)
     assert (np.count_nonzero(~g.on) > 0) == parked
@@ -513,12 +515,13 @@ def group_rows(states, tol):
     """`duality._groups` on the stacked ``states``: per state, in order,
     its DualityData or the error the kernel gave it."""
     out = [None] * len(states)
-    rows, g = _groups(*stacks(states), tol, out)
-    for j, r in enumerate(rows.tolist()):
-        on = g.on[j]
+    g = _groups(*stacks(states), tol, out)
+    for j, on in enumerate(g.on):
+        if out[j] is not None:
+            continue
         beta, D, Psi, eps = (x[0] for x in active_block(
             on, g.beta[j], g.D[j], g.Psi[j], g.eps[j]))
-        out[r] = DualityData(beta=beta, D=D, Psi=Psi, eps=eps,
+        out[j] = DualityData(beta=beta, D=D, Psi=Psi, eps=eps,
                              active=np.flatnonzero(on), n_streams=len(on))
     return out
 
@@ -583,15 +586,14 @@ def test_check_is_each_rows_check_alone():
         assert alone.err == [None]
     assert np.all(res.p[Q == 0.0] == 0.0)
     err = [None] * len(Q)
-    rows, g, P = _powers(Q, A, cs, solver.ACTIVE_TOL * p_max, sigma2, err)
+    g, P = _powers(Q, A, cs, solver.ACTIVE_TOL * p_max, sigma2, err)
     assert np.array_equal(g.on, Q > 0) and np.all(P[~g.on] == 0.0)
     assert np.all(g.eps[~g.on] == 1.0) and np.all(g.beta[~g.on] == 0.0)
 
 
 def test_check_of_a_stack_whose_rows_all_fail():
-    # every row idle, or every row's transform matrix not finite: the
-    # rest of the check runs on an empty stack, silently, and each row
-    # keeps its error
+    # every row idle, or every row's transform matrix not finite: each
+    # row keeps its place and its error, silently
     Q, A, cs, H, V, dims, sigma2, p_max = mixed_stack()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -603,6 +605,71 @@ def test_check_of_a_stack_whose_rows_all_fail():
             assert [(type(e), str(e)) for e in res.err] == \
                 [(NumericsError, msg)] * len(Q)
             assert np.isnan(res.p).all() and np.isnan(res.gaps).all()
+
+
+def one_stream_row(Q, A, cs, j, t):
+    """Row j of the stacks powered on stream 0 alone, q_0 = 1, with htil_0
+    = e_1 and a_0 = t e_1: its 1 x 1 transform matrix is t - t^2 exactly,
+    so exactly singular at t = 1 and giving a negative power at
+    t = 1 + 2^-8."""
+    Q[j], A[j, :, 0], cs[j, :, 0] = 0.0, 0.0, 0.0
+    Q[j, 0], A[j, 0, 0], cs[j, 0, 0] = 1.0, t, 1.0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_check_keeps_every_row(exact, monkeypatch):
+    # one stack of 8,6,(2)x6,(2)x6 at sigma2 = 1e-10 with rows that enter
+    # with a solver error, rows that fail in `_groups`, rows that fail in
+    # `_transform` (exact: one of them exactly singular, so the stack's
+    # inverse raises and every row, off rows too, takes an SVD) and
+    # healthy rows: each row keeps its place and its first error, p and
+    # gaps are NaN on exactly the rows with an error, a healthy row is
+    # bitwise its own stack of one, and the downlink check gets the
+    # caller's channel and beamformer stacks whole
+    dims = SystemDims(M=8, K=6, N=(2,) * 6, L=(2,) * 6)
+    sigma2, p_max = 1e-10, 10.0
+    H, V, cs = gen_stacks(dims, range(1, 13))
+    res = solver._solve_stack(cs, sigma2, p_max)
+    assert res.err == [None] * 12
+    Q, A, cs = res.q.copy(), res.a.copy(), cs.copy()
+    entry = [None] * 12
+    Q[0], A[0] = math.nan, math.nan  # a row the solver left without numbers
+    entry[0] = NumericsError("covariance not positive definite")
+    entry[1] = ConvergenceError("relative gap above tolerance")  # real q
+    Q[4] = 0.0                                      # idle
+    Q[5, 3] = -1.0                                  # a negative power
+    A[6, :, int(np.argmax(Q[6]))] = 0.0             # a zero receiver
+    A[7, :, 5] = math.nan                           # a non-finite matrix
+    one_stream_row(Q, A, cs, 8, 1.0 + 2.0 ** -8)    # a negative power
+    if exact:
+        one_stream_row(Q, A, cs, 10, 1.0)           # exactly singular
+    expect = [NumericsError, ConvergenceError, SingularTransformError, None,
+              NumericsError, ValidationError, NumericsError, NumericsError,
+              InfeasibleTransformError, None,
+              SingularTransformError if exact else None, None]
+    seen, downlink = [], duality._downlink_mse
+    monkeypatch.setattr(duality, "_downlink_mse", lambda *a: seen.append(
+        a[:2]) or downlink(*a))
+    err = list(entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _check(Q, A, cs, H, V, dims, sigma2, p_max, err)
+    assert got.err is err
+    assert [type(e) if e else None for e in err] == expect
+    assert err[0] is entry[0] and err[1] is entry[1]
+    assert len(seen) == 1 and seen[0][0] is H and seen[0][1] is V
+    bad = np.array([e is not None for e in err])
+    for x in (got.p, got.gaps):
+        assert np.array_equal(np.isnan(x).all(axis=1), bad)
+        assert not np.isnan(x[~bad]).any()
+    for j in range(12):
+        one = slice(j, j + 1)
+        alone = _check(Q[one], A[one], cs[one], [h[one] for h in H],
+                       [v[one] for v in V], dims, sigma2, p_max, [entry[j]])
+        assert [(type(e), str(e)) for e in alone.err] == \
+            [(type(err[j]), str(err[j]))]
+        assert got.p[j].tobytes() == alone.p[0].tobytes()
+        assert got.gaps[j].tobytes() == alone.gaps[0].tobytes()
 
 
 def test_check_makes_one_transform_whatever_the_active_counts(monkeypatch):
