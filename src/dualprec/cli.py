@@ -180,15 +180,10 @@ def _load_valid_instance(path) -> model.ChannelSet:
 
 
 def _certificate_dict(cert: solver.KktCertificate) -> dict:
-    return {
-        "mu_sum": cert.mu_sum,
-        "mu": [float(x) for x in cert.mu],
-        "stationarity_residual": cert.stationarity_residual,
-        "primal_sum_violation": cert.primal_sum_violation,
-        "primal_nonneg_violation": cert.primal_nonneg_violation,
-        "slackness_residual": cert.slackness_residual,
-        "relative_gap": cert.relative_gap,
-    }
+    """The compared fields of ``cert`` (not its state), mu as a list."""
+    return {f.name: cert.mu.tolist() if f.name == "mu"
+            else getattr(cert, f.name)
+            for f in dataclasses.fields(cert) if f.compare}
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
     cols = _effective_cols(d, ch.runs, [v[None] for v in vbar])
     res = _solve_stack(cols, ch.sigma2, ch.p_max, cfg.solver, q0)
     if res.err[0] is not None:
-        raise _certify(res, [EffectiveChannel(cols[0])], ch.sigma2)[0]
+        raise _certify(res, EffectiveChannel(cols[0]), ch.sigma2)
     q = res.q[0]
 
     # downlink powers p := q, timed around itself only

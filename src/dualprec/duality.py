@@ -34,8 +34,10 @@ takes an SVD of the active block only on the rows that bound leaves
 open.  Rows never leave the stack.  A row with an error on entry (the
 solver's) or from `_groups`' tests keeps it and its place with every
 stream masked off, like an off stream: its transform matrix is the
-identity and its x exactly 0.  A row the condition test rejects is
-solved as the identity too, its x then NaN.  Every row with an error
+identity and its x exactly 0.  A singular or non-finite transform matrix
+is NaN in its own row of the inverse and the solve (`objective._slices`,
+the kernel's rule), and a row the condition test rejects has its x set
+to NaN.  Every row with an error
 keeps its first one, and its p and gaps read NaN at the end.  Every
 stacked step is elementwise, an exact max, a LAPACK call per slice, or a
 matmul or sum whose slices keep the layout the computation on one
@@ -61,7 +63,7 @@ from .errors import (InfeasibleTransformError, NumericsError,
                      SingularTransformError, ValidationError)
 from .model import (ChannelSet, PrecoderSet, _norms, _run_stacks, _runs,
                     build_effective_channel)
-from .objective import UplinkState, _unit_rows, make_state
+from .objective import UplinkState, _slices, _unit_rows, make_state
 from .solver import ACTIVE_TOL
 
 #: Condition number above which the transform matrix is rejected rather
@@ -171,14 +173,15 @@ def _transform(beta, D, eps, coupling, sigma2, on=None):
     ``on`` (B x m; None: every stream), an off one with beta 0 and a zero
     column of coupling: its unit diagonal entry makes its x exactly 0.
 
-    Returns x (B x m; NaN on a rejected matrix's row, solved as the
-    identity) and per row None or its error: a non-finite matrix, a
-    condition number above `COND_LIMIT`, or a power below -1e-9.  A row
-    takes an SVD (`np.linalg.cond`) of its active block only when its
-    bound cond_2(A) <= sqrt(|A|_1 |A|_inf |A^-1|_1 |A^-1|_inf) (Higham,
-    ch. 6), over the active rows and columns, exceeds COND_LIMIT / 2 or
-    is not finite, which it is on every row when the stack's inverse
-    raises (a row with no active stream then reads 0).
+    Returns x (B x m; NaN on a rejected matrix's row) and per row None or
+    its error: a non-finite matrix, a condition number above
+    `COND_LIMIT`, or a power below -1e-9.  The inverse and the solve run
+    through `objective._slices`, so a singular or non-finite matrix is
+    NaN in its own row alone.  A row takes an SVD (`np.linalg.cond`) of
+    its active block only when its bound cond_2(A) <= sqrt(|A|_1 |A|_inf
+    |A^-1|_1 |A^-1|_inf) (Higham, ch. 6), over the active rows and
+    columns, exceeds COND_LIMIT / 2 or is not finite (NaN where its
+    inverse is).
     """
     B, m = beta.shape
     A, b2 = np.zeros((B, m, m)), beta ** 2
@@ -187,25 +190,19 @@ def _transform(beta, D, eps, coupling, sigma2, on=None):
     off = None if on is None or np.count_nonzero(on) == on.size else ~on
     if off is not None:
         A.reshape(B, m * m)[:, ::m + 1][off] = 1.0
-    try:  # the norm bound on cond_2
-        a, ai = np.abs(A), np.abs(np.linalg.inv(A))
-        if off is not None:  # the norms of the active block alone
-            for x in (a, ai):
-                x.reshape(B, m * m)[:, ::m + 1][off] = 0.0
-        with np.errstate(over="ignore"):
-            cond = np.sqrt(a.sum(1).max(1) * a.sum(2).max(1)
-                           * ai.sum(1).max(1) * ai.sum(2).max(1))
-    except np.linalg.LinAlgError:  # an exactly singular slice
-        cond = np.full(B, math.inf)
+    a, ai = np.abs(A), np.abs(_slices(np.linalg.inv, A))  # the norm bound
+    if off is not None:  # the norms of the active block alone
+        for x in (a, ai):
+            x.reshape(B, m * m)[:, ::m + 1][off] = 0.0
+    with np.errstate(over="ignore"):
+        cond = np.sqrt(a.sum(1).max(1) * a.sum(2).max(1)
+                       * ai.sum(1).max(1) * ai.sum(2).max(1))
     for j in np.flatnonzero(~(cond <= COND_LIMIT / 2)).tolist():  # an SVD
         blk = A[j] if off is None else A[j][np.ix_(on[j], on[j])]
-        cond[j] = (math.nan if np.isnan(blk).any() else
-                   np.linalg.cond(blk) if blk.size else 0.0)
+        cond[j] = math.nan if np.isnan(blk).any() else np.linalg.cond(blk)
     ok = cond <= COND_LIMIT
     every = np.count_nonzero(ok) == B
-    if not every:
-        A[~ok] = np.eye(m)
-    x = np.linalg.solve(A, (sigma2 * b2)[:, :, None])[:, :, 0]
+    x = _slices(np.linalg.solve, A, (sigma2 * b2)[:, :, None])[:, :, 0]
     if not every:
         x[~ok] = math.nan
     negative = x < -1e-9

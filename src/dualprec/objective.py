@@ -60,13 +60,14 @@ def _slices(fn, X: np.ndarray, *rhs: np.ndarray) -> np.ndarray:
     """``fn`` (`np.linalg.inv`, or `np.linalg.solve` on the right-hand
     sides ``rhs``) over the stack X, NaN in each slice whose matrix is not
     finite or that ``fn`` finds singular; the other slices are what the
-    call on the whole stack gives."""
+    call on the whole stack gives, in the same dtype."""
     if np.isfinite(X).all():
         try:
             return fn(X, *rhs)
         except np.linalg.LinAlgError:
             pass
-    out = np.full((rhs[0] if rhs else X).shape, np.nan, dtype=complex)
+    out = np.full((rhs[0] if rhs else X).shape, np.nan,
+                  dtype=np.result_type(X, *rhs))
     for b in range(len(X)):  # one at a time, to find the bad slices
         if np.isfinite(X[b]).all():
             try:

@@ -27,17 +27,20 @@ as row masks, and takes the Newton steps with one stacked
 What a round reuses is formed once per stack and sliced with its rows:
 the kernel's constants (G with L < M, else conj(Htil) and [I, Htil]) and
 conj(Htil) as rows, which the Newton step reads.  A round decides on
-mu_sum, the relative gap and the residual alone (`_progress`); `_certify`
-forms the other certificate terms (`_kkt`) from the returned q and gains.
+mu_sum, the relative gap and the residual alone (`_progress`).
 `_solve_stack` is the stacked core: B x M x L columns in, per-row arrays
 out (q, J^-1 Htil, phi, steps, the gains and relative gap, and each row's
-error).  `verify` and the design step call it directly; the public
-`solve_power` is a stack of one over it, whose row `_certify` turns into a
-state and a certificate.  With L <= M a cold solve starts from the
-regularized zero-forcing allocation; a warm start keeps q0's zero powers
-at zero.  Every stacked operation is elementwise or slice by slice, so an
-instance takes the same steps, to the bit, whatever shares its stack.  A
-zero channel's stream starts and stays at q = 0 (its gain is 0).
+error), every row of a chunk in one `_lockstep` call, a row whose start
+failed too (it finishes on entry).  `verify` and the design step call it
+directly; the public `solve_power` is a stack of one over it.  `_certify`
+turns the one row of such a result into a state and a certificate
+(`_certificate`, the other terms from the returned q and gains); the
+design step calls it only for a failed solve's error.  With L <= M a
+cold solve starts from the regularized zero-forcing allocation; a warm
+start keeps q0's zero powers at zero.  Every stacked operation is
+elementwise or slice by slice, so an instance takes the same steps, to
+the bit, whatever shares its stack.  A zero channel's stream starts and
+stays at q = 0 (its gain is 0).
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ def _progress(Q, G, p_max: float, active_tol: float, negative=_Z) -> tuple:
     d = mu_sum[:, None] - G
     excess = np.add.reduce(Q, axis=1) - p_max
     primal = np.maximum(excess, negative)
-    # per stream the larger of `_kkt`'s stationarity and slackness terms:
-    # d >= 0 if active, else -d for d < 0 and mu_l q_l = d q_l >= 0 else
+    # per stream the larger of `_certificate`'s stationarity and slackness
+    # terms: d >= 0 if active, else -d for d < 0 and mu_l q_l = d q_l else
     e = np.where(act, d, np.maximum(-d, d * Q))
     # the budget terms times mu_sum / p_max: every term in units of gains
     r = np.maximum(np.maximum.reduce(e, axis=1), primal * (mu_sum / p_max))
@@ -180,28 +183,23 @@ def _progress(Q, G, p_max: float, active_tol: float, negative=_Z) -> tuple:
     return mu_sum, np.maximum(gap, primal / p_max), r
 
 
-def _kkt(Q, G, p_max: float, active_tol: float) -> tuple:
-    """KKT terms at each row q of ``Q`` from its gains ``G``: (mu_sum, mu,
-    stationarity, budget excess, largest negative power, max |mu_l q_l|,
-    relative gap), bitwise per row."""
-    negative = 0.0 - np.minimum.reduce(Q, axis=1, initial=0.0)  # +0, not -0
-    mu_sum, rel, _ = _progress(Q, G, p_max, active_tol, negative)
-    d = mu_sum[:, None] - G
-    mu = np.where(Q > active_tol, 0.0, np.maximum(0.0, d))
-    return (mu_sum, mu, np.maximum.reduce(np.abs(d - mu), axis=1),
-            np.add.reduce(Q, axis=1) - p_max, negative,
-            np.maximum.reduce(np.abs(mu * Q), axis=1, initial=0.0), rel)
-
-
-def _certificates(kkt: tuple, states) -> list:
-    """The certificate of each row of `_kkt` output, with its state."""
-    rows = zip(*(x.tolist() if x.ndim == 1 else x for x in kkt), states)
-    return [KktCertificate(mu_sum=m, mu=u, stationarity_residual=st,
-                           primal_sum_violation=max(0.0, ex),
-                           primal_nonneg_violation=max(0.0, neg),
-                           slackness_residual=max(abs(m * ex), mq),
-                           relative_gap=rel, state=state)
-            for m, u, st, ex, neg, mq, rel, state in rows]
+def _certificate(q, g, p_max: float, state,
+                 active_tol: float) -> KktCertificate:
+    """The `KktCertificate` at the powers ``q`` (L) with gains ``g`` and
+    uplink state ``state``, its mu_l on the streams at most
+    ``active_tol``; every term is `_progress`'s rule at one row."""
+    negative = 0.0 - np.minimum.reduce(q, initial=0.0)  # +0, not -0
+    mu_sum, rel, _ = _progress(q[None], g[None], p_max, active_tol, negative)
+    m, excess = float(mu_sum[0]), float(np.add.reduce(q) - p_max)
+    mu = np.where(q > active_tol, 0.0, np.maximum(0.0, m - g))
+    return KktCertificate(
+        mu_sum=m, mu=mu,
+        stationarity_residual=float(np.maximum.reduce(np.abs(m - g - mu))),
+        primal_sum_violation=max(0.0, excess),
+        primal_nonneg_violation=max(0.0, float(negative)),
+        slackness_residual=max(abs(m * excess), float(
+            np.maximum.reduce(np.abs(mu * q), initial=0.0))),
+        relative_gap=float(rel[0]), state=state)
 
 
 def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
@@ -215,50 +213,50 @@ def solve_power(eff: EffectiveChannel, sigma2: float, p_max: float,
     non-finite power there raises ValidationError); ``callback(q, phi)``
     fires after every step taken, with the kernel's phi at q.
     """
-    out, = _certify(_solve_stack(np.array([eff.cols]), sigma2, p_max, cfg,
-                                 q0, callback), [eff], sigma2)
+    out = _certify(_solve_stack(np.array([eff.cols]), sigma2, p_max, cfg,
+                                q0, callback), eff, sigma2)
     if isinstance(out, DualPrecError):
         raise out
     return out
 
 
-def _certify(res, effs, sigma2) -> list:
-    """Per row of the `_solve_stack` result ``res`` on the effective
-    channels ``effs``: its (q, certificate), whose state is the kernel
+def _certify(res, eff, sigma2):
+    """The (q, certificate) of the one row of the `_solve_stack` result
+    ``res`` on the effective channel ``eff``, whose state is the kernel
     output at q, or the error of its solve, a ConvergenceError with its
     best iterate and certificate attached."""
+    e = res.err[0]
     # a failed start or covariance leaves no iterate to certify
-    done = [j for j, e in enumerate(res.err)
-            if e is None or isinstance(e, ConvergenceError)]
-    out = list(res.err)
+    if not (e is None or isinstance(e, ConvergenceError)):
+        return e
     # copies in the layouts one kernel call gives, so that callers
     # computing on the state get the same bits whatever the stack
-    states = [UplinkState(eff=effs[j], q=res.q[j].copy(),
-                          sigma2=float(sigma2),
-                          Jinv_cols=res.a[j].copy(order="F"),
-                          trace_inv=float(res.phi[j])) for j in done]
-    kkt = _kkt(res.q[done], res.g[done], res.p_max, ACTIVE_TOL * res.p_max)
-    for j, cert in zip(done, _certificates(kkt, states)):
-        if res.err[j] is None:
-            out[j] = (cert.state.q, cert)
-        else:
-            res.err[j].best_q, res.err[j].certificate = cert.state.q, cert
-    return out
+    q = res.q[0].copy()
+    cert = _certificate(q, res.g[0], res.p_max, UplinkState(
+        eff=eff, q=q, sigma2=float(sigma2),
+        Jinv_cols=res.a[0].copy(order="F"), trace_inv=float(res.phi[0])),
+        ACTIVE_TOL * res.p_max)
+    if e is None:
+        return q, cert
+    e.best_q, e.certificate = q, cert
+    return e
 
 
 def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
-    """Solve and certify each row of the stack ``CS`` (B x M x L), in
-    `_lockstep` stacks of at most `STACK_BYTES`.
+    """Solve each row of the stack ``CS`` (B x M x L), in one `_lockstep`
+    call per chunk of at most `STACK_BYTES`, every row of the chunk in it.
 
     Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
     the kernel computes it), its phi (B), steps (B), the gains g at q
     (B x L) and the relative gap rel (B), with the p_max that `_certify`
-    forms the `_kkt` terms with, and err: per row None or the error its
-    solve raised, a ConvergenceError without its best iterate and
-    certificate, which the caller attaches if it wants them.  A row whose
-    start failed, or whose covariance the kernel rejected, has an error
-    and no numbers.  ``q0`` and ``callback`` are `solve_power`'s;
-    a ``sigma2`` or ``p_max`` not finite and > 0 raises ValidationError.
+    builds a row's certificate with, and err: per row None or the error
+    its solve raised, a ConvergenceError without its best iterate and
+    certificate, which `_certify` attaches.  A row whose start failed
+    (`_start`), or whose covariance the kernel rejected, finishes on
+    entry and keeps its first error; its numbers are not an iterate.
+    ``q0`` and ``callback`` are `solve_power`'s; a ``q0`` of the wrong
+    shape raises DimensionError, and a ``sigma2`` or ``p_max`` not finite
+    and > 0 ValidationError.
     """
     if not (math.isfinite(p_max) and p_max > 0):
         raise ValidationError("p_max must be finite and > 0")
@@ -270,44 +268,35 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     err, out = [None] * B, None
     for first in range(0, B, size):
         cs = CS[first:first + size]
-        idx = None  # the rows of cs in CS, when not first, first + 1, ...
         # G = Htil^H Htil: the kernel's at L < M, a cold start's at L <= M
         gram = _gram(cs) if L < M or L == M and q0 is None else None
         Q0, errs = _start(cs, gram, sigma2, p_max, q0)
-        gram = gram if L < M else None
-        if any(errs):  # those rows end here
+        dead = None
+        if any(errs):  # those rows finish on entry, with their errors
             err[first:first + len(cs)] = errs
-            ok = np.array([e is None for e in errs])
-            if not ok.any():
-                continue
-            idx = np.flatnonzero(ok) + first
-            cs, Q0, gram = cs[ok], Q0[ok], _rows(gram, ok)
+            dead = np.array([e is not None for e in errs])
         for rows, Q, A, F, steps, G, rel, failed in _lockstep(
-                cs, gram, Q0, sigma2, p_max, cfg, callback):
-            at = rows + first if idx is None else idx[rows]
+                cs, gram if L < M else None, Q0, sigma2, p_max, cfg,
+                callback, dead):
+            at = rows + first
             got = (Q, A, F, steps, G, rel)
             if len(at) == B:  # the whole stack at once: no copies
                 out = list(got)
             else:
                 if out is None:
-                    out = [np.full((B,) + x.shape[1:], math.nan
-                                   if x.dtype.kind in "fc" else 0, x.dtype)
-                           for x in got]
+                    out = [np.empty((B,) + x.shape[1:], x.dtype) for x in got]
                 for dst, x in zip(out, got):
                     dst[at] = x
             for i, n, bad, gap in zip(at.tolist(), steps.tolist(),
                                       failed.tolist(), rel.tolist()):
-                if bad:
-                    err[i] = NumericsError(
+                if bad:  # a start error stands
+                    err[i] = err[i] or NumericsError(
                         "covariance not positive definite or not finite "
                         f"after {n} iterations")
                 elif not gap <= cfg.kkt_tol:
                     err[i] = ConvergenceError(
                         f"relative gap {gap:.3e} above tolerance "
                         f"{cfg.kkt_tol:.1e} after {n} iterations")
-    if out is None:  # no row started
-        out = [np.full(shape, math.nan) for shape in (
-            (B, L), (B, M, L), (B,), (B,), (B, L), (B,))]
     q, a, phi, steps, g, rel = out
     return SimpleNamespace(q=q, a=a, phi=phi, steps=steps, g=g, rel=rel,
                            p_max=p_max, err=err)
@@ -317,12 +306,14 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     """The first iterates (B x L) of the solves of the stack ``CS``
     (B x M x L), with ``gram`` its `_gram` when L <= M (else None; a
     warm start does not read it), and per row None or the error that
-    keeps it from starting: projected q0, or uniform, spending the budget
-    on the streams with a nonzero channel.  The others (norm at most 1e-15
-    of the row's largest) start at 0 and stay there: a zero channel's
-    gain is 0, so no Newton face admits its stream.  A projected q0 that
-    falls short of p_max has the rest spread over its powered streams
-    (over every stream on when none is), so its zero powers stay zero.
+    keeps it from starting (such a row starts at 0); a ``q0`` of the
+    wrong shape raises DimensionError.  Projected q0, or uniform, spending
+    the budget on the streams with a nonzero channel.  The others (norm
+    at most 1e-15 of the row's largest) start at 0 and stay there: a
+    zero channel's gain is 0, so no Newton face admits its stream.  A
+    projected q0 that falls short of p_max has the rest spread over its
+    powered streams (over every stream on when none is), so its zero
+    powers stay zero.
 
     Without q0, an L <= M row whose channels are all on starts instead
     from the regularized zero-forcing allocation q_l = p_max sqrt(c_l) /
@@ -335,8 +326,7 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
     slice or along a row, so a row's start is bitwise its start alone."""
     B, _, L = CS.shape
     if q0 is not None and np.shape(q0) != (L,):
-        return None, [DimensionError(
-            f"q0 must have one entry per stream ({L})")] * B
+        raise DimensionError(f"q0 must have one entry per stream ({L})")
     col_norms = _norms(CS, 1)
     # a row with a column not finite has a largest that is not finite, and
     # so no column on
@@ -384,12 +374,13 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
 
 
 def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
-              callback=None):
+              callback=None, dead=None):
     """Solve each row of the stack ``CS`` (B x M x L), with ``gram`` its
     `_gram` when L < M (else None), from ``Q0`` (B x L); yield (rows, q,
     A, f, steps, gains, relative gap, failed) of the best iterates of the
-    rows that finish in a round, failed where a row's J was not finite or
-    could not be factored (such a row finishes at once).  Progress and
+    rows that finish in a round, failed where a row's start failed (the
+    mask ``dead``, None: none did) or its J was not finite or could not be
+    factored: such a row finishes at once, at Q0.  Progress and
     the best iterate go by the absolute residual.  A row finishes at a
     trial (taken or not) that does not lower its best residual once its
     best passes kkt_tol, or once that residual or its relative gap is at
@@ -413,8 +404,8 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     A, f, G = _covariance(CS, Q0, S2, const)
     bmu, brel, r = _progress(Q0, G, P, act_tol)
     B = len(Q0)
-    rows, steps, failed, t = (np.arange(B), np.zeros(B, dtype=int),
-                              np.isnan(f), np.zeros(B))
+    failed = np.isnan(f) if dead is None else np.isnan(f) | dead
+    rows, steps, t = np.arange(B), np.zeros(B, dtype=int), np.zeros(B)
     q = bq = trial = Q0
     br, ba, bf, bg, dq, slope = r, A, f, G, np.zeros(Q0.shape), t
     # the rows at a new iterate, whether they are all rows, and those
@@ -482,10 +473,7 @@ def _pick(mask, new, old):
 
 
 def _rows(x, mask):
-    """The rows in mask of an array, or of every array of a tuple (None
-    stays None)."""
-    if x is None:
-        return None
+    """The rows in mask of an array, or of every array of a tuple."""
     return tuple(_rows(a, mask) for a in x) if isinstance(x, tuple) \
         else x[mask]
 

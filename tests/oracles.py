@@ -23,7 +23,7 @@ from dualprec.duality import COND_LIMIT
 from dualprec.model import (NORM_TOL, PRECODER_TAG, _cplx_matrix_from_lists,
                             _cplx_matrix_to_lists)
 from dualprec.objective import _covariance
-from dualprec.solver import ACTIVE_TOL, _certificates, _kkt
+from dualprec.solver import ACTIVE_TOL, _certificate
 
 #: Relative eigenvalue tolerance of `normalize_covariance`'s rank test.
 RANK_TOL = 1e-9
@@ -235,8 +235,7 @@ def kkt_certify(eff: EffectiveChannel, sigma2: float, p_max: float, q,
     A, f, gains = _covariance(eff.cols[None], q[None], sigma2)
     state = UplinkState(eff=eff, q=q, sigma2=float(sigma2), Jinv_cols=A[0],
                         trace_inv=float(f[0]))
-    return _certificates(_kkt(q[None], gains, p_max, active_tol),
-                         [state])[0]
+    return _certificate(q, gains[0], p_max, state, active_tol)
 
 
 def exact_state(cols, q, sigma2) -> SimpleNamespace:

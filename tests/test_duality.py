@@ -243,9 +243,10 @@ def test_condition_gate_decides_as_the_svd(m, monkeypatch):
 
 
 def test_condition_gate_singular_nan_and_overflowing_rows(monkeypatch):
-    # an exactly singular row makes the stacked inverse raise, so the
-    # whole stack takes the SVD; a NaN row only makes its own bound NaN,
-    # and diag(1, 1e-200, 1, 1) its bound overflow to inf, silently
+    # an exactly singular row and a NaN row make only their own bounds
+    # NaN, and diag(1, 1e-200, 1, 1) its bound overflow to inf, silently;
+    # the singular row, the one above COND_LIMIT and the overflowing one
+    # take an SVD
     beta, D, eps, coupling = prescribed_stack(4, [1, 1e6, 1e13, 1e3, 1], 5)
     coupling[1, 2] = 0.0
     coupling[3, 0, 1] = np.nan
@@ -256,7 +257,7 @@ def test_condition_gate_singular_nan_and_overflowing_rows(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         errs = assert_same_transform((beta, D, eps, coupling), 1.0,
-                                     monkeypatch)
+                                     monkeypatch, svd_rows=3)
         assert [type(e) if e else None for e in errs] == expect
         keep = [0, 2, 3, 4]
         errs = assert_same_transform(
@@ -264,6 +265,24 @@ def test_condition_gate_singular_nan_and_overflowing_rows(monkeypatch):
             monkeypatch, svd_rows=2)
         assert [type(e) if e else None for e in errs] == \
             [expect[k] for k in keep]
+
+
+def test_singular_row_alone_takes_its_svd(monkeypatch):
+    # one exactly singular matrix is NaN in its own row of the inverse and
+    # the solve: `np.linalg.cond` runs on it and on the row whose bound is
+    # open (cond_2 1e13), and not on the rows the bound passes
+    args = prescribed_stack(4, [1e2, 1e3, 1e13, 10.0], 3)
+    args[3][1, 2] = 0.0  # A = -coupling: a zero row
+    seen, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda a: seen.append(a.copy()) or cond(a))
+    _, errs = _transform(*args, 1.0)
+    assert [isinstance(e, SingularTransformError) for e in errs] == [
+        False, True, True, False]
+    assert len(seen) == 2
+    for a, j in zip(seen, (1, 2)):
+        assert np.array_equal(a, -args[3][j])
+    assert_same_transform(args, 1.0, monkeypatch, svd_rows=2)
 
 
 def wide_stack(sigma2, seeds):
@@ -620,8 +639,8 @@ def one_stream_row(Q, A, cs, j, t):
 def test_check_keeps_every_row(exact, monkeypatch):
     # one stack of 8,6,(2)x6,(2)x6 at sigma2 = 1e-10 with rows that enter
     # with a solver error, rows that fail in `_groups`, rows that fail in
-    # `_transform` (exact: one of them exactly singular, so the stack's
-    # inverse raises and every row, off rows too, takes an SVD) and
+    # `_transform` (exact: one of them exactly singular, NaN in its own
+    # row of the inverse and the solve) and
     # healthy rows: each row keeps its place and its first error, p and
     # gaps are NaN on exactly the rows with an error, a healthy row is
     # bitwise its own stack of one, and the downlink check gets the

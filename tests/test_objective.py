@@ -7,7 +7,7 @@ from dualprec import (DimensionError, EffectiveChannel, NumericsError,
                       SystemDims, ValidationError, downlink_mmse, make_state,
                       mmse_directions, solve_power, sum_mse_uplink,
                       uplink_mse, verify_theorem)
-from dualprec.objective import _covariance, _gram
+from dualprec.objective import _covariance, _gram, _slices
 from oracles import exact_state, grad_trace_Jinv, stream_owner
 
 
@@ -189,6 +189,20 @@ def test_failed_factorization_is_nan_in_its_slice_only():
         for b in (1, 2):
             with pytest.raises(NumericsError):
                 make_state(eff_from_cols(cols[b]), q[b], 1e-300)
+
+
+def test_slices_keep_a_real_stack_real():
+    # a real stack with an exactly singular slice goes slice by slice: that
+    # slice is NaN, the others are as alone, and the result stays real
+    X = np.array([np.diag([1.0, 2.0]), np.ones((2, 2)), [[2.0, 1.0],
+                                                          [1.0, 1.0]]])
+    rhs = np.ones((3, 2, 1))
+    for fn, args in ((np.linalg.inv, ()), (np.linalg.solve, (rhs,))):
+        out = _slices(fn, X, *args)
+        assert out.dtype == np.float64
+        assert np.isnan(out[1]).all() and not np.isnan(out[::2]).any()
+        for b in (0, 2):
+            assert np.array_equal(out[b], fn(X[b], *(r[b] for r in args)))
 
 
 def test_overflowing_output_is_nan_in_its_slice_only():

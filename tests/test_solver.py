@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,9 +316,16 @@ def solve_stack(effs, sigma2, p_max=10.0, cfg=None):
     """Per instance of ``effs`` (of one shape), in order, its (q,
     certificate) or the error of its solve, from one `_solve_stack` call
     on their columns."""
-    return solver._certify(solver._solve_stack(
-        np.array([eff.cols for eff in effs]), sigma2, p_max, cfg), effs,
-        sigma2)
+    res = solver._solve_stack(np.array([eff.cols for eff in effs]), sigma2,
+                              p_max, cfg)
+    return [solver._certify(row_of(res, j), eff, sigma2)
+            for j, eff in enumerate(effs)]
+
+
+def row_of(res, j):
+    """Row ``j`` of the `_solve_stack` result ``res``, as a stack of one."""
+    return SimpleNamespace(**{k: v if k == "p_max" else v[j:j + 1]
+                              for k, v in vars(res).items()})
 
 
 def solve_alone(eff, sigma2, p_max=10.0, cfg=None):
@@ -397,6 +405,42 @@ def test_failing_instance_leaves_the_batch_unchanged():
     assert "non-finite effective channel" in str(mixed[1])
     assert_same_result(mixed[0], clean[1])
     assert_same_result(mixed[2], clean[2])
+
+
+def test_every_row_of_a_chunk_goes_to_one_lockstep_call(monkeypatch):
+    # a row whose start fails keeps its place in its chunk's one
+    # `_lockstep` call and finishes on entry with its start error: an
+    # all-zero channel and a non-finite one among clean rows, each error
+    # as it is alone and each clean row bitwise as alone; and a stack of
+    # one whose warm start is not finite
+    seen, lockstep = [], solver._lockstep
+
+    def spy(CS, *args):
+        seen.append(len(CS))
+        return lockstep(CS, *args)
+
+    monkeypatch.setattr(solver, "_lockstep", spy)
+    effs = [rand_instance(s, sigma2=1e-2)[2] for s in range(1, 6)]
+    cols = effs[3].cols.copy()
+    cols[0, 1] = np.nan
+    effs[1], effs[3] = eff_from_cols(np.zeros((4, 4))), eff_from_cols(cols)
+    got = solve_stack(effs, 1e-2)
+    assert seen == [5]
+    assert [type(x) for x in got] == [tuple, NumericsError, tuple,
+                                      NumericsError, tuple]
+    for eff, out in zip(effs, got):
+        seen.clear()
+        alone = solve_alone(eff, 1e-2)
+        assert seen == [1]
+        assert str(out) == str(alone)
+        assert_same_result(out, alone)
+    assert str(got[1]) == "all effective channels are zero"
+    assert str(got[3]) == "non-finite effective channel"
+    seen.clear()
+    with pytest.raises(ValidationError,
+                       match="^powers to project must be finite$"):
+        solve_power(effs[0], 1e-2, 10.0, q0=np.array([1.0, np.nan, 1, 1]))
+    assert seen == [1]
 
 
 def test_unfactorable_instance_leaves_the_batch_unchanged():

@@ -61,6 +61,20 @@ def test_cholesky_only_in_the_covariance_kernel():
                      ("inv", "duality._transform")}
 
 
+def test_linalg_errors_caught_only_by_two_rules():
+    # one failure rule for a singular or non-finite slice: objective._slices
+    # makes it NaN in its own slice, for the kernel, the solver's start and
+    # the duality transform alike.  solver._solve_kkt's lstsq fallback is a
+    # different rule on purpose: a singular Newton system still has a
+    # least-squares step, where a NaN step would end the row
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        out = []
+        _uses(ast.parse(path.read_text()), "<module>", out, {"LinAlgError"})
+        sites.update(f"{path.stem}.{scope}" for _, scope in out)
+    assert sites == {"objective._slices", "solver._solve_kkt"}
+
+
 def test_transform_only_in_duality():
     # one legacy transform: the theorem check and the design loop's check
     # both run duality._powers, so no other module reaches its parts
