@@ -90,7 +90,8 @@ LAYERS = {
                                "makes"),
     "newton_B1_parked": ("us", "solver._newton per call, median over the "
                                "one-row calls with a parked stream that "
-                               "design --path both makes on the gen "
+                               "design --path both --init random_unit "
+                               "makes on the gen "
                                "instance of seed 1000098 (M=4 K=2 N=(4,4) "
                                "L=(2,2) sigma2=1 P=10)"),
     "gen_stacks_B4_M64": ("us", "model.gen_stacks per instance, one call "
@@ -150,6 +151,8 @@ LAYERS = {
     "design_cli": ("ms", "one in-process `design --path both`, median over "
                          "gen instances of the design-loop shape, seeds "
                          "1000-1009"),
+    "design_cli_iters": ("count", "mean accepted iterates of design_cli's "
+                                  "designs, read from their reports"),
     "bench_cli": ("ms", "one in-process `bench --trials 10 --format json` "
                         "at the default dims 4,2,2,2,2,2, sigma2=1 P=10, "
                         "seed base 1"),
@@ -429,8 +432,8 @@ def _layers(pkg, paths: list) -> dict:
         [x.copy() if isinstance(x, np.ndarray) else x for x in a]) \
         or newton(*a)
     try:
-        _quiet(cli.main, ["design", parked, "--path", "both", "--out",
-                          report])
+        _quiet(cli.main, ["design", parked, "--path", "both", "--init",
+                          "random_unit", "--out", report])
     finally:
         solver._newton = newton
     one = [a for a in one if len(a[1]) == 1 and not np.all(a[1] > 0)]
@@ -440,6 +443,12 @@ def _layers(pkg, paths: list) -> dict:
         [lambda p=p: _quiet(cli.main, ["design", p, "--path", "both",
                                        "--out", report]) for p in paths],
         lambda t: statistics.median(t) * 1e3)
+    def cli_iters(path):
+        _quiet(cli.main, ["design", path, "--path", "both", "--out", report])
+        with open(report) as f:
+            return json.load(f)["iters"]
+
+    out["design_cli_iters"] = statistics.mean(map(cli_iters, paths))
     out["bench_cli"] = _rounds(
         [lambda: _quiet(cli.main, ["bench", "--trials", "10", "--format",
                                    "json", "--out", report])],

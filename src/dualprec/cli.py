@@ -369,7 +369,7 @@ def cmd_bench(ns) -> int:
 
     def run(t, ch):
         res = designer.design(ch, designer.DesignConfig(
-            path=designer.BOTH, seed=ch.seed, solver=scfg))
+            path=designer.BOTH, solver=scfg))
         return {"trial": t, "seed": ch.seed, "iters": res.iters,
                 "smse_final": res.smse_trace[-1],
                 "pq_max_gap": max(res.path_gap_trace),
@@ -421,6 +421,7 @@ def cmd_design(ns) -> int:
             "command": "design",
             "instance": str(ns.instance),
             "path": dcfg.path,
+            "init": dcfg.init_mode,
             "converged": converged,
             "iters": res.iters,
             "rejected_extrapolations": res.rejected,
@@ -480,7 +481,13 @@ COMMANDS = {
                ("config", "out", "format", "solver"), (
                    _INSTANCE, ("--path", {"choices": [
                        designer.SIMPLIFIED, designer.BOTH]}),
-                   ("--init", {"choices": ["random_unit", "channel_svd"]}),
+                   ("--init", {
+                       "choices": ["channel_svd", "random_unit"],
+                       "help": "first uplink beamformers (default "
+                               "channel_svd: each user's dominant right "
+                               "singular vectors; random_unit: unit columns "
+                               "drawn from the config's design seed, else "
+                               "the instance's)"}),
                    ("--max-outer-iters", {"type": int}))),
 }
 

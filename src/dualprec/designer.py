@@ -15,6 +15,10 @@ built once per design.  On ``path="both"`` the legacy duality transform
 (`duality._powers`) feeds neither the role swap nor the safeguard: it runs
 once the loop ends or raises, stacked over the accepted iterates.
 
+A design starts from each user's L_k dominant right singular vectors of
+H_k (``init_mode="channel_svd"``, the default) or from seeded random unit
+columns (``"random_unit"``).
+
 The plain alternation vbar <- G(vbar) lowers the sum-MSE at every step
 but converges only linearly.  `design` extrapolates instead (type-II
 Anderson acceleration; Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011):
@@ -45,7 +49,7 @@ from .duality import _powers
 from .errors import ConvergenceError, NumericsError, ValidationError
 from .model import (DOWNLINK, VIRTUAL_UPLINK, ChannelSet, EffectiveChannel,
                     PrecoderSet, _effective_cols, _norms, _run_stacks, _runs,
-                    is_count, is_real, random_unit_precoders, validate)
+                    _seed_words, _unit_columns, is_count, is_real, validate)
 from .objective import _covariance, _sum_mse, _unit_rows
 from .solver import (ACTIVE_TOL, STACK_BYTES, SolverConfig, _certify,
                      _solve_stack)
@@ -61,9 +65,9 @@ ANDERSON_MEMORY = 5
 class DesignConfig:
     max_outer_iters: int = 200
     smse_rel_tol: float = 1e-8
-    init_mode: str = "random_unit"  # random_unit | channel_svd
+    init_mode: str = "channel_svd"  # channel_svd | random_unit
     path: str = SIMPLIFIED          # simplified_pq | both
-    seed: int | None = None
+    seed: int | None = None         # random_unit only; None: the instance's
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
@@ -120,14 +124,31 @@ class _Instance(ChannelSet):
     dual: tuple = ()
 
 
-def _init_uplink_dirs(ch: ChannelSet, cfg: DesignConfig):
-    if cfg.init_mode == "channel_svd":  # dominant right singular vectors
-        return [np.linalg.svd(h)[2].conj().T[:, :n].copy()
-                for h, n in zip(ch.H, ch.dims.L)]
-    seed = cfg.seed if cfg.seed is not None else ch.seed
-    ps = random_unit_precoders(ch.dims, VIRTUAL_UPLINK,
-                               seed=[0 if seed is None else seed, 101])
-    return [b.copy() for b in ps.by_user]
+def _instance(ch: ChannelSet) -> _Instance:
+    """``ch`` with its run stacks and their H_k^H."""
+    runs = _run_stacks(_runs(ch.dims.N, ch.dims.L), ch.H)
+    return _Instance(ch.dims, ch.H, ch.sigma2, ch.p_max, ch.seed, runs,
+                     [h[0].conj().swapaxes(1, 2) for h in runs])
+
+
+def _init_uplink_dirs(inst: _Instance, cfg: DesignConfig) -> list:
+    """The first uplink beamformers, per run of users n x N_k x L_k:
+    each user's L_k dominant right singular vectors of H_k (one stacked
+    SVD per run, bitwise the per-user full SVD), or on "random_unit" the
+    unit columns `random_unit_precoders` draws for [seed, 101].
+
+    With N_k <= M, LAPACK forms the N_k x N_k right factor alike with or
+    without the M x M left factors (2 MiB of them at M = 64, K = 32), so
+    those are formed only where N_k > M, whose reduced right factor
+    differs from the full one in its last bits."""
+    d = inst.dims
+    if cfg.init_mode == "channel_svd":
+        return [np.linalg.svd(h[0], full_matrices=N > d.M)[2].conj()
+                .swapaxes(1, 2)[:, :, :c].copy()
+                for h, (_, (N, c)) in zip(inst.runs, _runs(d.N, d.L))]
+    seed = cfg.seed if cfg.seed is not None else inst.seed
+    return [v[0] for v in _unit_columns(d.N, d.L, _seed_words(
+        [[0 if seed is None else seed, 101]]))]
 
 
 def _step(ch: _Instance, vbar: list, q0, cfg: DesignConfig) -> _Step:
@@ -275,15 +296,10 @@ def design(ch: ChannelSet, cfg: DesignConfig | None = None) -> DesignResult:
     cfg = cfg or DesignConfig()
     if bad := validate(ch):
         raise ValidationError("; ".join(bad))
-    d = ch.dims
-    shapes = tuple(_runs(d.N, d.L))
-    runs = _run_stacks(shapes, ch.H)
-    inst = _Instance(d, ch.H, ch.sigma2, ch.p_max, ch.seed, runs,
-                     [h[0].conj().swapaxes(1, 2) for h in runs])
-    steps = []
+    d, inst, steps = ch.dims, _instance(ch), []
     try:
-        converged, rejected = _iterate(inst, [v[0] for v in _run_stacks(
-            shapes, _init_uplink_dirs(ch, cfg))], cfg, steps)
+        converged, rejected = _iterate(inst, _init_uplink_dirs(inst, cfg),
+                                       cfg, steps)
     except Exception:
         _legacy_check(steps, ch, cfg)  # its error comes before the loop's
         raise

@@ -228,8 +228,7 @@ def test_criterion_9_design_loop():
     tot_legacy = tot_shortcut = 0.0
     for i in range(n_runs):
         ch = gen_channel(DIMS, SIGMA2, P_MAX, seed=5000 + i)
-        cfg = DesignConfig(path=BOTH, seed=5000 + i,
-                           solver=SolverConfig(kkt_tol=KKT_TOL))
+        cfg = DesignConfig(path=BOTH, solver=SolverConfig(kkt_tol=KKT_TOL))
         res = design(ch, cfg)
         tr = np.array(res.smse_trace)
         worst_rise = max(worst_rise, float(np.diff(tr).max()))

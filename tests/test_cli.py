@@ -464,7 +464,7 @@ def test_bench_rows_are_the_designs(tmp_path):
     for t, row in enumerate(rows):
         seed = 1 + t
         res = design(gen_channel(dims, 1.0, 10.0, seed=seed),
-                     DesignConfig(path=BOTH, seed=seed))
+                     DesignConfig(path=BOTH))
         want = {"trial": t, "seed": seed, "iters": res.iters,
                 "smse_final": res.smse_trace[-1],
                 "pq_max_gap": max(res.path_gap_trace)}
@@ -804,10 +804,10 @@ def test_verify_fewer_streams_than_antennas_at_high_snr(tmp_path):
 
 
 def test_bench_unfactorable_trials_exit_3(tmp_path, capsys):
-    rc = run_cli(["bench", "--trials", "2", "--sigma2", "1e-300",
-                  "--out", str(tmp_path / "b.csv")])
+    rc = run_cli(["bench", "--dims", "3,2,2,2,2,2", "--trials", "4",
+                  "--sigma2", "1e-300", "--out", str(tmp_path / "b.csv")])
     assert rc == 3
-    assert "failures = 2" in capsys.readouterr().err
+    assert "failures = 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,sigma2,seed", [
@@ -820,7 +820,10 @@ def test_unfactorable_instance_one_line_exit_3(command, sigma2, seed,
                     "2,2", "--sigma2", sigma2, "--seed", seed,
                     "--out", str(inst)]) == 0
     capsys.readouterr()
-    assert run_cli([command, str(inst), "--out", str(out)]) == 3
+    # the random start of seed 1309 meets such a covariance, the channel
+    # SVD start does not
+    init = ["--init", "random_unit"] if command == "design" else []
+    assert run_cli([command, str(inst), "--out", str(out)] + init) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"{command}: covariance not positive definite")
     assert err.count("\n") == 1
