@@ -107,6 +107,14 @@ LAYERS = {
     "solve_stack_B4_M64_kernel_calls": (
         "count", "objective._covariance calls in one cold "
                  "solver._solve_stack call, same instances"),
+    "solve_stack_B32_M8": ("us", "solver._solve_stack per instance, one "
+                                 "call on model.gen_stacks' columns of "
+                                 "seeds 1-32 at M=8 K=4 N_k=2 L_k=2 P=10 "
+                                 "sigma2=1e-4, whose rows finish over "
+                                 "several rounds"),
+    "solve_stack_B32_M8_kernel_rows": (
+        "count", "rows that objective._covariance is handed, summed over "
+                 "the calls of one solver._solve_stack call, same stack"),
     "verify_theorem": ("us", "verify_theorem per trial with the solve's "
                              "state, median over M=4 K=2 N=(2,2) L=(2,2) "
                              "sigma2=1 P=10, seeds 1-50"),
@@ -270,21 +278,23 @@ def _layers(pkg, paths: list) -> dict:
                                lambda t: statistics.median(t) * 1e6)
     out["downlink_mmse"] = ([lambda a=a: downlink(*a) for a in receivers],
                             lambda t: statistics.median(t) * 1e6)
-    counted, covariance = [0], solver._covariance
+    counted, covariance = [0, 0], solver._covariance
 
-    def count(*args):
+    def count(cols, *args):
         counted[0] += 1
-        return covariance(*args)
+        counted[1] += len(cols)
+        return covariance(cols, *args)
 
-    def kernel_calls(fn):
-        """objective._covariance calls that fn() makes through the solver."""
-        counted[0] = 0
+    def kernel_calls(fn, rows=False):
+        """objective._covariance calls that fn() makes through the solver,
+        or with ``rows`` the rows they hand it."""
+        counted[:] = [0, 0]
         solver._covariance = count
         try:
             fn()
         finally:
             solver._covariance = covariance
-        return counted[0]
+        return counted[rows]
 
     out["solve_power_warm_kernel_calls"] = kernel_calls(
         lambda: [replay(c) for c in warm]) / len(warm)
@@ -330,6 +340,13 @@ def _layers(pkg, paths: list) -> dict:
         lambda t: t[0] / 4 * 1e3)
     out["solve_stack_B4_M64_kernel_calls"] = kernel_calls(
         lambda: solver._solve_stack(large_cols, 1.0, 10.0))
+    b32 = pkg.model.gen_stacks(pkg.SystemDims(M=8, K=4, N=(2,) * 4,
+                                              L=(2,) * 4), range(1, 33))[2]
+    out["solve_stack_B32_M8"] = _rounds(
+        [lambda: solver._solve_stack(b32, 1e-4, 10.0)],
+        lambda t: t[0] / 32 * 1e6)
+    out["solve_stack_B32_M8_kernel_rows"] = kernel_calls(
+        lambda: solver._solve_stack(b32, 1e-4, 10.0), rows=True)
 
     theorem = []
     for ch, up, eff in instances(small, range(1, 51)):
@@ -627,7 +644,8 @@ def main(argv=None) -> int:
                         f"a call counts with its best of {REPEATS} after one "
                         "untimed warm-up call, garbage collector off; "
                         "solve_stack_B50, newton_B50_mixed, "
-                        "solve_stack_B4_M64, gen_stacks, gen_channel, "
+                        "solve_stack_B4_M64, solve_stack_B32_M8, "
+                        "gen_stacks, gen_channel, "
                         "check_B50, check_B50_M4_s10, check_B4_M64, "
                         "check_B4_M64_s1e4, emit_verify50, gen_cli, "
                         "verify_trials50_failing, verify_trials4_M64, "

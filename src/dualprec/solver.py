@@ -20,27 +20,27 @@ on the units of sigma2 and P.  A power at most `ACTIVE_TOL` P is off.
 
 One lockstep loop (`_lockstep`) runs it on a stack of equal-shape
 instances, one row each, from the first iterates `_start` takes for the
-whole stack at once: a round evaluates a power vector per row with one
-stacked kernel call, decides acceptance, backtracking and best iterates
-as row masks, and takes the Newton steps with one stacked
+whole stack at once: a round evaluates a power vector per live row with
+one stacked kernel call, decides acceptance, backtracking and best
+iterates as row masks, and takes the Newton steps with one stacked
 `np.linalg.solve` per pass (a second only for rows whose face shrank).
-What a round reuses is formed once per stack and sliced with its rows:
-the kernel's constants (G with L < M, else conj(Htil) and [I, Htil]) and
-conj(Htil) as rows, which the Newton step reads.  A round decides on
-mu_sum, the relative gap and the residual alone (`_progress`).
-`_solve_stack` is the stacked core: B x M x L columns in, per-row arrays
-out (q, J^-1 Htil, phi, steps, the gains and relative gap, and each row's
-error), every row of a chunk in one `_lockstep` call, a row whose start
-failed too (it finishes on entry).  `verify` and the design step call it
-directly; the public `solve_power` is a stack of one over it.  `_certify`
-turns the one row of such a result into a state and a certificate
-(`_certificate`, the other terms from the returned q and gains); the
-design step calls it only for a failed solve's error.  With L <= M a
-cold solve starts from the regularized zero-forcing allocation; a warm
-start keeps q0's zero powers at zero.  Every stacked operation is
-elementwise or slice by slice, so an instance takes the same steps, to
-the bit, whatever shares its stack.  A zero channel's stream starts and
-stays at q = 0 (its gain is 0).
+A finished row keeps its place.  What a round reuses is formed once per
+stack: conj(Htil) as rows, which the Newton step reads, and the kernel's
+constants (G with L < M, else conj(Htil) and [I, Htil]), again for the
+live rows once a row finishes.  A round decides on mu_sum, the relative
+gap and the residual alone (`_progress`).  `_solve_stack` is the stacked
+core: B x M x L columns in, per-row arrays out (q, J^-1 Htil, phi,
+steps, the gains and relative gap, and each row's error), every row of a
+chunk in one `_lockstep` call, a row whose start failed too.  `verify`
+and the design step call it directly; the public `solve_power` is a
+stack of one over it.  `_certify` turns the one row of such a result
+into a state and a certificate (`_certificate`, the other terms from the
+returned q and gains); the design step calls it only for a failed
+solve's error.  With L <= M a cold solve starts from the regularized
+zero-forcing allocation; a warm start keeps q0's zero powers at zero.
+Every stacked operation is elementwise or slice by slice, so an instance
+takes the same steps, to the bit, whatever shares its stack.  A zero
+channel's stream starts and stays at q = 0 (its gain is 0).
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _certify(res, eff, sigma2):
 
 def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     """Solve each row of the stack ``CS`` (B x M x L), in one `_lockstep`
-    call per chunk of at most `STACK_BYTES`, every row of the chunk in it.
+    call per chunk of at most `STACK_BYTES`, each row in its place.
 
     Returns per-row arrays: q (B x L), a = J^-1 Htil at q (B x M x L, as
     the kernel computes it), its phi (B), steps (B), the gains g at q
@@ -265,39 +265,28 @@ def _solve_stack(CS, sigma2, p_max, cfg=None, q0=None, callback=None):
     cfg = cfg or SolverConfig()
     B, M, L = CS.shape
     size = max(1, STACK_BYTES // (16 * M * (M + L)))
-    err, out = [None] * B, None
+    err, parts = [None] * B, []
     for first in range(0, B, size):
         cs = CS[first:first + size]
         # G = Htil^H Htil: the kernel's at L < M, a cold start's at L <= M
         gram = _gram(cs) if L < M or L == M and q0 is None else None
         Q0, errs = _start(cs, gram, sigma2, p_max, q0)
-        dead = None
-        if any(errs):  # those rows finish on entry, with their errors
-            err[first:first + len(cs)] = errs
-            dead = np.array([e is not None for e in errs])
-        for rows, Q, A, F, steps, G, rel, failed in _lockstep(
-                cs, gram if L < M else None, Q0, sigma2, p_max, cfg,
-                callback, dead):
-            at = rows + first
-            got = (Q, A, F, steps, G, rel)
-            if len(at) == B:  # the whole stack at once: no copies
-                out = list(got)
-            else:
-                if out is None:
-                    out = [np.empty((B,) + x.shape[1:], x.dtype) for x in got]
-                for dst, x in zip(out, got):
-                    dst[at] = x
-            for i, n, bad, gap in zip(at.tolist(), steps.tolist(),
-                                      failed.tolist(), rel.tolist()):
-                if bad:  # a start error stands
-                    err[i] = err[i] or NumericsError(
-                        "covariance not positive definite or not finite "
-                        f"after {n} iterations")
-                elif not gap <= cfg.kkt_tol:
-                    err[i] = ConvergenceError(
-                        f"relative gap {gap:.3e} above tolerance "
-                        f"{cfg.kkt_tol:.1e} after {n} iterations")
-    q, a, phi, steps, g, rel = out
+        err[first:first + size] = errs  # per row None or its error
+        *got, failed = _lockstep(cs, gram if L < M else None, Q0, sigma2,
+                                 p_max, cfg, callback, errs)
+        parts.append(got)
+        for i, n, bad, gap in zip(range(first, B), got[3].tolist(),
+                                  failed.tolist(), got[5].tolist()):
+            if bad:  # a start error stands
+                err[i] = err[i] or NumericsError(
+                    "covariance not positive definite or not finite "
+                    f"after {n} iterations")
+            elif not gap <= cfg.kkt_tol:
+                err[i] = ConvergenceError(
+                    f"relative gap {gap:.3e} above tolerance "
+                    f"{cfg.kkt_tol:.1e} after {n} iterations")
+    q, a, phi, steps, g, rel = parts[0] if len(parts) == 1 else map(
+        np.concatenate, zip(*parts))
     return SimpleNamespace(q=q, a=a, phi=phi, steps=steps, g=g, rel=rel,
                            p_max=p_max, err=err)
 
@@ -374,19 +363,20 @@ def _start(CS, gram, sigma2: float, p_max: float, q0=None) -> tuple:
 
 
 def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
-              callback=None, dead=None):
+              callback, errs):
     """Solve each row of the stack ``CS`` (B x M x L), with ``gram`` its
-    `_gram` when L < M (else None), from ``Q0`` (B x L); yield (rows, q,
-    A, f, steps, gains, relative gap, failed) of the best iterates of the
-    rows that finish in a round, failed where a row's start failed (the
-    mask ``dead``, None: none did) or its J was not finite or could not be
-    factored: such a row finishes at once, at Q0.  Progress and
-    the best iterate go by the absolute residual.  A row finishes at a
-    trial (taken or not) that does not lower its best residual once its
-    best passes kkt_tol, or once that residual or its relative gap is at
-    most the polish target (so the stop does not depend on the gains'
-    scale); at a step that does not lower it and predicts a decrease
-    below the target; at max_iters; or with no finite Newton step.
+    `_gram` when L < M (else None), from ``Q0`` (B x L); return (q, A, f,
+    steps, gains, relative gap, failed) of every row's best iterate, in row
+    order.  failed holds where a row's start failed (its ``errs`` entry is
+    not None) or its J was not finite or could not be factored: such a row
+    finishes in the next round.  A finished row keeps its place, at rest at
+    its best iterate; ``live`` holds the others, which the kernel evaluates.
+    Progress and the best iterate go by the absolute residual.  A row
+    finishes at a trial (taken or not) that does not lower its best
+    residual once its best passes kkt_tol, or once that residual or its
+    relative gap is at most the polish target (so the stop does not depend
+    on the gains' scale); at a step that does not lower it and predicts a
+    decrease below the target; at max_iters; or with no finite Newton step.
     ``callback(q, f)`` (f: phi) fires after every step of every row.  Per
     row the loop holds the current iterate (q, f, G, A, r), the best (bq,
     br, ba, bf, bg, bmu, brel), the step (dq, t, slope) and its trial; no
@@ -404,14 +394,15 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
     A, f, G = _covariance(CS, Q0, S2, const)
     bmu, brel, r = _progress(Q0, G, P, act_tol)
     B = len(Q0)
-    failed = np.isnan(f) if dead is None else np.isnan(f) | dead
-    rows, steps, t = np.arange(B), np.zeros(B, dtype=int), np.zeros(B)
+    failed = (np.isnan(f) | [e is not None for e in errs] if any(errs)
+              else np.isnan(f))
+    steps, t, live = np.zeros(B, dtype=int), np.zeros(B), None
     q = bq = trial = Q0
     br, ba, bf, bg, dq, slope = r, A, f, G, np.zeros(Q0.shape), t
-    # the rows at a new iterate, whether they are all rows, and those
-    # whose new iterate is their best
+    # the rows still iterating and their count, those at a new iterate,
+    # whether they are every live row, and those at a new best iterate
     moved = better = ~failed
-    every, evals = not np.count_nonzero(failed), 0
+    every, evals, n_live = not np.count_nonzero(failed), 0, B
     while True:
         fail = brel > kkt_tol
         go = (better & (fail | (br > polish) & (brel > polish))
@@ -427,32 +418,38 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
                 (dq, t, slope, trial))
             if lost:
                 done |= go & np.isnan(dq[:, 0])  # no finite Newton step
-        if np.count_nonzero(done):
-            best = (rows, bq, ba, bf, steps, bg, brel, failed)
-            if np.count_nonzero(done) == len(done):
-                yield best
-                return
-            yield _rows(best, done)
-            (rows, CS, const, ct, q, f, G, A, r, bq, br, ba, bf, bg, bmu, brel,
-             steps, failed, dq, t, slope, trial) = _rows((
-                 rows, CS, const, ct, q, f, G, A, r, bq, br, ba, bf, bg, bmu,
-                 brel, steps, failed, dq, t, slope, trial), ~done)
+        if n_live < B:
+            done &= live
+        if n := np.count_nonzero(done):
+            if not (n_live := n_live - n):
+                return bq, ba, bf, steps, bg, brel, failed
+            live = ~done if live is None else live & ~done
+            # at rest at its best, trial there, slope NaN: it never moves again
+            q, f, G, A, r, trial = _pick(done, (bq, bf, bg, ba, br, bq),
+                                         (q, f, G, A, r, trial))
+            slope = np.where(done, math.nan, slope)
+            cc = _constants(cs := CS[live])  # to the same bits
 
-        A_new, f_new, G_new = _covariance(CS, trial, S2, const)
+        if n_live == B:
+            A_new, f_new, G_new = _covariance(CS, trial, S2, const)
+        else:  # the live rows alone; the others keep their values
+            A_new, f_new, G_new = new = A.copy(), f.copy(), G.copy()
+            for x, y in zip(new, _covariance(cs, trial[live], S2, cc)):
+                x[live] = y
         mu_new, rel_new, r_new = _progress(trial, G_new, P, act_tol)
         evals += 1
         # near the optimum f is flat to rounding and only the residual moves
         moved = (r_new < r) | (f_new <= f + _ARM * t * slope)
         if math.isnan(np.add.reduce(f_new)):  # a rejected covariance ends
-            failed = np.isnan(f_new)           # its row
+            failed = failed | np.isnan(f_new)  # its row
             moved &= ~failed
         steps = steps + moved
         better = r_new < br  # so moved, as br <= r
-        every = np.count_nonzero(moved) == len(moved)
+        every = np.count_nonzero(moved) == n_live
         new = (trial, f_new, G_new, A_new, r_new)
         q, f, G, A, r = new if every else _pick(moved, new, (q, f, G, A, r))
         new = (trial, r_new, A_new, f_new, G_new, mu_new, rel_new)
-        if (n := np.count_nonzero(better)) == len(better):
+        if (n := np.count_nonzero(better)) == n_live:
             bq, br, ba, bf, bg, bmu, brel = new
         elif n:
             bq, br, ba, bf, bg, bmu, brel = _pick(
@@ -460,9 +457,11 @@ def _lockstep(CS, gram, Q0, sigma2: float, p_max: float, cfg: SolverConfig,
         if callback is not None:
             for b in np.flatnonzero(moved):
                 callback(q[b].copy(), float(f[b]))
-        if not every:  # backtrack
+        if not every:  # backtrack the live rows that did not move
             t = np.where(moved, t, t * _BT)
             trial = np.maximum(q + t[:, None] * dq, _Z)
+            if n_live < B:  # a finished row keeps its trial
+                trial = np.where(live[:, None], trial, q)
 
 
 def _pick(mask, new, old):
@@ -470,12 +469,6 @@ def _pick(mask, new, old):
     if isinstance(new, tuple):
         return tuple(_pick(mask, a, b) for a, b in zip(new, old))
     return np.where(mask.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
-
-
-def _rows(x, mask):
-    """The rows in mask of an array, or of every array of a tuple."""
-    return tuple(_rows(a, mask) for a in x) if isinstance(x, tuple) \
-        else x[mask]
 
 
 def _step(go, Q, G, A, CT, p_max, old) -> tuple:

@@ -458,6 +458,35 @@ def test_unfactorable_instance_leaves_the_batch_unchanged():
         assert_same_result(out, ref)
 
 
+def test_finished_rows_are_neither_evaluated_nor_reported(monkeypatch):
+    # the rows of this stack finish rounds apart; a finished row keeps its
+    # place, but the kernel no longer evaluates it and no callback fires for
+    # it, so the stack evaluates the kernel rows, and fires the callbacks,
+    # that its rows do alone (123 and 89; 256 kernel rows if every row
+    # were evaluated until the last finishes)
+    dims = SystemDims(M=8, K=4, N=(2,) * 4, L=(2,) * 4)
+    cols = gen_stacks(dims, range(1, 33))[2]
+    rows, kernel = [0], solver._covariance
+
+    def counted(CS, *args):
+        rows[0] += len(CS)
+        return kernel(CS, *args)
+
+    def solve(cs):
+        rows[0], seen = 0, []
+        res = solver._solve_stack(cs, 1e-4, 10.0, None, None,
+                                  lambda q, f: seen.append((q.tobytes(), f)))
+        return res, rows[0], seen
+
+    monkeypatch.setattr(solver, "_covariance", counted)
+    res, stacked, seen = solve(cols)
+    alone = [solve(cols[b:b + 1]) for b in range(len(cols))]
+    assert len(set(res.steps.tolist())) > 1
+    assert res.steps.tolist() == [r.steps[0] for r, _, _ in alone]
+    assert stacked == sum(n for _, n, _ in alone)
+    assert sorted(seen) == sorted(x for _, _, s in alone for x in s)
+
+
 def test_certificate_state_is_the_kernel_at_its_q():
     # the first step of this instance from its closed-form start lowers f
     # but raises the residual, so with one step allowed the certified

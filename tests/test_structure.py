@@ -102,6 +102,15 @@ def test_generators_seeded_only_in_one_model_function():
                      ("Generator", "model._gaussians")}
 
 
+def test_no_function_is_a_generator():
+    # every stacked core returns its whole stack, in row order, at once: a
+    # row that finishes early keeps its place instead of being yielded
+    yields = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert yields == []
+
+
 def test_ctypes_only_in_the_blas_module():
     # setting BLAS threads is a process-wide side effect: keep it in one place
     importers = set()
@@ -183,6 +192,20 @@ def test_import_loads_no_scipy():
     # the kernel is numpy-only; scipy's import alone took most of the
     # package's import time
     code = "import sys, dualprec; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_verify_loads_no_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, 14 ms of a process's first
+    # `verify`; its summary median is taken from the sorted values instead
+    code = ("import sys; from dualprec import cli; cli.main(['verify', "
+            f"'--trials', '5', '--out', {str(tmp_path / 'v.json')!r}]); "
+            "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     r = subprocess.run([sys.executable, "-c", code], env=env,
